@@ -15,15 +15,7 @@ from .channel import (
     per_stage,
 )
 from .config import ExperimentConfig, load_config
-from .cost_model import (
-    CostBreakdown,
-    SystemParams,
-    etc,
-    omega,
-    placement_cost,
-    total_cost,
-    uplink_rate,
-)
+from .cost_model import CostBreakdown, SystemParams, uplink_rate
 from .errors import ConfigError, NumericalError
 from .model_graph import (
     LayerSpec,
@@ -55,6 +47,7 @@ from .splitting import (
     ThresholdPolicy,
     apply_rule,
     backward_induction,
+    build_policy,
     expected_etc,
     forced_offload_policy,
     one_sla_optimality_probability,

@@ -17,8 +17,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .channel import QUAD_EPSABS, QUAD_EPSREL
 from .config import ExperimentConfig, load_config
@@ -27,16 +25,17 @@ from .errors import ConfigError, NumericalError
 from .placement import run_strategy
 from .simulate import RNG_ALGORITHM, sim_report_json, simulate
 from .splitting import (
-    ThresholdPolicy,
-    backward_induction,
+    build_policy,
     expected_etc,
-    forced_offload_policy,
     one_sla_optimality_probability,
-    one_sla_thresholds,
     stop_probabilities,
 )
 
 _FMT = "{:.12g}"
+
+# The placement strategies whose stopping rule `sweep` over M and `simulate`
+# evaluate directly.
+_RULE_OF_STRATEGY = {"optimal_exhaustive": "optimal", "one_sla_exhaustive": "one_sla"}
 
 
 def _fmt(x) -> str:
@@ -91,20 +90,12 @@ def _horizon(cfg: ExperimentConfig) -> int:
     return cfg.horizon_M if cfg.horizon_M is not None else cfg.network.N
 
 
-def _policy_for_rule(rule: str, M: int, cfg, dists) -> ThresholdPolicy:
-    if M == 0:
-        return forced_offload_policy(rule, cfg.network, cfg.params, dists)
-    if rule == "optimal":
-        return backward_induction(M, cfg.network, cfg.params, dists)
-    return one_sla_thresholds(M, cfg.network, cfg.params, dists)
-
-
 def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> int:
     M = _horizon(cfg)
     dists = cfg.stage_dists(max(M, 1) + 1)
     rows = []
     for rule in ("optimal", "one_sla"):
-        policy = _policy_for_rule(rule, M, cfg, dists)
+        policy = build_policy(rule, M, cfg.network, cfg.params, dists)
         for n in range(1, M + 2):
             threshold = policy.thresholds[n - 1] if n <= M else None
             value = policy.value_table[n - 1] if policy.value_table else None
@@ -162,8 +153,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     _check_closed_form_applicable(cfg)
     rows = []
     if cfg.sweep.variable == "M":
-        allowed = ("optimal_exhaustive", "one_sla_exhaustive")
-        bad = [s for s in cfg.strategies if s not in allowed]
+        bad = [s for s in cfg.strategies if s not in _RULE_OF_STRATEGY]
         if bad:
             raise ConfigError(
                 f"an M sweep evaluates stopping rules; unsupported strategies {bad}",
@@ -173,8 +163,8 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
         for M in cfg.sweep.values:
             opt_prob = one_sla_optimality_probability(M, cfg.network, cfg.params, dists) if M >= 1 else 1.0
             for strategy in cfg.strategies:
-                rule = "optimal" if strategy == "optimal_exhaustive" else "one_sla"
-                policy = _policy_for_rule(rule, M, cfg, dists)
+                policy = build_policy(_RULE_OF_STRATEGY[strategy], M, cfg.network, cfg.params,
+                                      dists)
                 ee = expected_etc(policy, cfg.network, cfg.params, dists)
                 z = cm.total_cost(M, ee)
                 rows.append(f"{_fmt(float(M))},{strategy},{M},{_fmt(z)},{_fmt(ee)},{_fmt(opt_prob)}")
@@ -196,22 +186,18 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     M = _horizon(cfg)
     dists = cfg.stage_dists(max(M, 1) + 1)
-    rules = []
     for strategy in cfg.strategies:
-        if strategy == "optimal_exhaustive":
-            rules.append("optimal")
-        elif strategy == "one_sla_exhaustive":
-            rules.append("one_sla")
-        else:
+        if strategy not in _RULE_OF_STRATEGY:
             raise ConfigError(
                 f"simulate evaluates stopping rules; strategy {strategy!r} unsupported",
                 field="strategies")
+    rules = [_RULE_OF_STRATEGY[s] for s in cfg.strategies]
 
     entries = []
     csv_rows = []
     all_ok = True
     for rule in rules:
-        policy = _policy_for_rule(rule, M, cfg, dists)
+        policy = build_policy(rule, M, cfg.network, cfg.params, dists)
         result = simulate(policy, cfg.network, cfg.params, dists, cfg.trials, cfg.seed)
         analytic_mean = expected_etc(policy, cfg.network, cfg.params, dists)
         analytic_probs = stop_probabilities(policy, dists)

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .channel import StageDistribution, distribution_from_config
 from .cost_model import SystemParams
 from .errors import ConfigError
 from .model_graph import (
-    AUTOENCODER_NEURONS,
     MlpSpec,
     NetworkSpec,
     autoencoder_mlp_spec,
@@ -112,6 +111,17 @@ def _resolve_network(obj, params: SystemParams):
     raise ConfigError("network must be a preset name or an object", field="network")
 
 
+def _integer(raw: dict, key: str, default=None):
+    """raw[key] (or the default) as an int; NaN, inf or a non-number is a ConfigError."""
+    value = raw.get(key, default)
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be an integer, got {value!r}", field=key) from exc
+
+
 def load_config(source) -> ExperimentConfig:
     """Parse and validate a config from a dict, a JSON string, or a file path."""
     if isinstance(source, dict):
@@ -139,9 +149,8 @@ def load_config(source) -> ExperimentConfig:
             raise
         raise ConfigError(f"invalid network: {exc}", field="network") from exc
 
-    horizon = raw.get("horizon_M")
+    horizon = _integer(raw, "horizon_M")
     if horizon is not None:
-        horizon = int(horizon)
         if not 0 <= horizon <= network.N:
             raise ConfigError(f"horizon_M must lie in [0, {network.N}]", field="horizon_M")
 
@@ -154,15 +163,20 @@ def load_config(source) -> ExperimentConfig:
         values = sw.get("values")
         if not values:
             raise ConfigError("sweep.values must be a nonempty list", field="sweep.values")
-        if variable == "updates_per_model":
-            values = [float("inf") if (isinstance(v, str) and v.lower() == "inf") else float(v)
-                      for v in values]
-        elif variable == "M":
-            values = [int(v) for v in values]
-            if any(not 0 <= v <= network.N for v in values):
-                raise ConfigError(f"sweep M values must lie in [0, {network.N}]", field="sweep.values")
-        else:
-            values = [float(v) for v in values]
+        try:
+            if variable == "updates_per_model":
+                values = [float("inf") if (isinstance(v, str) and v.lower() == "inf") else float(v)
+                          for v in values]
+                for v in values:
+                    replace(params, updates_per_model=v)  # SystemParams validates each value
+            elif variable == "M":
+                values = [int(v) for v in values]
+            else:
+                values = [float(v) for v in values]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"invalid sweep.values: {exc}", field="sweep.values") from exc
+        if variable == "M" and any(not 0 <= v <= network.N for v in values):
+            raise ConfigError(f"sweep M values must lie in [0, {network.N}]", field="sweep.values")
         sweep = SweepSpec(variable, tuple(values))
 
     strategies = tuple(raw.get("strategies", ("optimal_exhaustive", "one_sla_exhaustive", "hybrid")))
@@ -171,10 +185,10 @@ def load_config(source) -> ExperimentConfig:
             raise ConfigError(f"unknown strategy {s!r}; expected one of {STRATEGIES}",
                               field="strategies")
 
-    trials = int(raw.get("trials", DEFAULT_TRIALS))
+    trials = _integer(raw, "trials", DEFAULT_TRIALS)
     if trials < 1:
         raise ConfigError("trials must be a positive integer", field="trials")
-    seed = int(raw.get("seed", DEFAULT_SEED))
+    seed = _integer(raw, "seed", DEFAULT_SEED)
 
     cfg = ExperimentConfig(
         raw=raw, network=network, network_label=label, mlp=mlp, params=params,

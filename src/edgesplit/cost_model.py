@@ -36,18 +36,20 @@ class SystemParams:
     downlink_rate_bps: float
 
     def __post_init__(self):
+        # `not lo < x < inf` also rejects NaN
         for name in ("tx_power_w", "noise_w", "bandwidth_hz", "local_freq_hz",
                      "edge_freq_hz", "kappa", "downlink_rate_bps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.beta_t < 0 or self.beta_e < 0:
-            raise ValueError("cost weights must be nonnegative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        for name in ("beta_t", "beta_e"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)!r}")
         if self.beta_t + self.beta_e <= 0:
             raise ValueError("at least one cost weight must be positive")
         if not self.local_freq_hz < self.edge_freq_hz:
             raise ValueError("edge_freq_hz must exceed local_freq_hz")
         k = self.updates_per_model
-        if not (math.isinf(k) or (k >= 1 and float(k).is_integer())):
+        if not (k == math.inf or (k >= 1 and float(k).is_integer())):
             raise ValueError("updates_per_model must be a positive integer or infinity")
 
     def to_json_dict(self) -> dict:
@@ -144,10 +146,6 @@ class CostModel:
         self._check_stage(n)
         return float(self._omega[n - 1])
 
-    def omega_all(self) -> np.ndarray:
-        """omega for stages 1..N+1 (index 0 is stage 1)."""
-        return self._omega.copy()
-
     def payload_bits(self, n: int) -> float:
         self._check_stage(n)
         return float(self._payload_bits[n - 1])
@@ -156,9 +154,6 @@ class CostModel:
         """(beta_t + beta_e * P) * I_n, the channel-cost multiplier at stage n."""
         self._check_stage(n)
         return float(self._weight[n - 1])
-
-    def weight_all(self) -> np.ndarray:
-        return self._weight.copy()
 
     def etc(self, n: int, gamma: float) -> CostBreakdown:
         self._check_stage(n)
@@ -194,34 +189,3 @@ class CostModel:
 @lru_cache(maxsize=128)
 def cost_model(net: NetworkSpec, params: SystemParams) -> CostModel:
     return CostModel(net, params)
-
-
-def omega(n: int, net: NetworkSpec, params: SystemParams) -> float:
-    """Channel-independent cost of splitting at stage n."""
-    return cost_model(net, params).omega(n)
-
-
-def etc(n: int, gamma: float, net: NetworkSpec, params: SystemParams) -> CostBreakdown:
-    """Weighted energy-time cost of splitting at stage n with SNR gamma."""
-    return cost_model(net, params).etc(n, gamma)
-
-
-def placement_cost(M: int, net: NetworkSpec, params: SystemParams) -> float:
-    """Per-inference amortized parameter download time for M on-device layers."""
-    return cost_model(net, params).placement_cost(M)
-
-
-def total_cost(M: int, expected_etc: float, net: NetworkSpec, params: SystemParams) -> float:
-    """Slow-timescale objective: weighted download cost plus expected inference cost."""
-    return cost_model(net, params).total_cost(M, expected_etc)
-
-
-def inverse_rate_fn(params: SystemParams):
-    """1 / uplink throughput as a function of SNR; the integrand of every
-    channel expectation in the stopping rules."""
-    bandwidth = params.bandwidth_hz
-
-    def inv(gamma):
-        return 1.0 / (bandwidth * np.log2(1.0 + gamma))
-
-    return inv

@@ -12,6 +12,7 @@ constants from presets are converted once, at construction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 BITS_PER_BYTE = 8
@@ -54,12 +55,15 @@ class LayerSpec:
     download_seconds: float
 
     def __post_init__(self):
-        if self.workload_cycles < 0:
-            raise ValueError("workload_cycles must be nonnegative")
-        if self.input_bits <= 0:
-            raise ValueError("input_bits must be positive")
-        if self.download_seconds < 0:
-            raise ValueError("download_seconds must be nonnegative")
+        # `not lo < x < inf` also rejects NaN
+        if not 0 <= self.workload_cycles < math.inf:
+            raise ValueError("workload_cycles must be nonnegative and finite, "
+                             f"got {self.workload_cycles!r}")
+        if not 0 < self.input_bits < math.inf:
+            raise ValueError(f"input_bits must be positive and finite, got {self.input_bits!r}")
+        if not 0 <= self.download_seconds < math.inf:
+            raise ValueError("download_seconds must be nonnegative and finite, "
+                             f"got {self.download_seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,9 @@ class NetworkSpec:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("network needs at least one layer")
-        if self.exit_input_bits <= 0:
-            raise ValueError("exit_input_bits must be positive")
+        if not 0 < self.exit_input_bits < math.inf:
+            raise ValueError("exit_input_bits must be positive and finite, "
+                             f"got {self.exit_input_bits!r}")
         object.__setattr__(self, "layers", tuple(self.layers))
 
     @property
@@ -126,14 +131,18 @@ class MlpSpec:
     downlink_rate_bps: float
 
     def __post_init__(self):
-        object.__setattr__(self, "neurons", tuple(int(x) for x in self.neurons))
+        try:
+            object.__setattr__(self, "neurons", tuple(int(x) for x in self.neurons))
+        except (ValueError, OverflowError) as exc:  # int() of NaN or inf
+            raise ValueError(f"neurons must be finite integers: {exc}") from exc
         if len(self.neurons) < 2:
             raise ValueError("neurons must list the input width plus at least one layer")
         if any(x < 1 for x in self.neurons):
             raise ValueError("every layer width must be >= 1")
         for name in ("bytes_per_activation", "bytes_per_parameter", "cycles_per_macc", "downlink_rate_bps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @property
     def is_equal_width(self) -> bool:
@@ -164,15 +173,7 @@ def build_mlp(spec: MlpSpec) -> NetworkSpec:
 
 def build_autoencoder_preset(downlink_rate_bps: float) -> NetworkSpec:
     """784-128-64-32-10-32-64-128-784 MLP with 8-byte values and 100 cycles/MACC."""
-    return build_mlp(
-        MlpSpec(
-            neurons=AUTOENCODER_NEURONS,
-            bytes_per_activation=PRESET_BYTES_PER_ACTIVATION,
-            bytes_per_parameter=PRESET_BYTES_PER_PARAMETER,
-            cycles_per_macc=PRESET_CYCLES_PER_MACC,
-            downlink_rate_bps=downlink_rate_bps,
-        )
-    )
+    return build_mlp(autoencoder_mlp_spec(downlink_rate_bps))
 
 
 def autoencoder_mlp_spec(downlink_rate_bps: float) -> MlpSpec:
@@ -201,19 +202,15 @@ def build_alexnet_preset(downlink_rate_bps: float) -> NetworkSpec:
 
 
 def network_from_json(obj: dict) -> NetworkSpec:
-    """Load a network from its JSON form.
-
-    Accepts either the explicit layer list
+    """Load a network from its explicit layer list
     {"layers": [{"workload_cycles":..,"input_bits":..,"download_seconds":..}],
-     "exit_input_bits":..}
-    or the MLP shorthand
-    {"mlp": {"neurons": [...], "lambda_bytes":.., "mu_bytes":.., "alpha":..,
-             "downlink_bps":..}}.
+     "exit_input_bits":..}.
+
+    The {"mlp": {...}} shorthand of the config file is parsed by
+    `edgesplit.config`, which resolves its downlink rate against the params.
     """
-    if "mlp" in obj:
-        return build_mlp(mlp_spec_from_json(obj["mlp"]))
     if "layers" not in obj or "exit_input_bits" not in obj:
-        raise ValueError("network JSON needs 'layers' and 'exit_input_bits' (or an 'mlp' shorthand)")
+        raise ValueError("network JSON needs 'layers' and 'exit_input_bits'")
     layers = tuple(
         LayerSpec(
             workload_cycles=float(l["workload_cycles"]),

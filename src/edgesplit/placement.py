@@ -16,18 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .channel import StageDistribution, per_stage
+from .channel import StageDistribution, inv_rate_expectation, per_stage
 from .cost_model import SystemParams, cost_model
 from .errors import NumericalError
 from .model_graph import MlpSpec, NetworkSpec, build_mlp
+# This module reaches backward_induction only through build_policy; the name
+# stays importable here because perfbench/test_perfbench.py wraps and checks
+# edgesplit.placement.backward_induction.
 from .splitting import (
     ThresholdPolicy,
-    _inv_rate_above,
-    _inv_rate_below,
-    _inv_rate_full,
-    backward_induction,
+    backward_induction,  # noqa: F401
+    build_policy,
     expected_etc,
     forced_offload_policy,
     one_sla_thresholds,
@@ -113,12 +112,10 @@ def optimize_exhaustive(net: NetworkSpec, params: SystemParams, dists,
     rows = []
     policies = {}
     for M in range(N + 1):
-        if M == 0:
-            policy = forced_offload_policy(rule_kind, net, params, ds)
-        elif rule_kind == "optimal":
-            policy = backward_induction(M, net, params, ds)
-        else:
+        if shared_one_sla is not None and M > 0:
             policy = ThresholdPolicy("one_sla", M, shared_one_sla.thresholds[:M])
+        else:
+            policy = build_policy(rule_kind, M, net, params, ds)
         psi = cm.placement_cost(M)
         try:
             ee = expected_etc(policy, net, params, ds)
@@ -156,9 +153,9 @@ def theta_one_sla(M: int, net: NetworkSpec, params: SystemParams, dists) -> floa
     cont_m = float(ds[M - 1].cdf(t_m))
     bracket = (
         cm.omega(M + 1)
-        + cm.weight(M + 1) * _inv_rate_full(ds[M], bandwidth)
+        + cm.weight(M + 1) * inv_rate_expectation(ds[M], 0.0, math.inf, bandwidth)
         - cm.omega(M)
-        - cm.weight(M) * _inv_rate_below(ds[M - 1], t_m, bandwidth) / cont_m
+        - cm.weight(M) * inv_rate_expectation(ds[M - 1], 0.0, t_m, bandwidth) / cont_m
     )
     return reach * bracket
 
@@ -190,7 +187,7 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
         + params.beta_e * params.kappa * params.local_freq_hz**2
     )
     alpha_x = mlp.cycles_per_macc * X
-    einv = _inv_rate_full(dist, bandwidth)
+    einv = inv_rate_expectation(dist, 0.0, math.inf, bandwidth)
 
     exponent = (weight_per_bit * lam_bits) / (
         bandwidth * (lam_bits * weight_per_bit * einv + unit_gap * alpha_x)
@@ -201,7 +198,7 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
         raise NumericalError(
             "shared 1-sla threshold sits at or below the SNR floor; "
             "the geometric decrement is degenerate", estimate=delta)
-    below = _inv_rate_below(dist, delta, bandwidth)
+    below = inv_rate_expectation(dist, 0.0, delta, bandwidth)
     # bracket of the decrement, computed both ways: directly, and simplified
     # through the threshold's indifference identity. They must agree; a gap
     # means the truncation floor broke the identity.
@@ -263,8 +260,7 @@ def hybrid(net: NetworkSpec, params: SystemParams, dists) -> PlacementReport:
     base = optimize_exhaustive(net, params, ds, rule_kind="one_sla")
     M = base.best_M
     cm = cost_model(net, params)
-    policy = (backward_induction(M, net, params, ds) if M > 0
-              else forced_offload_policy("optimal", net, params, ds))
+    policy = build_policy("optimal", M, net, params, ds)
     ee = expected_etc(policy, net, params, ds)
     psi = cm.placement_cost(M)
     refined = PlacementRow(M, params.beta_t * psi + ee, ee, psi)

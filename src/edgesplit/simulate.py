@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import StageDistribution, per_stage
+from .channel import per_stage
 from .cost_model import SystemParams, cost_model
 from .model_graph import NetworkSpec
-from .splitting import ThresholdPolicy, backward_induction, forced_offload_policy, one_sla_thresholds
+from .splitting import ThresholdPolicy, backward_induction, one_sla_thresholds
 
 RNG_ALGORITHM = "numpy-pcg64"
 _CHUNK_TRIALS = 1 << 17
@@ -44,10 +44,16 @@ class OracleResult:
     expected_cost: float
 
 
-def _draw_snrs(rng: np.random.Generator, ds, n_trials: int) -> np.ndarray:
-    u = rng.random((n_trials, len(ds)))
-    cols = [np.atleast_1d(d.quantile(u[:, j])) for j, d in enumerate(ds)]
-    return np.column_stack(cols)
+def _snr_chunks(ds, trials: int, seed: int, chunk: int):
+    """Per-stage SNR draws of `trials` sequences, in blocks of at most `chunk` rows.
+
+    The uniforms come from one PCG64 stream in trial-major order, so the
+    draws do not depend on the chunk size.
+    """
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, chunk):
+        u = rng.random((min(chunk, trials - start), len(ds)))
+        yield np.column_stack([np.atleast_1d(d.quantile(u[:, j])) for j, d in enumerate(ds)])
 
 
 def _stop_stages(snrs: np.ndarray, thresholds: np.ndarray, M: int) -> np.ndarray:
@@ -67,22 +73,17 @@ def simulate(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, di
     ds = per_stage(dists, M + 1)
     cm = cost_model(net, params)
     thresholds = np.array(policy.thresholds, dtype=float)
-    rng = np.random.default_rng(seed)
 
     total = 0.0
     total_sq = 0.0
     counts = np.zeros(M + 2, dtype=np.int64)  # 1-based stages
-    done = 0
-    while done < trials:
-        n = min(chunk, trials - done)
-        snrs = _draw_snrs(rng, ds, n)
+    for snrs in _snr_chunks(ds, trials, seed, chunk):
         stages = _stop_stages(snrs, thresholds, M)
-        gammas = snrs[np.arange(n), stages - 1]
+        gammas = snrs[np.arange(len(snrs)), stages - 1]
         etcs = cm.etc_values(stages, gammas)
         total += float(etcs.sum())
         total_sq += float(np.dot(etcs, etcs))
         counts += np.bincount(stages, minlength=M + 2)
-        done += n
 
     mean = total / trials
     if trials > 1:
@@ -106,15 +107,9 @@ def coincidence_rate(M: int, net: NetworkSpec, params: SystemParams, dists,
     ds = per_stage(dists, M + 1)
     t_opt = np.array(backward_induction(M, net, params, ds).thresholds)
     t_sla = np.array(one_sla_thresholds(M, net, params, ds).thresholds)
-    rng = np.random.default_rng(seed)
-
     agree = 0
-    done = 0
-    while done < trials:
-        n = min(chunk, trials - done)
-        snrs = _draw_snrs(rng, ds, n)
+    for snrs in _snr_chunks(ds, trials, seed, chunk):
         agree += int((_stop_stages(snrs, t_opt, M) == _stop_stages(snrs, t_sla, M)).sum())
-        done += n
     return agree / trials
 
 

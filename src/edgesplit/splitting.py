@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .channel import StageDistribution, per_stage
+from .channel import inv_rate_expectation, per_stage
 from .cost_model import SystemParams, cost_model
 from .model_graph import NetworkSpec
 
@@ -95,22 +94,6 @@ class SplitOutcome:
     realized_etc: float
 
 
-# Channel expectations of 1/R are reused heavily across stages, placements
-# and strategies; memoize them on the (immutable) law and bounds.
-@lru_cache(maxsize=8192)
-def _inv_rate_above(dist: StageDistribution, lo: float, bandwidth_hz: float) -> float:
-    return dist.partial_expect(lambda s: 1.0 / (bandwidth_hz * math.log2(1.0 + s)), lo, math.inf)
-
-
-@lru_cache(maxsize=8192)
-def _inv_rate_below(dist: StageDistribution, hi: float, bandwidth_hz: float) -> float:
-    return dist.partial_expect(lambda s: 1.0 / (bandwidth_hz * math.log2(1.0 + s)), 0.0, hi)
-
-
-def _inv_rate_full(dist: StageDistribution, bandwidth_hz: float) -> float:
-    return _inv_rate_above(dist, 0.0, bandwidth_hz)
-
-
 def _indifference_threshold(weight: float, bandwidth_hz: float, margin: float) -> float:
     """SNR at which weight / R(snr) equals margin; inf when no SNR suffices."""
     if margin <= 0:
@@ -135,7 +118,7 @@ def backward_induction(M: int, net: NetworkSpec, params: SystemParams, dists) ->
     cm = cost_model(net, params)
     bandwidth = params.bandwidth_hz
 
-    ev = cm.omega(M + 1) + cm.weight(M + 1) * _inv_rate_full(ds[M], bandwidth)
+    ev = cm.omega(M + 1) + cm.weight(M + 1) * inv_rate_expectation(ds[M], 0.0, math.inf, bandwidth)
     values = [ev]
     thresholds = []
     for n in range(M, 0, -1):
@@ -147,7 +130,7 @@ def backward_induction(M: int, net: NetworkSpec, params: SystemParams, dists) ->
             continue_prob = dist.cdf(t)
             ev_n = (
                 cm.omega(n) * (1.0 - continue_prob)
-                + cm.weight(n) * _inv_rate_above(dist, t, bandwidth)
+                + cm.weight(n) * inv_rate_expectation(dist, t, math.inf, bandwidth)
                 + ev * continue_prob
             )
         thresholds.append(t)
@@ -177,7 +160,7 @@ def one_sla_thresholds(M: int, net: NetworkSpec, params: SystemParams, dists) ->
     for n in range(1, M + 1):
         cycles = net.layers[n - 1].workload_cycles
         margin = (
-            cm.weight(n + 1) * _inv_rate_full(ds[n], bandwidth)
+            cm.weight(n + 1) * inv_rate_expectation(ds[n], 0.0, math.inf, bandwidth)
             + params.beta_t * cycles * inv_f_gap
             + params.beta_e * params.kappa * cycles * params.local_freq_hz**2
         )
@@ -189,9 +172,26 @@ def forced_offload_policy(rule_kind: str, net: NetworkSpec, params: SystemParams
     """M = 0 policy: no layers on device, offload at stage 1 unconditionally."""
     ds = per_stage(dists, 1)
     cm = cost_model(net, params)
-    value = cm.omega(1) + cm.weight(1) * _inv_rate_full(ds[0], params.bandwidth_hz)
+    einv = inv_rate_expectation(ds[0], 0.0, math.inf, params.bandwidth_hz)
+    value = cm.omega(1) + cm.weight(1) * einv
     table = (value,) if rule_kind == "optimal" else None
     return ThresholdPolicy(rule_kind, 0, (), table)
+
+
+def build_policy(rule_kind: str, M: int, net: NetworkSpec, params: SystemParams,
+                 dists) -> ThresholdPolicy:
+    """Threshold policy of rule "optimal" or "one_sla" with M layers on the device.
+
+    M = 0 is the forced offload at stage 1; otherwise the optimal rule comes
+    from backward induction and the 1-sla rule from its closed form.
+    """
+    if rule_kind not in ("optimal", "one_sla"):
+        raise ValueError("rule_kind must be 'optimal' or 'one_sla'")
+    if M == 0:
+        return forced_offload_policy(rule_kind, net, params, dists)
+    if rule_kind == "optimal":
+        return backward_induction(M, net, params, dists)
+    return one_sla_thresholds(M, net, params, dists)
 
 
 def apply_rule(policy: ThresholdPolicy, snr_seq, net: NetworkSpec, params: SystemParams) -> SplitOutcome:
@@ -245,8 +245,10 @@ def stop_conditional_etc(policy: ThresholdPolicy, net: NetworkSpec, params: Syst
         if survive <= 0.0:
             out[n - 1] = 0.0
         else:
-            out[n - 1] = cm.omega(n) + cm.weight(n) * _inv_rate_above(dist, t, bandwidth) / survive
-    out[M] = cm.omega(M + 1) + cm.weight(M + 1) * _inv_rate_full(ds[M], bandwidth)
+            tail = inv_rate_expectation(dist, t, math.inf, bandwidth)
+            out[n - 1] = cm.omega(n) + cm.weight(n) * tail / survive
+    einv = inv_rate_expectation(ds[M], 0.0, math.inf, bandwidth)
+    out[M] = cm.omega(M + 1) + cm.weight(M + 1) * einv
     return out
 
 

@@ -21,7 +21,6 @@ from edgesplit import (
     forced_offload_policy,
     hybrid,
     mlp_closed_form,
-    omega,
     one_sla_optimality_probability,
     one_sla_thresholds,
     optimize_exhaustive,
@@ -29,6 +28,7 @@ from edgesplit import (
     simulate,
     stop_probabilities,
 )
+from edgesplit.cost_model import cost_model
 
 from conftest import DOWNLINK_BPS, channel_at, make_params
 
@@ -101,7 +101,7 @@ def test_criterion_3b_one_sla_cost_strictly_decreasing(nets, params, dist_d50):
 def test_criterion_3c_omega_nondecreasing(nets, params):
     ok = True
     for net in nets.values():
-        vals = [omega(n, net, params) for n in range(1, net.N + 2)]
+        vals = [cost_model(net, params).omega(n) for n in range(1, net.N + 2)]
         ok = ok and all(a <= b + 1e-18 for a, b in zip(vals, vals[1:]))
     _verdict("criterion 3c (channel-free cost nondecreasing in the split stage)",
              ok, "both presets, all stages")

@@ -5,7 +5,9 @@ import math
 import pytest
 
 from edgesplit import ConfigError, load_config
+from edgesplit.channel import inv_rate_expectation
 from edgesplit.cli import main
+from edgesplit.cost_model import cost_model
 
 from conftest import reference_config_dict
 
@@ -89,6 +91,82 @@ def test_load_config_mlp_downlink_consistency():
         "downlink_bps": 123.0}})
     with pytest.raises(ConfigError, match="downlink"):
         load_config(raw)
+
+
+# -- non-finite input and byte reproducibility ----------------------------------
+
+NAN, INF = float("nan"), float("inf")
+LAYERS = {"layers": [{"workload_cycles": 1e6, "input_bits": 4096, "download_seconds": 0.01}],
+          "exit_input_bits": 1024}
+MLP = {"neurons": [64, 64], "lambda_bytes": 8, "mu_bytes": 8, "alpha": 100}
+
+
+def _with(raw, path, value):
+    """Copy of `raw` with the entry at `path` (keys and list indices) set to `value`."""
+    raw = json.loads(json.dumps(raw))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+@pytest.mark.parametrize("network,path,value,field", [
+    (None, ("params", "tx_power_w"), NAN, "tx_power_w"),
+    (None, ("params", "bandwidth_hz"), INF, "bandwidth_hz"),
+    (None, ("params", "beta_e"), NAN, "beta_e"),
+    (None, ("params", "beta_t"), -INF, "beta_t"),
+    (None, ("params", "updates_per_model"), NAN, "updates_per_model"),
+    (None, ("params", "updates_per_model"), -INF, "updates_per_model"),
+    (None, ("channel", "distance_m"), NAN, "distance_m"),
+    (None, ("channel", "snr_floor_ratio"), NAN, "support_lo"),
+    (None, ("channel",), {"kind": "truncated_exponential", "mean_snr": NAN}, "mean_snr"),
+    (None, ("channel",), {"kind": "discrete", "atoms": [[NAN, 1.0]]}, "atom"),
+    (LAYERS, ("network", "layers", 0, "workload_cycles"), NAN, "workload_cycles"),
+    (LAYERS, ("network", "layers", 0, "download_seconds"), INF, "download_seconds"),
+    (LAYERS, ("network", "exit_input_bits"), INF, "exit_input_bits"),
+    ({"mlp": MLP}, ("network", "mlp", "lambda_bytes"), NAN, "bytes_per_activation"),
+    ({"mlp": MLP}, ("network", "mlp", "alpha"), INF, "cycles_per_macc"),
+    ({"mlp": MLP}, ("network", "mlp", "neurons", 1), INF, "neurons"),
+    (None, ("trials",), NAN, "trials"),
+    (None, ("horizon_M",), INF, "horizon_M"),
+    (None, ("sweep",), {"variable": "updates_per_model", "values": [10, NAN]}, "sweep.values"),
+    (None, ("sweep",), {"variable": "M", "values": [-INF]}, "sweep.values"),
+])
+def test_non_finite_input_is_a_named_config_error(tmp_path, capsys, network, path, value, field):
+    raw = reference_config_dict(**({"network": network} if network else {}))
+    raw = _with(raw, path, value)
+    with pytest.raises(ConfigError, match=field):
+        load_config(raw)
+    cfg = write_config(tmp_path, raw)
+    assert main(["place", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_infinite_updates_and_ceiling_stay_legal():
+    cfg = load_config(_with(reference_config_dict(), ("params", "updates_per_model"), INF))
+    assert cfg.params.updates_per_model == INF
+    assert cfg.stage_dists(1)[0].support_hi == INF
+
+
+@pytest.mark.parametrize("command,result", [
+    ("thresholds", "thresholds.csv"),
+    ("place", "placement.csv"),
+    ("place", "placement.json"),
+    ("sweep", "sweep.csv"),
+])
+def test_cache_hits_write_the_same_bytes_as_misses(tmp_path, command, result):
+    raw = reference_config_dict(sweep={"variable": "distance_m", "values": [20, 60, 100]})
+    cfg = write_config(tmp_path, raw)
+    inv_rate_expectation.cache_clear()
+    cost_model.cache_clear()
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    assert main([command, "--config", cfg, "--out", str(cold)]) == 0
+    assert inv_rate_expectation.cache_info().misses > 0
+    hits = inv_rate_expectation.cache_info().hits
+    assert main([command, "--config", cfg, "--out", str(warm)]) == 0
+    assert inv_rate_expectation.cache_info().hits > hits
+    assert (cold / result).read_bytes() == (warm / result).read_bytes()
 
 
 # -- thresholds command ----------------------------------------------------------

@@ -12,7 +12,12 @@ from edgesplit import (
     build_mlp,
     network_from_json,
 )
-from edgesplit.model_graph import ALEXNET_EXIT_VALUES, ALEXNET_TABLE, AUTOENCODER_NEURONS
+from edgesplit.model_graph import (
+    ALEXNET_EXIT_VALUES,
+    ALEXNET_TABLE,
+    AUTOENCODER_NEURONS,
+    mlp_spec_from_json,
+)
 
 from conftest import DOWNLINK_BPS
 
@@ -162,9 +167,9 @@ def test_network_json_roundtrip():
 
 
 def test_network_json_mlp_shorthand():
-    obj = {"mlp": {"neurons": [784, 128], "lambda_bytes": 8, "mu_bytes": 8,
-                   "alpha": 100, "downlink_bps": 1e7}}
-    net = network_from_json(obj)
+    obj = {"neurons": [784, 128], "lambda_bytes": 8, "mu_bytes": 8,
+           "alpha": 100, "downlink_bps": 1e7}
+    net = build_mlp(mlp_spec_from_json(obj))
     assert net.N == 1
     assert net.layers[0].input_bits == 8 * 8 * 784
 
@@ -172,6 +177,8 @@ def test_network_json_mlp_shorthand():
 def test_network_json_missing_keys():
     with pytest.raises(ValueError):
         network_from_json({"layers": []})
+    with pytest.raises(ValueError, match="layers"):
+        network_from_json({"mlp": {"neurons": [4, 4], "lambda_bytes": 8, "mu_bytes": 8,
+                                   "alpha": 100, "downlink_bps": 1e7}})
     with pytest.raises(ValueError, match="downlink_bps"):
-        network_from_json({"mlp": {"neurons": [4, 4], "lambda_bytes": 8,
-                                   "mu_bytes": 8, "alpha": 100}})
+        mlp_spec_from_json({"neurons": [4, 4], "lambda_bytes": 8, "mu_bytes": 8, "alpha": 100})

@@ -14,10 +14,11 @@ from edgesplit import (
     mlp_closed_form,
     one_sla_thresholds,
     optimize_exhaustive,
-    placement_cost,
     run_strategy,
     theta_one_sla,
 )
+
+from edgesplit.cost_model import cost_model
 
 from conftest import DOWNLINK_BPS, channel_at, make_params
 
@@ -47,7 +48,8 @@ def test_exhaustive_rows_compose(autoencoder, params, dist_d50):
     rep = optimize_exhaustive(autoencoder, params, dist_d50, "one_sla")
     for r in rep.rows:
         assert r.Z == pytest.approx(params.beta_t * r.psi + r.expected_etc, rel=1e-14)
-        assert r.psi == pytest.approx(placement_cost(r.M, autoencoder, params), rel=1e-14)
+        assert r.psi == pytest.approx(cost_model(autoencoder, params).placement_cost(r.M),
+                                      rel=1e-14)
 
 
 def test_exhaustive_infinite_updates_prefers_all_layers(autoencoder, alexnet,

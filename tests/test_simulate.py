@@ -8,7 +8,6 @@ from edgesplit import (
     StageDistribution,
     backward_induction,
     coincidence_rate,
-    etc,
     expected_etc,
     one_sla_optimality_probability,
     one_sla_thresholds,
@@ -16,6 +15,7 @@ from edgesplit import (
     simulate,
     stop_probabilities,
 )
+from edgesplit.cost_model import cost_model
 from edgesplit.simulate import network_hash, sim_report_json
 
 
@@ -32,6 +32,9 @@ def test_simulate_deterministic_and_chunk_invariant(autoencoder, params, dist_d5
     assert c.stop_histogram == a.stop_histogram
     assert c.mean_etc == pytest.approx(a.mean_etc, rel=1e-13)
     assert c.std_error == pytest.approx(a.std_error, rel=1e-10)
+    # coincidence_rate counts agreements on the same chunked stream: exact
+    whole = coincidence_rate(4, autoencoder, params, dist_d50, 30_000, seed=11)
+    assert coincidence_rate(4, autoencoder, params, dist_d50, 30_000, seed=11, chunk=777) == whole
 
 
 def test_simulate_single_atom_matches_analytic_exactly(autoencoder, params):
@@ -106,9 +109,10 @@ def test_coincidence_deterministic_channel(autoencoder, params):
 def test_oracle_single_atom_equals_enumeration(autoencoder, params):
     gamma0 = 0.7
     atom = StageDistribution.discrete([(gamma0, 1.0)])
+    cm = cost_model(autoencoder, params)
     for M in (1, 4, 8):
         res = oracle_dp(M, autoencoder, params, atom)
-        best = min(etc(n, gamma0, autoencoder, params).etc for n in range(1, M + 2))
+        best = min(cm.etc(n, gamma0).etc for n in range(1, M + 2))
         assert res.expected_cost == pytest.approx(best, rel=1e-12)
 
 

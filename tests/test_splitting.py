@@ -9,10 +9,9 @@ from edgesplit import (
     ThresholdPolicy,
     apply_rule,
     backward_induction,
-    etc,
+    build_policy,
     expected_etc,
     forced_offload_policy,
-    omega,
     one_sla_optimality_probability,
     one_sla_thresholds,
     stop_conditional_etc,
@@ -20,7 +19,7 @@ from edgesplit import (
 )
 from edgesplit import MlpSpec, build_mlp
 from edgesplit.cost_model import cost_model
-from edgesplit.splitting import _inv_rate_above, _inv_rate_full
+from edgesplit.channel import inv_rate_expectation
 
 from conftest import DOWNLINK_BPS, make_params
 
@@ -38,7 +37,7 @@ def test_threshold_is_indifference_point(autoencoder, params, dist_d50):
             t = pol.thresholds[n - 1]
             if math.isinf(t):
                 continue
-            stop_now = etc(n, t, autoencoder, params).etc
+            stop_now = cost_model(autoencoder, params).etc(n, t).etc
             continue_value = pol.value_table[n]
             assert stop_now == pytest.approx(continue_value, abs=1e-8)
 
@@ -63,14 +62,14 @@ def test_backward_induction_matches_enumeration_on_deterministic_channel(autoenc
     # single-atom law at every stage: the policy must pick the cheapest stage
     gamma0 = 0.7
     atom = StageDistribution.discrete([(gamma0, 1.0)])
+    cm = cost_model(autoencoder, params)
     for M in (1, 3, 8):
         pol = backward_induction(M, autoencoder, params, atom)
         outcome = apply_rule(pol, [gamma0] * (M + 1), autoencoder, params)
-        by_enumeration = min(
-            range(1, M + 2), key=lambda n: etc(n, gamma0, autoencoder, params).etc)
+        by_enumeration = min(range(1, M + 2), key=lambda n: cm.etc(n, gamma0).etc)
         assert outcome.stage == by_enumeration
         assert expected_etc(pol, autoencoder, params, atom) == pytest.approx(
-            etc(by_enumeration, gamma0, autoencoder, params).etc, rel=1e-12)
+            cm.etc(by_enumeration, gamma0).etc, rel=1e-12)
 
 
 def test_backward_induction_bounds(autoencoder, params, dist_d50):
@@ -100,12 +99,11 @@ def test_one_sla_defining_inequality(autoencoder, params, dist_d50):
     """At the threshold, stopping equals the expected cost of one more stage."""
     M = 8
     pol = one_sla_thresholds(M, autoencoder, params, dist_d50)
+    cm = cost_model(autoencoder, params)
     for n in range(1, M + 1):
         t = pol.thresholds[n - 1]
-        stop_now = etc(n, t, autoencoder, params).etc
-        next_expected = (omega(n + 1, autoencoder, params)
-                         + cost_model(autoencoder, params).weight(n + 1)
-                         * dist_d50.expect(inv_rate_fn(params)))
+        stop_now = cm.etc(n, t).etc
+        next_expected = cm.omega(n + 1) + cm.weight(n + 1) * dist_d50.expect(inv_rate_fn(params))
         assert stop_now == pytest.approx(next_expected, rel=1e-10)
 
 
@@ -138,13 +136,32 @@ def test_one_sla_threshold_decreases_with_local_workload(params, dist_d50):
     assert vals[0] > vals[1] > vals[2]
 
 
+@pytest.mark.parametrize("rule", ["optimal", "one_sla"])
+@pytest.mark.parametrize("M", range(9))
+def test_build_policy_matches_direct_constructors(rule, M, autoencoder, params, dist_d50):
+    got = build_policy(rule, M, autoencoder, params, dist_d50)
+    if M == 0:
+        want = forced_offload_policy(rule, autoencoder, params, dist_d50)
+    elif rule == "optimal":
+        want = backward_induction(M, autoencoder, params, dist_d50)
+    else:
+        want = one_sla_thresholds(M, autoencoder, params, dist_d50)
+    assert got == want
+
+
+def test_build_policy_rejects_unknown_rule(autoencoder, params, dist_d50):
+    for M in (0, 2):
+        with pytest.raises(ValueError, match="rule_kind"):
+            build_policy("custom", M, autoencoder, params, dist_d50)
+
+
 # -- rule application -------------------------------------------------------------
 
 def test_apply_rule_m0_always_stage_one(autoencoder, params, dist_d50):
     pol = forced_offload_policy("optimal", autoencoder, params, dist_d50)
     out = apply_rule(pol, [0.9], autoencoder, params)
     assert out.stage == 1
-    assert out.realized_etc == etc(1, 0.9, autoencoder, params).etc
+    assert out.realized_etc == cost_model(autoencoder, params).etc(1, 0.9).etc
 
 
 def test_apply_rule_first_crossing_and_fallback(autoencoder, params):
@@ -206,8 +223,8 @@ def test_stop_probabilities_sum_to_one(autoencoder, params, dist_d50):
 def test_expected_etc_m0_is_unconditional_mean(autoencoder, params, dist_d50):
     pol = forced_offload_policy("one_sla", autoencoder, params, dist_d50)
     got = expected_etc(pol, autoencoder, params, dist_d50)
-    want = (omega(1, autoencoder, params)
-            + cost_model(autoencoder, params).weight(1) * dist_d50.expect(inv_rate_fn(params)))
+    cm = cost_model(autoencoder, params)
+    want = cm.omega(1) + cm.weight(1) * dist_d50.expect(inv_rate_fn(params))
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -309,9 +326,9 @@ def test_policy_json_roundtrip(autoencoder, params, dist_d50):
 
 
 def test_caches_are_shared_across_calls(autoencoder, params, dist_d50):
-    before = _inv_rate_full(dist_d50, params.bandwidth_hz)
-    again = _inv_rate_full(dist_d50, params.bandwidth_hz)
+    before = inv_rate_expectation(dist_d50, 0.0, math.inf, params.bandwidth_hz)
+    again = inv_rate_expectation(dist_d50, 0.0, math.inf, params.bandwidth_hz)
     assert before == again
     t = 0.25
-    assert _inv_rate_above(dist_d50, t, params.bandwidth_hz) == pytest.approx(
+    assert inv_rate_expectation(dist_d50, t, math.inf, params.bandwidth_hz) == pytest.approx(
         dist_d50.partial_expect(inv_rate_fn(params), t, math.inf), abs=1e-12)
