@@ -53,6 +53,33 @@ def omega(n, layers):
     return BETA_T * (local / F_LOCAL + edge / F_EDGE) + BETA_E * KAPPA * local * F_LOCAL**2
 
 
+FLOOR_RATIO = mp.mpf("1e-3")   # SNR floor of the truncated law, relative to its mean
+MIN_TAIL_MASS = mp.mpf("1e-3")  # pairs with less mass above t are not frozen
+
+
+def inv_rate_tail(distance, t):
+    """E[1/R; gamma >= t] under the exponential SNR law truncated at its floor.
+
+    Returns (value, tail mass). The density is exp(-(s - floor)/mean)/mean
+    on [floor, inf); the integral is split at multiples of the mean, where the
+    exponential decays, and checked at a second working precision.
+    """
+    mean = mean_snr(distance)
+    floor = mean * FLOOR_RATIO
+    lo = max(t, floor)
+
+    def integrand(s):
+        return mp.exp(-(s - floor) / mean) / (mean * W * mp.log(1 + s, 2))
+
+    points = [lo] + [lo + k * mean for k in (mp.mpf("0.01"), mp.mpf("0.1"), 1, 4, 16, 64)] + [mp.inf]
+    value = mp.quad(integrand, points)
+    with mp.workdps(mp.mp.dps + 20):
+        check = mp.quad(integrand, points, maxdegree=10)
+    if abs(value - check) > mp.mpf(10) ** (-32) * abs(value):
+        raise RuntimeError(f"E[1/R] at d={distance}, t={t} is not stable to 32 digits")
+    return value, mp.exp(-(lo - floor) / mean)
+
+
 def main():
     print("== uplink rate ==")
     print("rate(gamma=0.5, W=2e6) =", mp.nstr(mp.mpf("2e6") * mp.log(mp.mpf("1.5"), 2), 17))
@@ -82,6 +109,19 @@ def main():
     rd = W * mp.log(1 + gd, 2)
     psi3 = 3 * 8 * mp.mpf(8) * 129 * 128 / (rd * 50)
     print("psi(M=3), X=128 equal MLP, K=50, reference downlink =", mp.nstr(psi3, 17))
+
+    print("== E[1/R; gamma >= t], truncated law, floor 1e-3 x mean, W = 2e6 ==")
+    print(f"(pairs with tail mass below {mp.nstr(MIN_TAIL_MASS, 3)} are skipped)")
+    for distance in (25, 50, 100):
+        floor = mean_snr(distance) * FLOOR_RATIO
+        for label, t in (("0", mp.mpf(0)), ("3*floor", 3 * floor),
+                         ("0.1", mp.mpf("0.1")), ("1.0", mp.mpf(1))):
+            value, mass = inv_rate_tail(distance, t)
+            if mass < MIN_TAIL_MASS:
+                print(f"d={distance} t={label}: skipped, tail mass {mp.nstr(mass, 3)}")
+                continue
+            print(f"d={distance} t={label}: {mp.nstr(value, 30, min_fixed=0, max_fixed=0)}"
+                  f"  (tail mass {mp.nstr(mass, 6)})")
 
 
 if __name__ == "__main__":

@@ -195,6 +195,14 @@ def load_config(source) -> ExperimentConfig:
         channel_raw=raw["channel"], horizon_M=horizon, sweep=sweep,
         strategies=strategies, trials=trials, seed=seed,
     )
-    # fail fast on an unusable channel spec
+    # fail fast on an unusable channel spec, including any distance sweep point's law
     cfg.stage_dists(1)
+    if sweep is not None and sweep.variable == "distance_m":
+        for value in sweep.values:
+            try:
+                cfg.stage_dists(1, distance_override=value)
+            except ConfigError as exc:
+                if exc.field != "channel":
+                    raise
+                raise ConfigError(f"invalid sweep.values: {exc}", field="sweep.values") from exc
     return cfg

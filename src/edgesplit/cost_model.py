@@ -146,10 +146,6 @@ class CostModel:
         self._check_stage(n)
         return float(self._omega[n - 1])
 
-    def payload_bits(self, n: int) -> float:
-        self._check_stage(n)
-        return float(self._payload_bits[n - 1])
-
     def weight(self, n: int) -> float:
         """(beta_t + beta_e * P) * I_n, the channel-cost multiplier at stage n."""
         self._check_stage(n)

@@ -11,9 +11,10 @@ from edgesplit import (
     distribution_from_config,
     mean_snr_from_pathloss,
 )
-from edgesplit.channel import per_stage
+from edgesplit import channel
+from edgesplit.channel import inv_rate_expectation, per_stage
 
-from conftest import MEAN_SNR_D50, make_params, pathloss_at
+from conftest import MEAN_SNR_D50, channel_at, make_params, pathloss_at
 
 W = 2e6
 
@@ -125,11 +126,65 @@ def test_partial_expect_matches_conditional_monte_carlo(trunc):
     assert abs(analytic - est) <= 3 * se
 
 
+# E[1/R; snr >= t] at W = 2e6 on the reference law (floor 1e-3 x mean), from
+# scripts/golden_oracles.py at 30 digits; pairs with tail mass below 1e-3 are
+# left out, which drops (100 m, t = 1.0).
+MPMATH_INV_RATE_TAILS = [
+    (25, "0", 6.04034117385336118182333404508e-7),
+    (25, "3*floor", 5.22257200429466445084201080063e-7),
+    (25, "0.1", 3.74576257738331560315258919087e-7),
+    (25, "1.0", 1.89390359634573239678926290634e-7),
+    (50, "0", 3.92292332027744765062708098889e-6),
+    (50, "3*floor", 3.27112735167384815913121538827e-6),
+    (50, "0.1", 9.37691891653645859428112622421e-7),
+    (50, "1.0", 7.01016458907753146459034519356e-8),
+    (100, "0", 3.02616016423271584827543444965e-5),
+    (100, "3*floor", 2.50496569539062670956428438331e-5),
+    (100, "0.1", 6.21114052468212118727077421955e-7),
+]
+
+
+@pytest.mark.parametrize("distance,threshold,reference", MPMATH_INV_RATE_TAILS)
+def test_inv_rate_expectation_matches_mpmath(params, distance, threshold, reference):
+    dist = channel_at(distance, params)
+    t = 3 * dist.support_lo if threshold == "3*floor" else float(threshold)
+    got = inv_rate_expectation(dist, t, math.inf, params.bandwidth_hz)
+    assert got == pytest.approx(reference, rel=1e-10)
+
+
+def test_gauss_kronrod_constants():
+    nodes = channel._GK_NODES
+    kronrod, gauss = channel._GK_WEIGHTS.T
+    assert np.all(np.diff(nodes) > 0) and np.array_equal(nodes, -nodes[::-1])
+    # the 21-point Kronrod rule integrates polynomials exactly up to degree 31
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert kronrod @ nodes**k == pytest.approx(exact, abs=1e-15)
+    assert kronrod @ nodes**32 != pytest.approx(2.0 / 33, abs=1e-13)
+    # the embedded 10-point rule is Gauss-Legendre on the odd-indexed nodes
+    x10, w10 = np.polynomial.legendre.leggauss(10)
+    assert np.count_nonzero(gauss) == 10
+    np.testing.assert_allclose(nodes[gauss != 0], x10, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(gauss[gauss != 0], w10, rtol=0, atol=1e-15)
+
+
 def test_untruncated_inv_rate_diverges():
     plain = StageDistribution.exponential(MEAN_SNR_D50)
     with pytest.raises(NumericalError) as err:
         plain.expect(inv_rate)
     assert err.value.estimate is not None
+
+
+@pytest.mark.parametrize("g,stop", [
+    (lambda s: 1.0 / s**2, r"after 100 levels"),      # finite in doubles: the level cap
+    (lambda s: np.sin(1e9 * s), r"after \d levels"),   # the panel cap
+], ids=["singular_at_zero", "rough_everywhere"])
+def test_quadrature_caps_raise_with_partial_estimate(g, stop):
+    plain = StageDistribution.exponential(1.0)
+    with pytest.raises(NumericalError, match=f"did not converge.*{stop}") as err:
+        plain.expect(g)
+    assert math.isfinite(err.value.estimate)
+    assert err.value.error_bound > 0
 
 
 def test_truncation_floor_lowers_inv_rate_expectation():

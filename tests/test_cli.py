@@ -143,6 +143,20 @@ def test_non_finite_input_is_a_named_config_error(tmp_path, capsys, network, pat
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [NAN, INF, -5.0])
+def test_bad_sweep_distance_fails_before_any_work(tmp_path, capsys, bad):
+    raw = reference_config_dict(sweep={"variable": "distance_m", "values": [20, bad, 100]})
+    with pytest.raises(ConfigError) as err:
+        load_config(raw)
+    assert err.value.field == "sweep.values"
+    cfg = write_config(tmp_path, raw)
+    misses = inv_rate_expectation.cache_info().misses
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "sweep.values" in capsys.readouterr().err
+    assert inv_rate_expectation.cache_info().misses == misses
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_infinite_updates_and_ceiling_stay_legal():
     cfg = load_config(_with(reference_config_dict(), ("params", "updates_per_model"), INF))
     assert cfg.params.updates_per_model == INF

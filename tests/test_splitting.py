@@ -25,7 +25,7 @@ from conftest import DOWNLINK_BPS, make_params
 
 
 def inv_rate_fn(params):
-    return lambda s: 1.0 / (params.bandwidth_hz * math.log2(1.0 + s))
+    return lambda s: 1.0 / (params.bandwidth_hz * np.log2(1.0 + s))
 
 
 # -- backward induction -------------------------------------------------------

@@ -1,5 +1,9 @@
-"""Module boundaries: no edgesplit module imports another module's private names."""
+"""Module boundaries: no edgesplit module imports another module's private
+names, and importing the package and its CLI pulls in no scipy."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "edgesplit"
@@ -23,3 +27,13 @@ def test_no_cross_module_private_imports():
                           f"{'.' * node.level}{node.module or ''}"
                           for alias in node.names if _is_private(alias.name)]
     assert not offenders, offenders
+
+
+def test_import_is_scipy_free():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    probe = ("import sys, edgesplit, edgesplit.cli; "
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
