@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -134,19 +135,25 @@ class StageDistribution:
         elif self.kind == "discrete":
             if not self.atoms:
                 raise ValueError("discrete law needs at least one atom")
-            snrs = [s for s, _ in self.atoms]
-            probs = [p for _, p in self.atoms]
+            if set(map(len, self.atoms)) != {2}:
+                raise ValueError("atoms must be (snr, probability) pairs")
+            table = np.fromiter(chain.from_iterable(self.atoms), float, 2 * len(self.atoms))
+            table = np.ascontiguousarray(table.reshape(-1, 2).T)
+            table.setflags(write=False)
+            snrs, probs = table
             # written so that NaN atoms fail; only the largest SNR can be inf
-            if not (all(s > 0 for s in snrs) and snrs[-1] < math.inf):
+            if not (np.all(snrs > 0) and snrs[-1] < math.inf):
                 raise ValueError("atom SNRs must be positive and finite")
-            if not all(s1 < s2 for s1, s2 in zip(snrs, snrs[1:])):
+            if not np.all(snrs[1:] > snrs[:-1]):
                 raise ValueError("atom SNRs must be strictly increasing")
-            if not all(p > 0 for p in probs):
+            if not np.all(probs > 0):
                 raise ValueError("atom probabilities must be positive")
-            if not abs(sum(probs) - 1.0) <= 1e-12:
+            # the left-to-right float sum, as over the atoms themselves
+            if not abs(sum(probs.tolist()) - 1.0) <= 1e-12:
                 raise ValueError("atom probabilities must sum to 1")
-            object.__setattr__(self, "support_lo", snrs[0])
-            object.__setattr__(self, "support_hi", snrs[-1])
+            object.__setattr__(self, "support_lo", self.atoms[0][0])
+            object.__setattr__(self, "support_hi", self.atoms[-1][0])
+            object.__setattr__(self, "_table", table)
         else:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
 
@@ -176,13 +183,18 @@ class StageDistribution:
         """Discrete law; atoms are (snr, probability) pairs.
 
         Atoms are sorted and exact-duplicate SNRs merged, so the law is
-        invariant under reordering and under splitting one atom in two.
+        invariant under reordering and under splitting one atom in two. The
+        merged probabilities are summed in input order. An (n, 2) array is
+        taken as it is.
         """
-        merged: dict[float, float] = {}
-        for snr, prob in atoms:
-            merged[float(snr)] = merged.get(float(snr), 0.0) + float(prob)
-        canon = tuple(sorted(merged.items()))
-        return cls(kind="discrete", atoms=canon)
+        pairs = np.asarray(atoms if isinstance(atoms, np.ndarray) else list(atoms), dtype=float)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("atoms must be (snr, probability) pairs")
+        snrs, inverse = np.unique(pairs[:, 0], return_inverse=True)
+        probs = np.bincount(inverse, weights=pairs[:, 1], minlength=len(snrs))
+        return cls(kind="discrete", atoms=tuple(zip(snrs.tolist(), probs.tolist())))
 
     @classmethod
     def from_pathloss(cls, pl: PathLossParams, params: SystemParams,
@@ -190,6 +202,13 @@ class StageDistribution:
         return cls.truncated_exponential(mean_snr_from_pathloss(pl, params), floor_ratio)
 
     # -- law ----------------------------------------------------------------
+
+    @property
+    def atom_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms of a discrete law as read-only (snrs, probabilities) arrays."""
+        if self.kind != "discrete":
+            raise ValueError("only a discrete law has atoms")
+        return tuple(self._table)
 
     @property
     def _mass_ratio(self) -> float:
@@ -215,8 +234,8 @@ class StageDistribution:
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "discrete":
-            snrs = np.array([s for s, _ in self.atoms])
-            cum = np.cumsum([p for _, p in self.atoms])
+            snrs, probs = self._table
+            cum = np.cumsum(probs)
             idx = np.searchsorted(snrs, x, side="right")
             out = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
             return float(out) if out.ndim == 0 else out
@@ -226,17 +245,21 @@ class StageDistribution:
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, u):
+        """Inverse CDF, elementwise; an array argument gets a new array of its shape."""
         u = np.asarray(u, dtype=float)
-        if np.any((u < 0) | (u > 1)):
+        if not np.all((u >= 0) & (u <= 1)):  # also rejects NaN
             raise ValueError("quantile argument must lie in [0, 1]")
         if self.kind == "discrete":
-            cum = np.cumsum([p for _, p in self.atoms])
-            snrs = np.array([s for s, _ in self.atoms])
-            idx = np.minimum(np.searchsorted(cum, u, side="left"), len(snrs) - 1)
+            snrs, probs = self._table
+            idx = np.minimum(np.searchsorted(np.cumsum(probs), u, side="left"), len(snrs) - 1)
             out = snrs[idx]
             return float(out) if out.ndim == 0 else out
         with np.errstate(divide="ignore"):
-            out = self.support_lo - self.mean_snr * np.log1p(-u * self._mass_ratio)
+            # lo - mean * log1p(-u * ratio), the same roundings in one buffer
+            out = np.multiply(u, -self._mass_ratio, out=np.empty_like(u))
+            np.log1p(out, out=out)
+        out *= self.mean_snr
+        np.subtract(self.support_lo, out, out=out)
         return float(out) if out.ndim == 0 else out
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -324,9 +347,8 @@ class StageDistribution:
         if grid_points < 2:
             raise ValueError("grid_points must be at least 2")
         u = (np.arange(grid_points) + 0.5) / grid_points
-        snrs = np.atleast_1d(self.quantile(u))
-        prob = 1.0 / grid_points
-        return StageDistribution.discrete([(float(s), prob) for s in snrs])
+        probs = np.full(grid_points, 1.0 / grid_points)
+        return StageDistribution.discrete(np.column_stack((self.quantile(u), probs)))
 
     # -- serialization ------------------------------------------------------
 

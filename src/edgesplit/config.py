@@ -65,24 +65,23 @@ class ExperimentConfig:
                     params: SystemParams | None = None) -> tuple[StageDistribution, ...]:
         """Resolve the channel spec into per-stage laws for `count` stages."""
         params = params or self.params
-        spec = self.channel_raw
+        shared = not isinstance(self.channel_raw, list)
+        specs = [self.channel_raw] if shared else self.channel_raw
         try:
-            if isinstance(spec, list):
-                if distance_override is not None:
-                    spec = [dict(s, distance_m=distance_override) for s in spec]
-                dists = [distribution_from_config(s, params) for s in spec]
-                if len(dists) < count:
-                    raise ConfigError(
-                        f"channel lists {len(dists)} stages but {count} are needed",
-                        field="channel")
-                return tuple(dists[:count])
             if distance_override is not None:
-                if spec.get("kind") != "pathloss_rayleigh":
+                if any(s.get("kind") != "pathloss_rayleigh" for s in specs):
                     raise ConfigError(
-                        "a distance sweep needs a 'pathloss_rayleigh' channel",
+                        "a distance sweep needs a 'pathloss_rayleigh' channel for every stage",
                         field="channel.kind")
-                spec = dict(spec, distance_m=distance_override)
-            return (distribution_from_config(spec, params),) * count
+                specs = [dict(s, distance_m=distance_override) for s in specs]
+            dists = [distribution_from_config(s, params) for s in specs]
+            if shared:
+                return (dists[0],) * count
+            if len(dists) < count:
+                raise ConfigError(
+                    f"channel lists {len(dists)} stages but {count} are needed",
+                    field="channel")
+            return tuple(dists[:count])
         except (KeyError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise

@@ -44,31 +44,49 @@ class OracleResult:
     expected_cost: float
 
 
+def _check_run(trials: int, chunk: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk!r}")
+
+
 def _snr_chunks(ds, trials: int, seed: int, chunk: int):
     """Per-stage SNR draws of `trials` sequences, in blocks of at most `chunk` rows.
 
     The uniforms come from one PCG64 stream in trial-major order, so the
-    draws do not depend on the chunk size.
+    draws do not depend on the chunk size. A block is one (rows, stages)
+    float array: one quantile pass over all of it when every stage has the
+    same law, else each column's uniforms are replaced by its stage's draws.
     """
     rng = np.random.default_rng(seed)
+    shared = all(d == ds[0] for d in ds)
     for start in range(0, trials, chunk):
-        u = rng.random((min(chunk, trials - start), len(ds)))
-        yield np.column_stack([np.atleast_1d(d.quantile(u[:, j])) for j, d in enumerate(ds)])
+        shape = (min(chunk, trials - start), len(ds))
+        if shared:
+            yield ds[0].quantile(rng.random(shape))
+        else:
+            snrs = rng.random(shape)
+            for j, d in enumerate(ds):
+                snrs[:, j] = d.quantile(snrs[:, j])
+            yield snrs
 
 
 def _stop_stages(snrs: np.ndarray, thresholds: np.ndarray, M: int) -> np.ndarray:
-    if M == 0:
-        return np.ones(snrs.shape[0], dtype=int)
-    hit = snrs[:, :M] >= thresholds[None, :]
-    any_hit = hit.any(axis=1)
-    return np.where(any_hit, hit.argmax(axis=1) + 1, M + 1)
+    """1-based stage of each row's first SNR at or above its threshold (M + 1 if none)."""
+    stages = np.full(snrs.shape[0], M + 1)
+    live = np.arange(snrs.shape[0])  # rows that have not stopped yet
+    for j in range(M):
+        hit = snrs[live, j] >= thresholds[j]
+        stages[live[hit]] = j + 1
+        live = live[~hit]
+    return stages
 
 
 def simulate(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, dists,
              trials: int, seed: int, chunk: int = _CHUNK_TRIALS) -> SimResult:
     """Average realized cost of a policy over independent SNR draws."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_run(trials, chunk)
     M = policy.horizon_M
     ds = per_stage(dists, M + 1)
     cm = cost_model(net, params)
@@ -102,8 +120,7 @@ def coincidence_rate(M: int, net: NetworkSpec, params: SystemParams, dists,
     same split stage."""
     if M < 1:
         raise ValueError("M must be at least 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_run(trials, chunk)
     ds = per_stage(dists, M + 1)
     t_opt = np.array(backward_induction(M, net, params, ds).thresholds)
     t_sla = np.array(one_sla_thresholds(M, net, params, ds).thresholds)
@@ -129,8 +146,7 @@ def oracle_dp(M: int, net: NetworkSpec, params: SystemParams, discrete_dists) ->
     cm = cost_model(net, params)
 
     def stage_arrays(n, dist):
-        snrs = np.array([s for s, _ in dist.atoms])
-        probs = np.array([p for _, p in dist.atoms])
+        snrs, probs = dist.atom_arrays
         stop_cost = cm.etc_values(np.full(snrs.shape, n), snrs)
         return snrs, probs, stop_cost
 

@@ -18,6 +18,19 @@ from edgesplit import (
     mean_snr_from_pathloss,
 )
 
+# Property tests draw a fixed set of examples, derived from each test's source,
+# with no per-example deadline: the verdict does not depend on the run or on
+# the load of the host, and no example database is written. Without hypothesis
+# (the `test` extra) the modules that hold no property test still run.
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    settings.register_profile("deterministic", derandomize=True, deadline=None,
+                              max_examples=25, database=None)
+    settings.load_profile("deterministic")
+
 DOWNLINK_BPS = 26900450.249632121
 ANTENNA_GAIN = 4.11
 CARRIER_HZ = 915e6

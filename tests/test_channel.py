@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from edgesplit import (
     NumericalError,
@@ -200,6 +202,33 @@ def test_quantile_median_of_exponential():
     assert d.quantile(0.5) == pytest.approx(math.log(2), rel=1e-12)
 
 
+_LAWS = {
+    "truncated": StageDistribution.truncated_exponential(MEAN_SNR_D50, floor_ratio=1e-3),
+    "ceiling": StageDistribution.truncated_exponential(1.0, floor=0.01, upper=3.0),
+    "discrete": StageDistribution.discrete([(0.5, 0.25), (1.0, 0.5), (2.0, 0.25)]),
+}
+
+
+@pytest.mark.parametrize("law", _LAWS.values(), ids=_LAWS.keys())
+@pytest.mark.parametrize("u", [math.nan, np.array([0.25, math.nan]), -0.1, np.array([[0.5, 1.1]])],
+                         ids=["nan", "nan_array", "negative", "above_one_2d"])
+def test_quantile_rejects_nan_and_out_of_range(law, u):
+    with pytest.raises(ValueError, match="quantile"):
+        law.quantile(u)
+
+
+@pytest.mark.parametrize("law", _LAWS.values(), ids=_LAWS.keys())
+def test_quantile_of_a_block_matches_its_columns(law):
+    u = np.random.default_rng(3).random((500, 4))
+    u[0, :] = [0.0, 1.0, 0.5, 1e-300]
+    kept = u.copy()
+    block = law.quantile(u)
+    assert block.shape == u.shape
+    assert np.array_equal(u, kept)  # the argument is not overwritten
+    for j in range(u.shape[1]):
+        assert np.array_equal(block[:, j], law.quantile(np.ascontiguousarray(u[:, j])))
+
+
 def test_sampling_ks_statistic(trunc):
     rng = np.random.default_rng(99)
     samples = np.sort(trunc.sample(rng, size=1_000_000))
@@ -243,6 +272,77 @@ def test_discrete_canonicalization_merges_and_sorts():
     a = StageDistribution.discrete([(2.0, 0.25), (1.0, 0.5), (2.0, 0.25)])
     b = StageDistribution.discrete([(1.0, 0.5), (2.0, 0.5)])
     assert a == b
+
+
+def test_discrete_rejects_malformed_atoms():
+    for atoms in ([], [(1.0, 0.5, 0.5)], [[1.0]], np.ones((2, 3))):
+        with pytest.raises(ValueError):
+            StageDistribution.discrete(atoms)
+    with pytest.raises(ValueError, match="pairs"):
+        StageDistribution(kind="discrete", atoms=((1.0,), (0.5, 2.0, 0.5)))
+    with pytest.raises(ValueError, match="positive and finite"):
+        StageDistribution.discrete([(math.nan, 1.0)])
+
+
+def test_discrete_atom_arrays_are_the_atoms():
+    d = StageDistribution.discrete([(2.0, 0.25), (1.0, 0.75)])
+    snrs, probs = d.atom_arrays
+    assert snrs.tolist() == [1.0, 2.0] and probs.tolist() == [0.75, 0.25]
+    with pytest.raises(ValueError):
+        snrs[0] = 3.0  # read-only: the law stays immutable
+    with pytest.raises(ValueError):
+        StageDistribution.exponential(1.0).atom_arrays
+
+
+def _dict_merge(atoms):
+    """The merge discrete() made with a dict: sums in input order, then sorts."""
+    merged = {}
+    for snr, prob in atoms:
+        merged[float(snr)] = merged.get(float(snr), 0.0) + float(prob)
+    return tuple(sorted(merged.items()))
+
+
+def _law_or_error(build):
+    try:
+        return build()
+    except ValueError:
+        return ValueError
+
+
+_SNRS = st.one_of(st.sampled_from([0.1, 0.25, 1.0, 3.0]),
+                  st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@given(pairs=st.lists(st.tuples(_SNRS, st.floats(1e-3, 1.0)), min_size=1, max_size=40),
+       order=st.randoms(use_true_random=False), split_at=st.integers(0, 39),
+       share=st.floats(0.01, 0.99))
+def test_discrete_equals_dict_merge_under_reordering_and_splitting(pairs, order, split_at,
+                                                                    share):
+    total = sum(p for _, p in pairs)
+    atoms = [(s, p / total) for s, p in pairs]
+    shuffled = list(atoms)
+    order.shuffle(shuffled)
+    s, p = atoms[split_at % len(atoms)]
+    split = atoms + [(s, p * share)]
+    split[split_at % len(atoms)] = (s, p - p * share)
+    for variant in (atoms, shuffled, split):
+        want = _law_or_error(lambda: StageDistribution(kind="discrete", atoms=_dict_merge(variant)))
+        assert _law_or_error(lambda: StageDistribution.discrete(variant)) == want
+        assert _law_or_error(lambda: StageDistribution.discrete(np.array(variant))) == want
+
+
+@given(counts=st.dictionaries(_SNRS, st.integers(1, 8), min_size=1, max_size=12),
+       order=st.randoms(use_true_random=False))
+def test_discrete_law_invariant_under_reordering_and_splitting(counts, order):
+    # dyadic probabilities add exactly, so every grouping gives the same law
+    scale = 2.0 ** -(math.ceil(math.log2(sum(counts.values()))) + 1)
+    atoms = [(s, c * scale) for s, c in counts.items()]
+    atoms.append((max(counts) * 2.0, 1.0 - sum(p for _, p in atoms)))
+    pieces = [(s, 0.5 * p) for s, p in atoms] * 2
+    order.shuffle(pieces)
+    base = StageDistribution.discrete(atoms)
+    assert StageDistribution.discrete(pieces) == base
+    assert StageDistribution.discrete(reversed(atoms)) == base
 
 
 def test_discrete_expectation_is_exact_sum():

@@ -157,6 +157,38 @@ def test_bad_sweep_distance_fails_before_any_work(tmp_path, capsys, bad):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+_TRUNC = {"kind": "truncated_exponential", "mean_snr": 0.58, "snr_floor_ratio": 1e-3}
+
+
+@pytest.mark.parametrize("channel", [
+    _TRUNC,
+    [_TRUNC] * 9,
+    [reference_config_dict()["channel"]] * 8 + [_TRUNC],
+], ids=["shared", "list", "mixed_list"])
+def test_distance_sweep_needs_pathloss_on_every_stage(tmp_path, capsys, channel):
+    raw = reference_config_dict(channel=channel,
+                                sweep={"variable": "distance_m", "values": [10, 100]})
+    with pytest.raises(ConfigError) as err:
+        load_config(raw)
+    assert err.value.field == "channel.kind"
+    cfg = write_config(tmp_path, raw)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "channel.kind" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_distance_sweep_over_pathloss_list_moves_every_stage(tmp_path):
+    raw = reference_config_dict(channel=[reference_config_dict()["channel"]] * 9,
+                                strategies=["optimal_exhaustive"],
+                                sweep={"variable": "distance_m", "values": [10, 100]})
+    cfg = load_config(raw)
+    near, far = (cfg.stage_dists(9, distance_override=d) for d in (10.0, 100.0))
+    assert all(n.mean_snr > f.mean_snr for n, f in zip(near, far))
+    assert main(["sweep", "--config", write_config(tmp_path, raw), "--out", str(tmp_path)]) == 0
+    _, _, rows = read_csv(tmp_path / "sweep.csv")
+    assert len(rows) == 2 and rows[0][3] != rows[1][3]  # Z differs between distances
+
+
 def test_infinite_updates_and_ceiling_stay_legal():
     cfg = load_config(_with(reference_config_dict(), ("params", "updates_per_model"), INF))
     assert cfg.params.updates_per_model == INF

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from edgesplit import (
     StageDistribution,
     backward_induction,
+    build_policy,
     coincidence_rate,
     expected_etc,
     one_sla_optimality_probability,
@@ -16,7 +19,7 @@ from edgesplit import (
     stop_probabilities,
 )
 from edgesplit.cost_model import cost_model
-from edgesplit.simulate import network_hash, sim_report_json
+from edgesplit.simulate import SimResult, _snr_chunks, _stop_stages, network_hash, sim_report_json
 
 
 # -- simulate ------------------------------------------------------------------
@@ -81,6 +84,140 @@ def test_simulate_validates_trials(autoencoder, params, dist_d50):
     pol = backward_induction(1, autoencoder, params, dist_d50)
     with pytest.raises(ValueError):
         simulate(pol, autoencoder, params, dist_d50, 0, seed=1)
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_simulate_and_coincidence_reject_chunk_below_one(autoencoder, params, dist_d50, chunk):
+    pol = backward_induction(2, autoencoder, params, dist_d50)
+    with pytest.raises(ValueError, match="chunk"):
+        simulate(pol, autoencoder, params, dist_d50, 100, seed=1, chunk=chunk)
+    with pytest.raises(ValueError, match="chunk"):
+        coincidence_rate(2, autoencoder, params, dist_d50, 100, seed=1, chunk=chunk)
+
+
+# -- the kernel against a plain reference ------------------------------------------
+#
+# The reference draws each stage's column with its own quantile expression and
+# column_stack, and finds the first crossing with any/argmax over an n x M
+# boolean matrix: the straightforward kernel the production one must match
+# bit for bit.
+
+def _reference_quantile(d, u):
+    if d.kind == "discrete":
+        cum = np.cumsum([p for _, p in d.atoms])
+        snrs = np.array([s for s, _ in d.atoms])
+        return snrs[np.minimum(np.searchsorted(cum, u, side="left"), len(snrs) - 1)]
+    ratio = (1.0 if math.isinf(d.support_hi)
+             else -math.expm1(-(d.support_hi - d.support_lo) / d.mean_snr))
+    with np.errstate(divide="ignore"):
+        return d.support_lo - d.mean_snr * np.log1p(-u * ratio)
+
+
+def _reference_draws(ds, trials, seed, chunk):
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, chunk):
+        u = rng.random((min(chunk, trials - start), len(ds)))
+        yield np.column_stack([_reference_quantile(d, u[:, j]) for j, d in enumerate(ds)])
+
+
+def _reference_stops(snrs, thresholds, M):
+    if M == 0:
+        return np.ones(len(snrs), dtype=int)
+    hit = snrs[:, :M] >= np.asarray(thresholds)[None, :]
+    return np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, M + 1)
+
+
+def _reference_simulate(policy, net, params, ds, trials, seed, chunk):
+    M = policy.horizon_M
+    cm = cost_model(net, params)
+    total = total_sq = 0.0
+    counts = np.zeros(M + 2, dtype=np.int64)
+    for snrs in _reference_draws(ds[:M + 1], trials, seed, chunk):
+        stages = _reference_stops(snrs, policy.thresholds, M)
+        etcs = cm.etc_values(stages, snrs[np.arange(len(snrs)), stages - 1])
+        total += float(etcs.sum())
+        total_sq += float(np.dot(etcs, etcs))
+        counts += np.bincount(stages, minlength=M + 2)
+    mean = total / trials
+    var = max(total_sq - trials * mean * mean, 0.0) / (trials - 1)
+    return SimResult(trials=trials, mean_etc=mean, std_error=math.sqrt(var / trials),
+                     stop_histogram=tuple(counts[1:] / trials), seed=seed)
+
+
+def _reference_coincidence(M, net, params, ds, trials, seed, chunk):
+    t_opt = backward_induction(M, net, params, ds).thresholds
+    t_sla = one_sla_thresholds(M, net, params, ds).thresholds
+    agree = 0
+    for snrs in _reference_draws(ds[:M + 1], trials, seed, chunk):
+        agree += int((_reference_stops(snrs, t_opt, M) == _reference_stops(snrs, t_sla, M)).sum())
+    return agree / trials
+
+
+def _stage_list(mean):
+    """Nine different laws: truncated, capped and discrete stages."""
+    laws = [StageDistribution.truncated_exponential(mean * (0.6 + 0.1 * k)) for k in range(9)]
+    laws[1] = StageDistribution.discrete([(0.3 * mean, 0.25), (mean, 0.5), (3.0 * mean, 0.25)])
+    laws[3] = StageDistribution.truncated_exponential(mean, floor=0.01 * mean, upper=2.0 * mean)
+    return laws
+
+
+_TRIALS_AT_CHUNK = {1: 100, 777: 3000, 1 << 17: (1 << 17) + 5000}
+
+
+@pytest.mark.parametrize("chunk", _TRIALS_AT_CHUNK)
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_stage"])
+def test_kernel_matches_reference_bit_for_bit(autoencoder, params, dist_d50, shared, chunk):
+    trials = _TRIALS_AT_CHUNK[chunk]
+    law = dist_d50 if shared else _stage_list(dist_d50.mean_snr)
+    ds = [law] * 9 if shared else law
+    for M in range(9):
+        for rule in ("optimal", "one_sla"):
+            pol = build_policy(rule, M, autoencoder, params, law)
+            got = simulate(pol, autoencoder, params, law, trials, seed=M, chunk=chunk)
+            assert got == _reference_simulate(pol, autoencoder, params, ds, trials, M, chunk)
+        if M:
+            assert (coincidence_rate(M, autoencoder, params, law, trials, seed=M, chunk=chunk)
+                    == _reference_coincidence(M, autoencoder, params, ds, trials, M, chunk))
+
+
+@pytest.mark.parametrize("chunk", _TRIALS_AT_CHUNK)
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_stage"])
+def test_draws_match_reference_bit_for_bit(dist_d50, shared, chunk):
+    ds = (dist_d50,) * 9 if shared else tuple(_stage_list(dist_d50.mean_snr))
+    trials = min(_TRIALS_AT_CHUNK[chunk], 2000)
+    got = list(_snr_chunks(ds, trials, 17, chunk))
+    want = list(_reference_draws(ds, trials, 17, chunk))
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_first_crossing_matches_reference_with_ties():
+    # small integers make SNRs equal their thresholds: equality stops
+    rng = np.random.default_rng(4)
+    snrs = rng.integers(0, 6, size=(5000, 9)).astype(float)
+    for M in range(9):
+        for thresholds in (rng.integers(1, 6, size=M).astype(float), np.full(M, math.inf)):
+            got = _stop_stages(snrs, thresholds, M)
+            assert np.array_equal(got, _reference_stops(snrs, thresholds, M))
+            assert got.dtype == _reference_stops(snrs, thresholds, M).dtype
+
+
+@given(scales=st.lists(st.floats(0.2, 5.0), min_size=7, max_size=7),
+       M=st.integers(0, 6), chunk=st.integers(1, 600),
+       rule=st.sampled_from(["optimal", "one_sla"]))
+def test_monte_carlo_does_not_depend_on_chunk_size(autoencoder, params, dist_d50, scales, M,
+                                                    chunk, rule):
+    laws = [StageDistribution.truncated_exponential(dist_d50.mean_snr * k) for k in scales]
+    laws[-1] = StageDistribution.discrete([(0.2, 0.5), (2.0, 0.5)])
+    pol = build_policy(rule, M, autoencoder, params, laws)
+    whole = simulate(pol, autoencoder, params, laws, 600, seed=M)
+    part = simulate(pol, autoencoder, params, laws, 600, seed=M, chunk=chunk)
+    assert part.stop_histogram == whole.stop_histogram
+    assert part.mean_etc == pytest.approx(whole.mean_etc, rel=1e-12)
+    assert part.std_error == pytest.approx(whole.std_error, rel=1e-9)
+    if M:
+        assert (coincidence_rate(M, autoencoder, params, laws, 600, seed=M, chunk=chunk)
+                == coincidence_rate(M, autoencoder, params, laws, 600, seed=M))
 
 
 # -- coincidence ----------------------------------------------------------------
