@@ -44,14 +44,17 @@ from .simulate import (
 )
 from .splitting import (
     SplitOutcome,
+    StageTable,
     ThresholdPolicy,
     apply_rule,
     backward_induction,
     build_policy,
     expected_etc,
     forced_offload_policy,
+    forced_stop_cost,
     one_sla_optimality_probability,
     one_sla_thresholds,
+    stage_table,
     stop_conditional_etc,
     stop_probabilities,
 )

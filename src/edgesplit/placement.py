@@ -5,7 +5,9 @@ cost under a stopping rule:
 
 * optimal_exhaustive  - try every M with the backward-induction rule.
 * one_sla_exhaustive  - try every M with the 1-sla rule; thresholds are
-  M-independent so the whole sweep is linear in N.
+  M-independent, so every Z(M) reads the first M stages of one stage table
+  for the N-stage policy plus the forced stop at M+1: the whole sweep is
+  linear in N.
 * mlp_closed_form     - equal-width MLPs only: the per-M cost decrement has
   a geometric form, so the argmin is solved in closed form.
 * hybrid              - pick M with the 1-sla sweep, then run the optimal
@@ -29,7 +31,9 @@ from .splitting import (
     build_policy,
     expected_etc,
     forced_offload_policy,
+    forced_stop_cost,
     one_sla_thresholds,
+    stage_table,
 )
 
 STRATEGIES = ("optimal_exhaustive", "one_sla_exhaustive", "mlp_closed_form", "hybrid")
@@ -108,22 +112,27 @@ def optimize_exhaustive(net: NetworkSpec, params: SystemParams, dists,
     ds = per_stage(dists, N + 1)
     cm = cost_model(net, params)
 
-    shared_one_sla = one_sla_thresholds(N, net, params, ds) if rule_kind == "one_sla" else None
+    if rule_kind == "optimal":
+        policies = [build_policy("optimal", M, net, params, ds) for M in range(N + 1)]
+        evaluate = lambda M: expected_etc(policies[M], net, params, ds)  # noqa: E731
+    else:
+        # The 1-sla thresholds do not depend on M, so the policy at M is the
+        # first M stages of the one at N, and every Z(M) is read off one
+        # stage table plus the forced stop at stage M+1.
+        full = one_sla_thresholds(N, net, params, ds)
+        policies = [ThresholdPolicy("one_sla", M, full.thresholds[:M]) for M in range(N + 1)]
+        table = stage_table(full, ds, cm)
+        forced = [forced_stop_cost(cm, M + 1, ds[M]) for M in range(N + 1)]
+        evaluate = lambda M: table.expected_etc(M, forced[M])  # noqa: E731
     rows = []
-    policies = {}
     for M in range(N + 1):
-        if shared_one_sla is not None and M > 0:
-            policy = ThresholdPolicy("one_sla", M, shared_one_sla.thresholds[:M])
-        else:
-            policy = build_policy(rule_kind, M, net, params, ds)
         psi = cm.placement_cost(M)
         try:
-            ee = expected_etc(policy, net, params, ds)
+            ee = evaluate(M)
         except NumericalError as exc:
             rows.append(PlacementRow(M, math.nan, math.nan, psi, error=str(exc)))
             continue
         rows.append(PlacementRow(M, params.beta_t * psi + ee, ee, psi))
-        policies[M] = policy
     best = _pick_best(rows)
     strategy = "optimal_exhaustive" if rule_kind == "optimal" else "one_sla_exhaustive"
     return PlacementReport(strategy, best, tuple(rows), policies[best])
@@ -141,23 +150,15 @@ def theta_one_sla(M: int, net: NetworkSpec, params: SystemParams, dists) -> floa
         raise ValueError(f"M must lie in [1, {net.N}]")
     ds = per_stage(dists, M + 1)
     cm = cost_model(net, params)
-    bandwidth = params.bandwidth_hz
     policy = one_sla_thresholds(M, net, params, ds)
+    table = stage_table(policy, ds)
 
-    reach = 1.0
-    for n in range(1, M + 1):
-        reach *= float(ds[n - 1].cdf(policy.thresholds[n - 1]))
+    reach = float(table.reach[M])
     if reach <= 0.0:
         return 0.0
-    t_m = policy.thresholds[M - 1]
-    cont_m = float(ds[M - 1].cdf(t_m))
-    bracket = (
-        cm.omega(M + 1)
-        + cm.weight(M + 1) * inv_rate_expectation(ds[M], 0.0, math.inf, bandwidth)
-        - cm.omega(M)
-        - cm.weight(M) * inv_rate_expectation(ds[M - 1], 0.0, t_m, bandwidth) / cont_m
-    )
-    return reach * bracket
+    forced = forced_stop_cost(cm, M + 1, ds[M])
+    below = inv_rate_expectation(ds[M - 1], 0.0, policy.thresholds[M - 1], params.bandwidth_hz)
+    return reach * (forced - cm.omega(M) - cm.weight(M) * below / float(table.continue_prob[M - 1]))
 
 
 def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution) -> PlacementReport:

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import inv_rate_expectation, per_stage
-from .cost_model import SystemParams, cost_model
+from .channel import StageDistribution, inv_rate_expectation, per_stage
+from .cost_model import CostModel, SystemParams, cost_model
+from .errors import NumericalError
 from .model_graph import NetworkSpec
 
-RULE_KINDS = ("optimal", "one_sla", "custom")
+RULE_KINDS = ("optimal", "one_sla")
 
 # 2**x overflows float64 at x >= 1024; treat such thresholds as "never stop".
 _EXP2_OVERFLOW = 1024.0
@@ -118,7 +119,7 @@ def backward_induction(M: int, net: NetworkSpec, params: SystemParams, dists) ->
     cm = cost_model(net, params)
     bandwidth = params.bandwidth_hz
 
-    ev = cm.omega(M + 1) + cm.weight(M + 1) * inv_rate_expectation(ds[M], 0.0, math.inf, bandwidth)
+    ev = forced_stop_cost(cm, M + 1, ds[M])
     values = [ev]
     thresholds = []
     for n in range(M, 0, -1):
@@ -170,10 +171,7 @@ def one_sla_thresholds(M: int, net: NetworkSpec, params: SystemParams, dists) ->
 
 def forced_offload_policy(rule_kind: str, net: NetworkSpec, params: SystemParams, dists) -> ThresholdPolicy:
     """M = 0 policy: no layers on device, offload at stage 1 unconditionally."""
-    ds = per_stage(dists, 1)
-    cm = cost_model(net, params)
-    einv = inv_rate_expectation(ds[0], 0.0, math.inf, params.bandwidth_hz)
-    value = cm.omega(1) + cm.weight(1) * einv
+    value = forced_stop_cost(cost_model(net, params), 1, per_stage(dists, 1)[0])
     table = (value,) if rule_kind == "optimal" else None
     return ThresholdPolicy(rule_kind, 0, (), table)
 
@@ -185,8 +183,8 @@ def build_policy(rule_kind: str, M: int, net: NetworkSpec, params: SystemParams,
     M = 0 is the forced offload at stage 1; otherwise the optimal rule comes
     from backward induction and the 1-sla rule from its closed form.
     """
-    if rule_kind not in ("optimal", "one_sla"):
-        raise ValueError("rule_kind must be 'optimal' or 'one_sla'")
+    if rule_kind not in RULE_KINDS:
+        raise ValueError(f"rule_kind must be one of {RULE_KINDS}")
     if M == 0:
         return forced_offload_policy(rule_kind, net, params, dists)
     if rule_kind == "optimal":
@@ -210,20 +208,95 @@ def apply_rule(policy: ThresholdPolicy, snr_seq, net: NetworkSpec, params: Syste
     return SplitOutcome(stage=stage, snr_at_stop=snr, realized_etc=cm.etc(stage, snr).etc)
 
 
+@dataclass(frozen=True, eq=False)
+class StageTable:
+    """Stop statistics of a threshold policy at its threshold stages 1..M.
+
+    continue_prob[n-1] is P{SNR_n < t_n}, exactly 1 where t_n = +inf. reach[k]
+    is the probability of no stop at stages 1..k (k = 0..M), their sequential
+    product, and stop_prob[n-1] = reach[n-1] * (1 - continue_prob[n-1]).
+    stop_cost[n-1] is the expected cost given a stop at stage n, 0 where
+    that never happens. When the tail expectation of a stage fails,
+    stop_cost ends before that stage and error holds its NumericalError. A
+    table built without a cost model has no stop costs.
+    """
+
+    continue_prob: np.ndarray
+    reach: np.ndarray
+    stop_prob: np.ndarray
+    stop_cost: np.ndarray | None = None
+    error: NumericalError | None = None
+
+    def expected_etc(self, M: int, forced_cost: float) -> float:
+        """Expected cost of the policy cut to stages 1..M with a forced stop,
+        at forced_cost, at stage M+1; raises the first failure among 1..M."""
+        if M > len(self.stop_cost):
+            raise self.error
+        probs = np.append(self.stop_prob[:M], self.reach[M])
+        return float(np.dot(probs, np.append(self.stop_cost[:M], forced_cost)))
+
+
+def stage_table(policy: ThresholdPolicy, dists, cm: CostModel | None = None) -> StageTable:
+    """Stop statistics of `policy`, with stop costs when a cost model is given.
+
+    The continue probabilities take one cdf call per distinct law over all
+    of its finite thresholds, so a shared channel costs one call.
+    """
+    M = policy.horizon_M
+    ds = per_stage(dists, M + 1)
+    stages_of = {}  # finite-threshold stages of each distinct law
+    for n, t in enumerate(policy.thresholds):
+        if t != math.inf:
+            stages_of.setdefault(id(ds[n]), []).append(n)
+    thresholds = np.array(policy.thresholds)
+    cont = np.ones(M)
+    for stages in stages_of.values():
+        cont[stages] = ds[stages[0]].cdf(thresholds[stages])
+    reach = np.concatenate(([1.0], np.cumprod(cont)))
+    stop_prob = reach[:-1] * (1.0 - cont)
+    if cm is None:
+        return StageTable(cont, reach, stop_prob)
+
+    bandwidth = cm.params.bandwidth_hz
+    costs = []
+    error = None
+    for n, (t, c) in enumerate(zip(policy.thresholds, cont.tolist()), start=1):
+        survive = 1.0 - c
+        if survive <= 0.0:
+            costs.append(0.0)
+            continue
+        try:
+            tail = inv_rate_expectation(ds[n - 1], t, math.inf, bandwidth)
+        except NumericalError as exc:
+            error = exc
+            break
+        costs.append(cm.omega(n) + cm.weight(n) * tail / survive)
+    return StageTable(cont, reach, stop_prob, np.array(costs), error)
+
+
+def forced_stop_cost(cm: CostModel, stage: int, dist: StageDistribution) -> float:
+    """Expected cost of stopping at `stage` whatever its SNR."""
+    return cm.omega(stage) + cm.weight(stage) * inv_rate_expectation(
+        dist, 0.0, math.inf, cm.params.bandwidth_hz)
+
+
 def stop_probabilities(policy: ThresholdPolicy, dists) -> np.ndarray:
     """Probability of stopping at each stage 1..M+1."""
-    M = policy.horizon_M
-    if M == 0:
-        return np.array([1.0])
-    ds = per_stage(dists, M + 1)
-    probs = np.empty(M + 1)
-    reach = 1.0
-    for n in range(1, M + 1):
-        cont = float(ds[n - 1].cdf(policy.thresholds[n - 1])) if not math.isinf(policy.thresholds[n - 1]) else 1.0
-        probs[n - 1] = reach * (1.0 - cont)
-        reach *= cont
-    probs[M] = reach
-    return probs
+    table = stage_table(policy, dists)
+    return np.append(table.stop_prob, table.reach[-1])
+
+
+def _costed_table(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, dists):
+    """The policy's stage table and the cost of its forced stop at M+1.
+
+    A failed stage tail raises before the final stage is evaluated.
+    """
+    ds = per_stage(dists, policy.horizon_M + 1)
+    cm = cost_model(net, params)
+    table = stage_table(policy, ds, cm)
+    if table.error is not None:
+        raise table.error
+    return table, forced_stop_cost(cm, policy.horizon_M + 1, ds[-1])
 
 
 def stop_conditional_etc(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, dists) -> np.ndarray:
@@ -233,30 +306,14 @@ def stop_conditional_etc(policy: ThresholdPolicy, net: NetworkSpec, params: Syst
     final stage is unconditional. Stages that are never reached with positive
     probability report 0 (they carry zero weight in the total).
     """
-    M = policy.horizon_M
-    cm = cost_model(net, params)
-    bandwidth = params.bandwidth_hz
-    ds = per_stage(dists, M + 1)
-    out = np.empty(M + 1)
-    for n in range(1, M + 1):
-        t = policy.thresholds[n - 1]
-        dist = ds[n - 1]
-        survive = 1.0 - float(dist.cdf(t)) if not math.isinf(t) else 0.0
-        if survive <= 0.0:
-            out[n - 1] = 0.0
-        else:
-            tail = inv_rate_expectation(dist, t, math.inf, bandwidth)
-            out[n - 1] = cm.omega(n) + cm.weight(n) * tail / survive
-    einv = inv_rate_expectation(ds[M], 0.0, math.inf, bandwidth)
-    out[M] = cm.omega(M + 1) + cm.weight(M + 1) * einv
-    return out
+    table, final = _costed_table(policy, net, params, dists)
+    return np.append(table.stop_cost, final)
 
 
 def expected_etc(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, dists) -> float:
     """Expected inference cost of a threshold policy (stop-probability mix)."""
-    probs = stop_probabilities(policy, dists)
-    conds = stop_conditional_etc(policy, net, params, dists)
-    return float(np.dot(probs, conds))
+    table, final = _costed_table(policy, net, params, dists)
+    return table.expected_etc(policy.horizon_M, final)
 
 
 def one_sla_optimality_probability(M: int, net: NetworkSpec, params: SystemParams, dists) -> float:
@@ -270,10 +327,7 @@ def one_sla_optimality_probability(M: int, net: NetworkSpec, params: SystemParam
         raise ValueError("M must be nonnegative")
     if M == 0:
         return 1.0
-    policy = one_sla_thresholds(M, net, params, dists)
-    ds = per_stage(dists, M + 1)
-    cont = np.array([float(ds[n].cdf(policy.thresholds[n])) for n in range(M)])
-    # prefix[n] = P{no stop before stage n+1}; suffix[n] = P{stages n+1..M all stop}
-    prefix = np.concatenate(([1.0], np.cumprod(cont)))
-    suffix = np.concatenate((np.cumprod((1.0 - cont)[::-1])[::-1], [1.0]))
-    return float(np.dot(prefix, suffix))
+    table = stage_table(one_sla_thresholds(M, net, params, dists), dists)
+    # reach[n] = P{no stop before stage n+1}; suffix[n] = P{stages n+1..M all stop}
+    suffix = np.concatenate((np.cumprod((1.0 - table.continue_prob)[::-1])[::-1], [1.0]))
+    return float(np.dot(table.reach, suffix))

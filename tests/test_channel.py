@@ -229,6 +229,49 @@ def test_quantile_of_a_block_matches_its_columns(law):
         assert np.array_equal(block[:, j], law.quantile(np.ascontiguousarray(u[:, j])))
 
 
+@pytest.mark.parametrize("law", [*_LAWS.values(), StageDistribution.exponential(0.3),
+                                 StageDistribution.truncated_exponential(4.0, floor=0.5, upper=0.6)],
+                         ids=[*_LAWS.keys(), "exponential", "narrow_ceiling"])
+def test_quantile_stays_in_support(law):
+    u = np.concatenate([np.random.default_rng(8).random(2000),
+                        [0.0, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0]])
+    for q in (law.quantile(u), np.array([law.quantile(float(v)) for v in u])):
+        assert np.all((q >= law.support_lo) & (q <= law.support_hi))
+    assert law.quantile(1.0) <= law.support_hi
+
+
+def test_quantile_one_is_the_finite_ceiling():
+    law = _LAWS["ceiling"]
+    assert law.quantile(1.0) == law.support_hi == 3.0
+    assert law.quantile(np.array([1.0])).tolist() == [3.0]
+
+
+def _pdf_by_atom_loop(law, x):
+    """The discrete pdf as one np.where per atom."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for snr, prob in law.atoms:
+        out = np.where(x == snr, prob, out)
+    return float(out) if out.ndim == 0 else out
+
+
+@pytest.mark.parametrize("law", [_LAWS["discrete"], StageDistribution.discrete([(0.7, 1.0)]),
+                                 channel_at(50.0, make_params()).discretize(4096)],
+                         ids=["three_atoms", "one_atom", "grid_4096"])
+def test_discrete_pdf_matches_atom_loop(law):
+    snrs = np.array([s for s, _ in law.atoms])
+    between = (snrs[:-1] + snrs[1:]) / 2
+    outside = [0.0, -1.0, snrs[0] / 2, snrs[-1] * 2, math.inf, -math.inf, math.nan]
+    x = np.concatenate([snrs, between, outside, np.nextafter(snrs, math.inf)])
+    got = law.pdf(x)
+    assert np.array_equal(got, _pdf_by_atom_loop(law, x))
+    assert np.array_equal(got[:len(snrs)], [p for _, p in law.atoms])
+    assert not got[len(snrs):].any()
+    assert np.array_equal(law.pdf(x.reshape(-1, 1)), _pdf_by_atom_loop(law, x.reshape(-1, 1)))
+    for v in x[::97]:
+        assert law.pdf(float(v)) == _pdf_by_atom_loop(law, float(v))
+
+
 def test_sampling_ks_statistic(trunc):
     rng = np.random.default_rng(99)
     samples = np.sort(trunc.sample(rng, size=1_000_000))

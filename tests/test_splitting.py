@@ -165,7 +165,7 @@ def test_apply_rule_m0_always_stage_one(autoencoder, params, dist_d50):
 
 
 def test_apply_rule_first_crossing_and_fallback(autoencoder, params):
-    pol = ThresholdPolicy("custom", 3, (1.0, 2.0, 3.0))
+    pol = ThresholdPolicy("one_sla", 3, (1.0, 2.0, 3.0))
     hit_first = apply_rule(pol, [1.5, 0.1, 0.1, 0.1], autoencoder, params)
     assert hit_first.stage == 1
     tie_stops = apply_rule(pol, [1.0, 0.1, 0.1, 0.1], autoencoder, params)
@@ -206,7 +206,7 @@ def test_stop_probabilities_m1_form(autoencoder, params, dist_d50):
 
 
 def test_stop_probabilities_always_stop_immediately(autoencoder, params, dist_d50):
-    pol = ThresholdPolicy("custom", 4, (0.0, math.inf, math.inf, math.inf))
+    pol = ThresholdPolicy("one_sla", 4, (0.0, math.inf, math.inf, math.inf))
     probs = stop_probabilities(pol, dist_d50)
     assert probs == pytest.approx([1.0, 0.0, 0.0, 0.0, 0.0], abs=0)
 
@@ -260,8 +260,8 @@ def test_dominance_of_optimal_rule(autoencoder, params, dist_d50):
                            autoencoder, params, dist_d50)
         sla = expected_etc(one_sla_thresholds(M, autoencoder, params, dist_d50),
                            autoencoder, params, dist_d50)
-        stop_now = ThresholdPolicy("custom", M, (0.0,) + (math.inf,) * (M - 1))
-        never = ThresholdPolicy("custom", M, (math.inf,) * M)
+        stop_now = ThresholdPolicy("one_sla", M, (0.0,) + (math.inf,) * (M - 1))
+        never = ThresholdPolicy("one_sla", M, (math.inf,) * M)
         assert opt <= sla + 1e-9
         assert opt <= expected_etc(stop_now, autoencoder, params, dist_d50) + 1e-9
         assert opt <= expected_etc(never, autoencoder, params, dist_d50) + 1e-9
@@ -309,8 +309,9 @@ def test_optimality_probability_closed_form_m2(autoencoder, params, dist_d50):
 def test_policy_validation():
     with pytest.raises(ValueError):
         ThresholdPolicy("optimal", 2, (1.0,))
-    with pytest.raises(ValueError):
-        ThresholdPolicy("bogus", 1, (1.0,))
+    for kind in ("bogus", "custom"):
+        with pytest.raises(ValueError, match="rule_kind"):
+            ThresholdPolicy(kind, 1, (1.0,))
     with pytest.raises(ValueError):
         ThresholdPolicy("optimal", 1, (1.0,), value_table=(1.0,))
 
@@ -319,7 +320,7 @@ def test_policy_json_roundtrip(autoencoder, params, dist_d50):
     pol = backward_induction(4, autoencoder, params, dist_d50)
     again = ThresholdPolicy.from_json_dict(pol.to_json_dict())
     assert again == pol
-    sentinel = ThresholdPolicy("custom", 2, (1.0, math.inf))
+    sentinel = ThresholdPolicy("one_sla", 2, (1.0, math.inf))
     again = ThresholdPolicy.from_json_dict(sentinel.to_json_dict())
     assert again == sentinel
     assert math.isinf(again.thresholds[1])
