@@ -232,16 +232,27 @@ class StageDistribution:
         return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+        """P{SNR <= x}."""
         if self.kind == "discrete":
-            snrs, probs = self._table
-            cum = np.cumsum(probs)
-            idx = np.searchsorted(snrs, x, side="right")
-            out = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-            return float(out) if out.ndim == 0 else out
+            return self._discrete_below(x, "right")
+        x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):
             raw = -np.expm1(-(x - self.support_lo) / self.mean_snr) / self._mass_ratio
         out = np.clip(np.where(x < self.support_lo, 0.0, raw), 0.0, 1.0)
+        return float(out) if out.ndim == 0 else out
+
+    def prob_below(self, x):
+        """P{SNR < x}: the probability that a rule stopping on SNR >= x goes on.
+
+        It equals the cdf on the exponential kinds and leaves out the atom at
+        x on the discrete kind.
+        """
+        return self._discrete_below(x, "left") if self.kind == "discrete" else self.cdf(x)
+
+    def _discrete_below(self, x, side):
+        snrs, probs = self._table
+        idx = np.searchsorted(snrs, np.asarray(x, dtype=float), side=side)
+        out = np.where(idx > 0, np.cumsum(probs)[np.maximum(idx - 1, 0)], 0.0)
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, u):

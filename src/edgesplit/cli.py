@@ -15,12 +15,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from . import __version__
 from .channel import QUAD_EPSABS, QUAD_EPSREL
 from .config import ExperimentConfig, load_config
-from .cost_model import cost_model
 from .errors import ConfigError, NumericalError
 from .placement import run_strategy
 from .simulate import RNG_ALGORITHM, sim_report_json, simulate
@@ -33,8 +34,8 @@ from .splitting import (
 
 _FMT = "{:.12g}"
 
-# The placement strategies whose stopping rule `sweep` over M and `simulate`
-# evaluate directly.
+# The placement strategies that apply one stopping rule at every M: the ones
+# `sweep` over M and `simulate` accept.
 _RULE_OF_STRATEGY = {"optimal_exhaustive": "optimal", "one_sla_exhaustive": "one_sla"}
 
 
@@ -138,12 +139,8 @@ def _sweep_point(cfg: ExperimentConfig, variable: str, value):
         dists = cfg.stage_dists(cfg.network.N + 1, distance_override=value)
         return cfg.params, dists, value
     if variable == "updates_per_model":
-        pdict = cfg.params.to_json_dict()
-        pdict["updates_per_model"] = "inf" if math.isinf(value) else value
-        from .cost_model import SystemParams
-
-        params = SystemParams.from_json_dict(pdict)
-        return params, cfg.stage_dists(cfg.network.N + 1, params=params), value
+        params = replace(cfg.params, updates_per_model=value)
+        return params, cfg.stage_dists(cfg.network.N + 1), value
     raise ConfigError(f"unsupported sweep variable {variable!r}", field="sweep.variable")
 
 
@@ -159,15 +156,15 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
                 f"an M sweep evaluates stopping rules; unsupported strategies {bad}",
                 field="strategies")
         dists = cfg.stage_dists(cfg.network.N + 1)
-        cm = cost_model(cfg.network, cfg.params)
+        reports = [run_strategy(s, cfg.network, cfg.params, dists) for s in cfg.strategies]
         for M in cfg.sweep.values:
             opt_prob = one_sla_optimality_probability(M, cfg.network, cfg.params, dists) if M >= 1 else 1.0
-            for strategy in cfg.strategies:
-                policy = build_policy(_RULE_OF_STRATEGY[strategy], M, cfg.network, cfg.params,
-                                      dists)
-                ee = expected_etc(policy, cfg.network, cfg.params, dists)
-                z = cm.total_cost(M, ee)
-                rows.append(f"{_fmt(float(M))},{strategy},{M},{_fmt(z)},{_fmt(ee)},{_fmt(opt_prob)}")
+            for rep in reports:
+                row = rep.row(M)
+                if row.error:
+                    raise NumericalError(row.error)
+                rows.append(f"{_fmt(float(M))},{rep.strategy},{M},{_fmt(row.Z)},"
+                            f"{_fmt(row.expected_etc)},{_fmt(opt_prob)}")
     else:
         for value in cfg.sweep.values:
             params, dists, axis_value = _sweep_point(cfg, cfg.sweep.variable, value)
@@ -231,6 +228,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     return 0 if all_ok else 4
 
 
+@cache  # argparse parsers are reusable, and building one costs about 1 ms
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgesplit",

@@ -61,10 +61,9 @@ class ExperimentConfig:
         blob = json.dumps(self.raw, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def stage_dists(self, count: int, distance_override: float | None = None,
-                    params: SystemParams | None = None) -> tuple[StageDistribution, ...]:
+    def stage_dists(self, count: int,
+                    distance_override: float | None = None) -> tuple[StageDistribution, ...]:
         """Resolve the channel spec into per-stage laws for `count` stages."""
-        params = params or self.params
         shared = not isinstance(self.channel_raw, list)
         specs = [self.channel_raw] if shared else self.channel_raw
         try:
@@ -74,7 +73,7 @@ class ExperimentConfig:
                         "a distance sweep needs a 'pathloss_rayleigh' channel for every stage",
                         field="channel.kind")
                 specs = [dict(s, distance_m=distance_override) for s in specs]
-            dists = [distribution_from_config(s, params) for s in specs]
+            dists = [distribution_from_config(s, self.params) for s in specs]
             if shared:
                 return (dists[0],) * count
             if len(dists) < count:

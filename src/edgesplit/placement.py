@@ -1,17 +1,19 @@
 """Slow-timescale choice of how many layers to place on the device.
 
 Four strategies, all minimizing Z(M) = beta_t * psi(M) + expected inference
-cost under a stopping rule:
+cost under a stopping rule, composed by `CostModel.total_cost`:
 
-* optimal_exhaustive  - try every M with the backward-induction rule.
+* optimal_exhaustive  - try every M with the backward-induction rule; the
+  expected cost at M is the policy's own value V_M(1) = value_table[0], so
+  each optimal policy is evaluated once, by its induction.
 * one_sla_exhaustive  - try every M with the 1-sla rule; thresholds are
   M-independent, so every Z(M) reads the first M stages of one stage table
   for the N-stage policy plus the forced stop at M+1: the whole sweep is
   linear in N.
 * mlp_closed_form     - equal-width MLPs only: the per-M cost decrement has
   a geometric form, so the argmin is solved in closed form.
-* hybrid              - pick M with the 1-sla sweep, then run the optimal
-  stopping rule at that M.
+* hybrid              - pick M with the 1-sla sweep, then take the optimal
+  rule's value at that M.
 """
 from __future__ import annotations
 
@@ -114,7 +116,7 @@ def optimize_exhaustive(net: NetworkSpec, params: SystemParams, dists,
 
     if rule_kind == "optimal":
         policies = [build_policy("optimal", M, net, params, ds) for M in range(N + 1)]
-        evaluate = lambda M: expected_etc(policies[M], net, params, ds)  # noqa: E731
+        evaluate = lambda M: policies[M].value_table[0]  # noqa: E731
     else:
         # The 1-sla thresholds do not depend on M, so the policy at M is the
         # first M stages of the one at N, and every Z(M) is read off one
@@ -132,7 +134,7 @@ def optimize_exhaustive(net: NetworkSpec, params: SystemParams, dists,
         except NumericalError as exc:
             rows.append(PlacementRow(M, math.nan, math.nan, psi, error=str(exc)))
             continue
-        rows.append(PlacementRow(M, params.beta_t * psi + ee, ee, psi))
+        rows.append(PlacementRow(M, cm.total_cost(M, ee), ee, psi))
     best = _pick_best(rows)
     strategy = "optimal_exhaustive" if rule_kind == "optimal" else "one_sla_exhaustive"
     return PlacementReport(strategy, best, tuple(rows), policies[best])
@@ -157,7 +159,10 @@ def theta_one_sla(M: int, net: NetworkSpec, params: SystemParams, dists) -> floa
     if reach <= 0.0:
         return 0.0
     forced = forced_stop_cost(cm, M + 1, ds[M])
-    below = inv_rate_expectation(ds[M - 1], 0.0, policy.thresholds[M - 1], params.bandwidth_hz)
+    # E[1/R; SNR < t]: the tail is closed at t because a tie stops
+    below = (inv_rate_expectation(ds[M - 1], 0.0, math.inf, params.bandwidth_hz)
+             - inv_rate_expectation(ds[M - 1], policy.thresholds[M - 1], math.inf,
+                                    params.bandwidth_hz))
     return reach * (forced - cm.omega(M) - cm.weight(M) * below / float(table.continue_prob[M - 1]))
 
 
@@ -232,8 +237,7 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
         policy = (ThresholdPolicy("one_sla", M, (delta,) * M) if M > 0
                   else forced_offload_policy("one_sla", net, params, dist))
         ee = expected_etc(policy, net, params, dist)
-        psi = cm.placement_cost(M)
-        rows.append(PlacementRow(M, params.beta_t * psi + ee, ee, psi))
+        rows.append(PlacementRow(M, cm.total_cost(M, ee), ee, cm.placement_cost(M)))
         policies[M] = policy
     best = _pick_best(rows)
     return PlacementReport(
@@ -253,18 +257,16 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
 def hybrid(net: NetworkSpec, params: SystemParams, dists) -> PlacementReport:
     """Linear-cost placement via the 1-sla sweep, then the optimal rule there.
 
-    The returned cost at the chosen M uses the backward-induction rule, so it
-    can only improve on the 1-sla sweep's own value.
+    The returned cost at the chosen M is the backward-induction rule's value
+    there, so it can only improve on the 1-sla sweep's own value.
     """
-    N = net.N
-    ds = per_stage(dists, N + 1)
+    ds = per_stage(dists, net.N + 1)
     base = optimize_exhaustive(net, params, ds, rule_kind="one_sla")
     M = base.best_M
     cm = cost_model(net, params)
     policy = build_policy("optimal", M, net, params, ds)
-    ee = expected_etc(policy, net, params, ds)
-    psi = cm.placement_cost(M)
-    refined = PlacementRow(M, params.beta_t * psi + ee, ee, psi)
+    ee = policy.value_table[0]
+    refined = PlacementRow(M, cm.total_cost(M, ee), ee, cm.placement_cost(M))
     rows = tuple(refined if r.M == M else r for r in base.rows)
     return PlacementReport(
         "hybrid", M, rows, policy,

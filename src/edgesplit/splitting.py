@@ -52,10 +52,15 @@ class ThresholdPolicy:
         object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
         if len(self.thresholds) != self.horizon_M:
             raise ValueError("need exactly one threshold per stage 1..horizon_M")
+        # written so that NaN fails; a +inf threshold means "never stop there"
+        if not all(-math.inf < t for t in self.thresholds):
+            raise ValueError(f"thresholds must be numbers or +inf, got {self.thresholds!r}")
         if self.value_table is not None:
             object.__setattr__(self, "value_table", tuple(float(v) for v in self.value_table))
             if len(self.value_table) != self.horizon_M + 1:
                 raise ValueError("value_table must cover stages 1..horizon_M+1")
+            if not all(map(math.isfinite, self.value_table)):
+                raise ValueError(f"value_table entries must be finite, got {self.value_table!r}")
 
     def to_json_dict(self) -> dict:
         d = {
@@ -128,7 +133,7 @@ def backward_induction(M: int, net: NetworkSpec, params: SystemParams, dists) ->
             ev_n = ev  # stage n never stops
         else:
             dist = ds[n - 1]
-            continue_prob = dist.cdf(t)
+            continue_prob = dist.prob_below(t)
             ev_n = (
                 cm.omega(n) * (1.0 - continue_prob)
                 + cm.weight(n) * inv_rate_expectation(dist, t, math.inf, bandwidth)
@@ -239,8 +244,8 @@ class StageTable:
 def stage_table(policy: ThresholdPolicy, dists, cm: CostModel | None = None) -> StageTable:
     """Stop statistics of `policy`, with stop costs when a cost model is given.
 
-    The continue probabilities take one cdf call per distinct law over all
-    of its finite thresholds, so a shared channel costs one call.
+    The continue probabilities take one `prob_below` call per distinct law
+    over all of its finite thresholds, so a shared channel costs one call.
     """
     M = policy.horizon_M
     ds = per_stage(dists, M + 1)
@@ -251,7 +256,7 @@ def stage_table(policy: ThresholdPolicy, dists, cm: CostModel | None = None) -> 
     thresholds = np.array(policy.thresholds)
     cont = np.ones(M)
     for stages in stages_of.values():
-        cont[stages] = ds[stages[0]].cdf(thresholds[stages])
+        cont[stages] = ds[stages[0]].prob_below(thresholds[stages])
     reach = np.concatenate(([1.0], np.cumprod(cont)))
     stop_prob = reach[:-1] * (1.0 - cont)
     if cm is None:

@@ -396,6 +396,15 @@ def test_discrete_expectation_is_exact_sum():
     assert d.cdf(1.9999) == 0.25
 
 
+def test_prob_below_leaves_out_the_atom_at_x(trunc):
+    d = StageDistribution.discrete([(1.0, 0.25), (2.0, 0.25), (4.0, 0.5)])
+    assert d.prob_below(2.0) == 0.25 and d.cdf(2.0) == 0.5
+    assert d.prob_below(1.0) == 0.0 and d.prob_below(4.5) == 1.0
+    assert d.prob_below(np.array([1.0, 2.5, 4.0])).tolist() == [0.0, 0.5, 0.5]
+    xs = np.linspace(0.0, trunc.support_lo + 10 * trunc.mean_snr, 101)
+    assert np.array_equal(trunc.prob_below(xs), trunc.cdf(xs))
+
+
 # -- discretization ----------------------------------------------------------------
 
 def test_discretize_two_points(trunc):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from edgesplit import ConfigError, load_config
+from edgesplit import ConfigError, NumericalError, load_config
 from edgesplit.channel import inv_rate_expectation
 from edgesplit.cli import main
 from edgesplit.cost_model import cost_model
@@ -341,6 +341,47 @@ def test_cmd_sweep_m_axis(tmp_path):
     assert all(a >= b - 1e-12 for a, b in zip(probs[1:], probs[2:]))
 
 
+@pytest.mark.parametrize("values", [list(range(9)), [6, 0, 3]])
+def test_cmd_sweep_m_axis_reads_the_placement_rows(tmp_path, values):
+    strategies = ["optimal_exhaustive", "one_sla_exhaustive"]
+    raw = reference_config_dict(strategies=strategies, sweep={"variable": "M", "values": values})
+    cfg = write_config(tmp_path, raw)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["place", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, _, sweep = read_csv(tmp_path / "sweep.csv")
+    _, _, place = read_csv(tmp_path / "placement.csv")
+    placed = {(r[0], int(r[1])): r[2:4] for r in place}
+    assert [(int(r[0]), r[1]) for r in sweep] == [(M, s) for M in values for s in strategies]
+    for r in sweep:
+        assert r[3:5] == placed[r[1], int(r[0])]
+
+
+@pytest.mark.parametrize("values,code", [([0, 1, 3], 0), ([2, 5], 3)])
+def test_cmd_sweep_m_axis_fails_on_a_listed_row_that_failed(tmp_path, monkeypatch, capsys,
+                                                             values, code):
+    from edgesplit import splitting
+
+    channel = [{"kind": "truncated_exponential", "mean_snr": 0.5 + 0.1 * n} for n in range(9)]
+    raw = reference_config_dict(channel=channel, strategies=["one_sla_exhaustive"],
+                                sweep={"variable": "M", "values": values})
+    original = splitting.inv_rate_expectation
+
+    def stage_4_tail_fails(dist, lo, hi, bandwidth_hz):
+        if dist.mean_snr == channel[3]["mean_snr"] and lo > 0.0:
+            raise NumericalError("stage 4 tail failed", estimate=1.0)
+        return original(dist, lo, hi, bandwidth_hz)
+
+    monkeypatch.setattr(splitting, "inv_rate_expectation", stage_4_tail_fails)
+    cfg = write_config(tmp_path, raw)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == code
+    if code == 3:
+        assert "stage 4 tail failed" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+    else:
+        _, _, rows = read_csv(tmp_path / "sweep.csv")
+        assert [int(r[0]) for r in rows] == values
+
+
 def test_cmd_sweep_updates_axis(tmp_path):
     raw = reference_config_dict(sweep={"variable": "updates_per_model",
                                        "values": [10, 50, 100, "inf"]},
@@ -401,6 +442,20 @@ def test_cmd_simulate_seed_flag_changes_output(tmp_path):
     a = json.loads((out1 / "sim.json").read_text())
     b = json.loads((out2 / "sim.json").read_text())
     assert a["results"][0]["mean_etc"] != b["results"][0]["mean_etc"]
+
+
+def test_main_twice_in_one_process_with_different_flags(tmp_path):
+    cfg = write_config(tmp_path, reference_config_dict())
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["place", "--config", cfg, "--out", str(first), "--updates", "inf",
+                 "--strategy", "hybrid", "--strategy", "one_sla_exhaustive"]) == 0
+    assert main(["place", "--config", cfg, "--out", str(second)]) == 0
+    _, _, rows = read_csv(first / "placement.csv")
+    assert [r[0] for r in rows] == ["hybrid"] * 9 + ["one_sla_exhaustive"] * 9
+    assert {r[1] for r in rows if r[5] == "1"} == {"8"}
+    _, _, rows = read_csv(second / "placement.csv")
+    assert {r[0] for r in rows} == {"optimal_exhaustive", "one_sla_exhaustive", "hybrid"}
+    assert {r[4] for r in rows if r[1] == "8"} != {"0"}  # finite K: psi(8) > 0
 
 
 def test_missing_config_file_exit_code(tmp_path):

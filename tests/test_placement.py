@@ -99,6 +99,22 @@ def test_theta_matches_direct_difference(autoencoder, params, dist_d50):
         assert factored < 0
 
 
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_theta_matches_direct_difference_with_an_atom_at_the_threshold(M, autoencoder, params,
+                                                                       dist_d50):
+    # the stage-M threshold depends only on the stage-(M+1) law
+    t = one_sla_thresholds(M, autoencoder, params, dist_d50).thresholds[M - 1]
+    atoms = StageDistribution.discrete([(0.5 * t, 0.3), (t, 0.4), (2.0 * t, 0.3)])
+    dists = [dist_d50] * (M - 1) + [atoms, dist_d50]
+    factored = theta_one_sla(M, autoencoder, params, dists)
+    pol_prev = (one_sla_thresholds(M - 1, autoencoder, params, dists) if M > 1
+                else forced_offload_policy("one_sla", autoencoder, params, dists))
+    direct = (expected_etc(one_sla_thresholds(M, autoencoder, params, dists),
+                           autoencoder, params, dists)
+              - expected_etc(pol_prev, autoencoder, params, dists))
+    assert factored == pytest.approx(direct, rel=1e-9)
+
+
 def test_theta_equal_width_geometric(equal_mlp_spec, equal_mlp, params, dist_d50):
     rep = mlp_closed_form(equal_mlp_spec, params, dist_d50)
     cont = rep.diagnostics["cdf_at_delta"]

@@ -316,6 +316,25 @@ def test_policy_validation():
         ThresholdPolicy("optimal", 1, (1.0,), value_table=(1.0,))
 
 
+@pytest.mark.parametrize("thresholds,value_table,field", [
+    ((math.nan, -math.inf), None, "thresholds"),
+    ((1.0, -math.inf), None, "thresholds"),
+    ((math.nan, 1.0), None, "thresholds"),
+    ((1.0, math.inf), (1.0, math.nan, 2.0), "value_table"),
+    ((1.0, math.inf), (1.0, 2.0, math.inf), "value_table"),
+])
+def test_policy_rejects_nan_and_minus_inf(thresholds, value_table, field):
+    rule = "one_sla" if value_table is None else "optimal"
+    with pytest.raises(ValueError, match=field):
+        ThresholdPolicy(rule, 2, thresholds, value_table)
+    doc = {"rule_kind": rule, "horizon_M": 2,
+           "thresholds": ["inf" if t == math.inf else t for t in thresholds]}
+    if value_table is not None:
+        doc["value_table"] = list(value_table)
+    with pytest.raises(ValueError, match=field):
+        ThresholdPolicy.from_json_dict(doc)
+
+
 def test_policy_json_roundtrip(autoencoder, params, dist_d50):
     pol = backward_induction(4, autoencoder, params, dist_d50)
     again = ThresholdPolicy.from_json_dict(pol.to_json_dict())

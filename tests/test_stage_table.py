@@ -1,6 +1,7 @@
 """Stage tables: the stop statistics every expected cost and the 1-sla
 placement sweep read, checked against the per-stage scalar loops they
 replace; and the dominance of the optimal rule over random problems."""
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,9 @@ from edgesplit import (
     NumericalError,
     StageDistribution,
     ThresholdPolicy,
+    apply_rule,
     backward_induction,
+    build_policy,
     expected_etc,
     one_sla_thresholds,
     optimize_exhaustive,
@@ -40,7 +43,7 @@ def _loop_stop_probabilities(policy, dists):
     reach = 1.0
     for n in range(1, M + 1):
         t = policy.thresholds[n - 1]
-        cont = float(ds[n - 1].cdf(t)) if not math.isinf(t) else 1.0
+        cont = float(ds[n - 1].prob_below(t)) if not math.isinf(t) else 1.0
         probs[n - 1] = reach * (1.0 - cont)
         reach *= cont
     probs[M] = reach
@@ -56,7 +59,7 @@ def _loop_stop_conditional_etc(policy, net, params, dists):
     for n in range(1, M + 1):
         t = policy.thresholds[n - 1]
         dist = ds[n - 1]
-        survive = 1.0 - float(dist.cdf(t)) if not math.isinf(t) else 0.0
+        survive = 1.0 - float(dist.prob_below(t)) if not math.isinf(t) else 0.0
         if survive <= 0.0:
             out[n - 1] = 0.0
         else:
@@ -222,3 +225,67 @@ def test_optimal_rule_costs_no_more_than_one_sla_or_never_stopping(problem):
             ds[M], 0.0, math.inf, params.bandwidth_hz)
         assert optimal <= one_sla * (1.0 + 1e-12)
         assert optimal <= never * (1.0 + 1e-12)
+
+
+# -- the optimal Z(M) is read off the value table ------------------------------------
+
+@given(problem=_problems())
+def test_optimal_rows_read_the_value_table(problem):
+    net, params, dists = problem
+    cm = cost_model(net, params)
+    report = optimize_exhaustive(net, params, dists, rule_kind="optimal")
+    for M in range(net.N + 1):
+        policy = build_policy("optimal", M, net, params, dists)
+        value = policy.value_table[0]
+        row = report.row(M)
+        assert _bits([row.Z, row.expected_etc]) == _bits([cm.total_cost(M, value), value])
+        assert abs(value - expected_etc(policy, net, params, dists)) <= 1e-14 * abs(value)
+
+
+# -- ties stop, on discrete laws too ---------------------------------------------------
+
+def _laws_with_atoms_at_thresholds(rule, M, net, params, last):
+    """Per-stage discrete laws with an atom at each finite threshold of `rule`.
+
+    A stage-n threshold of either rule depends only on the laws of the later
+    stages, so the laws are filled in from the back.
+    """
+    ds = [last] * (M + 1)
+    for n in range(M, 0, -1):
+        t = build_policy(rule, M, net, params, ds).thresholds[n - 1]
+        assert math.isfinite(t)
+        ds[n - 1] = StageDistribution.discrete([(0.5 * t, 0.3), (t, 0.4), (2.0 * t, 0.3)])
+    return ds
+
+
+def _enumerate(policy, net, params, ds):
+    """Stop probabilities and expected cost over every atom sequence, by apply_rule."""
+    probs = np.zeros(policy.horizon_M + 1)
+    cost = 0.0
+    for seq in itertools.product(*(d.atoms for d in ds)):
+        p = math.prod(a[1] for a in seq)
+        outcome = apply_rule(policy, [a[0] for a in seq], net, params)
+        probs[outcome.stage - 1] += p
+        cost += p * outcome.realized_etc
+    return probs, cost
+
+
+@pytest.mark.parametrize("rule", ["optimal", "one_sla"])
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_thresholds_on_atoms_match_atom_enumeration(rule, M, autoencoder, params):
+    last = StageDistribution.discrete([(0.05, 0.5), (0.4, 0.3), (3.0, 0.2)])
+    ds = _laws_with_atoms_at_thresholds(rule, M, autoencoder, params, last)
+    policy = build_policy(rule, M, autoencoder, params, ds)
+    probs, cost = _enumerate(policy, autoencoder, params, ds)
+    assert stop_probabilities(policy, ds) == pytest.approx(probs, rel=1e-12, abs=1e-15)
+    assert expected_etc(policy, autoencoder, params, ds) == pytest.approx(cost, rel=1e-12)
+    if rule == "optimal":
+        assert policy.value_table[0] == pytest.approx(cost, rel=1e-12)
+
+
+def test_tie_at_an_atom_stops(autoencoder, params):
+    d = StageDistribution.discrete([(1.0, 0.25), (2.0, 0.25), (4.0, 0.5)])
+    assert stop_probabilities(ThresholdPolicy("one_sla", 1, (2.0,)), d).tolist() == [0.75, 0.25]
+    policy = ThresholdPolicy("one_sla", 2, (2.0, 2.0))
+    _, cost = _enumerate(policy, autoencoder, params, [d] * 3)
+    assert expected_etc(policy, autoencoder, params, d) == pytest.approx(cost, rel=1e-12)
