@@ -54,6 +54,7 @@ from .splitting import (
     forced_stop_cost,
     one_sla_optimality_probability,
     one_sla_thresholds,
+    optimal_recursion,
     stage_table,
     stop_conditional_etc,
     stop_probabilities,

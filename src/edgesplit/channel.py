@@ -87,6 +87,52 @@ _GK_WEIGHTS = np.column_stack([
 LIGHTSPEED_M_S = 3e8
 
 
+def _gk_adaptive(f, x0, x1, owner, tol):
+    """Adaptive Gauss-Kronrod 10/21 rule for f over the panels [x0, x1].
+
+    Each level evaluates f once on the 21 nodes of every live panel, accepts
+    a panel when |K21 - G10| is within max(tol[owner] * its width,
+    QUAD_EPSREL * |K21|), and bisects the rest into halves of the same owner.
+    Returns the accepted panels' edges, integrals and owners, and their sum
+    taken level by level. Raises NumericalError, with the estimate and bound
+    so far, when the rule gives up or the sum is not finite.
+    """
+    parts = []  # per level: the accepted panels' edges, integrals and owners
+    total = total_err = 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for level in range(1, _QUAD_MAX_LEVELS + 1):
+            width = x1 - x0
+            half = 0.5 * width
+            mid = x0 + half
+            # einsum, not a BLAS matmul: a panel's sums must not depend on how
+            # many other panels share the call
+            kronrod, gauss = half * np.einsum("ij,jk->ki", f(mid[:, None] + half[:, None] * _GK_NODES),
+                                              _GK_WEIGHTS)
+            err = np.abs(kronrod - gauss)
+            done = err <= np.maximum(tol[owner] * width, QUAD_EPSREL * np.abs(kronrod))
+            if done.all():
+                parts.append((x0, x1, kronrod, owner))
+                total += float(kronrod.sum())
+                break
+            parts.append((x0[done], x1[done], kronrod[done], owner[done]))
+            total += float(parts[-1][2].sum())
+            total_err += float(err[done].sum())
+            live = ~done
+            x0, mid, x1, owner = x0[live], mid[live], x1[live], owner[live]
+            if level == _QUAD_MAX_LEVELS or 2 * len(x0) > _QUAD_MAX_PANELS:
+                raise NumericalError(
+                    f"quadrature did not converge: {len(x0)} panels, the first "
+                    f"[{x0[0]:g}, {x1[0]:g}], exceed the tolerance after {level} levels",
+                    estimate=total + float(kronrod[live].sum()),
+                    error_bound=total_err + float(err[live].sum()),
+                )
+            x0, x1, owner = (np.concatenate([x0, mid]), np.concatenate([mid, x1]),
+                             np.concatenate([owner, owner]))
+    if not math.isfinite(total):  # a NaN panel never passes, but an infinite one does
+        raise NumericalError("expectation is not finite", estimate=total, error_bound=total_err)
+    return (*(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))), total)
+
+
 @dataclass(frozen=True)
 class PathLossParams:
     """Large-scale attenuation between device and base station."""
@@ -238,7 +284,8 @@ class StageDistribution:
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):
             raw = -np.expm1(-(x - self.support_lo) / self.mean_snr) / self._mass_ratio
-        out = np.clip(np.where(x < self.support_lo, 0.0, raw), 0.0, 1.0)
+        # raw is +0 or more from the floor up, so only the top needs clipping
+        out = np.minimum(np.where(x < self.support_lo, 0.0, raw), 1.0)
         return float(out) if out.ndim == 0 else out
 
     def prob_below(self, x):
@@ -300,13 +347,9 @@ class StageDistribution:
         g is called on a numpy array of SNRs and must return an array of the
         same shape (a scalar constant is broadcast); the discrete kind calls
         it on each atom. Regions outside the support carry no mass and are
-        clipped away. The exponential kinds use an adaptive Gauss-Kronrod
-        10/21 rule over probability-bounded panels: each level evaluates the
-        integrand once on all nodes of all live panels, accepts a panel when
-        |K21 - G10| is within max(QUAD_EPSABS * the panel's share of the
-        clipped interval, QUAD_EPSREL * |K21|), and bisects the rest. Raises
-        NumericalError (with the achieved estimate and bound) when the rule
-        does not converge.
+        clipped away. The exponential kinds sum the panels `_gk_adaptive`
+        accepts over probability-bounded panels of the clipped interval, and
+        raise its NumericalError when the rule does not converge.
         """
         if lo > hi:
             raise ValueError("need lo <= hi")
@@ -314,50 +357,15 @@ class StageDistribution:
             return float(sum(p * g(s) for s, p in self.atoms if lo <= s <= hi))
         a = max(lo, self.support_lo)
         b = min(hi, self._upper_cutoff())
-        if a >= b:
-            return 0.0
+        return self._panels(lambda x: g(x) * self.pdf(x), a, b)[-1] if a < b else 0.0
+
+    def _panels(self, f, a: float, b: float):
+        """`_gk_adaptive` for the integrand f over [a, b] within the support,
+        cut first at fixed quantiles of the law."""
         cuts = [float(q) for q in self.quantile(np.array(_PANEL_QUANTILES)) if a < q < b]
         edges = np.array([a] + cuts + [b])
-        x0, x1 = edges[:-1], edges[1:]
-        abs_tol_per_width = QUAD_EPSABS / (b - a)
-
-        total = 0.0
-        total_err = 0.0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for level in range(1, _QUAD_MAX_LEVELS + 1):
-                half = 0.5 * (x1 - x0)
-                mid = x0 + half
-                x = mid[:, None] + half[:, None] * _GK_NODES
-                kronrod, gauss = (half[:, None] * ((g(x) * self.pdf(x)) @ _GK_WEIGHTS)).T
-                finite = np.isfinite(kronrod)
-                if not finite.all():
-                    i = int(np.argmin(finite))
-                    raise NumericalError(
-                        f"integrand is not integrable on [{x0[i]:g}, {x1[i]:g}]",
-                        estimate=total, error_bound=math.inf,
-                    )
-                err = np.abs(kronrod - gauss)
-                done = err <= np.maximum(abs_tol_per_width * (x1 - x0),
-                                         QUAD_EPSREL * np.abs(kronrod))
-                total += float(kronrod[done].sum())
-                total_err += float(err[done].sum())
-                if done.all():
-                    break
-                live = ~done
-                x0, mid, x1 = x0[live], mid[live], x1[live]
-                if level == _QUAD_MAX_LEVELS or 2 * len(x0) > _QUAD_MAX_PANELS:
-                    raise NumericalError(
-                        f"quadrature did not converge on [{a:g}, {b:g}]: {len(x0)} panels, "
-                        f"the first [{x0[0]:g}, {x1[0]:g}], exceed the tolerance "
-                        f"after {level} levels",
-                        estimate=total + float(kronrod[live].sum()),
-                        error_bound=total_err + float(err[live].sum()),
-                    )
-                x0, x1 = np.concatenate([x0, mid]), np.concatenate([mid, x1])
-        if not math.isfinite(total):
-            raise NumericalError("expectation is not finite",
-                                 estimate=total, error_bound=total_err)
-        return total
+        return _gk_adaptive(f, edges[:-1], edges[1:], np.zeros(len(cuts) + 1, dtype=np.intp),
+                            np.array([QUAD_EPSABS / (b - a)]))
 
     def discretize(self, grid_points: int) -> "StageDistribution":
         """Equal-mass atoms at quantile midpoints (probability-matched grid)."""
@@ -378,18 +386,68 @@ class StageDistribution:
         return d
 
 
-# Process-wide on purpose: the key is the immutable law, the bounds and the
-# bandwidth, so every stage, placement, strategy and CLI call in a process
-# shares one quadrature per key. Planning the example config's strategies
-# again takes about 2.4 ms in process against about 8 ms with the caches
-# cleared (2-core VM, Python 3.11, numpy 2.4). A warm planning loop touches
-# fewer than 1k keys; a cold one never repeats a key, so 8192 entries bound
-# the memory without losing reuse.
-@lru_cache(maxsize=8192)
-def inv_rate_expectation(dist: StageDistribution, lo: float, hi: float,
-                         bandwidth_hz: float) -> float:
-    """E[1 / R(snr); lo <= snr <= hi] for the uplink rate R = B log2(1 + snr)."""
-    return dist.partial_expect(lambda s: 1.0 / (bandwidth_hz * np.log2(1.0 + s)), lo, hi)
+class TailTable:
+    """Every tail E[g(SNR); SNR >= t] of one law, from one quadrature pass.
+
+    The exponential kinds keep the panels the adaptive rule accepts over
+    [support_lo, cutoff], sorted, with suffix sums; a tail adds the integral
+    over [t, the right edge of t's panel], held to the acceptance test that
+    `partial_expect` applies over [t, cutoff]. The discrete kind keeps exact
+    atom suffix sums, closed at t because a tie stops. `full` is E[g].
+    """
+
+    def __init__(self, dist: StageDistribution, g):
+        self.lo, self.cutoff, self.integrand = dist.support_lo, dist._upper_cutoff(), None
+        if dist.kind == "discrete":
+            self.edges, probs = dist.atom_arrays
+            terms = probs * g(self.edges)
+        else:
+            self.integrand = lambda x: g(x) * dist.pdf(x)
+            x0, _, terms, _, full = dist._panels(self.integrand, self.lo, self.cutoff)
+            order = np.argsort(x0)
+            self.edges, terms = np.append(x0[order], self.cutoff), terms[order]
+        self.suffix = np.append(np.cumsum(terms[::-1])[::-1], 0.0)
+        # the exponential kinds keep the level-by-level sum that `expect` returns
+        self.full = float(self.suffix[0]) if self.integrand is None else full
+
+    def tails(self, thresholds) -> np.ndarray:
+        """E[g(SNR); SNR >= t] for each t of a 1-d array of thresholds."""
+        t = np.asarray(thresholds, dtype=float)
+        if self.integrand is None:
+            return self.suffix[self.edges.searchsorted(t)]
+        inner = (t > self.lo) & (t < self.cutoff)
+        if inner.all():
+            return self._inner_tails(t)
+        out = np.where(t <= self.lo, self.full, 0.0)
+        if inner.any():
+            out[inner] = self._inner_tails(t[inner])
+        return out
+
+    def _inner_tails(self, t):
+        # t lies in panel [edges[i-1], edges[i]); the suffix from i is beyond it
+        i = self.edges.searchsorted(t, "right")
+        _, _, sub, owner, _ = _gk_adaptive(self.integrand, t, self.edges[i], np.arange(len(t)),
+                                           QUAD_EPSABS / (self.cutoff - t))
+        return np.bincount(owner, sub, len(t)) + self.suffix[i]
+
+
+# Process-wide on purpose: keyed on an immutable law and a bandwidth, so every
+# stage, strategy and CLI call in a process reads a law's tails off one table.
+# A cold plan builds one per distinct law; 256 hold a distance sweep's laws.
+@lru_cache(maxsize=256)
+def inv_rate_table(dist: StageDistribution, bandwidth_hz: float) -> TailTable:
+    """Tail table of 1 / R(snr) for the uplink rate R = B log2(1 + snr)."""
+    return TailTable(dist, lambda s: 1.0 / (bandwidth_hz * np.log2(1.0 + s)))
+
+
+def inv_rate_tails(dist: StageDistribution, thresholds, bandwidth_hz: float) -> np.ndarray:
+    """E[1 / R(snr); snr >= t] for each threshold t, read off the law's table."""
+    return inv_rate_table(dist, bandwidth_hz).tails(thresholds)
+
+
+def inv_rate_expectation(dist: StageDistribution, lo: float, bandwidth_hz: float) -> float:
+    """E[1 / R(snr); snr >= lo], one read of `inv_rate_tails`."""
+    return float(inv_rate_tails(dist, [lo], bandwidth_hz)[0])
 
 
 def distribution_from_config(spec: dict, params: SystemParams) -> StageDistribution:

@@ -3,9 +3,9 @@
 Four strategies, all minimizing Z(M) = beta_t * psi(M) + expected inference
 cost under a stopping rule, composed by `CostModel.total_cost`:
 
-* optimal_exhaustive  - try every M with the backward-induction rule; the
-  expected cost at M is the policy's own value V_M(1) = value_table[0], so
-  each optimal policy is evaluated once, by its induction.
+* optimal_exhaustive  - try every M with the backward-induction rule; one
+  lockstep recursion gives every V_M(1), the expected cost at M, with one
+  tail read per stage, and only the best M becomes a policy.
 * one_sla_exhaustive  - try every M with the 1-sla rule; thresholds are
   M-independent, so every Z(M) reads the first M stages of one stage table
   for the N-stage policy plus the forced stop at M+1: the whole sweep is
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .channel import StageDistribution, inv_rate_expectation, per_stage
+from .channel import StageDistribution, inv_rate_expectation, inv_rate_table, per_stage
 from .cost_model import SystemParams, cost_model
 from .errors import NumericalError
 from .model_graph import MlpSpec, NetworkSpec, build_mlp
@@ -35,6 +35,7 @@ from .splitting import (
     forced_offload_policy,
     forced_stop_cost,
     one_sla_thresholds,
+    optimal_recursion,
     stage_table,
 )
 
@@ -115,17 +116,19 @@ def optimize_exhaustive(net: NetworkSpec, params: SystemParams, dists,
     cm = cost_model(net, params)
 
     if rule_kind == "optimal":
-        policies = [build_policy("optimal", M, net, params, ds) for M in range(N + 1)]
-        evaluate = lambda M: policies[M].value_table[0]  # noqa: E731
+        thresholds, values = optimal_recursion(range(N + 1), net, params, ds)
+        evaluate = lambda M: float(values[M, 0])  # noqa: E731
+        policy_at = lambda M: ThresholdPolicy(  # noqa: E731
+            "optimal", M, thresholds[M, :M], values[M, :M + 1])
     else:
         # The 1-sla thresholds do not depend on M, so the policy at M is the
         # first M stages of the one at N, and every Z(M) is read off one
         # stage table plus the forced stop at stage M+1.
         full = one_sla_thresholds(N, net, params, ds)
-        policies = [ThresholdPolicy("one_sla", M, full.thresholds[:M]) for M in range(N + 1)]
         table = stage_table(full, ds, cm)
         forced = [forced_stop_cost(cm, M + 1, ds[M]) for M in range(N + 1)]
         evaluate = lambda M: table.expected_etc(M, forced[M])  # noqa: E731
+        policy_at = lambda M: ThresholdPolicy("one_sla", M, full.thresholds[:M])  # noqa: E731
     rows = []
     for M in range(N + 1):
         psi = cm.placement_cost(M)
@@ -137,7 +140,7 @@ def optimize_exhaustive(net: NetworkSpec, params: SystemParams, dists,
         rows.append(PlacementRow(M, cm.total_cost(M, ee), ee, psi))
     best = _pick_best(rows)
     strategy = "optimal_exhaustive" if rule_kind == "optimal" else "one_sla_exhaustive"
-    return PlacementReport(strategy, best, tuple(rows), policies[best])
+    return PlacementReport(strategy, best, tuple(rows), policy_at(best))
 
 
 def theta_one_sla(M: int, net: NetworkSpec, params: SystemParams, dists) -> float:
@@ -160,9 +163,8 @@ def theta_one_sla(M: int, net: NetworkSpec, params: SystemParams, dists) -> floa
         return 0.0
     forced = forced_stop_cost(cm, M + 1, ds[M])
     # E[1/R; SNR < t]: the tail is closed at t because a tie stops
-    below = (inv_rate_expectation(ds[M - 1], 0.0, math.inf, params.bandwidth_hz)
-             - inv_rate_expectation(ds[M - 1], policy.thresholds[M - 1], math.inf,
-                                    params.bandwidth_hz))
+    below = (inv_rate_table(ds[M - 1], params.bandwidth_hz).full
+             - inv_rate_expectation(ds[M - 1], policy.thresholds[M - 1], params.bandwidth_hz))
     return reach * (forced - cm.omega(M) - cm.weight(M) * below / float(table.continue_prob[M - 1]))
 
 
@@ -193,18 +195,19 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
         + params.beta_e * params.kappa * params.local_freq_hz**2
     )
     alpha_x = mlp.cycles_per_macc * X
-    einv = inv_rate_expectation(dist, 0.0, math.inf, bandwidth)
+    einv = inv_rate_table(dist, bandwidth).full
 
     exponent = (weight_per_bit * lam_bits) / (
         bandwidth * (lam_bits * weight_per_bit * einv + unit_gap * alpha_x)
     )
     delta = 2.0**exponent - 1.0
-    cont = float(dist.cdf(delta))
+    cont = float(dist.prob_below(delta))
     if cont <= 0.0:
         raise NumericalError(
             "shared 1-sla threshold sits at or below the SNR floor; "
             "the geometric decrement is degenerate", estimate=delta)
-    below = inv_rate_expectation(dist, 0.0, delta, bandwidth)
+    # E[1/R; SNR < delta]: the tail is closed at delta because a tie stops
+    below = einv - inv_rate_expectation(dist, delta, bandwidth)
     # bracket of the decrement, computed both ways: directly, and simplified
     # through the threshold's indifference identity. They must agree; a gap
     # means the truncation floor broke the identity.

@@ -7,10 +7,13 @@ the stage threshold, otherwise stop at M+1.
 
 * The optimal rule computes thresholds by backward induction on the expected
   cost-to-go: the stage-n threshold is the SNR at which stopping now and the
-  expected cost of continuing are indifferent.
+  expected cost of continuing are indifferent. One lockstep recursion serves
+  every horizon M at once with one tail read per stage.
 * The one-stage look-ahead (1-sla) rule compares stopping now against
   continuing exactly one stage and then stopping; its thresholds are closed
   form and do not depend on M.
+
+Every E[1/R] tail is read off the law's table (`channel.inv_rate_tails`).
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import StageDistribution, inv_rate_expectation, per_stage
+from .channel import StageDistribution, inv_rate_table, inv_rate_tails, per_stage
 from .cost_model import CostModel, SystemParams, cost_model
 from .errors import NumericalError
 from .model_graph import NetworkSpec
@@ -110,41 +113,50 @@ def _indifference_threshold(weight: float, bandwidth_hz: float, margin: float) -
     return 2.0**exponent - 1.0
 
 
-def backward_induction(M: int, net: NetworkSpec, params: SystemParams, dists) -> ThresholdPolicy:
-    """Optimal stopping rule for horizon M+1 via backward induction.
+def optimal_recursion(horizons, net: NetworkSpec, params: SystemParams,
+                      dists) -> tuple[np.ndarray, np.ndarray]:
+    """Backward induction for the distinct ascending `horizons` in lockstep.
 
-    Starting from the forced stop at stage M+1, each earlier stage's expected
-    cost-to-go is E[min(stop-now cost, cost-to-go of continuing)] and the
-    stage threshold is the indifference SNR between the two. A threshold of
-    +inf marks stages where stopping can never beat continuing.
+    One pass from the top stage down to stage 1 carries the value of every
+    horizon M >= n; horizon M joins at its forced stop, stage M+1. Stage n's
+    value is E[min(stop-now cost, continuation value)] and its threshold the
+    indifference SNR of the two (+inf: stopping never wins), from one
+    `prob_below` call and one tail read over all finite thresholds. Row h
+    belongs to M = horizons[h]: thresholds[h, :M] and values[h, :M+1].
     """
-    if not 1 <= M <= net.N:
-        raise ValueError(f"M must lie in [1, {net.N}]")
-    ds = per_stage(dists, M + 1)
+    Ms = list(horizons)
+    top = Ms[-1]
+    ds = per_stage(dists, top + 1)
     cm = cost_model(net, params)
     bandwidth = params.bandwidth_hz
+    thresholds = np.full((len(Ms), top), math.inf)
+    values = np.zeros((len(Ms), top + 1))
+    live = len(Ms)  # rows live[:] are the horizons M >= n
+    for n in range(top, -1, -1):
+        if live and Ms[live - 1] == n:
+            live -= 1
+            values[live, n] = forced_stop_cost(cm, n + 1, ds[n])
+        if n == 0:
+            break
+        omega, weight = cm.omega(n), cm.weight(n)
+        ev = values[live:, n].tolist()
+        thresholds[live:, n - 1] = [_indifference_threshold(weight, bandwidth, e - omega) for e in ev]
+        values[live:, n - 1] = ev
+        stop = [h for h in range(live, len(Ms)) if thresholds[h, n - 1] < math.inf]
+        if stop:
+            ts = thresholds[stop, n - 1]
+            cont = ds[n - 1].prob_below(ts)
+            values[stop, n - 1] = (omega * (1.0 - cont) + weight * inv_rate_tails(ds[n - 1], ts, bandwidth)
+                                   + values[stop, n] * cont)
+    return thresholds, values
 
-    ev = forced_stop_cost(cm, M + 1, ds[M])
-    values = [ev]
-    thresholds = []
-    for n in range(M, 0, -1):
-        t = _indifference_threshold(cm.weight(n), bandwidth, ev - cm.omega(n))
-        if math.isinf(t):
-            ev_n = ev  # stage n never stops
-        else:
-            dist = ds[n - 1]
-            continue_prob = dist.prob_below(t)
-            ev_n = (
-                cm.omega(n) * (1.0 - continue_prob)
-                + cm.weight(n) * inv_rate_expectation(dist, t, math.inf, bandwidth)
-                + ev * continue_prob
-            )
-        thresholds.append(t)
-        values.append(ev_n)
-        ev = ev_n
-    thresholds.reverse()
-    values.reverse()
-    return ThresholdPolicy("optimal", M, tuple(thresholds), tuple(values))
+
+def backward_induction(M: int, net: NetworkSpec, params: SystemParams, dists) -> ThresholdPolicy:
+    """Optimal stopping rule for horizon M+1: `optimal_recursion` for M alone."""
+    if not 1 <= M <= net.N:
+        raise ValueError(f"M must lie in [1, {net.N}]")
+    thresholds, values = optimal_recursion([M], net, params, dists)
+    return ThresholdPolicy("optimal", M, thresholds[0], values[0])
 
 
 def one_sla_thresholds(M: int, net: NetworkSpec, params: SystemParams, dists) -> ThresholdPolicy:
@@ -166,7 +178,7 @@ def one_sla_thresholds(M: int, net: NetworkSpec, params: SystemParams, dists) ->
     for n in range(1, M + 1):
         cycles = net.layers[n - 1].workload_cycles
         margin = (
-            cm.weight(n + 1) * inv_rate_expectation(ds[n], 0.0, math.inf, bandwidth)
+            cm.weight(n + 1) * inv_rate_table(ds[n], bandwidth).full
             + params.beta_t * cycles * inv_f_gap
             + params.beta_e * params.kappa * cycles * params.local_freq_hz**2
         )
@@ -221,8 +233,8 @@ class StageTable:
     is the probability of no stop at stages 1..k (k = 0..M), their sequential
     product, and stop_prob[n-1] = reach[n-1] * (1 - continue_prob[n-1]).
     stop_cost[n-1] is the expected cost given a stop at stage n, 0 where
-    that never happens. When the tail expectation of a stage fails,
-    stop_cost ends before that stage and error holds its NumericalError. A
+    that never happens. When the tail read of a law fails, stop_cost ends
+    before the first stage of that law and error holds its NumericalError. A
     table built without a cost model has no stop costs.
     """
 
@@ -244,8 +256,8 @@ class StageTable:
 def stage_table(policy: ThresholdPolicy, dists, cm: CostModel | None = None) -> StageTable:
     """Stop statistics of `policy`, with stop costs when a cost model is given.
 
-    The continue probabilities take one `prob_below` call per distinct law
-    over all of its finite thresholds, so a shared channel costs one call.
+    The continue probabilities take one `prob_below` call and the stop costs
+    one tail read per distinct law over all of its finite thresholds.
     """
     M = policy.horizon_M
     ds = per_stage(dists, M + 1)
@@ -262,27 +274,22 @@ def stage_table(policy: ThresholdPolicy, dists, cm: CostModel | None = None) -> 
     if cm is None:
         return StageTable(cont, reach, stop_prob)
 
-    bandwidth = cm.params.bandwidth_hz
-    costs = []
-    error = None
-    for n, (t, c) in enumerate(zip(policy.thresholds, cont.tolist()), start=1):
-        survive = 1.0 - c
-        if survive <= 0.0:
-            costs.append(0.0)
-            continue
+    tails, failed, error = np.zeros(M), M, None
+    for stages in stages_of.values():  # the laws in the order of their first stage
         try:
-            tail = inv_rate_expectation(ds[n - 1], t, math.inf, bandwidth)
+            tails[stages] = inv_rate_tails(ds[stages[0]], thresholds[stages], cm.params.bandwidth_hz)
         except NumericalError as exc:
-            error = exc
+            failed, error = stages[0], exc
             break
-        costs.append(cm.omega(n) + cm.weight(n) * tail / survive)
-    return StageTable(cont, reach, stop_prob, np.array(costs), error)
+    omega, weight = (np.array([f(n) for n in range(1, M + 1)]) for f in (cm.omega, cm.weight))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        costs = np.where(cont < 1.0, omega + weight * tails / (1.0 - cont), 0.0)
+    return StageTable(cont, reach, stop_prob, costs[:failed], error)
 
 
 def forced_stop_cost(cm: CostModel, stage: int, dist: StageDistribution) -> float:
     """Expected cost of stopping at `stage` whatever its SNR."""
-    return cm.omega(stage) + cm.weight(stage) * inv_rate_expectation(
-        dist, 0.0, math.inf, cm.params.bandwidth_hz)
+    return cm.omega(stage) + cm.weight(stage) * inv_rate_table(dist, cm.params.bandwidth_hz).full
 
 
 def stop_probabilities(policy: ThresholdPolicy, dists) -> np.ndarray:

@@ -14,7 +14,7 @@ from edgesplit import (
     mean_snr_from_pathloss,
 )
 from edgesplit import channel
-from edgesplit.channel import inv_rate_expectation, per_stage
+from edgesplit.channel import inv_rate_expectation, inv_rate_table, inv_rate_tails, per_stage
 
 from conftest import MEAN_SNR_D50, channel_at, make_params, pathloss_at
 
@@ -150,7 +150,7 @@ MPMATH_INV_RATE_TAILS = [
 def test_inv_rate_expectation_matches_mpmath(params, distance, threshold, reference):
     dist = channel_at(distance, params)
     t = 3 * dist.support_lo if threshold == "3*floor" else float(threshold)
-    got = inv_rate_expectation(dist, t, math.inf, params.bandwidth_hz)
+    got = inv_rate_expectation(dist, t, params.bandwidth_hz)
     assert got == pytest.approx(reference, rel=1e-10)
 
 
@@ -168,6 +168,70 @@ def test_gauss_kronrod_constants():
     assert np.count_nonzero(gauss) == 10
     np.testing.assert_allclose(nodes[gauss != 0], x10, rtol=0, atol=1e-15)
     np.testing.assert_allclose(gauss[gauss != 0], w10, rtol=0, atol=1e-15)
+
+
+# -- the per-law tail table -------------------------------------------------------
+
+_SPOTS = ("below", "floor", "edge", "left_of_edge", "right_of_edge", "inside",
+          "near_cutoff", "cutoff", "past_cutoff", "inf")
+
+
+def _threshold(table, law, spot, k, u):
+    edge = table.edges[k % len(table.edges)]
+    return {
+        "below": 0.5 * law.support_lo, "floor": law.support_lo, "edge": edge,
+        "left_of_edge": np.nextafter(edge, 0.0), "right_of_edge": np.nextafter(edge, math.inf),
+        "inside": law.support_lo + u * (table.cutoff - law.support_lo),
+        "near_cutoff": table.cutoff * (1.0 - 1e-6 * u), "cutoff": table.cutoff,
+        "past_cutoff": 2.0 * table.cutoff, "inf": math.inf,
+    }[spot]
+
+
+@given(mean=st.floats(0.05, 40.0), ceiling=st.one_of(st.none(), st.floats(0.5, 4.0)),
+       picks=st.lists(st.tuples(st.sampled_from(_SPOTS), st.integers(0, 10**6),
+                                st.floats(0.0, 1.0)), min_size=1, max_size=12))
+def test_table_reads_match_the_adaptive_rule_per_threshold(mean, ceiling, picks):
+    law = StageDistribution.truncated_exponential(
+        mean, upper=math.inf if ceiling is None else mean * ceiling)
+    table = inv_rate_table(law, W)
+    assert table.full == law.expect(inv_rate)
+    thresholds = [float(_threshold(table, law, *pick)) for pick in picks]
+    got = inv_rate_tails(law, thresholds, W)
+    for t, tail in zip(thresholds, got.tolist()):
+        ref = law.partial_expect(inv_rate, t, math.inf)
+        assert abs(tail - ref) <= 1e-10 * ref, (t, tail, ref)
+        # a read does not depend on the other thresholds sharing its call
+        assert tail == inv_rate_expectation(law, t, W)
+
+
+@given(snrs=st.lists(st.floats(0.01, 50.0), min_size=1, max_size=8, unique=True),
+       weights=st.lists(st.floats(0.05, 1.0), min_size=8, max_size=8))
+def test_discrete_table_reads_count_a_tie_as_a_stop(snrs, weights):
+    weights = weights[:len(snrs)]
+    law = StageDistribution.discrete([(s, w / sum(weights)) for s, w in zip(snrs, weights)])
+    atoms = sorted(snrs)
+    thresholds = [0.5 * atoms[0], 2.0 * atoms[-1], math.inf, *atoms,
+                  *np.nextafter(atoms, 0.0), *np.nextafter(atoms, math.inf)]
+    got = inv_rate_tails(law, thresholds, W)
+    for t, tail in zip(thresholds, got.tolist()):
+        brute = math.fsum(p * inv_rate(s) for s, p in law.atoms if s >= t)
+        assert tail == pytest.approx(brute, rel=1e-13, abs=0.0)
+
+
+def test_adaptive_rule_keeps_each_owners_panels_apart():
+    # a kink inside every panel makes every owner refine
+    x0, x1 = np.array([0.0, 0.2, 0.4]), np.array([1.0, 0.9, 0.6])
+    left, right, integrals, owner, total = channel._gk_adaptive(
+        lambda x: np.abs(x - 0.45) ** 1.5, x0, x1, np.arange(3), np.full(3, 1e-10))
+    assert len(owner) > 3
+    exact = (np.abs(x0 - 0.45) ** 2.5 + np.abs(x1 - 0.45) ** 2.5) / 2.5
+    np.testing.assert_allclose(np.bincount(owner, integrals, 3), exact, rtol=0, atol=1e-10)
+    for k in range(3):
+        mine = np.argsort(left[owner == k])
+        edges = np.append(left[owner == k][mine], right[owner == k][mine][-1])
+        assert edges[0] == x0[k] and edges[-1] == x1[k]
+        assert np.array_equal(edges[1:-1], right[owner == k][mine][:-1])
+    assert total == pytest.approx(exact.sum(), abs=1e-10)
 
 
 def test_untruncated_inv_rate_diverges():

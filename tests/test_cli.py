@@ -5,7 +5,7 @@ import math
 import pytest
 
 from edgesplit import ConfigError, NumericalError, load_config
-from edgesplit.channel import inv_rate_expectation
+from edgesplit.channel import inv_rate_table
 from edgesplit.cli import main
 from edgesplit.cost_model import cost_model
 
@@ -150,10 +150,10 @@ def test_bad_sweep_distance_fails_before_any_work(tmp_path, capsys, bad):
         load_config(raw)
     assert err.value.field == "sweep.values"
     cfg = write_config(tmp_path, raw)
-    misses = inv_rate_expectation.cache_info().misses
+    misses = inv_rate_table.cache_info().misses
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "sweep.values" in capsys.readouterr().err
-    assert inv_rate_expectation.cache_info().misses == misses
+    assert inv_rate_table.cache_info().misses == misses
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -204,14 +204,14 @@ def test_infinite_updates_and_ceiling_stay_legal():
 def test_cache_hits_write_the_same_bytes_as_misses(tmp_path, command, result):
     raw = reference_config_dict(sweep={"variable": "distance_m", "values": [20, 60, 100]})
     cfg = write_config(tmp_path, raw)
-    inv_rate_expectation.cache_clear()
+    inv_rate_table.cache_clear()
     cost_model.cache_clear()
     cold, warm = tmp_path / "cold", tmp_path / "warm"
     assert main([command, "--config", cfg, "--out", str(cold)]) == 0
-    assert inv_rate_expectation.cache_info().misses > 0
-    hits = inv_rate_expectation.cache_info().hits
+    assert inv_rate_table.cache_info().misses > 0
+    hits = inv_rate_table.cache_info().hits
     assert main([command, "--config", cfg, "--out", str(warm)]) == 0
-    assert inv_rate_expectation.cache_info().hits > hits
+    assert inv_rate_table.cache_info().hits > hits
     assert (cold / result).read_bytes() == (warm / result).read_bytes()
 
 
@@ -364,14 +364,14 @@ def test_cmd_sweep_m_axis_fails_on_a_listed_row_that_failed(tmp_path, monkeypatc
     channel = [{"kind": "truncated_exponential", "mean_snr": 0.5 + 0.1 * n} for n in range(9)]
     raw = reference_config_dict(channel=channel, strategies=["one_sla_exhaustive"],
                                 sweep={"variable": "M", "values": values})
-    original = splitting.inv_rate_expectation
+    original = splitting.inv_rate_tails
 
-    def stage_4_tail_fails(dist, lo, hi, bandwidth_hz):
-        if dist.mean_snr == channel[3]["mean_snr"] and lo > 0.0:
+    def stage_4_tail_fails(dist, thresholds, bandwidth_hz):
+        if dist.mean_snr == channel[3]["mean_snr"] and any(t > 0.0 for t in thresholds):
             raise NumericalError("stage 4 tail failed", estimate=1.0)
-        return original(dist, lo, hi, bandwidth_hz)
+        return original(dist, thresholds, bandwidth_hz)
 
-    monkeypatch.setattr(splitting, "inv_rate_expectation", stage_4_tail_fails)
+    monkeypatch.setattr(splitting, "inv_rate_tails", stage_4_tail_fails)
     cfg = write_config(tmp_path, raw)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == code
     if code == 3:

@@ -7,6 +7,7 @@ from edgesplit import (
     MlpSpec,
     NumericalError,
     StageDistribution,
+    ThresholdPolicy,
     build_mlp,
     expected_etc,
     forced_offload_policy,
@@ -165,6 +166,35 @@ def test_closed_form_agrees_with_enumeration(x, n, k, dist_d50):
     same = closed.best_M == swept.best_M
     tie = abs(closed.best_Z - swept.best_Z) <= 1e-6 * abs(swept.best_Z)
     assert same or tie
+
+
+def test_closed_form_stops_on_an_atom_at_the_shared_threshold(equal_mlp_spec, params):
+    # delta depends on the law through E[1/R], so the atom sitting exactly at
+    # delta is a fixed point of law -> delta, found here by iteration
+    def law(delta):
+        return StageDistribution.discrete([(0.05, 0.3), (delta, 0.4), (20.0, 0.3)])
+
+    delta = 1.0
+    for _ in range(100):
+        moved = mlp_closed_form(equal_mlp_spec, params, law(delta)).diagnostics["delta_threshold"]
+        if moved == delta:
+            break
+        delta = moved
+    dist = law(delta)
+    rep = mlp_closed_form(equal_mlp_spec, params, dist)
+    assert rep.diagnostics["delta_threshold"] == delta
+    cont, g = rep.diagnostics["cdf_at_delta"], rep.diagnostics["g_simplified"]
+    assert cont == dist.prob_below(delta) != dist.cdf(delta)
+    # the rule's own rows: a tie stops, so each decrement is X * F^M * g with
+    # F = P{SNR < delta}, and the branch picks their argmin
+    net, x = build_mlp(equal_mlp_spec), equal_mlp_spec.neurons[0]
+    etcs = [expected_etc(ThresholdPolicy("one_sla", M, (delta,) * M) if M
+                         else forced_offload_policy("one_sla", net, params, dist), net, params, dist)
+            for M in range(net.N + 1)]
+    for M in range(1, net.N + 1):
+        assert etcs[M] - etcs[M - 1] == pytest.approx(x * cont**M * g, rel=1e-9)
+    cm = cost_model(net, params)
+    assert rep.best_M == min(range(net.N + 1), key=lambda M: cm.total_cost(M, etcs[M]))
 
 
 def test_closed_form_rejects_unequal_widths(params, dist_d50):

@@ -346,9 +346,9 @@ def test_policy_json_roundtrip(autoencoder, params, dist_d50):
 
 
 def test_caches_are_shared_across_calls(autoencoder, params, dist_d50):
-    before = inv_rate_expectation(dist_d50, 0.0, math.inf, params.bandwidth_hz)
-    again = inv_rate_expectation(dist_d50, 0.0, math.inf, params.bandwidth_hz)
+    before = inv_rate_expectation(dist_d50, 0.0, params.bandwidth_hz)
+    again = inv_rate_expectation(dist_d50, 0.0, params.bandwidth_hz)
     assert before == again
     t = 0.25
-    assert inv_rate_expectation(dist_d50, t, math.inf, params.bandwidth_hz) == pytest.approx(
+    assert inv_rate_expectation(dist_d50, t, params.bandwidth_hz) == pytest.approx(
         dist_d50.partial_expect(inv_rate_fn(params), t, math.inf), abs=1e-12)

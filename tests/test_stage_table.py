@@ -20,6 +20,7 @@ from edgesplit import (
     build_policy,
     expected_etc,
     one_sla_thresholds,
+    optimal_recursion,
     optimize_exhaustive,
     stage_table,
     stop_conditional_etc,
@@ -63,9 +64,9 @@ def _loop_stop_conditional_etc(policy, net, params, dists):
         if survive <= 0.0:
             out[n - 1] = 0.0
         else:
-            tail = inv_rate_expectation(dist, t, math.inf, bandwidth)
+            tail = inv_rate_expectation(dist, t, bandwidth)
             out[n - 1] = cm.omega(n) + cm.weight(n) * tail / survive
-    einv = inv_rate_expectation(ds[M], 0.0, math.inf, bandwidth)
+    einv = inv_rate_expectation(ds[M], 0.0, bandwidth)
     out[M] = cm.omega(M + 1) + cm.weight(M + 1) * einv
     return out
 
@@ -189,14 +190,14 @@ def test_failing_stage_tail_marks_exactly_the_rows_that_reach_it(autoencoder, pa
     thresholds = one_sla_thresholds(autoencoder.N, autoencoder, params, dists).thresholds
     failing = 4
     assert not math.isinf(thresholds[failing - 1])
-    original = splitting.inv_rate_expectation
+    original = splitting.inv_rate_tails
 
-    def tail_fails_at_one_stage(dist, lo, hi, bandwidth_hz):
-        if dist is dists[failing - 1] and lo > 0.0:
+    def tail_fails_at_one_stage(dist, thresholds, bandwidth_hz):
+        if dist is dists[failing - 1] and any(t > 0.0 for t in thresholds):
             raise NumericalError(f"stage {failing} tail failed", estimate=1.0)
-        return original(dist, lo, hi, bandwidth_hz)
+        return original(dist, thresholds, bandwidth_hz)
 
-    monkeypatch.setattr(splitting, "inv_rate_expectation", tail_fails_at_one_stage)
+    monkeypatch.setattr(splitting, "inv_rate_tails", tail_fails_at_one_stage)
     report = optimize_exhaustive(autoencoder, params, dists, rule_kind="one_sla")
     for row, kept in zip(report.rows, clean.rows):
         if row.M < failing:
@@ -222,9 +223,72 @@ def test_optimal_rule_costs_no_more_than_one_sla_or_never_stopping(problem):
         one_sla = expected_etc(one_sla_thresholds(M, net, params, dists), net, params, dists)
         never = expected_etc(ThresholdPolicy("one_sla", M, (math.inf,) * M), net, params, dists)
         assert never == cm.omega(M + 1) + cm.weight(M + 1) * inv_rate_expectation(
-            ds[M], 0.0, math.inf, params.bandwidth_hz)
+            ds[M], 0.0, params.bandwidth_hz)
         assert optimal <= one_sla * (1.0 + 1e-12)
         assert optimal <= never * (1.0 + 1e-12)
+
+
+# -- the lockstep recursion against a scalar reference ------------------------------
+
+def _reference_induction(M, net, params, dists):
+    """Backward induction for horizon M alone, one adaptive quadrature per tail."""
+    ds = per_stage(dists, M + 1)
+    cm = cost_model(net, params)
+    bandwidth = params.bandwidth_hz
+    inv_rate = lambda s: 1.0 / (bandwidth * np.log2(1.0 + s))  # noqa: E731
+    ev = cm.omega(M + 1) + cm.weight(M + 1) * ds[M].expect(inv_rate)
+    thresholds, values = [], [ev]
+    for n in range(M, 0, -1):
+        t = _indifference(cm.weight(n), bandwidth, ev - cm.omega(n))
+        if t < math.inf:
+            cont = float(ds[n - 1].prob_below(t))
+            ev = (cm.omega(n) * (1.0 - cont) + ev * cont
+                  + cm.weight(n) * ds[n - 1].partial_expect(inv_rate, t, math.inf))
+        thresholds.insert(0, t)
+        values.insert(0, ev)
+    return thresholds, values
+
+
+def _indifference(weight, bandwidth, margin):
+    exponent = weight / (bandwidth * margin) if margin > 0 else math.inf
+    return 2.0**exponent - 1.0 if exponent < 1024.0 else math.inf
+
+
+@given(problem=_problems())
+def test_lockstep_recursion_matches_the_scalar_reference(problem):
+    net, params, dists = problem
+    cm = cost_model(net, params)
+    thresholds, values = optimal_recursion(range(net.N + 1), net, params, dists)
+    for M in range(net.N + 1):
+        own_t, own_v = thresholds[M, :M].tolist(), values[M, :M + 1].tolist()
+        if M:
+            policy = backward_induction(M, net, params, dists)
+            assert policy.thresholds == tuple(own_t) and policy.value_table == tuple(own_v)
+        # each threshold is the indifference SNR of the recursion's own values
+        assert own_t == [_indifference(cm.weight(n), params.bandwidth_hz, own_v[n] - cm.omega(n))
+                         for n in range(1, M + 1)]
+        ref_t, ref_v = _reference_induction(M, net, params, dists)
+        # the table read and the per-threshold rule accept different panels,
+        # which agree to about 1e-10 relative near the floor of a wide law;
+        # 2^x amplifies that in a threshold whose margin is small
+        assert own_v == pytest.approx(ref_v, rel=1e-9)
+        assert own_t == pytest.approx(ref_t, rel=1e-6)
+
+
+def test_failing_stage_tail_fails_the_optimal_rule(autoencoder, params, monkeypatch):
+    dists = [channel_at(20.0 + 10.0 * k, params) for k in range(autoencoder.N + 1)]
+    short = backward_induction(3, autoencoder, params, dists)
+    original = splitting.inv_rate_tails
+
+    def stage_4_tail_fails(dist, thresholds, bandwidth_hz):
+        if dist is dists[3]:
+            raise NumericalError("stage 4 tail failed", estimate=1.0)
+        return original(dist, thresholds, bandwidth_hz)
+
+    monkeypatch.setattr(splitting, "inv_rate_tails", stage_4_tail_fails)
+    with pytest.raises(NumericalError, match="stage 4 tail failed"):
+        optimize_exhaustive(autoencoder, params, dists, rule_kind="optimal")
+    assert backward_induction(3, autoencoder, params, dists) == short
 
 
 # -- the optimal Z(M) is read off the value table ------------------------------------
