@@ -29,6 +29,7 @@ from .model_graph import (
 from .placement import (
     PlacementReport,
     PlacementRow,
+    Problem,
     hybrid,
     mlp_closed_form,
     optimize_exhaustive,

@@ -17,13 +17,14 @@ import math
 import sys
 from dataclasses import replace
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
 from .channel import QUAD_EPSABS, QUAD_EPSREL
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NumericalError
-from .placement import run_strategy
+from .placement import Problem, run_strategy
 from .simulate import RNG_ALGORITHM, sim_report_json, simulate
 from .splitting import (
     build_policy,
@@ -49,15 +50,32 @@ def _fmt(x) -> str:
     return _FMT.format(x)
 
 
-def _jsonable(obj):
-    """Replace non-finite floats so the output stays strict JSON."""
+def _json(obj, pad: str = "\n") -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)` in one pass, with the
+    non-finite floats written as the strings "inf", "-inf" and "nan" so the
+    output stays strict JSON. Same bytes; dumps with indent runs the pure
+    Python encoder."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return '"inf"' if obj > 0 else ('"-inf"' if obj < 0 else '"nan"')
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        items = ",".join(f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                         for k, v in sorted(obj.items()))
+        return "{" + items + pad + "}" if items else "{}"
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return "inf" if obj > 0 else ("-inf" if obj < 0 else "nan")
-    return obj
+        items = ",".join(inner + _json(v, inner) for v in obj)
+        return "[" + items + pad + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _metadata(cfg: ExperimentConfig, seed=None) -> dict:
@@ -83,8 +101,7 @@ def _write_csv(path: Path, metadata: dict, header: str, rows: list[str]):
 
 
 def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    path.write_text(_json(payload) + "\n", encoding="utf-8")
 
 
 def _horizon(cfg: ExperimentConfig) -> int:
@@ -120,14 +137,14 @@ def _check_closed_form_applicable(cfg: ExperimentConfig):
 def cmd_place(cfg: ExperimentConfig, out: Path) -> int:
     _check_closed_form_applicable(cfg)
     dists = cfg.stage_dists(cfg.network.N + 1)
-    reports = []
-    for strategy in cfg.strategies:
-        reports.append(run_strategy(strategy, cfg.network, cfg.params, dists, mlp=cfg.mlp))
+    problem = Problem(cfg.network, cfg.params, dists)
+    reports = [run_strategy(s, cfg.network, cfg.params, dists, mlp=cfg.mlp, problem=problem)
+               for s in cfg.strategies]
     rows = [r for rep in reports for r in rep.to_csv_rows()]
-    _write_csv(out / "placement.csv", _metadata(cfg),
-               "strategy,M,Z,expected_etc,psi,best", rows)
+    metadata = _metadata(cfg)
+    _write_csv(out / "placement.csv", metadata, "strategy,M,Z,expected_etc,psi,best", rows)
     _write_json(out / "placement.json", {
-        "metadata": _metadata(cfg),
+        "metadata": metadata,
         "reports": [rep.to_json_dict() for rep in reports],
     })
     return 0
@@ -156,7 +173,9 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
                 f"an M sweep evaluates stopping rules; unsupported strategies {bad}",
                 field="strategies")
         dists = cfg.stage_dists(cfg.network.N + 1)
-        reports = [run_strategy(s, cfg.network, cfg.params, dists) for s in cfg.strategies]
+        problem = Problem(cfg.network, cfg.params, dists)
+        reports = [run_strategy(s, cfg.network, cfg.params, dists, problem=problem)
+                   for s in cfg.strategies]
         for M in cfg.sweep.values:
             opt_prob = one_sla_optimality_probability(M, cfg.network, cfg.params, dists) if M >= 1 else 1.0
             for rep in reports:
@@ -168,8 +187,10 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     else:
         for value in cfg.sweep.values:
             params, dists, axis_value = _sweep_point(cfg, cfg.sweep.variable, value)
+            problem = Problem(cfg.network, params, dists)
             for strategy in cfg.strategies:
-                rep = run_strategy(strategy, cfg.network, params, dists, mlp=cfg.mlp)
+                rep = run_strategy(strategy, cfg.network, params, dists, mlp=cfg.mlp,
+                                   problem=problem)
                 best = rep.row(rep.best_M)
                 rows.append(
                     f"{_fmt(float(axis_value))},{strategy},{rep.best_M},"
@@ -218,12 +239,13 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
         for n, (freq, p) in enumerate(zip(result.stop_histogram, analytic_probs), start=1):
             csv_rows.append(f"{rule},{n},{_fmt(freq)},{_fmt(float(p))}")
 
+    metadata = _metadata(cfg)
     _write_json(out / "sim.json", {
-        "metadata": _metadata(cfg),
+        "metadata": metadata,
         "results": entries,
         "all_checks_passed": all_ok,
     })
-    _write_csv(out / "sim.csv", _metadata(cfg),
+    _write_csv(out / "sim.csv", metadata,
                "rule,stage,frequency,analytic_probability", csv_rows)
     return 0 if all_ok else 4
 

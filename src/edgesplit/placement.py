@@ -14,11 +14,17 @@ cost under a stopping rule, composed by `CostModel.total_cost`:
   a geometric form, so the argmin is solved in closed form.
 * hybrid              - pick M with the 1-sla sweep, then take the optimal
   rule's value at that M.
+
+The exhaustive strategies and hybrid read one `Problem`: the recursion and
+the 1-sla sweep are built once for all of them, on first use. `hybrid`
+reads row M of the recursion when the Problem already holds it and runs one
+backward induction for M otherwise; the two agree bit for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .channel import StageDistribution, inv_rate_expectation, inv_rate_table, per_stage
 from .cost_model import SystemParams, cost_model
@@ -106,41 +112,83 @@ def _pick_best(rows) -> int:
     return best_m
 
 
-def optimize_exhaustive(net: NetworkSpec, params: SystemParams, dists,
-                        rule_kind: str = "optimal") -> PlacementReport:
-    """Evaluate Z(M) for every M = 0..N under the requested stopping rule."""
-    if rule_kind not in ("optimal", "one_sla"):
-        raise ValueError("rule_kind must be 'optimal' or 'one_sla'")
-    N = net.N
-    ds = per_stage(dists, N + 1)
-    cm = cost_model(net, params)
+class Problem:
+    """One placement problem: a network, its constants and its stage laws.
 
+    It holds the N+1 normalized stage laws, the cost model and, built on
+    first use and kept on the instance only, the forced-stop costs, the
+    N-stage 1-sla sweep and the optimal recursion over every horizon. A
+    Problem lives for one `place` request or one sweep point, so the
+    strategies run on it share that work and nothing outlives it.
+    """
+
+    def __init__(self, net: NetworkSpec, params: SystemParams, dists):
+        self.net, self.params = net, params
+        self.dists = per_stage(dists, net.N + 1)
+        self.cm = cost_model(net, params)
+        self._optimal = None
+
+    @cached_property
+    def forced(self) -> list[float]:
+        """Expected cost of the forced stop at stage M+1, for M = 0..N."""
+        return [forced_stop_cost(self.cm, M + 1, self.dists[M]) for M in range(self.net.N + 1)]
+
+    @property
+    def optimal(self) -> tuple:
+        """Threshold and value matrices of `optimal_recursion` over M = 0..N."""
+        if self._optimal is None:
+            self._optimal = optimal_recursion(range(self.net.N + 1), self.net, self.params, self.dists)
+        return self._optimal
+
+    def optimal_policy(self, M: int) -> ThresholdPolicy:
+        """The optimal rule at M: row M of the recursion once it has run,
+        else one backward induction (the two are equal bit for bit)."""
+        if self._optimal is None:
+            return build_policy("optimal", M, self.net, self.params, self.dists)
+        thresholds, values = self._optimal
+        return ThresholdPolicy("optimal", M, thresholds[M, :M], values[M, :M + 1])
+
+    @cached_property
+    def one_sla(self) -> tuple:
+        """The N-stage 1-sla policy and the rows of its sweep over M = 0..N.
+
+        The 1-sla thresholds do not depend on M, so the policy at M is the
+        first M stages of the one at N, and every Z(M) is read off one stage
+        table plus the forced stop at stage M+1.
+        """
+        full = one_sla_thresholds(self.net.N, self.net, self.params, self.dists)
+        table = stage_table(full, self.dists, self.cm)
+        forced = self.forced
+        return full, self.rows(lambda M: table.expected_etc(M, forced[M]))
+
+    def rows(self, evaluate) -> tuple[PlacementRow, ...]:
+        """A row per M = 0..N from `evaluate(M)`, the expected inference
+        cost; a NumericalError marks its row failed."""
+        rows = []
+        for M in range(self.net.N + 1):
+            psi = self.cm.placement_cost(M)
+            try:
+                ee = evaluate(M)
+            except NumericalError as exc:
+                rows.append(PlacementRow(M, math.nan, math.nan, psi, error=str(exc)))
+                continue
+            rows.append(PlacementRow(M, self.cm.total_cost(M, ee), ee, psi))
+        return tuple(rows)
+
+
+def optimize_exhaustive(problem: Problem, rule_kind: str = "optimal") -> PlacementReport:
+    """Evaluate Z(M) for every M = 0..N under the requested stopping rule."""
     if rule_kind == "optimal":
-        thresholds, values = optimal_recursion(range(N + 1), net, params, ds)
-        evaluate = lambda M: float(values[M, 0])  # noqa: E731
-        policy_at = lambda M: ThresholdPolicy(  # noqa: E731
-            "optimal", M, thresholds[M, :M], values[M, :M + 1])
-    else:
-        # The 1-sla thresholds do not depend on M, so the policy at M is the
-        # first M stages of the one at N, and every Z(M) is read off one
-        # stage table plus the forced stop at stage M+1.
-        full = one_sla_thresholds(N, net, params, ds)
-        table = stage_table(full, ds, cm)
-        forced = [forced_stop_cost(cm, M + 1, ds[M]) for M in range(N + 1)]
-        evaluate = lambda M: table.expected_etc(M, forced[M])  # noqa: E731
-        policy_at = lambda M: ThresholdPolicy("one_sla", M, full.thresholds[:M])  # noqa: E731
-    rows = []
-    for M in range(N + 1):
-        psi = cm.placement_cost(M)
-        try:
-            ee = evaluate(M)
-        except NumericalError as exc:
-            rows.append(PlacementRow(M, math.nan, math.nan, psi, error=str(exc)))
-            continue
-        rows.append(PlacementRow(M, cm.total_cost(M, ee), ee, psi))
-    best = _pick_best(rows)
-    strategy = "optimal_exhaustive" if rule_kind == "optimal" else "one_sla_exhaustive"
-    return PlacementReport(strategy, best, tuple(rows), policy_at(best))
+        values = problem.optimal[1]
+        rows = problem.rows(lambda M: float(values[M, 0]))
+        best = _pick_best(rows)
+        return PlacementReport("optimal_exhaustive", best, rows, problem.optimal_policy(best))
+    if rule_kind == "one_sla":
+        full, rows = problem.one_sla
+        best = _pick_best(rows)
+        return PlacementReport("one_sla_exhaustive", best, rows,
+                               ThresholdPolicy("one_sla", best, full.thresholds[:best]))
+    raise ValueError("rule_kind must be 'optimal' or 'one_sla'")
 
 
 def theta_one_sla(M: int, net: NetworkSpec, params: SystemParams, dists) -> float:
@@ -257,35 +305,31 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
     )
 
 
-def hybrid(net: NetworkSpec, params: SystemParams, dists) -> PlacementReport:
+def hybrid(problem: Problem) -> PlacementReport:
     """Linear-cost placement via the 1-sla sweep, then the optimal rule there.
 
     The returned cost at the chosen M is the backward-induction rule's value
     there, so it can only improve on the 1-sla sweep's own value.
     """
-    ds = per_stage(dists, net.N + 1)
-    base = optimize_exhaustive(net, params, ds, rule_kind="one_sla")
-    M = base.best_M
-    cm = cost_model(net, params)
-    policy = build_policy("optimal", M, net, params, ds)
+    _, rows = problem.one_sla
+    M = _pick_best(rows)
+    policy = problem.optimal_policy(M)
     ee = policy.value_table[0]
+    cm = problem.cm
     refined = PlacementRow(M, cm.total_cost(M, ee), ee, cm.placement_cost(M))
-    rows = tuple(refined if r.M == M else r for r in base.rows)
     return PlacementReport(
-        "hybrid", M, rows, policy,
-        diagnostics={"one_sla_Z_at_best": base.row(M).Z},
+        "hybrid", M, tuple(refined if r.M == M else r for r in rows), policy,
+        diagnostics={"one_sla_Z_at_best": rows[M].Z},
     )
 
 
 def run_strategy(strategy: str, net: NetworkSpec, params: SystemParams, dists,
-                 mlp: MlpSpec | None = None) -> PlacementReport:
-    """Dispatch a placement strategy by name."""
-    if strategy == "optimal_exhaustive":
-        return optimize_exhaustive(net, params, dists, rule_kind="optimal")
-    if strategy == "one_sla_exhaustive":
-        return optimize_exhaustive(net, params, dists, rule_kind="one_sla")
-    if strategy == "hybrid":
-        return hybrid(net, params, dists)
+                 mlp: MlpSpec | None = None, problem: Problem | None = None) -> PlacementReport:
+    """Dispatch a placement strategy by name.
+
+    The strategies of one request share `problem`, the Problem of (net,
+    params, dists); without it the call builds its own.
+    """
     if strategy == "mlp_closed_form":
         if mlp is None:
             raise ValueError("mlp_closed_form needs an MLP network (equal widths)")
@@ -295,4 +339,10 @@ def run_strategy(strategy: str, net: NetworkSpec, params: SystemParams, dists,
                 raise ValueError("mlp_closed_form needs one shared stage distribution")
             dists = next(iter(unique))
         return mlp_closed_form(mlp, params, dists)
-    raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if problem is None:
+        problem = Problem(net, params, dists)
+    if strategy == "hybrid":
+        return hybrid(problem)
+    return optimize_exhaustive(problem, "optimal" if strategy == "optimal_exhaustive" else "one_sla")

@@ -23,6 +23,7 @@ from edgesplit import (
     mlp_closed_form,
     one_sla_optimality_probability,
     one_sla_thresholds,
+    Problem,
     optimize_exhaustive,
     oracle_dp,
     simulate,
@@ -115,16 +116,16 @@ def test_criterion_3d_best_m_monotone_in_distance_and_updates(nets, params):
             by_d = []
             for d in range(10, 101, 10):
                 dist = channel_at(d, params)
-                rep = (hybrid(net, params, dist) if strategy == "hybrid"
-                       else optimize_exhaustive(net, params, dist, strategy))
+                rep = (hybrid(Problem(net, params, dist)) if strategy == "hybrid"
+                       else optimize_exhaustive(Problem(net, params, dist), strategy))
                 by_d.append(rep.best_M)
             mono_d = all(a <= b for a, b in zip(by_d, by_d[1:]))
             by_k = []
             for k in (10.0, 50.0, 100.0, math.inf):
                 p = make_params(updates_per_model=k)
                 dist = channel_at(50, p)
-                rep = (hybrid(net, p, dist) if strategy == "hybrid"
-                       else optimize_exhaustive(net, p, dist, strategy))
+                rep = (hybrid(Problem(net, p, dist)) if strategy == "hybrid"
+                       else optimize_exhaustive(Problem(net, p, dist), strategy))
                 by_k.append(rep.best_M)
             mono_k = all(a <= b for a, b in zip(by_k, by_k[1:]))
             ok = ok and mono_d and mono_k
@@ -141,9 +142,9 @@ def test_criterion_4_dominance_grid(nets):
             for k in (10.0, 50.0, math.inf):
                 p = make_params(updates_per_model=k)
                 dist = channel_at(d, p)
-                z_opt = optimize_exhaustive(net, p, dist, "optimal").best_Z
-                z_hyb = hybrid(net, p, dist).best_Z
-                z_sla = optimize_exhaustive(net, p, dist, "one_sla").best_Z
+                z_opt = optimize_exhaustive(Problem(net, p, dist), "optimal").best_Z
+                z_hyb = hybrid(Problem(net, p, dist)).best_Z
+                z_sla = optimize_exhaustive(Problem(net, p, dist), "one_sla").best_Z
                 ok = ok and z_opt <= z_hyb + 1e-9 and z_hyb <= z_sla + 1e-9
                 worst_gap = max(worst_gap, z_opt - z_hyb, z_hyb - z_sla)
     _verdict("criterion 4 (optimal <= hybrid <= 1-sla over the 18-config grid)",
@@ -156,9 +157,9 @@ def test_criterion_5_infinite_updates_all_layers(nets, params_inf_updates):
     details = []
     for name, net in nets.items():
         best = {
-            "optimal": optimize_exhaustive(net, params_inf_updates, dist, "optimal").best_M,
-            "one_sla": optimize_exhaustive(net, params_inf_updates, dist, "one_sla").best_M,
-            "hybrid": hybrid(net, params_inf_updates, dist).best_M,
+            "optimal": optimize_exhaustive(Problem(net, params_inf_updates, dist), "optimal").best_M,
+            "one_sla": optimize_exhaustive(Problem(net, params_inf_updates, dist), "one_sla").best_M,
+            "hybrid": hybrid(Problem(net, params_inf_updates, dist)).best_M,
         }
         ok = ok and all(m == net.N for m in best.values())
         details.append(f"{name}: {best}")
@@ -179,7 +180,7 @@ def test_criterion_6_closed_form_vs_enumeration(dist_d50):
                 p = make_params(updates_per_model=k)
                 spec = MlpSpec((x,) * (n + 1), 8, 8, 100, DOWNLINK_BPS)
                 closed = mlp_closed_form(spec, p, dist_d50)
-                swept = optimize_exhaustive(build_mlp(spec), p, dist_d50, "one_sla")
+                swept = optimize_exhaustive(Problem(build_mlp(spec), p, dist_d50), "one_sla")
                 agrees = (closed.best_M == swept.best_M
                           or abs(closed.best_Z - swept.best_Z) <= 1e-6 * abs(swept.best_Z))
                 ok = ok and agrees

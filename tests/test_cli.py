@@ -2,9 +2,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgesplit import ConfigError, NumericalError, load_config
+from edgesplit import cli
 from edgesplit.channel import inv_rate_table
 from edgesplit.cli import main
 from edgesplit.cost_model import cost_model
@@ -461,3 +465,65 @@ def test_main_twice_in_one_process_with_different_flags(tmp_path):
 def test_missing_config_file_exit_code(tmp_path):
     assert main(["place", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 2
+
+
+# -- the JSON emitter -----------------------------------------------------------
+
+def _reference_json(obj):
+    """The encoder the emitter replaced: non-finite floats made strings, then
+    `json.dumps` with indent 2 and sorted keys."""
+    def jsonable(x):
+        if isinstance(x, dict):
+            return {k: jsonable(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [jsonable(v) for v in x]
+        if isinstance(x, float) and not math.isfinite(x):
+            return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
+        return x
+    return json.dumps(jsonable(obj), indent=2, sort_keys=True)
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 1e16, 0.1,
+                   math.inf, -math.inf, math.nan]
+_STRINGS = st.one_of(st.text(max_size=8),
+                     st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u2028", "é\u00ff", "\U0001f600",
+                                      "a\"b\\c\nd\te", ""]))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**100, 2**100),
+    st.floats(), st.sampled_from(_SPECIAL_FLOATS),
+    st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)).map(np.float64),
+    _STRINGS,
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(_STRINGS, kids, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=150)
+@given(tree=_TREES)
+@example(tree={"floats": _SPECIAL_FLOATS + [np.float64(x) for x in _SPECIAL_FLOATS],
+               "nested": ({}, [], (), [[{}]], {"": None, "b": True, "a": False}),
+               "ints": [0, -1, 2**64, -(2**100)], "strings": ['"', "\\", "\x00", "é", "\U0001f600"]})
+def test_json_emitter_writes_the_bytes_of_json_dumps(tree):
+    assert cli._json(tree) == _reference_json(tree)
+
+
+def test_json_emitter_on_a_placement_payload(tmp_path):
+    cfg = load_config(reference_config_dict())
+    dists = cfg.stage_dists(cfg.network.N + 1)
+    payload = {"metadata": cli._metadata(cfg),
+               "reports": [cli.run_strategy(s, cfg.network, cfg.params, dists).to_json_dict()
+                           for s in cfg.strategies]}
+    assert cli._json(payload) == _reference_json(payload)
+    cli._write_json(tmp_path / "p.json", payload)
+    assert (tmp_path / "p.json").read_text(encoding="utf-8") == _reference_json(payload) + "\n"
+
+
+def test_json_emitter_rejects_what_json_rejects():
+    for bad in (np.int64(3), [np.bool_(True)], {"k": object()}):
+        with pytest.raises(TypeError):
+            cli._json(bad)
+        with pytest.raises(TypeError):
+            _reference_json(bad)

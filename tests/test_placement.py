@@ -14,6 +14,7 @@ from edgesplit import (
     hybrid,
     mlp_closed_form,
     one_sla_thresholds,
+    Problem,
     optimize_exhaustive,
     run_strategy,
     theta_one_sla,
@@ -37,7 +38,7 @@ def equal_mlp(equal_mlp_spec):
 # -- exhaustive ---------------------------------------------------------------
 
 def test_exhaustive_covers_all_m(autoencoder, params, dist_d50):
-    rep = optimize_exhaustive(autoencoder, params, dist_d50, "optimal")
+    rep = optimize_exhaustive(Problem(autoencoder, params, dist_d50), "optimal")
     assert [r.M for r in rep.rows] == list(range(9))
     assert rep.strategy == "optimal_exhaustive"
     assert rep.policy_at_best.horizon_M == rep.best_M
@@ -46,7 +47,7 @@ def test_exhaustive_covers_all_m(autoencoder, params, dist_d50):
 
 
 def test_exhaustive_rows_compose(autoencoder, params, dist_d50):
-    rep = optimize_exhaustive(autoencoder, params, dist_d50, "one_sla")
+    rep = optimize_exhaustive(Problem(autoencoder, params, dist_d50), "one_sla")
     for r in rep.rows:
         assert r.Z == pytest.approx(params.beta_t * r.psi + r.expected_etc, rel=1e-14)
         assert r.psi == pytest.approx(cost_model(autoencoder, params).placement_cost(r.M),
@@ -58,7 +59,7 @@ def test_exhaustive_infinite_updates_prefers_all_layers(autoencoder, alexnet,
     dist = channel_at(50, params_inf_updates)
     for net in (autoencoder, alexnet):
         for rule in ("optimal", "one_sla"):
-            rep = optimize_exhaustive(net, params_inf_updates, dist, rule)
+            rep = optimize_exhaustive(Problem(net, params_inf_updates, dist), rule)
             assert rep.best_M == net.N
 
 
@@ -69,18 +70,18 @@ def test_exhaustive_download_dominated_prefers_zero():
     net = build_mlp(mlp)
     dist = channel_at(50, params)
     for rule in ("optimal", "one_sla"):
-        assert optimize_exhaustive(net, params, dist, rule).best_M == 0
+        assert optimize_exhaustive(Problem(net, params, dist), rule).best_M == 0
 
 
 def test_exhaustive_rejects_unknown_rule(autoencoder, params, dist_d50):
     with pytest.raises(ValueError):
-        optimize_exhaustive(autoencoder, params, dist_d50, "two_sla")
+        optimize_exhaustive(Problem(autoencoder, params, dist_d50), "two_sla")
 
 
 def test_weight_scaling_leaves_best_m_invariant(autoencoder, dist_d50):
-    base = optimize_exhaustive(autoencoder, make_params(), dist_d50, "one_sla")
+    base = optimize_exhaustive(Problem(autoencoder, make_params(), dist_d50), "one_sla")
     scaled_params = make_params(beta_t=0.5 * 4.2, beta_e=0.5 * 4.2)
-    scaled = optimize_exhaustive(autoencoder, scaled_params, dist_d50, "one_sla")
+    scaled = optimize_exhaustive(Problem(autoencoder, scaled_params, dist_d50), "one_sla")
     assert scaled.best_M == base.best_M
     for a, b in zip(base.rows, scaled.rows):
         assert b.Z == pytest.approx(4.2 * a.Z, rel=1e-9)
@@ -130,7 +131,7 @@ def test_theta_equal_width_geometric(equal_mlp_spec, equal_mlp, params, dist_d50
 
 
 def test_z_rows_satisfy_decrement_identity(autoencoder, params, dist_d50):
-    rep = optimize_exhaustive(autoencoder, params, dist_d50, "one_sla")
+    rep = optimize_exhaustive(Problem(autoencoder, params, dist_d50), "one_sla")
     for M in range(1, 9):
         dz = rep.row(M).Z - rep.row(M - 1).Z
         predicted = (params.beta_t * autoencoder.layers[M - 1].download_seconds
@@ -162,7 +163,7 @@ def test_closed_form_agrees_with_enumeration(x, n, k, dist_d50):
     params = make_params(updates_per_model=k)
     spec = MlpSpec((x,) * (n + 1), 8, 8, 100, DOWNLINK_BPS)
     closed = mlp_closed_form(spec, params, dist_d50)
-    swept = optimize_exhaustive(build_mlp(spec), params, dist_d50, "one_sla")
+    swept = optimize_exhaustive(Problem(build_mlp(spec), params, dist_d50), "one_sla")
     same = closed.best_M == swept.best_M
     tie = abs(closed.best_Z - swept.best_Z) <= 1e-6 * abs(swept.best_Z)
     assert same or tie
@@ -231,9 +232,9 @@ def test_closed_form_degenerate_floor_raises(equal_mlp_spec, params):
 
 def test_hybrid_sandwiched_between_rules(autoencoder, alexnet, params, dist_d50):
     for net in (autoencoder, alexnet):
-        z_opt = optimize_exhaustive(net, params, dist_d50, "optimal").best_Z
-        rep_sla = optimize_exhaustive(net, params, dist_d50, "one_sla")
-        rep_h = hybrid(net, params, dist_d50)
+        z_opt = optimize_exhaustive(Problem(net, params, dist_d50), "optimal").best_Z
+        rep_sla = optimize_exhaustive(Problem(net, params, dist_d50), "one_sla")
+        rep_h = hybrid(Problem(net, params, dist_d50))
         assert rep_h.best_M == rep_sla.best_M
         assert z_opt <= rep_h.best_Z + 1e-9
         assert rep_h.best_Z <= rep_sla.best_Z + 1e-9
@@ -241,8 +242,8 @@ def test_hybrid_sandwiched_between_rules(autoencoder, alexnet, params, dist_d50)
 
 
 def test_hybrid_report_row_is_refined(autoencoder, params, dist_d50):
-    rep_sla = optimize_exhaustive(autoencoder, params, dist_d50, "one_sla")
-    rep_h = hybrid(autoencoder, params, dist_d50)
+    rep_sla = optimize_exhaustive(Problem(autoencoder, params, dist_d50), "one_sla")
+    rep_h = hybrid(Problem(autoencoder, params, dist_d50))
     m = rep_h.best_M
     assert rep_h.row(m).Z <= rep_sla.row(m).Z
     for other in range(9):
@@ -266,7 +267,7 @@ def test_run_strategy_dispatch(autoencoder, params, dist_d50, equal_mlp_spec):
 
 
 def test_report_serialization(autoencoder, params, dist_d50):
-    rep = optimize_exhaustive(autoencoder, params, dist_d50, "optimal")
+    rep = optimize_exhaustive(Problem(autoencoder, params, dist_d50), "optimal")
     d = rep.to_json_dict()
     assert d["strategy"] == "optimal_exhaustive"
     assert len(d["rows"]) == 9

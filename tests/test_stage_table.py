@@ -21,6 +21,7 @@ from edgesplit import (
     expected_etc,
     one_sla_thresholds,
     optimal_recursion,
+    Problem,
     optimize_exhaustive,
     stage_table,
     stop_conditional_etc,
@@ -124,7 +125,7 @@ def _check_sweep_rows(net, params, dists):
     """Each 1-sla row equals expected_etc of the policy cut at M, and the
     policy's tables equal the scalar loops, bit for bit."""
     full = one_sla_thresholds(net.N, net, params, dists)
-    report = optimize_exhaustive(net, params, dists, rule_kind="one_sla")
+    report = optimize_exhaustive(Problem(net, params, dists), rule_kind="one_sla")
     for M in range(net.N + 1):
         policy = ThresholdPolicy("one_sla", M, full.thresholds[:M])
         row = report.row(M)
@@ -186,7 +187,7 @@ def test_table_takes_one_cdf_call_per_distinct_law(autoencoder, params, dist_d50
 def test_failing_stage_tail_marks_exactly_the_rows_that_reach_it(autoencoder, params,
                                                                   monkeypatch):
     dists = [channel_at(20.0 + 10.0 * k, params) for k in range(autoencoder.N + 1)]
-    clean = optimize_exhaustive(autoencoder, params, dists, rule_kind="one_sla")
+    clean = optimize_exhaustive(Problem(autoencoder, params, dists), rule_kind="one_sla")
     thresholds = one_sla_thresholds(autoencoder.N, autoencoder, params, dists).thresholds
     failing = 4
     assert not math.isinf(thresholds[failing - 1])
@@ -198,7 +199,7 @@ def test_failing_stage_tail_marks_exactly_the_rows_that_reach_it(autoencoder, pa
         return original(dist, thresholds, bandwidth_hz)
 
     monkeypatch.setattr(splitting, "inv_rate_tails", tail_fails_at_one_stage)
-    report = optimize_exhaustive(autoencoder, params, dists, rule_kind="one_sla")
+    report = optimize_exhaustive(Problem(autoencoder, params, dists), rule_kind="one_sla")
     for row, kept in zip(report.rows, clean.rows):
         if row.M < failing:
             assert row.error is None and row == kept
@@ -287,7 +288,7 @@ def test_failing_stage_tail_fails_the_optimal_rule(autoencoder, params, monkeypa
 
     monkeypatch.setattr(splitting, "inv_rate_tails", stage_4_tail_fails)
     with pytest.raises(NumericalError, match="stage 4 tail failed"):
-        optimize_exhaustive(autoencoder, params, dists, rule_kind="optimal")
+        optimize_exhaustive(Problem(autoencoder, params, dists), rule_kind="optimal")
     assert backward_induction(3, autoencoder, params, dists) == short
 
 
@@ -297,7 +298,7 @@ def test_failing_stage_tail_fails_the_optimal_rule(autoencoder, params, monkeypa
 def test_optimal_rows_read_the_value_table(problem):
     net, params, dists = problem
     cm = cost_model(net, params)
-    report = optimize_exhaustive(net, params, dists, rule_kind="optimal")
+    report = optimize_exhaustive(Problem(net, params, dists), rule_kind="optimal")
     for M in range(net.N + 1):
         policy = build_policy("optimal", M, net, params, dists)
         value = policy.value_table[0]
