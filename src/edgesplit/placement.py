@@ -250,37 +250,38 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
     )
     delta = 2.0**exponent - 1.0
     cont = float(dist.prob_below(delta))
-    if cont <= 0.0:
-        raise NumericalError(
-            "shared 1-sla threshold sits at or below the SNR floor; "
-            "the geometric decrement is degenerate", estimate=delta)
-    # E[1/R; SNR < delta]: the tail is closed at delta because a tie stops
-    below = einv - inv_rate_expectation(dist, delta, bandwidth)
-    # bracket of the decrement, computed both ways: directly, and simplified
-    # through the threshold's indifference identity. They must agree; a gap
-    # means the truncation floor broke the identity.
-    g_raw = alpha_x * unit_gap + weight_per_bit * lam_bits * (einv - below / cont)
-    g = weight_per_bit * lam_bits * (1.0 / (bandwidth * math.log2(1.0 + delta)) - below / cont)
-    if g >= 0.0:
-        raise NumericalError(
-            "per-layer cost decrement is nonnegative; numerical or truncation problem",
-            estimate=g)
 
     K = params.updates_per_model
     download_term = 0.0 if math.isinf(K) else (
         params.beta_t * 8.0 * mlp.bytes_per_parameter * (X + 1) / (K * mlp.downlink_rate_bps)
     )
 
-    m_real = None
-    if cont**N * g + download_term < 0.0:
-        branch, candidates = "all_layers", [N]
-    elif cont * g + download_term > 0.0:
+    g = g_raw = m_real = None
+    if cont <= 0.0:
+        # the channel always clears delta: every M >= 1 stops at stage 1 at
+        # the forced-offload cost, so Z(M) = Z(0) + beta_t * psi(M)
         branch, candidates = "no_layers", [0]
     else:
-        branch = "interior"
-        m_real = math.log(download_term / -g) / math.log(cont)
-        candidates = sorted({min(max(int(math.floor(m_real)), 0), N),
-                             min(max(int(math.ceil(m_real)), 0), N)})
+        # E[1/R; SNR < delta]: the tail is closed at delta because a tie stops
+        below = einv - inv_rate_expectation(dist, delta, bandwidth)
+        # bracket of the decrement, computed both ways: directly, and simplified
+        # through the threshold's indifference identity. They must agree; a gap
+        # means the truncation floor broke the identity.
+        g_raw = alpha_x * unit_gap + weight_per_bit * lam_bits * (einv - below / cont)
+        g = weight_per_bit * lam_bits * (1.0 / (bandwidth * math.log2(1.0 + delta)) - below / cont)
+        if g >= 0.0:
+            raise NumericalError(
+                "per-layer cost decrement is nonnegative; numerical or truncation problem",
+                estimate=g)
+        if cont**N * g + download_term < 0.0:
+            branch, candidates = "all_layers", [N]
+        elif cont * g + download_term > 0.0:
+            branch, candidates = "no_layers", [0]
+        else:
+            branch = "interior"
+            m_real = math.log(download_term / -g) / math.log(cont)
+            candidates = sorted({min(max(int(math.floor(m_real)), 0), N),
+                                 min(max(int(math.ceil(m_real)), 0), N)})
 
     rows = []
     policies = {}

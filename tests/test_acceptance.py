@@ -14,6 +14,7 @@ import pytest
 
 from edgesplit import (
     MlpSpec,
+    Problem,
     backward_induction,
     build_mlp,
     coincidence_rate,
@@ -23,7 +24,6 @@ from edgesplit import (
     mlp_closed_form,
     one_sla_optimality_probability,
     one_sla_thresholds,
-    Problem,
     optimize_exhaustive,
     oracle_dp,
     simulate,

@@ -313,6 +313,24 @@ def test_cmd_place_closed_form_on_equal_mlp(tmp_path):
     assert best["mlp_closed_form"] == best["one_sla_exhaustive"]
 
 
+@pytest.mark.parametrize("distance", [0.5, 1.0, 2.5, 5.0])
+def test_cmd_place_closed_form_on_a_short_link(tmp_path, distance):
+    # so short that the channel always clears the shared 1-sla threshold
+    raw = reference_config_dict(
+        network={"mlp": {"neurons": [64] * 13, "lambda_bytes": 8, "mu_bytes": 8, "alpha": 100}},
+        strategies=["optimal_exhaustive", "one_sla_exhaustive", "mlp_closed_form", "hybrid"])
+    raw["channel"]["distance_m"] = distance
+    cfg = write_config(tmp_path, raw)
+    assert main(["place", "--config", cfg, "--out", str(tmp_path)]) == 0
+    reports = {rep["strategy"]: rep for rep in
+               json.loads((tmp_path / "placement.json").read_text())["reports"]}
+    best_z = {s: next(r["Z"] for r in rep["rows"] if r["M"] == rep["best_M"])
+              for s, rep in reports.items()}
+    assert best_z["mlp_closed_form"] == best_z["one_sla_exhaustive"]
+    diag = reports["mlp_closed_form"]["diagnostics"]
+    assert diag["branch"] == "no_layers" and diag["g_simplified"] is None
+
+
 # -- sweep command -----------------------------------------------------------------
 
 def test_cmd_sweep_distance_monotone(tmp_path):

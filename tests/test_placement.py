@@ -2,10 +2,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesplit import (
     MlpSpec,
-    NumericalError,
+    Problem,
     StageDistribution,
     ThresholdPolicy,
     build_mlp,
@@ -14,7 +16,6 @@ from edgesplit import (
     hybrid,
     mlp_closed_form,
     one_sla_thresholds,
-    Problem,
     optimize_exhaustive,
     run_strategy,
     theta_one_sla,
@@ -221,11 +222,37 @@ def test_closed_form_best_m_nondecreasing_in_updates(equal_mlp_spec, dist_d50):
     assert bests[-1] == 8
 
 
-def test_closed_form_degenerate_floor_raises(equal_mlp_spec, params):
-    # floor above the shared threshold: the channel always clears it
+def test_closed_form_degenerate_floor_places_no_layers(equal_mlp_spec, equal_mlp):
+    # floor above the shared threshold: the channel always clears it, so every
+    # M >= 1 stops at stage 1 at the forced-offload cost and M = 0 is cheapest
     dist = StageDistribution.truncated_exponential(0.584, floor=10.0)
-    with pytest.raises(NumericalError):
-        mlp_closed_form(equal_mlp_spec, params, dist)
+    for k in (10, math.inf):
+        params = make_params(updates_per_model=k)
+        rep = mlp_closed_form(equal_mlp_spec, params, dist)
+        diag = rep.diagnostics
+        assert diag["cdf_at_delta"] == 0.0 and diag["branch"] == "no_layers"
+        assert (diag["g_simplified"], diag["g_raw"], diag["m_real"]) == (None, None, None)
+        assert rep.best_M == 0 and [r.M for r in rep.rows] == [0]
+        swept = optimize_exhaustive(Problem(equal_mlp, params, dist), "one_sla")
+        assert rep.best_Z == swept.best_Z
+        assert swept.best_M == 0
+
+
+@settings(max_examples=150)
+@given(width=st.integers(1, 1024), n=st.integers(1, 14), lam=st.floats(0.5, 16.0),
+       mu=st.floats(0.5, 16.0), alpha=st.floats(1.0, 1000.0),
+       k=st.sampled_from([1.0, 10.0, 50.0, 200.0, math.inf]), distance=st.floats(0.5, 200.0))
+def test_closed_form_equals_the_one_sla_sweep(width, n, lam, mu, alpha, k, distance):
+    """The paper's closed-form placement: on an equal-width MLP the argmin
+    read off the geometric decrement is the 1-sla sweep's argmin."""
+    params = make_params(updates_per_model=k)
+    spec = MlpSpec((width,) * (n + 1), lam, mu, alpha, DOWNLINK_BPS)
+    dist = channel_at(distance, params)
+    closed = mlp_closed_form(spec, params, dist)
+    swept = optimize_exhaustive(Problem(build_mlp(spec), params, dist), "one_sla")
+    assert closed.best_Z == pytest.approx(swept.best_Z, rel=1e-12, abs=0.0)
+    if closed.best_M != swept.best_M:  # only where the sweep's rows tie
+        assert swept.row(closed.best_M).Z == pytest.approx(swept.best_Z, rel=1e-12, abs=0.0)
 
 
 # -- hybrid -----------------------------------------------------------------------

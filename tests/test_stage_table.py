@@ -13,6 +13,7 @@ from edgesplit import (
     LayerSpec,
     NetworkSpec,
     NumericalError,
+    Problem,
     StageDistribution,
     ThresholdPolicy,
     apply_rule,
@@ -21,7 +22,6 @@ from edgesplit import (
     expected_etc,
     one_sla_thresholds,
     optimal_recursion,
-    Problem,
     optimize_exhaustive,
     stage_table,
     stop_conditional_etc,
