@@ -51,16 +51,12 @@ def _fmt(x) -> str:
 
 
 def _json(obj, pad: str = "\n") -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True)` in one pass, with the
-    non-finite floats written as the strings "inf", "-inf" and "nan" so the
-    output stays strict JSON. Same bytes; dumps with indent runs the pure
-    Python encoder."""
+    """The bytes of `json.dumps(obj, indent=2, sort_keys=True)`, whose indent runs the
+    pure-Python encoder, in one pass; non-finite floats become "inf", "-inf", "nan"."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True or obj is False:
-        return "true" if obj else "false"
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else ("true" if obj else "false")
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
@@ -151,13 +147,11 @@ def cmd_place(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _sweep_point(cfg: ExperimentConfig, variable: str, value):
-    """Params/distributions/label for one sweep point."""
+    """Params and distributions of one sweep point."""
     if variable == "distance_m":
-        dists = cfg.stage_dists(cfg.network.N + 1, distance_override=value)
-        return cfg.params, dists, value
+        return cfg.params, cfg.stage_dists(cfg.network.N + 1, distance_override=value)
     if variable == "updates_per_model":
-        params = replace(cfg.params, updates_per_model=value)
-        return params, cfg.stage_dists(cfg.network.N + 1), value
+        return replace(cfg.params, updates_per_model=value), cfg.stage_dists(cfg.network.N + 1)
     raise ConfigError(f"unsupported sweep variable {variable!r}", field="sweep.variable")
 
 
@@ -173,9 +167,8 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
                 f"an M sweep evaluates stopping rules; unsupported strategies {bad}",
                 field="strategies")
         dists = cfg.stage_dists(cfg.network.N + 1)
-        problem = Problem(cfg.network, cfg.params, dists)
-        reports = [run_strategy(s, cfg.network, cfg.params, dists, problem=problem)
-                   for s in cfg.strategies]
+        problem = Problem(cfg.network, cfg.params, dists)  # one for the whole M axis
+        reports = [run_strategy(s, cfg.network, cfg.params, dists, problem=problem) for s in cfg.strategies]
         for M in cfg.sweep.values:
             opt_prob = one_sla_optimality_probability(M, cfg.network, cfg.params, dists) if M >= 1 else 1.0
             for rep in reports:
@@ -186,16 +179,13 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
                             f"{_fmt(row.expected_etc)},{_fmt(opt_prob)}")
     else:
         for value in cfg.sweep.values:
-            params, dists, axis_value = _sweep_point(cfg, cfg.sweep.variable, value)
+            params, dists = _sweep_point(cfg, cfg.sweep.variable, value)
             problem = Problem(cfg.network, params, dists)
             for strategy in cfg.strategies:
-                rep = run_strategy(strategy, cfg.network, params, dists, mlp=cfg.mlp,
-                                   problem=problem)
+                rep = run_strategy(strategy, cfg.network, params, dists, mlp=cfg.mlp, problem=problem)
                 best = rep.row(rep.best_M)
-                rows.append(
-                    f"{_fmt(float(axis_value))},{strategy},{rep.best_M},"
-                    f"{_fmt(best.Z)},{_fmt(best.expected_etc)},"
-                )
+                rows.append(f"{_fmt(float(value))},{strategy},{rep.best_M},"
+                            f"{_fmt(best.Z)},{_fmt(best.expected_etc)},")
     _write_csv(out / "sweep.csv", _metadata(cfg),
                "axis_value,strategy,best_M,Z,expected_etc,optimality_prob", rows)
     return 0

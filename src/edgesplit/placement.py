@@ -15,10 +15,8 @@ cost under a stopping rule, composed by `CostModel.total_cost`:
 * hybrid              - pick M with the 1-sla sweep, then take the optimal
   rule's value at that M.
 
-The exhaustive strategies and hybrid read one `Problem`: the recursion and
-the 1-sla sweep are built once for all of them, on first use. `hybrid`
-reads row M of the recursion when the Problem already holds it and runs one
-backward induction for M otherwise; the two agree bit for bit.
+All but the closed form read one `Problem`; `hybrid` reads row M of its optimal
+recursion once built, and runs one backward induction for M otherwise.
 """
 from __future__ import annotations
 
@@ -30,9 +28,8 @@ from .channel import StageDistribution, inv_rate_expectation, inv_rate_table, pe
 from .cost_model import SystemParams, cost_model
 from .errors import NumericalError
 from .model_graph import MlpSpec, NetworkSpec, build_mlp
-# This module reaches backward_induction only through build_policy; the name
-# stays importable here because perfbench/test_perfbench.py wraps and checks
-# edgesplit.placement.backward_induction.
+# backward_induction is reached through build_policy; the name stays here for
+# perfbench/test_perfbench.py, which wraps edgesplit.placement.backward_induction.
 from .splitting import (
     ThresholdPolicy,
     backward_induction,  # noqa: F401
@@ -113,57 +110,44 @@ def _pick_best(rows) -> int:
 
 
 class Problem:
-    """One placement problem: a network, its constants and its stage laws.
+    """One placement problem: a network, its constants and its N+1 stage laws.
 
-    It holds the N+1 normalized stage laws, the cost model and, built on
-    first use and kept on the instance only, the forced-stop costs, the
-    N-stage 1-sla sweep and the optimal recursion over every horizon. A
-    Problem lives for one `place` request or one sweep point, so the
-    strategies run on it share that work and nothing outlives it.
-    """
+    Built per `place` request or sweep point, it holds the cost model and
+    builds on first use the forced-stop costs, the 1-sla sweep and the
+    optimal recursion. Nothing is kept across Problems."""
 
     def __init__(self, net: NetworkSpec, params: SystemParams, dists):
         self.net, self.params = net, params
         self.dists = per_stage(dists, net.N + 1)
         self.cm = cost_model(net, params)
-        self._optimal = None
 
     @cached_property
     def forced(self) -> list[float]:
         """Expected cost of the forced stop at stage M+1, for M = 0..N."""
-        return [forced_stop_cost(self.cm, M + 1, self.dists[M]) for M in range(self.net.N + 1)]
+        return [forced_stop_cost(self.cm, M + 1, d) for M, d in enumerate(self.dists)]
 
-    @property
+    @cached_property
     def optimal(self) -> tuple:
         """Threshold and value matrices of `optimal_recursion` over M = 0..N."""
-        if self._optimal is None:
-            self._optimal = optimal_recursion(range(self.net.N + 1), self.net, self.params, self.dists)
-        return self._optimal
+        return optimal_recursion(range(self.net.N + 1), self.net, self.params, self.dists)
 
     def optimal_policy(self, M: int) -> ThresholdPolicy:
-        """The optimal rule at M: row M of the recursion once it has run,
-        else one backward induction (the two are equal bit for bit)."""
-        if self._optimal is None:
+        """Row M of the recursion once it has run, else one backward induction."""
+        if "optimal" not in vars(self):  # where cached_property keeps it
             return build_policy("optimal", M, self.net, self.params, self.dists)
-        thresholds, values = self._optimal
+        thresholds, values = self.optimal
         return ThresholdPolicy("optimal", M, thresholds[M, :M], values[M, :M + 1])
 
     @cached_property
     def one_sla(self) -> tuple:
-        """The N-stage 1-sla policy and the rows of its sweep over M = 0..N.
-
-        The 1-sla thresholds do not depend on M, so the policy at M is the
-        first M stages of the one at N, and every Z(M) is read off one stage
-        table plus the forced stop at stage M+1.
-        """
+        """The N-stage 1-sla policy and its sweep's rows: the thresholds do not
+        depend on M, so Z(M) reads the first M stages of one stage table."""
         full = one_sla_thresholds(self.net.N, self.net, self.params, self.dists)
-        table = stage_table(full, self.dists, self.cm)
-        forced = self.forced
+        table, forced = stage_table(full, self.dists, self.cm), self.forced
         return full, self.rows(lambda M: table.expected_etc(M, forced[M]))
 
     def rows(self, evaluate) -> tuple[PlacementRow, ...]:
-        """A row per M = 0..N from `evaluate(M)`, the expected inference
-        cost; a NumericalError marks its row failed."""
+        """A row per M = 0..N; a NumericalError of `evaluate(M)` fails its row."""
         rows = []
         for M in range(self.net.N + 1):
             psi = self.cm.placement_cost(M)
@@ -180,15 +164,14 @@ def optimize_exhaustive(problem: Problem, rule_kind: str = "optimal") -> Placeme
     """Evaluate Z(M) for every M = 0..N under the requested stopping rule."""
     if rule_kind == "optimal":
         values = problem.optimal[1]
-        rows = problem.rows(lambda M: float(values[M, 0]))
-        best = _pick_best(rows)
-        return PlacementReport("optimal_exhaustive", best, rows, problem.optimal_policy(best))
-    if rule_kind == "one_sla":
+        rows, policy_at = problem.rows(lambda M: float(values[M, 0])), problem.optimal_policy
+    elif rule_kind == "one_sla":
         full, rows = problem.one_sla
-        best = _pick_best(rows)
-        return PlacementReport("one_sla_exhaustive", best, rows,
-                               ThresholdPolicy("one_sla", best, full.thresholds[:best]))
-    raise ValueError("rule_kind must be 'optimal' or 'one_sla'")
+        policy_at = lambda M: ThresholdPolicy("one_sla", M, full.thresholds[:M])  # noqa: E731
+    else:
+        raise ValueError("rule_kind must be 'optimal' or 'one_sla'")
+    best = _pick_best(rows)
+    return PlacementReport(f"{rule_kind}_exhaustive", best, rows, policy_at(best))
 
 
 def theta_one_sla(M: int, net: NetworkSpec, params: SystemParams, dists) -> float:
@@ -250,18 +233,8 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
     )
     delta = 2.0**exponent - 1.0
     cont = float(dist.prob_below(delta))
-
-    K = params.updates_per_model
-    download_term = 0.0 if math.isinf(K) else (
-        params.beta_t * 8.0 * mlp.bytes_per_parameter * (X + 1) / (K * mlp.downlink_rate_bps)
-    )
-
-    g = g_raw = m_real = None
-    if cont <= 0.0:
-        # the channel always clears delta: every M >= 1 stops at stage 1 at
-        # the forced-offload cost, so Z(M) = Z(0) + beta_t * psi(M)
-        branch, candidates = "no_layers", [0]
-    else:
+    g = g_raw = None
+    if cont > 0.0:
         # E[1/R; SNR < delta]: the tail is closed at delta because a tie stops
         below = einv - inv_rate_expectation(dist, delta, bandwidth)
         # bracket of the decrement, computed both ways: directly, and simplified
@@ -273,15 +246,26 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
             raise NumericalError(
                 "per-layer cost decrement is nonnegative; numerical or truncation problem",
                 estimate=g)
-        if cont**N * g + download_term < 0.0:
-            branch, candidates = "all_layers", [N]
-        elif cont * g + download_term > 0.0:
-            branch, candidates = "no_layers", [0]
-        else:
-            branch = "interior"
-            m_real = math.log(download_term / -g) / math.log(cont)
-            candidates = sorted({min(max(int(math.floor(m_real)), 0), N),
-                                 min(max(int(math.ceil(m_real)), 0), N)})
+
+    K = params.updates_per_model
+    download_term = 0.0 if math.isinf(K) else (
+        params.beta_t * 8.0 * mlp.bytes_per_parameter * (X + 1) / (K * mlp.downlink_rate_bps)
+    )
+
+    m_real = None
+    # cont = 0: the channel always clears delta, so every M >= 1 stops at
+    # stage 1 at the forced-offload cost and Z(M) = Z(0) + beta_t * psi(M)
+    if cont <= 0.0:
+        branch, candidates = "no_layers", [0]
+    elif cont**N * g + download_term < 0.0:
+        branch, candidates = "all_layers", [N]
+    elif cont * g + download_term > 0.0:
+        branch, candidates = "no_layers", [0]
+    else:
+        branch = "interior"
+        m_real = math.log(download_term / -g) / math.log(cont)
+        candidates = sorted({min(max(int(math.floor(m_real)), 0), N),
+                             min(max(int(math.ceil(m_real)), 0), N)})
 
     rows = []
     policies = {}
@@ -307,30 +291,20 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
 
 
 def hybrid(problem: Problem) -> PlacementReport:
-    """Linear-cost placement via the 1-sla sweep, then the optimal rule there.
-
-    The returned cost at the chosen M is the backward-induction rule's value
-    there, so it can only improve on the 1-sla sweep's own value.
-    """
-    _, rows = problem.one_sla
+    """Pick M with the 1-sla sweep, then report the optimal rule's value there,
+    which can only improve on the sweep's own."""
+    rows = problem.one_sla[1]
     M = _pick_best(rows)
     policy = problem.optimal_policy(M)
     ee = policy.value_table[0]
-    cm = problem.cm
-    refined = PlacementRow(M, cm.total_cost(M, ee), ee, cm.placement_cost(M))
-    return PlacementReport(
-        "hybrid", M, tuple(refined if r.M == M else r for r in rows), policy,
-        diagnostics={"one_sla_Z_at_best": rows[M].Z},
-    )
+    refined = PlacementRow(M, problem.cm.total_cost(M, ee), ee, problem.cm.placement_cost(M))
+    return PlacementReport("hybrid", M, tuple(refined if r.M == M else r for r in rows), policy,
+                           diagnostics={"one_sla_Z_at_best": rows[M].Z})
 
 
 def run_strategy(strategy: str, net: NetworkSpec, params: SystemParams, dists,
                  mlp: MlpSpec | None = None, problem: Problem | None = None) -> PlacementReport:
-    """Dispatch a placement strategy by name.
-
-    The strategies of one request share `problem`, the Problem of (net,
-    params, dists); without it the call builds its own.
-    """
+    """Dispatch a strategy by name; one request's strategies share `problem`."""
     if strategy == "mlp_closed_form":
         if mlp is None:
             raise ValueError("mlp_closed_form needs an MLP network (equal widths)")
@@ -342,8 +316,7 @@ def run_strategy(strategy: str, net: NetworkSpec, params: SystemParams, dists,
         return mlp_closed_form(mlp, params, dists)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    if problem is None:
-        problem = Problem(net, params, dists)
+    problem = problem or Problem(net, params, dists)
     if strategy == "hybrid":
         return hybrid(problem)
     return optimize_exhaustive(problem, "optimal" if strategy == "optimal_exhaustive" else "one_sla")
