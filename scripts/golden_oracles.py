@@ -58,13 +58,17 @@ MIN_TAIL_MASS = mp.mpf("1e-3")  # pairs with less mass above t are not frozen
 
 
 def inv_rate_tail(distance, t):
+    """E[1/R; gamma >= t] on the reference law at `distance`; see inv_rate_tail_at_mean."""
+    return inv_rate_tail_at_mean(mean_snr(distance), t)
+
+
+def inv_rate_tail_at_mean(mean, t):
     """E[1/R; gamma >= t] under the exponential SNR law truncated at its floor.
 
     Returns (value, tail mass). The density is exp(-(s - floor)/mean)/mean
     on [floor, inf); the integral is split at multiples of the mean, where the
     exponential decays, and checked at a second working precision.
     """
-    mean = mean_snr(distance)
     floor = mean * FLOOR_RATIO
     lo = max(t, floor)
 
@@ -122,6 +126,12 @@ def main():
                 continue
             print(f"d={distance} t={label}: {mp.nstr(value, 30, min_fixed=0, max_fixed=0)}"
                   f"  (tail mass {mp.nstr(mass, 6)})")
+
+    print("== the same at small mean SNR, where 1 + gamma rounds in float64 ==")
+    for mean in (mp.mpf("1e-7"), mp.mpf("1e-11")):
+        for label, t in (("0", mp.mpf(0)), ("3*floor", 3 * mean * FLOOR_RATIO), ("mean", mean)):
+            value, _ = inv_rate_tail_at_mean(mean, t)
+            print(f"mean={mp.nstr(mean, 3)} t={label}: {mp.nstr(value, 30, min_fixed=0, max_fixed=0)}")
 
 
 if __name__ == "__main__":

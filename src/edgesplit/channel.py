@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .cost_model import SystemParams
+from .cost_model import LN2, SystemParams
 from .errors import NumericalError
 
 DEFAULT_FLOOR_RATIO = 1e-3
@@ -437,7 +437,7 @@ class TailTable:
 @lru_cache(maxsize=256)
 def inv_rate_table(dist: StageDistribution, bandwidth_hz: float) -> TailTable:
     """Tail table of 1 / R(snr) for the uplink rate R = B log2(1 + snr)."""
-    return TailTable(dist, lambda s: 1.0 / (bandwidth_hz * np.log2(1.0 + s)))
+    return TailTable(dist, lambda s: 1.0 / (bandwidth_hz * np.log1p(s) / LN2))
 
 
 def inv_rate_tails(dist: StageDistribution, thresholds, bandwidth_hz: float) -> np.ndarray:

@@ -19,6 +19,9 @@ import numpy as np
 
 from .model_graph import NetworkSpec
 
+# R = B log2(1 + snr) is B log1p(snr) / LN2, as 1 + snr would round a small SNR
+LN2 = math.log(2.0)
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -109,7 +112,7 @@ def uplink_rate(gamma: float, params: SystemParams) -> float:
     """Uplink throughput in bits/s at the given SNR."""
     if gamma <= 0:
         raise ValueError("SNR must be positive; a zero SNR has no finite transmission time")
-    return params.bandwidth_hz * math.log2(1.0 + gamma)
+    return params.bandwidth_hz * math.log1p(gamma) / LN2
 
 
 class CostModel:
@@ -168,7 +171,7 @@ class CostModel:
     def etc_values(self, stages: np.ndarray, gammas: np.ndarray) -> np.ndarray:
         """Vectorized eta over 1-based stage indices and matching SNRs."""
         idx = np.asarray(stages, dtype=int) - 1
-        rates = self.params.bandwidth_hz * np.log2(1.0 + np.asarray(gammas, dtype=float))
+        rates = self.params.bandwidth_hz * np.log1p(np.asarray(gammas, dtype=float)) / LN2
         return self._omega[idx] + self._weight[idx] / rates
 
     def placement_cost(self, M: int) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .channel import StageDistribution, inv_rate_expectation, inv_rate_table, per_stage
-from .cost_model import SystemParams, cost_model
+from .cost_model import LN2, SystemParams, cost_model
 from .errors import NumericalError
 from .model_graph import MlpSpec, NetworkSpec, build_mlp
 # backward_induction is reached through build_policy; the name stays here for
@@ -231,7 +231,7 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
     exponent = (weight_per_bit * lam_bits) / (
         bandwidth * (lam_bits * weight_per_bit * einv + unit_gap * alpha_x)
     )
-    delta = 2.0**exponent - 1.0
+    delta = math.expm1(exponent * LN2)
     cont = float(dist.prob_below(delta))
     g = g_raw = None
     if cont > 0.0:
@@ -241,7 +241,7 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
         # through the threshold's indifference identity. They must agree; a gap
         # means the truncation floor broke the identity.
         g_raw = alpha_x * unit_gap + weight_per_bit * lam_bits * (einv - below / cont)
-        g = weight_per_bit * lam_bits * (1.0 / (bandwidth * math.log2(1.0 + delta)) - below / cont)
+        g = weight_per_bit * lam_bits * (1.0 / (bandwidth * math.log1p(delta) / LN2) - below / cont)
         if g >= 0.0:
             raise NumericalError(
                 "per-layer cost decrement is nonnegative; numerical or truncation problem",

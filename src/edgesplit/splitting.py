@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import StageDistribution, inv_rate_table, inv_rate_tails, per_stage
-from .cost_model import CostModel, SystemParams, cost_model
+from .cost_model import LN2, CostModel, SystemParams, cost_model
 from .errors import NumericalError
 from .model_graph import NetworkSpec
 
@@ -110,7 +110,7 @@ def _indifference_threshold(weight: float, bandwidth_hz: float, margin: float) -
     exponent = weight / (bandwidth_hz * margin)
     if exponent >= _EXP2_OVERFLOW:
         return math.inf
-    return 2.0**exponent - 1.0
+    return math.expm1(exponent * LN2)
 
 
 def optimal_recursion(horizons, net: NetworkSpec, params: SystemParams,

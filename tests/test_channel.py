@@ -22,7 +22,7 @@ W = 2e6
 
 
 def inv_rate(s):
-    return 1.0 / (W * np.log2(1.0 + s))
+    return 1.0 / (W * np.log1p(s) / math.log(2.0))
 
 
 # -- path loss ---------------------------------------------------------------
@@ -152,6 +152,25 @@ def test_inv_rate_expectation_matches_mpmath(params, distance, threshold, refere
     t = 3 * dist.support_lo if threshold == "3*floor" else float(threshold)
     got = inv_rate_expectation(dist, t, params.bandwidth_hz)
     assert got == pytest.approx(reference, rel=1e-10)
+
+
+# The same at mean SNR 1e-7 and 1e-11 (about 10 km and 220 km at the reference
+# radio), where 1 + gamma rounds in float64.
+MPMATH_SMALL_SNR_TAILS = [
+    (1e-7, "0", 2.19653978862372749027085812406e+1),
+    (1e-7, "3*floor", 1.81610199027058747378367837705e+1),
+    (1e-7, "mean", 7.61087548812515999229237012152e-1),
+    (1e-11, "0", 2.19653977129678113332373000942e+5),
+    (1e-11, "3*floor", 1.81610197297826037932524758451e+5),
+    (1e-11, "mean", 7.6108748500646947650024962553e+3),
+]
+
+
+@pytest.mark.parametrize("mean,threshold,reference", MPMATH_SMALL_SNR_TAILS)
+def test_inv_rate_expectation_at_small_mean_snr_matches_mpmath(mean, threshold, reference):
+    dist = StageDistribution.truncated_exponential(mean)
+    t = {"0": 0.0, "3*floor": 3 * dist.support_lo, "mean": mean}[threshold]
+    assert inv_rate_expectation(dist, t, W) == pytest.approx(reference, rel=1e-10)
 
 
 def test_gauss_kronrod_constants():

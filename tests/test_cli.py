@@ -331,6 +331,47 @@ def test_cmd_place_closed_form_on_a_short_link(tmp_path, distance):
     assert diag["branch"] == "no_layers" and diag["g_simplified"] is None
 
 
+_MLP12 = {"mlp": {"neurons": [64] * 13, "lambda_bytes": 8, "mu_bytes": 8, "alpha": 100}}
+
+
+def _non_finite_numbers(node, key=None):
+    """Paths of the non-finite numbers in a result document; the writer
+    spells them "inf", "-inf" and "nan". A +inf threshold (never stop at
+    that stage) is a legal policy value."""
+    if isinstance(node, dict):
+        return [p for k, v in node.items() for p in _non_finite_numbers(v, k)]
+    if isinstance(node, list):
+        return [p for v in node for p in _non_finite_numbers(v, key)]
+    if node in ("inf", "-inf", "nan") and not (key == "thresholds" and node == "inf"):
+        return [key]
+    return []
+
+
+@settings(max_examples=60)
+@given(log_distance=st.floats(-2.0, 7.0), k=st.sampled_from([10, 50, 200, "inf"]),
+       network=st.sampled_from(["autoencoder", "alexnet", "mlp12"]))
+def test_cmd_place_at_extreme_distances_writes_only_finite_costs(tmp_path_factory, log_distance,
+                                                                 k, network):
+    tmp_path = tmp_path_factory.mktemp("extreme")
+    strategies = ["optimal_exhaustive", "one_sla_exhaustive", "hybrid"]
+    if network == "mlp12":
+        network, strategies = _MLP12, strategies + ["mlp_closed_form"]
+    raw = reference_config_dict(network=network, strategies=strategies)
+    raw["params"]["updates_per_model"] = k
+    raw["channel"]["distance_m"] = 10.0**log_distance
+    code = main(["place", "--config", write_config(tmp_path, raw), "--out", str(tmp_path)])
+    assert code in (0, 3)
+    if code == 3:
+        assert not (tmp_path / "placement.csv").exists()
+        return
+    doc = json.loads((tmp_path / "placement.json").read_text())
+    assert _non_finite_numbers(doc) == []
+    for rep in doc["reports"]:
+        assert all("error" not in row and math.isfinite(row["Z"]) for row in rep["rows"])
+    _, _, rows = read_csv(tmp_path / "placement.csv")
+    assert all(math.isfinite(float(x)) for row in rows for x in row[1:])
+
+
 # -- sweep command -----------------------------------------------------------------
 
 def test_cmd_sweep_distance_monotone(tmp_path):

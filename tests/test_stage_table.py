@@ -236,7 +236,7 @@ def _reference_induction(M, net, params, dists):
     ds = per_stage(dists, M + 1)
     cm = cost_model(net, params)
     bandwidth = params.bandwidth_hz
-    inv_rate = lambda s: 1.0 / (bandwidth * np.log2(1.0 + s))  # noqa: E731
+    inv_rate = lambda s: 1.0 / (bandwidth * np.log1p(s) / math.log(2.0))  # noqa: E731
     ev = cm.omega(M + 1) + cm.weight(M + 1) * ds[M].expect(inv_rate)
     thresholds, values = [], [ev]
     for n in range(M, 0, -1):
@@ -252,7 +252,7 @@ def _reference_induction(M, net, params, dists):
 
 def _indifference(weight, bandwidth, margin):
     exponent = weight / (bandwidth * margin) if margin > 0 else math.inf
-    return 2.0**exponent - 1.0 if exponent < 1024.0 else math.inf
+    return math.expm1(exponent * math.log(2.0)) if exponent < 1024.0 else math.inf
 
 
 @given(problem=_problems())
