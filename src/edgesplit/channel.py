@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .cost_model import LN2, SystemParams
-from .errors import NumericalError
+from .errors import NumericalError, json_number
 
 DEFAULT_FLOOR_RATIO = 1e-3
 TAIL_MASS = 1e-12
@@ -457,26 +457,34 @@ def distribution_from_config(spec: dict, params: SystemParams) -> StageDistribut
     {mean_snr}, pathloss_rayleigh {distance_m, antenna_gain, carrier_hz,
     exponent, snr_floor_ratio}, discrete {atoms}.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"a channel spec must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
+    floor_ratio = spec.get("snr_floor_ratio", DEFAULT_FLOOR_RATIO)
     if kind == "truncated_exponential":
         return StageDistribution.truncated_exponential(
-            float(spec["mean_snr"]),
-            floor_ratio=float(spec.get("snr_floor_ratio", DEFAULT_FLOOR_RATIO)),
+            json_number(spec["mean_snr"], "mean_snr"),
+            floor_ratio=json_number(floor_ratio, "snr_floor_ratio"),
         )
     if kind == "exponential":
-        return StageDistribution.exponential(float(spec["mean_snr"]))
+        return StageDistribution.exponential(json_number(spec["mean_snr"], "mean_snr"))
     if kind == "pathloss_rayleigh":
         pl = PathLossParams(
-            antenna_gain=float(spec["antenna_gain"]),
-            carrier_hz=float(spec["carrier_hz"]),
-            distance_m=float(spec["distance_m"]),
-            exponent=float(spec["exponent"]),
+            antenna_gain=json_number(spec["antenna_gain"], "antenna_gain"),
+            carrier_hz=json_number(spec["carrier_hz"], "carrier_hz"),
+            distance_m=json_number(spec["distance_m"], "distance_m"),
+            exponent=json_number(spec["exponent"], "exponent"),
         )
         return StageDistribution.from_pathloss(
-            pl, params, floor_ratio=float(spec.get("snr_floor_ratio", DEFAULT_FLOOR_RATIO))
+            pl, params, floor_ratio=json_number(floor_ratio, "snr_floor_ratio")
         )
     if kind == "discrete":
-        return StageDistribution.discrete([(float(s), float(p)) for s, p in spec["atoms"]])
+        atoms = spec["atoms"]
+        if not isinstance(atoms, (list, tuple)) or not all(
+                isinstance(a, (list, tuple)) and len(a) == 2 for a in atoms):
+            raise ValueError(f"atoms must be a list of [snr, probability] pairs, got {atoms!r}")
+        return StageDistribution.discrete([(json_number(s, "atoms"), json_number(p, "atoms"))
+                                           for s, p in atoms])
     raise ValueError(f"unknown channel kind {kind!r}")
 
 

@@ -74,7 +74,7 @@ def _json(obj, pad: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _metadata(cfg: ExperimentConfig, seed=None) -> dict:
+def _metadata(cfg: ExperimentConfig) -> dict:
     dists = cfg.stage_dists(1)
     floor = dists[0].support_lo if dists[0].kind != "discrete" else None
     return {
@@ -82,7 +82,7 @@ def _metadata(cfg: ExperimentConfig, seed=None) -> dict:
         "version": __version__,
         "config_sha256": cfg.config_hash(),
         "rng_algorithm": RNG_ALGORITHM,
-        "seed": cfg.seed if seed is None else seed,
+        "seed": cfg.seed,
         "snr_floor": floor,
         "quad_epsabs": QUAD_EPSABS,
         "quad_epsrel": QUAD_EPSREL,
@@ -173,8 +173,6 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
             opt_prob = one_sla_optimality_probability(M, cfg.network, cfg.params, dists) if M >= 1 else 1.0
             for rep in reports:
                 row = rep.row(M)
-                if row.error:
-                    raise NumericalError(row.error)
                 rows.append(f"{_fmt(float(M))},{rep.strategy},{M},{_fmt(row.Z)},"
                             f"{_fmt(row.expected_etc)},{_fmt(opt_prob)}")
     else:
@@ -268,14 +266,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if args.updates is not None:
-            raw.setdefault("params", {})["updates_per_model"] = args.updates
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.trials is not None:
-            raw["trials"] = args.trials
-        if args.strategy:
-            raw["strategies"] = args.strategy
+        if isinstance(raw, dict):  # load_config rejects any other shape
+            if args.updates is not None and isinstance(raw.setdefault("params", {}), dict):
+                raw["params"]["updates_per_model"] = args.updates
+            if args.seed is not None:
+                raw["seed"] = args.seed
+            if args.trials is not None:
+                raw["trials"] = args.trials
+            if args.strategy:
+                raw["strategies"] = args.strategy
         cfg = load_config(raw)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 
-from .channel import StageDistribution, distribution_from_config
+from .channel import StageDistribution, distribution_from_config, per_stage
 from .cost_model import SystemParams
 from .errors import ConfigError
 from .model_graph import (
@@ -74,13 +74,7 @@ class ExperimentConfig:
                         field="channel.kind")
                 specs = [dict(s, distance_m=distance_override) for s in specs]
             dists = [distribution_from_config(s, self.params) for s in specs]
-            if shared:
-                return (dists[0],) * count
-            if len(dists) < count:
-                raise ConfigError(
-                    f"channel lists {len(dists)} stages but {count} are needed",
-                    field="channel")
-            return tuple(dists[:count])
+            return per_stage(dists[0] if shared else dists, count)
         except (KeyError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
@@ -97,6 +91,9 @@ def _resolve_network(obj, params: SystemParams):
         raise ConfigError(f"unknown network preset {obj!r}", field="network")
     if isinstance(obj, dict):
         if "mlp" in obj:
+            if not isinstance(obj["mlp"], dict):
+                raise ConfigError(f"network.mlp must be a JSON object, got {obj['mlp']!r}",
+                                  field="network")
             shorthand = dict(obj["mlp"])
             shorthand.setdefault("downlink_bps", params.downlink_rate_bps)
             mlp = mlp_spec_from_json(shorthand)
@@ -109,29 +106,24 @@ def _resolve_network(obj, params: SystemParams):
     raise ConfigError("network must be a preset name or an object", field="network")
 
 
-def _integer(raw: dict, key: str, default=None):
-    """raw[key] (or the default) as an int; NaN, inf or a non-number is a ConfigError."""
-    value = raw.get(key, default)
-    if value is None:
-        return None
+def _integer(value, field: str) -> int:
+    """value as an int; a fraction, NaN, inf or a non-number is a ConfigError."""
     try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be an integer, got {value!r}", field=key) from exc
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, float) and number != value:  # int() truncates
+        raise ConfigError(f"{field} must be an integer, got {value!r}", field=field)
+    return number
 
 
-def load_config(source) -> ExperimentConfig:
-    """Parse and validate a config from a dict, a JSON string, or a file path."""
-    if isinstance(source, dict):
-        raw = source
-    else:
-        text = source if isinstance(str(source), str) and str(source).lstrip().startswith("{") else None
-        if text is not None:
-            raw = json.loads(str(source))
-        else:
-            with open(source, encoding="utf-8") as fh:
-                raw = json.load(fh)
+def load_config(raw: dict) -> ExperimentConfig:
+    """Parse and validate a config given as the dict of its JSON document.
 
+    Each value of the wrong JSON type is a ConfigError naming its field, or a
+    parent of it, as is a config that is not a JSON object."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a config must be a JSON object, got {type(raw).__name__}")
     for key in ("network", "params", "channel"):
         if key not in raw:
             raise ConfigError(f"missing required field '{key}'", field=key)
@@ -147,46 +139,54 @@ def load_config(source) -> ExperimentConfig:
             raise
         raise ConfigError(f"invalid network: {exc}", field="network") from exc
 
-    horizon = _integer(raw, "horizon_M")
+    horizon = raw.get("horizon_M")
     if horizon is not None:
+        horizon = _integer(horizon, "horizon_M")
         if not 0 <= horizon <= network.N:
             raise ConfigError(f"horizon_M must lie in [0, {network.N}]", field="horizon_M")
 
     sweep = None
     if "sweep" in raw:
         sw = raw["sweep"]
+        if not isinstance(sw, dict):
+            raise ConfigError(f"sweep must be a JSON object, got {sw!r}", field="sweep")
         variable = sw.get("variable")
         if variable not in SWEEP_VARIABLES:
             raise ConfigError(f"sweep.variable must be one of {SWEEP_VARIABLES}", field="sweep.variable")
         values = sw.get("values")
-        if not values:
+        if not isinstance(values, list) or not values:
             raise ConfigError("sweep.values must be a nonempty list", field="sweep.values")
+        if variable == "M":
+            values = [_integer(v, "sweep.values") for v in values]
+            if any(not 0 <= v <= network.N for v in values):
+                raise ConfigError(f"sweep M values must lie in [0, {network.N}]", field="sweep.values")
         try:
             if variable == "updates_per_model":
                 values = [float("inf") if (isinstance(v, str) and v.lower() == "inf") else float(v)
                           for v in values]
                 for v in values:
                     replace(params, updates_per_model=v)  # SystemParams validates each value
-            elif variable == "M":
-                values = [int(v) for v in values]
-            else:
+            elif variable == "distance_m":
                 values = [float(v) for v in values]
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid sweep.values: {exc}", field="sweep.values") from exc
-        if variable == "M" and any(not 0 <= v <= network.N for v in values):
-            raise ConfigError(f"sweep M values must lie in [0, {network.N}]", field="sweep.values")
         sweep = SweepSpec(variable, tuple(values))
 
-    strategies = tuple(raw.get("strategies", ("optimal_exhaustive", "one_sla_exhaustive", "hybrid")))
+    strategies = raw.get("strategies", ["optimal_exhaustive", "one_sla_exhaustive", "hybrid"])
+    if not isinstance(strategies, list):
+        raise ConfigError(f"strategies must be a list, got {strategies!r}", field="strategies")
+    strategies = tuple(strategies)
     for s in strategies:
         if s not in STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}; expected one of {STRATEGIES}",
                               field="strategies")
 
-    trials = _integer(raw, "trials", DEFAULT_TRIALS)
+    trials = _integer(raw.get("trials", DEFAULT_TRIALS), "trials")
     if trials < 1:
         raise ConfigError("trials must be a positive integer", field="trials")
-    seed = _integer(raw, "seed", DEFAULT_SEED)
+    seed = raw.get("seed", DEFAULT_SEED)
+    if seed is not None:  # a null seed reaches numpy's default_rng, which then draws fresh entropy
+        seed = _integer(seed, "seed")
 
     cfg = ExperimentConfig(
         raw=raw, network=network, network_label=label, mlp=mlp, params=params,

@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import json_number
 from .model_graph import NetworkSpec
 
 # R = B log2(1 + snr) is B log1p(snr) / LN2, as 1 + snr would round a small SNR
@@ -75,26 +76,17 @@ class SystemParams:
         required = ("tx_power_w", "noise_w", "bandwidth_hz", "local_freq_hz",
                     "edge_freq_hz", "kappa", "beta_t", "beta_e",
                     "updates_per_model", "downlink_rate_bps")
+        if not isinstance(obj, dict):
+            raise ValueError(f"params must be a JSON object, got {obj!r}")
         missing = [k for k in required if k not in obj]
         if missing:
             raise ValueError(f"params missing field(s): {', '.join(missing)}")
-        k = obj["updates_per_model"]
-        if isinstance(k, str):
-            if k.lower() != "inf":
+        values = {k: obj[k] for k in required}
+        if isinstance(values["updates_per_model"], str):
+            if values["updates_per_model"].lower() != "inf":
                 raise ValueError("updates_per_model must be a number or 'inf'")
-            k = math.inf
-        return cls(
-            tx_power_w=float(obj["tx_power_w"]),
-            noise_w=float(obj["noise_w"]),
-            bandwidth_hz=float(obj["bandwidth_hz"]),
-            local_freq_hz=float(obj["local_freq_hz"]),
-            edge_freq_hz=float(obj["edge_freq_hz"]),
-            kappa=float(obj["kappa"]),
-            beta_t=float(obj["beta_t"]),
-            beta_e=float(obj["beta_e"]),
-            updates_per_model=float(k),
-            downlink_rate_bps=float(obj["downlink_rate_bps"]),
-        )
+            values["updates_per_model"] = math.inf
+        return cls(**{k: json_number(v, k) for k, v in values.items()})
 
 
 @dataclass(frozen=True)

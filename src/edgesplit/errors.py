@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the number check of the JSON readers."""
 
 
 class ConfigError(ValueError):
@@ -20,3 +20,12 @@ class NumericalError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
+
+
+def json_number(value, name: str) -> float:
+    """float(value) for a JSON number or numeric string. A null, an array or an
+    object, which float() rejects with a TypeError, is a ValueError naming the
+    field, so the config boundary reports it as a config error."""
+    if value is None or isinstance(value, (list, dict)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import json_number
+
 BITS_PER_BYTE = 8
 
 # Autoencoder preset: input width, seven hidden widths, output width.
@@ -131,10 +133,10 @@ class MlpSpec:
     downlink_rate_bps: float
 
     def __post_init__(self):
-        try:
+        try:  # int() fails on NaN, inf, a null, an array or an object; a number does not iterate
             object.__setattr__(self, "neurons", tuple(int(x) for x in self.neurons))
-        except (ValueError, OverflowError) as exc:  # int() of NaN or inf
-            raise ValueError(f"neurons must be finite integers: {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"neurons must be a list of finite integers: {exc}") from exc
         if len(self.neurons) < 2:
             raise ValueError("neurons must list the input width plus at least one layer")
         if any(x < 1 for x in self.neurons):
@@ -211,25 +213,27 @@ def network_from_json(obj: dict) -> NetworkSpec:
     """
     if "layers" not in obj or "exit_input_bits" not in obj:
         raise ValueError("network JSON needs 'layers' and 'exit_input_bits'")
+    if not isinstance(obj["layers"], list) or not all(isinstance(l, dict) for l in obj["layers"]):
+        raise ValueError(f"layers must be a list of JSON objects, got {obj['layers']!r}")
     layers = tuple(
         LayerSpec(
-            workload_cycles=float(l["workload_cycles"]),
-            input_bits=float(l["input_bits"]),
-            download_seconds=float(l["download_seconds"]),
+            workload_cycles=json_number(l["workload_cycles"], "workload_cycles"),
+            input_bits=json_number(l["input_bits"], "input_bits"),
+            download_seconds=json_number(l["download_seconds"], "download_seconds"),
         )
         for l in obj["layers"]
     )
-    return NetworkSpec(layers, exit_input_bits=float(obj["exit_input_bits"]))
+    return NetworkSpec(layers, exit_input_bits=json_number(obj["exit_input_bits"], "exit_input_bits"))
 
 
 def mlp_spec_from_json(obj: dict) -> MlpSpec:
     try:
         return MlpSpec(
-            neurons=tuple(obj["neurons"]),
-            bytes_per_activation=float(obj["lambda_bytes"]),
-            bytes_per_parameter=float(obj["mu_bytes"]),
-            cycles_per_macc=float(obj["alpha"]),
-            downlink_rate_bps=float(obj["downlink_bps"]),
+            neurons=obj["neurons"],
+            bytes_per_activation=json_number(obj["lambda_bytes"], "lambda_bytes"),
+            bytes_per_parameter=json_number(obj["mu_bytes"], "mu_bytes"),
+            cycles_per_macc=json_number(obj["alpha"], "alpha"),
+            downlink_rate_bps=json_number(obj["downlink_bps"], "downlink_bps"),
         )
     except KeyError as exc:
         raise ValueError(f"mlp shorthand missing key {exc.args[0]!r}") from exc

@@ -51,7 +51,6 @@ class PlacementRow:
     Z: float
     expected_etc: float
     psi: float
-    error: str | None = None
 
 
 @dataclass
@@ -77,8 +76,7 @@ class PlacementReport:
             "strategy": self.strategy,
             "best_M": self.best_M,
             "rows": [
-                {"M": r.M, "Z": r.Z, "expected_etc": r.expected_etc, "psi": r.psi,
-                 **({"error": r.error} if r.error else {})}
+                {"M": r.M, "Z": r.Z, "expected_etc": r.expected_etc, "psi": r.psi}
                 for r in self.rows
             ],
             "policy_at_best": self.policy_at_best.to_json_dict(),
@@ -89,24 +87,13 @@ class PlacementReport:
         """Rows `strategy,M,Z,expected_etc,psi,best` (12 significant digits)."""
         out = []
         for r in self.rows:
-            if r.error:
-                out.append(f"{self.strategy},{r.M},nan,nan,{r.psi:.12g},0")
-                continue
             best = 1 if r.M == self.best_M else 0
             out.append(f"{self.strategy},{r.M},{r.Z:.12g},{r.expected_etc:.12g},{r.psi:.12g},{best}")
         return out
 
 
 def _pick_best(rows) -> int:
-    best_m, best_z = None, math.inf
-    for r in rows:
-        if r.error is not None or math.isnan(r.Z):
-            continue
-        if r.Z < best_z:  # strict: ties keep the smaller M seen first
-            best_m, best_z = r.M, r.Z
-    if best_m is None:
-        raise NumericalError("no placement could be evaluated")
-    return best_m
+    return min(rows, key=lambda r: r.Z).M  # min keeps the first: ties go to the smaller M
 
 
 class Problem:
@@ -129,7 +116,7 @@ class Problem:
     @cached_property
     def optimal(self) -> tuple:
         """Threshold and value matrices of `optimal_recursion` over M = 0..N."""
-        return optimal_recursion(range(self.net.N + 1), self.net, self.params, self.dists)
+        return optimal_recursion(range(self.net.N + 1), self.forced, self.net, self.params, self.dists)
 
     def optimal_policy(self, M: int) -> ThresholdPolicy:
         """Row M of the recursion once it has run, else one backward induction."""
@@ -147,15 +134,12 @@ class Problem:
         return full, self.rows(lambda M: table.expected_etc(M, forced[M]))
 
     def rows(self, evaluate) -> tuple[PlacementRow, ...]:
-        """A row per M = 0..N; a NumericalError of `evaluate(M)` fails its row."""
+        """A row per M = 0..N with expected cost `evaluate(M)`; a NumericalError
+        of any M fails the whole plan."""
         rows = []
         for M in range(self.net.N + 1):
             psi = self.cm.placement_cost(M)
-            try:
-                ee = evaluate(M)
-            except NumericalError as exc:
-                rows.append(PlacementRow(M, math.nan, math.nan, psi, error=str(exc)))
-                continue
+            ee = evaluate(M)
             rows.append(PlacementRow(M, self.cm.total_cost(M, ee), ee, psi))
         return tuple(rows)
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from .channel import StageDistribution, inv_rate_table, inv_rate_tails, per_stage
 from .cost_model import LN2, CostModel, SystemParams, cost_model
-from .errors import NumericalError
 from .model_graph import NetworkSpec
 
 RULE_KINDS = ("optimal", "one_sla")
@@ -113,12 +112,13 @@ def _indifference_threshold(weight: float, bandwidth_hz: float, margin: float) -
     return math.expm1(exponent * LN2)
 
 
-def optimal_recursion(horizons, net: NetworkSpec, params: SystemParams,
+def optimal_recursion(horizons, forced, net: NetworkSpec, params: SystemParams,
                       dists) -> tuple[np.ndarray, np.ndarray]:
     """Backward induction for the distinct ascending `horizons` in lockstep.
 
     One pass from the top stage down to stage 1 carries the value of every
-    horizon M >= n; horizon M joins at its forced stop, stage M+1. Stage n's
+    horizon M >= n; horizon M joins at its forced stop, stage M+1, whose
+    expected cost `forced` lists in the order of `horizons`. Stage n's
     value is E[min(stop-now cost, continuation value)] and its threshold the
     indifference SNR of the two (+inf: stopping never wins), from one
     `prob_below` call and one tail read over all finite thresholds. Row h
@@ -135,7 +135,7 @@ def optimal_recursion(horizons, net: NetworkSpec, params: SystemParams,
     for n in range(top, -1, -1):
         if live and Ms[live - 1] == n:
             live -= 1
-            values[live, n] = forced_stop_cost(cm, n + 1, ds[n])
+            values[live, n] = forced[live]
         if n == 0:
             break
         omega, weight = cm.omega(n), cm.weight(n)
@@ -155,7 +155,9 @@ def backward_induction(M: int, net: NetworkSpec, params: SystemParams, dists) ->
     """Optimal stopping rule for horizon M+1: `optimal_recursion` for M alone."""
     if not 1 <= M <= net.N:
         raise ValueError(f"M must lie in [1, {net.N}]")
-    thresholds, values = optimal_recursion([M], net, params, dists)
+    ds = per_stage(dists, M + 1)
+    forced = forced_stop_cost(cost_model(net, params), M + 1, ds[M])
+    thresholds, values = optimal_recursion([M], [forced], net, params, ds)
     return ThresholdPolicy("optimal", M, thresholds[0], values[0])
 
 
@@ -233,22 +235,18 @@ class StageTable:
     is the probability of no stop at stages 1..k (k = 0..M), their sequential
     product, and stop_prob[n-1] = reach[n-1] * (1 - continue_prob[n-1]).
     stop_cost[n-1] is the expected cost given a stop at stage n, 0 where
-    that never happens. When the tail read of a law fails, stop_cost ends
-    before the first stage of that law and error holds its NumericalError. A
-    table built without a cost model has no stop costs.
+    that never happens; a table built without a cost model has none. A tail
+    read that fails raises its NumericalError before any table exists.
     """
 
     continue_prob: np.ndarray
     reach: np.ndarray
     stop_prob: np.ndarray
     stop_cost: np.ndarray | None = None
-    error: NumericalError | None = None
 
     def expected_etc(self, M: int, forced_cost: float) -> float:
         """Expected cost of the policy cut to stages 1..M with a forced stop,
-        at forced_cost, at stage M+1; raises the first failure among 1..M."""
-        if M > len(self.stop_cost):
-            raise self.error
+        at forced_cost, at stage M+1."""
         probs = np.append(self.stop_prob[:M], self.reach[M])
         return float(np.dot(probs, np.append(self.stop_cost[:M], forced_cost)))
 
@@ -274,17 +272,13 @@ def stage_table(policy: ThresholdPolicy, dists, cm: CostModel | None = None) -> 
     if cm is None:
         return StageTable(cont, reach, stop_prob)
 
-    tails, failed, error = np.zeros(M), M, None
-    for stages in stages_of.values():  # the laws in the order of their first stage
-        try:
-            tails[stages] = inv_rate_tails(ds[stages[0]], thresholds[stages], cm.params.bandwidth_hz)
-        except NumericalError as exc:
-            failed, error = stages[0], exc
-            break
+    tails = np.zeros(M)
+    for stages in stages_of.values():
+        tails[stages] = inv_rate_tails(ds[stages[0]], thresholds[stages], cm.params.bandwidth_hz)
     omega, weight = (np.array([f(n) for n in range(1, M + 1)]) for f in (cm.omega, cm.weight))
     with np.errstate(divide="ignore", invalid="ignore"):
         costs = np.where(cont < 1.0, omega + weight * tails / (1.0 - cont), 0.0)
-    return StageTable(cont, reach, stop_prob, costs[:failed], error)
+    return StageTable(cont, reach, stop_prob, costs)
 
 
 def forced_stop_cost(cm: CostModel, stage: int, dist: StageDistribution) -> float:
@@ -299,15 +293,10 @@ def stop_probabilities(policy: ThresholdPolicy, dists) -> np.ndarray:
 
 
 def _costed_table(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, dists):
-    """The policy's stage table and the cost of its forced stop at M+1.
-
-    A failed stage tail raises before the final stage is evaluated.
-    """
+    """The policy's stage table and the cost of its forced stop at M+1."""
     ds = per_stage(dists, policy.horizon_M + 1)
     cm = cost_model(net, params)
     table = stage_table(policy, ds, cm)
-    if table.error is not None:
-        raise table.error
     return table, forced_stop_cost(cm, policy.horizon_M + 1, ds[-1])
 
 

@@ -1,6 +1,9 @@
 """Config parsing and the four CLI commands, including file formats and exit codes."""
+import contextlib
+import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,8 +78,15 @@ def test_load_config_per_stage_channel():
     cfg = load_config(raw)
     dists = cfg.stage_dists(9)
     assert len({d.mean_snr for d in dists}) == 9
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         cfg.stage_dists(10)
+    assert err.value.field == "channel"
+
+
+def test_a_short_per_stage_channel_is_a_channel_error(tmp_path, capsys):
+    raw = reference_config_dict(channel=[{"kind": "exponential", "mean_snr": 0.6}] * 8)
+    assert main(["place", "--config", write_config(tmp_path, raw), "--out", str(tmp_path)]) == 2
+    assert "(field: channel)" in capsys.readouterr().err
 
 
 def test_load_config_custom_layers():
@@ -145,6 +155,108 @@ def test_non_finite_input_is_a_named_config_error(tmp_path, capsys, network, pat
     cfg = write_config(tmp_path, raw)
     assert main(["place", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert field in capsys.readouterr().err
+
+
+# -- values of the wrong JSON type ----------------------------------------------------
+
+_SHAPE_BASES = {
+    "example": reference_config_dict(horizon_M=4, sweep={"variable": "M", "values": [0, 4]}),
+    "mlp": reference_config_dict(network={"mlp": MLP},
+                                 channel={"kind": "truncated_exponential", "mean_snr": 0.6}),
+    "layers": reference_config_dict(network=LAYERS,
+                                    channel={"kind": "discrete", "atoms": [[0.5, 0.5], [2.0, 0.5]]}),
+}
+_JSON_TYPES = (type(None), bool, (int, float), str, list, dict)  # bool before int
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=5)
+
+
+def _json_type(value):
+    return next(i for i, t in enumerate(_JSON_TYPES) if isinstance(value, t))
+
+
+def _value_paths(node, path=()):
+    """The path (keys and list indices) of every value inside a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _value_paths(value, path + (key,))
+
+
+@st.composite
+def _replacements(draw):
+    """A base config, the path of one of its values, and a value of another JSON type."""
+    base = draw(st.sampled_from(sorted(_SHAPE_BASES)))
+    path = draw(st.sampled_from(list(_value_paths(_SHAPE_BASES[base]))))
+    old = _SHAPE_BASES[base]
+    for key in path:
+        old = old[key]
+    return base, path, draw(_JSON.filter(lambda v: _json_type(v) != _json_type(old)))
+
+
+@settings(max_examples=200)
+@given(case=_replacements())
+@example(case=("example", ("params",), 5))
+@example(case=("example", ("channel",), 5))
+@example(case=("example", ("channel",), [5]))
+@example(case=("example", ("channel", "distance_m"), None))
+@example(case=("example", ("sweep",), 5))
+@example(case=("example", ("strategies",), 5))
+@example(case=("example", ("network",), {"mlp": 5}))
+@example(case=("example", ("network",), {"layers": 5}))
+@example(case=("example", ("network",), {"layers": [5], "exit_input_bits": 1}))
+@example(case=("example", ("params", "tx_power_w"), None))
+@example(case=("example", ("params", "tx_power_w"), [1]))
+@example(case=("example", ("params", "updates_per_model"), [1]))
+@example(case=("example", ("trials",), None))
+@example(case=("mlp", ("channel", "mean_snr"), None))
+@example(case=("mlp", ("network", "mlp", "neurons"), 5))
+@example(case=("mlp", ("network", "mlp", "neurons", 0), None))
+@example(case=("layers", ("channel", "atoms"), 5))
+@example(case=("layers", ("channel", "atoms"), [[None, 1]]))
+@example(case=("layers", ("channel", "atoms"), [5]))
+@example(case=("layers", ("network", "exit_input_bits"), None))
+@example(case=("layers", ("network", "layers", 0), 5))
+def test_a_value_of_another_json_type_fails_by_name(tmp_path_factory, case):
+    base, path, value = case
+    tmp_path = tmp_path_factory.mktemp("shape")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["place", "--config", write_config(tmp_path, _with(_SHAPE_BASES[base], path, value)),
+                     "--out", str(tmp_path)])
+    assert code in (0, 2, 3)
+    if code == 2:
+        field = re.search(r"\(field: ([^)]+)\)", err.getvalue()).group(1).split(".")
+        assert field == [k for k in path if isinstance(k, str)][:len(field)], (field, err.getvalue())
+
+
+@pytest.mark.parametrize("path,value", [(("seed",), 1.5), (("trials",), 2.5), (("horizon_M",), 1.5),
+                                        (("sweep", "values", 1), 1.5)])
+def test_a_fractional_integer_is_a_config_error(tmp_path, capsys, path, value):
+    raw = _with(_SHAPE_BASES["example"], path, value)
+    assert main(["place", "--config", write_config(tmp_path, raw), "--out", str(tmp_path)]) == 2
+    assert f"(field: {'.'.join(k for k in path if isinstance(k, str))})" in capsys.readouterr().err
+
+
+_OVERRIDES = ["--updates", "inf", "--seed", "3", "--trials", "9", "--strategy", "hybrid"]
+
+
+@pytest.mark.parametrize("flags", [[], _OVERRIDES], ids=["plain", "overrides"])
+@pytest.mark.parametrize("doc", [[], 5, "x", None, reference_config_dict(params=5)])
+def test_a_config_or_params_that_is_not_an_object_is_a_config_error(tmp_path, capsys, doc, flags):
+    cfg = write_config(tmp_path, doc)
+    assert main(["place", "--config", cfg, "--out", str(tmp_path), *flags]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "placement.csv").exists()
+
+
+def test_load_config_takes_only_the_dict_of_a_json_document(tmp_path):
+    for source in (json.dumps(reference_config_dict()), write_config(tmp_path, reference_config_dict())):
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            load_config(source)
 
 
 @pytest.mark.parametrize("bad", [NAN, INF, -5.0])
@@ -419,30 +531,44 @@ def test_cmd_sweep_m_axis_reads_the_placement_rows(tmp_path, values):
         assert r[3:5] == placed[r[1], int(r[0])]
 
 
-@pytest.mark.parametrize("values,code", [([0, 1, 3], 0), ([2, 5], 3)])
-def test_cmd_sweep_m_axis_fails_on_a_listed_row_that_failed(tmp_path, monkeypatch, capsys,
-                                                             values, code):
+_PER_STAGE = [{"kind": "truncated_exponential", "mean_snr": 0.5 + 0.1 * n} for n in range(9)]
+
+
+def _fail_the_stage_4_tail(monkeypatch):
+    """Make every tail read of the stage-4 law raise, as a quadrature that
+    does not converge would."""
     from edgesplit import splitting
 
-    channel = [{"kind": "truncated_exponential", "mean_snr": 0.5 + 0.1 * n} for n in range(9)]
-    raw = reference_config_dict(channel=channel, strategies=["one_sla_exhaustive"],
-                                sweep={"variable": "M", "values": values})
     original = splitting.inv_rate_tails
 
     def stage_4_tail_fails(dist, thresholds, bandwidth_hz):
-        if dist.mean_snr == channel[3]["mean_snr"] and any(t > 0.0 for t in thresholds):
+        if dist.mean_snr == _PER_STAGE[3]["mean_snr"] and any(t > 0.0 for t in thresholds):
             raise NumericalError("stage 4 tail failed", estimate=1.0)
         return original(dist, thresholds, bandwidth_hz)
 
     monkeypatch.setattr(splitting, "inv_rate_tails", stage_4_tail_fails)
+
+
+@pytest.mark.parametrize("values", [[0, 1, 3], [2, 5]])
+def test_cmd_sweep_m_axis_fails_on_a_listed_row_that_failed(tmp_path, monkeypatch, capsys, values):
+    raw = reference_config_dict(channel=_PER_STAGE, strategies=["one_sla_exhaustive"],
+                                sweep={"variable": "M", "values": values})
+    _fail_the_stage_4_tail(monkeypatch)
     cfg = write_config(tmp_path, raw)
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == code
-    if code == 3:
-        assert "stage 4 tail failed" in capsys.readouterr().err
-        assert not (tmp_path / "sweep.csv").exists()
-    else:
-        _, _, rows = read_csv(tmp_path / "sweep.csv")
-        assert [int(r[0]) for r in rows] == values
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "stage 4 tail failed" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("strategies", [["optimal_exhaustive"], ["one_sla_exhaustive"], ["hybrid"],
+                                        ["optimal_exhaustive", "one_sla_exhaustive", "hybrid"]])
+def test_cmd_place_fails_whole_on_a_failing_stage_tail(tmp_path, monkeypatch, capsys, strategies):
+    raw = reference_config_dict(channel=_PER_STAGE, strategies=strategies)
+    _fail_the_stage_4_tail(monkeypatch)
+    cfg = write_config(tmp_path, raw)
+    assert main(["place", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "stage 4 tail failed" in capsys.readouterr().err
+    assert not any(tmp_path.glob("placement.*"))
 
 
 def test_cmd_sweep_updates_axis(tmp_path):

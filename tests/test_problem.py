@@ -93,6 +93,17 @@ def test_hybrid_reads_the_optimal_row_the_problem_already_holds(monkeypatch, aut
     assert (len(inductions), len(recursions), len(sweeps)) == (0, 1, 1)
 
 
+def test_a_request_computes_each_forced_stop_cost_once(monkeypatch, autoencoder, params,
+                                                       dist_d50):
+    """The recursion reads the Problem's forced-stop costs: N + 1 of them for
+    all three rule strategies together."""
+    calls = [_counting(monkeypatch, module, "forced_stop_cost") for module in (placement, splitting)]
+    problem = Problem(autoencoder, params, dist_d50)
+    for strategy in RULE_STRATEGIES:
+        run_strategy(strategy, autoencoder, params, dist_d50, problem=problem)
+    assert sum(map(len, calls)) == autoencoder.N + 1
+
+
 def test_hybrid_before_the_optimal_rule_runs_one_backward_induction(monkeypatch, autoencoder,
                                                                     params, dist_d50):
     inductions = _counting(monkeypatch, splitting, "backward_induction")

@@ -20,6 +20,7 @@ from edgesplit import (
     backward_induction,
     build_policy,
     expected_etc,
+    hybrid,
     one_sla_thresholds,
     optimal_recursion,
     optimize_exhaustive,
@@ -129,7 +130,6 @@ def _check_sweep_rows(net, params, dists):
     for M in range(net.N + 1):
         policy = ThresholdPolicy("one_sla", M, full.thresholds[:M])
         row = report.row(M)
-        assert row.error is None
         assert _bits(row.expected_etc) == _bits(expected_etc(policy, net, params, dists))
         probs = stop_probabilities(policy, dists)
         conds = stop_conditional_etc(policy, net, params, dists)
@@ -184,10 +184,8 @@ def test_table_takes_one_cdf_call_per_distinct_law(autoencoder, params, dist_d50
 
 # -- a failing stage tail ----------------------------------------------------------
 
-def test_failing_stage_tail_marks_exactly_the_rows_that_reach_it(autoencoder, params,
-                                                                  monkeypatch):
+def test_failing_stage_tail_fails_the_one_sla_rule_and_hybrid(autoencoder, params, monkeypatch):
     dists = [channel_at(20.0 + 10.0 * k, params) for k in range(autoencoder.N + 1)]
-    clean = optimize_exhaustive(Problem(autoencoder, params, dists), rule_kind="one_sla")
     thresholds = one_sla_thresholds(autoencoder.N, autoencoder, params, dists).thresholds
     failing = 4
     assert not math.isinf(thresholds[failing - 1])
@@ -199,14 +197,10 @@ def test_failing_stage_tail_marks_exactly_the_rows_that_reach_it(autoencoder, pa
         return original(dist, thresholds, bandwidth_hz)
 
     monkeypatch.setattr(splitting, "inv_rate_tails", tail_fails_at_one_stage)
-    report = optimize_exhaustive(Problem(autoencoder, params, dists), rule_kind="one_sla")
-    for row, kept in zip(report.rows, clean.rows):
-        if row.M < failing:
-            assert row.error is None and row == kept
-        else:
-            assert row.error == f"stage {failing} tail failed"
-            assert math.isnan(row.Z) and row.psi == kept.psi
-    assert report.best_M == min((r for r in clean.rows if r.M < failing), key=lambda r: r.Z).M
+    with pytest.raises(NumericalError, match=f"stage {failing} tail failed"):
+        optimize_exhaustive(Problem(autoencoder, params, dists), rule_kind="one_sla")
+    with pytest.raises(NumericalError, match=f"stage {failing} tail failed"):
+        hybrid(Problem(autoencoder, params, dists))
     policy = ThresholdPolicy("one_sla", failing, thresholds[:failing])
     with pytest.raises(NumericalError, match=f"stage {failing} tail failed"):
         expected_etc(policy, autoencoder, params, dists)
@@ -259,7 +253,8 @@ def _indifference(weight, bandwidth, margin):
 def test_lockstep_recursion_matches_the_scalar_reference(problem):
     net, params, dists = problem
     cm = cost_model(net, params)
-    thresholds, values = optimal_recursion(range(net.N + 1), net, params, dists)
+    forced = Problem(net, params, dists).forced
+    thresholds, values = optimal_recursion(range(net.N + 1), forced, net, params, dists)
     for M in range(net.N + 1):
         own_t, own_v = thresholds[M, :M].tolist(), values[M, :M + 1].tolist()
         if M:

@@ -1,10 +1,13 @@
 """Module boundaries: no edgesplit module imports another module's private
-names, and importing the package and its CLI pulls in no scipy."""
+names, only the CLI catches a NumericalError, and importing the package and
+its CLI pulls in no scipy."""
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from edgesplit.errors import NumericalError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "edgesplit"
 
@@ -26,6 +29,25 @@ def test_no_cross_module_private_imports():
             offenders += [f"{path.name}:{node.lineno} imports {alias.name} from "
                           f"{'.' * node.level}{node.module or ''}"
                           for alias in node.names if _is_private(alias.name)]
+    assert not offenders, offenders
+
+
+def test_only_the_cli_catches_numerical_errors():
+    """A numerical failure anywhere in planning fails the whole command (exit 3);
+    no module turns one into a partial result. A bare except, or one naming a
+    base class of NumericalError, would catch it too."""
+    catching = {cls.__name__ for cls in NumericalError.__mro__[:-1]}  # all but object
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.type)
+                     if isinstance(n, (ast.Name, ast.Attribute))} if node.type else catching
+            if names & catching:
+                offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
 
 
