@@ -190,6 +190,8 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
+    if cfg.seed is None:  # numpy would draw fresh OS entropy: no two runs would agree
+        raise ConfigError("simulate needs an integer seed, got null", field="seed")
     M = _horizon(cfg)
     dists = cfg.stage_dists(max(M, 1) + 1)
     for strategy in cfg.strategies:

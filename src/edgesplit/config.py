@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 from .channel import StageDistribution, distribution_from_config, per_stage
 from .cost_model import SystemParams
-from .errors import ConfigError
+from .errors import ConfigError, json_integer, json_number
 from .model_graph import (
     MlpSpec,
     NetworkSpec,
@@ -107,14 +107,11 @@ def _resolve_network(obj, params: SystemParams):
 
 
 def _integer(value, field: str) -> int:
-    """value as an int; a fraction, NaN, inf or a non-number is a ConfigError."""
+    """value as an int; a boolean, a fraction, NaN, inf or a non-number is a ConfigError."""
     try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or isinstance(value, float) and number != value:  # int() truncates
-        raise ConfigError(f"{field} must be an integer, got {value!r}", field=field)
-    return number
+        return json_integer(value, field)
+    except ValueError as exc:
+        raise ConfigError(str(exc), field=field) from exc
 
 
 def load_config(raw: dict) -> ExperimentConfig:
@@ -162,12 +159,12 @@ def load_config(raw: dict) -> ExperimentConfig:
                 raise ConfigError(f"sweep M values must lie in [0, {network.N}]", field="sweep.values")
         try:
             if variable == "updates_per_model":
-                values = [float("inf") if (isinstance(v, str) and v.lower() == "inf") else float(v)
-                          for v in values]
+                values = [float("inf") if (isinstance(v, str) and v.lower() == "inf")
+                          else json_number(v, "sweep.values") for v in values]
                 for v in values:
                     replace(params, updates_per_model=v)  # SystemParams validates each value
             elif variable == "distance_m":
-                values = [float(v) for v in values]
+                values = [json_number(v, "sweep.values") for v in values]
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid sweep.values: {exc}", field="sweep.values") from exc
         sweep = SweepSpec(variable, tuple(values))
@@ -175,6 +172,8 @@ def load_config(raw: dict) -> ExperimentConfig:
     strategies = raw.get("strategies", ["optimal_exhaustive", "one_sla_exhaustive", "hybrid"])
     if not isinstance(strategies, list):
         raise ConfigError(f"strategies must be a list, got {strategies!r}", field="strategies")
+    if not strategies:
+        raise ConfigError("strategies must list at least one strategy", field="strategies")
     strategies = tuple(strategies)
     for s in strategies:
         if s not in STRATEGIES:
@@ -185,7 +184,7 @@ def load_config(raw: dict) -> ExperimentConfig:
     if trials < 1:
         raise ConfigError("trials must be a positive integer", field="trials")
     seed = raw.get("seed", DEFAULT_SEED)
-    if seed is not None:  # a null seed reaches numpy's default_rng, which then draws fresh entropy
+    if seed is not None:  # null plans; only simulate, which draws, rejects it
         seed = _integer(seed, "seed")
 
     cfg = ExperimentConfig(

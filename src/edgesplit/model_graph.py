@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import json_number
+from .errors import json_integer, json_number
 
 BITS_PER_BYTE = 8
 
@@ -133,9 +133,9 @@ class MlpSpec:
     downlink_rate_bps: float
 
     def __post_init__(self):
-        try:  # int() fails on NaN, inf, a null, an array or an object; a number does not iterate
-            object.__setattr__(self, "neurons", tuple(int(x) for x in self.neurons))
-        except (TypeError, ValueError, OverflowError) as exc:
+        try:  # a number does not iterate
+            object.__setattr__(self, "neurons", tuple(json_integer(x, "neurons") for x in self.neurons))
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"neurons must be a list of finite integers: {exc}") from exc
         if len(self.neurons) < 2:
             raise ValueError("neurons must list the input width plus at least one layer")

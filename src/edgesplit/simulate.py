@@ -1,8 +1,9 @@
 """Monte Carlo policy evaluation and an exact discrete oracle.
 
-The simulator draws independent per-stage SNRs (inverse-CDF from one PCG64
-stream, uniforms consumed in trial-major order, so results do not depend on
-chunking) and applies a threshold policy vectorized.
+The simulator draws uniforms from one PCG64 stream in trial-major order, so
+results do not depend on chunking, and applies a threshold policy one stage
+at a time: a stage's inverse CDF runs only on the uniforms of the trials that
+have not stopped yet.
 
 The oracle solves the stopping problem exactly on discrete (atom) channel
 laws by direct recursion on the value function. It shares the cost
@@ -51,36 +52,55 @@ def _check_run(trials: int, chunk: int) -> None:
         raise ValueError(f"chunk must be at least 1, got {chunk!r}")
 
 
-def _snr_chunks(ds, trials: int, seed: int, chunk: int):
-    """Per-stage SNR draws of `trials` sequences, in blocks of at most `chunk` rows.
+def _uniform_blocks(trials: int, stages: int, seed: int, chunk: int):
+    """(rows, stages) blocks of uniforms, at most `chunk` rows each.
 
-    The uniforms come from one PCG64 stream in trial-major order, so the
-    draws do not depend on the chunk size. A block is one (rows, stages)
-    float array: one quantile pass over all of it when every stage has the
-    same law, else each column's uniforms are replaced by its stage's draws.
+    They come from one PCG64 stream in trial-major order, so the draws do not
+    depend on the chunk size.
     """
     rng = np.random.default_rng(seed)
-    shared = all(d == ds[0] for d in ds)
     for start in range(0, trials, chunk):
-        shape = (min(chunk, trials - start), len(ds))
-        if shared:
-            yield ds[0].quantile(rng.random(shape))
-        else:
-            snrs = rng.random(shape)
-            for j, d in enumerate(ds):
-                snrs[:, j] = d.quantile(snrs[:, j])
-            yield snrs
+        yield rng.random((min(chunk, trials - start), stages))
 
 
-def _stop_stages(snrs: np.ndarray, thresholds: np.ndarray, M: int) -> np.ndarray:
-    """1-based stage of each row's first SNR at or above its threshold (M + 1 if none)."""
-    stages = np.full(snrs.shape[0], M + 1)
-    live = np.arange(snrs.shape[0])  # rows that have not stopped yet
-    for j in range(M):
-        hit = snrs[live, j] >= thresholds[j]
-        stages[live[hit]] = j + 1
+def _first_crossings(u: np.ndarray, ds, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """1-based stop stage of each row of a uniform block, and the SNR it stops on.
+
+    A row stops at its first SNR at or above the stage's threshold, else at the
+    forced stage M + 1, M = len(thresholds). Stage j's quantile runs only on
+    the uniforms of the rows still live at j.
+    """
+    M = len(thresholds)
+    stages = np.full(len(u), M + 1)
+    gammas = np.empty(len(u))
+    live = np.arange(len(u))
+    for j, t in enumerate(thresholds):
+        snrs = ds[j].quantile(u[live, j])
+        hit = snrs >= t
+        stop = np.flatnonzero(hit)
+        rows = live[stop]
+        stages[rows] = j + 1
+        gammas[rows] = snrs[stop]
         live = live[~hit]
-    return stages
+    gammas[live] = ds[M].quantile(u[live, M])
+    return stages, gammas
+
+
+def _agreements(u: np.ndarray, ds, t_a, t_b) -> int:
+    """Rows of a uniform block on which two threshold rules stop at the same stage.
+
+    A row leaves the pass at the first stage where either rule stops: the rules
+    agree there if both stop, else the other one stops later. Rows that neither
+    rule stops agree on the forced stage, which needs no draw.
+    """
+    agree = 0
+    live = np.arange(len(u))
+    for j, (a, b) in enumerate(zip(t_a, t_b)):
+        snrs = ds[j].quantile(u[live, j])
+        hit_a, hit_b = snrs >= a, snrs >= b
+        agree += int(np.count_nonzero(hit_a & hit_b))
+        live = live[~(hit_a | hit_b)]
+    return agree + len(live)
 
 
 def simulate(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, dists,
@@ -90,14 +110,12 @@ def simulate(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, di
     M = policy.horizon_M
     ds = per_stage(dists, M + 1)
     cm = cost_model(net, params)
-    thresholds = np.array(policy.thresholds, dtype=float)
 
     total = 0.0
     total_sq = 0.0
     counts = np.zeros(M + 2, dtype=np.int64)  # 1-based stages
-    for snrs in _snr_chunks(ds, trials, seed, chunk):
-        stages = _stop_stages(snrs, thresholds, M)
-        gammas = snrs[np.arange(len(snrs)), stages - 1]
+    for u in _uniform_blocks(trials, M + 1, seed, chunk):
+        stages, gammas = _first_crossings(u, ds, policy.thresholds)
         etcs = cm.etc_values(stages, gammas)
         total += float(etcs.sum())
         total_sq += float(np.dot(etcs, etcs))
@@ -122,11 +140,9 @@ def coincidence_rate(M: int, net: NetworkSpec, params: SystemParams, dists,
         raise ValueError("M must be at least 1")
     _check_run(trials, chunk)
     ds = per_stage(dists, M + 1)
-    t_opt = np.array(backward_induction(M, net, params, ds).thresholds)
-    t_sla = np.array(one_sla_thresholds(M, net, params, ds).thresholds)
-    agree = 0
-    for snrs in _snr_chunks(ds, trials, seed, chunk):
-        agree += int((_stop_stages(snrs, t_opt, M) == _stop_stages(snrs, t_sla, M)).sum())
+    t_opt = backward_induction(M, net, params, ds).thresholds
+    t_sla = one_sla_thresholds(M, net, params, ds).thresholds
+    agree = sum(_agreements(u, ds, t_opt, t_sla) for u in _uniform_blocks(trials, M + 1, seed, chunk))
     return agree / trials
 
 

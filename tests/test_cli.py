@@ -62,6 +62,16 @@ def test_load_config_unknown_strategy():
         load_config(raw)
 
 
+def test_an_empty_strategy_list_is_a_config_error(tmp_path, capsys):
+    raw = reference_config_dict(strategies=[])
+    with pytest.raises(ConfigError) as info:
+        load_config(raw)
+    assert info.value.field == "strategies"
+    assert main(["place", "--config", write_config(tmp_path, raw), "--out", str(tmp_path)]) == 2
+    assert "(field: strategies)" in capsys.readouterr().err
+    assert not (tmp_path / "placement.csv").exists()
+
+
 def test_load_config_inf_updates_and_m_sweep():
     raw = reference_config_dict(sweep={"variable": "updates_per_model",
                                        "values": [10, 50, "inf"]})
@@ -220,6 +230,9 @@ def _replacements(draw):
 @example(case=("layers", ("channel", "atoms"), [5]))
 @example(case=("layers", ("network", "exit_input_bits"), None))
 @example(case=("layers", ("network", "layers", 0), 5))
+@example(case=("example", ("params", "beta_t"), True))
+@example(case=("example", ("seed",), True))
+@example(case=("mlp", ("network", "mlp", "neurons", 0), 64.7))
 def test_a_value_of_another_json_type_fails_by_name(tmp_path_factory, case):
     base, path, value = case
     tmp_path = tmp_path_factory.mktemp("shape")
@@ -239,6 +252,35 @@ def test_a_fractional_integer_is_a_config_error(tmp_path, capsys, path, value):
     raw = _with(_SHAPE_BASES["example"], path, value)
     assert main(["place", "--config", write_config(tmp_path, raw), "--out", str(tmp_path)]) == 2
     assert f"(field: {'.'.join(k for k in path if isinstance(k, str))})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base,path,value,field", [
+    ("example", ("params", "beta_t"), True, "beta_t"),
+    ("example", ("seed",), True, "seed"),
+    ("example", ("trials",), True, "trials"),
+    ("example", ("horizon_M",), True, "horizon_M"),
+    ("example", ("channel", "distance_m"), True, "distance_m"),
+    ("mlp", ("network", "mlp", "neurons", 0), 64.7, "neurons"),
+    ("mlp", ("network", "mlp", "neurons", 1), True, "neurons"),
+    ("layers", ("channel", "atoms", 0, 1), True, "atoms"),
+])
+def test_a_boolean_or_a_fractional_width_is_a_named_config_error(tmp_path, capsys, base, path,
+                                                                  value, field):
+    # bool is an int in Python, and int() truncates: neither may pass as a number
+    raw = _with(_SHAPE_BASES[base], path, value)
+    with pytest.raises(ConfigError, match=field):
+        load_config(raw)
+    assert main(["place", "--config", write_config(tmp_path, raw), "--out", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep", [{"variable": "distance_m", "values": [10, True]},
+                                   {"variable": "updates_per_model", "values": [True]},
+                                   {"variable": "M", "values": [True]}])
+def test_a_boolean_sweep_value_is_a_config_error(tmp_path, capsys, sweep):
+    raw = reference_config_dict(sweep=sweep)
+    assert main(["sweep", "--config", write_config(tmp_path, raw), "--out", str(tmp_path)]) == 2
+    assert "(field: sweep.values)" in capsys.readouterr().err
 
 
 _OVERRIDES = ["--updates", "inf", "--seed", "3", "--trials", "9", "--strategy", "hybrid"]
@@ -631,6 +673,22 @@ def test_cmd_simulate_seed_flag_changes_output(tmp_path):
     a = json.loads((out1 / "sim.json").read_text())
     b = json.loads((out2 / "sim.json").read_text())
     assert a["results"][0]["mean_etc"] != b["results"][0]["mean_etc"]
+
+
+def test_cmd_simulate_rejects_a_null_seed(tmp_path, capsys):
+    # numpy would seed itself from OS entropy, so no two runs would write the same
+    # bytes; the commands that draw nothing still take a null seed
+    raw = reference_config_dict(strategies=["optimal_exhaustive"], trials=100, seed=None)
+    cfg = write_config(tmp_path, raw)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
+    assert "(field: seed)" in capsys.readouterr().err
+    assert not (tmp_path / "sim" / "sim.csv").exists()
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "flag"), "--seed", "3"]) == 0
+    for command in ("place", "thresholds"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+    swept = write_config(tmp_path, dict(raw, sweep={"variable": "M", "values": [1, 2]}), "sweep.json")
+    assert main(["sweep", "--config", swept, "--out", str(tmp_path / "sweep")]) == 0
+    assert "# seed=None" in (tmp_path / "place" / "placement.csv").read_text()
 
 
 def test_main_twice_in_one_process_with_different_flags(tmp_path):

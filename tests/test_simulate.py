@@ -19,7 +19,14 @@ from edgesplit import (
     stop_probabilities,
 )
 from edgesplit.cost_model import cost_model
-from edgesplit.simulate import SimResult, _snr_chunks, _stop_stages, network_hash, sim_report_json
+from edgesplit.simulate import (
+    SimResult,
+    _agreements,
+    _first_crossings,
+    _uniform_blocks,
+    network_hash,
+    sim_report_json,
+)
 
 
 # -- simulate ------------------------------------------------------------------
@@ -183,23 +190,92 @@ def test_kernel_matches_reference_bit_for_bit(autoencoder, params, dist_d50, sha
 @pytest.mark.parametrize("chunk", _TRIALS_AT_CHUNK)
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_stage"])
 def test_draws_match_reference_bit_for_bit(dist_d50, shared, chunk):
+    # a row that never stops before stage j + 1 is drawn at every stage up to
+    # it and stops there, so its stop SNR is its stage-(j + 1) draw: stacking
+    # those over j rebuilds the whole block of draws through the kernel
     ds = (dist_d50,) * 9 if shared else tuple(_stage_list(dist_d50.mean_snr))
     trials = min(_TRIALS_AT_CHUNK[chunk], 2000)
-    got = list(_snr_chunks(ds, trials, 17, chunk))
+    got = [np.column_stack([_first_crossings(u, ds[:j + 1], [math.inf] * j)[1] for j in range(9)])
+           for u in _uniform_blocks(trials, 9, 17, chunk)]
     want = list(_reference_draws(ds, trials, 17, chunk))
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_first_crossing_matches_reference_with_ties():
-    # small integers make SNRs equal their thresholds: equality stops
+    # atoms at the integers 1..6 put SNRs exactly on integer thresholds: equality stops
+    law = StageDistribution.discrete([(float(k), 1 / 6) for k in range(1, 7)])
+    ds = (law,) * 9
     rng = np.random.default_rng(4)
-    snrs = rng.integers(0, 6, size=(5000, 9)).astype(float)
+    u = rng.random((5000, 9))
+    snrs = np.column_stack([_reference_quantile(law, u[:, j]) for j in range(9)])
+    assert set(np.unique(snrs)) == set(range(1, 7))
     for M in range(9):
-        for thresholds in (rng.integers(1, 6, size=M).astype(float), np.full(M, math.inf)):
-            got = _stop_stages(snrs, thresholds, M)
-            assert np.array_equal(got, _reference_stops(snrs, thresholds, M))
-            assert got.dtype == _reference_stops(snrs, thresholds, M).dtype
+        for thresholds in (rng.integers(1, 7, size=M).astype(float), np.full(M, math.inf)):
+            stages, gammas = _first_crossings(u[:, :M + 1], ds[:M + 1], thresholds)
+            want = _reference_stops(snrs, thresholds, M)
+            assert np.array_equal(stages, want)
+            assert stages.dtype == want.dtype
+            assert np.array_equal(gammas, snrs[np.arange(len(snrs)), want - 1])
+
+
+def _counting_quantile(monkeypatch):
+    """Record the element count of every StageDistribution.quantile call."""
+    sizes = []
+    original = StageDistribution.quantile
+
+    def counted(self, u):
+        sizes.append(np.size(u))
+        return original(self, u)
+
+    monkeypatch.setattr(StageDistribution, "quantile", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_stage"])
+def test_kernel_draws_only_the_live_rows(autoencoder, params, dist_d50, monkeypatch, shared):
+    # stage j of a block draws for exactly the rows whose reference stop is >= j
+    # (coincidence_rate: under both rules, with no draw at the forced stage)
+    law = dist_d50 if shared else _stage_list(dist_d50.mean_snr)
+    ds = [law] * 9 if shared else law
+    trials, chunk = 3000, 1100
+    sizes = _counting_quantile(monkeypatch)
+    for M in range(9):
+        for rule in ("optimal", "one_sla"):
+            pol = build_policy(rule, M, autoencoder, params, law)
+            sizes.clear()
+            simulate(pol, autoencoder, params, law, trials, seed=M, chunk=chunk)
+            blocks = [sizes[k:k + M + 1] for k in range(0, len(sizes), M + 1)]
+            ref = list(_reference_draws(ds[:M + 1], trials, M, chunk))
+            assert len(blocks) == len(ref)
+            for block, snrs in zip(blocks, ref):
+                stops = _reference_stops(snrs, pol.thresholds, M)
+                assert block == [int(np.count_nonzero(stops >= j)) for j in range(1, M + 2)]
+                assert sum(block) == stops.sum()
+                if (stops <= M).any():
+                    assert sum(block) < snrs.size
+        if M:
+            t_opt = backward_induction(M, autoencoder, params, ds).thresholds
+            t_sla = one_sla_thresholds(M, autoencoder, params, ds).thresholds
+            sizes.clear()
+            coincidence_rate(M, autoencoder, params, law, trials, seed=M, chunk=chunk)
+            want = []
+            for snrs in _reference_draws(ds[:M + 1], trials, M, chunk):
+                first = np.minimum(_reference_stops(snrs, t_opt, M), _reference_stops(snrs, t_sla, M))
+                want += [int(np.count_nonzero(first >= j)) for j in range(1, M + 1)]
+            assert sizes == want
+
+
+def test_agreements_count_equal_stops():
+    law = StageDistribution.discrete([(float(k), 1 / 6) for k in range(1, 7)])
+    rng = np.random.default_rng(8)
+    u = rng.random((4000, 9))
+    snrs = np.column_stack([_reference_quantile(law, u[:, j]) for j in range(9)])
+    for M in range(1, 9):
+        t_a, t_b = rng.integers(1, 7, size=M).astype(float), rng.integers(1, 7, size=M).astype(float)
+        t_b[rng.random(M) < 0.3] = math.inf
+        want = int((_reference_stops(snrs, t_a, M) == _reference_stops(snrs, t_b, M)).sum())
+        assert _agreements(u[:, :M + 1], (law,) * (M + 1), t_a, t_b) == want
 
 
 @given(scales=st.lists(st.floats(0.2, 5.0), min_size=7, max_size=7),
