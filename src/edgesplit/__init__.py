@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .channel import (
     PathLossParams,
     StageDistribution,
-    distribution_from_config,
     mean_snr_from_pathloss,
     per_stage,
 )
@@ -24,7 +23,6 @@ from .model_graph import (
     build_alexnet_preset,
     build_autoencoder_preset,
     build_mlp,
-    network_from_json,
 )
 from .placement import (
     PlacementReport,

@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .cost_model import LN2, SystemParams
-from .errors import NumericalError, json_number
+from .errors import NumericalError
 
 DEFAULT_FLOOR_RATIO = 1e-3
 TAIL_MASS = 1e-12
@@ -178,6 +178,11 @@ class StageDistribution:
             if not (math.isfinite(self.support_lo) and 0 <= self.support_lo < self.support_hi):
                 raise ValueError("need 0 <= support_lo < support_hi with a finite SNR floor "
                                  f"support_lo, got [{self.support_lo!r}, {self.support_hi!r}]")
+            # the tail cutoff, 27.6 means above the floor, can round onto a floor
+            # beyond 2**52 means and leave the quadrature an empty interval
+            if self.support_lo > 2.0**52 * self.mean_snr and not self._upper_cutoff() > self.support_lo:
+                raise ValueError(f"the SNR floor support_lo = {self.support_lo!r} is so large against "
+                                 f"mean_snr = {self.mean_snr!r} that the tail cutoff rounds onto it")
         elif self.kind == "discrete":
             if not self.atoms:
                 raise ValueError("discrete law needs at least one atom")
@@ -448,44 +453,6 @@ def inv_rate_tails(dist: StageDistribution, thresholds, bandwidth_hz: float) -> 
 def inv_rate_expectation(dist: StageDistribution, lo: float, bandwidth_hz: float) -> float:
     """E[1 / R(snr); snr >= lo], one read of `inv_rate_tails`."""
     return float(inv_rate_tails(dist, [lo], bandwidth_hz)[0])
-
-
-def distribution_from_config(spec: dict, params: SystemParams) -> StageDistribution:
-    """Build a stage law from its JSON spec.
-
-    Kinds: truncated_exponential {mean_snr, snr_floor_ratio}, exponential
-    {mean_snr}, pathloss_rayleigh {distance_m, antenna_gain, carrier_hz,
-    exponent, snr_floor_ratio}, discrete {atoms}.
-    """
-    if not isinstance(spec, dict):
-        raise ValueError(f"a channel spec must be a JSON object, got {spec!r}")
-    kind = spec.get("kind")
-    floor_ratio = spec.get("snr_floor_ratio", DEFAULT_FLOOR_RATIO)
-    if kind == "truncated_exponential":
-        return StageDistribution.truncated_exponential(
-            json_number(spec["mean_snr"], "mean_snr"),
-            floor_ratio=json_number(floor_ratio, "snr_floor_ratio"),
-        )
-    if kind == "exponential":
-        return StageDistribution.exponential(json_number(spec["mean_snr"], "mean_snr"))
-    if kind == "pathloss_rayleigh":
-        pl = PathLossParams(
-            antenna_gain=json_number(spec["antenna_gain"], "antenna_gain"),
-            carrier_hz=json_number(spec["carrier_hz"], "carrier_hz"),
-            distance_m=json_number(spec["distance_m"], "distance_m"),
-            exponent=json_number(spec["exponent"], "exponent"),
-        )
-        return StageDistribution.from_pathloss(
-            pl, params, floor_ratio=json_number(floor_ratio, "snr_floor_ratio")
-        )
-    if kind == "discrete":
-        atoms = spec["atoms"]
-        if not isinstance(atoms, (list, tuple)) or not all(
-                isinstance(a, (list, tuple)) and len(a) == 2 for a in atoms):
-            raise ValueError(f"atoms must be a list of [snr, probability] pairs, got {atoms!r}")
-        return StageDistribution.discrete([(json_number(s, "atoms"), json_number(p, "atoms"))
-                                           for s, p in atoms])
-    raise ValueError(f"unknown channel kind {kind!r}")
 
 
 def per_stage(dists, count: int) -> tuple[StageDistribution, ...]:

@@ -190,8 +190,9 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
-    if cfg.seed is None:  # numpy would draw fresh OS entropy: no two runs would agree
-        raise ConfigError("simulate needs an integer seed, got null", field="seed")
+    # numpy rejects a negative seed and draws fresh OS entropy for null: no two runs would agree
+    if cfg.seed is None or cfg.seed < 0:
+        raise ConfigError(f"simulate needs a nonnegative integer seed, got {cfg.seed}", field="seed")
     M = _horizon(cfg)
     dists = cfg.stage_dists(max(M, 1) + 1)
     for strategy in cfg.strategies:

@@ -11,30 +11,117 @@ Shape:
       "strategies": ["optimal_exhaustive", ...], # optional
       "trials": 100000, "seed": 7                # optional
     }
+
+This is the only module that reads the format: a field table per JSON object
+maps its keys to the arguments of the domain object built from it.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 
-from .channel import StageDistribution, distribution_from_config, per_stage
-from .cost_model import SystemParams
+from .channel import DEFAULT_FLOOR_RATIO, PathLossParams, StageDistribution, per_stage
+from .cost_model import SystemParams, cost_model
 from .errors import ConfigError, json_integer, json_number
 from .model_graph import (
+    LayerSpec,
     MlpSpec,
     NetworkSpec,
     autoencoder_mlp_spec,
     build_alexnet_preset,
     build_mlp,
-    mlp_spec_from_json,
-    network_from_json,
 )
 from .placement import STRATEGIES
 
-SWEEP_VARIABLES = ("distance_m", "updates_per_model", "M")
 DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 1
+
+
+def _updates(value, key: str) -> float:
+    """A number, or "inf" for a model that is never retrained."""
+    return math.inf if isinstance(value, str) and value.lower() == "inf" else json_number(value, key)
+
+
+def _layers(value, key: str) -> tuple[LayerSpec, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list of JSON objects, got {value!r}")
+    return tuple(LayerSpec(**_read(layer, "a layer", _LAYER, "network")) for layer in value)
+
+
+def _atoms(value, key: str) -> list[tuple[float, float]]:
+    if not isinstance(value, (list, tuple)) or not all(
+            isinstance(a, (list, tuple)) and len(a) == 2 for a in value):
+        raise ValueError(f"{key} must be a list of [snr, probability] pairs, got {value!r}")
+    return [(json_number(s, key), json_number(p, key)) for s, p in value]
+
+
+# Field tables: each JSON key of one object -> (constructor argument, reader).
+# A reader takes the value and its key and raises ValueError on a bad value.
+_PARAMS = {key: (key, json_number) for key in (
+    "tx_power_w", "noise_w", "bandwidth_hz", "local_freq_hz", "edge_freq_hz",
+    "kappa", "beta_t", "beta_e", "downlink_rate_bps")}
+_PARAMS["updates_per_model"] = ("updates_per_model", _updates)
+_LAYER = {key: (key, json_number) for key in ("workload_cycles", "input_bits", "download_seconds")}
+_NETWORK = {"layers": ("layers", _layers), "exit_input_bits": ("exit_input_bits", json_number)}
+_MLP = {
+    "neurons": ("neurons", lambda value, key: value),  # MlpSpec reads the widths
+    "lambda_bytes": ("bytes_per_activation", json_number),
+    "mu_bytes": ("bytes_per_parameter", json_number),
+    "alpha": ("cycles_per_macc", json_number),
+    "downlink_bps": ("downlink_rate_bps", json_number),
+}
+_FLOOR = {"snr_floor_ratio": ("floor_ratio", json_number)}
+_CHANNELS = {  # per kind, the arguments of the StageDistribution classmethod of that name
+    "truncated_exponential": {"mean_snr": ("mean_snr", json_number), **_FLOOR},
+    "exponential": {"mean_snr": ("mean_snr", json_number)},
+    "pathloss_rayleigh": {**{key: (key, json_number) for key in (
+        "antenna_gain", "carrier_hz", "distance_m", "exponent")}, **_FLOOR},
+    "discrete": {"atoms": ("atoms", _atoms)},
+}
+_SWEEP_VALUES = {"distance_m": json_number, "updates_per_model": _updates, "M": json_integer}
+SWEEP_VARIABLES = tuple(_SWEEP_VALUES)
+
+
+def _read(obj, what: str, fields: dict, field: str, **defaults) -> dict:
+    """The constructor arguments that the table `fields` reads from the JSON
+    object `obj`; a key left out takes its value in `defaults`, if any."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {obj!r}", field=field)
+    args = {}
+    for key, (arg, read) in fields.items():
+        if key in obj:
+            args[arg] = _make(read, field, obj[key], key)
+        elif key in defaults:
+            args[arg] = defaults[key]
+        else:
+            raise ConfigError(f"{what} needs the key '{key}'", field=field)
+    return args
+
+
+def _make(build, field: str, *args, **kwargs):
+    """build(*args, **kwargs), whose ValueError is a ConfigError naming `field`, as is
+    an OverflowError: float ** and int-to-float raise one where float * gives inf."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {field}: {exc}", field=field) from exc
+
+
+def _law(spec, params: SystemParams) -> StageDistribution:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"a channel spec must be a JSON object, got {spec!r}", field="channel")
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _CHANNELS:
+        raise ConfigError(f"unknown channel kind {kind!r}", field="channel")
+    args = _read(spec, "a channel spec", _CHANNELS[kind], "channel",
+                 snr_floor_ratio=DEFAULT_FLOOR_RATIO)
+    if kind == "pathloss_rayleigh":
+        floor_ratio = args.pop("floor_ratio")
+        pathloss = _make(PathLossParams, "channel", **args)
+        return _make(StageDistribution.from_pathloss, "channel", pathloss, params, floor_ratio)
+    return _make(getattr(StageDistribution, kind), "channel", **args)
 
 
 @dataclass(frozen=True)
@@ -66,108 +153,78 @@ class ExperimentConfig:
         """Resolve the channel spec into per-stage laws for `count` stages."""
         shared = not isinstance(self.channel_raw, list)
         specs = [self.channel_raw] if shared else self.channel_raw
-        try:
-            if distance_override is not None:
-                if any(s.get("kind") != "pathloss_rayleigh" for s in specs):
-                    raise ConfigError(
-                        "a distance sweep needs a 'pathloss_rayleigh' channel for every stage",
-                        field="channel.kind")
-                specs = [dict(s, distance_m=distance_override) for s in specs]
-            dists = [distribution_from_config(s, self.params) for s in specs]
-            return per_stage(dists[0] if shared else dists, count)
-        except (KeyError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"invalid channel spec: {exc}", field="channel") from exc
+        if distance_override is not None:
+            if any(s.get("kind") != "pathloss_rayleigh" for s in specs):
+                raise ConfigError(
+                    "a distance sweep needs a 'pathloss_rayleigh' channel for every stage",
+                    field="channel.kind")
+            specs = [dict(s, distance_m=distance_override) for s in specs]
+        dists = [_law(s, self.params) for s in specs]
+        return _make(per_stage, "channel", dists[0] if shared else dists, count)
 
 
-def _resolve_network(obj, params: SystemParams):
+def _network(obj, params: SystemParams):
+    """The network, its label and its MLP spec, if it has one."""
     if isinstance(obj, str):
         if obj == "autoencoder":
             mlp = autoencoder_mlp_spec(params.downlink_rate_bps)
-            return build_mlp(mlp), "autoencoder", mlp
+            return _make(build_mlp, "network", mlp), "autoencoder", mlp
         if obj == "alexnet":
-            return build_alexnet_preset(params.downlink_rate_bps), "alexnet", None
+            return _make(build_alexnet_preset, "network", params.downlink_rate_bps), "alexnet", None
         raise ConfigError(f"unknown network preset {obj!r}", field="network")
+    if isinstance(obj, dict) and "mlp" in obj:
+        args = _read(obj["mlp"], "network.mlp", _MLP, "network",
+                     downlink_bps=params.downlink_rate_bps)
+        mlp = _make(MlpSpec, "network", **args)
+        if mlp.downlink_rate_bps != params.downlink_rate_bps:
+            raise ConfigError(
+                "network.mlp.downlink_bps disagrees with params.downlink_rate_bps",
+                field="network.mlp.downlink_bps")
+        return _make(build_mlp, "network", mlp), "mlp", mlp
     if isinstance(obj, dict):
-        if "mlp" in obj:
-            if not isinstance(obj["mlp"], dict):
-                raise ConfigError(f"network.mlp must be a JSON object, got {obj['mlp']!r}",
-                                  field="network")
-            shorthand = dict(obj["mlp"])
-            shorthand.setdefault("downlink_bps", params.downlink_rate_bps)
-            mlp = mlp_spec_from_json(shorthand)
-            if mlp.downlink_rate_bps != params.downlink_rate_bps:
-                raise ConfigError(
-                    "network.mlp.downlink_bps disagrees with params.downlink_rate_bps",
-                    field="network.mlp.downlink_bps")
-            return build_mlp(mlp), "mlp", mlp
-        return network_from_json(obj), "custom", None
+        return _make(NetworkSpec, "network", **_read(obj, "network", _NETWORK, "network")), "custom", None
     raise ConfigError("network must be a preset name or an object", field="network")
 
 
-def _integer(value, field: str) -> int:
-    """value as an int; a boolean, a fraction, NaN, inf or a non-number is a ConfigError."""
-    try:
-        return json_integer(value, field)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field=field) from exc
+def _sweep(sw, network: NetworkSpec, params: SystemParams) -> SweepSpec:
+    if not isinstance(sw, dict):
+        raise ConfigError(f"sweep must be a JSON object, got {sw!r}", field="sweep")
+    variable = sw.get("variable")
+    if variable not in SWEEP_VARIABLES:
+        raise ConfigError(f"sweep.variable must be one of {SWEEP_VARIABLES}", field="sweep.variable")
+    values = sw.get("values")
+    if not isinstance(values, list) or not values:
+        raise ConfigError("sweep.values must be a nonempty list", field="sweep.values")
+    values = tuple(_make(_SWEEP_VALUES[variable], "sweep.values", v, "sweep.values") for v in values)
+    if variable == "M" and any(not 0 <= v <= network.N for v in values):
+        raise ConfigError(f"sweep M values must lie in [0, {network.N}]", field="sweep.values")
+    if variable == "updates_per_model":
+        for v in values:  # SystemParams validates each value
+            _make(replace, "sweep.values", params, updates_per_model=v)
+    return SweepSpec(variable, values)
 
 
 def load_config(raw: dict) -> ExperimentConfig:
     """Parse and validate a config given as the dict of its JSON document.
 
     Each value of the wrong JSON type is a ConfigError naming its field, or a
-    parent of it, as is a config that is not a JSON object."""
+    parent of it, as is a config that is not a JSON object. So are cost tables
+    that overflow: each constant can be finite while their products are not."""
     if not isinstance(raw, dict):
         raise ConfigError(f"a config must be a JSON object, got {type(raw).__name__}")
     for key in ("network", "params", "channel"):
         if key not in raw:
             raise ConfigError(f"missing required field '{key}'", field=key)
-    try:
-        params = SystemParams.from_json_dict(raw["params"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid params: {exc}", field="params") from exc
-
-    try:
-        network, label, mlp = _resolve_network(raw["network"], params)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid network: {exc}", field="network") from exc
+    params = _make(SystemParams, "params", **_read(raw["params"], "params", _PARAMS, "params"))
+    network, label, mlp = _network(raw["network"], params)
 
     horizon = raw.get("horizon_M")
     if horizon is not None:
-        horizon = _integer(horizon, "horizon_M")
+        horizon = _make(json_integer, "horizon_M", horizon, "horizon_M")
         if not 0 <= horizon <= network.N:
             raise ConfigError(f"horizon_M must lie in [0, {network.N}]", field="horizon_M")
 
-    sweep = None
-    if "sweep" in raw:
-        sw = raw["sweep"]
-        if not isinstance(sw, dict):
-            raise ConfigError(f"sweep must be a JSON object, got {sw!r}", field="sweep")
-        variable = sw.get("variable")
-        if variable not in SWEEP_VARIABLES:
-            raise ConfigError(f"sweep.variable must be one of {SWEEP_VARIABLES}", field="sweep.variable")
-        values = sw.get("values")
-        if not isinstance(values, list) or not values:
-            raise ConfigError("sweep.values must be a nonempty list", field="sweep.values")
-        if variable == "M":
-            values = [_integer(v, "sweep.values") for v in values]
-            if any(not 0 <= v <= network.N for v in values):
-                raise ConfigError(f"sweep M values must lie in [0, {network.N}]", field="sweep.values")
-        try:
-            if variable == "updates_per_model":
-                values = [float("inf") if (isinstance(v, str) and v.lower() == "inf")
-                          else json_number(v, "sweep.values") for v in values]
-                for v in values:
-                    replace(params, updates_per_model=v)  # SystemParams validates each value
-            elif variable == "distance_m":
-                values = [json_number(v, "sweep.values") for v in values]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"invalid sweep.values: {exc}", field="sweep.values") from exc
-        sweep = SweepSpec(variable, tuple(values))
+    sweep = _sweep(raw["sweep"], network, params) if "sweep" in raw else None
 
     strategies = raw.get("strategies", ["optimal_exhaustive", "one_sla_exhaustive", "hybrid"])
     if not isinstance(strategies, list):
@@ -180,12 +237,12 @@ def load_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown strategy {s!r}; expected one of {STRATEGIES}",
                               field="strategies")
 
-    trials = _integer(raw.get("trials", DEFAULT_TRIALS), "trials")
+    trials = _make(json_integer, "trials", raw.get("trials", DEFAULT_TRIALS), "trials")
     if trials < 1:
         raise ConfigError("trials must be a positive integer", field="trials")
     seed = raw.get("seed", DEFAULT_SEED)
     if seed is not None:  # null plans; only simulate, which draws, rejects it
-        seed = _integer(seed, "seed")
+        seed = _make(json_integer, "seed", seed, "seed")
 
     cfg = ExperimentConfig(
         raw=raw, network=network, network_label=label, mlp=mlp, params=params,
@@ -202,4 +259,5 @@ def load_config(raw: dict) -> ExperimentConfig:
                 if exc.field != "channel":
                     raise
                 raise ConfigError(f"invalid sweep.values: {exc}", field="sweep.values") from exc
+    _make(cost_model, "params", network, params)  # no overflowing cost tables
     return cfg

@@ -17,7 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import json_number
 from .model_graph import NetworkSpec
 
 # R = B log2(1 + snr) is B log1p(snr) / LN2, as 1 + snr would round a small SNR
@@ -71,23 +70,6 @@ class SystemParams:
         }
         return d
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "SystemParams":
-        required = ("tx_power_w", "noise_w", "bandwidth_hz", "local_freq_hz",
-                    "edge_freq_hz", "kappa", "beta_t", "beta_e",
-                    "updates_per_model", "downlink_rate_bps")
-        if not isinstance(obj, dict):
-            raise ValueError(f"params must be a JSON object, got {obj!r}")
-        missing = [k for k in required if k not in obj]
-        if missing:
-            raise ValueError(f"params missing field(s): {', '.join(missing)}")
-        values = {k: obj[k] for k in required}
-        if isinstance(values["updates_per_model"], str):
-            if values["updates_per_model"].lower() != "inf":
-                raise ValueError("updates_per_model must be a number or 'inf'")
-            values["updates_per_model"] = math.inf
-        return cls(**{k: json_number(v, k) for k, v in values.items()})
-
 
 @dataclass(frozen=True)
 class CostBreakdown:
@@ -123,15 +105,21 @@ class CostModel:
         stages = np.arange(1, n_layers + 2)
         local_cycles = cum[stages - 1]
         edge_cycles = cum[n_layers] - cum[stages - 1]
-        self._omega = (
-            params.beta_t * (local_cycles / params.local_freq_hz + edge_cycles / params.edge_freq_hz)
-            + params.beta_e * params.kappa * params.local_freq_hz**2 * local_cycles
-        )
         payload = np.array([net.input_bits(int(n)) for n in stages], dtype=float)
         self._payload_bits = payload
-        self._weight = (params.beta_t + params.beta_e * params.tx_power_w) * payload
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._omega = (
+                params.beta_t * (local_cycles / params.local_freq_hz + edge_cycles / params.edge_freq_hz)
+                + params.beta_e * params.kappa * params.local_freq_hz**2 * local_cycles
+            )
+            self._weight = (params.beta_t + params.beta_e * params.tx_power_w) * payload
         downloads = np.array([l.download_seconds for l in net.layers], dtype=float)
         self._download_cum = np.concatenate(([0.0], np.cumsum(downloads)))
+        # each constant is finite, but their products can overflow (float ** raises
+        # OverflowError); NetworkSpec keeps the download prefix sums finite
+        for name, table in (("omega", self._omega), ("weight", self._weight)):
+            if not np.isfinite(table).all():
+                raise ValueError(f"the {name} cost table overflows: {table.tolist()!r}")
 
     def _check_stage(self, n: int):
         if not 1 <= n <= self.net.N + 1:

@@ -1,4 +1,4 @@
-"""Shared exception types, and the number check of the JSON readers."""
+"""Shared exception types, and the number checks of the config reader."""
 
 
 class ConfigError(ValueError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import json_integer, json_number
+from .errors import json_integer
 
 BITS_PER_BYTE = 8
 
@@ -82,6 +82,10 @@ class NetworkSpec:
             raise ValueError("exit_input_bits must be positive and finite, "
                              f"got {self.exit_input_bits!r}")
         object.__setattr__(self, "layers", tuple(self.layers))
+        # the cost model's prefix sums; a sum of finite values can overflow
+        for name in ("workload_cycles", "download_seconds"):
+            if not math.isfinite(sum(getattr(l, name) for l in self.layers)):
+                raise ValueError(f"the layers' total {name} must be finite")
 
     @property
     def N(self) -> int:
@@ -201,39 +205,3 @@ def build_alexnet_preset(downlink_rate_bps: float) -> NetworkSpec:
         for maccs, in_values, params in ALEXNET_TABLE
     )
     return NetworkSpec(layers, exit_input_bits=lam_bits * ALEXNET_EXIT_VALUES)
-
-
-def network_from_json(obj: dict) -> NetworkSpec:
-    """Load a network from its explicit layer list
-    {"layers": [{"workload_cycles":..,"input_bits":..,"download_seconds":..}],
-     "exit_input_bits":..}.
-
-    The {"mlp": {...}} shorthand of the config file is parsed by
-    `edgesplit.config`, which resolves its downlink rate against the params.
-    """
-    if "layers" not in obj or "exit_input_bits" not in obj:
-        raise ValueError("network JSON needs 'layers' and 'exit_input_bits'")
-    if not isinstance(obj["layers"], list) or not all(isinstance(l, dict) for l in obj["layers"]):
-        raise ValueError(f"layers must be a list of JSON objects, got {obj['layers']!r}")
-    layers = tuple(
-        LayerSpec(
-            workload_cycles=json_number(l["workload_cycles"], "workload_cycles"),
-            input_bits=json_number(l["input_bits"], "input_bits"),
-            download_seconds=json_number(l["download_seconds"], "download_seconds"),
-        )
-        for l in obj["layers"]
-    )
-    return NetworkSpec(layers, exit_input_bits=json_number(obj["exit_input_bits"], "exit_input_bits"))
-
-
-def mlp_spec_from_json(obj: dict) -> MlpSpec:
-    try:
-        return MlpSpec(
-            neurons=obj["neurons"],
-            bytes_per_activation=json_number(obj["lambda_bytes"], "lambda_bytes"),
-            bytes_per_parameter=json_number(obj["mu_bytes"], "mu_bytes"),
-            cycles_per_macc=json_number(obj["alpha"], "alpha"),
-            downlink_rate_bps=json_number(obj["downlink_bps"], "downlink_bps"),
-        )
-    except KeyError as exc:
-        raise ValueError(f"mlp shorthand missing key {exc.args[0]!r}") from exc

@@ -93,6 +93,10 @@ class PlacementReport:
 
 
 def _pick_best(rows) -> int:
+    """The M of the cheapest row; a row whose Z is not finite fails the plan."""
+    bad = [r.M for r in rows if not math.isfinite(r.Z)]
+    if bad:
+        raise NumericalError(f"Z is not finite at M = {bad}")
     return min(rows, key=lambda r: r.Z).M  # min keeps the first: ties go to the smaller M
 
 

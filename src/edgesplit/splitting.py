@@ -24,6 +24,7 @@ import numpy as np
 
 from .channel import StageDistribution, inv_rate_table, inv_rate_tails, per_stage
 from .cost_model import LN2, CostModel, SystemParams, cost_model
+from .errors import NumericalError
 from .model_graph import NetworkSpec
 
 RULE_KINDS = ("optimal", "one_sla")
@@ -74,23 +75,9 @@ class ThresholdPolicy:
             d["value_table"] = list(self.value_table)
         return d
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ThresholdPolicy":
-        vt = obj.get("value_table")
-        return cls(
-            rule_kind=obj["rule_kind"],
-            horizon_M=int(obj["horizon_M"]),
-            thresholds=tuple(_parse_float(t) for t in obj["thresholds"]),
-            value_table=tuple(vt) if vt is not None else None,
-        )
-
 
 def _json_float(x: float):
     return "inf" if math.isinf(x) else x
-
-
-def _parse_float(x) -> float:
-    return math.inf if x == "inf" else float(x)
 
 
 @dataclass(frozen=True)
@@ -132,22 +119,25 @@ def optimal_recursion(horizons, forced, net: NetworkSpec, params: SystemParams,
     thresholds = np.full((len(Ms), top), math.inf)
     values = np.zeros((len(Ms), top + 1))
     live = len(Ms)  # rows live[:] are the horizons M >= n
-    for n in range(top, -1, -1):
-        if live and Ms[live - 1] == n:
-            live -= 1
-            values[live, n] = forced[live]
-        if n == 0:
-            break
-        omega, weight = cm.omega(n), cm.weight(n)
-        ev = values[live:, n].tolist()
-        thresholds[live:, n - 1] = [_indifference_threshold(weight, bandwidth, e - omega) for e in ev]
-        values[live:, n - 1] = ev
-        stop = [h for h in range(live, len(Ms)) if thresholds[h, n - 1] < math.inf]
-        if stop:
-            ts = thresholds[stop, n - 1]
-            cont = ds[n - 1].prob_below(ts)
-            values[stop, n - 1] = (omega * (1.0 - cont) + weight * inv_rate_tails(ds[n - 1], ts, bandwidth)
-                                   + values[stop, n] * cont)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite value is raised below
+        for n in range(top, -1, -1):
+            if live and Ms[live - 1] == n:
+                live -= 1
+                values[live, n] = forced[live]
+            if n == 0:
+                break
+            omega, weight = cm.omega(n), cm.weight(n)
+            ev = values[live:, n].tolist()
+            thresholds[live:, n - 1] = [_indifference_threshold(weight, bandwidth, e - omega) for e in ev]
+            values[live:, n - 1] = ev
+            stop = [h for h in range(live, len(Ms)) if thresholds[h, n - 1] < math.inf]
+            if stop:
+                ts = thresholds[stop, n - 1]
+                cont = ds[n - 1].prob_below(ts)
+                values[stop, n - 1] = (omega * (1.0 - cont) + weight * inv_rate_tails(ds[n - 1], ts, bandwidth)
+                                       + values[stop, n] * cont)
+    if not np.isfinite(values).all():  # NaN values would also give NaN thresholds
+        raise NumericalError(f"the optimal recursion's values are not finite: {values.tolist()!r}")
     return thresholds, values
 
 

@@ -10,13 +10,13 @@ from edgesplit import (
     NumericalError,
     PathLossParams,
     StageDistribution,
-    distribution_from_config,
+    load_config,
     mean_snr_from_pathloss,
 )
 from edgesplit import channel
 from edgesplit.channel import inv_rate_expectation, inv_rate_table, inv_rate_tails, per_stage
 
-from conftest import MEAN_SNR_D50, channel_at, make_params, pathloss_at
+from conftest import MEAN_SNR_D50, channel_at, make_params, pathloss_at, reference_config_dict
 
 W = 2e6
 
@@ -520,18 +520,23 @@ def test_discretized_expectation_is_finite_sum(trunc):
 
 # -- config parsing -----------------------------------------------------------------
 
-def test_distribution_from_config_kinds(params):
-    t = distribution_from_config({"kind": "truncated_exponential", "mean_snr": 2.0,
-                                  "snr_floor_ratio": 0.01}, params)
+def _load_law(spec):
+    return load_config(reference_config_dict(channel=spec)).stage_dists(1)[0]
+
+
+def test_channel_config_kinds():
+    t = _load_law({"kind": "truncated_exponential", "mean_snr": 2.0, "snr_floor_ratio": 0.01})
     assert t.support_lo == pytest.approx(0.02)
-    p = distribution_from_config({"kind": "pathloss_rayleigh", "distance_m": 50,
-                                  "antenna_gain": 4.11, "carrier_hz": 915e6,
-                                  "exponent": 3, "snr_floor_ratio": 1e-3}, params)
+    p = _load_law({"kind": "pathloss_rayleigh", "distance_m": 50,
+                   "antenna_gain": 4.11, "carrier_hz": 915e6,
+                   "exponent": 3, "snr_floor_ratio": 1e-3})
     assert p.mean_snr == pytest.approx(MEAN_SNR_D50, rel=1e-12)
-    d = distribution_from_config({"kind": "discrete", "atoms": [[1.0, 1.0]]}, params)
+    e = _load_law({"kind": "exponential", "mean_snr": 2.0})
+    assert (e.kind, e.mean_snr, e.support_lo) == ("exponential", 2.0, 0.0)
+    d = _load_law({"kind": "discrete", "atoms": [[1.0, 1.0]]})
     assert d.kind == "discrete"
     with pytest.raises(ValueError):
-        distribution_from_config({"kind": "weibull"}, params)
+        _load_law({"kind": "weibull"})
 
 
 def test_per_stage_helpers(trunc):
@@ -539,3 +544,12 @@ def test_per_stage_helpers(trunc):
     assert per_stage([trunc] * 5, 3) == (trunc, trunc, trunc)
     with pytest.raises(ValueError):
         per_stage([trunc], 2)
+
+
+def test_a_floor_that_swallows_the_tail_cutoff_is_rejected():
+    # 27.6 means above the floor is one ulp of it at 2**58, less than half of one at 2**60
+    law = StageDistribution.truncated_exponential(MEAN_SNR_D50, floor_ratio=2.0**58)
+    assert law._upper_cutoff() > law.support_lo
+    for ratio in (2.0**60, 2.0**70):
+        with pytest.raises(ValueError, match="floor"):
+            StageDistribution.truncated_exponential(MEAN_SNR_D50, floor_ratio=ratio)

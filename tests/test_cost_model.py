@@ -1,12 +1,13 @@
 """Cost primitives: rates, omega, weighted stop cost, download amortization."""
 import math
+from dataclasses import replace
 
 import pytest
 
-from edgesplit import MlpSpec, SystemParams, build_mlp, uplink_rate
-from edgesplit.cost_model import cost_model
+from edgesplit import MlpSpec, SystemParams, build_mlp, load_config, uplink_rate
+from edgesplit.cost_model import CostModel, cost_model
 
-from conftest import DOWNLINK_BPS, make_params
+from conftest import DOWNLINK_BPS, make_params, reference_config_dict
 
 # frozen via scripts/golden_oracles.py
 OMEGA_1_AUTOENCODER = 0.00110912
@@ -156,15 +157,32 @@ def test_system_params_validation():
         SystemParams(0.0, 1e-10, 2e6, 1e8, 1e10, 1e-26, 0.5, 0.5, 50, 1e7)
 
 
+def _load_params(d):
+    return load_config(reference_config_dict(params=d)).params
+
+
 def test_system_params_json_roundtrip(params, params_inf_updates):
     for p in (params, params_inf_updates):
-        again = SystemParams.from_json_dict(p.to_json_dict())
+        again = _load_params(p.to_json_dict())
         assert again == p
-    assert SystemParams.from_json_dict(params_inf_updates.to_json_dict()).updates_per_model == math.inf
+    assert _load_params(params_inf_updates.to_json_dict()).updates_per_model == math.inf
 
 
 def test_system_params_json_missing_field(params):
     d = params.to_json_dict()
     del d["noise_w"]
     with pytest.raises(ValueError, match="noise_w"):
-        SystemParams.from_json_dict(d)
+        _load_params(d)
+
+
+@pytest.mark.parametrize("overrides,table", [
+    ({"kappa": 1e290}, "omega"),
+    ({"kappa": 1e308}, "omega"),
+    ({"beta_e": 1e308}, "weight"),
+    ({"beta_t": 1e305}, "weight"),
+])
+def test_an_overflowing_cost_table_is_rejected(autoencoder, overrides, table):
+    # every constant is finite on its own; their products are not
+    params = replace(make_params(), **overrides)
+    with pytest.raises(ValueError, match=table):
+        CostModel(autoencoder, params)

@@ -10,16 +10,15 @@ from edgesplit import (
     build_alexnet_preset,
     build_autoencoder_preset,
     build_mlp,
-    network_from_json,
+    load_config,
 )
 from edgesplit.model_graph import (
     ALEXNET_EXIT_VALUES,
     ALEXNET_TABLE,
     AUTOENCODER_NEURONS,
-    mlp_spec_from_json,
 )
 
-from conftest import DOWNLINK_BPS
+from conftest import DOWNLINK_BPS, reference_config_dict
 
 
 def test_unit_width_mlp_arithmetic():
@@ -160,25 +159,43 @@ def test_alexnet_total_parameter_bytes_order():
 
 # -- JSON loading ------------------------------------------------------------
 
+def _load_network(obj):
+    return load_config(reference_config_dict(network=obj)).network
+
+
 def test_network_json_roundtrip():
     net = build_autoencoder_preset(DOWNLINK_BPS)
-    again = network_from_json(json.loads(json.dumps(net.to_json_dict())))
+    again = _load_network(json.loads(json.dumps(net.to_json_dict())))
     assert again == net
 
 
 def test_network_json_mlp_shorthand():
     obj = {"neurons": [784, 128], "lambda_bytes": 8, "mu_bytes": 8,
-           "alpha": 100, "downlink_bps": 1e7}
-    net = build_mlp(mlp_spec_from_json(obj))
+           "alpha": 100, "downlink_bps": DOWNLINK_BPS}
+    net = _load_network({"mlp": obj})
     assert net.N == 1
     assert net.layers[0].input_bits == 8 * 8 * 784
+    del obj["downlink_bps"]  # the shorthand takes the params' downlink rate
+    assert _load_network({"mlp": obj}) == net
 
 
 def test_network_json_missing_keys():
     with pytest.raises(ValueError):
-        network_from_json({"layers": []})
+        _load_network({"layers": []})
     with pytest.raises(ValueError, match="layers"):
-        network_from_json({"mlp": {"neurons": [4, 4], "lambda_bytes": 8, "mu_bytes": 8,
-                                   "alpha": 100, "downlink_bps": 1e7}})
-    with pytest.raises(ValueError, match="downlink_bps"):
-        mlp_spec_from_json({"neurons": [4, 4], "lambda_bytes": 8, "mu_bytes": 8, "alpha": 100})
+        _load_network({"exit_input_bits": 64})
+    with pytest.raises(ValueError, match="alpha"):
+        _load_network({"mlp": {"neurons": [4, 4], "lambda_bytes": 8, "mu_bytes": 8}})
+    with pytest.raises(ValueError, match="download_seconds"):
+        _load_network({"layers": [{"workload_cycles": 1e6, "input_bits": 4096}],
+                       "exit_input_bits": 1024})
+
+
+@pytest.mark.parametrize("name", ["workload_cycles", "download_seconds"])
+def test_network_totals_must_be_finite(name):
+    # the cost model's prefix sums: three finite layers can sum to inf
+    big = LayerSpec(**{"workload_cycles": 1e6, "input_bits": 4096, "download_seconds": 0.01,
+                       name: 1e308})
+    assert NetworkSpec((big,) * 1, 1024).N == 1
+    with pytest.raises(ValueError, match=name):
+        NetworkSpec((big,) * 3, 1024)

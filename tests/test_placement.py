@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from edgesplit import (
     MlpSpec,
+    NumericalError,
+    PlacementRow,
     Problem,
     StageDistribution,
     ThresholdPolicy,
@@ -22,6 +24,7 @@ from edgesplit import (
 )
 
 from edgesplit.cost_model import cost_model
+from edgesplit.placement import _pick_best
 
 from conftest import DOWNLINK_BPS, channel_at, make_params
 
@@ -302,3 +305,12 @@ def test_report_serialization(autoencoder, params, dist_d50):
     assert len(csv_rows) == 9
     assert sum(row.endswith(",1") for row in csv_rows) == 1
     assert all(row.startswith("optimal_exhaustive,") for row in csv_rows)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_row_whose_z_is_not_finite_fails_the_plan(bad):
+    # min() would skip past a NaN row and pick among the others
+    rows = [PlacementRow(0, 2.0, 2.0, 0.0), PlacementRow(1, bad, bad, 0.0), PlacementRow(2, 1.0, 1.0, 0.0)]
+    with pytest.raises(NumericalError, match=r"M = \[1\]"):
+        _pick_best(rows)
+    assert _pick_best([rows[0], rows[2]]) == 2

@@ -14,10 +14,11 @@ from edgesplit import (
     forced_offload_policy,
     one_sla_optimality_probability,
     one_sla_thresholds,
+    optimal_recursion,
     stop_conditional_etc,
     stop_probabilities,
 )
-from edgesplit import MlpSpec, build_mlp
+from edgesplit import MlpSpec, NumericalError, build_mlp
 from edgesplit.cost_model import cost_model
 from edgesplit.channel import inv_rate_expectation
 
@@ -327,22 +328,6 @@ def test_policy_rejects_nan_and_minus_inf(thresholds, value_table, field):
     rule = "one_sla" if value_table is None else "optimal"
     with pytest.raises(ValueError, match=field):
         ThresholdPolicy(rule, 2, thresholds, value_table)
-    doc = {"rule_kind": rule, "horizon_M": 2,
-           "thresholds": ["inf" if t == math.inf else t for t in thresholds]}
-    if value_table is not None:
-        doc["value_table"] = list(value_table)
-    with pytest.raises(ValueError, match=field):
-        ThresholdPolicy.from_json_dict(doc)
-
-
-def test_policy_json_roundtrip(autoencoder, params, dist_d50):
-    pol = backward_induction(4, autoencoder, params, dist_d50)
-    again = ThresholdPolicy.from_json_dict(pol.to_json_dict())
-    assert again == pol
-    sentinel = ThresholdPolicy("one_sla", 2, (1.0, math.inf))
-    again = ThresholdPolicy.from_json_dict(sentinel.to_json_dict())
-    assert again == sentinel
-    assert math.isinf(again.thresholds[1])
 
 
 def test_caches_are_shared_across_calls(autoencoder, params, dist_d50):
@@ -352,3 +337,11 @@ def test_caches_are_shared_across_calls(autoencoder, params, dist_d50):
     t = 0.25
     assert inv_rate_expectation(dist_d50, t, params.bandwidth_hz) == pytest.approx(
         dist_d50.partial_expect(inv_rate_fn(params), t, math.inf), abs=1e-12)
+
+
+@pytest.mark.parametrize("forced", [math.inf, math.nan])
+def test_a_non_finite_value_in_the_recursion_is_a_numerical_error(forced, autoencoder, params,
+                                                                  dist_d50):
+    # an infinite forced stop cost makes stopping always win, and inf * 0 is NaN
+    with pytest.raises(NumericalError, match="not finite"):
+        optimal_recursion([2], [forced], autoencoder, params, dist_d50)

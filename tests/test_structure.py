@@ -1,8 +1,9 @@
 """Module boundaries: no edgesplit module imports another module's private
-names, only the CLI catches a NumericalError, and importing the package and
-its CLI pulls in no scipy."""
+names, only the CLI catches a NumericalError, only the config module reads
+the config format, and importing the package and its CLI pulls in no scipy."""
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,28 @@ def test_only_the_cli_catches_numerical_errors():
                      if isinstance(n, (ast.Name, ast.Attribute))} if node.type else catching
             if names & catching:
                 offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
+
+
+# the names that per-module readers of the config format went by
+_READER = re.compile(r"from_json_dict|\w+_from_json|\w+_from_config")
+
+
+def test_only_the_config_module_reads_the_config_format():
+    """config.py turns the config JSON into domain objects through one field
+    table per JSON object: no other module imports the JSON number check, and
+    no module defines a reader of its own next to it."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _READER.fullmatch(node.name):
+                offenders.append(f"{path.name}:{node.lineno} defines {node.name}")
+            if path.name == "config.py":
+                continue
+            if isinstance(node, ast.ImportFrom) and any(a.name == "json_number" for a in node.names):
+                offenders.append(f"{path.name}:{node.lineno} imports json_number")
+            if isinstance(node, ast.Attribute) and node.attr == "json_number":
+                offenders.append(f"{path.name}:{node.lineno} reads json_number")
     assert not offenders, offenders
 
 
