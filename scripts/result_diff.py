@@ -141,6 +141,16 @@ def matrix():
     for name, cfg in reproducers:
         for command in ("place", "thresholds"):
             cases.append((f"reproducer/{name}", command, cfg, []))
+    # mlp_closed_form on stage laws that differ: at a place request, and at the
+    # points of a distance sweep when the stages differ in more than distance
+    mlp6 = {"mlp": {"neurons": [64] * 6, "lambda_bytes": 8, "mu_bytes": 8, "alpha": 100}}
+    closed_form = DEFAULT_STRATEGIES + ["mlp_closed_form"]
+    cases.append(("reproducer/closed-form-two-laws", "place",
+                  config(mlp6, channel=[pathloss(50), pathloss(80)] * 3, strategies=closed_form), []))
+    cases.append(("reproducer/closed-form-two-exponents", "sweep",
+                  config(mlp6, channel=[pathloss(50), dict(pathloss(80), exponent=2)] * 3,
+                         strategies=closed_form, sweep={"variable": "distance_m", "values": [20, 80]}),
+                  []))
 
     malformed = [
         ("missing-params", with_value(base, ("params",), DELETE), []),
@@ -163,6 +173,7 @@ def matrix():
         ("no-strategies", config(strategies=[]), []),
         ("horizon-high", config(horizon_M=9), []),
         ("trials-fraction", config(trials=2.5), []),
+        ("trials-huge", config(trials=1e18), []),  # place only: simulate would never end
         ("sweep-values", config(sweep={"variable": "distance_m", "values": [10, -5]}), []),
         ("sweep-kind", config(channel=truncated, sweep={"variable": "distance_m", "values": [10]}), []),
     ]

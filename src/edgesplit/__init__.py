@@ -7,56 +7,41 @@ and at which layer to split inference online as channel SNRs are observed
 
 __version__ = "0.1.0"
 
-from .channel import (
-    PathLossParams,
-    StageDistribution,
-    mean_snr_from_pathloss,
-    per_stage,
-)
-from .config import ExperimentConfig, load_config
-from .cost_model import CostBreakdown, SystemParams, uplink_rate
+from .channel import PathLossParams, StageDistribution
+from .config import load_config
+from .cost_model import SystemParams
 from .errors import ConfigError, NumericalError
-from .model_graph import (
-    LayerSpec,
-    MlpSpec,
-    NetworkSpec,
-    build_alexnet_preset,
-    build_autoencoder_preset,
-    build_mlp,
-)
-from .placement import (
-    PlacementReport,
-    PlacementRow,
-    Problem,
-    hybrid,
-    mlp_closed_form,
-    optimize_exhaustive,
-    run_strategy,
-    theta_one_sla,
-)
-from .simulate import (
-    OracleResult,
-    SimResult,
-    coincidence_rate,
-    oracle_dp,
-    simulate,
-)
+from .model_graph import build_autoencoder_preset
+from .placement import Problem, hybrid, optimize_exhaustive, run_strategy
+from .simulate import coincidence_rate, oracle_dp, simulate
 from .splitting import (
-    SplitOutcome,
-    StageTable,
-    ThresholdPolicy,
     apply_rule,
     backward_induction,
     build_policy,
-    expected_etc,
     forced_offload_policy,
-    forced_stop_cost,
-    one_sla_optimality_probability,
     one_sla_thresholds,
-    optimal_recursion,
-    stage_table,
-    stop_conditional_etc,
-    stop_probabilities,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The README quick start, what perfbench/ calls, and the two exception types;
+# every other name is imported from the module that defines it.
+__all__ = [
+    "ConfigError",
+    "NumericalError",
+    "PathLossParams",
+    "Problem",
+    "StageDistribution",
+    "SystemParams",
+    "apply_rule",
+    "backward_induction",
+    "build_autoencoder_preset",
+    "build_policy",
+    "coincidence_rate",
+    "forced_offload_policy",
+    "hybrid",
+    "load_config",
+    "one_sla_thresholds",
+    "optimize_exhaustive",
+    "oracle_dp",
+    "run_strategy",
+    "simulate",
+]

@@ -1,4 +1,4 @@
-"""Per-stage SNR laws: sampling, CDF/PDF, and numerical expectation operators.
+"""Per-stage SNR laws: quantiles, CDF/PDF, and numerical expectation operators.
 
 The default law is a Rayleigh-fading SNR (exponential) truncated at a small
 floor gamma_min = mean * floor_ratio and renormalized. The floor models the
@@ -158,10 +158,10 @@ def mean_snr_from_pathloss(pl: PathLossParams, params: SystemParams) -> float:
 class StageDistribution:
     """SNR law of one decision stage.
 
-    kind is one of "exponential", "truncated_exponential", "discrete".
-    Exponential kinds live on [support_lo, support_hi] (renormalized);
-    discrete kinds carry (snr, probability) atoms with strictly increasing
-    SNRs. Instances are immutable and safe to share.
+    kind is "truncated_exponential" or "discrete". The exponential kind
+    lives on [support_lo, support_hi] (renormalized; support_lo = 0 is the
+    untruncated law); the discrete kind carries (snr, probability) atoms with
+    strictly increasing SNRs. Instances are immutable and safe to share.
     """
 
     kind: str
@@ -171,7 +171,7 @@ class StageDistribution:
     atoms: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.kind in ("exponential", "truncated_exponential"):
+        if self.kind == "truncated_exponential":
             if self.mean_snr is None or not 0 < self.mean_snr < math.inf:
                 raise ValueError(f"mean_snr must be positive and finite, got {self.mean_snr!r}")
             # written so that NaN bounds fail; support_hi may be +inf
@@ -209,10 +209,6 @@ class StageDistribution:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def exponential(cls, mean_snr: float) -> "StageDistribution":
-        return cls(kind="exponential", mean_snr=float(mean_snr))
 
     @classmethod
     def truncated_exponential(cls, mean_snr: float, floor_ratio: float = DEFAULT_FLOOR_RATIO,
@@ -270,7 +266,7 @@ class StageDistribution:
         return -math.expm1(-(self.support_hi - self.support_lo) / self.mean_snr)
 
     def pdf(self, x):
-        """Density for the exponential kinds; point mass for the discrete kind."""
+        """Density for the exponential kind; point mass for the discrete kind."""
         x = np.asarray(x, dtype=float)
         if self.kind == "discrete":
             snrs, probs = self._table
@@ -296,7 +292,7 @@ class StageDistribution:
     def prob_below(self, x):
         """P{SNR < x}: the probability that a rule stopping on SNR >= x goes on.
 
-        It equals the cdf on the exponential kinds and leaves out the atom at
+        It equals the cdf on the exponential kind and leaves out the atom at
         x on the discrete kind.
         """
         return self._discrete_below(x, "left") if self.kind == "discrete" else self.cdf(x)
@@ -331,10 +327,6 @@ class StageDistribution:
             np.minimum(out, self.support_hi, out=out)
         return float(out) if out.ndim == 0 else out
 
-    def sample(self, rng: np.random.Generator, size=None):
-        """Inverse-CDF draw; deterministic for a given generator state."""
-        return self.quantile(rng.random(size))
-
     # -- expectations --------------------------------------------------------
 
     def _upper_cutoff(self) -> float:
@@ -342,17 +334,13 @@ class StageDistribution:
             return self.support_hi
         return float(self.quantile(1.0 - TAIL_MASS))
 
-    def expect(self, g) -> float:
-        """E[g(snr)] by adaptive quadrature (exact finite sum when discrete)."""
-        return self.partial_expect(g, self.support_lo, self.support_hi)
-
     def partial_expect(self, g, lo: float, hi: float) -> float:
         """Integral of g against the law over [lo, hi].
 
         g is called on a numpy array of SNRs and must return an array of the
         same shape (a scalar constant is broadcast); the discrete kind calls
         it on each atom. Regions outside the support carry no mass and are
-        clipped away. The exponential kinds sum the panels `_gk_adaptive`
+        clipped away. The exponential kind sums the panels `_gk_adaptive`
         accepts over probability-bounded panels of the clipped interval, and
         raise its NumericalError when the rule does not converge.
         """
@@ -394,7 +382,7 @@ class StageDistribution:
 class TailTable:
     """Every tail E[g(SNR); SNR >= t] of one law, from one quadrature pass.
 
-    The exponential kinds keep the panels the adaptive rule accepts over
+    The exponential kind keeps the panels the adaptive rule accepts over
     [support_lo, cutoff], sorted, with suffix sums; a tail adds the integral
     over [t, the right edge of t's panel], held to the acceptance test that
     `partial_expect` applies over [t, cutoff]. The discrete kind keeps exact
@@ -412,7 +400,7 @@ class TailTable:
             order = np.argsort(x0)
             self.edges, terms = np.append(x0[order], self.cutoff), terms[order]
         self.suffix = np.append(np.cumsum(terms[::-1])[::-1], 0.0)
-        # the exponential kinds keep the level-by-level sum that `expect` returns
+        # the exponential kind keeps the level-by-level sum, as `partial_expect` does
         self.full = float(self.suffix[0]) if self.integrand is None else full
 
     def tails(self, thresholds) -> np.ndarray:
@@ -448,11 +436,6 @@ def inv_rate_table(dist: StageDistribution, bandwidth_hz: float) -> TailTable:
 def inv_rate_tails(dist: StageDistribution, thresholds, bandwidth_hz: float) -> np.ndarray:
     """E[1 / R(snr); snr >= t] for each threshold t, read off the law's table."""
     return inv_rate_table(dist, bandwidth_hz).tails(thresholds)
-
-
-def inv_rate_expectation(dist: StageDistribution, lo: float, bandwidth_hz: float) -> float:
-    """E[1 / R(snr); snr >= lo], one read of `inv_rate_tails`."""
-    return float(inv_rate_tails(dist, [lo], bandwidth_hz)[0])
 
 
 def per_stage(dists, count: int) -> tuple[StageDistribution, ...]:

@@ -119,20 +119,27 @@ def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _check_closed_form_applicable(cfg: ExperimentConfig):
-    if "mlp_closed_form" not in cfg.strategies:
-        return
-    if cfg.mlp is None:
+def _stage_laws(cfg: ExperimentConfig, distance: float | None):
+    """The N + 1 stage laws of the request (distance None), or of the
+    distance-sweep point at `distance`. With `mlp_closed_form` among the strategies, a network that is
+    not an equal-width MLP and laws that are not one shared law are config
+    errors: the closed form applies to neither."""
+    closed_form = "mlp_closed_form" in cfg.strategies
+    if closed_form and cfg.mlp is None:
         raise ConfigError("strategy mlp_closed_form needs an MLP network",
                           field="strategies")
-    if not cfg.mlp.is_equal_width:
+    if closed_form and not cfg.mlp.is_equal_width:
         raise ConfigError("strategy mlp_closed_form needs equal widths at every layer",
                           field="strategies")
+    dists = cfg.stage_dists(cfg.network.N + 1, distance_override=distance)
+    if closed_form and len(set(dists)) != 1:
+        raise ConfigError("strategy mlp_closed_form needs one channel law shared by every stage",
+                          field="strategies")
+    return dists
 
 
 def cmd_place(cfg: ExperimentConfig, out: Path) -> int:
-    _check_closed_form_applicable(cfg)
-    dists = cfg.stage_dists(cfg.network.N + 1)
+    dists = _stage_laws(cfg, None)
     problem = Problem(cfg.network, cfg.params, dists)
     reports = [run_strategy(s, cfg.network, cfg.params, dists, mlp=cfg.mlp, problem=problem)
                for s in cfg.strategies]
@@ -149,16 +156,15 @@ def cmd_place(cfg: ExperimentConfig, out: Path) -> int:
 def _sweep_point(cfg: ExperimentConfig, variable: str, value):
     """Params and distributions of one sweep point."""
     if variable == "distance_m":
-        return cfg.params, cfg.stage_dists(cfg.network.N + 1, distance_override=value)
+        return cfg.params, _stage_laws(cfg, value)
     if variable == "updates_per_model":
-        return replace(cfg.params, updates_per_model=value), cfg.stage_dists(cfg.network.N + 1)
+        return replace(cfg.params, updates_per_model=value), _stage_laws(cfg, None)
     raise ConfigError(f"unsupported sweep variable {variable!r}", field="sweep.variable")
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep command needs a 'sweep' section", field="sweep")
-    _check_closed_form_applicable(cfg)
     rows = []
     if cfg.sweep.variable == "M":
         bad = [s for s in cfg.strategies if s not in _RULE_OF_STRATEGY]

@@ -36,6 +36,7 @@ from .model_graph import (
 from .placement import STRATEGIES
 
 DEFAULT_TRIALS = 10_000
+MAX_TRIALS = 10**9  # simulate draws about 1e7 trials/s: some 100 s per rule
 DEFAULT_SEED = 1
 
 
@@ -75,7 +76,6 @@ _MLP = {
 _FLOOR = {"snr_floor_ratio": ("floor_ratio", json_number)}
 _CHANNELS = {  # per kind, the arguments of the StageDistribution classmethod of that name
     "truncated_exponential": {"mean_snr": ("mean_snr", json_number), **_FLOOR},
-    "exponential": {"mean_snr": ("mean_snr", json_number)},
     "pathloss_rayleigh": {**{key: (key, json_number) for key in (
         "antenna_gain", "carrier_hz", "distance_m", "exponent")}, **_FLOOR},
     "discrete": {"atoms": ("atoms", _atoms)},
@@ -238,8 +238,8 @@ def load_config(raw: dict) -> ExperimentConfig:
                               field="strategies")
 
     trials = _make(json_integer, "trials", raw.get("trials", DEFAULT_TRIALS), "trials")
-    if trials < 1:
-        raise ConfigError("trials must be a positive integer", field="trials")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ConfigError(f"trials must be a positive integer up to {MAX_TRIALS}", field="trials")
     seed = raw.get("seed", DEFAULT_SEED)
     if seed is not None:  # null plans; only simulate, which draws, rejects it
         seed = _make(json_integer, "seed", seed, "seed")

@@ -71,17 +71,6 @@ class SystemParams:
         return d
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
-    """Weighted cost of stopping at `stage` with the observed SNR."""
-
-    stage: int
-    etc: float
-    omega: float
-    uplink_seconds: float
-    uplink_joules: float
-
-
 def uplink_rate(gamma: float, params: SystemParams) -> float:
     """Uplink throughput in bits/s at the given SNR."""
     if gamma <= 0:
@@ -106,7 +95,6 @@ class CostModel:
         local_cycles = cum[stages - 1]
         edge_cycles = cum[n_layers] - cum[stages - 1]
         payload = np.array([net.input_bits(int(n)) for n in stages], dtype=float)
-        self._payload_bits = payload
         with np.errstate(over="ignore", invalid="ignore"):
             self._omega = (
                 params.beta_t * (local_cycles / params.local_freq_hz + edge_cycles / params.edge_freq_hz)
@@ -133,20 +121,6 @@ class CostModel:
         """(beta_t + beta_e * P) * I_n, the channel-cost multiplier at stage n."""
         self._check_stage(n)
         return float(self._weight[n - 1])
-
-    def etc(self, n: int, gamma: float) -> CostBreakdown:
-        self._check_stage(n)
-        rate = uplink_rate(gamma, self.params)
-        payload = float(self._payload_bits[n - 1])
-        tx_seconds = payload / rate
-        tx_joules = self.params.tx_power_w * tx_seconds
-        return CostBreakdown(
-            stage=n,
-            etc=float(self._omega[n - 1] + self._weight[n - 1] / rate),
-            omega=float(self._omega[n - 1]),
-            uplink_seconds=tx_seconds,
-            uplink_joules=tx_joules,
-        )
 
     def etc_values(self, stages: np.ndarray, gammas: np.ndarray) -> np.ndarray:
         """Vectorized eta over 1-based stage indices and matching SNRs."""

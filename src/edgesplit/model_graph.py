@@ -99,14 +99,6 @@ class NetworkSpec:
             return self.exit_input_bits
         return self.layers[n - 1].input_bits
 
-    def workload_cycles(self, i: int) -> float:
-        """Cycles of subtask i, 0 <= i <= N+1; the virtual endpoints cost 0."""
-        if not 0 <= i <= self.N + 1:
-            raise ValueError(f"subtask {i} out of range [0, {self.N + 1}]")
-        if i == 0 or i == self.N + 1:
-            return 0.0
-        return self.layers[i - 1].workload_cycles
-
     def to_json_dict(self) -> dict:
         return {
             "layers": [

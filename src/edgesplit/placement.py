@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .channel import StageDistribution, inv_rate_expectation, inv_rate_table, per_stage
+from .channel import StageDistribution, inv_rate_table, inv_rate_tails, per_stage
 from .cost_model import LN2, SystemParams, cost_model
 from .errors import NumericalError
 from .model_graph import MlpSpec, NetworkSpec, build_mlp
@@ -66,10 +66,6 @@ class PlacementReport:
             if r.M == M:
                 return r
         raise KeyError(f"M={M} was not evaluated")
-
-    @property
-    def best_Z(self) -> float:
-        return self.row(self.best_M).Z
 
     def to_json_dict(self) -> dict:
         return {
@@ -162,31 +158,6 @@ def optimize_exhaustive(problem: Problem, rule_kind: str = "optimal") -> Placeme
     return PlacementReport(f"{rule_kind}_exhaustive", best, rows, policy_at(best))
 
 
-def theta_one_sla(M: int, net: NetworkSpec, params: SystemParams, dists) -> float:
-    """Expected-cost decrement of the 1-sla rule when placement grows M-1 -> M.
-
-    Uses the product form: only histories that decline to stop at every stage
-    before M are affected by the extra layer, and for those the change swaps
-    a forced stop at M for one more look. Always negative (more layers can
-    only help the splitter) unless stage M is unreachable.
-    """
-    if not 1 <= M <= net.N:
-        raise ValueError(f"M must lie in [1, {net.N}]")
-    ds = per_stage(dists, M + 1)
-    cm = cost_model(net, params)
-    policy = one_sla_thresholds(M, net, params, ds)
-    table = stage_table(policy, ds)
-
-    reach = float(table.reach[M])
-    if reach <= 0.0:
-        return 0.0
-    forced = forced_stop_cost(cm, M + 1, ds[M])
-    # E[1/R; SNR < t]: the tail is closed at t because a tie stops
-    below = (inv_rate_table(ds[M - 1], params.bandwidth_hz).full
-             - inv_rate_expectation(ds[M - 1], policy.thresholds[M - 1], params.bandwidth_hz))
-    return reach * (forced - cm.omega(M) - cm.weight(M) * below / float(table.continue_prob[M - 1]))
-
-
 def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution) -> PlacementReport:
     """Closed-form placement for an equal-width MLP under the 1-sla rule.
 
@@ -197,8 +168,8 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
     read off a logarithm; both integer neighbors are evaluated and the
     cheaper one returned.
     """
-    if not mlp.is_equal_width:
-        raise ValueError("closed-form placement requires equal widths at every layer")
+    if mlp is None or not mlp.is_equal_width:
+        raise ValueError("closed-form placement requires an MLP with equal widths at every layer")
     if not isinstance(dist, StageDistribution):
         raise TypeError("closed-form placement uses a single shared StageDistribution")
     net = build_mlp(mlp)
@@ -224,7 +195,7 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
     g = g_raw = None
     if cont > 0.0:
         # E[1/R; SNR < delta]: the tail is closed at delta because a tie stops
-        below = einv - inv_rate_expectation(dist, delta, bandwidth)
+        below = einv - float(inv_rate_tails(dist, [delta], bandwidth)[0])
         # bracket of the decrement, computed both ways: directly, and simplified
         # through the threshold's indifference identity. They must agree; a gap
         # means the truncation floor broke the identity.
@@ -294,13 +265,8 @@ def run_strategy(strategy: str, net: NetworkSpec, params: SystemParams, dists,
                  mlp: MlpSpec | None = None, problem: Problem | None = None) -> PlacementReport:
     """Dispatch a strategy by name; one request's strategies share `problem`."""
     if strategy == "mlp_closed_form":
-        if mlp is None:
-            raise ValueError("mlp_closed_form needs an MLP network (equal widths)")
-        if isinstance(dists, (list, tuple)):
-            unique = set(dists)
-            if len(unique) != 1:
-                raise ValueError("mlp_closed_form needs one shared stage distribution")
-            dists = next(iter(unique))
+        if isinstance(dists, (list, tuple)) and len(set(dists)) == 1:
+            dists = dists[0]  # one law repeated per stage
         return mlp_closed_form(mlp, params, dists)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")

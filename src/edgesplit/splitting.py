@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import StageDistribution, inv_rate_table, inv_rate_tails, per_stage
-from .cost_model import LN2, CostModel, SystemParams, cost_model
+from .cost_model import LN2, CostModel, SystemParams, cost_model, uplink_rate
 from .errors import NumericalError
 from .model_graph import NetworkSpec
 
@@ -214,7 +214,8 @@ def apply_rule(policy: ThresholdPolicy, snr_seq, net: NetworkSpec, params: Syste
             break
     snr = float(seq[stage - 1])
     cm = cost_model(net, params)
-    return SplitOutcome(stage=stage, snr_at_stop=snr, realized_etc=cm.etc(stage, snr).etc)
+    cost = cm.omega(stage) + cm.weight(stage) / uplink_rate(snr, params)
+    return SplitOutcome(stage=stage, snr_at_stop=snr, realized_etc=cost)
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,29 +283,12 @@ def stop_probabilities(policy: ThresholdPolicy, dists) -> np.ndarray:
     return np.append(table.stop_prob, table.reach[-1])
 
 
-def _costed_table(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, dists):
-    """The policy's stage table and the cost of its forced stop at M+1."""
-    ds = per_stage(dists, policy.horizon_M + 1)
-    cm = cost_model(net, params)
-    table = stage_table(policy, ds, cm)
-    return table, forced_stop_cost(cm, policy.horizon_M + 1, ds[-1])
-
-
-def stop_conditional_etc(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, dists) -> np.ndarray:
-    """Expected cost given a stop at each stage 1..M+1.
-
-    At stages n <= M the SNR is conditioned on clearing the threshold; the
-    final stage is unconditional. Stages that are never reached with positive
-    probability report 0 (they carry zero weight in the total).
-    """
-    table, final = _costed_table(policy, net, params, dists)
-    return np.append(table.stop_cost, final)
-
-
 def expected_etc(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, dists) -> float:
     """Expected inference cost of a threshold policy (stop-probability mix)."""
-    table, final = _costed_table(policy, net, params, dists)
-    return table.expected_etc(policy.horizon_M, final)
+    M = policy.horizon_M
+    ds = per_stage(dists, M + 1)
+    cm = cost_model(net, params)
+    return stage_table(policy, ds, cm).expected_etc(M, forced_stop_cost(cm, M + 1, ds[M]))
 
 
 def one_sla_optimality_probability(M: int, net: NetworkSpec, params: SystemParams, dists) -> float:

@@ -7,16 +7,20 @@ fixed during sweeps: the downlink is a scalar input, not a modeled channel.
 """
 import math
 
+import numpy as np
 import pytest
 
 from edgesplit import (
     PathLossParams,
     StageDistribution,
     SystemParams,
-    build_alexnet_preset,
+    apply_rule,
     build_autoencoder_preset,
-    mean_snr_from_pathloss,
 )
+from edgesplit.channel import inv_rate_tails, mean_snr_from_pathloss, per_stage
+from edgesplit.cost_model import cost_model
+from edgesplit.model_graph import build_alexnet_preset
+from edgesplit.splitting import ThresholdPolicy, forced_stop_cost, stage_table
 
 # Property tests draw a fixed set of examples, derived from each test's source,
 # with no per-example deadline: the verdict does not depend on the run or on
@@ -67,6 +71,32 @@ def pathloss_at(distance_m):
 def channel_at(distance_m, params, floor_ratio=1e-3):
     mean = mean_snr_from_pathloss(pathloss_at(distance_m), params)
     return StageDistribution.truncated_exponential(mean, floor_ratio=floor_ratio)
+
+
+def expect(law, g):
+    """E[g(SNR)] over the whole support of `law`."""
+    return law.partial_expect(g, law.support_lo, law.support_hi)
+
+
+def inv_rate_tail(law, t, bandwidth_hz):
+    """E[1/R(SNR); SNR >= t], one read of the law's tail table."""
+    return float(inv_rate_tails(law, [t], bandwidth_hz)[0])
+
+
+def stop_cost(net, params, n, gamma):
+    """The cost of stopping at stage n on SNR gamma: `apply_rule` under the
+    policy that never stops before stage n."""
+    policy = ThresholdPolicy("one_sla", n - 1, (math.inf,) * (n - 1))
+    return apply_rule(policy, [gamma] * n, net, params).realized_etc
+
+
+def stop_conditional_etc(policy, net, params, dists):
+    """Expected cost given a stop at each stage 1..M+1: the stage table's stop
+    costs, then the forced stop at M+1."""
+    ds = per_stage(dists, policy.horizon_M + 1)
+    cm = cost_model(net, params)
+    return np.append(stage_table(policy, ds, cm).stop_cost,
+                     forced_stop_cost(cm, policy.horizon_M + 1, ds[-1]))
 
 
 @pytest.fixture(scope="session")

@@ -13,23 +13,20 @@ import numpy as np
 import pytest
 
 from edgesplit import (
-    MlpSpec,
     Problem,
     backward_induction,
-    build_mlp,
     coincidence_rate,
-    expected_etc,
     forced_offload_policy,
     hybrid,
-    mlp_closed_form,
-    one_sla_optimality_probability,
     one_sla_thresholds,
     optimize_exhaustive,
     oracle_dp,
     simulate,
-    stop_probabilities,
 )
 from edgesplit.cost_model import cost_model
+from edgesplit.model_graph import MlpSpec, build_mlp
+from edgesplit.placement import mlp_closed_form
+from edgesplit.splitting import expected_etc, one_sla_optimality_probability, stop_probabilities
 
 from conftest import DOWNLINK_BPS, channel_at, make_params
 
@@ -142,9 +139,10 @@ def test_criterion_4_dominance_grid(nets):
             for k in (10.0, 50.0, math.inf):
                 p = make_params(updates_per_model=k)
                 dist = channel_at(d, p)
-                z_opt = optimize_exhaustive(Problem(net, p, dist), "optimal").best_Z
-                z_hyb = hybrid(Problem(net, p, dist)).best_Z
-                z_sla = optimize_exhaustive(Problem(net, p, dist), "one_sla").best_Z
+                z_opt, z_hyb, z_sla = (rep.row(rep.best_M).Z for rep in (
+                    optimize_exhaustive(Problem(net, p, dist), "optimal"),
+                    hybrid(Problem(net, p, dist)),
+                    optimize_exhaustive(Problem(net, p, dist), "one_sla")))
                 ok = ok and z_opt <= z_hyb + 1e-9 and z_hyb <= z_sla + 1e-9
                 worst_gap = max(worst_gap, z_opt - z_hyb, z_hyb - z_sla)
     _verdict("criterion 4 (optimal <= hybrid <= 1-sla over the 18-config grid)",
@@ -181,8 +179,9 @@ def test_criterion_6_closed_form_vs_enumeration(dist_d50):
                 spec = MlpSpec((x,) * (n + 1), 8, 8, 100, DOWNLINK_BPS)
                 closed = mlp_closed_form(spec, p, dist_d50)
                 swept = optimize_exhaustive(Problem(build_mlp(spec), p, dist_d50), "one_sla")
+                z_closed, z_swept = closed.row(closed.best_M).Z, swept.row(swept.best_M).Z
                 agrees = (closed.best_M == swept.best_M
-                          or abs(closed.best_Z - swept.best_Z) <= 1e-6 * abs(swept.best_Z))
+                          or abs(z_closed - z_swept) <= 1e-6 * abs(z_swept))
                 ok = ok and agrees
                 checked += 1
     _verdict("criterion 6 (closed form matches enumeration)",

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgesplit import (
-    NumericalError,
-    PathLossParams,
-    StageDistribution,
-    load_config,
-    mean_snr_from_pathloss,
-)
+from edgesplit import ConfigError, NumericalError, PathLossParams, StageDistribution, load_config
 from edgesplit import channel
-from edgesplit.channel import inv_rate_expectation, inv_rate_table, inv_rate_tails, per_stage
+from edgesplit.channel import inv_rate_table, inv_rate_tails, mean_snr_from_pathloss, per_stage
 
-from conftest import MEAN_SNR_D50, channel_at, make_params, pathloss_at, reference_config_dict
+from conftest import (
+    MEAN_SNR_D50,
+    channel_at,
+    expect,
+    inv_rate_tail,
+    make_params,
+    pathloss_at,
+    reference_config_dict,
+)
 
 W = 2e6
 
@@ -60,7 +62,7 @@ def test_cdf_endpoints(trunc):
 
 
 def test_pdf_normalizes(trunc):
-    assert trunc.expect(lambda s: 1.0) == pytest.approx(1.0, abs=1e-9)
+    assert expect(trunc, lambda s: 1.0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_pdf_nonnegative_and_cdf_monotone(trunc):
@@ -71,13 +73,13 @@ def test_pdf_nonnegative_and_cdf_monotone(trunc):
 
 
 def test_expectation_of_identity_is_mean():
-    plain = StageDistribution.exponential(MEAN_SNR_D50)
-    assert plain.expect(lambda s: s) == pytest.approx(MEAN_SNR_D50, rel=1e-8)
+    plain = StageDistribution("truncated_exponential", mean_snr=MEAN_SNR_D50)
+    assert expect(plain, lambda s: s) == pytest.approx(MEAN_SNR_D50, rel=1e-8)
 
 
 def test_indicator_expectation_matches_survival(trunc):
     for t in (trunc.support_lo * 2, 0.3, 1.0):
-        got = trunc.expect(lambda s, t=t: 1.0 * (s > t))
+        got = expect(trunc, lambda s, t=t: 1.0 * (s > t))
         assert got == pytest.approx(1.0 - trunc.cdf(t), abs=1e-9)
 
 
@@ -85,16 +87,16 @@ def test_doubly_truncated_support():
     d = StageDistribution.truncated_exponential(1.0, floor=0.1, upper=2.0)
     assert d.cdf(0.1) == 0.0
     assert d.cdf(2.0) == 1.0
-    assert d.expect(lambda s: 1.0) == pytest.approx(1.0, abs=1e-10)
+    assert expect(d, lambda s: 1.0) == pytest.approx(1.0, abs=1e-10)
     assert d.quantile(1.0) == pytest.approx(2.0, rel=1e-12)
 
 
 # -- expectation operators -----------------------------------------------------
 
 def test_inv_rate_expectation_vs_monte_carlo(trunc):
-    analytic = trunc.expect(inv_rate)
+    analytic = expect(trunc, inv_rate)
     rng = np.random.default_rng(2024)
-    samples = trunc.sample(rng, size=10_000_000)
+    samples = trunc.quantile(rng.random(10_000_000))
     vals = inv_rate(samples)
     mc = vals.mean()
     se = vals.std(ddof=1) / math.sqrt(len(vals))
@@ -105,7 +107,7 @@ def test_partial_expect_additivity(trunc):
     split = 0.4
     left = trunc.partial_expect(inv_rate, trunc.support_lo, split)
     right = trunc.partial_expect(inv_rate, split, math.inf)
-    assert left + right == pytest.approx(trunc.expect(inv_rate), abs=1e-9)
+    assert left + right == pytest.approx(expect(trunc, inv_rate), abs=1e-9)
 
 
 def test_partial_expect_degenerate_and_ordering(trunc):
@@ -118,7 +120,7 @@ def test_partial_expect_matches_conditional_monte_carlo(trunc):
     t = 0.25
     analytic = trunc.partial_expect(inv_rate, t, math.inf)
     rng = np.random.default_rng(7)
-    samples = trunc.sample(rng, size=2_000_000)
+    samples = trunc.quantile(rng.random(2_000_000))
     kept = samples[samples > t]
     # E[g | s > t] * P{s > t}, estimated by rejection
     vals = inv_rate(kept)
@@ -150,7 +152,7 @@ MPMATH_INV_RATE_TAILS = [
 def test_inv_rate_expectation_matches_mpmath(params, distance, threshold, reference):
     dist = channel_at(distance, params)
     t = 3 * dist.support_lo if threshold == "3*floor" else float(threshold)
-    got = inv_rate_expectation(dist, t, params.bandwidth_hz)
+    got = inv_rate_tail(dist, t, params.bandwidth_hz)
     assert got == pytest.approx(reference, rel=1e-10)
 
 
@@ -170,7 +172,7 @@ MPMATH_SMALL_SNR_TAILS = [
 def test_inv_rate_expectation_at_small_mean_snr_matches_mpmath(mean, threshold, reference):
     dist = StageDistribution.truncated_exponential(mean)
     t = {"0": 0.0, "3*floor": 3 * dist.support_lo, "mean": mean}[threshold]
-    assert inv_rate_expectation(dist, t, W) == pytest.approx(reference, rel=1e-10)
+    assert inv_rate_tail(dist, t, W) == pytest.approx(reference, rel=1e-10)
 
 
 def test_gauss_kronrod_constants():
@@ -213,14 +215,14 @@ def test_table_reads_match_the_adaptive_rule_per_threshold(mean, ceiling, picks)
     law = StageDistribution.truncated_exponential(
         mean, upper=math.inf if ceiling is None else mean * ceiling)
     table = inv_rate_table(law, W)
-    assert table.full == law.expect(inv_rate)
+    assert table.full == expect(law, inv_rate)
     thresholds = [float(_threshold(table, law, *pick)) for pick in picks]
     got = inv_rate_tails(law, thresholds, W)
     for t, tail in zip(thresholds, got.tolist()):
         ref = law.partial_expect(inv_rate, t, math.inf)
         assert abs(tail - ref) <= 1e-10 * ref, (t, tail, ref)
         # a read does not depend on the other thresholds sharing its call
-        assert tail == inv_rate_expectation(law, t, W)
+        assert tail == inv_rate_tail(law, t, W)
 
 
 @given(snrs=st.lists(st.floats(0.01, 50.0), min_size=1, max_size=8, unique=True),
@@ -254,9 +256,9 @@ def test_adaptive_rule_keeps_each_owners_panels_apart():
 
 
 def test_untruncated_inv_rate_diverges():
-    plain = StageDistribution.exponential(MEAN_SNR_D50)
+    plain = StageDistribution("truncated_exponential", mean_snr=MEAN_SNR_D50)
     with pytest.raises(NumericalError) as err:
-        plain.expect(inv_rate)
+        expect(plain, inv_rate)
     assert err.value.estimate is not None
 
 
@@ -265,23 +267,23 @@ def test_untruncated_inv_rate_diverges():
     (lambda s: np.sin(1e9 * s), r"after \d levels"),   # the panel cap
 ], ids=["singular_at_zero", "rough_everywhere"])
 def test_quadrature_caps_raise_with_partial_estimate(g, stop):
-    plain = StageDistribution.exponential(1.0)
+    plain = StageDistribution("truncated_exponential", mean_snr=1.0)
     with pytest.raises(NumericalError, match=f"did not converge.*{stop}") as err:
-        plain.expect(g)
+        expect(plain, g)
     assert math.isfinite(err.value.estimate)
     assert err.value.error_bound > 0
 
 
 def test_truncation_floor_lowers_inv_rate_expectation():
-    a = StageDistribution.truncated_exponential(1.0, floor_ratio=1e-4).expect(inv_rate)
-    b = StageDistribution.truncated_exponential(1.0, floor_ratio=1e-2).expect(inv_rate)
+    a = expect(StageDistribution.truncated_exponential(1.0, floor_ratio=1e-4), inv_rate)
+    b = expect(StageDistribution.truncated_exponential(1.0, floor_ratio=1e-2), inv_rate)
     assert b < a
 
 
 # -- sampling -------------------------------------------------------------------
 
 def test_quantile_median_of_exponential():
-    d = StageDistribution.exponential(1.0)
+    d = StageDistribution("truncated_exponential", mean_snr=1.0)
     assert d.quantile(0.5) == pytest.approx(math.log(2), rel=1e-12)
 
 
@@ -312,7 +314,8 @@ def test_quantile_of_a_block_matches_its_columns(law):
         assert np.array_equal(block[:, j], law.quantile(np.ascontiguousarray(u[:, j])))
 
 
-@pytest.mark.parametrize("law", [*_LAWS.values(), StageDistribution.exponential(0.3),
+@pytest.mark.parametrize("law", [*_LAWS.values(),
+                                 StageDistribution("truncated_exponential", mean_snr=0.3),
                                  StageDistribution.truncated_exponential(4.0, floor=0.5, upper=0.6)],
                          ids=[*_LAWS.keys(), "exponential", "narrow_ceiling"])
 def test_quantile_stays_in_support(law):
@@ -357,7 +360,7 @@ def test_discrete_pdf_matches_atom_loop(law):
 
 def test_sampling_ks_statistic(trunc):
     rng = np.random.default_rng(99)
-    samples = np.sort(trunc.sample(rng, size=1_000_000))
+    samples = np.sort(trunc.quantile(rng.random(1_000_000)))
     n = len(samples)
     grid = (np.arange(n) + np.arange(1, n + 1)) / (2 * n)
     ks = np.max(np.abs(trunc.cdf(samples) - grid)) + 0.5 / n
@@ -365,14 +368,14 @@ def test_sampling_ks_statistic(trunc):
 
 
 def test_sampling_deterministic(trunc):
-    a = trunc.sample(np.random.default_rng(5), size=16)
-    b = trunc.sample(np.random.default_rng(5), size=16)
+    a = trunc.quantile(np.random.default_rng(5).random(16))
+    b = trunc.quantile(np.random.default_rng(5).random(16))
     assert np.array_equal(a, b)
 
 
 def test_consecutive_stage_samples_uncorrelated(trunc):
     rng = np.random.default_rng(11)
-    draws = np.column_stack([trunc.sample(rng, size=100_000) for _ in range(2)])
+    draws = np.column_stack([trunc.quantile(rng.random(100_000)) for _ in range(2)])
     r = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
     assert abs(r) < 0.01
 
@@ -380,7 +383,7 @@ def test_consecutive_stage_samples_uncorrelated(trunc):
 def test_single_atom_always_same():
     d = StageDistribution.discrete([(5.0, 1.0)])
     rng = np.random.default_rng(0)
-    assert np.all(d.sample(rng, size=8) == 5.0)
+    assert np.all(d.quantile(rng.random(8)) == 5.0)
 
 
 # -- discrete laws ---------------------------------------------------------------
@@ -417,7 +420,7 @@ def test_discrete_atom_arrays_are_the_atoms():
     with pytest.raises(ValueError):
         snrs[0] = 3.0  # read-only: the law stays immutable
     with pytest.raises(ValueError):
-        StageDistribution.exponential(1.0).atom_arrays
+        StageDistribution("truncated_exponential", mean_snr=1.0).atom_arrays
 
 
 def _dict_merge(atoms):
@@ -473,7 +476,7 @@ def test_discrete_law_invariant_under_reordering_and_splitting(counts, order):
 
 def test_discrete_expectation_is_exact_sum():
     d = StageDistribution.discrete([(1.0, 0.25), (2.0, 0.25), (4.0, 0.5)])
-    assert d.expect(lambda s: s) == 1.0 * 0.25 + 2.0 * 0.25 + 4.0 * 0.5
+    assert expect(d, lambda s: s) == 1.0 * 0.25 + 2.0 * 0.25 + 4.0 * 0.5
     assert d.partial_expect(lambda s: s, 2.0, 4.0) == 2.0 * 0.25 + 4.0 * 0.5
     assert d.cdf(2.0) == 0.5
     assert d.cdf(1.9999) == 0.25
@@ -502,10 +505,10 @@ def test_discretize_two_points(trunc):
 
 
 def test_discretize_mean_converges(trunc):
-    true_mean = trunc.expect(lambda s: s)
+    true_mean = expect(trunc, lambda s: s)
     errors = []
     for n in (64, 128, 256, 512):
-        approx = trunc.discretize(n).expect(lambda s: s)
+        approx = expect(trunc.discretize(n), lambda s: s)
         errors.append(abs(approx - true_mean))
     assert all(a > b for a, b in zip(errors, errors[1:]))
     # roughly halves per doubling
@@ -515,7 +518,7 @@ def test_discretize_mean_converges(trunc):
 def test_discretized_expectation_is_finite_sum(trunc):
     d = trunc.discretize(32)
     by_hand = sum(p * inv_rate(s) for s, p in d.atoms)
-    assert d.expect(inv_rate) == by_hand
+    assert expect(d, inv_rate) == by_hand
 
 
 # -- config parsing -----------------------------------------------------------------
@@ -531,8 +534,10 @@ def test_channel_config_kinds():
                    "antenna_gain": 4.11, "carrier_hz": 915e6,
                    "exponent": 3, "snr_floor_ratio": 1e-3})
     assert p.mean_snr == pytest.approx(MEAN_SNR_D50, rel=1e-12)
-    e = _load_law({"kind": "exponential", "mean_snr": 2.0})
-    assert (e.kind, e.mean_snr, e.support_lo) == ("exponential", 2.0, 0.0)
+    # the untruncated law is not a kind of its own: E[1/R] diverges on it
+    with pytest.raises(ConfigError, match="unknown channel kind") as err:
+        _load_law({"kind": "exponential", "mean_snr": 2.0})
+    assert err.value.field == "channel"
     d = _load_law({"kind": "discrete", "atoms": [[1.0, 1.0]]})
     assert d.kind == "discrete"
     with pytest.raises(ValueError):

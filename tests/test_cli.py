@@ -14,6 +14,7 @@ from edgesplit import ConfigError, NumericalError, load_config
 from edgesplit import cli
 from edgesplit.channel import inv_rate_table
 from edgesplit.cli import main
+from edgesplit.config import MAX_TRIALS
 from edgesplit.cost_model import cost_model
 
 from conftest import reference_config_dict
@@ -94,7 +95,7 @@ def test_load_config_per_stage_channel():
 
 
 def test_a_short_per_stage_channel_is_a_channel_error(tmp_path, capsys):
-    raw = reference_config_dict(channel=[{"kind": "exponential", "mean_snr": 0.6}] * 8)
+    raw = reference_config_dict(channel=[{"kind": "truncated_exponential", "mean_snr": 0.6}] * 8)
     assert main(["place", "--config", write_config(tmp_path, raw), "--out", str(tmp_path)]) == 2
     assert "(field: channel)" in capsys.readouterr().err
 
@@ -467,6 +468,34 @@ def test_cmd_place_closed_form_on_equal_mlp(tmp_path):
     assert best["mlp_closed_form"] == best["one_sla_exhaustive"]
 
 
+def test_closed_form_on_per_stage_laws_is_a_strategies_error(tmp_path, capsys):
+    pathloss = reference_config_dict()["channel"]
+    laws = [pathloss, dict(pathloss, distance_m=80)] * 3
+    raw = reference_config_dict(
+        network={"mlp": {"neurons": [64] * 6, "lambda_bytes": 8, "mu_bytes": 8, "alpha": 100}},
+        channel=laws, strategies=["one_sla_exhaustive", "mlp_closed_form"])
+    assert main(["place", "--config", write_config(tmp_path, raw), "--out", str(tmp_path / "place")]) == 2
+    assert "(field: strategies)" in capsys.readouterr().err
+    assert not (tmp_path / "place" / "placement.csv").exists()
+    # a distance sweep moves every stage to the swept distance: one law per point
+    sweep = {"variable": "distance_m", "values": [20, 80]}
+    argv = ["sweep", "--config", write_config(tmp_path, dict(raw, sweep=sweep), "sweep.json"),
+            "--out", str(tmp_path / "sweep")]
+    assert main(argv) == 0
+    # unless the stages differ in more than their distance
+    laws[1] = dict(laws[1], exponent=2)
+    argv[2] = write_config(tmp_path, dict(raw, channel=laws, sweep=sweep), "exponent.json")
+    assert main(argv) == 2
+    assert "(field: strategies)" in capsys.readouterr().err
+    # one law listed once per stage is one shared law
+    raw["channel"] = [pathloss] * 6
+    assert main(["place", "--config", write_config(tmp_path, raw, "shared.json"),
+                 "--out", str(tmp_path / "shared")]) == 0
+    _, _, rows = read_csv(tmp_path / "shared" / "placement.csv")
+    best = {r[0]: int(r[1]) for r in rows if r[5] == "1"}
+    assert best["mlp_closed_form"] == best["one_sla_exhaustive"]
+
+
 @pytest.mark.parametrize("distance", [0.5, 1.0, 2.5, 5.0])
 def test_cmd_place_closed_form_on_a_short_link(tmp_path, distance):
     # so short that the channel always clears the shared 1-sla threshold
@@ -662,6 +691,24 @@ def test_cmd_simulate_trials_zero_rejected(tmp_path):
     raw = reference_config_dict(trials=0)
     cfg = write_config(tmp_path, raw)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_trials_above_the_cap_are_a_trials_error(tmp_path, capsys):
+    # simulate draws about 1e7 trials a second: 1e18 would never end
+    assert load_config(reference_config_dict(trials=MAX_TRIALS)).trials == MAX_TRIALS
+    for trials in (MAX_TRIALS + 1, 1e18):
+        with pytest.raises(ConfigError) as err:
+            load_config(reference_config_dict(trials=trials))
+        assert err.value.field == "trials"
+    cfg = write_config(tmp_path, reference_config_dict(trials=1e18))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "config")]) == 2
+    assert "(field: trials)" in capsys.readouterr().err
+    assert not (tmp_path / "config" / "sim.csv").exists()
+    cfg = write_config(tmp_path, reference_config_dict(), "flag.json")
+    for command in ("simulate", "place"):
+        argv = [command, "--config", cfg, "--out", str(tmp_path / command), "--trials", str(MAX_TRIALS + 1)]
+        assert main(argv) == 2
+        assert "(field: trials)" in capsys.readouterr().err
 
 
 def test_cmd_simulate_seed_flag_changes_output(tmp_path):

@@ -29,6 +29,11 @@ NETWORKS = {
         network={"mlp": {"neurons": [64, 64, 64], "lambda_bytes": 8, "mu_bytes": 8, "alpha": 100}},
         channel={"kind": "truncated_exponential", "mean_snr": 0.6, "snr_floor_ratio": 1e-3},
         strategies=["optimal_exhaustive", "mlp_closed_form"], horizon_M=2),
+    # two laws across the stages: the closed form applies only where one law is shared
+    "mlp_per_stage": reference_config_dict(
+        network={"mlp": {"neurons": [64] * 6, "lambda_bytes": 8, "mu_bytes": 8, "alpha": 100}},
+        channel=[PATHLOSS, dict(PATHLOSS, distance_m=80)] * 3,
+        strategies=["optimal_exhaustive", "mlp_closed_form"], horizon_M=2),
     "layers": reference_config_dict(
         network={"layers": [LAYER, dict(LAYER, input_bits=2048)], "exit_input_bits": 1024},
         channel={"kind": "discrete", "atoms": [[0.5, 0.5], [2.0, 0.5]]},
@@ -129,6 +134,8 @@ def _checked_values(path: Path):
 @example(case=("example", ("params", "noise_w"), 10**400))
 @example(case=("mlp", ("network", "mlp", "neurons", 1), 10**400))
 @example(case=("per_stage", ("seed",), -1))
+@example(case=("mlp_per_stage", ("channel", 1, "distance_m"), 120))
+@example(case=("mlp_per_stage/distance_m", ("channel", 1, "exponent"), 2))
 def test_a_mutated_config_never_ends_in_a_traceback(tmp_path_factory, case):
     tmp_path = tmp_path_factory.mktemp("fuzz")
     config = tmp_path / "cfg.json"

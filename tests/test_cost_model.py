@@ -4,10 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from edgesplit import MlpSpec, SystemParams, build_mlp, load_config, uplink_rate
-from edgesplit.cost_model import CostModel, cost_model
+from edgesplit import SystemParams, apply_rule, load_config
+from edgesplit.cost_model import CostModel, cost_model, uplink_rate
+from edgesplit.model_graph import MlpSpec, build_mlp
+from edgesplit.splitting import ThresholdPolicy
 
-from conftest import DOWNLINK_BPS, make_params, reference_config_dict
+from conftest import DOWNLINK_BPS, make_params, reference_config_dict, stop_cost
 
 # frozen via scripts/golden_oracles.py
 OMEGA_1_AUTOENCODER = 0.00110912
@@ -63,21 +65,18 @@ def test_omega_rejects_out_of_range(autoencoder, params):
 
 
 def test_etc_golden_value(autoencoder, params):
-    got = cost_model(autoencoder, params).etc(1, 1.0)
-    assert got.etc == pytest.approx(ETA_1_AUTOENCODER_SNR1, rel=1e-12)
+    got = apply_rule(ThresholdPolicy("one_sla", 0, ()), [1.0], autoencoder, params)
+    assert got.realized_etc == pytest.approx(ETA_1_AUTOENCODER_SNR1, rel=1e-12)
     assert got.stage == 1
 
 
 def test_etc_reconstructs_weighted_sum(autoencoder, params):
     cm = cost_model(autoencoder, params)
     for n, gamma in [(1, 0.3), (4, 1.7), (9, 10.0)]:
-        b = cm.etc(n, gamma)
-        payload = autoencoder.input_bits(n)
-        rate = uplink_rate(gamma, params)
-        assert b.uplink_seconds == pytest.approx(payload / rate, rel=1e-14)
-        assert b.uplink_joules == pytest.approx(params.tx_power_w * payload / rate, rel=1e-14)
-        assert b.etc == pytest.approx(
-            b.omega + params.beta_t * b.uplink_seconds + params.beta_e * b.uplink_joules,
+        uplink_seconds = autoencoder.input_bits(n) / uplink_rate(gamma, params)
+        uplink_joules = params.tx_power_w * uplink_seconds
+        assert stop_cost(autoencoder, params, n, gamma) == pytest.approx(
+            cm.omega(n) + params.beta_t * uplink_seconds + params.beta_e * uplink_joules,
             rel=1e-12)
 
 
@@ -85,16 +84,18 @@ def test_etc_pure_time_and_pure_energy(autoencoder):
     time_only = make_params(beta_t=1.0, beta_e=0.0)
     energy_only = make_params(beta_t=0.0, beta_e=1.0)
     n, gamma = 3, 0.8
-    t = cost_model(autoencoder, time_only).etc(n, gamma)
-    assert t.etc == pytest.approx(t.omega + t.uplink_seconds, rel=1e-14)
-    e = cost_model(autoencoder, energy_only).etc(n, gamma)
-    assert e.etc == pytest.approx(e.omega + e.uplink_joules, rel=1e-14)
+    uplink_seconds = autoencoder.input_bits(n) / uplink_rate(gamma, time_only)
+    uplink_joules = energy_only.tx_power_w * uplink_seconds
+    t = stop_cost(autoencoder, time_only, n, gamma)
+    assert t == pytest.approx(cost_model(autoencoder, time_only).omega(n) + uplink_seconds, rel=1e-14)
+    e = stop_cost(autoencoder, energy_only, n, gamma)
+    assert e == pytest.approx(cost_model(autoencoder, energy_only).omega(n) + uplink_joules, rel=1e-14)
 
 
 def test_etc_decreasing_in_snr(autoencoder, params):
     gammas = [0.01, 0.1, 1.0, 10.0, 1e4, 1e12]
     cm = cost_model(autoencoder, params)
-    vals = [cm.etc(2, g).etc for g in gammas]
+    vals = [stop_cost(autoencoder, params, 2, g) for g in gammas]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     # approaches omega from above as the channel improves
     floor = cm.omega(2)
@@ -143,7 +144,7 @@ def test_etc_values_vectorized_matches_scalar(autoencoder, params):
     gammas = np.array([0.2, 1.1, 4.0, 0.9])
     vec = cm.etc_values(stages, gammas)
     for s, g, v in zip(stages, gammas, vec):
-        assert v == pytest.approx(cm.etc(int(s), float(g)).etc, rel=1e-14)
+        assert v == pytest.approx(stop_cost(autoencoder, params, int(s), float(g)), rel=1e-14)
 
 
 def test_system_params_validation():

@@ -3,22 +3,20 @@ import json
 
 import pytest
 
-from edgesplit import (
-    LayerSpec,
-    MlpSpec,
-    NetworkSpec,
-    build_alexnet_preset,
-    build_autoencoder_preset,
-    build_mlp,
-    load_config,
-)
+from edgesplit import build_autoencoder_preset, load_config
+from edgesplit.cost_model import cost_model
 from edgesplit.model_graph import (
     ALEXNET_EXIT_VALUES,
     ALEXNET_TABLE,
     AUTOENCODER_NEURONS,
+    LayerSpec,
+    MlpSpec,
+    NetworkSpec,
+    build_alexnet_preset,
+    build_mlp,
 )
 
-from conftest import DOWNLINK_BPS, reference_config_dict
+from conftest import DOWNLINK_BPS, make_params, reference_config_dict
 
 
 def test_unit_width_mlp_arithmetic():
@@ -58,9 +56,14 @@ def test_downlink_rate_scales_downloads_exactly():
 
 
 def test_virtual_subtasks_carry_no_workload():
+    # the entry and the exit are not layers: a split at stage 1 runs nothing
+    # on the device, and one at stage N+1 runs nothing on the edge server
     net = build_autoencoder_preset(DOWNLINK_BPS)
-    assert net.workload_cycles(0) == 0.0
-    assert net.workload_cycles(net.N + 1) == 0.0
+    energy_only = make_params(beta_t=0.0, beta_e=1.0)
+    assert cost_model(net, energy_only).omega(1) == 0.0
+    time_only = make_params(beta_t=1.0, beta_e=0.0)
+    cycles = sum(layer.workload_cycles for layer in net.layers)
+    assert cost_model(net, time_only).omega(net.N + 1) == cycles / time_only.local_freq_hz
 
 
 def test_input_bits_covers_exit_stage():

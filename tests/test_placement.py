@@ -6,27 +6,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgesplit import (
-    MlpSpec,
     NumericalError,
-    PlacementRow,
     Problem,
     StageDistribution,
-    ThresholdPolicy,
-    build_mlp,
-    expected_etc,
     forced_offload_policy,
     hybrid,
-    mlp_closed_form,
     one_sla_thresholds,
     optimize_exhaustive,
     run_strategy,
-    theta_one_sla,
 )
-
+from edgesplit.channel import inv_rate_tails, per_stage
 from edgesplit.cost_model import cost_model
-from edgesplit.placement import _pick_best
+from edgesplit.model_graph import MlpSpec, build_mlp
+from edgesplit.placement import PlacementRow, _pick_best, mlp_closed_form
+from edgesplit.splitting import ThresholdPolicy, expected_etc, forced_stop_cost, stage_table
 
 from conftest import DOWNLINK_BPS, channel_at, make_params
+
+
+def theta_one_sla(M, net, params, dists):
+    """The paper's Theta(M): the 1-sla expected-cost decrement as placement
+    grows M-1 -> M, in product form.
+
+    Only histories that decline to stop at every stage before M are affected
+    by the extra layer, and for those the change swaps a forced stop at M for
+    one more look. Negative unless stage M is unreachable.
+    """
+    ds = per_stage(dists, M + 1)
+    cm = cost_model(net, params)
+    policy = one_sla_thresholds(M, net, params, ds)
+    table = stage_table(policy, ds)
+    reach = float(table.reach[M])
+    if reach <= 0.0:
+        return 0.0
+    forced = forced_stop_cost(cm, M + 1, ds[M])
+    # E[1/R; SNR < t]: the tail is closed at t because a tie stops
+    full, tail = inv_rate_tails(ds[M - 1], [0.0, policy.thresholds[M - 1]], params.bandwidth_hz)
+    below = full - tail
+    return reach * (forced - cm.omega(M) - cm.weight(M) * below / float(table.continue_prob[M - 1]))
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +186,8 @@ def test_closed_form_agrees_with_enumeration(x, n, k, dist_d50):
     closed = mlp_closed_form(spec, params, dist_d50)
     swept = optimize_exhaustive(Problem(build_mlp(spec), params, dist_d50), "one_sla")
     same = closed.best_M == swept.best_M
-    tie = abs(closed.best_Z - swept.best_Z) <= 1e-6 * abs(swept.best_Z)
+    z_closed, z_swept = closed.row(closed.best_M).Z, swept.row(swept.best_M).Z
+    tie = abs(z_closed - z_swept) <= 1e-6 * abs(z_swept)
     assert same or tie
 
 
@@ -237,7 +255,7 @@ def test_closed_form_degenerate_floor_places_no_layers(equal_mlp_spec, equal_mlp
         assert (diag["g_simplified"], diag["g_raw"], diag["m_real"]) == (None, None, None)
         assert rep.best_M == 0 and [r.M for r in rep.rows] == [0]
         swept = optimize_exhaustive(Problem(equal_mlp, params, dist), "one_sla")
-        assert rep.best_Z == swept.best_Z
+        assert rep.row(rep.best_M).Z == swept.row(swept.best_M).Z
         assert swept.best_M == 0
 
 
@@ -253,21 +271,24 @@ def test_closed_form_equals_the_one_sla_sweep(width, n, lam, mu, alpha, k, dista
     dist = channel_at(distance, params)
     closed = mlp_closed_form(spec, params, dist)
     swept = optimize_exhaustive(Problem(build_mlp(spec), params, dist), "one_sla")
-    assert closed.best_Z == pytest.approx(swept.best_Z, rel=1e-12, abs=0.0)
+    z_swept = swept.row(swept.best_M).Z
+    assert closed.row(closed.best_M).Z == pytest.approx(z_swept, rel=1e-12, abs=0.0)
     if closed.best_M != swept.best_M:  # only where the sweep's rows tie
-        assert swept.row(closed.best_M).Z == pytest.approx(swept.best_Z, rel=1e-12, abs=0.0)
+        assert swept.row(closed.best_M).Z == pytest.approx(z_swept, rel=1e-12, abs=0.0)
 
 
 # -- hybrid -----------------------------------------------------------------------
 
 def test_hybrid_sandwiched_between_rules(autoencoder, alexnet, params, dist_d50):
     for net in (autoencoder, alexnet):
-        z_opt = optimize_exhaustive(Problem(net, params, dist_d50), "optimal").best_Z
+        rep_opt = optimize_exhaustive(Problem(net, params, dist_d50), "optimal")
+        z_opt = rep_opt.row(rep_opt.best_M).Z
         rep_sla = optimize_exhaustive(Problem(net, params, dist_d50), "one_sla")
         rep_h = hybrid(Problem(net, params, dist_d50))
+        z_h, z_sla = rep_h.row(rep_h.best_M).Z, rep_sla.row(rep_sla.best_M).Z
         assert rep_h.best_M == rep_sla.best_M
-        assert z_opt <= rep_h.best_Z + 1e-9
-        assert rep_h.best_Z <= rep_sla.best_Z + 1e-9
+        assert z_opt <= z_h + 1e-9
+        assert z_h <= z_sla + 1e-9
         assert rep_h.policy_at_best.rule_kind == "optimal"
 
 

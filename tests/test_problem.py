@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgesplit import (
-    MlpSpec,
     NumericalError,
     Problem,
     StageDistribution,
-    build_mlp,
     placement,
     run_strategy,
     splitting,
 )
+from edgesplit.model_graph import MlpSpec, build_mlp
 
 from conftest import DOWNLINK_BPS, channel_at, make_params
 from test_stage_table import _laws, _problems

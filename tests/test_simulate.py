@@ -11,12 +11,9 @@ from edgesplit import (
     backward_induction,
     build_policy,
     coincidence_rate,
-    expected_etc,
-    one_sla_optimality_probability,
     one_sla_thresholds,
     oracle_dp,
     simulate,
-    stop_probabilities,
 )
 from edgesplit.cost_model import cost_model
 from edgesplit.simulate import (
@@ -27,6 +24,9 @@ from edgesplit.simulate import (
     network_hash,
     sim_report_json,
 )
+from edgesplit.splitting import expected_etc, one_sla_optimality_probability, stop_probabilities
+
+from conftest import stop_cost
 
 
 # -- simulate ------------------------------------------------------------------
@@ -322,10 +322,9 @@ def test_coincidence_deterministic_channel(autoencoder, params):
 def test_oracle_single_atom_equals_enumeration(autoencoder, params):
     gamma0 = 0.7
     atom = StageDistribution.discrete([(gamma0, 1.0)])
-    cm = cost_model(autoencoder, params)
     for M in (1, 4, 8):
         res = oracle_dp(M, autoencoder, params, atom)
-        best = min(cm.etc(n, gamma0).etc for n in range(1, M + 2))
+        best = min(stop_cost(autoencoder, params, n, gamma0) for n in range(1, M + 2))
         assert res.expected_cost == pytest.approx(best, rel=1e-12)
 
 

@@ -5,24 +5,25 @@ import numpy as np
 import pytest
 
 from edgesplit import (
+    NumericalError,
     StageDistribution,
-    ThresholdPolicy,
     apply_rule,
     backward_induction,
     build_policy,
-    expected_etc,
     forced_offload_policy,
-    one_sla_optimality_probability,
     one_sla_thresholds,
+)
+from edgesplit.cost_model import cost_model
+from edgesplit.model_graph import MlpSpec, build_mlp
+from edgesplit.splitting import (
+    ThresholdPolicy,
+    expected_etc,
+    one_sla_optimality_probability,
     optimal_recursion,
-    stop_conditional_etc,
     stop_probabilities,
 )
-from edgesplit import MlpSpec, NumericalError, build_mlp
-from edgesplit.cost_model import cost_model
-from edgesplit.channel import inv_rate_expectation
 
-from conftest import DOWNLINK_BPS, make_params
+from conftest import DOWNLINK_BPS, expect, inv_rate_tail, make_params, stop_conditional_etc, stop_cost
 
 
 def inv_rate_fn(params):
@@ -38,7 +39,7 @@ def test_threshold_is_indifference_point(autoencoder, params, dist_d50):
             t = pol.thresholds[n - 1]
             if math.isinf(t):
                 continue
-            stop_now = cost_model(autoencoder, params).etc(n, t).etc
+            stop_now = stop_cost(autoencoder, params, n, t)
             continue_value = pol.value_table[n]
             assert stop_now == pytest.approx(continue_value, abs=1e-8)
 
@@ -49,7 +50,7 @@ def test_value_table_reconstructs_recursion(autoencoder, params, dist_d50):
     cm = cost_model(autoencoder, params)
     bandwidth = params.bandwidth_hz
     # last stage: unconditional stop cost
-    expected_last = cm.omega(M + 1) + cm.weight(M + 1) * dist_d50.expect(inv_rate_fn(params))
+    expected_last = cm.omega(M + 1) + cm.weight(M + 1) * expect(dist_d50, inv_rate_fn(params))
     assert pol.value_table[M] == pytest.approx(expected_last, rel=1e-10)
     for n in range(M, 0, -1):
         t = pol.thresholds[n - 1]
@@ -67,10 +68,10 @@ def test_backward_induction_matches_enumeration_on_deterministic_channel(autoenc
     for M in (1, 3, 8):
         pol = backward_induction(M, autoencoder, params, atom)
         outcome = apply_rule(pol, [gamma0] * (M + 1), autoencoder, params)
-        by_enumeration = min(range(1, M + 2), key=lambda n: cm.etc(n, gamma0).etc)
+        by_enumeration = min(range(1, M + 2), key=lambda n: stop_cost(autoencoder, params, n, gamma0))
         assert outcome.stage == by_enumeration
         assert expected_etc(pol, autoencoder, params, atom) == pytest.approx(
-            cm.etc(by_enumeration, gamma0).etc, rel=1e-12)
+            stop_cost(autoencoder, params, by_enumeration, gamma0), rel=1e-12)
 
 
 def test_backward_induction_bounds(autoencoder, params, dist_d50):
@@ -103,8 +104,8 @@ def test_one_sla_defining_inequality(autoencoder, params, dist_d50):
     cm = cost_model(autoencoder, params)
     for n in range(1, M + 1):
         t = pol.thresholds[n - 1]
-        stop_now = cm.etc(n, t).etc
-        next_expected = cm.omega(n + 1) + cm.weight(n + 1) * dist_d50.expect(inv_rate_fn(params))
+        stop_now = stop_cost(autoencoder, params, n, t)
+        next_expected = cm.omega(n + 1) + cm.weight(n + 1) * expect(dist_d50, inv_rate_fn(params))
         assert stop_now == pytest.approx(next_expected, rel=1e-10)
 
 
@@ -162,7 +163,7 @@ def test_apply_rule_m0_always_stage_one(autoencoder, params, dist_d50):
     pol = forced_offload_policy("optimal", autoencoder, params, dist_d50)
     out = apply_rule(pol, [0.9], autoencoder, params)
     assert out.stage == 1
-    assert out.realized_etc == cost_model(autoencoder, params).etc(1, 0.9).etc
+    assert out.realized_etc == cost_model(autoencoder, params).etc_values([1], [0.9])[0]
 
 
 def test_apply_rule_first_crossing_and_fallback(autoencoder, params):
@@ -182,7 +183,7 @@ def test_apply_rule_monotone_in_observations(autoencoder, params, dist_d50):
     pol = backward_induction(5, autoencoder, params, dist_d50)
     rng = np.random.default_rng(17)
     for _ in range(200):
-        seq = dist_d50.sample(rng, size=6)
+        seq = dist_d50.quantile(rng.random(6))
         stage = apply_rule(pol, seq, autoencoder, params).stage
         k = int(rng.integers(0, 6))
         bumped = seq.copy()
@@ -225,7 +226,7 @@ def test_expected_etc_m0_is_unconditional_mean(autoencoder, params, dist_d50):
     pol = forced_offload_policy("one_sla", autoencoder, params, dist_d50)
     got = expected_etc(pol, autoencoder, params, dist_d50)
     cm = cost_model(autoencoder, params)
-    want = cm.omega(1) + cm.weight(1) * dist_d50.expect(inv_rate_fn(params))
+    want = cm.omega(1) + cm.weight(1) * expect(dist_d50, inv_rate_fn(params))
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -331,11 +332,11 @@ def test_policy_rejects_nan_and_minus_inf(thresholds, value_table, field):
 
 
 def test_caches_are_shared_across_calls(autoencoder, params, dist_d50):
-    before = inv_rate_expectation(dist_d50, 0.0, params.bandwidth_hz)
-    again = inv_rate_expectation(dist_d50, 0.0, params.bandwidth_hz)
+    before = inv_rate_tail(dist_d50, 0.0, params.bandwidth_hz)
+    again = inv_rate_tail(dist_d50, 0.0, params.bandwidth_hz)
     assert before == again
     t = 0.25
-    assert inv_rate_expectation(dist_d50, t, params.bandwidth_hz) == pytest.approx(
+    assert inv_rate_tail(dist_d50, t, params.bandwidth_hz) == pytest.approx(
         dist_d50.partial_expect(inv_rate_fn(params), t, math.inf), abs=1e-12)
 
 

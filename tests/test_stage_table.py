@@ -10,29 +10,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from edgesplit import (
-    LayerSpec,
-    NetworkSpec,
     NumericalError,
     Problem,
     StageDistribution,
-    ThresholdPolicy,
     apply_rule,
     backward_induction,
     build_policy,
-    expected_etc,
     hybrid,
     one_sla_thresholds,
-    optimal_recursion,
     optimize_exhaustive,
-    stage_table,
-    stop_conditional_etc,
-    stop_probabilities,
 )
 from edgesplit import splitting
-from edgesplit.channel import inv_rate_expectation, per_stage
+from edgesplit.channel import per_stage
 from edgesplit.cost_model import cost_model
+from edgesplit.model_graph import LayerSpec, NetworkSpec
+from edgesplit.splitting import (
+    ThresholdPolicy,
+    expected_etc,
+    optimal_recursion,
+    stage_table,
+    stop_probabilities,
+)
 
-from conftest import channel_at, make_params
+from conftest import channel_at, expect, inv_rate_tail, make_params, stop_conditional_etc
 
 
 # -- the per-stage scalar loops the table replaced ------------------------------
@@ -66,9 +66,9 @@ def _loop_stop_conditional_etc(policy, net, params, dists):
         if survive <= 0.0:
             out[n - 1] = 0.0
         else:
-            tail = inv_rate_expectation(dist, t, bandwidth)
+            tail = inv_rate_tail(dist, t, bandwidth)
             out[n - 1] = cm.omega(n) + cm.weight(n) * tail / survive
-    einv = inv_rate_expectation(ds[M], 0.0, bandwidth)
+    einv = inv_rate_tail(ds[M], 0.0, bandwidth)
     out[M] = cm.omega(M + 1) + cm.weight(M + 1) * einv
     return out
 
@@ -217,7 +217,7 @@ def test_optimal_rule_costs_no_more_than_one_sla_or_never_stopping(problem):
         optimal = expected_etc(backward_induction(M, net, params, dists), net, params, dists)
         one_sla = expected_etc(one_sla_thresholds(M, net, params, dists), net, params, dists)
         never = expected_etc(ThresholdPolicy("one_sla", M, (math.inf,) * M), net, params, dists)
-        assert never == cm.omega(M + 1) + cm.weight(M + 1) * inv_rate_expectation(
+        assert never == cm.omega(M + 1) + cm.weight(M + 1) * inv_rate_tail(
             ds[M], 0.0, params.bandwidth_hz)
         assert optimal <= one_sla * (1.0 + 1e-12)
         assert optimal <= never * (1.0 + 1e-12)
@@ -231,7 +231,7 @@ def _reference_induction(M, net, params, dists):
     cm = cost_model(net, params)
     bandwidth = params.bandwidth_hz
     inv_rate = lambda s: 1.0 / (bandwidth * np.log1p(s) / math.log(2.0))  # noqa: E731
-    ev = cm.omega(M + 1) + cm.weight(M + 1) * ds[M].expect(inv_rate)
+    ev = cm.omega(M + 1) + cm.weight(M + 1) * expect(ds[M], inv_rate)
     thresholds, values = [], [ev]
     for n in range(M, 0, -1):
         t = _indifference(cm.weight(n), bandwidth, ev - cm.omega(n))

@@ -1,16 +1,20 @@
 """Module boundaries: no edgesplit module imports another module's private
 names, only the CLI catches a NumericalError, only the config module reads
-the config format, and importing the package and its CLI pulls in no scipy."""
+the config format, importing the package and its CLI pulls in no scipy, the
+package exports an explicit list of names, and the README quick start runs."""
 import ast
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import edgesplit
 from edgesplit.errors import NumericalError
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "edgesplit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "edgesplit"
 
 
 def _is_private(name: str) -> bool:
@@ -74,11 +78,48 @@ def test_only_the_config_module_reads_the_config_format():
     assert not offenders, offenders
 
 
-def test_import_is_scipy_free():
+def _src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_import_is_scipy_free():
     probe = ("import sys, edgesplit, edgesplit.cli; "
              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _quick_start() -> str:
+    """The python block under "Library quick start" in README.md."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_the_readme_quick_start_runs():
+    out = subprocess.run([sys.executable, "-c", _quick_start()], env=_src_env(), capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+
+
+def test_the_package_exports_an_explicit_list_of_used_names():
+    """`__all__` is a literal list, it is every public name of the package but
+    its submodules, and each name in it is used by the README quick start or
+    the benchmark, or is one of the two exception types."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    values = [node.value for node in tree.body if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+    assert len(values) == 1 and isinstance(values[0], ast.List)
+    assert all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in values[0].elts)
+
+    exported = edgesplit.__all__
+    public = {name for name, value in vars(edgesplit).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(set(exported)) == len(exported) and set(exported) == public
+
+    used = set(re.findall(r"\bes\.(\w+)", _quick_start()))
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        used |= set(re.findall(r"\b(?:es|edgesplit)\.(\w+)", path.read_text(encoding="utf-8")))
+    assert set(exported) - used <= {"ConfigError", "NumericalError"}
