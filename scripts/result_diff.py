@@ -12,7 +12,9 @@ of `python -m edgesplit.cli` calls on each:
   `thresholds` and `simulate` at fewer points;
 * every sweep axis (distance_m, updates_per_model, M) on each network;
 * per-stage channel lists that mix path-loss, discrete and truncated laws
-  (the config format has no SNR ceiling, so no capped law can be written);
+  (a truncated law has a floor and no SNR ceiling);
+* `thresholds` and `simulate` at horizon_M = 0, with a shared law and with a
+  one-law list;
 * the reproducers of known boundary defects and a set of malformed configs.
 
 It then lists the cases whose exit code or exit-2 field changed, the result
@@ -119,6 +121,11 @@ def matrix():
     cases.append(("per-stage-pathloss/sweep-distance", "sweep",
                   config(channel=[pathloss(d) for d in (10, 20, 40, 50, 80, 100, 150, 200, 300)],
                          strategies=RULES, sweep={"variable": "distance_m", "values": [10, 100]}), []))
+    # horizon 0 observes stage 1 only, so one law is enough
+    for name, channel in (("shared", pathloss(50)), ("one-law-list", [pathloss(50)])):
+        for command in ("thresholds", "simulate"):
+            cases.append((f"horizon-0/{name}", command,
+                          config(channel=channel, strategies=RULES, horizon_M=0), []))
     cases.append(("flags", "place", config(), ["--updates", "inf", "--strategy", "hybrid"]))
     cases.append(("flags", "place", config(), ["--updates", "10"]))
     cases.append(("flags", "simulate", config(strategies=RULES),
@@ -151,6 +158,10 @@ def matrix():
                   config(mlp6, channel=[pathloss(50), dict(pathloss(80), exponent=2)] * 3,
                          strategies=closed_form, sweep={"variable": "distance_m", "values": [20, 80]}),
                   []))
+    # MLP widths that are not a list: a string or an object iterates to other widths
+    for name, neurons in (("neurons-string", "6464"), ("neurons-object", {"64": 1, "32": 2})):
+        cases.append((f"reproducer/{name}", "place",
+                      config({"mlp": dict(mlp6["mlp"], neurons=neurons)}), []))
 
     malformed = [
         ("missing-params", with_value(base, ("params",), DELETE), []),

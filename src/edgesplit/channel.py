@@ -158,10 +158,11 @@ def mean_snr_from_pathloss(pl: PathLossParams, params: SystemParams) -> float:
 class StageDistribution:
     """SNR law of one decision stage.
 
-    kind is "truncated_exponential" or "discrete". The exponential kind
-    lives on [support_lo, support_hi] (renormalized; support_lo = 0 is the
-    untruncated law); the discrete kind carries (snr, probability) atoms with
-    strictly increasing SNRs. Instances are immutable and safe to share.
+    kind is "truncated_exponential" or "discrete". The exponential kind is
+    support_lo + Exp(mean_snr): the law above the floor support_lo, which has
+    no ceiling (support_lo = 0 is the untruncated law); the discrete kind
+    carries (snr, probability) atoms with strictly increasing SNRs, and its
+    support_hi is the top atom. Instances are immutable and safe to share.
     """
 
     kind: str
@@ -174,10 +175,11 @@ class StageDistribution:
         if self.kind == "truncated_exponential":
             if self.mean_snr is None or not 0 < self.mean_snr < math.inf:
                 raise ValueError(f"mean_snr must be positive and finite, got {self.mean_snr!r}")
-            # written so that NaN bounds fail; support_hi may be +inf
-            if not (math.isfinite(self.support_lo) and 0 <= self.support_lo < self.support_hi):
-                raise ValueError("need 0 <= support_lo < support_hi with a finite SNR floor "
-                                 f"support_lo, got [{self.support_lo!r}, {self.support_hi!r}]")
+            # written so that a NaN floor fails
+            if not (math.isfinite(self.support_lo) and self.support_lo >= 0
+                    and self.support_hi == math.inf):
+                raise ValueError("need a finite SNR floor support_lo >= 0 and no ceiling (support_hi "
+                                 f"= inf), got [{self.support_lo!r}, {self.support_hi!r}]")
             # the tail cutoff, 27.6 means above the floor, can round onto a floor
             # beyond 2**52 means and leave the quadrature an empty interval
             if self.support_lo > 2.0**52 * self.mean_snr and not self._upper_cutoff() > self.support_lo:
@@ -212,9 +214,8 @@ class StageDistribution:
 
     @classmethod
     def truncated_exponential(cls, mean_snr: float, floor_ratio: float = DEFAULT_FLOOR_RATIO,
-                              floor: float | None = None,
-                              upper: float = math.inf) -> "StageDistribution":
-        """Exponential law restricted to [floor, upper] and renormalized.
+                              floor: float | None = None) -> "StageDistribution":
+        """Exponential law restricted to [floor, inf) and renormalized.
 
         The floor defaults to mean_snr * floor_ratio.
         """
@@ -222,8 +223,7 @@ class StageDistribution:
         lo = float(floor) if floor is not None else mean_snr * floor_ratio
         if lo <= 0:
             raise ValueError("truncation floor must be positive")
-        return cls(kind="truncated_exponential", mean_snr=mean_snr,
-                   support_lo=lo, support_hi=float(upper))
+        return cls(kind="truncated_exponential", mean_snr=mean_snr, support_lo=lo)
 
     @classmethod
     def discrete(cls, atoms) -> "StageDistribution":
@@ -257,14 +257,6 @@ class StageDistribution:
             raise ValueError("only a discrete law has atoms")
         return tuple(self._table)
 
-    @property
-    def _mass_ratio(self) -> float:
-        # probability mass of [lo, hi] under the untruncated exponential,
-        # relative to the mass of [lo, inf)
-        if math.isinf(self.support_hi):
-            return 1.0
-        return -math.expm1(-(self.support_hi - self.support_lo) / self.mean_snr)
-
     def pdf(self, x):
         """Density for the exponential kind; point mass for the discrete kind."""
         x = np.asarray(x, dtype=float)
@@ -273,9 +265,8 @@ class StageDistribution:
             idx = np.minimum(np.searchsorted(snrs, x), len(snrs) - 1)
             out = np.where(snrs[idx] == x, probs[idx], 0.0)
             return float(out) if out.ndim == 0 else out
-        inside = (x >= self.support_lo) & (x <= self.support_hi)
-        vals = np.exp(-(x - self.support_lo) / self.mean_snr) / (self.mean_snr * self._mass_ratio)
-        out = np.where(inside, vals, 0.0)
+        vals = np.exp(-(x - self.support_lo) / self.mean_snr) / self.mean_snr
+        out = np.where(x >= self.support_lo, vals, 0.0)
         return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
@@ -284,9 +275,8 @@ class StageDistribution:
             return self._discrete_below(x, "right")
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):
-            raw = -np.expm1(-(x - self.support_lo) / self.mean_snr) / self._mass_ratio
-        # raw is +0 or more from the floor up, so only the top needs clipping
-        out = np.minimum(np.where(x < self.support_lo, 0.0, raw), 1.0)
+            raw = -np.expm1(-(x - self.support_lo) / self.mean_snr)
+        out = np.where(x < self.support_lo, 0.0, raw)
         return float(out) if out.ndim == 0 else out
 
     def prob_below(self, x):
@@ -304,11 +294,7 @@ class StageDistribution:
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, u):
-        """Inverse CDF, elementwise; an array argument gets a new array of its shape.
-
-        Values never leave [support_lo, support_hi]: u = 1 under a finite
-        ceiling would round one ulp above it.
-        """
+        """Inverse CDF, elementwise; an array argument gets a new array of its shape."""
         u = np.asarray(u, dtype=float)
         if not np.all((u >= 0) & (u <= 1)):  # also rejects NaN
             raise ValueError("quantile argument must lie in [0, 1]")
@@ -318,19 +304,17 @@ class StageDistribution:
             out = snrs[idx]
             return float(out) if out.ndim == 0 else out
         with np.errstate(divide="ignore"):
-            # lo - mean * log1p(-u * ratio), the same roundings in one buffer
-            out = np.multiply(u, -self._mass_ratio, out=np.empty_like(u))
+            # lo - mean * log1p(-u), the same roundings in one buffer
+            out = np.negative(u, out=np.empty_like(u))
             np.log1p(out, out=out)
         out *= self.mean_snr
         np.subtract(self.support_lo, out, out=out)
-        if self.support_hi < math.inf:
-            np.minimum(out, self.support_hi, out=out)
         return float(out) if out.ndim == 0 else out
 
     # -- expectations --------------------------------------------------------
 
     def _upper_cutoff(self) -> float:
-        if self.kind == "discrete" or not math.isinf(self.support_hi):
+        if self.kind == "discrete":
             return self.support_hi
         return float(self.quantile(1.0 - TAIL_MASS))
 
@@ -373,10 +357,7 @@ class StageDistribution:
     def to_json_dict(self) -> dict:
         if self.kind == "discrete":
             return {"kind": "discrete", "atoms": [[s, p] for s, p in self.atoms]}
-        d = {"kind": self.kind, "mean_snr": self.mean_snr, "snr_floor": self.support_lo}
-        if not math.isinf(self.support_hi):
-            d["snr_ceiling"] = self.support_hi
-        return d
+        return {"kind": self.kind, "mean_snr": self.mean_snr, "snr_floor": self.support_lo}
 
 
 class TailTable:

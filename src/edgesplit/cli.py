@@ -24,7 +24,7 @@ from . import __version__
 from .channel import QUAD_EPSABS, QUAD_EPSREL
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NumericalError
-from .placement import Problem, run_strategy
+from .placement import RULE_OF_STRATEGY, Problem, run_strategy
 from .simulate import RNG_ALGORITHM, sim_report_json, simulate
 from .splitting import (
     build_policy,
@@ -34,10 +34,6 @@ from .splitting import (
 )
 
 _FMT = "{:.12g}"
-
-# The placement strategies that apply one stopping rule at every M: the ones
-# `sweep` over M and `simulate` accept.
-_RULE_OF_STRATEGY = {"optimal_exhaustive": "optimal", "one_sla_exhaustive": "one_sla"}
 
 
 def _fmt(x) -> str:
@@ -106,7 +102,7 @@ def _horizon(cfg: ExperimentConfig) -> int:
 
 def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> int:
     M = _horizon(cfg)
-    dists = cfg.stage_dists(max(M, 1) + 1)
+    dists = cfg.stage_dists(M + 1)
     rows = []
     for rule in ("optimal", "one_sla"):
         policy = build_policy(rule, M, cfg.network, cfg.params, dists)
@@ -154,12 +150,10 @@ def cmd_place(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _sweep_point(cfg: ExperimentConfig, variable: str, value):
-    """Params and distributions of one sweep point."""
+    """Params and distributions of one point of a distance or updates sweep."""
     if variable == "distance_m":
         return cfg.params, _stage_laws(cfg, value)
-    if variable == "updates_per_model":
-        return replace(cfg.params, updates_per_model=value), _stage_laws(cfg, None)
-    raise ConfigError(f"unsupported sweep variable {variable!r}", field="sweep.variable")
+    return replace(cfg.params, updates_per_model=value), _stage_laws(cfg, None)
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
@@ -167,7 +161,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
         raise ConfigError("sweep command needs a 'sweep' section", field="sweep")
     rows = []
     if cfg.sweep.variable == "M":
-        bad = [s for s in cfg.strategies if s not in _RULE_OF_STRATEGY]
+        bad = [s for s in cfg.strategies if s not in RULE_OF_STRATEGY]
         if bad:
             raise ConfigError(
                 f"an M sweep evaluates stopping rules; unsupported strategies {bad}",
@@ -176,7 +170,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
         problem = Problem(cfg.network, cfg.params, dists)  # one for the whole M axis
         reports = [run_strategy(s, cfg.network, cfg.params, dists, problem=problem) for s in cfg.strategies]
         for M in cfg.sweep.values:
-            opt_prob = one_sla_optimality_probability(M, cfg.network, cfg.params, dists) if M >= 1 else 1.0
+            opt_prob = one_sla_optimality_probability(M, cfg.network, cfg.params, dists)
             for rep in reports:
                 row = rep.row(M)
                 rows.append(f"{_fmt(float(M))},{rep.strategy},{M},{_fmt(row.Z)},"
@@ -200,13 +194,13 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.seed is None or cfg.seed < 0:
         raise ConfigError(f"simulate needs a nonnegative integer seed, got {cfg.seed}", field="seed")
     M = _horizon(cfg)
-    dists = cfg.stage_dists(max(M, 1) + 1)
+    dists = cfg.stage_dists(M + 1)
     for strategy in cfg.strategies:
-        if strategy not in _RULE_OF_STRATEGY:
+        if strategy not in RULE_OF_STRATEGY:
             raise ConfigError(
                 f"simulate evaluates stopping rules; strategy {strategy!r} unsupported",
                 field="strategies")
-    rules = [_RULE_OF_STRATEGY[s] for s in cfg.strategies]
+    rules = [RULE_OF_STRATEGY[s] for s in cfg.strategies]
 
     entries = []
     csv_rows = []

@@ -51,6 +51,12 @@ def _layers(value, key: str) -> tuple[LayerSpec, ...]:
     return tuple(LayerSpec(**_read(layer, "a layer", _LAYER, "network")) for layer in value)
 
 
+def _widths(value, key: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list of integers, got {value!r}")
+    return tuple(json_integer(x, key) for x in value)
+
+
 def _atoms(value, key: str) -> list[tuple[float, float]]:
     if not isinstance(value, (list, tuple)) or not all(
             isinstance(a, (list, tuple)) and len(a) == 2 for a in value):
@@ -67,7 +73,7 @@ _PARAMS["updates_per_model"] = ("updates_per_model", _updates)
 _LAYER = {key: (key, json_number) for key in ("workload_cycles", "input_bits", "download_seconds")}
 _NETWORK = {"layers": ("layers", _layers), "exit_input_bits": ("exit_input_bits", json_number)}
 _MLP = {
-    "neurons": ("neurons", lambda value, key: value),  # MlpSpec reads the widths
+    "neurons": ("neurons", _widths),
     "lambda_bytes": ("bytes_per_activation", json_number),
     "mu_bytes": ("bytes_per_parameter", json_number),
     "alpha": ("cycles_per_macc", json_number),
@@ -134,7 +140,6 @@ class SweepSpec:
 class ExperimentConfig:
     raw: dict
     network: NetworkSpec
-    network_label: str
     mlp: MlpSpec | None
     params: SystemParams
     channel_raw: dict | list
@@ -164,13 +169,13 @@ class ExperimentConfig:
 
 
 def _network(obj, params: SystemParams):
-    """The network, its label and its MLP spec, if it has one."""
+    """The network and its MLP spec, if it has one."""
     if isinstance(obj, str):
         if obj == "autoencoder":
             mlp = autoencoder_mlp_spec(params.downlink_rate_bps)
-            return _make(build_mlp, "network", mlp), "autoencoder", mlp
+            return _make(build_mlp, "network", mlp), mlp
         if obj == "alexnet":
-            return _make(build_alexnet_preset, "network", params.downlink_rate_bps), "alexnet", None
+            return _make(build_alexnet_preset, "network", params.downlink_rate_bps), None
         raise ConfigError(f"unknown network preset {obj!r}", field="network")
     if isinstance(obj, dict) and "mlp" in obj:
         args = _read(obj["mlp"], "network.mlp", _MLP, "network",
@@ -180,9 +185,9 @@ def _network(obj, params: SystemParams):
             raise ConfigError(
                 "network.mlp.downlink_bps disagrees with params.downlink_rate_bps",
                 field="network.mlp.downlink_bps")
-        return _make(build_mlp, "network", mlp), "mlp", mlp
+        return _make(build_mlp, "network", mlp), mlp
     if isinstance(obj, dict):
-        return _make(NetworkSpec, "network", **_read(obj, "network", _NETWORK, "network")), "custom", None
+        return _make(NetworkSpec, "network", **_read(obj, "network", _NETWORK, "network")), None
     raise ConfigError("network must be a preset name or an object", field="network")
 
 
@@ -216,7 +221,7 @@ def load_config(raw: dict) -> ExperimentConfig:
         if key not in raw:
             raise ConfigError(f"missing required field '{key}'", field=key)
     params = _make(SystemParams, "params", **_read(raw["params"], "params", _PARAMS, "params"))
-    network, label, mlp = _network(raw["network"], params)
+    network, mlp = _network(raw["network"], params)
 
     horizon = raw.get("horizon_M")
     if horizon is not None:
@@ -245,7 +250,7 @@ def load_config(raw: dict) -> ExperimentConfig:
         seed = _make(json_integer, "seed", seed, "seed")
 
     cfg = ExperimentConfig(
-        raw=raw, network=network, network_label=label, mlp=mlp, params=params,
+        raw=raw, network=network, mlp=mlp, params=params,
         channel_raw=raw["channel"], horizon_M=horizon, sweep=sweep,
         strategies=strategies, trials=trials, seed=seed,
     )

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import json_integer
-
 BITS_PER_BYTE = 8
 
 # Autoencoder preset: input width, seven hidden widths, output width.
@@ -129,14 +127,11 @@ class MlpSpec:
     downlink_rate_bps: float
 
     def __post_init__(self):
-        try:  # a number does not iterate
-            object.__setattr__(self, "neurons", tuple(json_integer(x, "neurons") for x in self.neurons))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"neurons must be a list of finite integers: {exc}") from exc
+        object.__setattr__(self, "neurons", tuple(self.neurons))
         if len(self.neurons) < 2:
             raise ValueError("neurons must list the input width plus at least one layer")
-        if any(x < 1 for x in self.neurons):
-            raise ValueError("every layer width must be >= 1")
+        if not all(isinstance(x, int) and x >= 1 for x in self.neurons):
+            raise ValueError(f"every layer width must be an integer >= 1, got {self.neurons!r}")
         for name in ("bytes_per_activation", "bytes_per_parameter", "cycles_per_macc", "downlink_rate_bps"):
             value = getattr(self, name)
             if not 0 < value < math.inf:

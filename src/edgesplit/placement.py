@@ -35,7 +35,6 @@ from .splitting import (
     backward_induction,  # noqa: F401
     build_policy,
     expected_etc,
-    forced_offload_policy,
     forced_stop_cost,
     one_sla_thresholds,
     optimal_recursion,
@@ -43,6 +42,9 @@ from .splitting import (
 )
 
 STRATEGIES = ("optimal_exhaustive", "one_sla_exhaustive", "mlp_closed_form", "hybrid")
+# The strategies that apply one stopping rule at every M, and that rule: the
+# strategies that `sweep` over M and `simulate` accept.
+RULE_OF_STRATEGY = {"optimal_exhaustive": "optimal", "one_sla_exhaustive": "one_sla"}
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,8 @@ def optimize_exhaustive(problem: Problem, rule_kind: str = "optimal") -> Placeme
     else:
         raise ValueError("rule_kind must be 'optimal' or 'one_sla'")
     best = _pick_best(rows)
-    return PlacementReport(f"{rule_kind}_exhaustive", best, rows, policy_at(best))
+    strategy = next(s for s, rule in RULE_OF_STRATEGY.items() if rule == rule_kind)
+    return PlacementReport(strategy, best, rows, policy_at(best))
 
 
 def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution) -> PlacementReport:
@@ -212,7 +215,7 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
     )
 
     m_real = None
-    # cont = 0: the channel always clears delta, so every M >= 1 stops at
+    # cont = 0: the channel always clears delta, so every positive M stops at
     # stage 1 at the forced-offload cost and Z(M) = Z(0) + beta_t * psi(M)
     if cont <= 0.0:
         branch, candidates = "no_layers", [0]
@@ -229,8 +232,7 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
     rows = []
     policies = {}
     for M in candidates:
-        policy = (ThresholdPolicy("one_sla", M, (delta,) * M) if M > 0
-                  else forced_offload_policy("one_sla", net, params, dist))
+        policy = ThresholdPolicy("one_sla", M, (delta,) * M)
         ee = expected_etc(policy, net, params, dist)
         rows.append(PlacementRow(M, cm.total_cost(M, ee), ee, cm.placement_cost(M)))
         policies[M] = policy
@@ -273,4 +275,4 @@ def run_strategy(strategy: str, net: NetworkSpec, params: SystemParams, dists,
     problem = problem or Problem(net, params, dists)
     if strategy == "hybrid":
         return hybrid(problem)
-    return optimize_exhaustive(problem, "optimal" if strategy == "optimal_exhaustive" else "one_sla")
+    return optimize_exhaustive(problem, RULE_OF_STRATEGY[strategy])

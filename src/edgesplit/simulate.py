@@ -136,8 +136,6 @@ def coincidence_rate(M: int, net: NetworkSpec, params: SystemParams, dists,
                      trials: int, seed: int, chunk: int = _CHUNK_TRIALS) -> float:
     """Fraction of SNR sequences on which the 1-sla and optimal rules pick the
     same split stage."""
-    if M < 1:
-        raise ValueError("M must be at least 1")
     _check_run(trials, chunk)
     ds = per_stage(dists, M + 1)
     t_opt = backward_induction(M, net, params, ds).thresholds
@@ -154,8 +152,8 @@ def oracle_dp(M: int, net: NetworkSpec, params: SystemParams, discrete_dists) ->
     The recovered per-stage threshold is the smallest atom at which stopping
     wins (inf if none does).
     """
-    if not 1 <= M <= net.N:
-        raise ValueError(f"M must lie in [1, {net.N}]")
+    if not 0 <= M <= net.N:
+        raise ValueError(f"M must lie in [0, {net.N}]")
     ds = per_stage(discrete_dists, M + 1)
     if any(d.kind != "discrete" for d in ds):
         raise ValueError("the oracle needs discrete stage distributions")

@@ -142,9 +142,10 @@ def optimal_recursion(horizons, forced, net: NetworkSpec, params: SystemParams,
 
 
 def backward_induction(M: int, net: NetworkSpec, params: SystemParams, dists) -> ThresholdPolicy:
-    """Optimal stopping rule for horizon M+1: `optimal_recursion` for M alone."""
-    if not 1 <= M <= net.N:
-        raise ValueError(f"M must lie in [1, {net.N}]")
+    """Optimal stopping rule for horizon M+1: `optimal_recursion` for M alone.
+    M = 0 is the forced offload at stage 1."""
+    if not 0 <= M <= net.N:
+        raise ValueError(f"M must lie in [0, {net.N}]")
     ds = per_stage(dists, M + 1)
     forced = forced_stop_cost(cost_model(net, params), M + 1, ds[M])
     thresholds, values = optimal_recursion([M], [forced], net, params, ds)
@@ -159,8 +160,8 @@ def one_sla_thresholds(M: int, net: NetworkSpec, params: SystemParams, dists) ->
     depends only on layer n's workload, the two payloads I_n and I_{n+1},
     and the next stage's E[1/R]; in particular it is independent of M.
     """
-    if not 1 <= M <= net.N:
-        raise ValueError(f"M must lie in [1, {net.N}]")
+    if not 0 <= M <= net.N:
+        raise ValueError(f"M must lie in [0, {net.N}]")
     ds = per_stage(dists, M + 1)
     cm = cost_model(net, params)
     bandwidth = params.bandwidth_hz
@@ -180,22 +181,18 @@ def one_sla_thresholds(M: int, net: NetworkSpec, params: SystemParams, dists) ->
 
 def forced_offload_policy(rule_kind: str, net: NetworkSpec, params: SystemParams, dists) -> ThresholdPolicy:
     """M = 0 policy: no layers on device, offload at stage 1 unconditionally."""
-    value = forced_stop_cost(cost_model(net, params), 1, per_stage(dists, 1)[0])
-    table = (value,) if rule_kind == "optimal" else None
-    return ThresholdPolicy(rule_kind, 0, (), table)
+    return build_policy(rule_kind, 0, net, params, dists)
 
 
 def build_policy(rule_kind: str, M: int, net: NetworkSpec, params: SystemParams,
                  dists) -> ThresholdPolicy:
     """Threshold policy of rule "optimal" or "one_sla" with M layers on the device.
 
-    M = 0 is the forced offload at stage 1; otherwise the optimal rule comes
-    from backward induction and the 1-sla rule from its closed form.
+    The optimal rule comes from backward induction and the 1-sla rule from its
+    closed form; at M = 0 both are the forced offload at stage 1.
     """
     if rule_kind not in RULE_KINDS:
         raise ValueError(f"rule_kind must be one of {RULE_KINDS}")
-    if M == 0:
-        return forced_offload_policy(rule_kind, net, params, dists)
     if rule_kind == "optimal":
         return backward_induction(M, net, params, dists)
     return one_sla_thresholds(M, net, params, dists)
@@ -298,10 +295,6 @@ def one_sla_optimality_probability(M: int, net: NetworkSpec, params: SystemParam
     calling for stops at every later stage, summed over the stage at which
     the first stop happens (including no stop before the forced one).
     """
-    if M < 0:
-        raise ValueError("M must be nonnegative")
-    if M == 0:
-        return 1.0
     table = stage_table(one_sla_thresholds(M, net, params, dists), dists)
     # reach[n] = P{no stop before stage n+1}; suffix[n] = P{stages n+1..M all stop}
     suffix = np.concatenate((np.cumprod((1.0 - table.continue_prob)[::-1])[::-1], [1.0]))

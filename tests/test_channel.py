@@ -84,11 +84,12 @@ def test_indicator_expectation_matches_survival(trunc):
 
 
 def test_doubly_truncated_support():
-    d = StageDistribution.truncated_exponential(1.0, floor=0.1, upper=2.0)
-    assert d.cdf(0.1) == 0.0
-    assert d.cdf(2.0) == 1.0
-    assert expect(d, lambda s: 1.0) == pytest.approx(1.0, abs=1e-10)
-    assert d.quantile(1.0) == pytest.approx(2.0, rel=1e-12)
+    # the exponential kind has a floor and no ceiling: a finite support_hi is refused
+    for hi in (2.0, 0.1, 1e300):
+        with pytest.raises(ValueError, match="support_lo"):
+            StageDistribution("truncated_exponential", mean_snr=1.0, support_lo=0.1, support_hi=hi)
+    d = StageDistribution.truncated_exponential(1.0, floor=0.1)
+    assert d.support_hi == math.inf and "snr_ceiling" not in d.to_json_dict()
 
 
 # -- expectation operators -----------------------------------------------------
@@ -208,12 +209,11 @@ def _threshold(table, law, spot, k, u):
     }[spot]
 
 
-@given(mean=st.floats(0.05, 40.0), ceiling=st.one_of(st.none(), st.floats(0.5, 4.0)),
+@given(mean=st.floats(0.05, 40.0),
        picks=st.lists(st.tuples(st.sampled_from(_SPOTS), st.integers(0, 10**6),
                                 st.floats(0.0, 1.0)), min_size=1, max_size=12))
-def test_table_reads_match_the_adaptive_rule_per_threshold(mean, ceiling, picks):
-    law = StageDistribution.truncated_exponential(
-        mean, upper=math.inf if ceiling is None else mean * ceiling)
+def test_table_reads_match_the_adaptive_rule_per_threshold(mean, picks):
+    law = StageDistribution.truncated_exponential(mean)
     table = inv_rate_table(law, W)
     assert table.full == expect(law, inv_rate)
     thresholds = [float(_threshold(table, law, *pick)) for pick in picks]
@@ -289,7 +289,6 @@ def test_quantile_median_of_exponential():
 
 _LAWS = {
     "truncated": StageDistribution.truncated_exponential(MEAN_SNR_D50, floor_ratio=1e-3),
-    "ceiling": StageDistribution.truncated_exponential(1.0, floor=0.01, upper=3.0),
     "discrete": StageDistribution.discrete([(0.5, 0.25), (1.0, 0.5), (2.0, 0.25)]),
 }
 
@@ -315,21 +314,14 @@ def test_quantile_of_a_block_matches_its_columns(law):
 
 
 @pytest.mark.parametrize("law", [*_LAWS.values(),
-                                 StageDistribution("truncated_exponential", mean_snr=0.3),
-                                 StageDistribution.truncated_exponential(4.0, floor=0.5, upper=0.6)],
-                         ids=[*_LAWS.keys(), "exponential", "narrow_ceiling"])
+                                 StageDistribution("truncated_exponential", mean_snr=0.3)],
+                         ids=[*_LAWS.keys(), "exponential"])
 def test_quantile_stays_in_support(law):
     u = np.concatenate([np.random.default_rng(8).random(2000),
                         [0.0, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0]])
     for q in (law.quantile(u), np.array([law.quantile(float(v)) for v in u])):
         assert np.all((q >= law.support_lo) & (q <= law.support_hi))
     assert law.quantile(1.0) <= law.support_hi
-
-
-def test_quantile_one_is_the_finite_ceiling():
-    law = _LAWS["ceiling"]
-    assert law.quantile(1.0) == law.support_hi == 3.0
-    assert law.quantile(np.array([1.0])).tolist() == [3.0]
 
 
 def _pdf_by_atom_loop(law, x):

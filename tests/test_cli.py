@@ -44,7 +44,6 @@ def read_csv(path):
 def test_load_config_reference():
     cfg = load_config(reference_config_dict())
     assert cfg.network.N == 8
-    assert cfg.network_label == "autoencoder"
     assert cfg.mlp is not None  # the preset is an MLP; closed form is possible
     dists = cfg.stage_dists(9)
     assert len(dists) == 9 and len(set(dists)) == 1
@@ -275,6 +274,17 @@ def test_a_boolean_or_a_fractional_width_is_a_named_config_error(tmp_path, capsy
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("neurons", ["6464", {"64": 1, "32": 2}, 64], ids=["string", "object", "number"])
+def test_widths_that_are_not_a_list_are_a_network_error(tmp_path, capsys, neurons):
+    # a string or an object iterates too: "6464" would plan widths (6, 4, 6, 4)
+    raw = _with(_SHAPE_BASES["mlp"], ("network", "mlp", "neurons"), neurons)
+    with pytest.raises(ConfigError, match="neurons") as err:
+        load_config(raw)
+    assert err.value.field == "network"
+    assert main(["place", "--config", write_config(tmp_path, raw), "--out", str(tmp_path)]) == 2
+    assert "(field: network)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sweep", [{"variable": "distance_m", "values": [10, True]},
                                    {"variable": "updates_per_model", "values": [True]},
                                    {"variable": "M", "values": [True]}])
@@ -405,6 +415,24 @@ def test_cmd_thresholds_missing_field_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, raw)
     assert main(["thresholds", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "noise_w" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,results", [("thresholds", ["thresholds.csv"]),
+                                             ("simulate", ["sim.csv", "sim.json"])])
+def test_horizon_zero_reads_one_stage_law(tmp_path, command, results):
+    """At M = 0 only stage 1 is observed: a one-law list is enough, and a shared
+    law, a one-law list and a longer list write the same results."""
+    law = reference_config_dict()["channel"]
+    written = []
+    for name, channel in (("shared", law), ("one", [law]), ("two", [law, dict(law, distance_m=80)])):
+        raw = reference_config_dict(horizon_M=0, channel=channel,
+                                    strategies=["optimal_exhaustive", "one_sla_exhaustive"])
+        out = tmp_path / name
+        assert main([command, "--config", write_config(tmp_path, raw, f"{name}.json"),
+                     "--out", str(out)]) == 0
+        written.append([re.sub(r"(config_sha256\W+)[0-9a-f]{64}", r"\1", (out / r).read_text())
+                        for r in results])
+    assert written[0] == written[1] == written[2]
 
 
 # -- place command -----------------------------------------------------------------

@@ -136,6 +136,8 @@ def _checked_values(path: Path):
 @example(case=("per_stage", ("seed",), -1))
 @example(case=("mlp_per_stage", ("channel", 1, "distance_m"), 120))
 @example(case=("mlp_per_stage/distance_m", ("channel", 1, "exponent"), 2))
+@example(case=("mlp", ("network", "mlp", "neurons"), "6464"))
+@example(case=("mlp", ("network", "mlp", "neurons"), {"64": 1, "32": 2}))
 def test_a_mutated_config_never_ends_in_a_traceback(tmp_path_factory, case):
     tmp_path = tmp_path_factory.mktemp("fuzz")
     config = tmp_path / "cfg.json"

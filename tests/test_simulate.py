@@ -114,10 +114,8 @@ def _reference_quantile(d, u):
         cum = np.cumsum([p for _, p in d.atoms])
         snrs = np.array([s for s, _ in d.atoms])
         return snrs[np.minimum(np.searchsorted(cum, u, side="left"), len(snrs) - 1)]
-    ratio = (1.0 if math.isinf(d.support_hi)
-             else -math.expm1(-(d.support_hi - d.support_lo) / d.mean_snr))
     with np.errstate(divide="ignore"):
-        return d.support_lo - d.mean_snr * np.log1p(-u * ratio)
+        return d.support_lo - d.mean_snr * np.log1p(-u)
 
 
 def _reference_draws(ds, trials, seed, chunk):
@@ -161,10 +159,10 @@ def _reference_coincidence(M, net, params, ds, trials, seed, chunk):
 
 
 def _stage_list(mean):
-    """Nine different laws: truncated, capped and discrete stages."""
+    """Nine different laws: truncated stages, one with a high floor, and a discrete one."""
     laws = [StageDistribution.truncated_exponential(mean * (0.6 + 0.1 * k)) for k in range(9)]
     laws[1] = StageDistribution.discrete([(0.3 * mean, 0.25), (mean, 0.5), (3.0 * mean, 0.25)])
-    laws[3] = StageDistribution.truncated_exponential(mean, floor=0.01 * mean, upper=2.0 * mean)
+    laws[3] = StageDistribution.truncated_exponential(mean, floor=0.01 * mean)
     return laws
 
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from edgesplit import (
     NumericalError,
@@ -10,20 +11,25 @@ from edgesplit import (
     apply_rule,
     backward_induction,
     build_policy,
+    coincidence_rate,
     forced_offload_policy,
     one_sla_thresholds,
+    oracle_dp,
 )
+from edgesplit.channel import per_stage
 from edgesplit.cost_model import cost_model
 from edgesplit.model_graph import MlpSpec, build_mlp
 from edgesplit.splitting import (
     ThresholdPolicy,
     expected_etc,
+    forced_stop_cost,
     one_sla_optimality_probability,
     optimal_recursion,
     stop_probabilities,
 )
 
 from conftest import DOWNLINK_BPS, expect, inv_rate_tail, make_params, stop_conditional_etc, stop_cost
+from test_stage_table import _problems
 
 
 def inv_rate_fn(params):
@@ -75,10 +81,29 @@ def test_backward_induction_matches_enumeration_on_deterministic_channel(autoenc
 
 
 def test_backward_induction_bounds(autoencoder, params, dist_d50):
-    with pytest.raises(ValueError):
-        backward_induction(0, autoencoder, params, dist_d50)
-    with pytest.raises(ValueError):
-        backward_induction(9, autoencoder, params, dist_d50)
+    for M in (-1, autoencoder.N + 1):
+        with pytest.raises(ValueError):
+            backward_induction(M, autoencoder, params, dist_d50)
+    forced = forced_stop_cost(cost_model(autoencoder, params), 1, dist_d50)
+    assert backward_induction(0, autoencoder, params, dist_d50) == ThresholdPolicy("optimal", 0, (), (forced,))
+
+
+@given(problem=_problems())
+def test_horizon_zero_is_the_forced_offload(problem):
+    """At M = 0 both rules, the oracle and the two agreement measures take the
+    general path, and it gives the offload at stage 1 whatever the laws."""
+    net, params, dists = problem
+    cm = cost_model(net, params)
+    law = per_stage(dists, 1)[0]
+    forced = forced_stop_cost(cm, 1, law)
+    assert build_policy("optimal", 0, net, params, dists) == ThresholdPolicy("optimal", 0, (), (forced,))
+    assert build_policy("one_sla", 0, net, params, dists) == ThresholdPolicy("one_sla", 0, ())
+    atoms = law if law.kind == "discrete" else law.discretize(64)
+    oracle = oracle_dp(0, net, params, atoms)
+    assert oracle.thresholds == ()
+    assert oracle.expected_cost == pytest.approx(forced_stop_cost(cm, 1, atoms), rel=1e-12)
+    assert coincidence_rate(0, net, params, dists, 100, seed=1) == 1.0
+    assert one_sla_optimality_probability(0, net, params, dists) == 1.0
 
 
 def test_never_stop_sentinel():

@@ -84,12 +84,10 @@ _MEANS = st.floats(0.05, 40.0)
 
 @st.composite
 def _laws(draw):
-    kind = draw(st.sampled_from(["truncated", "ceiling", "discrete"]))
+    kind = draw(st.sampled_from(["truncated", "discrete"]))
     mean = draw(_MEANS)
     if kind == "truncated":
         return StageDistribution.truncated_exponential(mean)
-    if kind == "ceiling":
-        return StageDistribution.truncated_exponential(mean, upper=mean * draw(st.floats(0.5, 4.0)))
     snrs = sorted(set(draw(st.lists(st.floats(0.01, 50.0), min_size=1, max_size=6))))
     weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(snrs), max_size=len(snrs)))
     total = sum(weights)

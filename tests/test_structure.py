@@ -62,8 +62,9 @@ _READER = re.compile(r"from_json_dict|\w+_from_json|\w+_from_config")
 
 def test_only_the_config_module_reads_the_config_format():
     """config.py turns the config JSON into domain objects through one field
-    table per JSON object: no other module imports the JSON number check, and
-    no module defines a reader of its own next to it."""
+    table per JSON object: no other module imports the JSON number and integer
+    checks, and no module defines a reader of its own next to it."""
+    checks = {"json_number", "json_integer"}
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -71,10 +72,11 @@ def test_only_the_config_module_reads_the_config_format():
                 offenders.append(f"{path.name}:{node.lineno} defines {node.name}")
             if path.name == "config.py":
                 continue
-            if isinstance(node, ast.ImportFrom) and any(a.name == "json_number" for a in node.names):
-                offenders.append(f"{path.name}:{node.lineno} imports json_number")
-            if isinstance(node, ast.Attribute) and node.attr == "json_number":
-                offenders.append(f"{path.name}:{node.lineno} reads json_number")
+            if isinstance(node, ast.ImportFrom):
+                offenders += [f"{path.name}:{node.lineno} imports {a.name}" for a in node.names
+                              if a.name in checks]
+            if isinstance(node, ast.Attribute) and node.attr in checks:
+                offenders.append(f"{path.name}:{node.lineno} reads {node.attr}")
     assert not offenders, offenders
 
 
