@@ -54,7 +54,8 @@ def omega(n, layers):
 
 
 FLOOR_RATIO = mp.mpf("1e-3")   # SNR floor of the truncated law, relative to its mean
-MIN_TAIL_MASS = mp.mpf("1e-3")  # pairs with less mass above t are not frozen
+MIN_TAIL_MASS = mp.mpf("1e-14")  # pairs with less mass above t are not frozen
+DEEP_TAIL_MEANS = (5, 10, 20, 30, 32)  # thresholds this many means above the floor
 
 
 def inv_rate_tail(distance, t):
@@ -66,22 +67,26 @@ def inv_rate_tail_at_mean(mean, t):
     """E[1/R; gamma >= t] under the exponential SNR law truncated at its floor.
 
     Returns (value, tail mass). The density is exp(-(s - floor)/mean)/mean
-    on [floor, inf); the integral is split at multiples of the mean, where the
-    exponential decays, and checked at a second working precision.
+    on [floor, inf). With s = lo + mean * v, lo = max(t, floor), the value is
+    the tail mass exp(-(lo - floor)/mean) times the integral of
+    exp(-v) / R(lo + mean * v) over v >= 0, so a deep tail keeps its own
+    relative precision. That integral is split at multiples of the mean,
+    where the exponential decays, and checked at a second working precision.
     """
     floor = mean * FLOOR_RATIO
     lo = max(t, floor)
 
-    def integrand(s):
-        return mp.exp(-(s - floor) / mean) / (mean * W * mp.log(1 + s, 2))
+    def integrand(v):
+        return mp.exp(-v) / (W * mp.log(1 + lo + mean * v, 2))
 
-    points = [lo] + [lo + k * mean for k in (mp.mpf("0.01"), mp.mpf("0.1"), 1, 4, 16, 64)] + [mp.inf]
+    points = [0, mp.mpf("0.01"), mp.mpf("0.1"), 1, 4, 16, 64, mp.inf]
     value = mp.quad(integrand, points)
     with mp.workdps(mp.mp.dps + 20):
         check = mp.quad(integrand, points, maxdegree=10)
     if abs(value - check) > mp.mpf(10) ** (-32) * abs(value):
-        raise RuntimeError(f"E[1/R] at d={distance}, t={t} is not stable to 32 digits")
-    return value, mp.exp(-(lo - floor) / mean)
+        raise RuntimeError(f"E[1/R] at mean SNR {mean}, t={t} is not stable to 32 digits")
+    mass = mp.exp(-(lo - floor) / mean)
+    return mass * value, mass
 
 
 def main():
@@ -125,6 +130,14 @@ def main():
                 print(f"d={distance} t={label}: skipped, tail mass {mp.nstr(mass, 3)}")
                 continue
             print(f"d={distance} t={label}: {mp.nstr(value, 30, min_fixed=0, max_fixed=0)}"
+                  f"  (tail mass {mp.nstr(mass, 6)})")
+
+    print("== deep tails, t = floor + k x mean ==")
+    for distance in (25, 50, 100):
+        mean = mean_snr(distance)
+        for k in DEEP_TAIL_MEANS:
+            value, mass = inv_rate_tail(distance, mean * FLOOR_RATIO + k * mean)
+            print(f"d={distance} k={k}: {mp.nstr(value, 30, min_fixed=0, max_fixed=0)}"
                   f"  (tail mass {mp.nstr(mass, 6)})")
 
     print("== the same at small mean SNR, where 1 + gamma rounds in float64 ==")

@@ -13,6 +13,9 @@ of `python -m edgesplit.cli` calls on each:
 * every sweep axis (distance_m, updates_per_model, M) on each network;
 * per-stage channel lists that mix path-loss, discrete and truncated laws
   (a truncated law has a floor and no SNR ceiling);
+* edge laws: path loss at 0.01 m, 5 km and 1e7 m, floor ratios 1e-6 and
+  10, and one shared discrete law, under `place`, `thresholds` and a K
+  (`updates_per_model`) sweep;
 * `thresholds` and `simulate` at horizon_M = 0, with a shared law and with a
   one-law list;
 * the reproducers of known boundary defects and a set of malformed configs.
@@ -118,6 +121,15 @@ def matrix():
         for command, fields in (("place", {}), ("thresholds", {}),
                                 ("simulate", {"strategies": RULES, "horizon_M": 3})):
             cases.append((f"per-stage-{name}", command, config(channel=channel, **fields), []))
+    edge_laws = {f"{d:g}m": pathloss(d) for d in (0.01, 5000, 1e7)}
+    edge_laws.update({f"floor={r:g}": dict(pathloss(50), snr_floor_ratio=r) for r in (1e-6, 10)})
+    edge_laws["discrete"] = discrete
+    for name, channel in edge_laws.items():
+        for command in ("place", "thresholds"):
+            cases.append((f"edge-law/{name}", command, config(channel=channel), []))
+        cases.append((f"edge-law/{name}/sweep-updates", "sweep",
+                      config(channel=channel, sweep={"variable": "updates_per_model",
+                                                     "values": [1, 10, 1000, "inf"]}), []))
     cases.append(("per-stage-pathloss/sweep-distance", "sweep",
                   config(channel=[pathloss(d) for d in (10, 20, 40, 50, 80, 100, 150, 200, 300)],
                          strategies=RULES, sweep={"variable": "distance_m", "values": [10, 100]}), []))

@@ -12,125 +12,58 @@ and degenerate test channels.
 from __future__ import annotations
 
 import math
+import operator
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-
-import numpy as np
+from itertools import accumulate
 
 from .cost_model import LN2, SystemParams
 from .errors import NumericalError
 
 DEFAULT_FLOOR_RATIO = 1e-3
-TAIL_MASS = 1e-12
-QUAD_EPSABS = 1e-10
-QUAD_EPSREL = 1e-8
-# Bisection depth and live-panel count at which the adaptive rule gives up.
-# A panel away from zero reaches the spacing of doubles within about 60
-# halvings (53 bits plus log2 of its width over its distance from zero); its
-# 21 nodes then round to one point, K21 equals G10, and even a jump in g
-# converges. A panel still refining after 100 levels sits on a singularity at
-# zero, such as 1/R under the untruncated law. The panel cap bounds memory
-# for integrands that are rough everywhere.
-_QUAD_MAX_LEVELS = 100
-_QUAD_MAX_PANELS = 4096
 
-# Panel boundaries (as quantiles of the law) for piecewise quadrature. The
-# adaptive rule only subdivides panels whose nodes look rough, so a feature
-# much narrower than the integration interval can be missed entirely;
-# bounding every panel's probability mass keeps narrow high-mass features
-# visible. The near-0/near-1 points resolve the truncation floor and the tail.
-_PANEL_QUANTILES = (
-    0.02, 0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 0.95, 0.99, 0.999,
-    1.0 - 1e-5, 1.0 - 1e-8, 1.0 - 1e-11,
+# The fixed rule behind every expectation of the exponential kind: 12-point
+# Gauss-Legendre panels. Next to the floor each panel is as wide as its
+# distance from SNR 0, where 1/R = 1/log1p has its pole, so the widths double
+# away from it; from _STEP_MEANS means on they stay _STEP_MEANS means wide.
+# Every tail runs at least _REACH_MEANS means past its threshold, where the
+# law keeps e^-40 (4e-18) of the mass above it. The half-rule: the positive
+# nodes on [-1, 1] and their weights.
+_GL_HALF = (
+    (0.1252334085114689154724414, 0.2491470458134027850005624),
+    (0.3678314989981801937526915, 0.2334925365383548087608499),
+    (0.5873179542866174472967024, 0.2031674267230659217490645),
+    (0.7699026741943046870368938, 0.1600783285433462263346525),
+    (0.9041172563704748566784659, 0.1069393259953184309602547),
+    (0.9815606342467192506905491, 0.0471753363865118271946160),
 )
-
-# Gauss-Kronrod 10/21 rule on [-1, 1], as in QUADPACK's qk21: the
-# non-negative Kronrod abscissae in decreasing order and their weights, and
-# the weights of the 10-point Gauss rule, whose abscissae are the odd-indexed
-# Kronrod ones. Mirrored below into the 21 nodes in increasing order.
-_XGK = (
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0,
-)
-_WGK = (
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077548996706780, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-)
-_WG = (
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-)
-
-
-def _mirror(half):
-    half = np.asarray(half)
-    return np.concatenate([half, half[-2::-1]])
-
-
-_GK_NODES = np.concatenate([-np.asarray(_XGK), np.asarray(_XGK[-2::-1])])
-# columns: Kronrod weights, Gauss weights (zero at the Kronrod-only nodes)
-_GK_WEIGHTS = np.column_stack([
-    _mirror(_WGK),
-    _mirror([0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3], 0.0, _WG[4], 0.0]),
-])
+# the 12 nodes in increasing order and their weights, mapped onto [0, 1]
+_GL_NODES = tuple([0.5 - 0.5 * x for x, _ in reversed(_GL_HALF)] + [0.5 + 0.5 * x for x, _ in _GL_HALF])
+_GL_WEIGHTS = tuple([0.5 * w for _, w in reversed(_GL_HALF)] + [0.5 * w for _, w in _GL_HALF])
+_STEP_MEANS = 4.0
+_REACH_MEANS = 40.0
+# On a law with a floor of 0 the first panel is [0, 2^-60 means]; where it
+# holds more than 1e-12 of the integral, the integral does not converge.
+_ZERO_FLOOR_PANEL = 2.0**-60
+_ZERO_FLOOR_SHARE = 1e-12
+# the rule as the result files record it
+QUAD_RULE = {
+    "quad_nodes_per_panel": len(_GL_NODES),
+    "quad_panels": f"doubling from the SNR floor to {_STEP_MEANS:g} means wide; "
+                   f"at least {_REACH_MEANS:g} means past each threshold",
+}
 
 LIGHTSPEED_M_S = 3e8
+_FIRST, _SECOND = operator.itemgetter(0), operator.itemgetter(1)
 
 
-def _gk_adaptive(f, x0, x1, owner, tol):
-    """Adaptive Gauss-Kronrod 10/21 rule for f over the panels [x0, x1].
-
-    Each level evaluates f once on the 21 nodes of every live panel, accepts
-    a panel when |K21 - G10| is within max(tol[owner] * its width,
-    QUAD_EPSREL * |K21|), and bisects the rest into halves of the same owner.
-    Returns the accepted panels' edges, integrals and owners, and their sum
-    taken level by level. Raises NumericalError, with the estimate and bound
-    so far, when the rule gives up or the sum is not finite.
-    """
-    parts = []  # per level: the accepted panels' edges, integrals and owners
-    total = total_err = 0.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for level in range(1, _QUAD_MAX_LEVELS + 1):
-            width = x1 - x0
-            half = 0.5 * width
-            mid = x0 + half
-            # einsum, not a BLAS matmul: a panel's sums must not depend on how
-            # many other panels share the call
-            kronrod, gauss = half * np.einsum("ij,jk->ki", f(mid[:, None] + half[:, None] * _GK_NODES),
-                                              _GK_WEIGHTS)
-            err = np.abs(kronrod - gauss)
-            done = err <= np.maximum(tol[owner] * width, QUAD_EPSREL * np.abs(kronrod))
-            if done.all():
-                parts.append((x0, x1, kronrod, owner))
-                total += float(kronrod.sum())
-                break
-            parts.append((x0[done], x1[done], kronrod[done], owner[done]))
-            total += float(parts[-1][2].sum())
-            total_err += float(err[done].sum())
-            live = ~done
-            x0, mid, x1, owner = x0[live], mid[live], x1[live], owner[live]
-            if level == _QUAD_MAX_LEVELS or 2 * len(x0) > _QUAD_MAX_PANELS:
-                raise NumericalError(
-                    f"quadrature did not converge: {len(x0)} panels, the first "
-                    f"[{x0[0]:g}, {x1[0]:g}], exceed the tolerance after {level} levels",
-                    estimate=total + float(kronrod[live].sum()),
-                    error_bound=total_err + float(err[live].sum()),
-                )
-            x0, x1, owner = (np.concatenate([x0, mid]), np.concatenate([mid, x1]),
-                             np.concatenate([owner, owner]))
-    if not math.isfinite(total):  # a NaN panel never passes, but an infinite one does
-        raise NumericalError("expectation is not finite", estimate=total, error_bound=total_err)
-    return (*(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))), total)
+def _each(f, x):
+    """f on a number, or the list of f over a sequence of numbers."""
+    if isinstance(x, (int, float)) or getattr(x, "ndim", None) == 0:
+        return f(x)
+    return [f(v) for v in x]
 
 
 @dataclass(frozen=True)
@@ -180,33 +113,31 @@ class StageDistribution:
                     and self.support_hi == math.inf):
                 raise ValueError("need a finite SNR floor support_lo >= 0 and no ceiling (support_hi "
                                  f"= inf), got [{self.support_lo!r}, {self.support_hi!r}]")
-            # the tail cutoff, 27.6 means above the floor, can round onto a floor
-            # beyond 2**52 means and leave the quadrature an empty interval
-            if self.support_lo > 2.0**52 * self.mean_snr and not self._upper_cutoff() > self.support_lo:
-                raise ValueError(f"the SNR floor support_lo = {self.support_lo!r} is so large against "
-                                 f"mean_snr = {self.mean_snr!r} that the tail cutoff rounds onto it")
+            # a tail spans 2 x _REACH_MEANS means of SNR above the floor
+            if not self.support_lo < self.support_lo + 2.0 * _REACH_MEANS * self.mean_snr < math.inf:
+                raise ValueError(f"the SNR floor support_lo = {self.support_lo!r} and mean_snr = "
+                                 f"{self.mean_snr!r} leave the tail no room: {2.0 * _REACH_MEANS:g} "
+                                 "means above the floor round onto it or overflow")
         elif self.kind == "discrete":
             if not self.atoms:
                 raise ValueError("discrete law needs at least one atom")
             if set(map(len, self.atoms)) != {2}:
                 raise ValueError("atoms must be (snr, probability) pairs")
-            table = np.fromiter(chain.from_iterable(self.atoms), float, 2 * len(self.atoms))
-            table = np.ascontiguousarray(table.reshape(-1, 2).T)
-            table.setflags(write=False)
-            snrs, probs = table
-            # written so that NaN atoms fail; only the largest SNR can be inf
-            if not (np.all(snrs > 0) and snrs[-1] < math.inf):
+            snrs, probs = tuple(map(_FIRST, self.atoms)), tuple(map(_SECOND, self.atoms))
+            # written so that NaN atoms fail: a NaN anywhere breaks the strict order
+            if not (snrs[0] > 0 and snrs[-1] < math.inf):
                 raise ValueError("atom SNRs must be positive and finite")
-            if not np.all(snrs[1:] > snrs[:-1]):
+            if not all(map(operator.lt, snrs, snrs[1:])):
                 raise ValueError("atom SNRs must be strictly increasing")
-            if not np.all(probs > 0):
+            if not min(probs) > 0:
                 raise ValueError("atom probabilities must be positive")
             # the left-to-right float sum, as over the atoms themselves
-            if not abs(sum(probs.tolist()) - 1.0) <= 1e-12:
+            if not abs(sum(probs) - 1.0) <= 1e-12:
                 raise ValueError("atom probabilities must sum to 1")
-            object.__setattr__(self, "support_lo", self.atoms[0][0])
-            object.__setattr__(self, "support_hi", self.atoms[-1][0])
-            object.__setattr__(self, "_table", table)
+            object.__setattr__(self, "support_lo", snrs[0])
+            object.__setattr__(self, "support_hi", snrs[-1])
+            object.__setattr__(self, "_snrs", snrs)
+            object.__setattr__(self, "_probs", probs)
         else:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
 
@@ -234,14 +165,21 @@ class StageDistribution:
         merged probabilities are summed in input order. An (n, 2) array is
         taken as it is.
         """
-        pairs = np.asarray(atoms if isinstance(atoms, np.ndarray) else list(atoms), dtype=float)
-        if pairs.size == 0:
-            pairs = pairs.reshape(0, 2)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
+        rows = atoms.tolist() if hasattr(atoms, "tolist") else list(atoms)
+        if set(map(len, rows)) - {2}:
             raise ValueError("atoms must be (snr, probability) pairs")
-        snrs, inverse = np.unique(pairs[:, 0], return_inverse=True)
-        probs = np.bincount(inverse, weights=pairs[:, 1], minlength=len(snrs))
-        return cls(kind="discrete", atoms=tuple(zip(snrs.tolist(), probs.tolist())))
+        return cls._merged(list(map(float, map(_FIRST, rows))), list(map(float, map(_SECOND, rows))))
+
+    @classmethod
+    def _merged(cls, snrs: list, probs: list) -> "StageDistribution":
+        """The discrete law of the atoms (snrs[k], probs[k]), sorted, with
+        repeated SNRs merged in input order."""
+        if not all(map(operator.lt, snrs, snrs[1:])):  # else sorted with no repeats already
+            merged = {}
+            for snr, prob in zip(snrs, probs):
+                merged[snr] = merged.get(snr, 0.0) + prob
+            snrs, probs = zip(*sorted(merged.items()))
+        return cls(kind="discrete", atoms=tuple(zip(snrs, probs)))
 
     @classmethod
     def from_pathloss(cls, pl: PathLossParams, params: SystemParams,
@@ -251,33 +189,40 @@ class StageDistribution:
     # -- law ----------------------------------------------------------------
 
     @property
-    def atom_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The atoms of a discrete law as read-only (snrs, probabilities) arrays."""
+    def atom_arrays(self):
+        """The atoms of a discrete law as read-only (snrs, probabilities) numpy arrays."""
         if self.kind != "discrete":
             raise ValueError("only a discrete law has atoms")
-        return tuple(self._table)
+        import numpy as np
+
+        arrays = tuple(np.fromiter(column, float, len(column)) for column in (self._snrs, self._probs))
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
     def pdf(self, x):
-        """Density for the exponential kind; point mass for the discrete kind."""
-        x = np.asarray(x, dtype=float)
+        """Density for the exponential kind; point mass for the discrete kind.
+
+        Takes a number or a sequence of numbers, and returns a float or a list.
+        """
         if self.kind == "discrete":
-            snrs, probs = self._table
-            idx = np.minimum(np.searchsorted(snrs, x), len(snrs) - 1)
-            out = np.where(snrs[idx] == x, probs[idx], 0.0)
-            return float(out) if out.ndim == 0 else out
-        vals = np.exp(-(x - self.support_lo) / self.mean_snr) / self.mean_snr
-        out = np.where(x >= self.support_lo, vals, 0.0)
-        return float(out) if out.ndim == 0 else out
+            snrs, probs = self._snrs, self._probs
+            top = len(snrs) - 1
+
+            def mass(v):
+                i = min(bisect_left(snrs, v), top)
+                return probs[i] if snrs[i] == v else 0.0
+
+            return _each(mass, x)
+        lo, mean = self.support_lo, self.mean_snr
+        return _each(lambda v: math.exp(-(v - lo) / mean) / mean if v >= lo else 0.0, x)
 
     def cdf(self, x):
-        """P{SNR <= x}."""
+        """P{SNR <= x}, of a number or a sequence of numbers."""
         if self.kind == "discrete":
-            return self._discrete_below(x, "right")
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            raw = -np.expm1(-(x - self.support_lo) / self.mean_snr)
-        out = np.where(x < self.support_lo, 0.0, raw)
-        return float(out) if out.ndim == 0 else out
+            return self._discrete_below(x, bisect_right)
+        lo, mean = self.support_lo, self.mean_snr
+        return _each(lambda v: 0.0 if v < lo else -math.expm1(-(v - lo) / mean), x)
 
     def prob_below(self, x):
         """P{SNR < x}: the probability that a rule stopping on SNR >= x goes on.
@@ -285,23 +230,27 @@ class StageDistribution:
         It equals the cdf on the exponential kind and leaves out the atom at
         x on the discrete kind.
         """
-        return self._discrete_below(x, "left") if self.kind == "discrete" else self.cdf(x)
+        return self._discrete_below(x, bisect_left) if self.kind == "discrete" else self.cdf(x)
 
-    def _discrete_below(self, x, side):
-        snrs, probs = self._table
-        idx = np.searchsorted(snrs, np.asarray(x, dtype=float), side=side)
-        out = np.where(idx > 0, np.cumsum(probs)[np.maximum(idx - 1, 0)], 0.0)
-        return float(out) if out.ndim == 0 else out
+    def _discrete_below(self, x, bisect):
+        snrs, cum = self._snrs, list(accumulate(self._probs))
+
+        def below(v):
+            i = bisect(snrs, v)
+            return cum[i - 1] if i else 0.0
+
+        return _each(below, x)
 
     def quantile(self, u):
-        """Inverse CDF, elementwise; an array argument gets a new array of its shape."""
+        """Inverse CDF, elementwise; an array argument gets a new numpy array of its shape."""
+        import numpy as np
+
         u = np.asarray(u, dtype=float)
         if not np.all((u >= 0) & (u <= 1)):  # also rejects NaN
             raise ValueError("quantile argument must lie in [0, 1]")
         if self.kind == "discrete":
-            snrs, probs = self._table
-            idx = np.minimum(np.searchsorted(np.cumsum(probs), u, side="left"), len(snrs) - 1)
-            out = snrs[idx]
+            idx = np.minimum(np.searchsorted(np.cumsum(self._probs), u, side="left"), len(self._snrs) - 1)
+            out = np.array(self._snrs)[idx]
             return float(out) if out.ndim == 0 else out
         with np.errstate(divide="ignore"):
             # lo - mean * log1p(-u), the same roundings in one buffer
@@ -313,44 +262,65 @@ class StageDistribution:
 
     # -- expectations --------------------------------------------------------
 
-    def _upper_cutoff(self) -> float:
-        if self.kind == "discrete":
-            return self.support_hi
-        return float(self.quantile(1.0 - TAIL_MASS))
-
     def partial_expect(self, g, lo: float, hi: float) -> float:
         """Integral of g against the law over [lo, hi].
 
-        g is called on a numpy array of SNRs and must return an array of the
-        same shape (a scalar constant is broadcast); the discrete kind calls
-        it on each atom. Regions outside the support carry no mass and are
-        clipped away. The exponential kind sums the panels `_gk_adaptive`
-        accepts over probability-bounded panels of the clipped interval, and
-        raise its NumericalError when the rule does not converge.
+        g is called on one SNR (a float) at a time. Regions outside the
+        support carry no mass and are clipped away. The discrete kind sums
+        over its atoms; the exponential kind runs the fixed rule over
+        [max(lo, floor), hi], cut 2 x _REACH_MEANS means past its start, and
+        raises NumericalError where the sum is not finite.
         """
         if lo > hi:
             raise ValueError("need lo <= hi")
         if self.kind == "discrete":
             return float(sum(p * g(s) for s, p in self.atoms if lo <= s <= hi))
         a = max(lo, self.support_lo)
-        b = min(hi, self._upper_cutoff())
-        return self._panels(lambda x: g(x) * self.pdf(x), a, b)[-1] if a < b else 0.0
+        return sum(reversed(self._panel_integrals(g, self._layout(a, hi)))) if a < hi else 0.0
 
-    def _panels(self, f, a: float, b: float):
-        """`_gk_adaptive` for the integrand f over [a, b] within the support,
-        cut first at fixed quantiles of the law."""
-        cuts = [float(q) for q in self.quantile(np.array(_PANEL_QUANTILES)) if a < q < b]
-        edges = np.array([a] + cuts + [b])
-        return _gk_adaptive(f, edges[:-1], edges[1:], np.zeros(len(cuts) + 1, dtype=np.intp),
-                            np.array([QUAD_EPSABS / (b - a)]))
+    def _layout(self, a: float, b: float) -> list[tuple[float, float]]:
+        """The panels of the fixed rule over [a, b], a >= floor, cut
+        2 x _REACH_MEANS means past a. Each panel is as wide as its distance
+        from SNR 0 (a law with a floor of 0 starts with [0, 2^-60 means])
+        until that reaches _STEP_MEANS means; from there on panels are
+        _STEP_MEANS means wide."""
+        mean = self.mean_snr
+        step = _STEP_MEANS * mean
+        end = min(b, a + 2.0 * _REACH_MEANS * mean, sys.float_info.max)
+        edges = [a] if a else [0.0, _ZERO_FLOOR_PANEL * mean or math.ulp(0.0)]
+        while edges[-1] < step and edges[-1] < end:
+            edges.append(2.0 * edges[-1])
+        base = edges[-1]
+        edges += [base + k * step for k in range(1, math.ceil((end - base) / step) + 1)]
+        edges[-1] = min(edges[-1], end)
+        return list(zip(edges, edges[1:]))
+
+    def _panel_integrals(self, g, panels) -> list[float]:
+        """The 12-point rule's integral of g * pdf over each (x0, x1) panel,
+        from one `pdf` call. Raises NumericalError where their sum is not
+        finite or, on a law with a floor of 0, where the first panel holds
+        more than 1e-12 of it: the integral does not converge there."""
+        xs = [x0 + (x1 - x0) * x for x0, x1 in panels for x in _GL_NODES]
+        vals = [g(x) * p for x, p in zip(xs, self.pdf(xs))]
+        n = len(_GL_NODES)
+        out = [(x1 - x0) * sum(map(operator.mul, _GL_WEIGHTS, vals[k:k + n]))
+               for k, (x0, x1) in zip(range(0, len(vals), n), panels)]
+        total = sum(reversed(out))
+        if not math.isfinite(total):
+            raise NumericalError("expectation is not finite", estimate=total)
+        if out and panels[0][0] == 0.0 and abs(out[0]) > _ZERO_FLOOR_SHARE * abs(total):
+            raise NumericalError("expectation does not converge at an SNR floor of 0: the panel "
+                                 f"[0, {panels[0][1]:g}] holds {out[0]:g} of {total:g}", estimate=total)
+        return out
 
     def discretize(self, grid_points: int) -> "StageDistribution":
         """Equal-mass atoms at quantile midpoints (probability-matched grid)."""
         if grid_points < 2:
             raise ValueError("grid_points must be at least 2")
+        import numpy as np
+
         u = (np.arange(grid_points) + 0.5) / grid_points
-        probs = np.full(grid_points, 1.0 / grid_points)
-        return StageDistribution.discrete(np.column_stack((self.quantile(u), probs)))
+        return StageDistribution._merged(self.quantile(u).tolist(), [1.0 / grid_points] * grid_points)
 
     # -- serialization ------------------------------------------------------
 
@@ -361,48 +331,51 @@ class StageDistribution:
 
 
 class TailTable:
-    """Every tail E[g(SNR); SNR >= t] of one law, from one quadrature pass.
+    """Every tail E[g(SNR); SNR >= t] of one law, from one pass of the fixed rule.
 
-    The exponential kind keeps the panels the adaptive rule accepts over
-    [support_lo, cutoff], sorted, with suffix sums; a tail adds the integral
-    over [t, the right edge of t's panel], held to the acceptance test that
-    `partial_expect` applies over [t, cutoff]. The discrete kind keeps exact
-    atom suffix sums, closed at t because a tie stops. `full` is E[g].
+    The exponential kind keeps the rule's panels over 2 x _REACH_MEANS means
+    above the floor with their suffix sums. A tail at t less than
+    _REACH_MEANS means above the floor is the suffix beyond t's panel plus
+    the rule on [t, that panel's right edge]; a tail further out is the
+    rule's own run from t, as `partial_expect` makes it. The discrete kind
+    keeps exact atom suffix sums, closed at t because a tie stops. `full` is
+    E[g], the number `partial_expect` returns over the whole support.
     """
 
     def __init__(self, dist: StageDistribution, g):
-        self.lo, self.cutoff, self.integrand = dist.support_lo, dist._upper_cutoff(), None
+        self.dist, self.g = dist, g
         if dist.kind == "discrete":
-            self.edges, probs = dist.atom_arrays
-            terms = probs * g(self.edges)
+            self.edges = dist._snrs
+            terms = [p * g(s) for s, p in dist.atoms]
         else:
-            self.integrand = lambda x: g(x) * dist.pdf(x)
-            x0, _, terms, _, full = dist._panels(self.integrand, self.lo, self.cutoff)
-            order = np.argsort(x0)
-            self.edges, terms = np.append(x0[order], self.cutoff), terms[order]
-        self.suffix = np.append(np.cumsum(terms[::-1])[::-1], 0.0)
-        # the exponential kind keeps the level-by-level sum, as `partial_expect` does
-        self.full = float(self.suffix[0]) if self.integrand is None else full
+            panels = dist._layout(dist.support_lo, math.inf)
+            self.edges = [x0 for x0, _ in panels] + [panels[-1][1]]
+            terms = dist._panel_integrals(g, panels)
+            self.near = dist.support_lo + _REACH_MEANS * dist.mean_snr
+        self.suffix = list(accumulate(reversed(terms)))[::-1] + [0.0]
+        self.full = self.suffix[0]
 
-    def tails(self, thresholds) -> np.ndarray:
-        """E[g(SNR); SNR >= t] for each t of a 1-d array of thresholds."""
-        t = np.asarray(thresholds, dtype=float)
-        if self.integrand is None:
-            return self.suffix[self.edges.searchsorted(t)]
-        inner = (t > self.lo) & (t < self.cutoff)
-        if inner.all():
-            return self._inner_tails(t)
-        out = np.where(t <= self.lo, self.full, 0.0)
-        if inner.any():
-            out[inner] = self._inner_tails(t[inner])
+    def tails(self, thresholds) -> list[float]:
+        """E[g(SNR); SNR >= t] for each t of a sequence of thresholds."""
+        edges, suffix = self.edges, self.suffix
+        if self.dist.kind == "discrete":
+            return [suffix[bisect_left(edges, t)] for t in thresholds]
+        out, inner = [], []  # inner: (position in out, t, right edge of t's panel)
+        for t in thresholds:
+            if t <= edges[0]:
+                out.append(self.full)
+            elif t < self.near:
+                i = bisect_right(edges, t)
+                inner.append((len(out), t, edges[i]))
+                out.append(suffix[i])
+            else:
+                out.append(self.dist.partial_expect(self.g, t, math.inf))
+        if inner:
+            # one pdf call over the partial panels; each is its own sum
+            parts = self.dist._panel_integrals(self.g, [(t, e) for _, t, e in inner])
+            for (k, _, _), part in zip(inner, parts):
+                out[k] += part
         return out
-
-    def _inner_tails(self, t):
-        # t lies in panel [edges[i-1], edges[i]); the suffix from i is beyond it
-        i = self.edges.searchsorted(t, "right")
-        _, _, sub, owner, _ = _gk_adaptive(self.integrand, t, self.edges[i], np.arange(len(t)),
-                                           QUAD_EPSABS / (self.cutoff - t))
-        return np.bincount(owner, sub, len(t)) + self.suffix[i]
 
 
 # Process-wide on purpose: keyed on an immutable law and a bandwidth, so every
@@ -411,10 +384,14 @@ class TailTable:
 @lru_cache(maxsize=256)
 def inv_rate_table(dist: StageDistribution, bandwidth_hz: float) -> TailTable:
     """Tail table of 1 / R(snr) for the uplink rate R = B log2(1 + snr)."""
-    return TailTable(dist, lambda s: 1.0 / (bandwidth_hz * np.log1p(s) / LN2))
+    def inv_rate(s):
+        rate = bandwidth_hz * math.log1p(s) / LN2
+        return 1.0 / rate if rate else math.inf  # a rate that underflows takes forever
+
+    return TailTable(dist, inv_rate)
 
 
-def inv_rate_tails(dist: StageDistribution, thresholds, bandwidth_hz: float) -> np.ndarray:
+def inv_rate_tails(dist: StageDistribution, thresholds, bandwidth_hz: float) -> list[float]:
     """E[1 / R(snr); snr >= t] for each threshold t, read off the law's table."""
     return inv_rate_table(dist, bandwidth_hz).tails(thresholds)
 

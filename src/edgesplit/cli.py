@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
-from .channel import QUAD_EPSABS, QUAD_EPSREL
+from .channel import QUAD_RULE
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NumericalError
 from .placement import RULE_OF_STRATEGY, Problem, run_strategy
@@ -80,8 +80,7 @@ def _metadata(cfg: ExperimentConfig) -> dict:
         "rng_algorithm": RNG_ALGORITHM,
         "seed": cfg.seed,
         "snr_floor": floor,
-        "quad_epsabs": QUAD_EPSABS,
-        "quad_epsrel": QUAD_EPSREL,
+        **QUAD_RULE,
     }
 
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from itertools import accumulate
 
 from .model_graph import NetworkSpec
 
@@ -73,7 +72,7 @@ class SystemParams:
 
 def uplink_rate(gamma: float, params: SystemParams) -> float:
     """Uplink throughput in bits/s at the given SNR."""
-    if gamma <= 0:
+    if not gamma > 0:  # also rejects NaN
         raise ValueError("SNR must be positive; a zero SNR has no finite transmission time")
     return params.bandwidth_hz * math.log1p(gamma) / LN2
 
@@ -88,26 +87,20 @@ class CostModel:
     def __init__(self, net: NetworkSpec, params: SystemParams):
         self.net = net
         self.params = params
-        n_layers = net.N
-        cycles = np.array([l.workload_cycles for l in net.layers], dtype=float)
-        cum = np.concatenate(([0.0], np.cumsum(cycles)))  # cum[k] = cycles of layers 1..k
-        stages = np.arange(1, n_layers + 2)
-        local_cycles = cum[stages - 1]
-        edge_cycles = cum[n_layers] - cum[stages - 1]
-        payload = np.array([net.input_bits(int(n)) for n in stages], dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._omega = (
-                params.beta_t * (local_cycles / params.local_freq_hz + edge_cycles / params.edge_freq_hz)
-                + params.beta_e * params.kappa * params.local_freq_hz**2 * local_cycles
-            )
-            self._weight = (params.beta_t + params.beta_e * params.tx_power_w) * payload
-        downloads = np.array([l.download_seconds for l in net.layers], dtype=float)
-        self._download_cum = np.concatenate(([0.0], np.cumsum(downloads)))
+        # local[n-1] = cycles of layers 1..n-1, run on the device at stage n
+        local = [0.0, *accumulate(float(l.workload_cycles) for l in net.layers)]
+        total = local[-1]
+        energy = params.beta_e * params.kappa * params.local_freq_hz**2
+        self._omega = [params.beta_t * (c / params.local_freq_hz + (total - c) / params.edge_freq_hz)
+                       + energy * c for c in local]
+        per_bit = params.beta_t + params.beta_e * params.tx_power_w
+        self._weight = [per_bit * float(net.input_bits(n)) for n in range(1, net.N + 2)]
+        self._download_cum = [0.0, *accumulate(float(l.download_seconds) for l in net.layers)]
         # each constant is finite, but their products can overflow (float ** raises
         # OverflowError); NetworkSpec keeps the download prefix sums finite
         for name, table in (("omega", self._omega), ("weight", self._weight)):
-            if not np.isfinite(table).all():
-                raise ValueError(f"the {name} cost table overflows: {table.tolist()!r}")
+            if not all(map(math.isfinite, table)):
+                raise ValueError(f"the {name} cost table overflows: {table!r}")
 
     def _check_stage(self, n: int):
         if not 1 <= n <= self.net.N + 1:
@@ -115,25 +108,34 @@ class CostModel:
 
     def omega(self, n: int) -> float:
         self._check_stage(n)
-        return float(self._omega[n - 1])
+        return self._omega[n - 1]
 
     def weight(self, n: int) -> float:
         """(beta_t + beta_e * P) * I_n, the channel-cost multiplier at stage n."""
         self._check_stage(n)
-        return float(self._weight[n - 1])
+        return self._weight[n - 1]
 
-    def etc_values(self, stages: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-        """Vectorized eta over 1-based stage indices and matching SNRs."""
-        idx = np.asarray(stages, dtype=int) - 1
-        rates = self.params.bandwidth_hz * np.log1p(np.asarray(gammas, dtype=float)) / LN2
-        return self._omega[idx] + self._weight[idx] / rates
+    def etc_values(self, stages, gammas):
+        """Vectorized eta over numpy arrays of 1-based stage indices and matching
+        SNRs: omega + weight / (B log1p(snr) / ln 2), the rate and then the cost
+        written into one output array."""
+        import numpy as np
+
+        idx = np.asarray(stages, dtype=np.intp) - 1
+        out = np.log1p(np.asarray(gammas, dtype=float))
+        np.multiply(self.params.bandwidth_hz, out, out=out)
+        out /= LN2
+        with np.errstate(divide="ignore", over="ignore"):  # a rate that underflows costs +inf
+            np.divide(np.take(self._weight, idx), out, out=out)
+        out += np.take(self._omega, idx)
+        return out
 
     def placement_cost(self, M: int) -> float:
         if not 0 <= M <= self.net.N:
             raise ValueError(f"placement {M} out of range [0, {self.net.N}]")
         if math.isinf(self.params.updates_per_model):
             return 0.0
-        return float(self._download_cum[M]) / self.params.updates_per_model
+        return self._download_cum[M] / self.params.updates_per_model
 
     def total_cost(self, M: int, expected_etc: float) -> float:
         return self.params.beta_t * self.placement_cost(M) + expected_etc

@@ -125,7 +125,7 @@ class Problem:
         if "optimal" not in vars(self):  # where cached_property keeps it
             return build_policy("optimal", M, self.net, self.params, self.dists)
         thresholds, values = self.optimal
-        return ThresholdPolicy("optimal", M, thresholds[M, :M], values[M, :M + 1])
+        return ThresholdPolicy("optimal", M, thresholds[M][:M], values[M][:M + 1])
 
     @cached_property
     def one_sla(self) -> tuple:
@@ -150,7 +150,7 @@ def optimize_exhaustive(problem: Problem, rule_kind: str = "optimal") -> Placeme
     """Evaluate Z(M) for every M = 0..N under the requested stopping rule."""
     if rule_kind == "optimal":
         values = problem.optimal[1]
-        rows, policy_at = problem.rows(lambda M: float(values[M, 0])), problem.optimal_policy
+        rows, policy_at = problem.rows(lambda M: values[M][0]), problem.optimal_policy
     elif rule_kind == "one_sla":
         full, rows = problem.one_sla
         policy_at = lambda M: ThresholdPolicy("one_sla", M, full.thresholds[:M])  # noqa: E731
@@ -194,11 +194,11 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
         bandwidth * (lam_bits * weight_per_bit * einv + unit_gap * alpha_x)
     )
     delta = math.expm1(exponent * LN2)
-    cont = float(dist.prob_below(delta))
+    cont = dist.prob_below(delta)
     g = g_raw = None
     if cont > 0.0:
         # E[1/R; SNR < delta]: the tail is closed at delta because a tie stops
-        below = einv - float(inv_rate_tails(dist, [delta], bandwidth)[0])
+        below = einv - inv_rate_tails(dist, [delta], bandwidth)[0]
         # bracket of the decrement, computed both ways: directly, and simplified
         # through the threshold's indifference identity. They must agree; a gap
         # means the truncation floor broke the identity.

@@ -16,13 +16,15 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .channel import per_stage
 from .cost_model import SystemParams, cost_model
 from .model_graph import NetworkSpec
 from .splitting import ThresholdPolicy, backward_induction, one_sla_thresholds
+
+if TYPE_CHECKING:  # numpy is imported where the kernel and the oracle run
+    import numpy as np
 
 RNG_ALGORITHM = "numpy-pcg64"
 _CHUNK_TRIALS = 1 << 17
@@ -58,6 +60,8 @@ def _uniform_blocks(trials: int, stages: int, seed: int, chunk: int):
     They come from one PCG64 stream in trial-major order, so the draws do not
     depend on the chunk size.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     for start in range(0, trials, chunk):
         yield rng.random((min(chunk, trials - start), stages))
@@ -70,6 +74,8 @@ def _first_crossings(u: np.ndarray, ds, thresholds) -> tuple[np.ndarray, np.ndar
     forced stage M + 1, M = len(thresholds). Stage j's quantile runs only on
     the uniforms of the rows still live at j.
     """
+    import numpy as np
+
     M = len(thresholds)
     stages = np.full(len(u), M + 1)
     gammas = np.empty(len(u))
@@ -93,6 +99,8 @@ def _agreements(u: np.ndarray, ds, t_a, t_b) -> int:
     agree there if both stop, else the other one stops later. Rows that neither
     rule stops agree on the forced stage, which needs no draw.
     """
+    import numpy as np
+
     agree = 0
     live = np.arange(len(u))
     for j, (a, b) in enumerate(zip(t_a, t_b)):
@@ -106,6 +114,8 @@ def _agreements(u: np.ndarray, ds, t_a, t_b) -> int:
 def simulate(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, dists,
              trials: int, seed: int, chunk: int = _CHUNK_TRIALS) -> SimResult:
     """Average realized cost of a policy over independent SNR draws."""
+    import numpy as np
+
     _check_run(trials, chunk)
     M = policy.horizon_M
     ds = per_stage(dists, M + 1)
@@ -152,6 +162,8 @@ def oracle_dp(M: int, net: NetworkSpec, params: SystemParams, discrete_dists) ->
     The recovered per-stage threshold is the smallest atom at which stopping
     wins (inf if none does).
     """
+    import numpy as np
+
     if not 0 <= M <= net.N:
         raise ValueError(f"M must lie in [0, {net.N}]")
     ds = per_stage(discrete_dists, M + 1)

@@ -18,9 +18,9 @@ Every E[1/R] tail is read off the law's table (`channel.inv_rate_tails`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
 
 from .channel import StageDistribution, inv_rate_table, inv_rate_tails, per_stage
 from .cost_model import LN2, CostModel, SystemParams, cost_model, uplink_rate
@@ -100,7 +100,7 @@ def _indifference_threshold(weight: float, bandwidth_hz: float, margin: float) -
 
 
 def optimal_recursion(horizons, forced, net: NetworkSpec, params: SystemParams,
-                      dists) -> tuple[np.ndarray, np.ndarray]:
+                      dists) -> tuple[list[list[float]], list[list[float]]]:
     """Backward induction for the distinct ascending `horizons` in lockstep.
 
     One pass from the top stage down to stage 1 carries the value of every
@@ -109,35 +109,36 @@ def optimal_recursion(horizons, forced, net: NetworkSpec, params: SystemParams,
     value is E[min(stop-now cost, continuation value)] and its threshold the
     indifference SNR of the two (+inf: stopping never wins), from one
     `prob_below` call and one tail read over all finite thresholds. Row h
-    belongs to M = horizons[h]: thresholds[h, :M] and values[h, :M+1].
+    belongs to M = horizons[h]: thresholds[h][:M] and values[h][:M+1].
     """
     Ms = list(horizons)
     top = Ms[-1]
     ds = per_stage(dists, top + 1)
     cm = cost_model(net, params)
     bandwidth = params.bandwidth_hz
-    thresholds = np.full((len(Ms), top), math.inf)
-    values = np.zeros((len(Ms), top + 1))
+    thresholds = [[math.inf] * top for _ in Ms]
+    values = [[0.0] * (top + 1) for _ in Ms]
     live = len(Ms)  # rows live[:] are the horizons M >= n
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite value is raised below
-        for n in range(top, -1, -1):
-            if live and Ms[live - 1] == n:
-                live -= 1
-                values[live, n] = forced[live]
-            if n == 0:
-                break
-            omega, weight = cm.omega(n), cm.weight(n)
-            ev = values[live:, n].tolist()
-            thresholds[live:, n - 1] = [_indifference_threshold(weight, bandwidth, e - omega) for e in ev]
-            values[live:, n - 1] = ev
-            stop = [h for h in range(live, len(Ms)) if thresholds[h, n - 1] < math.inf]
-            if stop:
-                ts = thresholds[stop, n - 1]
-                cont = ds[n - 1].prob_below(ts)
-                values[stop, n - 1] = (omega * (1.0 - cont) + weight * inv_rate_tails(ds[n - 1], ts, bandwidth)
-                                       + values[stop, n] * cont)
-    if not np.isfinite(values).all():  # NaN values would also give NaN thresholds
-        raise NumericalError(f"the optimal recursion's values are not finite: {values.tolist()!r}")
+    for n in range(top, -1, -1):
+        if live and Ms[live - 1] == n:
+            live -= 1
+            values[live][n] = forced[live]
+        if n == 0:
+            break
+        omega, weight = cm.omega(n), cm.weight(n)
+        stop = []
+        for row_t, row_v in zip(thresholds[live:], values[live:]):
+            row_v[n - 1] = row_v[n]
+            row_t[n - 1] = t = _indifference_threshold(weight, bandwidth, row_v[n] - omega)
+            if t < math.inf:
+                stop.append((t, row_v))
+        if stop:
+            ts = [t for t, _ in stop]
+            for (_, row_v), cont, tail in zip(stop, ds[n - 1].prob_below(ts),
+                                              inv_rate_tails(ds[n - 1], ts, bandwidth)):
+                row_v[n - 1] = omega * (1.0 - cont) + weight * tail + row_v[n] * cont
+    if not all(math.isfinite(v) for row in values for v in row):  # NaN would also give NaN thresholds
+        raise NumericalError(f"the optimal recursion's values are not finite: {values!r}")
     return thresholds, values
 
 
@@ -199,17 +200,22 @@ def build_policy(rule_kind: str, M: int, net: NetworkSpec, params: SystemParams,
 
 
 def apply_rule(policy: ThresholdPolicy, snr_seq, net: NetworkSpec, params: SystemParams) -> SplitOutcome:
-    """First stage whose SNR meets its threshold (ties stop), else M+1."""
+    """First stage whose SNR meets its threshold (ties stop), else M+1.
+
+    Every SNR it reads, up to the stop, must be positive and finite; another
+    raises ValueError naming its stage.
+    """
     M = policy.horizon_M
     seq = list(snr_seq)
     if len(seq) < M + 1:
         raise ValueError(f"need {M + 1} SNR observations, got {len(seq)}")
-    stage = M + 1
-    for n in range(1, M + 1):
-        if seq[n - 1] >= policy.thresholds[n - 1]:
-            stage = n
+    thresholds = policy.thresholds
+    for stage, snr in enumerate(seq[:M + 1], 1):
+        if not 0.0 < snr < math.inf:  # also rejects NaN
+            raise ValueError(f"the SNR at stage {stage} must be positive and finite, got {snr!r}")
+        if stage > M or snr >= thresholds[stage - 1]:
             break
-    snr = float(seq[stage - 1])
+    snr = float(snr)
     cm = cost_model(net, params)
     cost = cm.omega(stage) + cm.weight(stage) / uplink_rate(snr, params)
     return SplitOutcome(stage=stage, snr_at_stop=snr, realized_etc=cost)
@@ -227,16 +233,17 @@ class StageTable:
     read that fails raises its NumericalError before any table exists.
     """
 
-    continue_prob: np.ndarray
-    reach: np.ndarray
-    stop_prob: np.ndarray
-    stop_cost: np.ndarray | None = None
+    continue_prob: list[float]
+    reach: list[float]
+    stop_prob: list[float]
+    stop_cost: list[float] | None = None
 
     def expected_etc(self, M: int, forced_cost: float) -> float:
         """Expected cost of the policy cut to stages 1..M with a forced stop,
-        at forced_cost, at stage M+1."""
-        probs = np.append(self.stop_prob[:M], self.reach[M])
-        return float(np.dot(probs, np.append(self.stop_cost[:M], forced_cost)))
+        at forced_cost, at stage M+1: the correctly rounded sum of the stop
+        probabilities times the stop costs."""
+        return math.fsum(map(operator.mul, [*self.stop_prob[:M], self.reach[M]],
+                             [*self.stop_cost[:M], forced_cost]))
 
 
 def stage_table(policy: ThresholdPolicy, dists, cm: CostModel | None = None) -> StageTable:
@@ -251,21 +258,22 @@ def stage_table(policy: ThresholdPolicy, dists, cm: CostModel | None = None) -> 
     for n, t in enumerate(policy.thresholds):
         if t != math.inf:
             stages_of.setdefault(id(ds[n]), []).append(n)
-    thresholds = np.array(policy.thresholds)
-    cont = np.ones(M)
+    thresholds = policy.thresholds
+    cont = [1.0] * M
     for stages in stages_of.values():
-        cont[stages] = ds[stages[0]].prob_below(thresholds[stages])
-    reach = np.concatenate(([1.0], np.cumprod(cont)))
-    stop_prob = reach[:-1] * (1.0 - cont)
+        for n, p in zip(stages, ds[stages[0]].prob_below([thresholds[n] for n in stages])):
+            cont[n] = p
+    reach = [1.0, *accumulate(cont, operator.mul)]
+    stop_prob = [r * (1.0 - c) for r, c in zip(reach, cont)]
     if cm is None:
         return StageTable(cont, reach, stop_prob)
 
-    tails = np.zeros(M)
+    costs = [0.0] * M
     for stages in stages_of.values():
-        tails[stages] = inv_rate_tails(ds[stages[0]], thresholds[stages], cm.params.bandwidth_hz)
-    omega, weight = (np.array([f(n) for n in range(1, M + 1)]) for f in (cm.omega, cm.weight))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        costs = np.where(cont < 1.0, omega + weight * tails / (1.0 - cont), 0.0)
+        tails = inv_rate_tails(ds[stages[0]], [thresholds[n] for n in stages], cm.params.bandwidth_hz)
+        for n, tail in zip(stages, tails):
+            if cont[n] < 1.0:
+                costs[n] = cm.omega(n + 1) + cm.weight(n + 1) * tail / (1.0 - cont[n])
     return StageTable(cont, reach, stop_prob, costs)
 
 
@@ -274,10 +282,10 @@ def forced_stop_cost(cm: CostModel, stage: int, dist: StageDistribution) -> floa
     return cm.omega(stage) + cm.weight(stage) * inv_rate_table(dist, cm.params.bandwidth_hz).full
 
 
-def stop_probabilities(policy: ThresholdPolicy, dists) -> np.ndarray:
+def stop_probabilities(policy: ThresholdPolicy, dists) -> list[float]:
     """Probability of stopping at each stage 1..M+1."""
     table = stage_table(policy, dists)
-    return np.append(table.stop_prob, table.reach[-1])
+    return [*table.stop_prob, table.reach[-1]]
 
 
 def expected_etc(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, dists) -> float:
@@ -297,5 +305,5 @@ def one_sla_optimality_probability(M: int, net: NetworkSpec, params: SystemParam
     """
     table = stage_table(one_sla_thresholds(M, net, params, dists), dists)
     # reach[n] = P{no stop before stage n+1}; suffix[n] = P{stages n+1..M all stop}
-    suffix = np.concatenate((np.cumprod((1.0 - table.continue_prob)[::-1])[::-1], [1.0]))
-    return float(np.dot(table.reach, suffix))
+    suffix = [*accumulate((1.0 - c for c in reversed(table.continue_prob)), operator.mul)][::-1]
+    return math.fsum(map(operator.mul, table.reach, [*suffix, 1.0]))

@@ -67,7 +67,7 @@ def test_pdf_normalizes(trunc):
 
 def test_pdf_nonnegative_and_cdf_monotone(trunc):
     xs = np.linspace(trunc.support_lo / 2, trunc.support_lo + 10 * trunc.mean_snr, 400)
-    assert np.all(trunc.pdf(xs) >= 0)
+    assert np.all(np.asarray(trunc.pdf(xs)) >= 0)
     cdfs = trunc.cdf(xs)
     assert np.all(np.diff(cdfs) >= -1e-15)
 
@@ -78,8 +78,10 @@ def test_expectation_of_identity_is_mean():
 
 
 def test_indicator_expectation_matches_survival(trunc):
+    # the step of 1{s > t} is the lower limit: a fixed rule does not resolve a
+    # jump inside a panel
     for t in (trunc.support_lo * 2, 0.3, 1.0):
-        got = expect(trunc, lambda s, t=t: 1.0 * (s > t))
+        got = trunc.partial_expect(lambda s: 1.0, t, math.inf)
         assert got == pytest.approx(1.0 - trunc.cdf(t), abs=1e-9)
 
 
@@ -132,8 +134,8 @@ def test_partial_expect_matches_conditional_monte_carlo(trunc):
 
 
 # E[1/R; snr >= t] at W = 2e6 on the reference law (floor 1e-3 x mean), from
-# scripts/golden_oracles.py at 30 digits; pairs with tail mass below 1e-3 are
-# left out, which drops (100 m, t = 1.0).
+# scripts/golden_oracles.py at 30 digits; (100 m, t = 1.0), with tail mass
+# 1.1e-6, is among the deep tails below.
 MPMATH_INV_RATE_TAILS = [
     (25, "0", 6.04034117385336118182333404508e-7),
     (25, "3*floor", 5.22257200429466445084201080063e-7),
@@ -157,6 +159,36 @@ def test_inv_rate_expectation_matches_mpmath(params, distance, threshold, refere
     assert got == pytest.approx(reference, rel=1e-10)
 
 
+# Deep tails of the same laws at t = floor + k x mean, down to a tail mass of
+# 1e-14, from scripts/golden_oracles.py; each holds to 1e-12 of itself.
+MPMATH_DEEP_TAILS = [
+    (100, "1.0", 5.36245708893907174268205362945e-13),
+    (25, 5, 6.96752895907415473280707145152e-10),
+    (25, 10, 3.9798495449360398099878755151e-12),
+    (25, 20, 1.55467817400442771177209321991e-16),
+    (25, 30, 6.50993393860410234050925594882e-21),
+    (25, 32, 8.70162263808143930183948657806e-22),
+    (50, 5, 1.56801783282881575011988595339e-9),
+    (50, 10, 7.86969535907204069551107622865e-12),
+    (50, 20, 2.76503370872771610798108951591e-16),
+    (50, 30, 1.09966998918304176120225073105e-20),
+    (50, 32, 1.45884479261661649719279414697e-21),
+    (100, 5, 6.54810884498268064260351348575e-9),
+    (100, 10, 2.68339833660638155599950692213e-11),
+    (100, 20, 7.69587614106447077515615447094e-16),
+    (100, 30, 2.74370366476756260097498540772e-20),
+    (100, 32, 3.58041898088991150096013854134e-21),
+]
+
+
+@pytest.mark.parametrize("distance,threshold,reference", MPMATH_DEEP_TAILS)
+def test_deep_inv_rate_tails_match_mpmath_relative_to_themselves(params, distance, threshold,
+                                                                    reference):
+    dist = channel_at(distance, params)
+    t = float(threshold) if isinstance(threshold, str) else dist.support_lo + threshold * dist.mean_snr
+    assert inv_rate_tail(dist, t, params.bandwidth_hz) == pytest.approx(reference, rel=1e-12)
+
+
 # The same at mean SNR 1e-7 and 1e-11 (about 10 km and 220 km at the reference
 # radio), where 1 + gamma rounds in float64.
 MPMATH_SMALL_SNR_TAILS = [
@@ -176,50 +208,50 @@ def test_inv_rate_expectation_at_small_mean_snr_matches_mpmath(mean, threshold, 
     assert inv_rate_tail(dist, t, W) == pytest.approx(reference, rel=1e-10)
 
 
-def test_gauss_kronrod_constants():
-    nodes = channel._GK_NODES
-    kronrod, gauss = channel._GK_WEIGHTS.T
-    assert np.all(np.diff(nodes) > 0) and np.array_equal(nodes, -nodes[::-1])
-    # the 21-point Kronrod rule integrates polynomials exactly up to degree 31
-    for k in range(32):
-        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        assert kronrod @ nodes**k == pytest.approx(exact, abs=1e-15)
-    assert kronrod @ nodes**32 != pytest.approx(2.0 / 33, abs=1e-13)
-    # the embedded 10-point rule is Gauss-Legendre on the odd-indexed nodes
-    x10, w10 = np.polynomial.legendre.leggauss(10)
-    assert np.count_nonzero(gauss) == 10
-    np.testing.assert_allclose(nodes[gauss != 0], x10, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(gauss[gauss != 0], w10, rtol=0, atol=1e-15)
+def test_gauss_legendre_constants():
+    nodes, weights = np.array(channel._GL_NODES), np.array(channel._GL_WEIGHTS)
+    assert np.all(np.diff(nodes) > 0) and np.array_equal(weights, weights[::-1])
+    np.testing.assert_allclose(nodes, 1.0 - nodes[::-1], rtol=0, atol=1e-16)
+    # the 12-point rule on [0, 1] integrates polynomials exactly up to degree 23
+    for k in range(24):
+        assert weights @ nodes**k == pytest.approx(1.0 / (k + 1), abs=1e-15)
+    assert weights @ nodes**24 != pytest.approx(1.0 / 25, abs=1e-16)
+    # numpy's weights are good to about 3e-16
+    x12, w12 = np.polynomial.legendre.leggauss(12)
+    np.testing.assert_allclose(nodes, (1.0 + x12) / 2, rtol=0, atol=1e-16)
+    np.testing.assert_allclose(weights, w12 / 2, rtol=0, atol=1e-15)
 
 
 # -- the per-law tail table -------------------------------------------------------
 
 _SPOTS = ("below", "floor", "edge", "left_of_edge", "right_of_edge", "inside",
-          "near_cutoff", "cutoff", "past_cutoff", "inf")
+          "near_reach", "reach", "past_reach", "end", "inf")
 
 
 def _threshold(table, law, spot, k, u):
+    # table.near: the last threshold read off the table's panels
     edge = table.edges[k % len(table.edges)]
     return {
         "below": 0.5 * law.support_lo, "floor": law.support_lo, "edge": edge,
         "left_of_edge": np.nextafter(edge, 0.0), "right_of_edge": np.nextafter(edge, math.inf),
-        "inside": law.support_lo + u * (table.cutoff - law.support_lo),
-        "near_cutoff": table.cutoff * (1.0 - 1e-6 * u), "cutoff": table.cutoff,
-        "past_cutoff": 2.0 * table.cutoff, "inf": math.inf,
+        "inside": law.support_lo + u * (table.near - law.support_lo),
+        "near_reach": table.near * (1.0 - 1e-6 * u), "reach": table.near,
+        "past_reach": table.near + u * (table.edges[-1] - table.near),
+        "end": table.edges[-1] * (1.0 + u), "inf": math.inf,
     }[spot]
 
 
 @given(mean=st.floats(0.05, 40.0),
        picks=st.lists(st.tuples(st.sampled_from(_SPOTS), st.integers(0, 10**6),
                                 st.floats(0.0, 1.0)), min_size=1, max_size=12))
-def test_table_reads_match_the_adaptive_rule_per_threshold(mean, picks):
+def test_table_reads_match_the_fixed_rule_per_threshold(mean, picks):
     law = StageDistribution.truncated_exponential(mean)
     table = inv_rate_table(law, W)
-    assert table.full == expect(law, inv_rate)
+    assert table.full == expect(law, table.g)
     thresholds = [float(_threshold(table, law, *pick)) for pick in picks]
     got = inv_rate_tails(law, thresholds, W)
-    for t, tail in zip(thresholds, got.tolist()):
-        ref = law.partial_expect(inv_rate, t, math.inf)
+    for t, tail in zip(thresholds, got):
+        ref = law.partial_expect(table.g, t, math.inf)
         assert abs(tail - ref) <= 1e-10 * ref, (t, tail, ref)
         # a read does not depend on the other thresholds sharing its call
         assert tail == inv_rate_tail(law, t, W)
@@ -234,25 +266,9 @@ def test_discrete_table_reads_count_a_tie_as_a_stop(snrs, weights):
     thresholds = [0.5 * atoms[0], 2.0 * atoms[-1], math.inf, *atoms,
                   *np.nextafter(atoms, 0.0), *np.nextafter(atoms, math.inf)]
     got = inv_rate_tails(law, thresholds, W)
-    for t, tail in zip(thresholds, got.tolist()):
+    for t, tail in zip(thresholds, got):
         brute = math.fsum(p * inv_rate(s) for s, p in law.atoms if s >= t)
         assert tail == pytest.approx(brute, rel=1e-13, abs=0.0)
-
-
-def test_adaptive_rule_keeps_each_owners_panels_apart():
-    # a kink inside every panel makes every owner refine
-    x0, x1 = np.array([0.0, 0.2, 0.4]), np.array([1.0, 0.9, 0.6])
-    left, right, integrals, owner, total = channel._gk_adaptive(
-        lambda x: np.abs(x - 0.45) ** 1.5, x0, x1, np.arange(3), np.full(3, 1e-10))
-    assert len(owner) > 3
-    exact = (np.abs(x0 - 0.45) ** 2.5 + np.abs(x1 - 0.45) ** 2.5) / 2.5
-    np.testing.assert_allclose(np.bincount(owner, integrals, 3), exact, rtol=0, atol=1e-10)
-    for k in range(3):
-        mine = np.argsort(left[owner == k])
-        edges = np.append(left[owner == k][mine], right[owner == k][mine][-1])
-        assert edges[0] == x0[k] and edges[-1] == x1[k]
-        assert np.array_equal(edges[1:-1], right[owner == k][mine][:-1])
-    assert total == pytest.approx(exact.sum(), abs=1e-10)
 
 
 def test_untruncated_inv_rate_diverges():
@@ -262,16 +278,11 @@ def test_untruncated_inv_rate_diverges():
     assert err.value.estimate is not None
 
 
-@pytest.mark.parametrize("g,stop", [
-    (lambda s: 1.0 / s**2, r"after 100 levels"),      # finite in doubles: the level cap
-    (lambda s: np.sin(1e9 * s), r"after \d levels"),   # the panel cap
-], ids=["singular_at_zero", "rough_everywhere"])
-def test_quadrature_caps_raise_with_partial_estimate(g, stop):
+def test_a_singular_integrand_at_a_zero_floor_raises_with_the_estimate():
     plain = StageDistribution("truncated_exponential", mean_snr=1.0)
-    with pytest.raises(NumericalError, match=f"did not converge.*{stop}") as err:
-        expect(plain, g)
+    with pytest.raises(NumericalError, match="does not converge at an SNR floor of 0") as err:
+        expect(plain, lambda s: 1.0 / s**2)  # finite in doubles at every node
     assert math.isfinite(err.value.estimate)
-    assert err.value.error_bound > 0
 
 
 def test_truncation_floor_lowers_inv_rate_expectation():
@@ -341,11 +352,10 @@ def test_discrete_pdf_matches_atom_loop(law):
     between = (snrs[:-1] + snrs[1:]) / 2
     outside = [0.0, -1.0, snrs[0] / 2, snrs[-1] * 2, math.inf, -math.inf, math.nan]
     x = np.concatenate([snrs, between, outside, np.nextafter(snrs, math.inf)])
-    got = law.pdf(x)
+    got = np.array(law.pdf(x))
     assert np.array_equal(got, _pdf_by_atom_loop(law, x))
     assert np.array_equal(got[:len(snrs)], [p for _, p in law.atoms])
     assert not got[len(snrs):].any()
-    assert np.array_equal(law.pdf(x.reshape(-1, 1)), _pdf_by_atom_loop(law, x.reshape(-1, 1)))
     for v in x[::97]:
         assert law.pdf(float(v)) == _pdf_by_atom_loop(law, float(v))
 
@@ -478,7 +488,7 @@ def test_prob_below_leaves_out_the_atom_at_x(trunc):
     d = StageDistribution.discrete([(1.0, 0.25), (2.0, 0.25), (4.0, 0.5)])
     assert d.prob_below(2.0) == 0.25 and d.cdf(2.0) == 0.5
     assert d.prob_below(1.0) == 0.0 and d.prob_below(4.5) == 1.0
-    assert d.prob_below(np.array([1.0, 2.5, 4.0])).tolist() == [0.0, 0.5, 0.5]
+    assert d.prob_below(np.array([1.0, 2.5, 4.0])) == [0.0, 0.5, 0.5]
     xs = np.linspace(0.0, trunc.support_lo + 10 * trunc.mean_snr, 101)
     assert np.array_equal(trunc.prob_below(xs), trunc.cdf(xs))
 
@@ -544,9 +554,10 @@ def test_per_stage_helpers(trunc):
 
 
 def test_a_floor_that_swallows_the_tail_cutoff_is_rejected():
-    # 27.6 means above the floor is one ulp of it at 2**58, less than half of one at 2**60
+    # the 80 means of a tail's run above the floor are one ulp of it at 2**58,
+    # less than half of one at 2**60
     law = StageDistribution.truncated_exponential(MEAN_SNR_D50, floor_ratio=2.0**58)
-    assert law._upper_cutoff() > law.support_lo
+    assert 0.0 < inv_rate_tail(law, 0.0, W) < math.inf
     for ratio in (2.0**60, 2.0**70):
         with pytest.raises(ValueError, match="floor"):
             StageDistribution.truncated_exponential(MEAN_SNR_D50, floor_ratio=ratio)

@@ -1,6 +1,7 @@
 """Structural fuzzing of the config boundary.
 
-Mutants of valid configs (a node replaced, a key deleted, a key added) run
+Mutants of valid configs (one or two edits, each a node replaced, a key
+deleted or a key added), with or without the command-line overrides, run
 through every CLI command. Each ends in a defined exit code, never in a
 traceback; each exit 2 names a field under a top-level key of the format;
 and no command that exits 0 writes a NaN cost or threshold.
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgesplit.cli import main
+from edgesplit.placement import STRATEGIES
 
 from conftest import reference_config_dict
 
@@ -87,28 +89,62 @@ def _node(doc, path):
     return doc
 
 
+# the command-line overrides; --seed and --trials take integers at the parser
+OVERRIDES = {
+    "--updates": st.sampled_from(["inf", "10", "0", "-1", "2.5", "nan", "x", "1e400", ""]),
+    "--seed": st.sampled_from(["0", "3", "-1", str(2**70)]),
+    "--trials": st.sampled_from(["0", "-5", "1", "50", str(10**10)]),
+    "--strategy": st.sampled_from([*STRATEGIES, "gradient_descent"]),
+}
+
+
 @st.composite
-def mutants(draw):
-    """A base config name, a path in it, and the new value there (or DELETE)."""
-    base = draw(st.sampled_from(sorted(BASES)))
-    doc = BASES[base]
+def _edit(draw, doc):
+    """A path in `doc` and the new value there (or DELETE)."""
     how = draw(st.sampled_from(["replace", "delete", "add"]))
     if how == "add":
         objects = [()] + [p for p in _paths(doc) if isinstance(_node(doc, p), dict)]
-        return base, draw(st.sampled_from(objects)) + (draw(st.sampled_from(KEYS)),), draw(VALUES)
+        return draw(st.sampled_from(objects)) + (draw(st.sampled_from(KEYS)),), draw(VALUES)
     paths = list(_paths(doc))
     if how == "delete":
         paths = [p for p in paths if isinstance(p[-1], str)]
-    return base, draw(st.sampled_from(paths)), DELETE if how == "delete" else draw(VALUES)
+    return draw(st.sampled_from(paths)), DELETE if how == "delete" else draw(VALUES)
 
 
-def mutate(base, path, value):
-    doc = json.loads(json.dumps(BASES[base]))
+@st.composite
+def mutants(draw):
+    """A base config name, one or two edits of it, and command-line flags."""
+    base = draw(st.sampled_from(sorted(BASES)))
+    doc, edits = BASES[base], []
+    for _ in range(draw(st.integers(1, 2))):
+        edits.append(draw(_edit(doc)))
+        doc = _apply(doc, *edits[-1])
+    flags = []
+    for flag in draw(st.lists(st.sampled_from(sorted(OVERRIDES)), max_size=2, unique=True)):
+        flags += [flag, draw(OVERRIDES[flag])]
+    return base, tuple(edits), tuple(flags)
+
+
+def one(base, path, value):
+    """The case of a single edit and no flags."""
+    return base, ((path, value),), ()
+
+
+def _apply(doc, path, value):
+    """A copy of `doc` with the node at `path` set to `value`, or deleted."""
+    doc = json.loads(json.dumps(doc))
     parent = _node(doc, path[:-1])
     if value is DELETE:
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
+    return doc
+
+
+def mutate(base, edits):
+    doc = BASES[base]
+    for path, value in edits:
+        doc = _apply(doc, path, value)
     return doc
 
 
@@ -121,33 +157,35 @@ def _checked_values(path: Path):
 
 @settings(max_examples=500)
 @given(case=mutants())
-@example(case=("layers", ("network", "layers", 0, "download_seconds"), DELETE))
-@example(case=("example", ("params", "kappa"), 1e290))
-@example(case=("example", ("params", "kappa"), 1e308))
-@example(case=("example", ("params", "beta_e"), 1e308))
-@example(case=("example", ("params", "beta_t"), 1e305))
-@example(case=("layers", ("network", "layers"), [dict(LAYER, download_seconds=1e308)] * 3))
-@example(case=("example", ("channel", "snr_floor_ratio"), 2.0**60))
-@example(case=("example", ("channel", "snr_floor_ratio"), 2.0**70))
-@example(case=("example", ("params", "local_freq_hz"), 1e200))
-@example(case=("example", ("channel", "distance_m"), 1e-300))
-@example(case=("example", ("params", "noise_w"), 10**400))
-@example(case=("mlp", ("network", "mlp", "neurons", 1), 10**400))
-@example(case=("per_stage", ("seed",), -1))
-@example(case=("mlp_per_stage", ("channel", 1, "distance_m"), 120))
-@example(case=("mlp_per_stage/distance_m", ("channel", 1, "exponent"), 2))
-@example(case=("mlp", ("network", "mlp", "neurons"), "6464"))
-@example(case=("mlp", ("network", "mlp", "neurons"), {"64": 1, "32": 2}))
+@example(case=one("layers", ("network", "layers", 0, "download_seconds"), DELETE))
+@example(case=one("example", ("params", "kappa"), 1e290))
+@example(case=one("example", ("params", "kappa"), 1e308))
+@example(case=one("example", ("params", "beta_e"), 1e308))
+@example(case=one("example", ("params", "beta_t"), 1e305))
+@example(case=one("layers", ("network", "layers"), [dict(LAYER, download_seconds=1e308)] * 3))
+@example(case=one("example", ("channel", "snr_floor_ratio"), 2.0**60))
+@example(case=one("example", ("channel", "snr_floor_ratio"), 2.0**70))
+@example(case=one("example", ("params", "local_freq_hz"), 1e200))
+@example(case=one("example", ("channel", "distance_m"), 1e-300))
+@example(case=one("example", ("params", "noise_w"), 10**400))
+@example(case=one("mlp", ("network", "mlp", "neurons", 1), 10**400))
+@example(case=one("per_stage", ("seed",), -1))
+@example(case=one("mlp_per_stage", ("channel", 1, "distance_m"), 120))
+@example(case=one("mlp_per_stage/distance_m", ("channel", 1, "exponent"), 2))
+@example(case=one("mlp", ("network", "mlp", "neurons"), "6464"))
+@example(case=one("mlp", ("network", "mlp", "neurons"), {"64": 1, "32": 2}))
+@example(case=one("layers", ("params", "bandwidth_hz"), 5e-324))  # 1/R of an atom divided by 0
 def test_a_mutated_config_never_ends_in_a_traceback(tmp_path_factory, case):
+    base, edits, flags = case
     tmp_path = tmp_path_factory.mktemp("fuzz")
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps(mutate(*case)), encoding="utf-8")
+    config.write_text(json.dumps(mutate(base, edits)), encoding="utf-8")
     for command in COMMANDS:
         out = tmp_path / command
         argv = [command, "--config", str(config), "--out", str(out)]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main(argv + (["--trials", "200"] if command == "simulate" else []))
+            code = main(argv + (["--trials", "200"] if command == "simulate" else []) + list(flags))
         assert code in (0, 2, 3, 4), (command, code)
         if code == 2:
             field = re.search(r"\(field: ([^)]+)\)", err.getvalue())
@@ -171,8 +209,8 @@ def test_a_floor_whose_tail_cutoff_rounds_onto_it_is_a_channel_error(tmp_path):
     # at 2**58 the cutoff lands one ulp above the floor of the example's law and
     # it plans; at 2**60 it rounds onto the floor, which leaves no interval
     for command, result in (("place", "placement.csv"), ("thresholds", "thresholds.csv")):
-        code, _ = _run(tmp_path, command, mutate("example", ("channel", "snr_floor_ratio"), 2.0**58))
+        code, _ = _run(tmp_path, command, mutate(*one("example", ("channel", "snr_floor_ratio"), 2.0**58)[:2]))
         assert code == 0
         assert "nan" not in _checked_values(tmp_path / command / result)
-        code, err = _run(tmp_path, command, mutate("example", ("channel", "snr_floor_ratio"), 2.0**60))
+        code, err = _run(tmp_path, command, mutate(*one("example", ("channel", "snr_floor_ratio"), 2.0**60)[:2]))
         assert code == 2 and "(field: channel)" in err and "floor" in err

@@ -2,10 +2,11 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from edgesplit import SystemParams, apply_rule, load_config
-from edgesplit.cost_model import CostModel, cost_model, uplink_rate
+from edgesplit.cost_model import LN2, CostModel, cost_model, uplink_rate
 from edgesplit.model_graph import MlpSpec, build_mlp
 from edgesplit.splitting import ThresholdPolicy
 
@@ -187,3 +188,17 @@ def test_an_overflowing_cost_table_is_rejected(autoencoder, overrides, table):
     params = replace(make_params(), **overrides)
     with pytest.raises(ValueError, match=table):
         CostModel(autoencoder, params)
+
+
+def test_etc_values_is_the_plain_expression_bit_for_bit(autoencoder, params):
+    cm = cost_model(autoencoder, params)
+    rng = np.random.default_rng(4)
+    stages = rng.integers(1, autoencoder.N + 2, size=5000)
+    gammas = np.concatenate([rng.exponential(0.6, 4990), [5e-324, 1e-300, 1e-8, 1.0, 1e300,
+                                                          np.inf, 2.0, 3.0, 4.0, 5.0]])
+    omega = np.array([cm.omega(n) for n in range(1, autoencoder.N + 2)])
+    weight = np.array([cm.weight(n) for n in range(1, autoencoder.N + 2)])
+    with np.errstate(divide="ignore", over="ignore"):
+        want = omega[stages - 1] + weight[stages - 1] / (params.bandwidth_hz * np.log1p(gammas) / LN2)
+        got = cm.etc_values(stages, gammas)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

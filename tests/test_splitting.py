@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from edgesplit import (
     NumericalError,
@@ -223,6 +224,48 @@ def test_apply_rule_needs_full_sequence(autoencoder, params, dist_d50):
         apply_rule(pol, [1.0, 1.0, 1.0], autoencoder, params)
 
 
+def _first_crossing(policy, seq, net, params):
+    """Stage and cost of the first crossing, as a plain loop over the stages."""
+    stage = policy.horizon_M + 1
+    for n, t in enumerate(policy.thresholds, start=1):
+        if seq[n - 1] >= t:
+            stage = n
+            break
+    cm = cost_model(net, params)
+    rate = params.bandwidth_hz * math.log1p(seq[stage - 1]) / math.log(2.0)
+    return stage, cm.omega(stage) + cm.weight(stage) / rate
+
+
+_BAD_SNRS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -5e-324]
+
+
+def test_apply_rule_rejects_a_bad_snr_it_reads(autoencoder, params, dist_d50):
+    policy = backward_induction(3, autoencoder, params, dist_d50)  # 50 m
+    with pytest.raises(ValueError, match="stage 1"):
+        apply_rule(policy, [math.nan] * 4, autoencoder, params)  # was stage 4 at a nan cost
+    with pytest.raises(ValueError, match="stage 1"):
+        apply_rule(policy, [-1.0, 5.0, 5.0, 5.0], autoencoder, params)  # was stage 2
+
+
+@given(M=st.integers(0, 8), data=st.data())
+def test_apply_rule_checks_every_snr_it_reads_and_keeps_valid_decisions(autoencoder, params, M, data):
+    thresholds = data.draw(st.lists(st.one_of(st.floats(1e-3, 10.0), st.just(math.inf)),
+                                    min_size=M, max_size=M))
+    seq = data.draw(st.lists(st.floats(1e-6, 20.0), min_size=M + 1, max_size=M + 1))
+    policy = ThresholdPolicy("one_sla", M, thresholds)
+    got = apply_rule(policy, seq, autoencoder, params)
+    stage, cost = _first_crossing(policy, seq, autoencoder, params)
+    assert got.stage == stage and got.snr_at_stop == seq[stage - 1]
+    assert np.float64(got.realized_etc).view(np.int64) == np.float64(cost).view(np.int64)
+    k = data.draw(st.integers(1, M + 1))
+    broken = seq[:k - 1] + [data.draw(st.sampled_from(_BAD_SNRS))] + seq[k:]
+    if k <= stage:  # the rule reads stages 1..stage
+        with pytest.raises(ValueError, match=f"stage {k} must be positive and finite"):
+            apply_rule(policy, broken, autoencoder, params)
+    else:
+        assert apply_rule(policy, broken, autoencoder, params) == got
+
+
 # -- stop probabilities -------------------------------------------------------------
 
 def test_stop_probabilities_m1_form(autoencoder, params, dist_d50):
@@ -242,7 +285,7 @@ def test_stop_probabilities_sum_to_one(autoencoder, params, dist_d50):
     for M in (1, 4, 8):
         for rule in (backward_induction, one_sla_thresholds):
             pol = rule(M, autoencoder, params, dist_d50)
-            assert stop_probabilities(pol, dist_d50).sum() == pytest.approx(1.0, abs=1e-9)
+            assert sum(stop_probabilities(pol, dist_d50)) == pytest.approx(1.0, abs=1e-9)
 
 
 # -- expected cost -------------------------------------------------------------------

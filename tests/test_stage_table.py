@@ -1,8 +1,10 @@
 """Stage tables: the stop statistics every expected cost and the 1-sla
 placement sweep read, checked against the per-stage scalar loops they
-replace; and the dominance of the optimal rule over random problems."""
+replace; the dominance of the optimal rule over random problems; and the
+properties of both rules that hold, and one that does not."""
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,11 +24,12 @@ from edgesplit import (
 )
 from edgesplit import splitting
 from edgesplit.channel import per_stage
-from edgesplit.cost_model import cost_model
+from edgesplit.cost_model import cost_model, uplink_rate
 from edgesplit.model_graph import LayerSpec, NetworkSpec
 from edgesplit.splitting import (
     ThresholdPolicy,
     expected_etc,
+    one_sla_optimality_probability,
     optimal_recursion,
     stage_table,
     stop_probabilities,
@@ -133,7 +136,7 @@ def _check_sweep_rows(net, params, dists):
         conds = stop_conditional_etc(policy, net, params, dists)
         assert _bits(probs) == _bits(_loop_stop_probabilities(policy, dists))
         assert _bits(conds) == _bits(_loop_stop_conditional_etc(policy, net, params, dists))
-        assert _bits(row.expected_etc) == _bits(float(np.dot(probs, conds)))
+        assert _bits(row.expected_etc) == _bits(math.fsum(np.multiply(probs, conds)))
     return full
 
 
@@ -170,7 +173,7 @@ def test_table_takes_one_cdf_call_per_distinct_law(autoencoder, params, dist_d50
     policy = one_sla_thresholds(8, autoencoder, params, dist_d50)
     table = stage_table(policy, dist_d50)
     assert calls == [dist_d50]
-    assert table.reach[0] == 1.0 and table.reach.shape == (9,)
+    assert table.reach[0] == 1.0 and len(table.reach) == 9
     other = channel_at(80.0, params)
     calls.clear()
     stage_table(policy, [dist_d50, other] * 4 + [other])
@@ -224,7 +227,7 @@ def test_optimal_rule_costs_no_more_than_one_sla_or_never_stopping(problem):
 # -- the lockstep recursion against a scalar reference ------------------------------
 
 def _reference_induction(M, net, params, dists):
-    """Backward induction for horizon M alone, one adaptive quadrature per tail."""
+    """Backward induction for horizon M alone, one `partial_expect` per tail."""
     ds = per_stage(dists, M + 1)
     cm = cost_model(net, params)
     bandwidth = params.bandwidth_hz
@@ -254,7 +257,7 @@ def test_lockstep_recursion_matches_the_scalar_reference(problem):
     forced = Problem(net, params, dists).forced
     thresholds, values = optimal_recursion(range(net.N + 1), forced, net, params, dists)
     for M in range(net.N + 1):
-        own_t, own_v = thresholds[M, :M].tolist(), values[M, :M + 1].tolist()
+        own_t, own_v = thresholds[M][:M], values[M][:M + 1]
         if M:
             policy = backward_induction(M, net, params, dists)
             assert policy.thresholds == tuple(own_t) and policy.value_table == tuple(own_v)
@@ -262,9 +265,10 @@ def test_lockstep_recursion_matches_the_scalar_reference(problem):
         assert own_t == [_indifference(cm.weight(n), params.bandwidth_hz, own_v[n] - cm.omega(n))
                          for n in range(1, M + 1)]
         ref_t, ref_v = _reference_induction(M, net, params, dists)
-        # the table read and the per-threshold rule accept different panels,
-        # which agree to about 1e-10 relative near the floor of a wide law;
-        # 2^x amplifies that in a threshold whose margin is small
+        # the table read and `partial_expect` from t run the rule on different
+        # panels, and the reference takes np.log1p where the table takes
+        # math.log1p; 2^x amplifies a last-digit gap in a threshold whose
+        # margin is small
         assert own_v == pytest.approx(ref_v, rel=1e-9)
         assert own_t == pytest.approx(ref_t, rel=1e-6)
 
@@ -343,7 +347,61 @@ def test_thresholds_on_atoms_match_atom_enumeration(rule, M, autoencoder, params
 
 def test_tie_at_an_atom_stops(autoencoder, params):
     d = StageDistribution.discrete([(1.0, 0.25), (2.0, 0.25), (4.0, 0.5)])
-    assert stop_probabilities(ThresholdPolicy("one_sla", 1, (2.0,)), d).tolist() == [0.75, 0.25]
+    assert stop_probabilities(ThresholdPolicy("one_sla", 1, (2.0,)), d) == [0.75, 0.25]
     policy = ThresholdPolicy("one_sla", 2, (2.0, 2.0))
     _, cost = _enumerate(policy, autoencoder, params, [d] * 3)
     assert expected_etc(policy, autoencoder, params, d) == pytest.approx(cost, rel=1e-12)
+
+
+# -- properties of the two rules ----------------------------------------------------
+
+@given(problem=_problems())
+def test_one_sla_is_optimal_where_its_optimality_probability_is_one(problem):
+    # the monotone case: once the 1-sla rule calls for a stop it calls for one at
+    # every later stage, and then it is the optimal rule
+    net, params, dists = problem
+    for M in range(net.N + 1):
+        if one_sla_optimality_probability(M, net, params, dists) == 1.0:
+            one_sla = expected_etc(one_sla_thresholds(M, net, params, dists), net, params, dists)
+            optimal = backward_induction(M, net, params, dists).value_table[0]
+            assert one_sla == pytest.approx(optimal, rel=1e-12)
+
+
+@given(problem=_problems())
+def test_a_threshold_is_infinite_exactly_where_stopping_never_wins(problem):
+    """Stage n's threshold is +inf iff the stop cost at the largest double SNR
+    exceeds what the rule compares it with: the optimal rule's continuation
+    value, and the 1-sla rule's cost of one more layer and a stop at n+1."""
+    net, params, dists = problem
+    cm = cost_model(net, params)
+    ds = per_stage(dists, net.N + 1)
+    top = uplink_rate(sys.float_info.max, params)
+    optimal = backward_induction(net.N, net, params, dists)
+    one_sla = one_sla_thresholds(net.N, net, params, dists)
+    for n in range(1, net.N + 1):
+        ahead = cm.omega(n + 1) + cm.weight(n + 1) * inv_rate_tail(ds[n], 0.0, params.bandwidth_hz)
+        for policy, continuation in ((optimal, optimal.value_table[n]), (one_sla, ahead)):
+            t = policy.thresholds[n - 1]
+            best_stop = cm.omega(n) + cm.weight(n) / top
+            if math.isinf(t):
+                assert best_stop >= continuation * (1.0 - 1e-12), (policy.rule_kind, n)
+            else:
+                # the threshold is the indifference SNR
+                stop = cm.omega(n) + cm.weight(n) / uplink_rate(t, params) if t > 0 else math.inf
+                assert best_stop < continuation * (1.0 + 1e-12), (policy.rule_kind, n)
+                assert t == 0.0 or stop == pytest.approx(continuation, rel=1e-9), (policy.rule_kind, n)
+
+
+def test_one_sla_can_cost_more_than_never_stopping(params):
+    """"1-sla <= never stopping" is not a property of the rule: a look-ahead of
+    one stage does not see a payload that shrinks two stages on. Layers 1 and
+    2 cost nothing and take 1e6 bits each, the exit takes 100 bits; the 1-sla
+    rule stops at stage 1 on any SNR at which it costs no more than stage 2
+    would, and pays for 1e6 bits where never stopping uploads 100."""
+    net = NetworkSpec((LayerSpec(0.0, 1e6, 0.1), LayerSpec(0.0, 1e6, 0.1)), 100.0)
+    law = StageDistribution.truncated_exponential(5.0)
+    one_sla = expected_etc(one_sla_thresholds(2, net, params, law), net, params, law)
+    never = expected_etc(ThresholdPolicy("one_sla", 2, (math.inf, math.inf)), net, params, law)
+    optimal = backward_induction(2, net, params, law).value_table[0]
+    assert one_sla > 1000.0 * never
+    assert optimal <= never

@@ -1,8 +1,10 @@
 """Module boundaries: no edgesplit module imports another module's private
 names, only the CLI catches a NumericalError, only the config module reads
-the config format, importing the package and its CLI pulls in no scipy, the
-package exports an explicit list of names, and the README quick start runs."""
+the config format, importing the package and its CLI pulls in no scipy,
+planning runs without numpy, the package exports an explicit list of names,
+and the README quick start runs."""
 import ast
+import json
 import os
 import re
 import subprocess
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import edgesplit
 from edgesplit.errors import NumericalError
+
+from conftest import reference_config_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "edgesplit"
@@ -92,6 +96,48 @@ def test_import_is_scipy_free():
     out = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# `place`, `thresholds` and every sweep axis on the three networks, a per-stage
+# list of laws and a discrete law; then `simulate`, which is the numpy path
+_PLANNING = """
+import json, sys
+import edgesplit, edgesplit.cli
+from edgesplit.cli import main
+out = sys.argv[1]
+codes = []
+for i, cfg in enumerate(json.loads(sys.argv[2])):
+    path = f"{out}/cfg{i}.json"
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    command = "sweep" if "sweep" in cfg else "place"
+    codes.append(main([command, "--config", path, "--out", f"{out}/{i}"]))
+    if command == "place":
+        codes.append(main(["thresholds", "--config", path, "--out", f"{out}/{i}"]))
+assert codes == [0] * len(codes), codes
+assert "numpy" not in sys.modules
+assert main(["simulate", "--config", path, "--out", f"{out}/sim", "--trials", "200"]) in (0, 4)
+assert "numpy" in sys.modules and edgesplit.simulate.__module__ == "edgesplit.simulate"
+"""
+
+
+def test_planning_runs_without_numpy(tmp_path):
+    mlp12 = {"mlp": {"neurons": [64] * 13, "lambda_bytes": 8, "mu_bytes": 8, "alpha": 100}}
+    pathloss = reference_config_dict()["channel"]
+    sweeps = [{"variable": "distance_m", "values": [20, 80]},
+              {"variable": "updates_per_model", "values": [10, "inf"]},
+              {"variable": "M", "values": [0, 3]}]
+    configs = [reference_config_dict(network="alexnet"),
+               reference_config_dict(network=mlp12,
+                                     strategies=["optimal_exhaustive", "mlp_closed_form", "hybrid"]),
+               reference_config_dict(channel=[dict(pathloss, distance_m=d) for d in range(20, 200, 20)]),
+               reference_config_dict(channel={"kind": "discrete", "atoms": [[0.1, 0.5], [2.0, 0.5]]})]
+    configs += [reference_config_dict(network=net, sweep=sweep, strategies=["optimal_exhaustive"])
+                for net in ("autoencoder", "alexnet", mlp12) for sweep in sweeps]
+    configs.append(reference_config_dict(strategies=["optimal_exhaustive", "one_sla_exhaustive"]))
+    out = subprocess.run([sys.executable, "-c", _PLANNING, str(tmp_path), json.dumps(configs)],
+                         env=_src_env(), capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
 
 
 def _quick_start() -> str:
