@@ -56,6 +56,14 @@ def omega(n, layers):
 FLOOR_RATIO = mp.mpf("1e-3")   # SNR floor of the truncated law, relative to its mean
 MIN_TAIL_MASS = mp.mpf("1e-14")  # pairs with less mass above t are not frozen
 DEEP_TAIL_MEANS = (5, 10, 20, 30, 32)  # thresholds this many means above the floor
+# Laws with the highest floor the planner accepts, 2^20 means, as (mean, floor)
+# doubles; the last is the worst of 800 random laws with floors in [2^19, 2^20] means.
+HIGH_FLOOR_LAWS = (
+    ("0.58398635357342641", "612354.0746846092"),
+    ("0.001", "1048.576"),
+    ("1000.0", "1048576000.0"),
+    ("35606.25893370789", "36345582055.45803"),
+)
 
 
 def inv_rate_tail(distance, t):
@@ -63,8 +71,9 @@ def inv_rate_tail(distance, t):
     return inv_rate_tail_at_mean(mean_snr(distance), t)
 
 
-def inv_rate_tail_at_mean(mean, t):
-    """E[1/R; gamma >= t] under the exponential SNR law truncated at its floor.
+def inv_rate_tail_at_mean(mean, t, floor=None):
+    """E[1/R; gamma >= t] under the exponential SNR law truncated at its floor
+    (FLOOR_RATIO x mean unless given).
 
     Returns (value, tail mass). The density is exp(-(s - floor)/mean)/mean
     on [floor, inf). With s = lo + mean * v, lo = max(t, floor), the value is
@@ -73,7 +82,7 @@ def inv_rate_tail_at_mean(mean, t):
     relative precision. That integral is split at multiples of the mean,
     where the exponential decays, and checked at a second working precision.
     """
-    floor = mean * FLOOR_RATIO
+    floor = mean * FLOOR_RATIO if floor is None else floor
     lo = max(t, floor)
 
     def integrand(v):
@@ -145,6 +154,11 @@ def main():
         for label, t in (("0", mp.mpf(0)), ("3*floor", 3 * mean * FLOOR_RATIO), ("mean", mean)):
             value, _ = inv_rate_tail_at_mean(mean, t)
             print(f"mean={mp.nstr(mean, 3)} t={label}: {mp.nstr(value, 30, min_fixed=0, max_fixed=0)}")
+
+    print("== E[1/R] on laws with a floor of up to 2^20 means ==")
+    for mean, floor in HIGH_FLOOR_LAWS:
+        value, _ = inv_rate_tail_at_mean(mp.mpf(mean), 0, floor=mp.mpf(floor))
+        print(f"mean={mean} floor={floor}: {mp.nstr(value, 30, min_fixed=0, max_fixed=0)}")
 
 
 if __name__ == "__main__":

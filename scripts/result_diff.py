@@ -17,7 +17,8 @@ of `python -m edgesplit.cli` calls on each:
   10, and one shared discrete law, under `place`, `thresholds` and a K
   (`updates_per_model`) sweep;
 * `thresholds` and `simulate` at horizon_M = 0, with a shared law and with a
-  one-law list;
+  one-law list, and `simulate` at horizon_M = 1 and N, with a shared law and
+  with a per-stage list that has discrete stages;
 * the reproducers of known boundary defects and a set of malformed configs.
 
 It then lists the cases whose exit code or exit-2 field changed, the result
@@ -138,6 +139,11 @@ def matrix():
         for command in ("thresholds", "simulate"):
             cases.append((f"horizon-0/{name}", command,
                           config(channel=channel, strategies=RULES, horizon_M=0), []))
+    # the Monte Carlo kernel's edges: one threshold stage, and every stage
+    for horizon in (1, 8):
+        for name, channel in (("shared", pathloss(50)), ("mixed", mixed)):
+            cases.append((f"horizon-{horizon}/{name}", "simulate",
+                          config(channel=channel, strategies=RULES, horizon_M=horizon), []))
     cases.append(("flags", "place", config(), ["--updates", "inf", "--strategy", "hybrid"]))
     cases.append(("flags", "place", config(), ["--updates", "10"]))
     cases.append(("flags", "simulate", config(strategies=RULES),

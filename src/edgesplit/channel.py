@@ -17,7 +17,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .cost_model import LN2, SystemParams
 from .errors import NumericalError
@@ -48,6 +48,12 @@ _REACH_MEANS = 40.0
 # holds more than 1e-12 of the integral, the integral does not converge.
 _ZERO_FLOOR_PANEL = 2.0**-60
 _ZERO_FLOOR_SHARE = 1e-12
+# The SNR nodes round to the grid of the floor's doubles, which moves E[1/R] by
+# about ulp(floor) / mean relative. Up to a floor of 2^20 means the rule's
+# E[1/R] matches 30-digit mpmath within 1e-10 (at most 5.5e-11 over 800 laws
+# with floors in [2^19, 2^20] means and means from 1e-6 to 1e6; 1.5e-10 at
+# 2^21.9); a law with a higher floor is rejected.
+_MAX_FLOOR_MEANS = 2.0**20
 # the rule as the result files record it
 QUAD_RULE = {
     "quad_nodes_per_panel": len(_GL_NODES),
@@ -87,47 +93,61 @@ def mean_snr_from_pathloss(pl: PathLossParams, params: SystemParams) -> float:
     return (params.tx_power_w / params.noise_w) * pl.antenna_gain * wavelength_factor**pl.exponent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StageDistribution:
     """SNR law of one decision stage.
 
     kind is "truncated_exponential" or "discrete". The exponential kind is
     support_lo + Exp(mean_snr): the law above the floor support_lo, which has
-    no ceiling (support_lo = 0 is the untruncated law); the discrete kind
-    carries (snr, probability) atoms with strictly increasing SNRs, and its
-    support_hi is the top atom. Instances are immutable and safe to share.
+    no ceiling (support_lo = 0 is the untruncated law). The discrete kind
+    stores its atoms as two columns, `snrs` strictly increasing and `probs`
+    their probabilities; its support_hi is the top atom, and `atoms` reads
+    the columns as (snr, probability) pairs. A law is built from pairs
+    (`atoms=`) or from the two columns (`snrs=`, `probs=`). Instances are
+    immutable and safe to share.
     """
 
     kind: str
     mean_snr: float | None = None
     support_lo: float = 0.0
     support_hi: float = math.inf
-    atoms: tuple[tuple[float, float], ...] | None = None
+    snrs: tuple[float, ...] | None = None
+    probs: tuple[float, ...] | None = None
 
-    def __post_init__(self):
-        if self.kind == "truncated_exponential":
-            if self.mean_snr is None or not 0 < self.mean_snr < math.inf:
-                raise ValueError(f"mean_snr must be positive and finite, got {self.mean_snr!r}")
-            # written so that a NaN floor fails
-            if not (math.isfinite(self.support_lo) and self.support_lo >= 0
-                    and self.support_hi == math.inf):
-                raise ValueError("need a finite SNR floor support_lo >= 0 and no ceiling (support_hi "
-                                 f"= inf), got [{self.support_lo!r}, {self.support_hi!r}]")
-            # a tail spans 2 x _REACH_MEANS means of SNR above the floor
-            if not self.support_lo < self.support_lo + 2.0 * _REACH_MEANS * self.mean_snr < math.inf:
-                raise ValueError(f"the SNR floor support_lo = {self.support_lo!r} and mean_snr = "
-                                 f"{self.mean_snr!r} leave the tail no room: {2.0 * _REACH_MEANS:g} "
-                                 "means above the floor round onto it or overflow")
-        elif self.kind == "discrete":
-            if not self.atoms:
-                raise ValueError("discrete law needs at least one atom")
-            if set(map(len, self.atoms)) != {2}:
+    def __init__(self, kind: str, mean_snr: float | None = None, support_lo: float = 0.0,
+                 support_hi: float = math.inf, atoms=None, *, snrs=None, probs=None):
+        if atoms is not None:
+            if set(map(len, atoms)) - {2}:
                 raise ValueError("atoms must be (snr, probability) pairs")
-            snrs, probs = tuple(map(_FIRST, self.atoms)), tuple(map(_SECOND, self.atoms))
+            snrs, probs = tuple(map(_FIRST, atoms)), tuple(map(_SECOND, atoms))
+        for name, value in (("kind", kind), ("mean_snr", mean_snr), ("support_lo", support_lo),
+                            ("support_hi", support_hi), ("snrs", snrs), ("probs", probs)):
+            object.__setattr__(self, name, value)
+        if kind == "truncated_exponential":
+            if mean_snr is None or not 0 < mean_snr < math.inf:
+                raise ValueError(f"mean_snr must be positive and finite, got {mean_snr!r}")
+            # written so that a NaN floor fails
+            if not (math.isfinite(support_lo) and support_lo >= 0 and support_hi == math.inf):
+                raise ValueError("need a finite SNR floor support_lo >= 0 and no ceiling (support_hi "
+                                 f"= inf), got [{support_lo!r}, {support_hi!r}]")
+            if not support_lo <= _MAX_FLOOR_MEANS * mean_snr:
+                raise ValueError(f"the SNR floor support_lo = {support_lo!r} lies more than 2^20 "
+                                 f"times mean_snr = {mean_snr!r} above 0, where the fixed rule's "
+                                 "nodes round to the floor's grid of doubles")
+            # a tail spans 2 x _REACH_MEANS means of SNR above the floor
+            if not support_lo + 2.0 * _REACH_MEANS * mean_snr < math.inf:
+                raise ValueError(f"the SNR floor support_lo = {support_lo!r} and mean_snr = "
+                                 f"{mean_snr!r} leave the tail no room: {2.0 * _REACH_MEANS:g} "
+                                 "means above the floor overflow")
+        elif kind == "discrete":
+            if not snrs:
+                raise ValueError("discrete law needs at least one atom")
+            if len(snrs) != len(probs):
+                raise ValueError("atoms must be (snr, probability) pairs")
             # written so that NaN atoms fail: a NaN anywhere breaks the strict order
             if not (snrs[0] > 0 and snrs[-1] < math.inf):
                 raise ValueError("atom SNRs must be positive and finite")
-            if not all(map(operator.lt, snrs, snrs[1:])):
+            if not all(map(operator.lt, snrs, islice(snrs, 1, None))):
                 raise ValueError("atom SNRs must be strictly increasing")
             if not min(probs) > 0:
                 raise ValueError("atom probabilities must be positive")
@@ -136,10 +156,13 @@ class StageDistribution:
                 raise ValueError("atom probabilities must sum to 1")
             object.__setattr__(self, "support_lo", snrs[0])
             object.__setattr__(self, "support_hi", snrs[-1])
-            object.__setattr__(self, "_snrs", snrs)
-            object.__setattr__(self, "_probs", probs)
         else:
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
+            raise ValueError(f"unknown distribution kind {kind!r}")
+
+    @property
+    def atoms(self) -> tuple[tuple[float, float], ...] | None:
+        """The (snr, probability) pairs of a discrete law; None for the exponential kind."""
+        return None if self.snrs is None else tuple(zip(self.snrs, self.probs))
 
     # -- constructors ------------------------------------------------------
 
@@ -174,12 +197,12 @@ class StageDistribution:
     def _merged(cls, snrs: list, probs: list) -> "StageDistribution":
         """The discrete law of the atoms (snrs[k], probs[k]), sorted, with
         repeated SNRs merged in input order."""
-        if not all(map(operator.lt, snrs, snrs[1:])):  # else sorted with no repeats already
+        if not all(map(operator.lt, snrs, islice(snrs, 1, None))):  # else sorted with no repeats
             merged = {}
             for snr, prob in zip(snrs, probs):
                 merged[snr] = merged.get(snr, 0.0) + prob
             snrs, probs = zip(*sorted(merged.items()))
-        return cls(kind="discrete", atoms=tuple(zip(snrs, probs)))
+        return cls("discrete", snrs=tuple(snrs), probs=tuple(probs))
 
     @classmethod
     def from_pathloss(cls, pl: PathLossParams, params: SystemParams,
@@ -195,7 +218,7 @@ class StageDistribution:
             raise ValueError("only a discrete law has atoms")
         import numpy as np
 
-        arrays = tuple(np.fromiter(column, float, len(column)) for column in (self._snrs, self._probs))
+        arrays = tuple(np.fromiter(column, float, len(column)) for column in (self.snrs, self.probs))
         for a in arrays:
             a.setflags(write=False)
         return arrays
@@ -206,7 +229,7 @@ class StageDistribution:
         Takes a number or a sequence of numbers, and returns a float or a list.
         """
         if self.kind == "discrete":
-            snrs, probs = self._snrs, self._probs
+            snrs, probs = self.snrs, self.probs
             top = len(snrs) - 1
 
             def mass(v):
@@ -233,7 +256,7 @@ class StageDistribution:
         return self._discrete_below(x, bisect_left) if self.kind == "discrete" else self.cdf(x)
 
     def _discrete_below(self, x, bisect):
-        snrs, cum = self._snrs, list(accumulate(self._probs))
+        snrs, cum = self.snrs, list(accumulate(self.probs))
 
         def below(v):
             i = bisect(snrs, v)
@@ -245,20 +268,22 @@ class StageDistribution:
         """Inverse CDF, elementwise; an array argument gets a new numpy array of its shape."""
         import numpy as np
 
-        u = np.asarray(u, dtype=float)
-        if not np.all((u >= 0) & (u <= 1)):  # also rejects NaN
+        # one contiguous copy of the argument: checked with two reductions and,
+        # on the exponential kind, turned into the result in place
+        u = np.array(u, dtype=float)
+        if u.size and not (u.min() >= 0 and u.max() <= 1):  # also rejects NaN
             raise ValueError("quantile argument must lie in [0, 1]")
         if self.kind == "discrete":
-            idx = np.minimum(np.searchsorted(np.cumsum(self._probs), u, side="left"), len(self._snrs) - 1)
-            out = np.array(self._snrs)[idx]
+            snrs, probs = self.atom_arrays
+            out = snrs[np.minimum(np.searchsorted(np.cumsum(probs), u, side="left"), len(snrs) - 1)]
             return float(out) if out.ndim == 0 else out
         with np.errstate(divide="ignore"):
-            # lo - mean * log1p(-u), the same roundings in one buffer
-            out = np.negative(u, out=np.empty_like(u))
-            np.log1p(out, out=out)
-        out *= self.mean_snr
-        np.subtract(self.support_lo, out, out=out)
-        return float(out) if out.ndim == 0 else out
+            # lo - mean * log1p(-u)
+            np.negative(u, out=u)
+            np.log1p(u, out=u)
+        u *= self.mean_snr
+        np.subtract(self.support_lo, u, out=u)
+        return float(u) if u.ndim == 0 else u
 
     # -- expectations --------------------------------------------------------
 
@@ -274,7 +299,7 @@ class StageDistribution:
         if lo > hi:
             raise ValueError("need lo <= hi")
         if self.kind == "discrete":
-            return float(sum(p * g(s) for s, p in self.atoms if lo <= s <= hi))
+            return float(sum(p * g(s) for s, p in zip(self.snrs, self.probs) if lo <= s <= hi))
         a = max(lo, self.support_lo)
         return sum(reversed(self._panel_integrals(g, self._layout(a, hi)))) if a < hi else 0.0
 
@@ -326,7 +351,7 @@ class StageDistribution:
 
     def to_json_dict(self) -> dict:
         if self.kind == "discrete":
-            return {"kind": "discrete", "atoms": [[s, p] for s, p in self.atoms]}
+            return {"kind": "discrete", "atoms": [[s, p] for s, p in zip(self.snrs, self.probs)]}
         return {"kind": self.kind, "mean_snr": self.mean_snr, "snr_floor": self.support_lo}
 
 
@@ -345,8 +370,8 @@ class TailTable:
     def __init__(self, dist: StageDistribution, g):
         self.dist, self.g = dist, g
         if dist.kind == "discrete":
-            self.edges = dist._snrs
-            terms = [p * g(s) for s, p in dist.atoms]
+            self.edges = dist.snrs
+            terms = [p * g(s) for s, p in zip(dist.snrs, dist.probs)]
         else:
             panels = dist._layout(dist.support_lo, math.inf)
             self.edges = [x0 for x0, _ in panels] + [panels[-1][1]]

@@ -71,18 +71,22 @@ def _first_crossings(u: np.ndarray, ds, thresholds) -> tuple[np.ndarray, np.ndar
     """1-based stop stage of each row of a uniform block, and the SNR it stops on.
 
     A row stops at its first SNR at or above the stage's threshold, else at the
-    forced stage M + 1, M = len(thresholds). Stage j's quantile runs only on
-    the uniforms of the rows still live at j.
+    forced stage M + 1, M = len(thresholds). Every row reaches stage 1, which
+    reads its column whole; stage j > 1 runs its quantile only on the uniforms
+    of the rows still live at j.
     """
     import numpy as np
 
     M = len(thresholds)
-    stages = np.full(len(u), M + 1)
-    gammas = np.empty(len(u))
-    live = np.arange(len(u))
-    for j, t in enumerate(thresholds):
+    gammas = ds[0].quantile(u[:, 0])
+    if not M:
+        return np.full(len(u), 1), gammas
+    hit = gammas >= thresholds[0]
+    stages = np.where(hit, 1, M + 1)
+    live = np.flatnonzero(~hit)
+    for j in range(1, M):
         snrs = ds[j].quantile(u[live, j])
-        hit = snrs >= t
+        hit = snrs >= thresholds[j]
         stop = np.flatnonzero(hit)
         rows = live[stop]
         stages[rows] = j + 1
@@ -97,18 +101,20 @@ def _agreements(u: np.ndarray, ds, t_a, t_b) -> int:
 
     A row leaves the pass at the first stage where either rule stops: the rules
     agree there if both stop, else the other one stops later. Rows that neither
-    rule stops agree on the forced stage, which needs no draw.
+    rule stops agree on the forced stage, which needs no draw. Stage 1 reads
+    its column whole; later stages only the live rows.
     """
     import numpy as np
 
     agree = 0
-    live = np.arange(len(u))
+    live = None  # every row, before stage 1
     for j, (a, b) in enumerate(zip(t_a, t_b)):
-        snrs = ds[j].quantile(u[live, j])
+        snrs = ds[j].quantile(u[:, j] if live is None else u[live, j])
         hit_a, hit_b = snrs >= a, snrs >= b
         agree += int(np.count_nonzero(hit_a & hit_b))
-        live = live[~(hit_a | hit_b)]
-    return agree + len(live)
+        go_on = ~(hit_a | hit_b)
+        live = np.flatnonzero(go_on) if live is None else live[go_on]
+    return agree + (len(u) if live is None else len(live))
 
 
 def simulate(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, dists,
@@ -187,7 +193,7 @@ def oracle_dp(M: int, net: NetworkSpec, params: SystemParams, discrete_dists) ->
         value = np.minimum(stop_cost, continue_value)
         continue_value = float(np.dot(probs, value))
     thresholds.reverse()
-    grid = max(len(d.atoms) for d in ds)
+    grid = max(len(d.snrs) for d in ds)
     return OracleResult(grid_points=grid, thresholds=tuple(thresholds),
                         expected_cost=continue_value)
 

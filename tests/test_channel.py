@@ -335,6 +335,55 @@ def test_quantile_stays_in_support(law):
     assert law.quantile(1.0) <= law.support_hi
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _contiguous_reference(law, u):
+    """The quantile as one expression on a contiguous copy of u."""
+    u = np.ascontiguousarray(u, dtype=float)
+    if law.kind == "discrete":
+        cum = np.cumsum([p for _, p in law.atoms])
+        snrs = np.array([s for s, _ in law.atoms])
+        return snrs[np.minimum(np.searchsorted(cum, u, side="left"), len(snrs) - 1)]
+    with np.errstate(divide="ignore"):
+        return law.support_lo - law.mean_snr * np.log1p(-u)
+
+
+_EDGE_UNIFORMS = [0.0, -0.0, 1.0, 1.0 - 2.0**-53, 1.0 - 2.0**-52, 2.0**-1074, 0.5]
+_QUANTILE_LAWS = [*_LAWS.values(), StageDistribution("truncated_exponential", mean_snr=0.3)]
+
+
+@given(law=st.sampled_from(_QUANTILE_LAWS), rows=st.integers(0, 60), cols=st.integers(1, 5),
+       step=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       edges=st.lists(st.sampled_from(_EDGE_UNIFORMS), max_size=8),
+       bad=st.sampled_from([math.nan, -0.5, -2.0**-1074, 1.0 + 2.0**-52, 2.0, math.inf]))
+def test_quantile_of_strided_views_matches_a_contiguous_copy(law, rows, cols, step, seed,
+                                                              edges, bad):
+    rng = np.random.default_rng(seed)
+    block = rng.random((rows, cols))
+    flat = block.reshape(-1)
+    flat[:len(edges)] = edges[:flat.size]
+    kept = block.copy()
+    j = int(rng.integers(cols))
+    arguments = [block[::step, j], block[:, j], block, np.array(rng.random()), np.empty(0),
+                 np.empty((0, cols))[:, :1]] + [np.array(v) for v in edges]
+    for u in arguments:
+        got = law.quantile(u)
+        assert _bits(got) == _bits(_contiguous_reference(law, u))
+        if np.ndim(u):
+            assert got.shape == u.shape and not np.shares_memory(got, block)
+        else:
+            assert isinstance(got, float)
+    assert _bits(block) == _bits(kept)  # no argument is overwritten
+    if rows:
+        view = block[::step, j]
+        view[int(rng.integers(len(view)))] = bad
+        for u in (view, np.array(bad), bad):
+            with pytest.raises(ValueError, match="quantile"):
+                law.quantile(u)
+
+
 def _pdf_by_atom_loop(law, x):
     """The discrete pdf as one np.where per atom."""
     x = np.asarray(x, dtype=float)
@@ -476,6 +525,54 @@ def test_discrete_law_invariant_under_reordering_and_splitting(counts, order):
     assert StageDistribution.discrete(reversed(atoms)) == base
 
 
+def _reads(law, points):
+    """Every read the planner makes of a law, from a freshly built tail table."""
+    inv_rate_table.cache_clear()
+    return law.cdf(points), law.prob_below(points), inv_rate_tails(law, points, W)
+
+
+def _agree_as_laws(a, b, points):
+    assert a == b and hash(a) == hash(b)
+    assert a.atoms == b.atoms
+    assert a.to_json_dict() == b.to_json_dict()
+    assert _reads(a, points) == _reads(b, points)
+
+
+@given(pairs=st.lists(st.tuples(_SNRS, st.floats(1e-3, 1.0)), min_size=1, max_size=40),
+       repeats=st.lists(st.integers(0, 39), max_size=10), order=st.randoms(use_true_random=False))
+def test_column_storage_keeps_every_discrete_law_built_from_pairs(pairs, repeats, order):
+    pairs = pairs + [(pairs[k % len(pairs)][0], 0.5) for k in repeats]  # repeated SNRs
+    order.shuffle(pairs)
+    total = sum(p for _, p in pairs)
+    pairs = [(s, p / total) for s, p in pairs]
+    law = _law_or_error(lambda: StageDistribution.discrete(pairs))
+    if law is ValueError:  # the merged probabilities miss 1 by more than 1e-12
+        return
+    merged = _dict_merge(pairs)
+    assert law.atoms == merged
+    assert law.snrs == tuple(s for s, _ in merged) and law.probs == tuple(p for _, p in merged)
+    assert law.to_json_dict() == {"kind": "discrete", "atoms": [list(atom) for atom in merged]}
+    points = [s for s, _ in merged] + [0.0, merged[0][0] / 2, merged[-1][0] * 2]
+    cum = [sum(p for s, p in merged if s <= x) for x in points]
+    assert _reads(law, points)[0] == cum
+    for rebuilt in (StageDistribution(kind="discrete", atoms=law.atoms),
+                    StageDistribution.discrete(law.atoms), StageDistribution.discrete(merged)):
+        _agree_as_laws(rebuilt, law, points)
+
+
+@given(mean=st.floats(1e-6, 1e6), ratio=st.sampled_from([0.0, 1e-3, 1.0, 2.0**20]),
+       grid=st.integers(2, 600), discrete=st.booleans())
+def test_discretize_is_the_discrete_law_of_its_quantile_pairs(mean, ratio, grid, discrete):
+    law = (StageDistribution.discrete([(mean, 0.25), (2.0 * mean, 0.5), (5.0 * mean, 0.25)])
+           if discrete else StageDistribution("truncated_exponential", mean_snr=mean,
+                                             support_lo=ratio * mean))
+    u = (np.arange(grid) + 0.5) / grid
+    pairs = list(zip(law.quantile(u).tolist(), [1.0 / grid] * grid))  # repeats on a discrete law
+    grid_law = law.discretize(grid)
+    points = [s for s, _ in grid_law.atoms] + [0.0, grid_law.support_hi * 2]
+    _agree_as_laws(grid_law, StageDistribution.discrete(pairs), points)
+
+
 def test_discrete_expectation_is_exact_sum():
     d = StageDistribution.discrete([(1.0, 0.25), (2.0, 0.25), (4.0, 0.5)])
     assert expect(d, lambda s: s) == 1.0 * 0.25 + 2.0 * 0.25 + 4.0 * 0.5
@@ -554,10 +651,27 @@ def test_per_stage_helpers(trunc):
 
 
 def test_a_floor_that_swallows_the_tail_cutoff_is_rejected():
-    # the 80 means of a tail's run above the floor are one ulp of it at 2**58,
-    # less than half of one at 2**60
-    law = StageDistribution.truncated_exponential(MEAN_SNR_D50, floor_ratio=2.0**58)
+    # the rule resolves a floor of up to 2**20 means (the mpmath check below);
+    # above it the nodes round to the floor's grid of doubles: the rule's E[1/R]
+    # is off by 2e-5 relative at 2**40 and 21 times at 2**58
+    law = StageDistribution.truncated_exponential(MEAN_SNR_D50, floor_ratio=2.0**20)
     assert 0.0 < inv_rate_tail(law, 0.0, W) < math.inf
-    for ratio in (2.0**60, 2.0**70):
+    for ratio in (2.0**20 * (1 + 2.0**-52), 2.0**21, 2.0**40, 2.0**58, 2.0**60, 2.0**70):
         with pytest.raises(ValueError, match="floor"):
             StageDistribution.truncated_exponential(MEAN_SNR_D50, floor_ratio=ratio)
+
+
+# E[1/R] on laws with a floor of up to 2^20 means, from scripts/golden_oracles.py
+# at 30 digits, as (mean, floor, value).
+MPMATH_HIGH_FLOOR = [
+    (0.58398635357342641, 612354.0746846092, 2.60091412954049070216582256907e-8),
+    (0.001, 1048.576, 4.98226696820632130280221609528e-8),
+    (1000.0, 1048576000.0, 1.66856963351961132409406173667e-8),
+    (35606.25893370789, 36345582055.45803, 1.42527040572075031388474617156e-8),
+]
+
+
+@pytest.mark.parametrize("mean,floor,reference", MPMATH_HIGH_FLOOR)
+def test_the_highest_accepted_floor_matches_mpmath(mean, floor, reference):
+    law = StageDistribution.truncated_exponential(mean, floor=floor)
+    assert inv_rate_table(law, W).full == pytest.approx(reference, rel=1e-10)

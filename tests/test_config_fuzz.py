@@ -163,6 +163,7 @@ def _checked_values(path: Path):
 @example(case=one("example", ("params", "beta_e"), 1e308))
 @example(case=one("example", ("params", "beta_t"), 1e305))
 @example(case=one("layers", ("network", "layers"), [dict(LAYER, download_seconds=1e308)] * 3))
+@example(case=one("example", ("channel", "snr_floor_ratio"), 2.0**21))
 @example(case=one("example", ("channel", "snr_floor_ratio"), 2.0**60))
 @example(case=one("example", ("channel", "snr_floor_ratio"), 2.0**70))
 @example(case=one("example", ("params", "local_freq_hz"), 1e200))
@@ -206,11 +207,13 @@ def _run(tmp_path, command, raw):
 
 
 def test_a_floor_whose_tail_cutoff_rounds_onto_it_is_a_channel_error(tmp_path):
-    # at 2**58 the cutoff lands one ulp above the floor of the example's law and
-    # it plans; at 2**60 it rounds onto the floor, which leaves no interval
+    # the fixed rule resolves a floor of up to 2**20 means, so that plans; 2**21,
+    # 2**58 (where the rule's E[1/R] is off 21 times) and 2**60 (where the tail
+    # cutoff rounds onto the floor) are channel errors
     for command, result in (("place", "placement.csv"), ("thresholds", "thresholds.csv")):
-        code, _ = _run(tmp_path, command, mutate(*one("example", ("channel", "snr_floor_ratio"), 2.0**58)[:2]))
+        code, _ = _run(tmp_path, command, mutate(*one("example", ("channel", "snr_floor_ratio"), 2.0**20)[:2]))
         assert code == 0
         assert "nan" not in _checked_values(tmp_path / command / result)
-        code, err = _run(tmp_path, command, mutate(*one("example", ("channel", "snr_floor_ratio"), 2.0**60)[:2]))
-        assert code == 2 and "(field: channel)" in err and "floor" in err
+        for ratio in (2.0**21, 2.0**58, 2.0**60):
+            code, err = _run(tmp_path, command, mutate(*one("example", ("channel", "snr_floor_ratio"), ratio)[:2]))
+            assert code == 2 and "(field: channel)" in err and "floor" in err
