@@ -19,6 +19,9 @@ of `python -m edgesplit.cli` calls on each:
 * `thresholds` and `simulate` at horizon_M = 0, with a shared law and with a
   one-law list, and `simulate` at horizon_M = 1 and N, with a shared law and
   with a per-stage list that has discrete stages;
+* a deep network whose three front layers take 1e11 to 1e14 cycles and the
+  later ones 1 to 1e4, where omega(n) dwarfs a later layer's own cost, under
+  `place` and `thresholds`;
 * the reproducers of known boundary defects and a set of malformed configs.
 
 It then lists the cases whose exit code or exit-2 field changed, the result
@@ -144,6 +147,12 @@ def matrix():
         for name, channel in (("shared", pathloss(50)), ("mixed", mixed)):
             cases.append((f"horizon-{horizon}/{name}", "simulate",
                           config(channel=channel, strategies=RULES, horizon_M=horizon), []))
+    front, back = [3e13, 1e14, 1e11], [10.0 ** (k % 5) for k in range(17)]
+    heavy_front = {"layers": [{"workload_cycles": c, "input_bits": 32768 / n, "download_seconds": 0.01}
+                              for n, c in enumerate(front + back, 1)],
+                   "exit_input_bits": 80}
+    for command in ("place", "thresholds"):
+        cases.append(("heavy-front", command, config(heavy_front), []))
     cases.append(("flags", "place", config(), ["--updates", "inf", "--strategy", "hybrid"]))
     cases.append(("flags", "place", config(), ["--updates", "10"]))
     cases.append(("flags", "simulate", config(strategies=RULES),

@@ -6,8 +6,9 @@ Splitting at stage n with uplink SNR gamma costs
 
 where omega_n collects every term that does not depend on the channel:
 device compute time and energy for layers before the split plus edge compute
-time for the rest. The slow-timescale objective adds the amortized parameter
-download time psi(M) weighted by beta_t.
+time for the rest. local_gap(n) = omega_{n+1} - omega_n comes from layer n's
+cycles: it is the channel-free part of both stopping rules' margins. The
+slow-timescale objective adds beta_t * psi(M), the amortized download time.
 """
 from __future__ import annotations
 
@@ -88,17 +89,21 @@ class CostModel:
         self.net = net
         self.params = params
         # local[n-1] = cycles of layers 1..n-1, run on the device at stage n
-        local = [0.0, *accumulate(float(l.workload_cycles) for l in net.layers)]
+        cycles = [float(l.workload_cycles) for l in net.layers]
+        local = [0.0, *accumulate(cycles)]
         total = local[-1]
         energy = params.beta_e * params.kappa * params.local_freq_hz**2
         self._omega = [params.beta_t * (c / params.local_freq_hz + (total - c) / params.edge_freq_hz)
                        + energy * c for c in local]
+        # no difference of two omegas; f_e - f_l is exact when the clocks are close
+        slower = (params.edge_freq_hz - params.local_freq_hz) / params.edge_freq_hz
+        self._gap = [params.beta_t * (c * slower / params.local_freq_hz) + energy * c for c in cycles]
         per_bit = params.beta_t + params.beta_e * params.tx_power_w
         self._weight = [per_bit * float(net.input_bits(n)) for n in range(1, net.N + 2)]
         self._download_cum = [0.0, *accumulate(float(l.download_seconds) for l in net.layers)]
         # each constant is finite, but their products can overflow (float ** raises
         # OverflowError); NetworkSpec keeps the download prefix sums finite
-        for name, table in (("omega", self._omega), ("weight", self._weight)):
+        for name, table in (("omega", self._omega), ("weight", self._weight), ("local gap", self._gap)):
             if not all(map(math.isfinite, table)):
                 raise ValueError(f"the {name} cost table overflows: {table!r}")
 
@@ -109,6 +114,12 @@ class CostModel:
     def omega(self, n: int) -> float:
         self._check_stage(n)
         return self._omega[n - 1]
+
+    def local_gap(self, n: int) -> float:
+        """omega(n+1) - omega(n): the cost of running layer n on the device, not the edge."""
+        if not 1 <= n <= self.net.N:
+            raise ValueError(f"layer {n} out of range [1, {self.net.N}]")
+        return self._gap[n - 1]
 
     def weight(self, n: int) -> float:
         """(beta_t + beta_e * P) * I_n, the channel-cost multiplier at stage n."""

@@ -6,12 +6,12 @@ cost under a stopping rule, composed by `CostModel.total_cost`:
 * optimal_exhaustive  - try every M with the backward-induction rule; one
   lockstep recursion gives every V_M(1), the expected cost at M, with one
   tail read per stage, and only the best M becomes a policy.
-* one_sla_exhaustive  - try every M with the 1-sla rule; thresholds are
-  M-independent, so every Z(M) reads the first M stages of one stage table
-  for the N-stage policy plus the forced stop at M+1: the whole sweep is
-  linear in N.
-* mlp_closed_form     - equal-width MLPs only: the per-M cost decrement has
-  a geometric form, so the argmin is solved in closed form.
+* one_sla_exhaustive  - try every M with the 1-sla rule, whose thresholds are
+  the recursion's top stages and M-independent: every Z(M) reads one stage
+  table plus the forced stop at M+1, a sweep linear in N.
+* mlp_closed_form     - equal-width MLPs only: every stage shares one 1-sla
+  threshold, the per-M cost decrement is geometric, and the argmin is
+  solved in closed form.
 * hybrid              - pick M with the 1-sla sweep, then take the optimal
   rule's value at that M.
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .channel import StageDistribution, inv_rate_table, inv_rate_tails, per_stage
-from .cost_model import LN2, SystemParams, cost_model
+from .cost_model import SystemParams, cost_model, uplink_rate
 from .errors import NumericalError
 from .model_graph import MlpSpec, NetworkSpec, build_mlp
 # backward_induction is reached through build_policy; the name stays here for
@@ -35,10 +35,10 @@ from .splitting import (
     backward_induction,  # noqa: F401
     build_policy,
     expected_etc,
-    forced_stop_cost,
     one_sla_thresholds,
     optimal_recursion,
     stage_table,
+    transmission_cost,
 )
 
 STRATEGIES = ("optimal_exhaustive", "one_sla_exhaustive", "mlp_closed_form", "hybrid")
@@ -102,7 +102,7 @@ class Problem:
     """One placement problem: a network, its constants and its N+1 stage laws.
 
     Built per `place` request or sweep point, it holds the cost model and
-    builds on first use the forced-stop costs, the 1-sla sweep and the
+    builds on first use the transmission costs, the 1-sla sweep and the
     optimal recursion. Nothing is kept across Problems."""
 
     def __init__(self, net: NetworkSpec, params: SystemParams, dists):
@@ -111,14 +111,20 @@ class Problem:
         self.cm = cost_model(net, params)
 
     @cached_property
+    def transmission(self) -> list[float]:
+        """Expected channel cost of the forced stop at stage M+1, for M = 0..N."""
+        return [transmission_cost(self.cm, M + 1, d) for M, d in enumerate(self.dists)]
+
+    @property
     def forced(self) -> list[float]:
         """Expected cost of the forced stop at stage M+1, for M = 0..N."""
-        return [forced_stop_cost(self.cm, M + 1, d) for M, d in enumerate(self.dists)]
+        return [self.cm.omega(M + 1) + t for M, t in enumerate(self.transmission)]
 
     @cached_property
     def optimal(self) -> tuple:
         """Threshold and value matrices of `optimal_recursion` over M = 0..N."""
-        return optimal_recursion(range(self.net.N + 1), self.forced, self.net, self.params, self.dists)
+        return optimal_recursion(range(self.net.N + 1), self.transmission, self.net, self.params,
+                                 self.dists)
 
     def optimal_policy(self, M: int) -> ThresholdPolicy:
         """Row M of the recursion once it has run, else one backward induction."""
@@ -164,12 +170,12 @@ def optimize_exhaustive(problem: Problem, rule_kind: str = "optimal") -> Placeme
 def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution) -> PlacementReport:
     """Closed-form placement for an equal-width MLP under the 1-sla rule.
 
-    All stages share one threshold delta, so the cost decrement at placement
-    M factorizes as X * F(delta)^M * g(delta) with g < 0, and Z(M) is
-    unimodal: decreasing while the (geometrically shrinking) inference gain
-    outweighs the constant per-layer download charge. The switchover index is
-    read off a logarithm; both integer neighbors are evaluated and the
-    cheaper one returned.
+    All stages share the stage-1 threshold delta of `one_sla_thresholds`, so
+    the cost decrement at placement M factorizes as X * F(delta)^M * g(delta)
+    with g < 0 (per neuron), and Z(M) is unimodal: decreasing while the
+    (geometrically shrinking) inference gain outweighs the per-layer download
+    charge beta_t * psi(1). The switchover index is read off a logarithm;
+    both integer neighbors are evaluated and the cheaper one returned.
     """
     if mlp is None or not mlp.is_equal_width:
         raise ValueError("closed-form placement requires an MLP with equal widths at every layer")
@@ -179,41 +185,25 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
     N = net.N
     X = mlp.neurons[0]
     cm = cost_model(net, params)
-    bandwidth = params.bandwidth_hz
-
-    lam_bits = 8.0 * mlp.bytes_per_activation
-    weight_per_bit = params.beta_t + params.beta_e * params.tx_power_w
-    unit_gap = (
-        params.beta_t * (1.0 / params.local_freq_hz - 1.0 / params.edge_freq_hz)
-        + params.beta_e * params.kappa * params.local_freq_hz**2
-    )
-    alpha_x = mlp.cycles_per_macc * X
-    einv = inv_rate_table(dist, bandwidth).full
-
-    exponent = (weight_per_bit * lam_bits) / (
-        bandwidth * (lam_bits * weight_per_bit * einv + unit_gap * alpha_x)
-    )
-    delta = math.expm1(exponent * LN2)
+    delta = one_sla_thresholds(1, net, params, dist).thresholds[0]
     cont = dist.prob_below(delta)
     g = g_raw = None
     if cont > 0.0:
+        w, margin = cm.weight(1), cm.local_gap(1) + transmission_cost(cm, 2, dist)
         # E[1/R; SNR < delta]: the tail is closed at delta because a tie stops
-        below = einv - inv_rate_tails(dist, [delta], bandwidth)[0]
+        einv = inv_rate_table(dist, params.bandwidth_hz).full
+        below = einv - inv_rate_tails(dist, [delta], params.bandwidth_hz)[0]
         # bracket of the decrement, computed both ways: directly, and simplified
-        # through the threshold's indifference identity. They must agree; a gap
-        # means the truncation floor broke the identity.
-        g_raw = alpha_x * unit_gap + weight_per_bit * lam_bits * (einv - below / cont)
-        g = weight_per_bit * lam_bits * (1.0 / (bandwidth * math.log1p(delta) / LN2) - below / cont)
+        # through the threshold's indifference identity w / R(delta) = margin.
+        # They must agree; a gap means the truncation floor broke the identity.
+        g_raw = (margin - w * below / cont) / X
+        g = w * (1.0 / uplink_rate(delta, params) - below / cont) / X
         if g >= 0.0:
             raise NumericalError(
                 "per-layer cost decrement is nonnegative; numerical or truncation problem",
                 estimate=g)
 
-    K = params.updates_per_model
-    download_term = 0.0 if math.isinf(K) else (
-        params.beta_t * 8.0 * mlp.bytes_per_parameter * (X + 1) / (K * mlp.downlink_rate_bps)
-    )
-
+    download_term = cm.total_cost(1, 0.0) / X  # beta_t * psi(1); 0 when K = inf
     m_real = None
     # cont = 0: the channel always clears delta, so every positive M stops at
     # stage 1 at the forced-offload cost and Z(M) = Z(0) + beta_t * psi(M)

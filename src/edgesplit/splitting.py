@@ -8,10 +8,11 @@ the stage threshold, otherwise stop at M+1.
 * The optimal rule computes thresholds by backward induction on the expected
   cost-to-go: the stage-n threshold is the SNR at which stopping now and the
   expected cost of continuing are indifferent. One lockstep recursion serves
-  every horizon M at once with one tail read per stage.
+  every horizon M at once with one tail read per stage, on values held as
+  their excess over omega: no margin is a difference of two large costs.
 * The one-stage look-ahead (1-sla) rule compares stopping now against
-  continuing exactly one stage and then stopping; its thresholds are closed
-  form and do not depend on M.
+  continuing exactly one stage and then stopping: its stage-n threshold is
+  the top stage of the optimal recursion at horizon n, whatever M is.
 
 Every E[1/R] tail is read off the law's table (`channel.inv_rate_tails`).
 """
@@ -99,15 +100,16 @@ def _indifference_threshold(weight: float, bandwidth_hz: float, margin: float) -
     return math.expm1(exponent * LN2)
 
 
-def optimal_recursion(horizons, forced, net: NetworkSpec, params: SystemParams,
+def optimal_recursion(horizons, transmission, net: NetworkSpec, params: SystemParams,
                       dists) -> tuple[list[list[float]], list[list[float]]]:
     """Backward induction for the distinct ascending `horizons` in lockstep.
 
     One pass from the top stage down to stage 1 carries the value of every
-    horizon M >= n; horizon M joins at its forced stop, stage M+1, whose
-    expected cost `forced` lists in the order of `horizons`. Stage n's
-    value is E[min(stop-now cost, continuation value)] and its threshold the
-    indifference SNR of the two (+inf: stopping never wins), from one
+    horizon M >= n as its excess over omega(n). Horizon M joins at its forced
+    stop, stage M+1, with excess `transmission[h]`, weight * E[1/R] there.
+    Going on from stage n costs margin = excess + local_gap(n) over omega(n);
+    the threshold is the indifference SNR of that margin (+inf: stopping never
+    wins), the new excess weight * tail + margin * P{no stop}, from one
     `prob_below` call and one tail read over all finite thresholds. Row h
     belongs to M = horizons[h]: thresholds[h][:M] and values[h][:M+1].
     """
@@ -118,25 +120,29 @@ def optimal_recursion(horizons, forced, net: NetworkSpec, params: SystemParams,
     bandwidth = params.bandwidth_hz
     thresholds = [[math.inf] * top for _ in Ms]
     values = [[0.0] * (top + 1) for _ in Ms]
+    excess = [0.0] * len(Ms)
     live = len(Ms)  # rows live[:] are the horizons M >= n
     for n in range(top, -1, -1):
         if live and Ms[live - 1] == n:
             live -= 1
-            values[live][n] = forced[live]
+            excess[live] = transmission[live]
+            values[live][n] = cm.omega(n + 1) + excess[live]
         if n == 0:
             break
-        omega, weight = cm.omega(n), cm.weight(n)
+        omega, weight, gap = cm.omega(n), cm.weight(n), cm.local_gap(n)
         stop = []
-        for row_t, row_v in zip(thresholds[live:], values[live:]):
-            row_v[n - 1] = row_v[n]
-            row_t[n - 1] = t = _indifference_threshold(weight, bandwidth, row_v[n] - omega)
+        for h in range(live, len(Ms)):
+            excess[h] = margin = excess[h] + gap
+            thresholds[h][n - 1] = t = _indifference_threshold(weight, bandwidth, margin)
+            values[h][n - 1] = omega + margin
             if t < math.inf:
-                stop.append((t, row_v))
+                stop.append((h, t))
         if stop:
-            ts = [t for t, _ in stop]
-            for (_, row_v), cont, tail in zip(stop, ds[n - 1].prob_below(ts),
-                                              inv_rate_tails(ds[n - 1], ts, bandwidth)):
-                row_v[n - 1] = omega * (1.0 - cont) + weight * tail + row_v[n] * cont
+            ts = [t for _, t in stop]
+            for (h, _), cont, tail in zip(stop, ds[n - 1].prob_below(ts),
+                                          inv_rate_tails(ds[n - 1], ts, bandwidth)):
+                excess[h] = weight * tail + excess[h] * cont
+                values[h][n - 1] = omega + excess[h]
     if not all(math.isfinite(v) for row in values for v in row):  # NaN would also give NaN thresholds
         raise NumericalError(f"the optimal recursion's values are not finite: {values!r}")
     return thresholds, values
@@ -148,8 +154,8 @@ def backward_induction(M: int, net: NetworkSpec, params: SystemParams, dists) ->
     if not 0 <= M <= net.N:
         raise ValueError(f"M must lie in [0, {net.N}]")
     ds = per_stage(dists, M + 1)
-    forced = forced_stop_cost(cost_model(net, params), M + 1, ds[M])
-    thresholds, values = optimal_recursion([M], [forced], net, params, ds)
+    transmission = transmission_cost(cost_model(net, params), M + 1, ds[M])
+    thresholds, values = optimal_recursion([M], [transmission], net, params, ds)
     return ThresholdPolicy("optimal", M, thresholds[0], values[0])
 
 
@@ -157,25 +163,19 @@ def one_sla_thresholds(M: int, net: NetworkSpec, params: SystemParams, dists) ->
     """One-stage look-ahead thresholds for stages 1..M.
 
     Stage n stops iff stopping now costs no more than the expected cost of
-    computing layer n locally and stopping at stage n+1. Each threshold
-    depends only on layer n's workload, the two payloads I_n and I_{n+1},
-    and the next stage's E[1/R]; in particular it is independent of M.
+    computing layer n locally and stopping at stage n+1: the margin
+    local_gap(n) + weight(n+1) * E[1/R_{n+1}], which is the top stage of
+    `optimal_recursion` at horizon n. So each threshold is independent of M.
     """
     if not 0 <= M <= net.N:
         raise ValueError(f"M must lie in [0, {net.N}]")
     ds = per_stage(dists, M + 1)
     cm = cost_model(net, params)
     bandwidth = params.bandwidth_hz
-    inv_f_gap = 1.0 / params.local_freq_hz - 1.0 / params.edge_freq_hz
-
     thresholds = []
     for n in range(1, M + 1):
-        cycles = net.layers[n - 1].workload_cycles
-        margin = (
-            cm.weight(n + 1) * inv_rate_table(ds[n], bandwidth).full
-            + params.beta_t * cycles * inv_f_gap
-            + params.beta_e * params.kappa * cycles * params.local_freq_hz**2
-        )
+        # local_gap(n) + transmission_cost(cm, n + 1, ds[n]), the same two floats
+        margin = cm.local_gap(n) + cm.weight(n + 1) * inv_rate_table(ds[n], bandwidth).full
         thresholds.append(_indifference_threshold(cm.weight(n), bandwidth, margin))
     return ThresholdPolicy("one_sla", M, tuple(thresholds))
 
@@ -187,11 +187,8 @@ def forced_offload_policy(rule_kind: str, net: NetworkSpec, params: SystemParams
 
 def build_policy(rule_kind: str, M: int, net: NetworkSpec, params: SystemParams,
                  dists) -> ThresholdPolicy:
-    """Threshold policy of rule "optimal" or "one_sla" with M layers on the device.
-
-    The optimal rule comes from backward induction and the 1-sla rule from its
-    closed form; at M = 0 both are the forced offload at stage 1.
-    """
+    """Threshold policy of rule "optimal" or "one_sla" with M layers on the
+    device; at M = 0 both are the forced offload at stage 1."""
     if rule_kind not in RULE_KINDS:
         raise ValueError(f"rule_kind must be one of {RULE_KINDS}")
     if rule_kind == "optimal":
@@ -277,9 +274,9 @@ def stage_table(policy: ThresholdPolicy, dists, cm: CostModel | None = None) -> 
     return StageTable(cont, reach, stop_prob, costs)
 
 
-def forced_stop_cost(cm: CostModel, stage: int, dist: StageDistribution) -> float:
-    """Expected cost of stopping at `stage` whatever its SNR."""
-    return cm.omega(stage) + cm.weight(stage) * inv_rate_table(dist, cm.params.bandwidth_hz).full
+def transmission_cost(cm: CostModel, stage: int, dist: StageDistribution) -> float:
+    """weight * E[1/R]: the forced stop at `stage` costs omega(stage) plus this."""
+    return cm.weight(stage) * inv_rate_table(dist, cm.params.bandwidth_hz).full
 
 
 def stop_probabilities(policy: ThresholdPolicy, dists) -> list[float]:
@@ -293,7 +290,8 @@ def expected_etc(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams
     M = policy.horizon_M
     ds = per_stage(dists, M + 1)
     cm = cost_model(net, params)
-    return stage_table(policy, ds, cm).expected_etc(M, forced_stop_cost(cm, M + 1, ds[M]))
+    forced = cm.omega(M + 1) + transmission_cost(cm, M + 1, ds[M])
+    return stage_table(policy, ds, cm).expected_etc(M, forced)
 
 
 def one_sla_optimality_probability(M: int, net: NetworkSpec, params: SystemParams, dists) -> float:

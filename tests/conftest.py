@@ -20,7 +20,7 @@ from edgesplit import (
 from edgesplit.channel import inv_rate_tails, mean_snr_from_pathloss, per_stage
 from edgesplit.cost_model import cost_model
 from edgesplit.model_graph import build_alexnet_preset
-from edgesplit.splitting import ThresholdPolicy, forced_stop_cost, stage_table
+from edgesplit.splitting import ThresholdPolicy, stage_table, transmission_cost
 
 # Property tests draw a fixed set of examples, derived from each test's source,
 # with no per-example deadline: the verdict does not depend on the run or on
@@ -88,6 +88,11 @@ def stop_cost(net, params, n, gamma):
     policy that never stops before stage n."""
     policy = ThresholdPolicy("one_sla", n - 1, (math.inf,) * (n - 1))
     return apply_rule(policy, [gamma] * n, net, params).realized_etc
+
+
+def forced_stop_cost(cm, stage, law):
+    """Expected cost of the forced stop at `stage`: omega plus the transmission cost."""
+    return cm.omega(stage) + transmission_cost(cm, stage, law)
 
 
 def stop_conditional_etc(policy, net, params, dists):

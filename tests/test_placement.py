@@ -19,9 +19,9 @@ from edgesplit.channel import inv_rate_tails, per_stage
 from edgesplit.cost_model import cost_model
 from edgesplit.model_graph import MlpSpec, build_mlp
 from edgesplit.placement import PlacementRow, _pick_best, mlp_closed_form
-from edgesplit.splitting import ThresholdPolicy, expected_etc, forced_stop_cost, stage_table
+from edgesplit.splitting import ThresholdPolicy, expected_etc, stage_table
 
-from conftest import DOWNLINK_BPS, channel_at, make_params
+from conftest import DOWNLINK_BPS, channel_at, forced_stop_cost, make_params
 
 
 def theta_one_sla(M, net, params, dists):
@@ -218,6 +218,20 @@ def test_closed_form_stops_on_an_atom_at_the_shared_threshold(equal_mlp_spec, pa
         assert etcs[M] - etcs[M - 1] == pytest.approx(x * cont**M * g, rel=1e-9)
     cm = cost_model(net, params)
     assert rep.best_M == min(range(net.N + 1), key=lambda M: cm.total_cost(M, etcs[M]))
+
+
+@given(x=st.integers(1, 300), n=st.integers(1, 10), lam=st.sampled_from([1.0, 4.0, 8.0]),
+       k=st.sampled_from([10.0, 200.0, math.inf]), distance=st.floats(8.0, 150.0))
+def test_closed_form_threshold_is_the_one_sla_threshold(x, n, lam, k, distance):
+    """delta is `one_sla_thresholds` at stage 1 bit for bit, and every stage of
+    an equal-width MLP shares it."""
+    spec = MlpSpec((x,) * (n + 1), lam, 8.0, 100.0, DOWNLINK_BPS)
+    params = make_params(updates_per_model=k)
+    law = channel_at(distance, params)
+    delta = mlp_closed_form(spec, params, law).diagnostics["delta_threshold"]
+    net = build_mlp(spec)
+    assert one_sla_thresholds(1, net, params, law).thresholds[0].hex() == delta.hex()
+    assert {t.hex() for t in one_sla_thresholds(n, net, params, law).thresholds} == {delta.hex()}
 
 
 def test_closed_form_rejects_unequal_widths(params, dist_d50):

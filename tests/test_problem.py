@@ -94,9 +94,10 @@ def test_hybrid_reads_the_optimal_row_the_problem_already_holds(monkeypatch, aut
 
 def test_a_request_computes_each_forced_stop_cost_once(monkeypatch, autoencoder, params,
                                                        dist_d50):
-    """The recursion reads the Problem's forced-stop costs: N + 1 of them for
-    all three rule strategies together."""
-    calls = [_counting(monkeypatch, module, "forced_stop_cost") for module in (placement, splitting)]
+    """The recursion reads the Problem's transmission costs, from which its
+    forced-stop costs follow: N + 1 of them for all three rule strategies
+    together."""
+    calls = [_counting(monkeypatch, module, "transmission_cost") for module in (placement, splitting)]
     problem = Problem(autoencoder, params, dist_d50)
     for strategy in RULE_STRATEGIES:
         run_strategy(strategy, autoencoder, params, dist_d50, problem=problem)

@@ -23,13 +23,20 @@ from edgesplit.model_graph import MlpSpec, build_mlp
 from edgesplit.splitting import (
     ThresholdPolicy,
     expected_etc,
-    forced_stop_cost,
     one_sla_optimality_probability,
     optimal_recursion,
     stop_probabilities,
 )
 
-from conftest import DOWNLINK_BPS, expect, inv_rate_tail, make_params, stop_conditional_etc, stop_cost
+from conftest import (
+    DOWNLINK_BPS,
+    expect,
+    forced_stop_cost,
+    inv_rate_tail,
+    make_params,
+    stop_conditional_etc,
+    stop_cost,
+)
 from test_stage_table import _problems
 
 

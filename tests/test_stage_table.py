@@ -254,16 +254,27 @@ def _indifference(weight, bandwidth, margin):
 def test_lockstep_recursion_matches_the_scalar_reference(problem):
     net, params, dists = problem
     cm = cost_model(net, params)
-    forced = Problem(net, params, dists).forced
-    thresholds, values = optimal_recursion(range(net.N + 1), forced, net, params, dists)
+    ds = per_stage(dists, net.N + 1)
+    transmission = Problem(net, params, dists).transmission
+    thresholds, values = optimal_recursion(range(net.N + 1), transmission, net, params, dists)
     for M in range(net.N + 1):
         own_t, own_v = thresholds[M][:M], values[M][:M + 1]
         if M:
             policy = backward_induction(M, net, params, dists)
             assert policy.thresholds == tuple(own_t) and policy.value_table == tuple(own_v)
-        # each threshold is the indifference SNR of the recursion's own values
-        assert own_t == [_indifference(cm.weight(n), params.bandwidth_hz, own_v[n] - cm.omega(n))
-                         for n in range(1, M + 1)]
+        # each threshold is the indifference SNR of its margin: the excess over
+        # omega carried from the stage above plus the layer's local gap; each
+        # value is omega plus the stage's new excess, from the same table reads
+        excess = transmission[M]
+        assert own_v[M] == cm.omega(M + 1) + excess
+        for n in range(M, 0, -1):
+            margin = excess = excess + cm.local_gap(n)
+            t = _indifference(cm.weight(n), params.bandwidth_hz, margin)
+            assert own_t[n - 1] == t
+            if t < math.inf:
+                cont = ds[n - 1].prob_below([t])[0]
+                excess = cm.weight(n) * inv_rate_tail(ds[n - 1], t, params.bandwidth_hz) + margin * cont
+            assert own_v[n - 1] == cm.omega(n) + excess
         ref_t, ref_v = _reference_induction(M, net, params, dists)
         # the table read and `partial_expect` from t run the rule on different
         # panels, and the reference takes np.log1p where the table takes
@@ -287,6 +298,89 @@ def test_failing_stage_tail_fails_the_optimal_rule(autoencoder, params, monkeypa
     with pytest.raises(NumericalError, match="stage 4 tail failed"):
         optimize_exhaustive(Problem(autoencoder, params, dists), rule_kind="optimal")
     assert backward_induction(3, autoencoder, params, dists) == short
+
+
+# -- one margin for both rules ------------------------------------------------------
+
+@given(problem=_problems())
+def test_one_sla_thresholds_are_the_top_stage_of_the_optimal_recursion(problem):
+    """The 1-sla rule's stage-M threshold is backward induction at horizon M
+    cut to its top stage, bit for bit."""
+    net, params, dists = problem
+    for M in range(1, net.N + 1):
+        one_sla = one_sla_thresholds(M, net, params, dists).thresholds[M - 1]
+        optimal = backward_induction(M, net, params, dists).thresholds[M - 1]
+        assert _bits(one_sla) == _bits(optimal), M
+
+
+@st.composite
+def _heavy_front_problems(draw):
+    """A deep network whose first three layers take 1e10 to 1e14 cycles and
+    the later ones 1 to 1e4, so that omega(n) dwarfs every later layer's own
+    cost, with a shared law or one law per stage."""
+    N = draw(st.integers(5, 40))
+    cycles = ([10.0 ** draw(st.floats(10.0, 14.0)) for _ in range(3)]
+              + [10.0 ** draw(st.floats(0.0, 4.0)) for _ in range(N - 3)])
+    layers = [LayerSpec(c, draw(st.floats(1e2, 1e7)), 0.1) for c in cycles]
+    net = NetworkSpec(tuple(layers), draw(st.floats(1e2, 1e6)))
+    params = make_params(beta_t=draw(st.floats(0.1, 1.0)), beta_e=draw(st.floats(0.1, 1.0)))
+    if draw(st.booleans()):
+        dists = draw(_laws())
+    else:
+        dists = draw(st.lists(_laws(), min_size=N + 1, max_size=N + 1))
+    return net, params, dists
+
+
+@given(problem=_heavy_front_problems())
+def test_thresholds_of_both_rules_match_50_digit_margins(problem):
+    """Each finite threshold t of either rule is the indifference SNR of a
+    margin within 1e-12 of the margin worked out in 50 digits from omega:
+    V(n+1) - omega(n) for the optimal rule at every horizon, and omega(n+1) +
+    weight(n+1) * E[1/R_{n+1}] - omega(n) for the 1-sla rule. The reference
+    reads E[1/R], its tails and P{SNR < t} as floats off the law's table, at
+    the rule's own t, so it checks the cost algebra alone. An infinite
+    threshold needs a margin at which stopping never wins."""
+    import mpmath
+    from mpmath import mpf
+
+    net, params, dists = problem
+    ds = per_stage(dists, net.N + 1)
+    bandwidth = params.bandwidth_hz
+    with mpmath.workdps(50):
+        cycles = [mpf(layer.workload_cycles) for layer in net.layers]
+        total = mpmath.fsum(cycles)
+        f_l, f_e = mpf(params.local_freq_hz), mpf(params.edge_freq_hz)
+        omega, local = [], mpf(0)
+        for n in range(1, net.N + 2):  # omega[n - 1] = omega(n)
+            omega.append(params.beta_t * (local / f_l + (total - local) / f_e)
+                         + mpf(params.beta_e) * params.kappa * f_l**2 * local)
+            local += cycles[n - 1] if n <= net.N else 0
+        per_bit = mpf(params.beta_t) + mpf(params.beta_e) * params.tx_power_w
+        weight = [per_bit * net.input_bits(n) for n in range(1, net.N + 2)]
+        einv = [mpf(inv_rate_tail(d, 0.0, bandwidth)) for d in ds]
+        forced = [o + w * e for o, w, e in zip(omega, weight, einv)]
+
+        def check(t, n, margin, where):
+            if math.isinf(t):
+                assert weight[n - 1] / (bandwidth * margin) >= 1024 * (1 - mpf(1e-12)), where
+            else:
+                implied = weight[n - 1] * mpmath.log(2) / (bandwidth * mpmath.log1p(t))
+                assert abs(implied - margin) <= mpf(1e-12) * margin, where
+
+        one_sla = one_sla_thresholds(net.N, net, params, dists).thresholds
+        for n, t in enumerate(one_sla, 1):
+            check(t, n, forced[n] - omega[n - 1], ("one_sla", n))
+        thresholds = Problem(net, params, dists).optimal[0]
+        for M in range(1, net.N + 1):
+            value = forced[M]
+            for n in range(M, 0, -1):
+                t = thresholds[M][n - 1]
+                margin = value - omega[n - 1]
+                check(t, n, margin, ("optimal", M, n))
+                if math.isfinite(t):
+                    cont = mpf(ds[n - 1].prob_below([t])[0])
+                    tail = mpf(inv_rate_tail(ds[n - 1], t, bandwidth))
+                    value = omega[n - 1] + weight[n - 1] * tail + margin * cont
 
 
 # -- the optimal Z(M) is read off the value table ------------------------------------

@@ -1,8 +1,8 @@
 """Module boundaries: no edgesplit module imports another module's private
-names, only the CLI catches a NumericalError, only the config module reads
-the config format, importing the package and its CLI pulls in no scipy,
-planning runs without numpy, the package exports an explicit list of names,
-and the README quick start runs."""
+names, only the cost model reads the cost constants, only the CLI catches a
+NumericalError, only the config module reads the config format, importing
+the package and its CLI pulls in no scipy, planning runs without numpy, the
+package exports an explicit list of names, and the README quick start runs."""
 import ast
 import json
 import os
@@ -57,6 +57,25 @@ def test_only_the_cli_catches_numerical_errors():
                      if isinstance(n, (ast.Name, ast.Attribute))} if node.type else catching
             if names & catching:
                 offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
+
+
+# the constants of the cost algebra, and the layer workload it weighs
+_COST_CONSTANTS = {"kappa", "local_freq_hz", "edge_freq_hz", "beta_t", "beta_e", "workload_cycles"}
+
+
+def test_only_the_cost_model_reads_the_cost_constants():
+    """Both stopping rules and the closed form take their margins from
+    `CostModel`: no module but cost_model.py and model_graph.py, which
+    defines the layers, reads the clocks, the energy and cost weights, or a
+    layer's cycles."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("cost_model.py", "model_graph.py"):
+            continue
+        offenders += [f"{path.name}:{node.lineno} reads .{node.attr}"
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.Attribute) and node.attr in _COST_CONSTANTS]
     assert not offenders, offenders
 
 
