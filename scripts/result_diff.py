@@ -17,8 +17,9 @@ of `python -m edgesplit.cli` calls on each:
   10, and one shared discrete law, under `place`, `thresholds` and a K
   (`updates_per_model`) sweep;
 * `thresholds` and `simulate` at horizon_M = 0, with a shared law and with a
-  one-law list, and `simulate` at horizon_M = 1 and N, with a shared law and
-  with a per-stage list that has discrete stages;
+  one-law list, and at horizon_M = 3 with a list of exactly four laws;
+  `simulate` at horizon_M = 1 and N, with a shared law and with a per-stage
+  list that has discrete stages; an M-axis sweep on that list;
 * a deep network whose three front layers take 1e11 to 1e14 cycles and the
   later ones 1 to 1e4, where omega(n) dwarfs a later layer's own cost, under
   `place` and `thresholds`;
@@ -147,6 +148,15 @@ def matrix():
         for name, channel in (("shared", pathloss(50)), ("mixed", mixed)):
             cases.append((f"horizon-{horizon}/{name}", "simulate",
                           config(channel=channel, strategies=RULES, horizon_M=horizon), []))
+    # a Problem at a short horizon: exactly M + 1 = 4 laws, one discrete
+    short = [pathloss(30), discrete, truncated, pathloss(90)]
+    for command in ("thresholds", "simulate"):
+        cases.append(("horizon-3/four-laws", command,
+                      config(channel=short, strategies=RULES, horizon_M=3), []))
+    # the optimality probability of every M over laws grouped by stage
+    cases.append(("per-stage-mixed/sweep-M", "sweep",
+                  config(channel=mixed, strategies=RULES, sweep={"variable": "M", "values": list(range(9))}),
+                  []))
     front, back = [3e13, 1e14, 1e11], [10.0 ** (k % 5) for k in range(17)]
     heavy_front = {"layers": [{"workload_cycles": c, "input_bits": 32768 / n, "download_seconds": 0.01}
                               for n, c in enumerate(front + back, 1)],
@@ -205,6 +215,7 @@ def matrix():
         ("layers-not-list", config({"layers": 5, "exit_input_bits": 1}), []),
         ("unknown-kind", with_value(base, ("channel", "kind"), "weibull"), []),
         ("channel-list-short", config(channel=[pathloss(50)] * 8), []),
+        ("channel-list-long", config(channel=[pathloss(50)] * 20), []),
         ("untruncated", config(channel={"kind": "exponential", "mean_snr": 0.6}), []),
         ("atoms-bad", config(channel={"kind": "discrete", "atoms": [[0.5, 0.7]]}), []),
         ("unknown-strategy", config(strategies=["gradient_descent"]), []),

@@ -12,12 +12,12 @@ from .config import load_config
 from .cost_model import SystemParams
 from .errors import ConfigError, NumericalError
 from .model_graph import build_autoencoder_preset
-from .placement import Problem, hybrid, optimize_exhaustive, run_strategy
+from .placement import hybrid, optimize_exhaustive, run_strategy
 from .simulate import coincidence_rate, oracle_dp, simulate
 from .splitting import (
+    Problem,
     apply_rule,
     backward_induction,
-    build_policy,
     forced_offload_policy,
     one_sla_thresholds,
 )
@@ -34,7 +34,6 @@ __all__ = [
     "apply_rule",
     "backward_induction",
     "build_autoencoder_preset",
-    "build_policy",
     "coincidence_rate",
     "forced_offload_policy",
     "hybrid",

@@ -24,14 +24,9 @@ from . import __version__
 from .channel import QUAD_RULE
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NumericalError
-from .placement import RULE_OF_STRATEGY, Problem, run_strategy
+from .placement import RULE_OF_STRATEGY, run_strategy
 from .simulate import RNG_ALGORITHM, sim_report_json, simulate
-from .splitting import (
-    build_policy,
-    expected_etc,
-    one_sla_optimality_probability,
-    stop_probabilities,
-)
+from .splitting import Problem
 
 _FMT = "{:.12g}"
 
@@ -101,10 +96,10 @@ def _horizon(cfg: ExperimentConfig) -> int:
 
 def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> int:
     M = _horizon(cfg)
-    dists = cfg.stage_dists(M + 1)
+    problem = Problem(cfg.network, cfg.params, cfg.stage_dists(M + 1), M)
     rows = []
     for rule in ("optimal", "one_sla"):
-        policy = build_policy(rule, M, cfg.network, cfg.params, dists)
+        policy = problem.policy(rule, M)
         for n in range(1, M + 2):
             threshold = policy.thresholds[n - 1] if n <= M else None
             value = policy.value_table[n - 1] if policy.value_table else None
@@ -169,7 +164,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
         problem = Problem(cfg.network, cfg.params, dists)  # one for the whole M axis
         reports = [run_strategy(s, cfg.network, cfg.params, dists, problem=problem) for s in cfg.strategies]
         for M in cfg.sweep.values:
-            opt_prob = one_sla_optimality_probability(M, cfg.network, cfg.params, dists)
+            opt_prob = problem.optimality_probability(M)
             for rep in reports:
                 row = rep.row(M)
                 rows.append(f"{_fmt(float(M))},{rep.strategy},{M},{_fmt(row.Z)},"
@@ -193,7 +188,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.seed is None or cfg.seed < 0:
         raise ConfigError(f"simulate needs a nonnegative integer seed, got {cfg.seed}", field="seed")
     M = _horizon(cfg)
-    dists = cfg.stage_dists(M + 1)
+    problem = Problem(cfg.network, cfg.params, cfg.stage_dists(M + 1), M)
     for strategy in cfg.strategies:
         if strategy not in RULE_OF_STRATEGY:
             raise ConfigError(
@@ -205,10 +200,11 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     csv_rows = []
     all_ok = True
     for rule in rules:
-        policy = build_policy(rule, M, cfg.network, cfg.params, dists)
-        result = simulate(policy, cfg.network, cfg.params, dists, cfg.trials, cfg.seed)
-        analytic_mean = expected_etc(policy, cfg.network, cfg.params, dists)
-        analytic_probs = stop_probabilities(policy, dists)
+        policy = problem.policy(rule, M)
+        result = simulate(policy, cfg.network, cfg.params, problem.dists, cfg.trials, cfg.seed)
+        table = problem.stage_table(policy)
+        analytic_mean = table.expected_etc(M, problem.forced[M])
+        analytic_probs = [*table.stop_prob, table.reach[M]]
         mean_delta = result.mean_etc - analytic_mean
         mean_ok = abs(mean_delta) <= max(3.0 * result.std_error, 1e-12 * max(1.0, abs(analytic_mean)))
         bins_ok = True
@@ -217,7 +213,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
             if abs(freq - p) > 3.0 * sigma + 1.0 / result.trials:
                 bins_ok = False
         all_ok = all_ok and mean_ok and bins_ok
-        entry = sim_report_json(result, policy, cfg.network, cfg.params, dists)
+        entry = sim_report_json(result, policy, cfg.network, cfg.params, problem.dists)
         entry.update({
             "rule": rule,
             "analytic_mean_etc": analytic_mean,

@@ -254,6 +254,9 @@ def load_config(raw: dict) -> ExperimentConfig:
         channel_raw=raw["channel"], horizon_M=horizon, sweep=sweep,
         strategies=strategies, trials=trials, seed=seed,
     )
+    if isinstance(raw["channel"], list) and len(raw["channel"]) > network.N + 1:
+        raise ConfigError(f"a per-stage channel list holds at most one law per stage 1..N+1, "
+                          f"{network.N + 1} here, got {len(raw['channel'])}", field="channel")
     # fail fast on an unusable channel spec, including any distance sweep point's law
     cfg.stage_dists(1)
     if sweep is not None and sweep.variable == "distance_m":

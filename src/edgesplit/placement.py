@@ -15,31 +15,23 @@ cost under a stopping rule, composed by `CostModel.total_cost`:
 * hybrid              - pick M with the 1-sla sweep, then take the optimal
   rule's value at that M.
 
-All but the closed form read one `Problem`; `hybrid` reads row M of its optimal
-recursion once built, and runs one backward induction for M otherwise.
+Every strategy reads one `splitting.Problem`, which owns the stage laws, the
+cost model and both rules' policies; this module only turns its expected costs
+into Z(M) rows. `hybrid` reads row M of the optimal recursion once built, and
+runs one backward induction for M otherwise.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
-from .channel import StageDistribution, inv_rate_table, inv_rate_tails, per_stage
-from .cost_model import SystemParams, cost_model, uplink_rate
+from .channel import inv_rate_tails
+from .cost_model import SystemParams, uplink_rate
 from .errors import NumericalError
-from .model_graph import MlpSpec, NetworkSpec, build_mlp
-# backward_induction is reached through build_policy; the name stays here for
+from .model_graph import MlpSpec, NetworkSpec
+# backward_induction is reached through Problem.policy; the name stays here for
 # perfbench/test_perfbench.py, which wraps edgesplit.placement.backward_induction.
-from .splitting import (
-    ThresholdPolicy,
-    backward_induction,  # noqa: F401
-    build_policy,
-    expected_etc,
-    one_sla_thresholds,
-    optimal_recursion,
-    stage_table,
-    transmission_cost,
-)
+from .splitting import Problem, ThresholdPolicy, backward_induction  # noqa: F401
 
 STRATEGIES = ("optimal_exhaustive", "one_sla_exhaustive", "mlp_closed_form", "hybrid")
 # The strategies that apply one stopping rule at every M, and that rule: the
@@ -98,79 +90,44 @@ def _pick_best(rows) -> int:
     return min(rows, key=lambda r: r.Z).M  # min keeps the first: ties go to the smaller M
 
 
-class Problem:
-    """One placement problem: a network, its constants and its N+1 stage laws.
+def _rows(problem: Problem, evaluate) -> tuple[PlacementRow, ...]:
+    """A row per M = 0..problem.M with expected cost `evaluate(M)`; a
+    NumericalError of any M fails the whole plan."""
+    cm = problem.cm
+    rows = []
+    for M in range(problem.M + 1):
+        psi = cm.placement_cost(M)
+        ee = evaluate(M)
+        rows.append(PlacementRow(M, cm.total_cost(M, ee), ee, psi))
+    return tuple(rows)
 
-    Built per `place` request or sweep point, it holds the cost model and
-    builds on first use the transmission costs, the 1-sla sweep and the
-    optimal recursion. Nothing is kept across Problems."""
 
-    def __init__(self, net: NetworkSpec, params: SystemParams, dists):
-        self.net, self.params = net, params
-        self.dists = per_stage(dists, net.N + 1)
-        self.cm = cost_model(net, params)
-
-    @cached_property
-    def transmission(self) -> list[float]:
-        """Expected channel cost of the forced stop at stage M+1, for M = 0..N."""
-        return [transmission_cost(self.cm, M + 1, d) for M, d in enumerate(self.dists)]
-
-    @property
-    def forced(self) -> list[float]:
-        """Expected cost of the forced stop at stage M+1, for M = 0..N."""
-        return [self.cm.omega(M + 1) + t for M, t in enumerate(self.transmission)]
-
-    @cached_property
-    def optimal(self) -> tuple:
-        """Threshold and value matrices of `optimal_recursion` over M = 0..N."""
-        return optimal_recursion(range(self.net.N + 1), self.transmission, self.net, self.params,
-                                 self.dists)
-
-    def optimal_policy(self, M: int) -> ThresholdPolicy:
-        """Row M of the recursion once it has run, else one backward induction."""
-        if "optimal" not in vars(self):  # where cached_property keeps it
-            return build_policy("optimal", M, self.net, self.params, self.dists)
-        thresholds, values = self.optimal
-        return ThresholdPolicy("optimal", M, thresholds[M][:M], values[M][:M + 1])
-
-    @cached_property
-    def one_sla(self) -> tuple:
-        """The N-stage 1-sla policy and its sweep's rows: the thresholds do not
-        depend on M, so Z(M) reads the first M stages of one stage table."""
-        full = one_sla_thresholds(self.net.N, self.net, self.params, self.dists)
-        table, forced = stage_table(full, self.dists, self.cm), self.forced
-        return full, self.rows(lambda M: table.expected_etc(M, forced[M]))
-
-    def rows(self, evaluate) -> tuple[PlacementRow, ...]:
-        """A row per M = 0..N with expected cost `evaluate(M)`; a NumericalError
-        of any M fails the whole plan."""
-        rows = []
-        for M in range(self.net.N + 1):
-            psi = self.cm.placement_cost(M)
-            ee = evaluate(M)
-            rows.append(PlacementRow(M, self.cm.total_cost(M, ee), ee, psi))
-        return tuple(rows)
+def _one_sla_rows(problem: Problem) -> tuple[PlacementRow, ...]:
+    """The 1-sla sweep: Z(M) reads the first M stages of the Problem's one
+    1-sla stage table plus the forced stop at M+1."""
+    table, forced = problem.one_sla_table, problem.forced
+    return _rows(problem, lambda M: table.expected_etc(M, forced[M]))
 
 
 def optimize_exhaustive(problem: Problem, rule_kind: str = "optimal") -> PlacementReport:
     """Evaluate Z(M) for every M = 0..N under the requested stopping rule."""
     if rule_kind == "optimal":
         values = problem.optimal[1]
-        rows, policy_at = problem.rows(lambda M: values[M][0]), problem.optimal_policy
+        rows = _rows(problem, lambda M: values[M][0])
     elif rule_kind == "one_sla":
-        full, rows = problem.one_sla
-        policy_at = lambda M: ThresholdPolicy("one_sla", M, full.thresholds[:M])  # noqa: E731
+        rows = _one_sla_rows(problem)
     else:
         raise ValueError("rule_kind must be 'optimal' or 'one_sla'")
     best = _pick_best(rows)
     strategy = next(s for s, rule in RULE_OF_STRATEGY.items() if rule == rule_kind)
-    return PlacementReport(strategy, best, rows, policy_at(best))
+    return PlacementReport(strategy, best, rows, problem.policy(rule_kind, best))
 
 
-def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution) -> PlacementReport:
-    """Closed-form placement for an equal-width MLP under the 1-sla rule.
+def mlp_closed_form(problem: Problem, mlp: MlpSpec) -> PlacementReport:
+    """Closed-form placement for an equal-width MLP under the 1-sla rule, on
+    the Problem of its network and one law shared by every stage.
 
-    All stages share the stage-1 threshold delta of `one_sla_thresholds`, so
+    All stages share the Problem's stage-1 1-sla threshold delta, so
     the cost decrement at placement M factorizes as X * F(delta)^M * g(delta)
     with g < 0 (per neuron), and Z(M) is unimodal: decreasing while the
     (geometrically shrinking) inference gain outweighs the per-layer download
@@ -179,20 +136,18 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
     """
     if mlp is None or not mlp.is_equal_width:
         raise ValueError("closed-form placement requires an MLP with equal widths at every layer")
-    if not isinstance(dist, StageDistribution):
+    if len(set(problem.dists)) != 1:
         raise TypeError("closed-form placement uses a single shared StageDistribution")
-    net = build_mlp(mlp)
-    N = net.N
+    dist, params, cm, N = problem.dists[0], problem.params, problem.cm, problem.M
     X = mlp.neurons[0]
-    cm = cost_model(net, params)
-    delta = one_sla_thresholds(1, net, params, dist).thresholds[0]
+    delta = problem.one_sla.thresholds[0]
     cont = dist.prob_below(delta)
     g = g_raw = None
     if cont > 0.0:
-        w, margin = cm.weight(1), cm.local_gap(1) + transmission_cost(cm, 2, dist)
+        w, margin = cm.weight(1), cm.local_gap(1) + problem.transmission[1]
         # E[1/R; SNR < delta]: the tail is closed at delta because a tie stops
-        einv = inv_rate_table(dist, params.bandwidth_hz).full
-        below = einv - inv_rate_tails(dist, [delta], params.bandwidth_hz)[0]
+        einv, tail = inv_rate_tails(dist, [0.0, delta], params.bandwidth_hz)
+        below = einv - tail
         # bracket of the decrement, computed both ways: directly, and simplified
         # through the threshold's indifference identity w / R(delta) = margin.
         # They must agree; a gap means the truncation floor broke the identity.
@@ -221,9 +176,10 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
 
     rows = []
     policies = {}
+    forced = problem.forced
     for M in candidates:
         policy = ThresholdPolicy("one_sla", M, (delta,) * M)
-        ee = expected_etc(policy, net, params, dist)
+        ee = problem.stage_table(policy).expected_etc(M, forced[M])
         rows.append(PlacementRow(M, cm.total_cost(M, ee), ee, cm.placement_cost(M)))
         policies[M] = policy
     best = _pick_best(rows)
@@ -244,9 +200,9 @@ def mlp_closed_form(mlp: MlpSpec, params: SystemParams, dist: StageDistribution)
 def hybrid(problem: Problem) -> PlacementReport:
     """Pick M with the 1-sla sweep, then report the optimal rule's value there,
     which can only improve on the sweep's own."""
-    rows = problem.one_sla[1]
+    rows = _one_sla_rows(problem)
     M = _pick_best(rows)
-    policy = problem.optimal_policy(M)
+    policy = problem.policy("optimal", M)
     ee = policy.value_table[0]
     refined = PlacementRow(M, problem.cm.total_cost(M, ee), ee, problem.cm.placement_cost(M))
     return PlacementReport("hybrid", M, tuple(refined if r.M == M else r for r in rows), policy,
@@ -256,13 +212,11 @@ def hybrid(problem: Problem) -> PlacementReport:
 def run_strategy(strategy: str, net: NetworkSpec, params: SystemParams, dists,
                  mlp: MlpSpec | None = None, problem: Problem | None = None) -> PlacementReport:
     """Dispatch a strategy by name; one request's strategies share `problem`."""
-    if strategy == "mlp_closed_form":
-        if isinstance(dists, (list, tuple)) and len(set(dists)) == 1:
-            dists = dists[0]  # one law repeated per stage
-        return mlp_closed_form(mlp, params, dists)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     problem = problem or Problem(net, params, dists)
+    if strategy == "mlp_closed_form":
+        return mlp_closed_form(problem, mlp)
     if strategy == "hybrid":
         return hybrid(problem)
     return optimize_exhaustive(problem, RULE_OF_STRATEGY[strategy])

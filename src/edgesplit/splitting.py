@@ -14,6 +14,9 @@ the stage threshold, otherwise stop at M+1.
   continuing exactly one stage and then stopping: its stage-n threshold is
   the top stage of the optimal recursion at horizon n, whatever M is.
 
+`Problem` owns the stopping problem: it turns a network, its constants and the
+stage laws into the cost model, the policies of both rules at every horizon
+and their stage tables. The module-level builders are one `Problem` each.
 Every E[1/R] tail is read off the law's table (`channel.inv_rate_tails`).
 """
 from __future__ import annotations
@@ -21,10 +24,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
-from .channel import StageDistribution, inv_rate_table, inv_rate_tails, per_stage
-from .cost_model import LN2, CostModel, SystemParams, cost_model, uplink_rate
+from .channel import inv_rate_table, inv_rate_tails, per_stage
+from .cost_model import LN2, SystemParams, cost_model, uplink_rate
 from .errors import NumericalError
 from .model_graph import NetworkSpec
 
@@ -100,100 +104,26 @@ def _indifference_threshold(weight: float, bandwidth_hz: float, margin: float) -
     return math.expm1(exponent * LN2)
 
 
-def optimal_recursion(horizons, transmission, net: NetworkSpec, params: SystemParams,
-                      dists) -> tuple[list[list[float]], list[list[float]]]:
-    """Backward induction for the distinct ascending `horizons` in lockstep.
-
-    One pass from the top stage down to stage 1 carries the value of every
-    horizon M >= n as its excess over omega(n). Horizon M joins at its forced
-    stop, stage M+1, with excess `transmission[h]`, weight * E[1/R] there.
-    Going on from stage n costs margin = excess + local_gap(n) over omega(n);
-    the threshold is the indifference SNR of that margin (+inf: stopping never
-    wins), the new excess weight * tail + margin * P{no stop}, from one
-    `prob_below` call and one tail read over all finite thresholds. Row h
-    belongs to M = horizons[h]: thresholds[h][:M] and values[h][:M+1].
-    """
-    Ms = list(horizons)
-    top = Ms[-1]
-    ds = per_stage(dists, top + 1)
-    cm = cost_model(net, params)
-    bandwidth = params.bandwidth_hz
-    thresholds = [[math.inf] * top for _ in Ms]
-    values = [[0.0] * (top + 1) for _ in Ms]
-    excess = [0.0] * len(Ms)
-    live = len(Ms)  # rows live[:] are the horizons M >= n
-    for n in range(top, -1, -1):
-        if live and Ms[live - 1] == n:
-            live -= 1
-            excess[live] = transmission[live]
-            values[live][n] = cm.omega(n + 1) + excess[live]
-        if n == 0:
-            break
-        omega, weight, gap = cm.omega(n), cm.weight(n), cm.local_gap(n)
-        stop = []
-        for h in range(live, len(Ms)):
-            excess[h] = margin = excess[h] + gap
-            thresholds[h][n - 1] = t = _indifference_threshold(weight, bandwidth, margin)
-            values[h][n - 1] = omega + margin
-            if t < math.inf:
-                stop.append((h, t))
-        if stop:
-            ts = [t for _, t in stop]
-            for (h, _), cont, tail in zip(stop, ds[n - 1].prob_below(ts),
-                                          inv_rate_tails(ds[n - 1], ts, bandwidth)):
-                excess[h] = weight * tail + excess[h] * cont
-                values[h][n - 1] = omega + excess[h]
-    if not all(math.isfinite(v) for row in values for v in row):  # NaN would also give NaN thresholds
-        raise NumericalError(f"the optimal recursion's values are not finite: {values!r}")
-    return thresholds, values
-
-
 def backward_induction(M: int, net: NetworkSpec, params: SystemParams, dists) -> ThresholdPolicy:
-    """Optimal stopping rule for horizon M+1: `optimal_recursion` for M alone.
-    M = 0 is the forced offload at stage 1."""
-    if not 0 <= M <= net.N:
-        raise ValueError(f"M must lie in [0, {net.N}]")
-    ds = per_stage(dists, M + 1)
-    transmission = transmission_cost(cost_model(net, params), M + 1, ds[M])
-    thresholds, values = optimal_recursion([M], [transmission], net, params, ds)
-    return ThresholdPolicy("optimal", M, thresholds[0], values[0])
+    """Optimal stopping rule for horizon M+1: the top row of the recursion of
+    the Problem at horizon M. M = 0 is the forced offload at stage 1."""
+    return Problem(net, params, dists, M).policy("optimal", M)
 
 
 def one_sla_thresholds(M: int, net: NetworkSpec, params: SystemParams, dists) -> ThresholdPolicy:
-    """One-stage look-ahead thresholds for stages 1..M.
-
-    Stage n stops iff stopping now costs no more than the expected cost of
-    computing layer n locally and stopping at stage n+1: the margin
-    local_gap(n) + weight(n+1) * E[1/R_{n+1}], which is the top stage of
-    `optimal_recursion` at horizon n. So each threshold is independent of M.
-    """
-    if not 0 <= M <= net.N:
-        raise ValueError(f"M must lie in [0, {net.N}]")
-    ds = per_stage(dists, M + 1)
-    cm = cost_model(net, params)
-    bandwidth = params.bandwidth_hz
-    thresholds = []
-    for n in range(1, M + 1):
-        # local_gap(n) + transmission_cost(cm, n + 1, ds[n]), the same two floats
-        margin = cm.local_gap(n) + cm.weight(n + 1) * inv_rate_table(ds[n], bandwidth).full
-        thresholds.append(_indifference_threshold(cm.weight(n), bandwidth, margin))
-    return ThresholdPolicy("one_sla", M, tuple(thresholds))
+    """One-stage look-ahead thresholds for stages 1..M (`Problem.one_sla`)."""
+    return Problem(net, params, dists, M).policy("one_sla", M)
 
 
 def forced_offload_policy(rule_kind: str, net: NetworkSpec, params: SystemParams, dists) -> ThresholdPolicy:
     """M = 0 policy: no layers on device, offload at stage 1 unconditionally."""
-    return build_policy(rule_kind, 0, net, params, dists)
+    return Problem(net, params, dists, 0).policy(rule_kind, 0)
 
 
-def build_policy(rule_kind: str, M: int, net: NetworkSpec, params: SystemParams,
-                 dists) -> ThresholdPolicy:
-    """Threshold policy of rule "optimal" or "one_sla" with M layers on the
-    device; at M = 0 both are the forced offload at stage 1."""
-    if rule_kind not in RULE_KINDS:
-        raise ValueError(f"rule_kind must be one of {RULE_KINDS}")
-    if rule_kind == "optimal":
-        return backward_induction(M, net, params, dists)
-    return one_sla_thresholds(M, net, params, dists)
+def expected_etc(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, dists) -> float:
+    """Expected inference cost of a threshold policy (stop-probability mix)."""
+    problem = Problem(net, params, dists, policy.horizon_M)
+    return problem.stage_table(policy).expected_etc(policy.horizon_M, problem.forced[-1])
 
 
 def apply_rule(policy: ThresholdPolicy, snr_seq, net: NetworkSpec, params: SystemParams) -> SplitOutcome:
@@ -226,14 +156,14 @@ class StageTable:
     is the probability of no stop at stages 1..k (k = 0..M), their sequential
     product, and stop_prob[n-1] = reach[n-1] * (1 - continue_prob[n-1]).
     stop_cost[n-1] is the expected cost given a stop at stage n, 0 where
-    that never happens; a table built without a cost model has none. A tail
-    read that fails raises its NumericalError before any table exists.
+    that never happens. A tail read that fails raises its NumericalError
+    before any table exists.
     """
 
     continue_prob: list[float]
     reach: list[float]
     stop_prob: list[float]
-    stop_cost: list[float] | None = None
+    stop_cost: list[float]
 
     def expected_etc(self, M: int, forced_cost: float) -> float:
         """Expected cost of the policy cut to stages 1..M with a forced stop,
@@ -243,65 +173,166 @@ class StageTable:
                              [*self.stop_cost[:M], forced_cost]))
 
 
-def stage_table(policy: ThresholdPolicy, dists, cm: CostModel | None = None) -> StageTable:
-    """Stop statistics of `policy`, with stop costs when a cost model is given.
+class Problem:
+    """One stopping problem: a network, its constants and the laws of stages
+    1..M+1, for every horizon 0..M (M = N when not given).
 
-    The continue probabilities take one `prob_below` call and the stop costs
-    one tail read per distinct law over all of its finite thresholds.
+    It is the one place where (net, params, dists) become the stage laws, the
+    cost model and the policies of both rules. Built per CLI command, `place`
+    request or sweep point, it builds on first use, and keeps on the instance
+    only, the transmission costs, the optimal recursion over 0..M and the
+    1-sla policy with its stage table. Nothing is kept across Problems.
     """
-    M = policy.horizon_M
-    ds = per_stage(dists, M + 1)
-    stages_of = {}  # finite-threshold stages of each distinct law
-    for n, t in enumerate(policy.thresholds):
-        if t != math.inf:
-            stages_of.setdefault(id(ds[n]), []).append(n)
-    thresholds = policy.thresholds
-    cont = [1.0] * M
-    for stages in stages_of.values():
-        for n, p in zip(stages, ds[stages[0]].prob_below([thresholds[n] for n in stages])):
-            cont[n] = p
-    reach = [1.0, *accumulate(cont, operator.mul)]
-    stop_prob = [r * (1.0 - c) for r, c in zip(reach, cont)]
-    if cm is None:
-        return StageTable(cont, reach, stop_prob)
 
-    costs = [0.0] * M
-    for stages in stages_of.values():
-        tails = inv_rate_tails(ds[stages[0]], [thresholds[n] for n in stages], cm.params.bandwidth_hz)
-        for n, tail in zip(stages, tails):
-            if cont[n] < 1.0:
-                costs[n] = cm.omega(n + 1) + cm.weight(n + 1) * tail / (1.0 - cont[n])
-    return StageTable(cont, reach, stop_prob, costs)
+    def __init__(self, net: NetworkSpec, params: SystemParams, dists, M: int | None = None):
+        M = net.N if M is None else M
+        if not 0 <= M <= net.N:
+            raise ValueError(f"M must lie in [0, {net.N}]")
+        self.net, self.params, self.M = net, params, M
+        self.dists = per_stage(dists, M + 1)
+        self.cm = cost_model(net, params)
 
+    @cached_property
+    def transmission(self) -> list[float]:
+        """weight * E[1/R] of the forced stop at stage M+1, for M = 0..self.M."""
+        bandwidth = self.params.bandwidth_hz
+        return [self.cm.weight(M + 1) * inv_rate_table(d, bandwidth).full
+                for M, d in enumerate(self.dists)]
 
-def transmission_cost(cm: CostModel, stage: int, dist: StageDistribution) -> float:
-    """weight * E[1/R]: the forced stop at `stage` costs omega(stage) plus this."""
-    return cm.weight(stage) * inv_rate_table(dist, cm.params.bandwidth_hz).full
+    @property
+    def forced(self) -> list[float]:
+        """Expected cost of the forced stop at stage M+1, for M = 0..self.M."""
+        return [self.cm.omega(M + 1) + t for M, t in enumerate(self.transmission)]
 
+    def recursion(self, horizons) -> tuple[list[list[float]], list[list[float]]]:
+        """Backward induction for the distinct ascending `horizons` in lockstep.
 
-def stop_probabilities(policy: ThresholdPolicy, dists) -> list[float]:
-    """Probability of stopping at each stage 1..M+1."""
-    table = stage_table(policy, dists)
-    return [*table.stop_prob, table.reach[-1]]
+        One pass from the top stage down to stage 1 carries the value of every
+        horizon M >= n as its excess over omega(n). Horizon M joins at its forced
+        stop, stage M+1, with excess `transmission[M]`, weight * E[1/R] there.
+        Going on from stage n costs margin = excess + local_gap(n) over omega(n);
+        the threshold is the indifference SNR of that margin (+inf: stopping never
+        wins), the new excess weight * tail + margin * P{no stop}, from one
+        `prob_below` call and one tail read over all finite thresholds. Row h
+        belongs to M = horizons[h]: thresholds[h][:M] and values[h][:M+1].
+        """
+        Ms = list(horizons)
+        top = Ms[-1]
+        ds, cm, bandwidth = self.dists, self.cm, self.params.bandwidth_hz
+        thresholds = [[math.inf] * top for _ in Ms]
+        values = [[0.0] * (top + 1) for _ in Ms]
+        excess = [0.0] * len(Ms)
+        live = len(Ms)  # rows live[:] are the horizons M >= n
+        for n in range(top, -1, -1):
+            if live and Ms[live - 1] == n:
+                live -= 1
+                excess[live] = self.transmission[n]
+                values[live][n] = cm.omega(n + 1) + excess[live]
+            if n == 0:
+                break
+            omega, weight, gap = cm.omega(n), cm.weight(n), cm.local_gap(n)
+            stop = []
+            for h in range(live, len(Ms)):
+                excess[h] = margin = excess[h] + gap
+                thresholds[h][n - 1] = t = _indifference_threshold(weight, bandwidth, margin)
+                values[h][n - 1] = omega + margin
+                if t < math.inf:
+                    stop.append((h, t))
+            if stop:
+                ts = [t for _, t in stop]
+                for (h, _), cont, tail in zip(stop, ds[n - 1].prob_below(ts),
+                                              inv_rate_tails(ds[n - 1], ts, bandwidth)):
+                    excess[h] = weight * tail + excess[h] * cont
+                    values[h][n - 1] = omega + excess[h]
+        if not all(math.isfinite(v) for row in values for v in row):  # NaN would also give NaN thresholds
+            raise NumericalError(f"the optimal recursion's values are not finite: {values!r}")
+        return thresholds, values
 
+    @cached_property
+    def optimal(self) -> tuple:
+        """Threshold and value matrices of the recursion over M = 0..self.M."""
+        return self.recursion(range(self.M + 1))
 
-def expected_etc(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, dists) -> float:
-    """Expected inference cost of a threshold policy (stop-probability mix)."""
-    M = policy.horizon_M
-    ds = per_stage(dists, M + 1)
-    cm = cost_model(net, params)
-    forced = cm.omega(M + 1) + transmission_cost(cm, M + 1, ds[M])
-    return stage_table(policy, ds, cm).expected_etc(M, forced)
+    @cached_property
+    def one_sla(self) -> ThresholdPolicy:
+        """The 1-sla policy at horizon self.M.
 
+        Stage n stops iff stopping now costs no more than the expected cost of
+        computing layer n locally and stopping at stage n+1: the margin
+        local_gap(n) + transmission[n], which is the top stage of the
+        recursion at horizon n. So no threshold depends on M, and the policy
+        at M is the first M of them.
+        """
+        cm, bandwidth = self.cm, self.params.bandwidth_hz
+        return ThresholdPolicy("one_sla", self.M, [
+            _indifference_threshold(cm.weight(n), bandwidth, cm.local_gap(n) + self.transmission[n])
+            for n in range(1, self.M + 1)])
 
-def one_sla_optimality_probability(M: int, net: NetworkSpec, params: SystemParams, dists) -> float:
-    """Probability that the 1-sla decision coincides with the optimal one.
+    @cached_property
+    def one_sla_table(self) -> StageTable:
+        """The stage table of `one_sla`: every horizon's 1-sla statistics are
+        a prefix of it."""
+        return self.stage_table(self.one_sla)
 
-    Counts the event that once the 1-sla rule first calls for a stop it keeps
-    calling for stops at every later stage, summed over the stage at which
-    the first stop happens (including no stop before the forced one).
-    """
-    table = stage_table(one_sla_thresholds(M, net, params, dists), dists)
-    # reach[n] = P{no stop before stage n+1}; suffix[n] = P{stages n+1..M all stop}
-    suffix = [*accumulate((1.0 - c for c in reversed(table.continue_prob)), operator.mul)][::-1]
-    return math.fsum(map(operator.mul, table.reach, [*suffix, 1.0]))
+    def policy(self, rule_kind: str, M: int) -> ThresholdPolicy:
+        """Threshold policy of rule "optimal" or "one_sla" with M layers on the
+        device; at M = 0 both are the forced offload at stage 1.
+
+        The optimal policy is row M of the recursion once it has run, or at
+        M = self.M. Below that, it is one `backward_induction(M)`, the top row
+        of the Problem at horizon M: the same numbers bit for bit.
+        """
+        if rule_kind not in RULE_KINDS:
+            raise ValueError(f"rule_kind must be one of {RULE_KINDS}")
+        if not 0 <= M <= self.M:
+            raise ValueError(f"M must lie in [0, {self.M}]")
+        if rule_kind == "one_sla":
+            return ThresholdPolicy("one_sla", M, self.one_sla.thresholds[:M])
+        if M < self.M and "optimal" not in vars(self):  # where cached_property keeps it
+            return backward_induction(M, self.net, self.params, self.dists)
+        thresholds, values = self.optimal
+        return ThresholdPolicy("optimal", M, thresholds[M][:M], values[M][:M + 1])
+
+    def stage_table(self, policy: ThresholdPolicy) -> StageTable:
+        """Stop statistics and stop costs of a policy at a horizon up to self.M.
+
+        The continue probabilities take one `prob_below` call and the stop costs
+        one tail read per distinct law over all of its finite thresholds.
+        """
+        M = policy.horizon_M
+        if M > self.M:
+            raise ValueError(f"a policy at horizon {M} needs a Problem at horizon {M} or more")
+        ds, cm, thresholds = self.dists, self.cm, policy.thresholds
+        stages_of = {}  # finite-threshold stages of each distinct law
+        for n, t in enumerate(thresholds):
+            if t != math.inf:
+                stages_of.setdefault(id(ds[n]), []).append(n)
+        cont = [1.0] * M
+        for stages in stages_of.values():
+            for n, p in zip(stages, ds[stages[0]].prob_below([thresholds[n] for n in stages])):
+                cont[n] = p
+        reach = [1.0, *accumulate(cont, operator.mul)]
+        stop_prob = [r * (1.0 - c) for r, c in zip(reach, cont)]
+        costs = [0.0] * M
+        for stages in stages_of.values():
+            tails = inv_rate_tails(ds[stages[0]], [thresholds[n] for n in stages],
+                                   self.params.bandwidth_hz)
+            for n, tail in zip(stages, tails):
+                if cont[n] < 1.0:
+                    costs[n] = cm.omega(n + 1) + cm.weight(n + 1) * tail / (1.0 - cont[n])
+        return StageTable(cont, reach, stop_prob, costs)
+
+    def optimality_probability(self, M: int) -> float:
+        """Probability that the 1-sla decision at horizon M coincides with the
+        optimal one, read off the first M stages of `one_sla_table`.
+
+        Counts the event that once the 1-sla rule first calls for a stop it keeps
+        calling for stops at every later stage, summed over the stage at which
+        the first stop happens (including no stop before the forced one).
+        """
+        if not 0 <= M <= self.M:
+            raise ValueError(f"M must lie in [0, {self.M}]")
+        table = self.one_sla_table
+        # reach[n] = P{no stop before stage n+1}; suffix[n] = P{stages n+1..M all stop}
+        suffix = [*accumulate((1.0 - c for c in reversed(table.continue_prob[:M])), operator.mul)][::-1]
+        return math.fsum(map(operator.mul, table.reach[:M + 1], [*suffix, 1.0]))

@@ -12,15 +12,15 @@ import pytest
 
 from edgesplit import (
     PathLossParams,
+    Problem,
     StageDistribution,
     SystemParams,
     apply_rule,
     build_autoencoder_preset,
 )
-from edgesplit.channel import inv_rate_tails, mean_snr_from_pathloss, per_stage
-from edgesplit.cost_model import cost_model
+from edgesplit.channel import inv_rate_tails, mean_snr_from_pathloss
 from edgesplit.model_graph import build_alexnet_preset
-from edgesplit.splitting import ThresholdPolicy, stage_table, transmission_cost
+from edgesplit.splitting import ThresholdPolicy
 
 # Property tests draw a fixed set of examples, derived from each test's source,
 # with no per-example deadline: the verdict does not depend on the run or on
@@ -91,17 +91,21 @@ def stop_cost(net, params, n, gamma):
 
 
 def forced_stop_cost(cm, stage, law):
-    """Expected cost of the forced stop at `stage`: omega plus the transmission cost."""
-    return cm.omega(stage) + transmission_cost(cm, stage, law)
+    """Expected cost of the forced stop at `stage`: omega plus weight * E[1/R]."""
+    return cm.omega(stage) + cm.weight(stage) * inv_rate_tail(law, 0.0, cm.params.bandwidth_hz)
+
+
+def stop_probabilities(policy, net, params, dists):
+    """Probability of stopping at each stage 1..M+1, off the policy's stage table."""
+    table = Problem(net, params, dists, policy.horizon_M).stage_table(policy)
+    return [*table.stop_prob, table.reach[-1]]
 
 
 def stop_conditional_etc(policy, net, params, dists):
     """Expected cost given a stop at each stage 1..M+1: the stage table's stop
     costs, then the forced stop at M+1."""
-    ds = per_stage(dists, policy.horizon_M + 1)
-    cm = cost_model(net, params)
-    return np.append(stage_table(policy, ds, cm).stop_cost,
-                     forced_stop_cost(cm, policy.horizon_M + 1, ds[-1]))
+    problem = Problem(net, params, dists, policy.horizon_M)
+    return np.append(problem.stage_table(policy).stop_cost, problem.forced[-1])
 
 
 @pytest.fixture(scope="session")

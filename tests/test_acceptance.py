@@ -26,9 +26,9 @@ from edgesplit import (
 from edgesplit.cost_model import cost_model
 from edgesplit.model_graph import MlpSpec, build_mlp
 from edgesplit.placement import mlp_closed_form
-from edgesplit.splitting import expected_etc, one_sla_optimality_probability, stop_probabilities
+from edgesplit.splitting import expected_etc
 
-from conftest import DOWNLINK_BPS, channel_at, make_params
+from conftest import DOWNLINK_BPS, channel_at, make_params, stop_probabilities
 
 NETWORKS = ("autoencoder", "alexnet")
 
@@ -66,7 +66,7 @@ def test_criterion_2_horizon_one_identity(nets, params, dist_d50):
     details = []
     ok = True
     for name, net in nets.items():
-        analytic = one_sla_optimality_probability(1, net, params, dist_d50)
+        analytic = Problem(net, params, dist_d50).optimality_probability(1)
         empirical = coincidence_rate(1, net, params, dist_d50, trials=100_000, seed=2024)
         ok = ok and abs(analytic - 1.0) <= 1e-12 and empirical == 1.0
         details.append(f"{name}: analytic={analytic!r}, empirical={empirical}")
@@ -76,8 +76,8 @@ def test_criterion_2_horizon_one_identity(nets, params, dist_d50):
 def test_criterion_3a_optimality_probability_nonincreasing(nets, params, dist_d50):
     ok = True
     for name, net in nets.items():
-        vals = [one_sla_optimality_probability(M, net, params, dist_d50)
-                for M in range(1, net.N + 1)]
+        problem = Problem(net, params, dist_d50)
+        vals = [problem.optimality_probability(M) for M in range(1, net.N + 1)]
         ok = ok and all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
     _verdict("criterion 3a (look-ahead optimality probability nonincreasing in M)",
              ok, "both presets, M = 1..N")
@@ -161,8 +161,8 @@ def test_criterion_5_infinite_updates_all_layers(nets, params_inf_updates):
         }
         ok = ok and all(m == net.N for m in best.values())
         details.append(f"{name}: {best}")
-    closed = mlp_closed_form(MlpSpec((128,) * 9, 8, 8, 100, DOWNLINK_BPS),
-                             params_inf_updates, dist)
+    spec = MlpSpec((128,) * 9, 8, 8, 100, DOWNLINK_BPS)
+    closed = mlp_closed_form(Problem(build_mlp(spec), params_inf_updates, dist), spec)
     ok = ok and closed.best_M == 8
     details.append(f"closed-form equal MLP: {closed.best_M}")
     _verdict("criterion 5 (no download cost puts every layer on the device)",
@@ -177,7 +177,7 @@ def test_criterion_6_closed_form_vs_enumeration(dist_d50):
             for k in (10.0, 50.0, math.inf):
                 p = make_params(updates_per_model=k)
                 spec = MlpSpec((x,) * (n + 1), 8, 8, 100, DOWNLINK_BPS)
-                closed = mlp_closed_form(spec, p, dist_d50)
+                closed = mlp_closed_form(Problem(build_mlp(spec), p, dist_d50), spec)
                 swept = optimize_exhaustive(Problem(build_mlp(spec), p, dist_d50), "one_sla")
                 z_closed, z_swept = closed.row(closed.best_M).Z, swept.row(swept.best_M).Z
                 agrees = (closed.best_M == swept.best_M
@@ -203,7 +203,7 @@ def test_criterion_7_monte_carlo_agreement(autoencoder, params, dist_d50):
                 policy = one_sla_thresholds(M, autoencoder, params, dist_d50)
             res = simulate(policy, autoencoder, params, dist_d50, trials, seed=90 + M)
             analytic = expected_etc(policy, autoencoder, params, dist_d50)
-            probs = stop_probabilities(policy, dist_d50)
+            probs = stop_probabilities(policy, autoencoder, params, dist_d50)
             mean_ok = abs(res.mean_etc - analytic) <= 3 * res.std_error
             bins_ok = all(
                 abs(f - p) <= 3 * math.sqrt(p * (1 - p) / trials) + 1.0 / trials
@@ -223,9 +223,9 @@ def test_criterion_8_soft_probability_bounds(nets, params):
         floor_results = {}
         for ratio in (1e-4, 1e-3, 1e-2):
             dist = channel_at(50, params, floor_ratio=ratio)
-            floor_results[ratio] = min(
-                one_sla_optimality_probability(M, net, params, dist)
-                for M in range(1, net.N + 1))
+            problem = Problem(net, params, dist)
+            floor_results[ratio] = min(problem.optimality_probability(M)
+                                       for M in range(1, net.N + 1))
         computed.extend(floor_results.values())
         worst = min(floor_results.values())
         status = "PASS" if worst >= bounds[name] else "WARN"

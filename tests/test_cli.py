@@ -99,6 +99,26 @@ def test_a_short_per_stage_channel_is_a_channel_error(tmp_path, capsys):
     assert "(field: channel)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["thresholds", "place", "sweep", "simulate"])
+def test_a_per_stage_channel_longer_than_the_stages_is_a_channel_error(tmp_path, capsys, command):
+    """N + 1 = 9 laws at most: the tenth and later were once read by no stage
+    and dropped without a word."""
+    law = {"kind": "truncated_exponential", "mean_snr": 0.6}
+    for count in (10, 20):
+        raw = reference_config_dict(channel=[law] * count,
+                                    sweep={"variable": "M", "values": [0, 8]},
+                                    strategies=["optimal_exhaustive", "one_sla_exhaustive"])
+        with pytest.raises(ConfigError, match="9") as err:
+            load_config(raw)
+        assert err.value.field == "channel"
+        assert main([command, "--config", write_config(tmp_path, raw), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert "(field: channel)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+    raw["channel"] = [law] * 9
+    assert len(load_config(raw).stage_dists(9)) == 9
+
+
 def test_load_config_custom_layers():
     raw = reference_config_dict(network={
         "layers": [{"workload_cycles": 1e6, "input_bits": 4096, "download_seconds": 0.01}],

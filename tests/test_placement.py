@@ -19,7 +19,7 @@ from edgesplit.channel import inv_rate_tails, per_stage
 from edgesplit.cost_model import cost_model
 from edgesplit.model_graph import MlpSpec, build_mlp
 from edgesplit.placement import PlacementRow, _pick_best, mlp_closed_form
-from edgesplit.splitting import ThresholdPolicy, expected_etc, stage_table
+from edgesplit.splitting import ThresholdPolicy, expected_etc
 
 from conftest import DOWNLINK_BPS, channel_at, forced_stop_cost, make_params
 
@@ -34,8 +34,9 @@ def theta_one_sla(M, net, params, dists):
     """
     ds = per_stage(dists, M + 1)
     cm = cost_model(net, params)
-    policy = one_sla_thresholds(M, net, params, ds)
-    table = stage_table(policy, ds)
+    problem = Problem(net, params, ds, M)
+    policy = problem.policy("one_sla", M)
+    table = problem.stage_table(policy)
     reach = float(table.reach[M])
     if reach <= 0.0:
         return 0.0
@@ -44,6 +45,11 @@ def theta_one_sla(M, net, params, dists):
     full, tail = inv_rate_tails(ds[M - 1], [0.0, policy.thresholds[M - 1]], params.bandwidth_hz)
     below = full - tail
     return reach * (forced - cm.omega(M) - cm.weight(M) * below / float(table.continue_prob[M - 1]))
+
+
+def closed_form(spec, params, dist):
+    """`mlp_closed_form` on the Problem of the MLP's network and one shared law."""
+    return mlp_closed_form(Problem(build_mlp(spec), params, dist), spec)
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +145,7 @@ def test_theta_matches_direct_difference_with_an_atom_at_the_threshold(M, autoen
 
 
 def test_theta_equal_width_geometric(equal_mlp_spec, equal_mlp, params, dist_d50):
-    rep = mlp_closed_form(equal_mlp_spec, params, dist_d50)
+    rep = closed_form(equal_mlp_spec, params, dist_d50)
     cont = rep.diagnostics["cdf_at_delta"]
     g = rep.diagnostics["g_simplified"]
     x = equal_mlp_spec.neurons[0]
@@ -164,7 +170,7 @@ def test_z_rows_satisfy_decrement_identity(autoencoder, params, dist_d50):
 # -- closed form ------------------------------------------------------------------
 
 def test_closed_form_infinite_updates(equal_mlp_spec, params_inf_updates, dist_d50):
-    rep = mlp_closed_form(equal_mlp_spec, params_inf_updates, dist_d50)
+    rep = closed_form(equal_mlp_spec, params_inf_updates, dist_d50)
     assert rep.best_M == 8
     assert rep.diagnostics["branch"] == "all_layers"
 
@@ -172,7 +178,7 @@ def test_closed_form_infinite_updates(equal_mlp_spec, params_inf_updates, dist_d
 def test_closed_form_download_dominant():
     params = make_params(updates_per_model=1)
     spec = MlpSpec((128,) * 9, 8, 8, 100, 1e3)
-    rep = mlp_closed_form(spec, params, channel_at(50, params))
+    rep = closed_form(spec, params, channel_at(50, params))
     assert rep.best_M == 0
     assert rep.diagnostics["branch"] == "no_layers"
 
@@ -183,7 +189,7 @@ def test_closed_form_download_dominant():
 def test_closed_form_agrees_with_enumeration(x, n, k, dist_d50):
     params = make_params(updates_per_model=k)
     spec = MlpSpec((x,) * (n + 1), 8, 8, 100, DOWNLINK_BPS)
-    closed = mlp_closed_form(spec, params, dist_d50)
+    closed = closed_form(spec, params, dist_d50)
     swept = optimize_exhaustive(Problem(build_mlp(spec), params, dist_d50), "one_sla")
     same = closed.best_M == swept.best_M
     z_closed, z_swept = closed.row(closed.best_M).Z, swept.row(swept.best_M).Z
@@ -199,12 +205,12 @@ def test_closed_form_stops_on_an_atom_at_the_shared_threshold(equal_mlp_spec, pa
 
     delta = 1.0
     for _ in range(100):
-        moved = mlp_closed_form(equal_mlp_spec, params, law(delta)).diagnostics["delta_threshold"]
+        moved = closed_form(equal_mlp_spec, params, law(delta)).diagnostics["delta_threshold"]
         if moved == delta:
             break
         delta = moved
     dist = law(delta)
-    rep = mlp_closed_form(equal_mlp_spec, params, dist)
+    rep = closed_form(equal_mlp_spec, params, dist)
     assert rep.diagnostics["delta_threshold"] == delta
     cont, g = rep.diagnostics["cdf_at_delta"], rep.diagnostics["g_simplified"]
     assert cont == dist.prob_below(delta) != dist.cdf(delta)
@@ -228,7 +234,7 @@ def test_closed_form_threshold_is_the_one_sla_threshold(x, n, lam, k, distance):
     spec = MlpSpec((x,) * (n + 1), lam, 8.0, 100.0, DOWNLINK_BPS)
     params = make_params(updates_per_model=k)
     law = channel_at(distance, params)
-    delta = mlp_closed_form(spec, params, law).diagnostics["delta_threshold"]
+    delta = closed_form(spec, params, law).diagnostics["delta_threshold"]
     net = build_mlp(spec)
     assert one_sla_thresholds(1, net, params, law).thresholds[0].hex() == delta.hex()
     assert {t.hex() for t in one_sla_thresholds(n, net, params, law).thresholds} == {delta.hex()}
@@ -236,11 +242,11 @@ def test_closed_form_threshold_is_the_one_sla_threshold(x, n, lam, k, distance):
 
 def test_closed_form_rejects_unequal_widths(params, dist_d50):
     with pytest.raises(ValueError):
-        mlp_closed_form(MlpSpec((128, 64, 128), 8, 8, 100, DOWNLINK_BPS), params, dist_d50)
+        closed_form(MlpSpec((128, 64, 128), 8, 8, 100, DOWNLINK_BPS), params, dist_d50)
 
 
 def test_closed_form_g_is_negative(equal_mlp_spec, params, dist_d50):
-    rep = mlp_closed_form(equal_mlp_spec, params, dist_d50)
+    rep = closed_form(equal_mlp_spec, params, dist_d50)
     assert rep.diagnostics["g_simplified"] < 0
     # simplified and raw bracket forms agree (the threshold identity holds
     # exactly on the truncated law)
@@ -251,7 +257,7 @@ def test_closed_form_g_is_negative(equal_mlp_spec, params, dist_d50):
 def test_closed_form_best_m_nondecreasing_in_updates(equal_mlp_spec, dist_d50):
     bests = []
     for k in (10, 20, 50, 100, 200, math.inf):
-        rep = mlp_closed_form(equal_mlp_spec, make_params(updates_per_model=k), dist_d50)
+        rep = closed_form(equal_mlp_spec, make_params(updates_per_model=k), dist_d50)
         bests.append(rep.best_M)
     assert all(a <= b for a, b in zip(bests, bests[1:]))
     assert bests[-1] == 8
@@ -263,7 +269,7 @@ def test_closed_form_degenerate_floor_places_no_layers(equal_mlp_spec, equal_mlp
     dist = StageDistribution.truncated_exponential(0.584, floor=10.0)
     for k in (10, math.inf):
         params = make_params(updates_per_model=k)
-        rep = mlp_closed_form(equal_mlp_spec, params, dist)
+        rep = closed_form(equal_mlp_spec, params, dist)
         diag = rep.diagnostics
         assert diag["cdf_at_delta"] == 0.0 and diag["branch"] == "no_layers"
         assert (diag["g_simplified"], diag["g_raw"], diag["m_real"]) == (None, None, None)
@@ -283,7 +289,7 @@ def test_closed_form_equals_the_one_sla_sweep(width, n, lam, mu, alpha, k, dista
     params = make_params(updates_per_model=k)
     spec = MlpSpec((width,) * (n + 1), lam, mu, alpha, DOWNLINK_BPS)
     dist = channel_at(distance, params)
-    closed = mlp_closed_form(spec, params, dist)
+    closed = closed_form(spec, params, dist)
     swept = optimize_exhaustive(Problem(build_mlp(spec), params, dist), "one_sla")
     z_swept = swept.row(swept.best_M).Z
     assert closed.row(closed.best_M).Z == pytest.approx(z_swept, rel=1e-12, abs=0.0)

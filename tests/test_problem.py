@@ -1,8 +1,10 @@
 """One `Problem` per request: the strategies run on it share its 1-sla sweep
 and its optimal recursion, and each reports exactly what a standalone
-`run_strategy` reports."""
+`run_strategy` reports. Each CLI command builds one Problem, and reads each
+stage table it needs once."""
 import json
 import math
+from functools import cached_property
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,13 +13,13 @@ from edgesplit import (
     NumericalError,
     Problem,
     StageDistribution,
-    placement,
     run_strategy,
     splitting,
 )
+from edgesplit.cli import main
 from edgesplit.model_graph import MlpSpec, build_mlp
 
-from conftest import DOWNLINK_BPS, channel_at, make_params
+from conftest import DOWNLINK_BPS, channel_at, make_params, reference_config_dict
 from test_stage_table import _laws, _problems
 
 RULE_STRATEGIES = ("optimal_exhaustive", "one_sla_exhaustive", "hybrid")
@@ -81,11 +83,26 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+def _counting_builds(monkeypatch, name):
+    """Count the builds of the Problem's cached property `name`."""
+    calls = []
+    original = vars(Problem)[name].func
+
+    def build(self):
+        calls.append(self)
+        return original(self)
+
+    prop = cached_property(build)
+    prop.__set_name__(Problem, name)
+    monkeypatch.setattr(Problem, name, prop)
+    return calls
+
+
 def test_hybrid_reads_the_optimal_row_the_problem_already_holds(monkeypatch, autoencoder,
                                                                  params, dist_d50):
     inductions = _counting(monkeypatch, splitting, "backward_induction")
-    recursions = _counting(monkeypatch, placement, "optimal_recursion")
-    sweeps = _counting(monkeypatch, placement, "one_sla_thresholds")
+    recursions = _counting(monkeypatch, Problem, "recursion")
+    sweeps = _counting_builds(monkeypatch, "one_sla")
     problem = Problem(autoencoder, params, dist_d50)
     for strategy in ("optimal_exhaustive", "one_sla_exhaustive", "hybrid", "optimal_exhaustive"):
         run_strategy(strategy, autoencoder, params, dist_d50, problem=problem)
@@ -95,13 +112,13 @@ def test_hybrid_reads_the_optimal_row_the_problem_already_holds(monkeypatch, aut
 def test_a_request_computes_each_forced_stop_cost_once(monkeypatch, autoencoder, params,
                                                        dist_d50):
     """The recursion reads the Problem's transmission costs, from which its
-    forced-stop costs follow: N + 1 of them for all three rule strategies
+    forced-stop costs follow: N + 1 E[1/R] reads for all three rule strategies
     together."""
-    calls = [_counting(monkeypatch, module, "transmission_cost") for module in (placement, splitting)]
+    calls = _counting(monkeypatch, splitting, "inv_rate_table")
     problem = Problem(autoencoder, params, dist_d50)
     for strategy in RULE_STRATEGIES:
         run_strategy(strategy, autoencoder, params, dist_d50, problem=problem)
-    assert sum(map(len, calls)) == autoencoder.N + 1
+    assert len(calls) == autoencoder.N + 1
 
 
 def test_hybrid_before_the_optimal_rule_runs_one_backward_induction(monkeypatch, autoencoder,
@@ -117,10 +134,50 @@ def test_hybrid_before_the_optimal_rule_runs_one_backward_induction(monkeypatch,
 
 
 def test_each_problem_builds_its_own_results(monkeypatch, params):
-    recursions = _counting(monkeypatch, placement, "optimal_recursion")
+    recursions = _counting(monkeypatch, Problem, "recursion")
     net = build_mlp(MlpSpec((32, 16, 8), 8.0, 8.0, 100.0, DOWNLINK_BPS))
     law = StageDistribution.truncated_exponential(2.0)
     first, second = Problem(net, params, law), Problem(net, params, law)
     assert first.optimal is first.optimal
     assert second.optimal is not first.optimal
     assert len(recursions) == 2
+
+
+# -- one Problem per command ---------------------------------------------------------
+
+def _run(tmp_path, command, **overrides):
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(reference_config_dict(**overrides)))
+    return main([command, "--config", str(path), "--out", str(tmp_path / command)])
+
+
+def test_an_m_sweep_builds_the_one_sla_thresholds_and_their_table_once(tmp_path, monkeypatch):
+    """Every M of the axis reads its optimality probability, and the 1-sla
+    rows read their expected costs, off one N-stage 1-sla table."""
+    builds = _counting_builds(monkeypatch, "one_sla")
+    tables = _counting(monkeypatch, Problem, "stage_table")
+    assert _run(tmp_path, "sweep", sweep={"variable": "M", "values": list(range(9))},
+                strategies=["optimal_exhaustive", "one_sla_exhaustive"]) == 0
+    assert (len(builds), len(tables)) == (1, 1)
+
+
+def test_simulate_builds_one_stage_table_per_rule(tmp_path, monkeypatch):
+    tables = _counting(monkeypatch, Problem, "stage_table")
+    for horizon, rules in ((8, 2), (3, 2), (0, 1)):
+        tables.clear()
+        strategies = ["optimal_exhaustive", "one_sla_exhaustive"][:rules]
+        assert _run(tmp_path, "simulate", horizon_M=horizon, strategies=strategies,
+                    trials=2000) == 0
+        assert len(tables) == rules
+
+
+def test_each_command_builds_exactly_one_problem(tmp_path, monkeypatch):
+    problems = _counting(monkeypatch, Problem, "__init__")
+    for command, overrides in (("thresholds", {}), ("thresholds", {"horizon_M": 3}),
+                               ("simulate", {"trials": 2000,
+                                             "strategies": ["optimal_exhaustive",
+                                                            "one_sla_exhaustive"]}),
+                               ("place", {})):
+        problems.clear()
+        assert _run(tmp_path, command, **overrides) == 0, command
+        assert len(problems) == 1, (command, overrides)

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from edgesplit import (
+    Problem,
     StageDistribution,
     backward_induction,
-    build_policy,
     coincidence_rate,
     one_sla_thresholds,
     oracle_dp,
@@ -24,9 +24,9 @@ from edgesplit.simulate import (
     network_hash,
     sim_report_json,
 )
-from edgesplit.splitting import expected_etc, one_sla_optimality_probability, stop_probabilities
+from edgesplit.splitting import expected_etc
 
-from conftest import stop_cost
+from conftest import stop_cost, stop_probabilities
 
 
 # -- simulate ------------------------------------------------------------------
@@ -69,7 +69,7 @@ def test_simulate_histogram_matches_probabilities(autoencoder, params, dist_d50)
     pol = one_sla_thresholds(6, autoencoder, params, dist_d50)
     trials = 200_000
     res = simulate(pol, autoencoder, params, dist_d50, trials, seed=21)
-    probs = stop_probabilities(pol, dist_d50)
+    probs = stop_probabilities(pol, autoencoder, params, dist_d50)
     assert len(res.stop_histogram) == 7
     assert sum(res.stop_histogram) == pytest.approx(1.0, abs=1e-12)
     for freq, p in zip(res.stop_histogram, probs):
@@ -177,7 +177,7 @@ def test_kernel_matches_reference_bit_for_bit(autoencoder, params, dist_d50, sha
     ds = [law] * 9 if shared else law
     for M in range(9):
         for rule in ("optimal", "one_sla"):
-            pol = build_policy(rule, M, autoencoder, params, law)
+            pol = Problem(autoencoder, params, law).policy(rule, M)
             got = simulate(pol, autoencoder, params, law, trials, seed=M, chunk=chunk)
             assert got == _reference_simulate(pol, autoencoder, params, ds, trials, M, chunk)
         if M:
@@ -240,7 +240,7 @@ def test_kernel_draws_only_the_live_rows(autoencoder, params, dist_d50, monkeypa
     sizes = _counting_quantile(monkeypatch)
     for M in range(9):
         for rule in ("optimal", "one_sla"):
-            pol = build_policy(rule, M, autoencoder, params, law)
+            pol = Problem(autoencoder, params, law).policy(rule, M)
             sizes.clear()
             simulate(pol, autoencoder, params, law, trials, seed=M, chunk=chunk)
             blocks = [sizes[k:k + M + 1] for k in range(0, len(sizes), M + 1)]
@@ -283,7 +283,7 @@ def test_monte_carlo_does_not_depend_on_chunk_size(autoencoder, params, dist_d50
                                                     chunk, rule):
     laws = [StageDistribution.truncated_exponential(dist_d50.mean_snr * k) for k in scales]
     laws[-1] = StageDistribution.discrete([(0.2, 0.5), (2.0, 0.5)])
-    pol = build_policy(rule, M, autoencoder, params, laws)
+    pol = Problem(autoencoder, params, laws, M).policy(rule, M)
     whole = simulate(pol, autoencoder, params, laws, 600, seed=M)
     part = simulate(pol, autoencoder, params, laws, 600, seed=M, chunk=chunk)
     assert part.stop_histogram == whole.stop_histogram
@@ -305,7 +305,7 @@ def test_coincidence_at_least_sufficient_event_probability(autoencoder, params, 
     trials = 100_000
     for M in (3, 6, 8):
         rate = coincidence_rate(M, autoencoder, params, dist_d50, trials, seed=13)
-        bound = one_sla_optimality_probability(M, autoencoder, params, dist_d50)
+        bound = Problem(autoencoder, params, dist_d50).optimality_probability(M)
         se = math.sqrt(bound * (1 - bound) / trials)
         assert rate >= bound - 3 * se
 

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from edgesplit import (
     NumericalError,
+    Problem,
     StageDistribution,
     apply_rule,
     backward_induction,
-    build_policy,
     coincidence_rate,
     forced_offload_policy,
     one_sla_thresholds,
@@ -20,13 +20,7 @@ from edgesplit import (
 from edgesplit.channel import per_stage
 from edgesplit.cost_model import cost_model
 from edgesplit.model_graph import MlpSpec, build_mlp
-from edgesplit.splitting import (
-    ThresholdPolicy,
-    expected_etc,
-    one_sla_optimality_probability,
-    optimal_recursion,
-    stop_probabilities,
-)
+from edgesplit.splitting import ThresholdPolicy, expected_etc
 
 from conftest import (
     DOWNLINK_BPS,
@@ -36,6 +30,7 @@ from conftest import (
     make_params,
     stop_conditional_etc,
     stop_cost,
+    stop_probabilities,
 )
 from test_stage_table import _problems
 
@@ -104,14 +99,15 @@ def test_horizon_zero_is_the_forced_offload(problem):
     cm = cost_model(net, params)
     law = per_stage(dists, 1)[0]
     forced = forced_stop_cost(cm, 1, law)
-    assert build_policy("optimal", 0, net, params, dists) == ThresholdPolicy("optimal", 0, (), (forced,))
-    assert build_policy("one_sla", 0, net, params, dists) == ThresholdPolicy("one_sla", 0, ())
+    problem = Problem(net, params, dists)
+    assert problem.policy("optimal", 0) == ThresholdPolicy("optimal", 0, (), (forced,))
+    assert problem.policy("one_sla", 0) == ThresholdPolicy("one_sla", 0, ())
     atoms = law if law.kind == "discrete" else law.discretize(64)
     oracle = oracle_dp(0, net, params, atoms)
     assert oracle.thresholds == ()
     assert oracle.expected_cost == pytest.approx(forced_stop_cost(cm, 1, atoms), rel=1e-12)
     assert coincidence_rate(0, net, params, dists, 100, seed=1) == 1.0
-    assert one_sla_optimality_probability(0, net, params, dists) == 1.0
+    assert problem.optimality_probability(0) == 1.0
 
 
 def test_never_stop_sentinel():
@@ -122,7 +118,7 @@ def test_never_stop_sentinel():
     dist = StageDistribution.truncated_exponential(0.5)
     pol = backward_induction(2, net, params, dist)
     assert math.isinf(pol.thresholds[0])
-    probs = stop_probabilities(pol, dist)
+    probs = stop_probabilities(pol, net, params, dist)
     assert probs[0] == 0.0
     seq = [1e300, 0.5, 0.5]
     assert apply_rule(pol, seq, net, params).stage != 1
@@ -174,7 +170,9 @@ def test_one_sla_threshold_decreases_with_local_workload(params, dist_d50):
 @pytest.mark.parametrize("rule", ["optimal", "one_sla"])
 @pytest.mark.parametrize("M", range(9))
 def test_build_policy_matches_direct_constructors(rule, M, autoencoder, params, dist_d50):
-    got = build_policy(rule, M, autoencoder, params, dist_d50)
+    """`Problem.policy`, which replaced `build_policy`, gives what the
+    module-level builders give."""
+    got = Problem(autoencoder, params, dist_d50).policy(rule, M)
     if M == 0:
         want = forced_offload_policy(rule, autoencoder, params, dist_d50)
     elif rule == "optimal":
@@ -185,9 +183,10 @@ def test_build_policy_matches_direct_constructors(rule, M, autoencoder, params, 
 
 
 def test_build_policy_rejects_unknown_rule(autoencoder, params, dist_d50):
+    """`Problem.policy`, which replaced `build_policy`, names the rule_kind."""
     for M in (0, 2):
         with pytest.raises(ValueError, match="rule_kind"):
-            build_policy("custom", M, autoencoder, params, dist_d50)
+            Problem(autoencoder, params, dist_d50).policy("custom", M)
 
 
 # -- rule application -------------------------------------------------------------
@@ -277,14 +276,14 @@ def test_apply_rule_checks_every_snr_it_reads_and_keeps_valid_decisions(autoenco
 
 def test_stop_probabilities_m1_form(autoencoder, params, dist_d50):
     pol = backward_induction(1, autoencoder, params, dist_d50)
-    probs = stop_probabilities(pol, dist_d50)
+    probs = stop_probabilities(pol, autoencoder, params, dist_d50)
     f1 = dist_d50.cdf(pol.thresholds[0])
     assert probs == pytest.approx([1 - f1, f1], rel=1e-12)
 
 
 def test_stop_probabilities_always_stop_immediately(autoencoder, params, dist_d50):
     pol = ThresholdPolicy("one_sla", 4, (0.0, math.inf, math.inf, math.inf))
-    probs = stop_probabilities(pol, dist_d50)
+    probs = stop_probabilities(pol, autoencoder, params, dist_d50)
     assert probs == pytest.approx([1.0, 0.0, 0.0, 0.0, 0.0], abs=0)
 
 
@@ -292,7 +291,7 @@ def test_stop_probabilities_sum_to_one(autoencoder, params, dist_d50):
     for M in (1, 4, 8):
         for rule in (backward_induction, one_sla_thresholds):
             pol = rule(M, autoencoder, params, dist_d50)
-            assert sum(stop_probabilities(pol, dist_d50)) == pytest.approx(1.0, abs=1e-9)
+            assert sum(stop_probabilities(pol, autoencoder, params, dist_d50)) == pytest.approx(1.0, abs=1e-9)
 
 
 # -- expected cost -------------------------------------------------------------------
@@ -315,7 +314,7 @@ def test_expected_etc_equals_value_table(autoencoder, alexnet, params, dist_d50)
 
 def test_probabilities_and_conditionals_recombine(autoencoder, params, dist_d50):
     pol = one_sla_thresholds(6, autoencoder, params, dist_d50)
-    probs = stop_probabilities(pol, dist_d50)
+    probs = stop_probabilities(pol, autoencoder, params, dist_d50)
     conds = stop_conditional_etc(pol, autoencoder, params, dist_d50)
     assert float(np.dot(probs, conds)) == pytest.approx(
         expected_etc(pol, autoencoder, params, dist_d50), abs=1e-9)
@@ -363,12 +362,12 @@ def test_weight_scaling_leaves_thresholds_invariant(autoencoder, dist_d50):
 
 def test_optimality_probability_horizon_one_exact(autoencoder, alexnet, params, dist_d50):
     for net in (autoencoder, alexnet):
-        assert one_sla_optimality_probability(1, net, params, dist_d50) == pytest.approx(1.0, abs=1e-12)
+        assert Problem(net, params, dist_d50).optimality_probability(1) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_optimality_probability_nonincreasing(autoencoder, params, dist_d50):
-    vals = [one_sla_optimality_probability(M, autoencoder, params, dist_d50)
-            for M in range(1, 9)]
+    problem = Problem(autoencoder, params, dist_d50)
+    vals = [problem.optimality_probability(M) for M in range(1, 9)]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
     assert all(0.0 <= v <= 1.0 for v in vals)
 
@@ -377,7 +376,7 @@ def test_optimality_probability_closed_form_m2(autoencoder, params, dist_d50):
     pol = one_sla_thresholds(2, autoencoder, params, dist_d50)
     f1, f2 = (dist_d50.cdf(t) for t in pol.thresholds)
     want = (1 - f1) * (1 - f2) + f1 * (1 - f2) + f1 * f2
-    got = one_sla_optimality_probability(2, autoencoder, params, dist_d50)
+    got = Problem(autoencoder, params, dist_d50).optimality_probability(2)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -419,5 +418,7 @@ def test_caches_are_shared_across_calls(autoencoder, params, dist_d50):
 def test_a_non_finite_value_in_the_recursion_is_a_numerical_error(forced, autoencoder, params,
                                                                   dist_d50):
     # an infinite forced stop cost makes stopping always win, and inf * 0 is NaN
+    problem = Problem(autoencoder, params, dist_d50)
+    problem.transmission = [forced] * (autoencoder.N + 1)
     with pytest.raises(NumericalError, match="not finite"):
-        optimal_recursion([2], [forced], autoencoder, params, dist_d50)
+        problem.recursion([2])

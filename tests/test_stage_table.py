@@ -17,7 +17,6 @@ from edgesplit import (
     StageDistribution,
     apply_rule,
     backward_induction,
-    build_policy,
     hybrid,
     one_sla_thresholds,
     optimize_exhaustive,
@@ -26,16 +25,16 @@ from edgesplit import splitting
 from edgesplit.channel import per_stage
 from edgesplit.cost_model import cost_model, uplink_rate
 from edgesplit.model_graph import LayerSpec, NetworkSpec
-from edgesplit.splitting import (
-    ThresholdPolicy,
-    expected_etc,
-    one_sla_optimality_probability,
-    optimal_recursion,
-    stage_table,
+from edgesplit.splitting import ThresholdPolicy, expected_etc
+
+from conftest import (
+    channel_at,
+    expect,
+    inv_rate_tail,
+    make_params,
+    stop_conditional_etc,
     stop_probabilities,
 )
-
-from conftest import channel_at, expect, inv_rate_tail, make_params, stop_conditional_etc
 
 
 # -- the per-stage scalar loops the table replaced ------------------------------
@@ -132,7 +131,7 @@ def _check_sweep_rows(net, params, dists):
         policy = ThresholdPolicy("one_sla", M, full.thresholds[:M])
         row = report.row(M)
         assert _bits(row.expected_etc) == _bits(expected_etc(policy, net, params, dists))
-        probs = stop_probabilities(policy, dists)
+        probs = stop_probabilities(policy, net, params, dists)
         conds = stop_conditional_etc(policy, net, params, dists)
         assert _bits(probs) == _bits(_loop_stop_probabilities(policy, dists))
         assert _bits(conds) == _bits(_loop_stop_conditional_etc(policy, net, params, dists))
@@ -161,7 +160,8 @@ def test_tables_of_any_thresholds_equal_the_scalar_loops(problem, mask):
     full = one_sla_thresholds(net.N, net, params, dists)
     thresholds = [math.inf if hide else t for t, hide in zip(full.thresholds, mask)]
     policy = ThresholdPolicy("one_sla", net.N, thresholds)
-    assert _bits(stop_probabilities(policy, dists)) == _bits(_loop_stop_probabilities(policy, dists))
+    assert _bits(stop_probabilities(policy, net, params, dists)) == _bits(
+        _loop_stop_probabilities(policy, dists))
     assert _bits(stop_conditional_etc(policy, net, params, dists)) == _bits(
         _loop_stop_conditional_etc(policy, net, params, dists))
 
@@ -170,16 +170,17 @@ def test_table_takes_one_cdf_call_per_distinct_law(autoencoder, params, dist_d50
     calls = []
     cdf = StageDistribution.cdf
     monkeypatch.setattr(StageDistribution, "cdf", lambda self, x: calls.append(self) or cdf(self, x))
-    policy = one_sla_thresholds(8, autoencoder, params, dist_d50)
-    table = stage_table(policy, dist_d50)
+    problem = Problem(autoencoder, params, dist_d50)
+    policy = problem.policy("one_sla", 8)
+    table = problem.stage_table(policy)
     assert calls == [dist_d50]
     assert table.reach[0] == 1.0 and len(table.reach) == 9
     other = channel_at(80.0, params)
     calls.clear()
-    stage_table(policy, [dist_d50, other] * 4 + [other])
+    Problem(autoencoder, params, [dist_d50, other] * 4 + [other]).stage_table(policy)
     assert calls == [dist_d50, other]
     calls.clear()
-    stage_table(ThresholdPolicy("one_sla", 2, (math.inf, math.inf)), dist_d50)
+    problem.stage_table(ThresholdPolicy("one_sla", 2, (math.inf, math.inf)))
     assert calls == []
 
 
@@ -255,8 +256,9 @@ def test_lockstep_recursion_matches_the_scalar_reference(problem):
     net, params, dists = problem
     cm = cost_model(net, params)
     ds = per_stage(dists, net.N + 1)
-    transmission = Problem(net, params, dists).transmission
-    thresholds, values = optimal_recursion(range(net.N + 1), transmission, net, params, dists)
+    problem = Problem(net, params, dists)
+    transmission = problem.transmission
+    thresholds, values = problem.recursion(range(net.N + 1))
     for M in range(net.N + 1):
         own_t, own_v = thresholds[M][:M], values[M][:M + 1]
         if M:
@@ -391,7 +393,7 @@ def test_optimal_rows_read_the_value_table(problem):
     cm = cost_model(net, params)
     report = optimize_exhaustive(Problem(net, params, dists), rule_kind="optimal")
     for M in range(net.N + 1):
-        policy = build_policy("optimal", M, net, params, dists)
+        policy = Problem(net, params, dists, M).policy("optimal", M)
         value = policy.value_table[0]
         row = report.row(M)
         assert _bits([row.Z, row.expected_etc]) == _bits([cm.total_cost(M, value), value])
@@ -408,7 +410,7 @@ def _laws_with_atoms_at_thresholds(rule, M, net, params, last):
     """
     ds = [last] * (M + 1)
     for n in range(M, 0, -1):
-        t = build_policy(rule, M, net, params, ds).thresholds[n - 1]
+        t = Problem(net, params, ds, M).policy(rule, M).thresholds[n - 1]
         assert math.isfinite(t)
         ds[n - 1] = StageDistribution.discrete([(0.5 * t, 0.3), (t, 0.4), (2.0 * t, 0.3)])
     return ds
@@ -431,9 +433,10 @@ def _enumerate(policy, net, params, ds):
 def test_thresholds_on_atoms_match_atom_enumeration(rule, M, autoencoder, params):
     last = StageDistribution.discrete([(0.05, 0.5), (0.4, 0.3), (3.0, 0.2)])
     ds = _laws_with_atoms_at_thresholds(rule, M, autoencoder, params, last)
-    policy = build_policy(rule, M, autoencoder, params, ds)
+    policy = Problem(autoencoder, params, ds, M).policy(rule, M)
     probs, cost = _enumerate(policy, autoencoder, params, ds)
-    assert stop_probabilities(policy, ds) == pytest.approx(probs, rel=1e-12, abs=1e-15)
+    assert stop_probabilities(policy, autoencoder, params, ds) == pytest.approx(probs, rel=1e-12,
+                                                                                abs=1e-15)
     assert expected_etc(policy, autoencoder, params, ds) == pytest.approx(cost, rel=1e-12)
     if rule == "optimal":
         assert policy.value_table[0] == pytest.approx(cost, rel=1e-12)
@@ -441,7 +444,8 @@ def test_thresholds_on_atoms_match_atom_enumeration(rule, M, autoencoder, params
 
 def test_tie_at_an_atom_stops(autoencoder, params):
     d = StageDistribution.discrete([(1.0, 0.25), (2.0, 0.25), (4.0, 0.5)])
-    assert stop_probabilities(ThresholdPolicy("one_sla", 1, (2.0,)), d) == [0.75, 0.25]
+    assert stop_probabilities(ThresholdPolicy("one_sla", 1, (2.0,)), autoencoder, params, d) == [
+        0.75, 0.25]
     policy = ThresholdPolicy("one_sla", 2, (2.0, 2.0))
     _, cost = _enumerate(policy, autoencoder, params, [d] * 3)
     assert expected_etc(policy, autoencoder, params, d) == pytest.approx(cost, rel=1e-12)
@@ -454,8 +458,9 @@ def test_one_sla_is_optimal_where_its_optimality_probability_is_one(problem):
     # the monotone case: once the 1-sla rule calls for a stop it calls for one at
     # every later stage, and then it is the optimal rule
     net, params, dists = problem
+    shared = Problem(net, params, dists)
     for M in range(net.N + 1):
-        if one_sla_optimality_probability(M, net, params, dists) == 1.0:
+        if shared.optimality_probability(M) == 1.0:
             one_sla = expected_etc(one_sla_thresholds(M, net, params, dists), net, params, dists)
             optimal = backward_induction(M, net, params, dists).value_table[0]
             assert one_sla == pytest.approx(optimal, rel=1e-12)

@@ -79,6 +79,26 @@ def test_only_the_cost_model_reads_the_cost_constants():
     assert not offenders, offenders
 
 
+def test_only_the_problem_builds_stage_laws_and_cost_models():
+    """In the stopping rules and the placement strategies, `Problem.__init__`
+    is the one place that normalizes the stage laws and looks up the cost
+    model. The one exception is `apply_rule`, the online decision, which
+    takes no laws and looks its cost model up once per call."""
+    calls = []
+    for name in ("splitting.py", "placement.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        scopes = [(f"{cls.name}.{fn.name}" if cls else fn.name, fn)
+                  for cls in [None, *(n for n in tree.body if isinstance(n, ast.ClassDef))]
+                  for fn in (cls.body if cls else tree.body) if isinstance(fn, ast.FunctionDef)]
+        for scope, fn in scopes:
+            calls += [(name, scope, node.func.id) for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id in ("per_stage", "cost_model")]
+    assert sorted(calls) == [("splitting.py", "Problem.__init__", "cost_model"),
+                             ("splitting.py", "Problem.__init__", "per_stage"),
+                             ("splitting.py", "apply_rule", "cost_model")]
+
+
 # the names that per-module readers of the config format went by
 _READER = re.compile(r"from_json_dict|\w+_from_json|\w+_from_config")
 
