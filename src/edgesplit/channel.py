@@ -101,35 +101,29 @@ class StageDistribution:
     support_lo + Exp(mean_snr): the law above the floor support_lo, which has
     no ceiling (support_lo = 0 is the untruncated law). The discrete kind
     stores its atoms as two columns, `snrs` strictly increasing and `probs`
-    their probabilities; its support_hi is the top atom, and `atoms` reads
-    the columns as (snr, probability) pairs. A law is built from pairs
-    (`atoms=`) or from the two columns (`snrs=`, `probs=`). Instances are
-    immutable and safe to share.
+    their probabilities, given as `snrs=` and `probs=`; its support_lo is
+    the bottom atom, and `atoms` reads the columns as (snr, probability)
+    pairs. `discrete()` builds one from pairs. Instances are immutable and
+    safe to share.
     """
 
     kind: str
     mean_snr: float | None = None
     support_lo: float = 0.0
-    support_hi: float = math.inf
     snrs: tuple[float, ...] | None = None
     probs: tuple[float, ...] | None = None
 
-    def __init__(self, kind: str, mean_snr: float | None = None, support_lo: float = 0.0,
-                 support_hi: float = math.inf, atoms=None, *, snrs=None, probs=None):
-        if atoms is not None:
-            if set(map(len, atoms)) - {2}:
-                raise ValueError("atoms must be (snr, probability) pairs")
-            snrs, probs = tuple(map(_FIRST, atoms)), tuple(map(_SECOND, atoms))
+    def __init__(self, kind: str, mean_snr: float | None = None, support_lo: float = 0.0, *,
+                 snrs=None, probs=None):
         for name, value in (("kind", kind), ("mean_snr", mean_snr), ("support_lo", support_lo),
-                            ("support_hi", support_hi), ("snrs", snrs), ("probs", probs)):
+                            ("snrs", snrs), ("probs", probs)):
             object.__setattr__(self, name, value)
         if kind == "truncated_exponential":
             if mean_snr is None or not 0 < mean_snr < math.inf:
                 raise ValueError(f"mean_snr must be positive and finite, got {mean_snr!r}")
             # written so that a NaN floor fails
-            if not (math.isfinite(support_lo) and support_lo >= 0 and support_hi == math.inf):
-                raise ValueError("need a finite SNR floor support_lo >= 0 and no ceiling (support_hi "
-                                 f"= inf), got [{support_lo!r}, {support_hi!r}]")
+            if not (math.isfinite(support_lo) and support_lo >= 0):
+                raise ValueError(f"need a finite SNR floor support_lo >= 0, got {support_lo!r}")
             if not support_lo <= _MAX_FLOOR_MEANS * mean_snr:
                 raise ValueError(f"the SNR floor support_lo = {support_lo!r} lies more than 2^20 "
                                  f"times mean_snr = {mean_snr!r} above 0, where the fixed rule's "
@@ -143,7 +137,7 @@ class StageDistribution:
             if not snrs:
                 raise ValueError("discrete law needs at least one atom")
             if len(snrs) != len(probs):
-                raise ValueError("atoms must be (snr, probability) pairs")
+                raise ValueError("need one probability per atom SNR")
             # written so that NaN atoms fail: a NaN anywhere breaks the strict order
             if not (snrs[0] > 0 and snrs[-1] < math.inf):
                 raise ValueError("atom SNRs must be positive and finite")
@@ -155,7 +149,6 @@ class StageDistribution:
             if not abs(sum(probs) - 1.0) <= 1e-12:
                 raise ValueError("atom probabilities must sum to 1")
             object.__setattr__(self, "support_lo", snrs[0])
-            object.__setattr__(self, "support_hi", snrs[-1])
         else:
             raise ValueError(f"unknown distribution kind {kind!r}")
 
@@ -167,14 +160,11 @@ class StageDistribution:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def truncated_exponential(cls, mean_snr: float, floor_ratio: float = DEFAULT_FLOOR_RATIO,
-                              floor: float | None = None) -> "StageDistribution":
-        """Exponential law restricted to [floor, inf) and renormalized.
-
-        The floor defaults to mean_snr * floor_ratio.
-        """
+    def truncated_exponential(cls, mean_snr: float,
+                              floor_ratio: float = DEFAULT_FLOOR_RATIO) -> "StageDistribution":
+        """Exponential law restricted to [mean_snr * floor_ratio, inf) and renormalized."""
         mean_snr = float(mean_snr)
-        lo = float(floor) if floor is not None else mean_snr * floor_ratio
+        lo = mean_snr * floor_ratio
         if lo <= 0:
             raise ValueError("truncation floor must be positive")
         return cls(kind="truncated_exponential", mean_snr=mean_snr, support_lo=lo)
@@ -287,31 +277,28 @@ class StageDistribution:
 
     # -- expectations --------------------------------------------------------
 
-    def partial_expect(self, g, lo: float, hi: float) -> float:
-        """Integral of g against the law over [lo, hi].
+    def partial_expect(self, g, t: float) -> float:
+        """The tail E[g(SNR); SNR >= t]: the integral of g against the law over [t, inf).
 
-        g is called on one SNR (a float) at a time. Regions outside the
-        support carry no mass and are clipped away. The discrete kind sums
-        over its atoms; the exponential kind runs the fixed rule over
-        [max(lo, floor), hi], cut 2 x _REACH_MEANS means past its start, and
-        raises NumericalError where the sum is not finite.
+        g is called on one SNR (a float) at a time. The discrete kind sums
+        over its atoms at or above t; the exponential kind runs the fixed rule
+        over [max(t, floor), inf), cut 2 x _REACH_MEANS means past its start,
+        and raises NumericalError where the sum is not finite. The tail at
+        t = +inf is 0.
         """
-        if lo > hi:
-            raise ValueError("need lo <= hi")
         if self.kind == "discrete":
-            return float(sum(p * g(s) for s, p in zip(self.snrs, self.probs) if lo <= s <= hi))
-        a = max(lo, self.support_lo)
-        return sum(reversed(self._panel_integrals(g, self._layout(a, hi)))) if a < hi else 0.0
+            return float(sum(p * g(s) for s, p in zip(self.snrs, self.probs) if s >= t))
+        a = max(t, self.support_lo)
+        return sum(reversed(self._panel_integrals(g, self._layout(a)))) if a < math.inf else 0.0
 
-    def _layout(self, a: float, b: float) -> list[tuple[float, float]]:
-        """The panels of the fixed rule over [a, b], a >= floor, cut
-        2 x _REACH_MEANS means past a. Each panel is as wide as its distance
-        from SNR 0 (a law with a floor of 0 starts with [0, 2^-60 means])
-        until that reaches _STEP_MEANS means; from there on panels are
-        _STEP_MEANS means wide."""
+    def _layout(self, a: float) -> list[tuple[float, float]]:
+        """The panels of the fixed rule from a >= floor to 2 x _REACH_MEANS
+        means past a. Each panel is as wide as its distance from SNR 0 (a law
+        with a floor of 0 starts with [0, 2^-60 means]) until that reaches
+        _STEP_MEANS means; from there on panels are _STEP_MEANS means wide."""
         mean = self.mean_snr
         step = _STEP_MEANS * mean
-        end = min(b, a + 2.0 * _REACH_MEANS * mean, sys.float_info.max)
+        end = min(a + 2.0 * _REACH_MEANS * mean, sys.float_info.max)
         edges = [a] if a else [0.0, _ZERO_FLOOR_PANEL * mean or math.ulp(0.0)]
         while edges[-1] < step and edges[-1] < end:
             edges.append(2.0 * edges[-1])
@@ -364,7 +351,7 @@ class TailTable:
     the rule on [t, that panel's right edge]; a tail further out is the
     rule's own run from t, as `partial_expect` makes it. The discrete kind
     keeps exact atom suffix sums, closed at t because a tie stops. `full` is
-    E[g], the number `partial_expect` returns over the whole support.
+    E[g], the tail `partial_expect` returns at the floor.
     """
 
     def __init__(self, dist: StageDistribution, g):
@@ -373,7 +360,7 @@ class TailTable:
             self.edges = dist.snrs
             terms = [p * g(s) for s, p in zip(dist.snrs, dist.probs)]
         else:
-            panels = dist._layout(dist.support_lo, math.inf)
+            panels = dist._layout(dist.support_lo)
             self.edges = [x0 for x0, _ in panels] + [panels[-1][1]]
             terms = dist._panel_integrals(g, panels)
             self.near = dist.support_lo + _REACH_MEANS * dist.mean_snr
@@ -394,7 +381,7 @@ class TailTable:
                 inner.append((len(out), t, edges[i]))
                 out.append(suffix[i])
             else:
-                out.append(self.dist.partial_expect(self.g, t, math.inf))
+                out.append(self.dist.partial_expect(self.g, t))
         if inner:
             # one pdf call over the partial panels; each is its own sum
             parts = self.dist._panel_integrals(self.g, [(t, e) for _, t, e in inner])

@@ -90,12 +90,8 @@ def _write_json(path: Path, payload: dict):
     path.write_text(_json(payload) + "\n", encoding="utf-8")
 
 
-def _horizon(cfg: ExperimentConfig) -> int:
-    return cfg.horizon_M if cfg.horizon_M is not None else cfg.network.N
-
-
 def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> int:
-    M = _horizon(cfg)
+    M = cfg.horizon_M
     problem = Problem(cfg.network, cfg.params, cfg.stage_dists(M + 1), M)
     rows = []
     for rule in ("optimal", "one_sla"):
@@ -187,7 +183,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
     # numpy rejects a negative seed and draws fresh OS entropy for null: no two runs would agree
     if cfg.seed is None or cfg.seed < 0:
         raise ConfigError(f"simulate needs a nonnegative integer seed, got {cfg.seed}", field="seed")
-    M = _horizon(cfg)
+    M = cfg.horizon_M
     problem = Problem(cfg.network, cfg.params, cfg.stage_dists(M + 1), M)
     for strategy in cfg.strategies:
         if strategy not in RULE_OF_STRATEGY:

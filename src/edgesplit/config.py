@@ -143,7 +143,7 @@ class ExperimentConfig:
     mlp: MlpSpec | None
     params: SystemParams
     channel_raw: dict | list
-    horizon_M: int | None
+    horizon_M: int
     sweep: SweepSpec | None
     strategies: tuple[str, ...]
     trials: int
@@ -224,10 +224,11 @@ def load_config(raw: dict) -> ExperimentConfig:
     network, mlp = _network(raw["network"], params)
 
     horizon = raw.get("horizon_M")
-    if horizon is not None:
-        horizon = _make(json_integer, "horizon_M", horizon, "horizon_M")
-        if not 0 <= horizon <= network.N:
-            raise ConfigError(f"horizon_M must lie in [0, {network.N}]", field="horizon_M")
+    if horizon is None:  # left out or null: every layer may run on the device
+        horizon = network.N
+    horizon = _make(json_integer, "horizon_M", horizon, "horizon_M")
+    if not 0 <= horizon <= network.N:
+        raise ConfigError(f"horizon_M must lie in [0, {network.N}]", field="horizon_M")
 
     sweep = _sweep(raw["sweep"], network, params) if "sweep" in raw else None
 

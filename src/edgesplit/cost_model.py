@@ -13,7 +13,7 @@ slow-timescale objective adds beta_t * psi(M), the amortized download time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import accumulate
 
@@ -56,19 +56,7 @@ class SystemParams:
             raise ValueError("updates_per_model must be a positive integer or infinity")
 
     def to_json_dict(self) -> dict:
-        d = {
-            "tx_power_w": self.tx_power_w,
-            "noise_w": self.noise_w,
-            "bandwidth_hz": self.bandwidth_hz,
-            "local_freq_hz": self.local_freq_hz,
-            "edge_freq_hz": self.edge_freq_hz,
-            "kappa": self.kappa,
-            "beta_t": self.beta_t,
-            "beta_e": self.beta_e,
-            "updates_per_model": "inf" if math.isinf(self.updates_per_model) else self.updates_per_model,
-            "downlink_rate_bps": self.downlink_rate_bps,
-        }
-        return d
+        return asdict(self)
 
 
 def uplink_rate(gamma: float, params: SystemParams) -> float:

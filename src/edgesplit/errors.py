@@ -12,14 +12,13 @@ class ConfigError(ValueError):
 class NumericalError(RuntimeError):
     """A numerical routine failed to converge or produced an unusable value.
 
-    Carries the best available estimate and its error bound so callers can
-    report partial results instead of losing them.
+    `estimate` carries the unusable value where there is one, so a caller can
+    report it.
     """
 
-    def __init__(self, message, estimate=None, error_bound=None):
+    def __init__(self, message, estimate=None):
         super().__init__(message)
         self.estimate = estimate
-        self.error_bound = error_bound
 
 
 def json_number(value, name: str) -> float:

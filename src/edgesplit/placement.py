@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from .channel import inv_rate_tails
 from .cost_model import SystemParams, uplink_rate
 from .errors import NumericalError
-from .model_graph import MlpSpec, NetworkSpec
+from .model_graph import MlpSpec, NetworkSpec, build_mlp
 # backward_induction is reached through Problem.policy; the name stays here for
 # perfbench/test_perfbench.py, which wraps edgesplit.placement.backward_induction.
 from .splitting import Problem, ThresholdPolicy, backward_induction  # noqa: F401
@@ -125,7 +125,8 @@ def optimize_exhaustive(problem: Problem, rule_kind: str = "optimal") -> Placeme
 
 def mlp_closed_form(problem: Problem, mlp: MlpSpec) -> PlacementReport:
     """Closed-form placement for an equal-width MLP under the 1-sla rule, on
-    the Problem of its network and one law shared by every stage.
+    the Problem of its network and one law shared by every stage; an `mlp`
+    whose network is not `problem.net` is a ValueError.
 
     All stages share the Problem's stage-1 1-sla threshold delta, so
     the cost decrement at placement M factorizes as X * F(delta)^M * g(delta)
@@ -136,6 +137,8 @@ def mlp_closed_form(problem: Problem, mlp: MlpSpec) -> PlacementReport:
     """
     if mlp is None or not mlp.is_equal_width:
         raise ValueError("closed-form placement requires an MLP with equal widths at every layer")
+    if build_mlp(mlp) != problem.net:
+        raise ValueError("the closed form's mlp is not the network of its Problem")
     if len(set(problem.dists)) != 1:
         raise TypeError("closed-form placement uses a single shared StageDistribution")
     dist, params, cm, N = problem.dists[0], problem.params, problem.cm, problem.M

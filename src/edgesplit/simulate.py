@@ -1,7 +1,8 @@
 """Monte Carlo policy evaluation and an exact discrete oracle.
 
-The simulator draws uniforms from one PCG64 stream in trial-major order, so
-results do not depend on chunking, and applies a threshold policy one stage
+The simulator draws uniforms from one PCG64 stream in trial-major order, in
+blocks of at most _CHUNK_TRIALS trials whose size no result depends on, and
+applies a threshold policy one stage
 at a time: a stage's inverse CDF runs only on the uniforms of the trials that
 have not stopped yet.
 
@@ -21,12 +22,13 @@ from typing import TYPE_CHECKING
 from .channel import per_stage
 from .cost_model import SystemParams, cost_model
 from .model_graph import NetworkSpec
-from .splitting import ThresholdPolicy, backward_induction, one_sla_thresholds
+from .splitting import ThresholdPolicy, backward_induction, network_laws, one_sla_thresholds
 
 if TYPE_CHECKING:  # numpy is imported where the kernel and the oracle run
     import numpy as np
 
 RNG_ALGORITHM = "numpy-pcg64"
+# the most trials drawn and evaluated in one block of uniforms
 _CHUNK_TRIALS = 1 << 17
 
 
@@ -37,7 +39,6 @@ class SimResult:
     std_error: float
     stop_histogram: tuple[float, ...]
     seed: int
-    rng_algorithm: str = RNG_ALGORITHM
 
 
 @dataclass(frozen=True)
@@ -47,24 +48,19 @@ class OracleResult:
     expected_cost: float
 
 
-def _check_run(trials: int, chunk: int) -> None:
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk!r}")
-
-
-def _uniform_blocks(trials: int, stages: int, seed: int, chunk: int):
-    """(rows, stages) blocks of uniforms, at most `chunk` rows each.
+def _uniform_blocks(trials: int, stages: int, seed: int):
+    """(rows, stages) blocks of uniforms, at most _CHUNK_TRIALS rows each.
 
     They come from one PCG64 stream in trial-major order, so the draws do not
-    depend on the chunk size.
+    depend on the block size. Fewer than one trial is a ValueError.
     """
     import numpy as np
 
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
-    for start in range(0, trials, chunk):
-        yield rng.random((min(chunk, trials - start), stages))
+    return (rng.random((min(_CHUNK_TRIALS, trials - start), stages))
+            for start in range(0, trials, _CHUNK_TRIALS))
 
 
 def _first_crossings(u: np.ndarray, ds, thresholds) -> tuple[np.ndarray, np.ndarray]:
@@ -118,19 +114,24 @@ def _agreements(u: np.ndarray, ds, t_a, t_b) -> int:
 
 
 def simulate(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, dists,
-             trials: int, seed: int, chunk: int = _CHUNK_TRIALS) -> SimResult:
-    """Average realized cost of a policy over independent SNR draws."""
+             trials: int, seed: int) -> SimResult:
+    """Average realized cost of a policy over independent SNR draws.
+
+    The policy's horizon may not exceed the network's N, and `dists` is one
+    shared law or at most N + 1 laws (`splitting.network_laws`)."""
     import numpy as np
 
-    _check_run(trials, chunk)
     M = policy.horizon_M
-    ds = per_stage(dists, M + 1)
+    if M > net.N:
+        raise ValueError(f"policy horizon_M = {M} exceeds the network's N = {net.N}")
+    blocks = _uniform_blocks(trials, M + 1, seed)
+    ds = per_stage(network_laws(net, dists), M + 1)
     cm = cost_model(net, params)
 
     total = 0.0
     total_sq = 0.0
     counts = np.zeros(M + 2, dtype=np.int64)  # 1-based stages
-    for u in _uniform_blocks(trials, M + 1, seed, chunk):
+    for u in blocks:
         stages, gammas = _first_crossings(u, ds, policy.thresholds)
         etcs = cm.etc_values(stages, gammas)
         total += float(etcs.sum())
@@ -149,14 +150,14 @@ def simulate(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, di
 
 
 def coincidence_rate(M: int, net: NetworkSpec, params: SystemParams, dists,
-                     trials: int, seed: int, chunk: int = _CHUNK_TRIALS) -> float:
+                     trials: int, seed: int) -> float:
     """Fraction of SNR sequences on which the 1-sla and optimal rules pick the
-    same split stage."""
-    _check_run(trials, chunk)
-    ds = per_stage(dists, M + 1)
+    same split stage. `dists` is one shared law or at most N + 1 laws."""
+    blocks = _uniform_blocks(trials, M + 1, seed)
+    ds = per_stage(network_laws(net, dists), M + 1)
     t_opt = backward_induction(M, net, params, ds).thresholds
     t_sla = one_sla_thresholds(M, net, params, ds).thresholds
-    agree = sum(_agreements(u, ds, t_opt, t_sla) for u in _uniform_blocks(trials, M + 1, seed, chunk))
+    agree = sum(_agreements(u, ds, t_opt, t_sla) for u in blocks)
     return agree / trials
 
 
@@ -166,13 +167,13 @@ def oracle_dp(M: int, net: NetworkSpec, params: SystemParams, discrete_dists) ->
     V at the final stage is the stop cost; earlier stages take the pointwise
     min of stopping and the expected value of continuing. Pure finite sums.
     The recovered per-stage threshold is the smallest atom at which stopping
-    wins (inf if none does).
+    wins (inf if none does). The laws are one shared law or at most N + 1.
     """
     import numpy as np
 
     if not 0 <= M <= net.N:
         raise ValueError(f"M must lie in [0, {net.N}]")
-    ds = per_stage(discrete_dists, M + 1)
+    ds = per_stage(network_laws(net, discrete_dists), M + 1)
     if any(d.kind != "discrete" for d in ds):
         raise ValueError("the oracle needs discrete stage distributions")
     cm = cost_model(net, params)
@@ -213,7 +214,7 @@ def sim_report_json(result: SimResult, policy: ThresholdPolicy, net: NetworkSpec
         "std_error": result.std_error,
         "stop_histogram": list(result.stop_histogram),
         "seed": result.seed,
-        "rng_algorithm": result.rng_algorithm,
+        "rng_algorithm": RNG_ALGORITHM,
         "policy": policy.to_json_dict(),
         "network_sha256": network_hash(net),
         "params": params.to_json_dict(),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
-from .channel import inv_rate_table, inv_rate_tails, per_stage
+from .channel import StageDistribution, inv_rate_table, inv_rate_tails, per_stage
 from .cost_model import LN2, SystemParams, cost_model, uplink_rate
 from .errors import NumericalError
 from .model_graph import NetworkSpec
@@ -74,15 +74,11 @@ class ThresholdPolicy:
         d = {
             "rule_kind": self.rule_kind,
             "horizon_M": self.horizon_M,
-            "thresholds": [_json_float(t) for t in self.thresholds],
+            "thresholds": list(self.thresholds),
         }
         if self.value_table is not None:
             d["value_table"] = list(self.value_table)
         return d
-
-
-def _json_float(x: float):
-    return "inf" if math.isinf(x) else x
 
 
 @dataclass(frozen=True)
@@ -102,6 +98,18 @@ def _indifference_threshold(weight: float, bandwidth_hz: float, margin: float) -
     if exponent >= _EXP2_OVERFLOW:
         return math.inf
     return math.expm1(exponent * LN2)
+
+
+def network_laws(net: NetworkSpec, dists):
+    """One shared law as it is, or a per-stage sequence of laws as a tuple; a
+    sequence of more laws than the network's N + 1 stages is a ValueError."""
+    if isinstance(dists, StageDistribution):
+        return dists
+    laws = tuple(dists)
+    if len(laws) > net.N + 1:
+        raise ValueError(f"a network of {net.N} layers has {net.N + 1} stages, "
+                         f"got {len(laws)} stage laws")
+    return laws
 
 
 def backward_induction(M: int, net: NetworkSpec, params: SystemParams, dists) -> ThresholdPolicy:
@@ -130,9 +138,12 @@ def apply_rule(policy: ThresholdPolicy, snr_seq, net: NetworkSpec, params: Syste
     """First stage whose SNR meets its threshold (ties stop), else M+1.
 
     Every SNR it reads, up to the stop, must be positive and finite; another
-    raises ValueError naming its stage.
+    raises ValueError naming its stage. A policy whose horizon exceeds the
+    network's N is a ValueError.
     """
     M = policy.horizon_M
+    if M > net.N:
+        raise ValueError(f"policy horizon_M = {M} exceeds the network's N = {net.N}")
     seq = list(snr_seq)
     if len(seq) < M + 1:
         raise ValueError(f"need {M + 1} SNR observations, got {len(seq)}")
@@ -175,7 +186,9 @@ class StageTable:
 
 class Problem:
     """One stopping problem: a network, its constants and the laws of stages
-    1..M+1, for every horizon 0..M (M = N when not given).
+    1..M+1, for every horizon 0..M (M = N when not given). The laws are one
+    law shared by every stage or a sequence of at most N + 1 laws, one per
+    stage (`network_laws`).
 
     It is the one place where (net, params, dists) become the stage laws, the
     cost model and the policies of both rules. Built per CLI command, `place`
@@ -189,7 +202,7 @@ class Problem:
         if not 0 <= M <= net.N:
             raise ValueError(f"M must lie in [0, {net.N}]")
         self.net, self.params, self.M = net, params, M
-        self.dists = per_stage(dists, M + 1)
+        self.dists = per_stage(network_laws(net, dists), M + 1)
         self.cm = cost_model(net, params)
 
     @cached_property
@@ -204,8 +217,8 @@ class Problem:
         """Expected cost of the forced stop at stage M+1, for M = 0..self.M."""
         return [self.cm.omega(M + 1) + t for M, t in enumerate(self.transmission)]
 
-    def recursion(self, horizons) -> tuple[list[list[float]], list[list[float]]]:
-        """Backward induction for the distinct ascending `horizons` in lockstep.
+    def recursion(self) -> tuple[list[list[float]], list[list[float]]]:
+        """Backward induction for every horizon M = 0..self.M in lockstep.
 
         One pass from the top stage down to stage 1 carries the value of every
         horizon M >= n as its excess over omega(n). Horizon M joins at its forced
@@ -213,26 +226,22 @@ class Problem:
         Going on from stage n costs margin = excess + local_gap(n) over omega(n);
         the threshold is the indifference SNR of that margin (+inf: stopping never
         wins), the new excess weight * tail + margin * P{no stop}, from one
-        `prob_below` call and one tail read over all finite thresholds. Row h
-        belongs to M = horizons[h]: thresholds[h][:M] and values[h][:M+1].
+        `prob_below` call and one tail read over all finite thresholds. Row M
+        holds horizon M: thresholds[M][:M] and values[M][:M+1].
         """
-        Ms = list(horizons)
-        top = Ms[-1]
+        top = self.M
         ds, cm, bandwidth = self.dists, self.cm, self.params.bandwidth_hz
-        thresholds = [[math.inf] * top for _ in Ms]
-        values = [[0.0] * (top + 1) for _ in Ms]
-        excess = [0.0] * len(Ms)
-        live = len(Ms)  # rows live[:] are the horizons M >= n
+        thresholds = [[math.inf] * top for _ in range(top + 1)]
+        values = [[0.0] * (top + 1) for _ in range(top + 1)]
+        excess = [0.0] * (top + 1)
         for n in range(top, -1, -1):
-            if live and Ms[live - 1] == n:
-                live -= 1
-                excess[live] = self.transmission[n]
-                values[live][n] = cm.omega(n + 1) + excess[live]
+            excess[n] = self.transmission[n]  # horizon n joins at its forced stop
+            values[n][n] = cm.omega(n + 1) + excess[n]
             if n == 0:
                 break
             omega, weight, gap = cm.omega(n), cm.weight(n), cm.local_gap(n)
             stop = []
-            for h in range(live, len(Ms)):
+            for h in range(n, top + 1):
                 excess[h] = margin = excess[h] + gap
                 thresholds[h][n - 1] = t = _indifference_threshold(weight, bandwidth, margin)
                 values[h][n - 1] = omega + margin
@@ -251,7 +260,7 @@ class Problem:
     @cached_property
     def optimal(self) -> tuple:
         """Threshold and value matrices of the recursion over M = 0..self.M."""
-        return self.recursion(range(self.M + 1))
+        return self.recursion()
 
     @cached_property
     def one_sla(self) -> ThresholdPolicy:

@@ -74,8 +74,8 @@ def channel_at(distance_m, params, floor_ratio=1e-3):
 
 
 def expect(law, g):
-    """E[g(SNR)] over the whole support of `law`."""
-    return law.partial_expect(g, law.support_lo, law.support_hi)
+    """E[g(SNR)] over the whole support of `law`: the tail at its floor."""
+    return law.partial_expect(g, law.support_lo)
 
 
 def inv_rate_tail(law, t, bandwidth_hz):

@@ -81,17 +81,17 @@ def test_indicator_expectation_matches_survival(trunc):
     # the step of 1{s > t} is the lower limit: a fixed rule does not resolve a
     # jump inside a panel
     for t in (trunc.support_lo * 2, 0.3, 1.0):
-        got = trunc.partial_expect(lambda s: 1.0, t, math.inf)
+        got = trunc.partial_expect(lambda s: 1.0, t)
         assert got == pytest.approx(1.0 - trunc.cdf(t), abs=1e-9)
 
 
 def test_doubly_truncated_support():
-    # the exponential kind has a floor and no ceiling: a finite support_hi is refused
+    # the exponential kind has a floor and no ceiling: a law takes no support_hi
     for hi in (2.0, 0.1, 1e300):
-        with pytest.raises(ValueError, match="support_lo"):
+        with pytest.raises(TypeError, match="support_hi"):
             StageDistribution("truncated_exponential", mean_snr=1.0, support_lo=0.1, support_hi=hi)
-    d = StageDistribution.truncated_exponential(1.0, floor=0.1)
-    assert d.support_hi == math.inf and "snr_ceiling" not in d.to_json_dict()
+    d = StageDistribution("truncated_exponential", mean_snr=1.0, support_lo=0.1)
+    assert d.quantile(1.0) == math.inf and "snr_ceiling" not in d.to_json_dict()
 
 
 # -- expectation operators -----------------------------------------------------
@@ -107,21 +107,27 @@ def test_inv_rate_expectation_vs_monte_carlo(trunc):
 
 
 def test_partial_expect_additivity(trunc):
+    # the tail at `split` plus the integral over [floor, split], from mpmath
+    import mpmath
+
     split = 0.4
-    left = trunc.partial_expect(inv_rate, trunc.support_lo, split)
-    right = trunc.partial_expect(inv_rate, split, math.inf)
+    lo, mean = trunc.support_lo, trunc.mean_snr
+    left = float(mpmath.quad(lambda s: mpmath.exp(-(s - lo) / mean) / mean
+                             / (W * mpmath.log1p(s) / mpmath.log(2)), [lo, 0.01, split]))
+    right = trunc.partial_expect(inv_rate, split)
     assert left + right == pytest.approx(expect(trunc, inv_rate), abs=1e-9)
 
 
 def test_partial_expect_degenerate_and_ordering(trunc):
-    assert trunc.partial_expect(inv_rate, 0.5, 0.5) == 0.0
-    with pytest.raises(ValueError):
-        trunc.partial_expect(inv_rate, 0.7, 0.2)
+    # nothing lies at or above +inf, and a tail shrinks as its threshold rises
+    assert trunc.partial_expect(inv_rate, math.inf) == 0.0
+    tails = [trunc.partial_expect(inv_rate, t) for t in (0.0, trunc.support_lo, 0.2, 0.7)]
+    assert tails[0] == tails[1] > tails[2] > tails[3] > 0.0
 
 
 def test_partial_expect_matches_conditional_monte_carlo(trunc):
     t = 0.25
-    analytic = trunc.partial_expect(inv_rate, t, math.inf)
+    analytic = trunc.partial_expect(inv_rate, t)
     rng = np.random.default_rng(7)
     samples = trunc.quantile(rng.random(2_000_000))
     kept = samples[samples > t]
@@ -251,7 +257,7 @@ def test_table_reads_match_the_fixed_rule_per_threshold(mean, picks):
     thresholds = [float(_threshold(table, law, *pick)) for pick in picks]
     got = inv_rate_tails(law, thresholds, W)
     for t, tail in zip(thresholds, got):
-        ref = law.partial_expect(table.g, t, math.inf)
+        ref = law.partial_expect(table.g, t)
         assert abs(tail - ref) <= 1e-10 * ref, (t, tail, ref)
         # a read does not depend on the other thresholds sharing its call
         assert tail == inv_rate_tail(law, t, W)
@@ -330,9 +336,10 @@ def test_quantile_of_a_block_matches_its_columns(law):
 def test_quantile_stays_in_support(law):
     u = np.concatenate([np.random.default_rng(8).random(2000),
                         [0.0, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0]])
+    top = law.snrs[-1] if law.kind == "discrete" else math.inf  # the top atom, or no ceiling
     for q in (law.quantile(u), np.array([law.quantile(float(v)) for v in u])):
-        assert np.all((q >= law.support_lo) & (q <= law.support_hi))
-    assert law.quantile(1.0) <= law.support_hi
+        assert np.all((q >= law.support_lo) & (q <= top))
+    assert law.quantile(1.0) <= top
 
 
 def _bits(x):
@@ -441,11 +448,11 @@ def test_single_atom_always_same():
 
 def test_discrete_validation():
     with pytest.raises(ValueError):
-        StageDistribution(kind="discrete", atoms=((1.0, 0.5), (2.0, 0.4)))
+        StageDistribution(kind="discrete", snrs=(1.0, 2.0), probs=(0.5, 0.4))
     with pytest.raises(ValueError):
-        StageDistribution(kind="discrete", atoms=((2.0, 0.5), (1.0, 0.5)))
+        StageDistribution(kind="discrete", snrs=(2.0, 1.0), probs=(0.5, 0.5))
     with pytest.raises(ValueError):
-        StageDistribution(kind="discrete", atoms=((-1.0, 1.0),))
+        StageDistribution(kind="discrete", snrs=(-1.0,), probs=(1.0,))
 
 
 def test_discrete_canonicalization_merges_and_sorts():
@@ -459,7 +466,7 @@ def test_discrete_rejects_malformed_atoms():
         with pytest.raises(ValueError):
             StageDistribution.discrete(atoms)
     with pytest.raises(ValueError, match="pairs"):
-        StageDistribution(kind="discrete", atoms=((1.0,), (0.5, 2.0, 0.5)))
+        StageDistribution.discrete(((1.0,), (0.5, 2.0, 0.5)))
     with pytest.raises(ValueError, match="positive and finite"):
         StageDistribution.discrete([(math.nan, 1.0)])
 
@@ -480,6 +487,12 @@ def _dict_merge(atoms):
     for snr, prob in atoms:
         merged[float(snr)] = merged.get(float(snr), 0.0) + float(prob)
     return tuple(sorted(merged.items()))
+
+
+def _from_columns(atoms):
+    """The discrete law whose columns are the (snr, probability) pairs `atoms`, as given."""
+    return StageDistribution(kind="discrete", snrs=tuple(s for s, _ in atoms),
+                             probs=tuple(p for _, p in atoms))
 
 
 def _law_or_error(build):
@@ -506,7 +519,7 @@ def test_discrete_equals_dict_merge_under_reordering_and_splitting(pairs, order,
     split = atoms + [(s, p * share)]
     split[split_at % len(atoms)] = (s, p - p * share)
     for variant in (atoms, shuffled, split):
-        want = _law_or_error(lambda: StageDistribution(kind="discrete", atoms=_dict_merge(variant)))
+        want = _law_or_error(lambda: _from_columns(_dict_merge(variant)))
         assert _law_or_error(lambda: StageDistribution.discrete(variant)) == want
         assert _law_or_error(lambda: StageDistribution.discrete(np.array(variant))) == want
 
@@ -555,7 +568,7 @@ def test_column_storage_keeps_every_discrete_law_built_from_pairs(pairs, repeats
     points = [s for s, _ in merged] + [0.0, merged[0][0] / 2, merged[-1][0] * 2]
     cum = [sum(p for s, p in merged if s <= x) for x in points]
     assert _reads(law, points)[0] == cum
-    for rebuilt in (StageDistribution(kind="discrete", atoms=law.atoms),
+    for rebuilt in (_from_columns(law.atoms),
                     StageDistribution.discrete(law.atoms), StageDistribution.discrete(merged)):
         _agree_as_laws(rebuilt, law, points)
 
@@ -569,14 +582,14 @@ def test_discretize_is_the_discrete_law_of_its_quantile_pairs(mean, ratio, grid,
     u = (np.arange(grid) + 0.5) / grid
     pairs = list(zip(law.quantile(u).tolist(), [1.0 / grid] * grid))  # repeats on a discrete law
     grid_law = law.discretize(grid)
-    points = [s for s, _ in grid_law.atoms] + [0.0, grid_law.support_hi * 2]
+    points = [s for s, _ in grid_law.atoms] + [0.0, grid_law.snrs[-1] * 2]
     _agree_as_laws(grid_law, StageDistribution.discrete(pairs), points)
 
 
 def test_discrete_expectation_is_exact_sum():
     d = StageDistribution.discrete([(1.0, 0.25), (2.0, 0.25), (4.0, 0.5)])
     assert expect(d, lambda s: s) == 1.0 * 0.25 + 2.0 * 0.25 + 4.0 * 0.5
-    assert d.partial_expect(lambda s: s, 2.0, 4.0) == 2.0 * 0.25 + 4.0 * 0.5
+    assert d.partial_expect(lambda s: s, 2.0) == 2.0 * 0.25 + 4.0 * 0.5
     assert d.cdf(2.0) == 0.5
     assert d.cdf(1.9999) == 0.25
 
@@ -673,5 +686,5 @@ MPMATH_HIGH_FLOOR = [
 
 @pytest.mark.parametrize("mean,floor,reference", MPMATH_HIGH_FLOOR)
 def test_the_highest_accepted_floor_matches_mpmath(mean, floor, reference):
-    law = StageDistribution.truncated_exponential(mean, floor=floor)
+    law = StageDistribution("truncated_exponential", mean_snr=mean, support_lo=floor)
     assert inv_rate_table(law, W).full == pytest.approx(reference, rel=1e-10)

@@ -245,6 +245,20 @@ def test_closed_form_rejects_unequal_widths(params, dist_d50):
         closed_form(MlpSpec((128, 64, 128), 8, 8, 100, DOWNLINK_BPS), params, dist_d50)
 
 
+def test_closed_form_rejects_an_mlp_of_another_network(equal_mlp_spec, equal_mlp, params,
+                                                      dist_d50):
+    # the Problem of a 128-wide 8-layer MLP with the spec of a 16-wide 3-layer
+    # one used to return a report mixed from both; so did a spec that differs
+    # from the Problem's network in its cycles per MACC alone
+    problem = Problem(equal_mlp, params, dist_d50)
+    for other in (MlpSpec((16,) * 4, 8, 8, 100, DOWNLINK_BPS),
+                  MlpSpec((128,) * 9, 8, 8, 50, DOWNLINK_BPS)):
+        with pytest.raises(ValueError, match="mlp is not the network of its Problem"):
+            mlp_closed_form(problem, other)
+    assert mlp_closed_form(problem, equal_mlp_spec).best_M == closed_form(
+        equal_mlp_spec, params, dist_d50).best_M
+
+
 def test_closed_form_g_is_negative(equal_mlp_spec, params, dist_d50):
     rep = closed_form(equal_mlp_spec, params, dist_d50)
     assert rep.diagnostics["g_simplified"] < 0
@@ -266,7 +280,7 @@ def test_closed_form_best_m_nondecreasing_in_updates(equal_mlp_spec, dist_d50):
 def test_closed_form_degenerate_floor_places_no_layers(equal_mlp_spec, equal_mlp):
     # floor above the shared threshold: the channel always clears it, so every
     # M >= 1 stops at stage 1 at the forced-offload cost and M = 0 is cheapest
-    dist = StageDistribution.truncated_exponential(0.584, floor=10.0)
+    dist = StageDistribution("truncated_exponential", mean_snr=0.584, support_lo=10.0)
     for k in (10, math.inf):
         params = make_params(updates_per_model=k)
         rep = closed_form(equal_mlp_spec, params, dist)

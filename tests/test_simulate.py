@@ -1,5 +1,7 @@
 """Monte Carlo harness and the discrete dynamic-programming oracle."""
+import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from edgesplit import (
     simulate,
 )
 from edgesplit.cost_model import cost_model
+from edgesplit.model_graph import MlpSpec, build_mlp
 from edgesplit.simulate import (
     SimResult,
     _agreements,
@@ -26,7 +29,15 @@ from edgesplit.simulate import (
 )
 from edgesplit.splitting import expected_etc
 
-from conftest import stop_cost, stop_probabilities
+from conftest import DOWNLINK_BPS, stop_cost, stop_probabilities
+
+# the module, which the package's `simulate` function shadows as an attribute
+SIM = importlib.import_module("edgesplit.simulate")
+
+
+def _chunk_trials(size):
+    """Run the kernel on blocks of at most `size` trials."""
+    return mock.patch.object(SIM, "_CHUNK_TRIALS", size)
 
 
 # -- simulate ------------------------------------------------------------------
@@ -38,13 +49,15 @@ def test_simulate_deterministic_and_chunk_invariant(autoencoder, params, dist_d5
     assert a == b
     # a different chunk schedule consumes the identical random stream: the
     # draws and histogram match bitwise, the mean up to summation order
-    c = simulate(pol, autoencoder, params, dist_d50, 30_000, seed=11, chunk=777)
+    with _chunk_trials(777):
+        c = simulate(pol, autoencoder, params, dist_d50, 30_000, seed=11)
     assert c.stop_histogram == a.stop_histogram
     assert c.mean_etc == pytest.approx(a.mean_etc, rel=1e-13)
     assert c.std_error == pytest.approx(a.std_error, rel=1e-10)
     # coincidence_rate counts agreements on the same chunked stream: exact
     whole = coincidence_rate(4, autoencoder, params, dist_d50, 30_000, seed=11)
-    assert coincidence_rate(4, autoencoder, params, dist_d50, 30_000, seed=11, chunk=777) == whole
+    with _chunk_trials(777):
+        assert coincidence_rate(4, autoencoder, params, dist_d50, 30_000, seed=11) == whole
 
 
 def test_simulate_single_atom_matches_analytic_exactly(autoencoder, params):
@@ -91,15 +104,6 @@ def test_simulate_validates_trials(autoencoder, params, dist_d50):
     pol = backward_induction(1, autoencoder, params, dist_d50)
     with pytest.raises(ValueError):
         simulate(pol, autoencoder, params, dist_d50, 0, seed=1)
-
-
-@pytest.mark.parametrize("chunk", [0, -1])
-def test_simulate_and_coincidence_reject_chunk_below_one(autoencoder, params, dist_d50, chunk):
-    pol = backward_induction(2, autoencoder, params, dist_d50)
-    with pytest.raises(ValueError, match="chunk"):
-        simulate(pol, autoencoder, params, dist_d50, 100, seed=1, chunk=chunk)
-    with pytest.raises(ValueError, match="chunk"):
-        coincidence_rate(2, autoencoder, params, dist_d50, 100, seed=1, chunk=chunk)
 
 
 # -- the kernel against a plain reference ------------------------------------------
@@ -162,7 +166,7 @@ def _stage_list(mean):
     """Nine different laws: truncated stages, one with a high floor, and a discrete one."""
     laws = [StageDistribution.truncated_exponential(mean * (0.6 + 0.1 * k)) for k in range(9)]
     laws[1] = StageDistribution.discrete([(0.3 * mean, 0.25), (mean, 0.5), (3.0 * mean, 0.25)])
-    laws[3] = StageDistribution.truncated_exponential(mean, floor=0.01 * mean)
+    laws[3] = StageDistribution("truncated_exponential", mean_snr=mean, support_lo=0.01 * mean)
     return laws
 
 
@@ -171,30 +175,33 @@ _TRIALS_AT_CHUNK = {1: 100, 777: 3000, 1 << 17: (1 << 17) + 5000}
 
 @pytest.mark.parametrize("chunk", _TRIALS_AT_CHUNK)
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_stage"])
-def test_kernel_matches_reference_bit_for_bit(autoencoder, params, dist_d50, shared, chunk):
+def test_kernel_matches_reference_bit_for_bit(autoencoder, params, dist_d50, shared, chunk,
+                                              monkeypatch):
+    monkeypatch.setattr(SIM, "_CHUNK_TRIALS", chunk)
     trials = _TRIALS_AT_CHUNK[chunk]
     law = dist_d50 if shared else _stage_list(dist_d50.mean_snr)
     ds = [law] * 9 if shared else law
     for M in range(9):
         for rule in ("optimal", "one_sla"):
             pol = Problem(autoencoder, params, law).policy(rule, M)
-            got = simulate(pol, autoencoder, params, law, trials, seed=M, chunk=chunk)
+            got = simulate(pol, autoencoder, params, law, trials, seed=M)
             assert got == _reference_simulate(pol, autoencoder, params, ds, trials, M, chunk)
         if M:
-            assert (coincidence_rate(M, autoencoder, params, law, trials, seed=M, chunk=chunk)
+            assert (coincidence_rate(M, autoencoder, params, law, trials, seed=M)
                     == _reference_coincidence(M, autoencoder, params, ds, trials, M, chunk))
 
 
 @pytest.mark.parametrize("chunk", _TRIALS_AT_CHUNK)
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_stage"])
-def test_draws_match_reference_bit_for_bit(dist_d50, shared, chunk):
+def test_draws_match_reference_bit_for_bit(dist_d50, shared, chunk, monkeypatch):
     # a row that never stops before stage j + 1 is drawn at every stage up to
     # it and stops there, so its stop SNR is its stage-(j + 1) draw: stacking
     # those over j rebuilds the whole block of draws through the kernel
     ds = (dist_d50,) * 9 if shared else tuple(_stage_list(dist_d50.mean_snr))
     trials = min(_TRIALS_AT_CHUNK[chunk], 2000)
+    monkeypatch.setattr(SIM, "_CHUNK_TRIALS", chunk)
     got = [np.column_stack([_first_crossings(u, ds[:j + 1], [math.inf] * j)[1] for j in range(9)])
-           for u in _uniform_blocks(trials, 9, 17, chunk)]
+           for u in _uniform_blocks(trials, 9, 17)]
     want = list(_reference_draws(ds, trials, 17, chunk))
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -237,12 +244,13 @@ def test_kernel_draws_only_the_live_rows(autoencoder, params, dist_d50, monkeypa
     law = dist_d50 if shared else _stage_list(dist_d50.mean_snr)
     ds = [law] * 9 if shared else law
     trials, chunk = 3000, 1100
+    monkeypatch.setattr(SIM, "_CHUNK_TRIALS", chunk)
     sizes = _counting_quantile(monkeypatch)
     for M in range(9):
         for rule in ("optimal", "one_sla"):
             pol = Problem(autoencoder, params, law).policy(rule, M)
             sizes.clear()
-            simulate(pol, autoencoder, params, law, trials, seed=M, chunk=chunk)
+            simulate(pol, autoencoder, params, law, trials, seed=M)
             blocks = [sizes[k:k + M + 1] for k in range(0, len(sizes), M + 1)]
             ref = list(_reference_draws(ds[:M + 1], trials, M, chunk))
             assert len(blocks) == len(ref)
@@ -256,7 +264,7 @@ def test_kernel_draws_only_the_live_rows(autoencoder, params, dist_d50, monkeypa
             t_opt = backward_induction(M, autoencoder, params, ds).thresholds
             t_sla = one_sla_thresholds(M, autoencoder, params, ds).thresholds
             sizes.clear()
-            coincidence_rate(M, autoencoder, params, law, trials, seed=M, chunk=chunk)
+            coincidence_rate(M, autoencoder, params, law, trials, seed=M)
             want = []
             for snrs in _reference_draws(ds[:M + 1], trials, M, chunk):
                 first = np.minimum(_reference_stops(snrs, t_opt, M), _reference_stops(snrs, t_sla, M))
@@ -285,13 +293,15 @@ def test_monte_carlo_does_not_depend_on_chunk_size(autoencoder, params, dist_d50
     laws[-1] = StageDistribution.discrete([(0.2, 0.5), (2.0, 0.5)])
     pol = Problem(autoencoder, params, laws, M).policy(rule, M)
     whole = simulate(pol, autoencoder, params, laws, 600, seed=M)
-    part = simulate(pol, autoencoder, params, laws, 600, seed=M, chunk=chunk)
+    with _chunk_trials(chunk):
+        part = simulate(pol, autoencoder, params, laws, 600, seed=M)
     assert part.stop_histogram == whole.stop_histogram
     assert part.mean_etc == pytest.approx(whole.mean_etc, rel=1e-12)
     assert part.std_error == pytest.approx(whole.std_error, rel=1e-9)
     if M:
-        assert (coincidence_rate(M, autoencoder, params, laws, 600, seed=M, chunk=chunk)
-                == coincidence_rate(M, autoencoder, params, laws, 600, seed=M))
+        with _chunk_trials(chunk):
+            part_rate = coincidence_rate(M, autoencoder, params, laws, 600, seed=M)
+        assert part_rate == coincidence_rate(M, autoencoder, params, laws, 600, seed=M)
 
 
 # -- coincidence ----------------------------------------------------------------
@@ -383,6 +393,28 @@ def test_oracle_invariant_to_atom_splitting(autoencoder, params):
     b = oracle_dp(3, autoencoder, params, split)
     c = oracle_dp(3, autoencoder, params, reordered)
     assert a.expected_cost == b.expected_cost == c.expected_cost
+
+
+def test_simulate_rejects_a_policy_beyond_the_network(autoencoder, params, dist_d50):
+    # a horizon-8 policy on a 3-layer network used to end in a numpy IndexError
+    small = build_mlp(MlpSpec((16,) * 4, 8, 8, 100, DOWNLINK_BPS))
+    policy = backward_induction(8, autoencoder, params, dist_d50)
+    with pytest.raises(ValueError, match="policy horizon_M = 8 exceeds the network's N = 3"):
+        simulate(policy, small, params, dist_d50, 100, seed=1)
+
+
+def test_monte_carlo_and_oracle_reject_more_laws_than_stages(autoencoder, params, dist_d50):
+    # 20 laws on the autoencoder's 9 stages used to run on the first M + 1
+    policy = backward_induction(3, autoencoder, params, dist_d50)
+    atoms = dist_d50.discretize(16)
+    for call in (lambda laws: simulate(policy, autoencoder, params, laws, 100, seed=1),
+                 lambda laws: coincidence_rate(3, autoencoder, params, laws, 100, seed=1)):
+        with pytest.raises(ValueError, match="9 stages, got 20 stage laws"):
+            call([dist_d50] * 20)
+        assert call([dist_d50] * 9) == call(dist_d50)
+    with pytest.raises(ValueError, match="9 stages, got 20 stage laws"):
+        oracle_dp(3, autoencoder, params, [atoms] * 20)
+    assert oracle_dp(3, autoencoder, params, [atoms] * 9) == oracle_dp(3, autoencoder, params, atoms)
 
 
 def test_oracle_rejects_continuous_laws(autoencoder, params, dist_d50):

@@ -64,7 +64,7 @@ def test_value_table_reconstructs_recursion(autoencoder, params, dist_d50):
     for n in range(M, 0, -1):
         t = pol.thresholds[n - 1]
         cont = dist_d50.cdf(t)
-        tail = dist_d50.partial_expect(inv_rate_fn(params), t, math.inf)
+        tail = dist_d50.partial_expect(inv_rate_fn(params), t)
         recon = cm.omega(n) * (1 - cont) + cm.weight(n) * tail + pol.value_table[n] * cont
         assert pol.value_table[n - 1] == pytest.approx(recon, rel=1e-10)
 
@@ -228,6 +228,31 @@ def test_apply_rule_needs_full_sequence(autoencoder, params, dist_d50):
     pol = backward_induction(3, autoencoder, params, dist_d50)
     with pytest.raises(ValueError):
         apply_rule(pol, [1.0, 1.0, 1.0], autoencoder, params)
+
+
+def _three_layers():
+    return build_mlp(MlpSpec((16,) * 4, 8, 8, 100, DOWNLINK_BPS))
+
+
+def test_apply_rule_rejects_a_policy_beyond_the_network(autoencoder, params, dist_d50):
+    # a horizon-8 policy on a 3-layer network: a high SNR used to stop at stage
+    # 1 with a decision, a low one to fail on "stage 9 out of range"
+    policy = backward_induction(8, autoencoder, params, dist_d50)
+    for snr in (1e3, 1e-3):
+        with pytest.raises(ValueError, match="policy horizon_M = 8 exceeds the network's N = 3"):
+            apply_rule(policy, [snr] * 9, _three_layers(), params)
+    assert apply_rule(policy, [1e3] * 9, autoencoder, params).stage == 1
+
+
+def test_problem_rejects_more_laws_than_stages(autoencoder, params, dist_d50):
+    # 20 laws on the autoencoder's 9 stages used to plan on the first 9
+    laws = [dist_d50] * 20
+    for M in (None, 3):
+        with pytest.raises(ValueError, match="9 stages, got 20 stage laws"):
+            Problem(autoencoder, params, laws, M)
+    whole = Problem(autoencoder, params, laws[:9])
+    assert whole.dists == (dist_d50,) * 9
+    assert Problem(autoencoder, params, laws[:9], 3).dists == (dist_d50,) * 4
 
 
 def _first_crossing(policy, seq, net, params):
@@ -411,14 +436,14 @@ def test_caches_are_shared_across_calls(autoencoder, params, dist_d50):
     assert before == again
     t = 0.25
     assert inv_rate_tail(dist_d50, t, params.bandwidth_hz) == pytest.approx(
-        dist_d50.partial_expect(inv_rate_fn(params), t, math.inf), abs=1e-12)
+        dist_d50.partial_expect(inv_rate_fn(params), t), abs=1e-12)
 
 
 @pytest.mark.parametrize("forced", [math.inf, math.nan])
 def test_a_non_finite_value_in_the_recursion_is_a_numerical_error(forced, autoencoder, params,
                                                                   dist_d50):
     # an infinite forced stop cost makes stopping always win, and inf * 0 is NaN
-    problem = Problem(autoencoder, params, dist_d50)
-    problem.transmission = [forced] * (autoencoder.N + 1)
+    problem = Problem(autoencoder, params, dist_d50, 2)
+    problem.transmission = [forced] * 3
     with pytest.raises(NumericalError, match="not finite"):
-        problem.recursion([2])
+        problem.recursion()

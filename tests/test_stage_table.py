@@ -240,7 +240,7 @@ def _reference_induction(M, net, params, dists):
         if t < math.inf:
             cont = float(ds[n - 1].prob_below(t))
             ev = (cm.omega(n) * (1.0 - cont) + ev * cont
-                  + cm.weight(n) * ds[n - 1].partial_expect(inv_rate, t, math.inf))
+                  + cm.weight(n) * ds[n - 1].partial_expect(inv_rate, t))
         thresholds.insert(0, t)
         values.insert(0, ev)
     return thresholds, values
@@ -258,7 +258,7 @@ def test_lockstep_recursion_matches_the_scalar_reference(problem):
     ds = per_stage(dists, net.N + 1)
     problem = Problem(net, params, dists)
     transmission = problem.transmission
-    thresholds, values = problem.recursion(range(net.N + 1))
+    thresholds, values = problem.recursion()
     for M in range(net.N + 1):
         own_t, own_v = thresholds[M][:M], values[M][:M + 1]
         if M:

@@ -2,8 +2,11 @@
 names, only the cost model reads the cost constants, only the CLI catches a
 NumericalError, only the config module reads the config format, importing
 the package and its CLI pulls in no scipy, planning runs without numpy, the
-package exports an explicit list of names, and the README quick start runs."""
+package exports an explicit list of names, the README quick start runs, the
+process holds three memo caches and no more, and the functions the benchmark
+calls keep their signatures."""
 import ast
+import inspect
 import json
 import os
 import re
@@ -210,3 +213,56 @@ def test_the_package_exports_an_explicit_list_of_used_names():
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         used |= set(re.findall(r"\b(?:es|edgesplit)\.(\w+)", path.read_text(encoding="utf-8")))
     assert set(exported) - used <= {"ConfigError", "NumericalError"}
+
+
+# The process-wide memo caches, each kept on purpose: a law's tail table, a
+# (network, params) cost model and the argparse parser.
+_MEMO_CACHES = {("channel.py", "inv_rate_table"), ("cost_model.py", "cost_model"),
+                ("cli.py", "_build_parser")}
+
+
+def _cache_name(node) -> str | None:
+    """"cache" or "lru_cache" where `node` names one of the functools memo caches."""
+    target = node.func if isinstance(node, ast.Call) else node
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name if name in ("cache", "lru_cache") else None
+
+
+def test_the_only_memo_caches_are_the_known_three():
+    """A functools cache, as a decorator or called, appears nowhere in src/
+    but on the three functions of `_MEMO_CACHES`."""
+    decorated, calls = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for dec in node.decorator_list:
+                    if _cache_name(dec):
+                        decorated.add((path.name, node.name))
+                        decorators.add(id(dec.func if isinstance(dec, ast.Call) else dec))
+        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _cache_name(node)
+                  and id(node.func) not in decorators and id(node) not in decorators]
+    assert decorated == _MEMO_CACHES and not calls, (decorated, calls)
+
+
+# The functions perfbench/ calls, with the parameters it passes by position.
+_BENCH_SIGNATURES = {
+    "coincidence_rate": "M, net, params, dists, trials, seed",
+    "oracle_dp": "M, net, params, discrete_dists",
+    "apply_rule": "policy, snr_seq, net, params",
+    "backward_induction": "M, net, params, dists",
+    "one_sla_thresholds": "M, net, params, dists",
+    "forced_offload_policy": "rule_kind, net, params, dists",
+    "run_strategy": "strategy, net, params, dists, mlp=None, problem=None",
+}
+
+
+def test_the_functions_the_benchmark_calls_keep_their_signatures():
+    for name, want in _BENCH_SIGNATURES.items():
+        parameters = inspect.signature(getattr(edgesplit, name)).parameters.values()
+        assert {p.kind for p in parameters} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}, name
+        got = ", ".join(p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+                        for p in parameters)
+        assert got == want, name
