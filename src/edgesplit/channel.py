@@ -15,12 +15,12 @@ import math
 import operator
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
 
 from .cost_model import LN2, SystemParams
 from .errors import NumericalError
+from .records import Record
 
 DEFAULT_FLOOR_RATIO = 1e-3
 
@@ -72,17 +72,14 @@ def _each(f, x):
     return [f(v) for v in x]
 
 
-@dataclass(frozen=True)
-class PathLossParams:
+class PathLossParams(Record):
     """Large-scale attenuation between device and base station."""
 
-    antenna_gain: float
-    carrier_hz: float
-    distance_m: float
-    exponent: float
+    __slots__ = ("antenna_gain", "carrier_hz", "distance_m", "exponent")
 
-    def __post_init__(self):
-        for name in ("antenna_gain", "carrier_hz", "distance_m", "exponent"):
+    def __init__(self, antenna_gain: float, carrier_hz: float, distance_m: float, exponent: float):
+        self._set(antenna_gain, carrier_hz, distance_m, exponent)
+        for name in self.__slots__:
             if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
 
@@ -93,8 +90,7 @@ def mean_snr_from_pathloss(pl: PathLossParams, params: SystemParams) -> float:
     return (params.tx_power_w / params.noise_w) * pl.antenna_gain * wavelength_factor**pl.exponent
 
 
-@dataclass(frozen=True, init=False)
-class StageDistribution:
+class StageDistribution(Record):
     """SNR law of one decision stage.
 
     kind is "truncated_exponential" or "discrete". The exponential kind is
@@ -102,22 +98,14 @@ class StageDistribution:
     no ceiling (support_lo = 0 is the untruncated law). The discrete kind
     stores its atoms as two columns, `snrs` strictly increasing and `probs`
     their probabilities, given as `snrs=` and `probs=`; its support_lo is
-    the bottom atom, and `atoms` reads the columns as (snr, probability)
-    pairs. `discrete()` builds one from pairs. Instances are immutable and
-    safe to share.
+    the bottom atom. `discrete()` builds one from (snr, probability) pairs.
+    Instances are immutable and safe to share.
     """
 
-    kind: str
-    mean_snr: float | None = None
-    support_lo: float = 0.0
-    snrs: tuple[float, ...] | None = None
-    probs: tuple[float, ...] | None = None
+    __slots__ = ("kind", "mean_snr", "support_lo", "snrs", "probs")
 
     def __init__(self, kind: str, mean_snr: float | None = None, support_lo: float = 0.0, *,
                  snrs=None, probs=None):
-        for name, value in (("kind", kind), ("mean_snr", mean_snr), ("support_lo", support_lo),
-                            ("snrs", snrs), ("probs", probs)):
-            object.__setattr__(self, name, value)
         if kind == "truncated_exponential":
             if mean_snr is None or not 0 < mean_snr < math.inf:
                 raise ValueError(f"mean_snr must be positive and finite, got {mean_snr!r}")
@@ -148,14 +136,13 @@ class StageDistribution:
             # the left-to-right float sum, as over the atoms themselves
             if not abs(sum(probs) - 1.0) <= 1e-12:
                 raise ValueError("atom probabilities must sum to 1")
-            object.__setattr__(self, "support_lo", snrs[0])
+            support_lo = snrs[0]
         else:
             raise ValueError(f"unknown distribution kind {kind!r}")
+        self._set(kind, mean_snr, support_lo, snrs, probs)
 
-    @property
-    def atoms(self) -> tuple[tuple[float, float], ...] | None:
-        """The (snr, probability) pairs of a discrete law; None for the exponential kind."""
-        return None if self.snrs is None else tuple(zip(self.snrs, self.probs))
+    def __hash__(self):
+        return hash((self.kind, self.mean_snr, self.support_lo, self.snrs, self.probs))
 
     # -- constructors ------------------------------------------------------
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import replace
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from . import __version__
 from .channel import QUAD_RULE
@@ -79,18 +78,20 @@ def _metadata(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _write_csv(path: Path, metadata: dict, header: str, rows: list[str]):
+def _write_csv(path: str, metadata: dict, header: str, rows: list[str]):
     lines = [f"# {k}={_fmt(v) if isinstance(v, float) else v}" for k, v in metadata.items()]
     lines.append(header)
     lines.extend(rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
-def _write_json(path: Path, payload: dict):
-    path.write_text(_json(payload) + "\n", encoding="utf-8")
+def _write_json(path: str, payload: dict):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_json(payload) + "\n")
 
 
-def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_thresholds(cfg: ExperimentConfig, out: str) -> int:
     M = cfg.horizon_M
     problem = Problem(cfg.network, cfg.params, cfg.stage_dists(M + 1), M)
     rows = []
@@ -100,7 +101,7 @@ def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> int:
             threshold = policy.thresholds[n - 1] if n <= M else None
             value = policy.value_table[n - 1] if policy.value_table else None
             rows.append(f"{n},{rule},{_fmt(threshold)},{_fmt(value)}")
-    _write_csv(out / "thresholds.csv", _metadata(cfg),
+    _write_csv(os.path.join(out, "thresholds.csv"), _metadata(cfg),
                "stage,rule,threshold_snr,value_table", rows)
     return 0
 
@@ -124,15 +125,15 @@ def _stage_laws(cfg: ExperimentConfig, distance: float | None):
     return dists
 
 
-def cmd_place(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_place(cfg: ExperimentConfig, out: str) -> int:
     dists = _stage_laws(cfg, None)
     problem = Problem(cfg.network, cfg.params, dists)
     reports = [run_strategy(s, cfg.network, cfg.params, dists, mlp=cfg.mlp, problem=problem)
                for s in cfg.strategies]
     rows = [r for rep in reports for r in rep.to_csv_rows()]
     metadata = _metadata(cfg)
-    _write_csv(out / "placement.csv", metadata, "strategy,M,Z,expected_etc,psi,best", rows)
-    _write_json(out / "placement.json", {
+    _write_csv(os.path.join(out, "placement.csv"), metadata, "strategy,M,Z,expected_etc,psi,best", rows)
+    _write_json(os.path.join(out, "placement.json"), {
         "metadata": metadata,
         "reports": [rep.to_json_dict() for rep in reports],
     })
@@ -143,10 +144,10 @@ def _sweep_point(cfg: ExperimentConfig, variable: str, value):
     """Params and distributions of one point of a distance or updates sweep."""
     if variable == "distance_m":
         return cfg.params, _stage_laws(cfg, value)
-    return replace(cfg.params, updates_per_model=value), _stage_laws(cfg, None)
+    return cfg.params.with_updates(value), _stage_laws(cfg, None)
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_sweep(cfg: ExperimentConfig, out: str) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep command needs a 'sweep' section", field="sweep")
     rows = []
@@ -174,12 +175,12 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
                 best = rep.row(rep.best_M)
                 rows.append(f"{_fmt(float(value))},{strategy},{rep.best_M},"
                             f"{_fmt(best.Z)},{_fmt(best.expected_etc)},")
-    _write_csv(out / "sweep.csv", _metadata(cfg),
+    _write_csv(os.path.join(out, "sweep.csv"), _metadata(cfg),
                "axis_value,strategy,best_M,Z,expected_etc,optimality_prob", rows)
     return 0
 
 
-def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_simulate(cfg: ExperimentConfig, out: str) -> int:
     # numpy rejects a negative seed and draws fresh OS entropy for null: no two runs would agree
     if cfg.seed is None or cfg.seed < 0:
         raise ConfigError(f"simulate needs a nonnegative integer seed, got {cfg.seed}", field="seed")
@@ -222,12 +223,12 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
             csv_rows.append(f"{rule},{n},{_fmt(freq)},{_fmt(float(p))}")
 
     metadata = _metadata(cfg)
-    _write_json(out / "sim.json", {
+    _write_json(os.path.join(out, "sim.json"), {
         "metadata": metadata,
         "results": entries,
         "all_checks_passed": all_ok,
     })
-    _write_csv(out / "sim.csv", metadata,
+    _write_csv(os.path.join(out, "sim.csv"), metadata,
                "rule,stage,frequency,analytic_probability", csv_rows)
     return 0 if all_ok else 4
 
@@ -259,7 +260,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        with open(args.config, encoding="utf-8") as fh:
+            raw = json.load(fh)
         if isinstance(raw, dict):  # load_config rejects any other shape
             if args.updates is not None and isinstance(raw.setdefault("params", {}), dict):
                 raw["params"]["updates_per_model"] = args.updates
@@ -270,8 +272,8 @@ def main(argv=None) -> int:
             if args.strategy:
                 raw["strategies"] = args.strategy
         cfg = load_config(raw)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = args.out or os.curdir  # an empty --out is the working directory
+        os.makedirs(out, exist_ok=True)
         handler = {
             "thresholds": cmd_thresholds,
             "place": cmd_place,
@@ -285,7 +287,8 @@ def main(argv=None) -> int:
         print(f"edgesplit: config error{where}: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
-        print(f"edgesplit: numerical failure: {exc}", file=sys.stderr)
+        estimate = "" if exc.estimate is None else f" (estimate {exc.estimate!r})"
+        print(f"edgesplit: numerical failure: {exc}{estimate}", file=sys.stderr)
         return 3
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
 
 from .channel import DEFAULT_FLOOR_RATIO, PathLossParams, StageDistribution, per_stage
 from .cost_model import SystemParams, cost_model
@@ -34,6 +33,7 @@ from .model_graph import (
     build_mlp,
 )
 from .placement import STRATEGIES
+from .records import Record
 
 DEFAULT_TRIALS = 10_000
 MAX_TRIALS = 10**9  # simulate draws about 1e7 trials/s: some 100 s per rule
@@ -130,24 +130,25 @@ def _law(spec, params: SystemParams) -> StageDistribution:
     return _make(getattr(StageDistribution, kind), "channel", **args)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    variable: str
-    values: tuple
+class SweepSpec(Record):
+    """The sweep axis, one of SWEEP_VARIABLES, and its values."""
+
+    __slots__ = ("variable", "values")
+
+    def __init__(self, variable: str, values: tuple):
+        self._set(variable, values)
 
 
-@dataclass
-class ExperimentConfig:
-    raw: dict
-    network: NetworkSpec
-    mlp: MlpSpec | None
-    params: SystemParams
-    channel_raw: dict | list
-    horizon_M: int
-    sweep: SweepSpec | None
-    strategies: tuple[str, ...]
-    trials: int
-    seed: int
+class ExperimentConfig(Record):
+    """A checked config: the domain objects, and the raw document with its channel spec."""
+
+    __slots__ = ("raw", "network", "mlp", "params", "channel_raw", "horizon_M", "sweep",
+                 "strategies", "trials", "seed")
+
+    def __init__(self, raw: dict, network: NetworkSpec, mlp: MlpSpec | None, params: SystemParams,
+                 channel_raw, horizon_M: int, sweep: SweepSpec | None, strategies: tuple,
+                 trials: int, seed: int | None):
+        self._set(raw, network, mlp, params, channel_raw, horizon_M, sweep, strategies, trials, seed)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True).encode()
@@ -205,7 +206,7 @@ def _sweep(sw, network: NetworkSpec, params: SystemParams) -> SweepSpec:
         raise ConfigError(f"sweep M values must lie in [0, {network.N}]", field="sweep.values")
     if variable == "updates_per_model":
         for v in values:  # SystemParams validates each value
-            _make(replace, "sweep.values", params, updates_per_model=v)
+            _make(params.with_updates, "sweep.values", v)
     return SweepSpec(variable, values)
 
 

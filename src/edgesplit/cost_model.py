@@ -13,32 +13,28 @@ slow-timescale objective adds beta_t * psi(M), the amortized download time.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import accumulate
 
 from .model_graph import NetworkSpec
+from .records import Record
 
 # R = B log2(1 + snr) is B log1p(snr) / LN2, as 1 + snr would round a small SNR
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class SystemParams:
-    """Device, server and radio constants."""
+class SystemParams(Record):
+    """Device, server and radio constants. updates_per_model is the number of
+    inferences per model refresh; math.inf is allowed."""
 
-    tx_power_w: float
-    noise_w: float
-    bandwidth_hz: float
-    local_freq_hz: float
-    edge_freq_hz: float
-    kappa: float
-    beta_t: float
-    beta_e: float
-    updates_per_model: float  # inferences per model refresh; math.inf allowed
-    downlink_rate_bps: float
+    __slots__ = ("tx_power_w", "noise_w", "bandwidth_hz", "local_freq_hz", "edge_freq_hz", "kappa",
+                 "beta_t", "beta_e", "updates_per_model", "downlink_rate_bps")
 
-    def __post_init__(self):
+    def __init__(self, tx_power_w: float, noise_w: float, bandwidth_hz: float, local_freq_hz: float,
+                 edge_freq_hz: float, kappa: float, beta_t: float, beta_e: float,
+                 updates_per_model: float, downlink_rate_bps: float):
+        self._set(tx_power_w, noise_w, bandwidth_hz, local_freq_hz, edge_freq_hz, kappa,
+                  beta_t, beta_e, updates_per_model, downlink_rate_bps)
         # `not lo < x < inf` also rejects NaN
         for name in ("tx_power_w", "noise_w", "bandwidth_hz", "local_freq_hz",
                      "edge_freq_hz", "kappa", "downlink_rate_bps"):
@@ -55,8 +51,17 @@ class SystemParams:
         if not (k == math.inf or (k >= 1 and float(k).is_integer())):
             raise ValueError("updates_per_model must be a positive integer or infinity")
 
+    def with_updates(self, updates_per_model: float) -> "SystemParams":
+        """The same constants with another updates_per_model, checked as a new SystemParams."""
+        return SystemParams(**dict(self.to_json_dict(), updates_per_model=updates_per_model))
+
+    def __hash__(self):
+        return hash((self.tx_power_w, self.noise_w, self.bandwidth_hz, self.local_freq_hz,
+                     self.edge_freq_hz, self.kappa, self.beta_t, self.beta_e,
+                     self.updates_per_model, self.downlink_rate_bps))
+
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self.__slots__, self._values(self)))
 
 
 def uplink_rate(gamma: float, params: SystemParams) -> float:

@@ -13,7 +13,8 @@ constants from presets are converted once, at construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .records import Record
 
 BITS_PER_BYTE = 8
 
@@ -41,8 +42,7 @@ ALEXNET_TABLE = (
 ALEXNET_EXIT_VALUES = 1000
 
 
-@dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(Record):
     """One computational layer.
 
     workload_cycles: CPU cycles to execute the layer.
@@ -50,40 +50,41 @@ class LayerSpec:
     download_seconds: time to download the layer's parameters to the device.
     """
 
-    workload_cycles: float
-    input_bits: float
-    download_seconds: float
+    __slots__ = ("workload_cycles", "input_bits", "download_seconds")
 
-    def __post_init__(self):
+    def __init__(self, workload_cycles: float, input_bits: float, download_seconds: float):
         # `not lo < x < inf` also rejects NaN
-        if not 0 <= self.workload_cycles < math.inf:
-            raise ValueError("workload_cycles must be nonnegative and finite, "
-                             f"got {self.workload_cycles!r}")
-        if not 0 < self.input_bits < math.inf:
-            raise ValueError(f"input_bits must be positive and finite, got {self.input_bits!r}")
-        if not 0 <= self.download_seconds < math.inf:
-            raise ValueError("download_seconds must be nonnegative and finite, "
-                             f"got {self.download_seconds!r}")
+        if not 0 <= workload_cycles < math.inf:
+            raise ValueError(f"workload_cycles must be nonnegative and finite, got {workload_cycles!r}")
+        if not 0 < input_bits < math.inf:
+            raise ValueError(f"input_bits must be positive and finite, got {input_bits!r}")
+        if not 0 <= download_seconds < math.inf:
+            raise ValueError(f"download_seconds must be nonnegative and finite, got {download_seconds!r}")
+        self._set(workload_cycles, input_bits, download_seconds)
+
+    def __hash__(self):
+        return hash((self.workload_cycles, self.input_bits, self.download_seconds))
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(Record):
     """Ordered layers 1..N plus the exit payload (stage N+1)."""
 
-    layers: tuple[LayerSpec, ...]
-    exit_input_bits: float
+    __slots__ = ("layers", "exit_input_bits")
 
-    def __post_init__(self):
-        if not self.layers:
+    def __init__(self, layers, exit_input_bits: float):
+        if not layers:
             raise ValueError("network needs at least one layer")
-        if not 0 < self.exit_input_bits < math.inf:
-            raise ValueError("exit_input_bits must be positive and finite, "
-                             f"got {self.exit_input_bits!r}")
-        object.__setattr__(self, "layers", tuple(self.layers))
+        if not 0 < exit_input_bits < math.inf:
+            raise ValueError(f"exit_input_bits must be positive and finite, got {exit_input_bits!r}")
+        layers = tuple(layers)
         # the cost model's prefix sums; a sum of finite values can overflow
         for name in ("workload_cycles", "download_seconds"):
-            if not math.isfinite(sum(getattr(l, name) for l in self.layers)):
+            if not math.isfinite(sum(getattr(l, name) for l in layers)):
                 raise ValueError(f"the layers' total {name} must be finite")
+        self._set(layers, exit_input_bits)
+
+    def __hash__(self):
+        return hash((self.layers, self.exit_input_bits))
 
     @property
     def N(self) -> int:
@@ -111,8 +112,7 @@ class NetworkSpec:
         }
 
 
-@dataclass(frozen=True)
-class MlpSpec:
+class MlpSpec(Record):
     """Fully-connected MLP described by its widths.
 
     neurons[0] is the input width; layer i maps neurons[i-1] -> neurons[i].
@@ -120,18 +120,17 @@ class MlpSpec:
     the network is built.
     """
 
-    neurons: tuple[int, ...]
-    bytes_per_activation: float
-    bytes_per_parameter: float
-    cycles_per_macc: float
-    downlink_rate_bps: float
+    __slots__ = ("neurons", "bytes_per_activation", "bytes_per_parameter", "cycles_per_macc",
+                 "downlink_rate_bps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "neurons", tuple(self.neurons))
-        if len(self.neurons) < 2:
+    def __init__(self, neurons, bytes_per_activation: float, bytes_per_parameter: float,
+                 cycles_per_macc: float, downlink_rate_bps: float):
+        neurons = tuple(neurons)
+        if len(neurons) < 2:
             raise ValueError("neurons must list the input width plus at least one layer")
-        if not all(isinstance(x, int) and x >= 1 for x in self.neurons):
-            raise ValueError(f"every layer width must be an integer >= 1, got {self.neurons!r}")
+        if not all(isinstance(x, int) and x >= 1 for x in neurons):
+            raise ValueError(f"every layer width must be an integer >= 1, got {neurons!r}")
+        self._set(neurons, bytes_per_activation, bytes_per_parameter, cycles_per_macc, downlink_rate_bps)
         for name in ("bytes_per_activation", "bytes_per_parameter", "cycles_per_macc", "downlink_rate_bps"):
             value = getattr(self, name)
             if not 0 < value < math.inf:

@@ -23,12 +23,12 @@ runs one backward induction for M otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .channel import inv_rate_tails
 from .cost_model import SystemParams, uplink_rate
 from .errors import NumericalError
 from .model_graph import MlpSpec, NetworkSpec, build_mlp
+from .records import Record
 # backward_induction is reached through Problem.policy; the name stays here for
 # perfbench/test_perfbench.py, which wraps edgesplit.placement.backward_induction.
 from .splitting import Problem, ThresholdPolicy, backward_induction  # noqa: F401
@@ -39,21 +39,23 @@ STRATEGIES = ("optimal_exhaustive", "one_sla_exhaustive", "mlp_closed_form", "hy
 RULE_OF_STRATEGY = {"optimal_exhaustive": "optimal", "one_sla_exhaustive": "one_sla"}
 
 
-@dataclass(frozen=True)
-class PlacementRow:
-    M: int
-    Z: float
-    expected_etc: float
-    psi: float
+class PlacementRow(Record):
+    """Z(M) = expected_etc + beta_t * psi at one placement M."""
+
+    __slots__ = ("M", "Z", "expected_etc", "psi")
+
+    def __init__(self, M: int, Z: float, expected_etc: float, psi: float):
+        self._set(M, Z, expected_etc, psi)
 
 
-@dataclass
-class PlacementReport:
-    strategy: str
-    best_M: int
-    rows: tuple[PlacementRow, ...]
-    policy_at_best: ThresholdPolicy
-    diagnostics: dict = field(default_factory=dict)
+class PlacementReport(Record):
+    """A strategy's rows, its best M and the policy there."""
+
+    __slots__ = ("strategy", "best_M", "rows", "policy_at_best", "diagnostics")
+
+    def __init__(self, strategy: str, best_M: int, rows: tuple, policy_at_best: ThresholdPolicy,
+                 diagnostics: dict | None = None):
+        self._set(strategy, best_M, rows, policy_at_best, {} if diagnostics is None else diagnostics)
 
     def row(self, M: int) -> PlacementRow:
         for r in self.rows:

@@ -16,36 +16,34 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .channel import per_stage
 from .cost_model import SystemParams, cost_model
 from .model_graph import NetworkSpec
+from .records import Record
 from .splitting import ThresholdPolicy, backward_induction, network_laws, one_sla_thresholds
-
-if TYPE_CHECKING:  # numpy is imported where the kernel and the oracle run
-    import numpy as np
 
 RNG_ALGORITHM = "numpy-pcg64"
 # the most trials drawn and evaluated in one block of uniforms
 _CHUNK_TRIALS = 1 << 17
 
 
-@dataclass(frozen=True)
-class SimResult:
-    trials: int
-    mean_etc: float
-    std_error: float
-    stop_histogram: tuple[float, ...]
-    seed: int
+class SimResult(Record):
+    """Mean cost of a policy over `trials` seeded draws, and its stop-stage frequencies."""
+
+    __slots__ = ("trials", "mean_etc", "std_error", "stop_histogram", "seed")
+
+    def __init__(self, trials: int, mean_etc: float, std_error: float, stop_histogram: tuple, seed: int):
+        self._set(trials, mean_etc, std_error, stop_histogram, seed)
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    grid_points: int
-    thresholds: tuple[float, ...]
-    expected_cost: float
+class OracleResult(Record):
+    """The exact optimal thresholds and value on discrete laws of `grid_points` atoms."""
+
+    __slots__ = ("grid_points", "thresholds", "expected_cost")
+
+    def __init__(self, grid_points: int, thresholds: tuple, expected_cost: float):
+        self._set(grid_points, thresholds, expected_cost)
 
 
 def _uniform_blocks(trials: int, stages: int, seed: int):
@@ -63,7 +61,7 @@ def _uniform_blocks(trials: int, stages: int, seed: int):
             for start in range(0, trials, _CHUNK_TRIALS))
 
 
-def _first_crossings(u: np.ndarray, ds, thresholds) -> tuple[np.ndarray, np.ndarray]:
+def _first_crossings(u, ds, thresholds):
     """1-based stop stage of each row of a uniform block, and the SNR it stops on.
 
     A row stops at its first SNR at or above the stage's threshold, else at the
@@ -92,7 +90,7 @@ def _first_crossings(u: np.ndarray, ds, thresholds) -> tuple[np.ndarray, np.ndar
     return stages, gammas
 
 
-def _agreements(u: np.ndarray, ds, t_a, t_b) -> int:
+def _agreements(u, ds, t_a, t_b) -> int:
     """Rows of a uniform block on which two threshold rules stop at the same stage.
 
     A row leaves the pass at the first stage where either rule stops: the rules

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
 
@@ -31,6 +31,7 @@ from .channel import StageDistribution, inv_rate_table, inv_rate_tails, per_stag
 from .cost_model import LN2, SystemParams, cost_model, uplink_rate
 from .errors import NumericalError
 from .model_graph import NetworkSpec
+from .records import Record
 
 RULE_KINDS = ("optimal", "one_sla")
 
@@ -38,8 +39,7 @@ RULE_KINDS = ("optimal", "one_sla")
 _EXP2_OVERFLOW = 1024.0
 
 
-@dataclass(frozen=True)
-class ThresholdPolicy:
+class ThresholdPolicy(Record):
     """Per-stage SNR thresholds plus the forced stop at stage horizon_M + 1.
 
     value_table (optimal rule only) holds the expected cost-to-go seen from
@@ -47,28 +47,26 @@ class ThresholdPolicy:
     cost of the whole policy.
     """
 
-    rule_kind: str
-    horizon_M: int
-    thresholds: tuple[float, ...]
-    value_table: tuple[float, ...] | None = None
+    __slots__ = ("rule_kind", "horizon_M", "thresholds", "value_table")
 
-    def __post_init__(self):
-        if self.rule_kind not in RULE_KINDS:
+    def __init__(self, rule_kind: str, horizon_M: int, thresholds, value_table=None):
+        if rule_kind not in RULE_KINDS:
             raise ValueError(f"rule_kind must be one of {RULE_KINDS}")
-        if self.horizon_M < 0:
+        if horizon_M < 0:
             raise ValueError("horizon_M must be nonnegative")
-        object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
-        if len(self.thresholds) != self.horizon_M:
+        thresholds = tuple(float(t) for t in thresholds)
+        if len(thresholds) != horizon_M:
             raise ValueError("need exactly one threshold per stage 1..horizon_M")
         # written so that NaN fails; a +inf threshold means "never stop there"
-        if not all(-math.inf < t for t in self.thresholds):
-            raise ValueError(f"thresholds must be numbers or +inf, got {self.thresholds!r}")
-        if self.value_table is not None:
-            object.__setattr__(self, "value_table", tuple(float(v) for v in self.value_table))
-            if len(self.value_table) != self.horizon_M + 1:
+        if not all(-math.inf < t for t in thresholds):
+            raise ValueError(f"thresholds must be numbers or +inf, got {thresholds!r}")
+        if value_table is not None:
+            value_table = tuple(float(v) for v in value_table)
+            if len(value_table) != horizon_M + 1:
                 raise ValueError("value_table must cover stages 1..horizon_M+1")
-            if not all(map(math.isfinite, self.value_table)):
-                raise ValueError(f"value_table entries must be finite, got {self.value_table!r}")
+            if not all(map(math.isfinite, value_table)):
+                raise ValueError(f"value_table entries must be finite, got {value_table!r}")
+        self._set(rule_kind, horizon_M, thresholds, value_table)
 
     def to_json_dict(self) -> dict:
         d = {
@@ -81,13 +79,8 @@ class ThresholdPolicy:
         return d
 
 
-@dataclass(frozen=True)
-class SplitOutcome:
-    """Realized decision on one SNR sequence."""
-
-    stage: int
-    snr_at_stop: float
-    realized_etc: float
+# Realized decision on one SNR sequence; a tuple, as one is built per online decision.
+SplitOutcome = namedtuple("SplitOutcome", ("stage", "snr_at_stop", "realized_etc"))
 
 
 def _indifference_threshold(weight: float, bandwidth_hz: float, margin: float) -> float:
@@ -159,8 +152,7 @@ def apply_rule(policy: ThresholdPolicy, snr_seq, net: NetworkSpec, params: Syste
     return SplitOutcome(stage=stage, snr_at_stop=snr, realized_etc=cost)
 
 
-@dataclass(frozen=True, eq=False)
-class StageTable:
+class StageTable(Record):
     """Stop statistics of a threshold policy at its threshold stages 1..M.
 
     continue_prob[n-1] is P{SNR_n < t_n}, exactly 1 where t_n = +inf. reach[k]
@@ -171,10 +163,10 @@ class StageTable:
     before any table exists.
     """
 
-    continue_prob: list[float]
-    reach: list[float]
-    stop_prob: list[float]
-    stop_cost: list[float]
+    __slots__ = ("continue_prob", "reach", "stop_prob", "stop_cost")
+
+    def __init__(self, continue_prob: list, reach: list, stop_prob: list, stop_cost: list):
+        self._set(continue_prob, reach, stop_prob, stop_cost)
 
     def expected_etc(self, M: int, forced_cost: float) -> float:
         """Expected cost of the policy cut to stages 1..M with a forced stop,

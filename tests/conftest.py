@@ -78,6 +78,11 @@ def expect(law, g):
     return law.partial_expect(g, law.support_lo)
 
 
+def atom_pairs(law):
+    """The (snr, probability) pairs of a discrete law, read off its two columns."""
+    return tuple(zip(law.snrs, law.probs))
+
+
 def inv_rate_tail(law, t, bandwidth_hz):
     """E[1/R(SNR); SNR >= t], one read of the law's tail table."""
     return float(inv_rate_tails(law, [t], bandwidth_hz)[0])

@@ -12,6 +12,7 @@ from edgesplit.channel import inv_rate_table, inv_rate_tails, mean_snr_from_path
 
 from conftest import (
     MEAN_SNR_D50,
+    atom_pairs,
     channel_at,
     expect,
     inv_rate_tail,
@@ -273,7 +274,7 @@ def test_discrete_table_reads_count_a_tie_as_a_stop(snrs, weights):
                   *np.nextafter(atoms, 0.0), *np.nextafter(atoms, math.inf)]
     got = inv_rate_tails(law, thresholds, W)
     for t, tail in zip(thresholds, got):
-        brute = math.fsum(p * inv_rate(s) for s, p in law.atoms if s >= t)
+        brute = math.fsum(p * inv_rate(s) for s, p in atom_pairs(law) if s >= t)
         assert tail == pytest.approx(brute, rel=1e-13, abs=0.0)
 
 
@@ -350,8 +351,8 @@ def _contiguous_reference(law, u):
     """The quantile as one expression on a contiguous copy of u."""
     u = np.ascontiguousarray(u, dtype=float)
     if law.kind == "discrete":
-        cum = np.cumsum([p for _, p in law.atoms])
-        snrs = np.array([s for s, _ in law.atoms])
+        cum = np.cumsum([p for _, p in atom_pairs(law)])
+        snrs = np.array([s for s, _ in atom_pairs(law)])
         return snrs[np.minimum(np.searchsorted(cum, u, side="left"), len(snrs) - 1)]
     with np.errstate(divide="ignore"):
         return law.support_lo - law.mean_snr * np.log1p(-u)
@@ -395,7 +396,7 @@ def _pdf_by_atom_loop(law, x):
     """The discrete pdf as one np.where per atom."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
-    for snr, prob in law.atoms:
+    for snr, prob in atom_pairs(law):
         out = np.where(x == snr, prob, out)
     return float(out) if out.ndim == 0 else out
 
@@ -404,13 +405,13 @@ def _pdf_by_atom_loop(law, x):
                                  channel_at(50.0, make_params()).discretize(4096)],
                          ids=["three_atoms", "one_atom", "grid_4096"])
 def test_discrete_pdf_matches_atom_loop(law):
-    snrs = np.array([s for s, _ in law.atoms])
+    snrs = np.array([s for s, _ in atom_pairs(law)])
     between = (snrs[:-1] + snrs[1:]) / 2
     outside = [0.0, -1.0, snrs[0] / 2, snrs[-1] * 2, math.inf, -math.inf, math.nan]
     x = np.concatenate([snrs, between, outside, np.nextafter(snrs, math.inf)])
     got = np.array(law.pdf(x))
     assert np.array_equal(got, _pdf_by_atom_loop(law, x))
-    assert np.array_equal(got[:len(snrs)], [p for _, p in law.atoms])
+    assert np.array_equal(got[:len(snrs)], [p for _, p in atom_pairs(law)])
     assert not got[len(snrs):].any()
     for v in x[::97]:
         assert law.pdf(float(v)) == _pdf_by_atom_loop(law, float(v))
@@ -546,7 +547,7 @@ def _reads(law, points):
 
 def _agree_as_laws(a, b, points):
     assert a == b and hash(a) == hash(b)
-    assert a.atoms == b.atoms
+    assert atom_pairs(a) == atom_pairs(b)
     assert a.to_json_dict() == b.to_json_dict()
     assert _reads(a, points) == _reads(b, points)
 
@@ -562,14 +563,14 @@ def test_column_storage_keeps_every_discrete_law_built_from_pairs(pairs, repeats
     if law is ValueError:  # the merged probabilities miss 1 by more than 1e-12
         return
     merged = _dict_merge(pairs)
-    assert law.atoms == merged
+    assert atom_pairs(law) == merged
     assert law.snrs == tuple(s for s, _ in merged) and law.probs == tuple(p for _, p in merged)
     assert law.to_json_dict() == {"kind": "discrete", "atoms": [list(atom) for atom in merged]}
     points = [s for s, _ in merged] + [0.0, merged[0][0] / 2, merged[-1][0] * 2]
     cum = [sum(p for s, p in merged if s <= x) for x in points]
     assert _reads(law, points)[0] == cum
-    for rebuilt in (_from_columns(law.atoms),
-                    StageDistribution.discrete(law.atoms), StageDistribution.discrete(merged)):
+    for rebuilt in (_from_columns(atom_pairs(law)),
+                    StageDistribution.discrete(atom_pairs(law)), StageDistribution.discrete(merged)):
         _agree_as_laws(rebuilt, law, points)
 
 
@@ -582,7 +583,7 @@ def test_discretize_is_the_discrete_law_of_its_quantile_pairs(mean, ratio, grid,
     u = (np.arange(grid) + 0.5) / grid
     pairs = list(zip(law.quantile(u).tolist(), [1.0 / grid] * grid))  # repeats on a discrete law
     grid_law = law.discretize(grid)
-    points = [s for s, _ in grid_law.atoms] + [0.0, grid_law.snrs[-1] * 2]
+    points = [s for s, _ in atom_pairs(grid_law)] + [0.0, grid_law.snrs[-1] * 2]
     _agree_as_laws(grid_law, StageDistribution.discrete(pairs), points)
 
 
@@ -607,7 +608,7 @@ def test_prob_below_leaves_out_the_atom_at_x(trunc):
 
 def test_discretize_two_points(trunc):
     d = trunc.discretize(2)
-    atoms = d.atoms
+    atoms = atom_pairs(d)
     assert len(atoms) == 2
     assert atoms[0][1] == pytest.approx(0.5)
     assert atoms[0][0] == pytest.approx(trunc.quantile(0.25), rel=1e-12)
@@ -629,7 +630,7 @@ def test_discretize_mean_converges(trunc):
 
 def test_discretized_expectation_is_finite_sum(trunc):
     d = trunc.discretize(32)
-    by_hand = sum(p * inv_rate(s) for s, p in d.atoms)
+    by_hand = sum(p * inv_rate(s) for s, p in atom_pairs(d))
     assert expect(d, inv_rate) == by_hand
 
 

@@ -675,7 +675,8 @@ def test_cmd_sweep_m_axis_fails_on_a_listed_row_that_failed(tmp_path, monkeypatc
     _fail_the_stage_4_tail(monkeypatch)
     cfg = write_config(tmp_path, raw)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 3
-    assert "stage 4 tail failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "stage 4 tail failed" in err and "estimate 1.0" in err
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -686,7 +687,8 @@ def test_cmd_place_fails_whole_on_a_failing_stage_tail(tmp_path, monkeypatch, ca
     _fail_the_stage_4_tail(monkeypatch)
     cfg = write_config(tmp_path, raw)
     assert main(["place", "--config", cfg, "--out", str(tmp_path)]) == 3
-    assert "stage 4 tail failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "stage 4 tail failed" in err and "estimate 1.0" in err
     assert not any(tmp_path.glob("placement.*"))
 
 

@@ -1,6 +1,5 @@
 """Cost primitives: rates, omega, weighted stop cost, download amortization."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,7 +184,7 @@ def test_system_params_json_missing_field(params):
 ])
 def test_an_overflowing_cost_table_is_rejected(autoencoder, overrides, table):
     # every constant is finite on its own; their products are not
-    params = replace(make_params(), **overrides)
+    params = SystemParams(**dict(make_params().to_json_dict(), **overrides))
     with pytest.raises(ValueError, match=table):
         CostModel(autoencoder, params)
 

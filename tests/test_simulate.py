@@ -29,7 +29,7 @@ from edgesplit.simulate import (
 )
 from edgesplit.splitting import expected_etc
 
-from conftest import DOWNLINK_BPS, stop_cost, stop_probabilities
+from conftest import DOWNLINK_BPS, atom_pairs, stop_cost, stop_probabilities
 
 # the module, which the package's `simulate` function shadows as an attribute
 SIM = importlib.import_module("edgesplit.simulate")
@@ -115,8 +115,8 @@ def test_simulate_validates_trials(autoencoder, params, dist_d50):
 
 def _reference_quantile(d, u):
     if d.kind == "discrete":
-        cum = np.cumsum([p for _, p in d.atoms])
-        snrs = np.array([s for s, _ in d.atoms])
+        cum = np.cumsum([p for _, p in atom_pairs(d)])
+        snrs = np.array([s for s, _ in atom_pairs(d)])
         return snrs[np.minimum(np.searchsorted(cum, u, side="left"), len(snrs) - 1)]
     with np.errstate(divide="ignore"):
         return d.support_lo - d.mean_snr * np.log1p(-u)
@@ -357,7 +357,7 @@ def test_oracle_thresholds_bracket_continuous_thresholds(autoencoder, params, di
     pol = backward_induction(8, autoencoder, params, dist_d50)
     grid = dist_d50.discretize(4096)
     res = oracle_dp(8, autoencoder, params, grid)
-    snrs = [s for s, _ in grid.atoms]
+    snrs = [s for s, _ in atom_pairs(grid)]
     rel_gaps = []
     for cont_t, atom_t in zip(pol.thresholds, res.thresholds):
         if math.isinf(cont_t) or math.isinf(atom_t):

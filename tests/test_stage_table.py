@@ -28,6 +28,7 @@ from edgesplit.model_graph import LayerSpec, NetworkSpec
 from edgesplit.splitting import ThresholdPolicy, expected_etc
 
 from conftest import (
+    atom_pairs,
     channel_at,
     expect,
     inv_rate_tail,
@@ -420,7 +421,7 @@ def _enumerate(policy, net, params, ds):
     """Stop probabilities and expected cost over every atom sequence, by apply_rule."""
     probs = np.zeros(policy.horizon_M + 1)
     cost = 0.0
-    for seq in itertools.product(*(d.atoms for d in ds)):
+    for seq in itertools.product(*(atom_pairs(d) for d in ds)):
         p = math.prod(a[1] for a in seq)
         outcome = apply_rule(policy, [a[0] for a in seq], net, params)
         probs[outcome.stage - 1] += p

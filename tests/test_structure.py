@@ -1,8 +1,8 @@
 """Module boundaries: no edgesplit module imports another module's private
 names, only the cost model reads the cost constants, only the CLI catches a
 NumericalError, only the config module reads the config format, importing
-the package and its CLI pulls in no scipy, planning runs without numpy, the
-package exports an explicit list of names, the README quick start runs, the
+the package and its CLI pulls in no scipy, planning runs without numpy and
+without dataclasses, typing or pathlib, the package exports an explicit list of names, the README quick start runs, the
 process holds three memo caches and no more, and the functions the benchmark
 calls keep their signatures."""
 import ast
@@ -141,9 +141,15 @@ def test_import_is_scipy_free():
 
 
 # `place`, `thresholds` and every sweep axis on the three networks, a per-stage
-# list of laws and a discrete law; then `simulate`, which is the numpy path
+# list of laws and a discrete law, which load neither numpy nor the modules of
+# _UNUSED; then `simulate`, which is the numpy path, where site-packages is on
+# the path. With site, a .pth file may load typing and pathlib first.
+_UNUSED = ("dataclasses", "inspect", "ast", "dis", "typing", "pathlib")
 _PLANNING = """
 import json, sys
+unused = set(json.loads(sys.argv[3]))
+preloaded = unused.intersection(sys.modules)
+assert not (sys.flags.no_site and preloaded), preloaded
 import edgesplit, edgesplit.cli
 from edgesplit.cli import main
 out = sys.argv[1]
@@ -158,8 +164,11 @@ for i, cfg in enumerate(json.loads(sys.argv[2])):
         codes.append(main(["thresholds", "--config", path, "--out", f"{out}/{i}"]))
 assert codes == [0] * len(codes), codes
 assert "numpy" not in sys.modules
-assert main(["simulate", "--config", path, "--out", f"{out}/sim", "--trials", "200"]) in (0, 4)
-assert "numpy" in sys.modules and edgesplit.simulate.__module__ == "edgesplit.simulate"
+loaded = unused.intersection(sys.modules) - preloaded
+assert not loaded, loaded
+if not sys.flags.no_site:
+    assert main(["simulate", "--config", path, "--out", f"{out}/sim", "--trials", "200"]) in (0, 4)
+    assert "numpy" in sys.modules and edgesplit.simulate.__module__ == "edgesplit.simulate"
 """
 
 
@@ -177,9 +186,26 @@ def test_planning_runs_without_numpy(tmp_path):
     configs += [reference_config_dict(network=net, sweep=sweep, strategies=["optimal_exhaustive"])
                 for net in ("autoencoder", "alexnet", mlp12) for sweep in sweeps]
     configs.append(reference_config_dict(strategies=["optimal_exhaustive", "one_sla_exhaustive"]))
-    out = subprocess.run([sys.executable, "-c", _PLANNING, str(tmp_path), json.dumps(configs)],
-                         env=_src_env(), capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
+    for flags in ([], ["-S"]):  # with and without site
+        out_dir = tmp_path / ("no_site" if flags else "site")
+        out_dir.mkdir()
+        out = subprocess.run([sys.executable, *flags, "-c", _PLANNING, str(out_dir),
+                              json.dumps(configs), json.dumps(_UNUSED)],
+                             env=_src_env(), capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+
+
+def test_no_module_imports_dataclasses_typing_or_pathlib():
+    """Each would cost a CLI call its import: `dataclasses` also loads inspect,
+    ast, dis and tokenize. The records are `records.Record` classes."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            offenders += [f"{path.name}:{node.lineno} imports {n}" for n in names
+                          if n.partition(".")[0] in ("dataclasses", "typing", "pathlib")]
+    assert not offenders, offenders
 
 
 def _quick_start() -> str:
