@@ -23,7 +23,11 @@ of `python -m edgesplit.cli` calls on each:
 * a deep network whose three front layers take 1e11 to 1e14 cycles and the
   later ones 1 to 1e4, where omega(n) dwarfs a later layer's own cost, under
   `place` and `thresholds`;
-* the reproducers of known boundary defects and a set of malformed configs.
+* the reproducers of known boundary defects and a set of malformed configs;
+* reruns into one output directory, a longer result and then a shorter one
+  (`place` with four strategies and then one, `simulate` and a distance
+  sweep with two strategies and then one): a stale tail left by an in-place
+  rewrite shows as a changed file.
 
 It then lists the cases whose exit code or exit-2 field changed, the result
 files that changed, the largest relative move per column of each changed
@@ -232,6 +236,15 @@ def matrix():
     cases.append(("malformed/negative-seed", "simulate", config(strategies=RULES, seed=-1), []))
     cases.append(("malformed/hybrid", "simulate", base, []))
     cases.append(("malformed/no-sweep", "sweep", base, []))
+    # a longer run into the output directory first: (name, command, config, flags, earlier flags)
+    mlp = NETWORKS["mlp"][0]
+    cases.append(("rerun-shorter", "place", config(mlp, strategies=closed_form),
+                  ["--strategy", "hybrid"], []))
+    cases.append(("rerun-shorter", "simulate", config(mlp, strategies=RULES),
+                  ["--strategy", "one_sla_exhaustive"], []))
+    cases.append(("rerun-shorter", "sweep",
+                  config(mlp, strategies=RULES, sweep={"variable": "distance_m", "values": DISTANCES}),
+                  ["--strategy", "hybrid"], []))
     return cases
 
 
@@ -244,17 +257,19 @@ def export(rev, dest: Path):
 
 
 def run_matrix(tree: Path, work: Path, cases) -> dict:
-    """{case key: (exit code, exit-2 field, {file name: bytes})} for one tree."""
+    """{case key: (exit code, exit-2 field, {file name: bytes})} for one tree. A
+    case with earlier flags runs with them first, into the same output directory."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     results = {}
-    for i, (name, command, cfg, flags) in enumerate(cases):
+    for i, (name, command, cfg, flags, *earlier) in enumerate(cases):
         case_dir = work / f"{i:03d}"
         case_dir.mkdir()
         (case_dir / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
         out = case_dir / "out"
-        proc = subprocess.run([sys.executable, "-m", "edgesplit.cli", command, "--config",
-                               str(case_dir / "cfg.json"), "--out", str(out), *flags],
-                              cwd=case_dir, env=env, capture_output=True, text=True)
+        for run_flags in (*earlier, flags):
+            proc = subprocess.run([sys.executable, "-m", "edgesplit.cli", command, "--config",
+                                   str(case_dir / "cfg.json"), "--out", str(out), *run_flags],
+                                  cwd=case_dir, env=env, capture_output=True, text=True)
         field = re.search(r"\(field: ([^)]+)\)", proc.stderr) if proc.returncode == 2 else None
         files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))} if out.is_dir() else {}
         results[f"{name} [{command}{' ' + ' '.join(flags) if flags else ''}]"] = (

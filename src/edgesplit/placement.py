@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 
-from .channel import inv_rate_tails
 from .cost_model import SystemParams, uplink_rate
 from .errors import NumericalError
 from .model_graph import MlpSpec, NetworkSpec, build_mlp
@@ -146,12 +145,11 @@ def mlp_closed_form(problem: Problem, mlp: MlpSpec) -> PlacementReport:
     dist, params, cm, N = problem.dists[0], problem.params, problem.cm, problem.M
     X = mlp.neurons[0]
     delta = problem.one_sla.thresholds[0]
-    cont = dist.prob_below(delta)
+    (_, einv), (cont, tail) = problem.reads(dist, [0.0, delta])
     g = g_raw = None
     if cont > 0.0:
         w, margin = cm.weight(1), cm.local_gap(1) + problem.transmission[1]
         # E[1/R; SNR < delta]: the tail is closed at delta because a tie stops
-        einv, tail = inv_rate_tails(dist, [0.0, delta], params.bandwidth_hz)
         below = einv - tail
         # bracket of the decrement, computed both ways: directly, and simplified
         # through the threshold's indifference identity w / R(delta) = margin.

@@ -17,7 +17,9 @@ the stage threshold, otherwise stop at M+1.
 `Problem` owns the stopping problem: it turns a network, its constants and the
 stage laws into the cost model, the policies of both rules at every horizon
 and their stage tables. The module-level builders are one `Problem` each.
-Every E[1/R] tail is read off the law's table (`channel.inv_rate_tails`).
+Every read of a stage law at a threshold, P{SNR < t} and the E[1/R] tail off
+the law's table (`channel.inv_rate_tails`), goes through `Problem.reads`,
+which reads each (law, t) once per Problem.
 """
 from __future__ import annotations
 
@@ -185,8 +187,9 @@ class Problem:
     It is the one place where (net, params, dists) become the stage laws, the
     cost model and the policies of both rules. Built per CLI command, `place`
     request or sweep point, it builds on first use, and keeps on the instance
-    only, the transmission costs, the optimal recursion over 0..M and the
-    1-sla policy with its stage table. Nothing is kept across Problems.
+    only, the transmission costs, the optimal recursion over 0..M, the
+    1-sla policy with its stage table and the reads of its laws at their
+    thresholds. Nothing is kept across Problems.
     """
 
     def __init__(self, net: NetworkSpec, params: SystemParams, dists, M: int | None = None):
@@ -196,6 +199,24 @@ class Problem:
         self.net, self.params, self.M = net, params, M
         self.dists = per_stage(network_laws(net, dists), M + 1)
         self.cm = cost_model(net, params)
+        self._reads = {}  # id(law) -> {t: (P{SNR < t}, E[1/R; SNR >= t])}
+
+    def reads(self, law: StageDistribution, thresholds) -> list[tuple[float, float]]:
+        """(P{SNR < t}, E[1/R; SNR >= t]) of `law`, one of `self.dists`, at each t.
+
+        The thresholds this Problem has not read yet take one `prob_below` call
+        and one tail read, and are kept. The same (law, t) recurs across
+        horizons and rules: on an equal-width network every stage with the same
+        remaining horizon has the same threshold bit for bit, and the 1-sla
+        thresholds are the recursion's top stages. Both reads work element by
+        element, so a kept value is the one a fresh read would give.
+        """
+        known = self._reads.setdefault(id(law), {})
+        new = [t for t in dict.fromkeys(thresholds) if t not in known]
+        if new:
+            known.update(zip(new, zip(law.prob_below(new),
+                                      inv_rate_tails(law, new, self.params.bandwidth_hz))))
+        return [known[t] for t in thresholds]
 
     @cached_property
     def transmission(self) -> list[float]:
@@ -218,8 +239,8 @@ class Problem:
         Going on from stage n costs margin = excess + local_gap(n) over omega(n);
         the threshold is the indifference SNR of that margin (+inf: stopping never
         wins), the new excess weight * tail + margin * P{no stop}, from one
-        `prob_below` call and one tail read over all finite thresholds. Row M
-        holds horizon M: thresholds[M][:M] and values[M][:M+1].
+        `reads` over all finite thresholds. Row M holds horizon M:
+        thresholds[M][:M] and values[M][:M+1].
         """
         top = self.M
         ds, cm, bandwidth = self.dists, self.cm, self.params.bandwidth_hz
@@ -240,9 +261,7 @@ class Problem:
                 if t < math.inf:
                     stop.append((h, t))
             if stop:
-                ts = [t for _, t in stop]
-                for (h, _), cont, tail in zip(stop, ds[n - 1].prob_below(ts),
-                                              inv_rate_tails(ds[n - 1], ts, bandwidth)):
+                for (h, _), (cont, tail) in zip(stop, self.reads(ds[n - 1], [t for _, t in stop])):
                     excess[h] = weight * tail + excess[h] * cont
                     values[h][n - 1] = omega + excess[h]
         if not all(math.isfinite(v) for row in values for v in row):  # NaN would also give NaN thresholds
@@ -297,8 +316,8 @@ class Problem:
     def stage_table(self, policy: ThresholdPolicy) -> StageTable:
         """Stop statistics and stop costs of a policy at a horizon up to self.M.
 
-        The continue probabilities take one `prob_below` call and the stop costs
-        one tail read per distinct law over all of its finite thresholds.
+        The continue probabilities and the stop costs take one `reads` per
+        distinct law over all of its finite thresholds.
         """
         M = policy.horizon_M
         if M > self.M:
@@ -308,19 +327,14 @@ class Problem:
         for n, t in enumerate(thresholds):
             if t != math.inf:
                 stages_of.setdefault(id(ds[n]), []).append(n)
-        cont = [1.0] * M
+        cont, costs = [1.0] * M, [0.0] * M
         for stages in stages_of.values():
-            for n, p in zip(stages, ds[stages[0]].prob_below([thresholds[n] for n in stages])):
-                cont[n] = p
+            for n, (c, tail) in zip(stages, self.reads(ds[stages[0]], [thresholds[n] for n in stages])):
+                cont[n] = c
+                if c < 1.0:
+                    costs[n] = cm.omega(n + 1) + cm.weight(n + 1) * tail / (1.0 - c)
         reach = [1.0, *accumulate(cont, operator.mul)]
         stop_prob = [r * (1.0 - c) for r, c in zip(reach, cont)]
-        costs = [0.0] * M
-        for stages in stages_of.values():
-            tails = inv_rate_tails(ds[stages[0]], [thresholds[n] for n in stages],
-                                   self.params.bandwidth_hz)
-            for n, tail in zip(stages, tails):
-                if cont[n] < 1.0:
-                    costs[n] = cm.omega(n + 1) + cm.weight(n + 1) * tail / (1.0 - cont[n])
         return StageTable(cont, reach, stop_prob, costs)
 
     def optimality_probability(self, M: int) -> float:

@@ -617,6 +617,14 @@ def test_discretize_two_points(trunc):
         trunc.discretize(1)
 
 
+def test_discretize_rejects_masses_that_discrete_rejects(trunc):
+    """The left-to-right sum of 100000 masses of 1e-5 misses 1 by more than 1e-12."""
+    with pytest.raises(ValueError, match="sum to 1"):
+        StageDistribution.discrete([(float(k + 1), 1e-5) for k in range(100_000)])
+    with pytest.raises(ValueError, match="sum to 1"):
+        trunc.discretize(100_000)
+
+
 def test_discretize_mean_converges(trunc):
     true_mean = expect(trunc, lambda s: s)
     errors = []

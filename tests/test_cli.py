@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -514,6 +515,46 @@ def test_cmd_place_closed_form_on_equal_mlp(tmp_path):
     _, _, rows = read_csv(tmp_path / "placement.csv")
     best = {r[0]: int(r[1]) for r in rows if r[5] == "1"}
     assert best["mlp_closed_form"] == best["one_sla_exhaustive"]
+
+
+_MLP6 = {"mlp": {"neurons": [128] * 7, "lambda_bytes": 8, "mu_bytes": 8, "alpha": 100}}
+_ALL_STRATEGIES = ["optimal_exhaustive", "one_sla_exhaustive", "mlp_closed_form", "hybrid"]
+
+
+@pytest.mark.parametrize("command, flags", [("place", ["--strategy", "hybrid"]),
+                                            ("simulate", ["--strategy", "one_sla_exhaustive"])])
+def test_a_shorter_rerun_into_one_directory_leaves_the_bytes_of_a_fresh_run(tmp_path, command,
+                                                                            flags):
+    """Result files are overwritten in place and cut to length: a shorter result
+    over a longer one leaves no stale tail, and the file keeps its mode."""
+    strategies = _ALL_STRATEGIES if command == "place" else _ALL_STRATEGIES[:2]
+    cfg = write_config(tmp_path, reference_config_dict(network=_MLP6, strategies=strategies,
+                                                       trials=2000))
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    assert main([command, "--config", cfg, "--out", str(shared)]) == 0
+    first = {p.name: p.read_bytes() for p in shared.iterdir()}
+    for p in shared.iterdir():
+        p.chmod(0o600)
+    assert main([command, "--config", cfg, "--out", str(shared), *flags]) == 0
+    assert main([command, "--config", cfg, "--out", str(fresh), *flags]) == 0
+    rerun = {p.name: p.read_bytes() for p in shared.iterdir()}
+    assert rerun == {p.name: p.read_bytes() for p in fresh.iterdir()}
+    assert set(rerun) == set(first) and all(len(rerun[n]) < len(first[n]) for n in rerun)
+    assert {p.stat().st_mode & 0o777 for p in shared.iterdir()} == {0o600}
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_a_new_result_file_gets_the_mode_of_open_w(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        cli._write_text(tmp_path / "new.csv", "a,b\n\u00e9\n")
+        with open(tmp_path / "reference.csv", "w", encoding="utf-8") as fh:
+            fh.write("a,b\n\u00e9\n")
+    finally:
+        os.umask(old)
+    new, reference = (tmp_path / "new.csv").stat(), (tmp_path / "reference.csv").stat()
+    assert new.st_mode == reference.st_mode == 0o100666 & ~umask
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_closed_form_on_per_stage_laws_is_a_strategies_error(tmp_path, capsys):

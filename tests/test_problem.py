@@ -1,7 +1,7 @@
 """One `Problem` per request: the strategies run on it share its 1-sla sweep
 and its optimal recursion, and each reports exactly what a standalone
-`run_strategy` reports. Each CLI command builds one Problem, and reads each
-stage table it needs once."""
+`run_strategy` reports. Each CLI command builds one Problem, reads each
+stage table it needs once, and reads each stage law at each threshold once."""
 import json
 import math
 from functools import cached_property
@@ -16,8 +16,10 @@ from edgesplit import (
     run_strategy,
     splitting,
 )
+from edgesplit.channel import TailTable
 from edgesplit.cli import main
 from edgesplit.model_graph import MlpSpec, build_mlp
+from edgesplit.placement import STRATEGIES
 
 from conftest import DOWNLINK_BPS, channel_at, make_params, reference_config_dict
 from test_stage_table import _laws, _problems
@@ -181,3 +183,48 @@ def test_each_command_builds_exactly_one_problem(tmp_path, monkeypatch):
         problems.clear()
         assert _run(tmp_path, command, **overrides) == 0, command
         assert len(problems) == 1, (command, overrides)
+
+
+# -- each (law, threshold) read once per Problem -------------------------------------
+
+def _counting_tail_reads(monkeypatch):
+    """(table, t) for every threshold passed to `TailTable.tails`."""
+    reads = []
+    original = TailTable.tails
+
+    def tails(self, thresholds):
+        reads.extend((self, t) for t in thresholds)
+        return original(self, thresholds)
+
+    monkeypatch.setattr(TailTable, "tails", tails)
+    return reads
+
+
+def test_a_place_request_reads_each_law_at_each_threshold_once(tmp_path, monkeypatch):
+    """On an equal-width MLP a stage's threshold depends only on the remaining
+    horizon, bit for bit, and the 1-sla thresholds, the closed form's among them,
+    are the recursion's top stages: all four strategies on 12 layers read 12
+    partial panels (a suffix plus the rule from t to its panel's edge), and no
+    (law, t) twice."""
+    reads = _counting_tail_reads(monkeypatch)
+    problems = _counting(monkeypatch, Problem, "__init__")
+    mlp12 = {"mlp": {"neurons": [64] * 13, "lambda_bytes": 8, "mu_bytes": 8, "alpha": 100}}
+    assert _run(tmp_path, "place", network=mlp12, strategies=list(STRATEGIES)) == 0
+    assert len(problems) == 1
+    keys = [(id(table), t) for table, t in reads]
+    assert len(keys) == len(set(keys))
+    assert sum(table.edges[0] < t < table.near for table, t in reads) == 12
+
+
+def test_the_one_sla_table_reads_nothing_after_the_recursion(monkeypatch, autoencoder, params,
+                                                             dist_d50):
+    problem = Problem(autoencoder, params, dist_d50)
+    thresholds, _ = problem.optimal
+    reads = _counting_tail_reads(monkeypatch)
+    below = _counting(monkeypatch, StageDistribution, "prob_below")
+    problem.one_sla_table
+    assert (reads, below) == ([], [])
+    # what the Problem keeps is what a read of one threshold on a new Problem gives
+    ts = sorted({t for row in thresholds for t in row if t < math.inf})
+    fresh = [Problem(autoencoder, params, dist_d50).reads(dist_d50, [t])[0] for t in ts]
+    assert problem.reads(dist_d50, ts) == fresh

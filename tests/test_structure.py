@@ -3,8 +3,8 @@ names, only the cost model reads the cost constants, only the CLI catches a
 NumericalError, only the config module reads the config format, importing
 the package and its CLI pulls in no scipy, planning runs without numpy and
 without dataclasses, typing or pathlib, the package exports an explicit list of names, the README quick start runs, the
-process holds three memo caches and no more, and the functions the benchmark
-calls keep their signatures."""
+process holds three memo caches and no more, one helper writes every result
+file, and the functions the benchmark calls keep their signatures."""
 import ast
 import inspect
 import json
@@ -271,6 +271,32 @@ def test_the_only_memo_caches_are_the_known_three():
                   if isinstance(node, ast.Call) and _cache_name(node)
                   and id(node.func) not in decorators and id(node) not in decorators]
     assert decorated == _MEMO_CACHES and not calls, (decorated, calls)
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether a call is `open(...)` with a mode that writes, or `os.open` or
+    `os.fdopen`, which take their mode as flags."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr in ("open", "fdopen")
+    if getattr(func, "id", None) != "open":
+        return False
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[1:2]
+    return any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+") for m in modes)
+
+
+def test_every_result_file_is_written_by_write_text():
+    """`cli._write_text` rewrites a file in place and cuts it to length; no other
+    code in src/ opens a file for writing."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = [range(fn.lineno, fn.end_lineno + 1) for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_write_text" and path.name == "cli.py"]
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and _opens_for_writing(node)
+                      and not any(node.lineno in lines for lines in helper)]
+    assert not offenders, offenders
 
 
 # The functions perfbench/ calls, with the parameters it passes by position.
