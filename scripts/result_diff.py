@@ -26,8 +26,9 @@ of `python -m edgesplit.cli` calls on each:
 * the reproducers of known boundary defects and a set of malformed configs;
 * reruns into one output directory, a longer result and then a shorter one
   (`place` with four strategies and then one, `simulate` and a distance
-  sweep with two strategies and then one): a stale tail left by an in-place
-  rewrite shows as a changed file.
+  sweep with two strategies and then one): a rewrite that leaves part of the
+  longer result shows as a changed file. Every longer run must exit 0; one
+  that does not is listed, on either tree, and fails the diff.
 
 It then lists the cases whose exit code or exit-2 field changed, the result
 files that changed, the largest relative move per column of each changed
@@ -258,7 +259,8 @@ def export(rev, dest: Path):
 
 def run_matrix(tree: Path, work: Path, cases) -> dict:
     """{case key: (exit code, exit-2 field, {file name: bytes})} for one tree. A
-    case with earlier flags runs with them first, into the same output directory."""
+    case with earlier flags runs with them first, into the same output directory,
+    and its exit code is then the tuple of every run's."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     results = {}
     for i, (name, command, cfg, flags, *earlier) in enumerate(cases):
@@ -266,14 +268,16 @@ def run_matrix(tree: Path, work: Path, cases) -> dict:
         case_dir.mkdir()
         (case_dir / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
         out = case_dir / "out"
+        codes = []
         for run_flags in (*earlier, flags):
             proc = subprocess.run([sys.executable, "-m", "edgesplit.cli", command, "--config",
                                    str(case_dir / "cfg.json"), "--out", str(out), *run_flags],
                                   cwd=case_dir, env=env, capture_output=True, text=True)
+            codes.append(proc.returncode)
         field = re.search(r"\(field: ([^)]+)\)", proc.stderr) if proc.returncode == 2 else None
         files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))} if out.is_dir() else {}
         results[f"{name} [{command}{' ' + ' '.join(flags) if flags else ''}]"] = (
-            proc.returncode, field.group(1) if field else None, files)
+            tuple(codes) if earlier else proc.returncode, field.group(1) if field else None, files)
     return results
 
 
@@ -349,6 +353,9 @@ def main():
             results[side] = run_matrix(tree, runs, cases)
 
     changed_exit, changed_files, moves, best_flags, same_files = [], [], {}, [], 0
+    failed_earlier = [(rev, key, code) for side, rev in (("a", args.rev_a), ("b", args.rev_b))
+                      for key, (code, _, _) in results[side].items()
+                      if isinstance(code, tuple) and any(code[:-1])]
     for key, (code_a, field_a, files_a) in results["a"].items():
         code_b, field_b, files_b = results["b"][key]
         if (code_a, field_a) != (code_b, field_b):
@@ -365,6 +372,9 @@ def main():
 
     print(f"{len(cases)} cases: {args.rev_a} -> {args.rev_b}")
     print(f"{same_files} result files byte-identical, {len(changed_files)} changed")
+    print(f"\nrerun cases whose longer run did not exit 0: {len(failed_earlier)}")
+    for rev, key, code in failed_earlier:
+        print(f"  {rev} {key}: exit codes {code}")
     print(f"\nexit code or exit-2 field changed: {len(changed_exit)}")
     for key, code_a, field_a, code_b, field_b in changed_exit:
         print(f"  {key}: {code_a} ({field_a}) -> {code_b} ({field_b})")
@@ -378,7 +388,7 @@ def main():
     print(f"\nchanged best flags: {len(best_flags)}")
     for name, row, a, b in best_flags:
         print(f"  {name} {','.join(row)}: {a} -> {b}")
-    return 1 if changed_exit or changed_files else 0
+    return 1 if failed_earlier or changed_exit or changed_files else 0
 
 
 if __name__ == "__main__":

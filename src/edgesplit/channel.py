@@ -315,10 +315,9 @@ class StageDistribution(Record):
     def discretize(self, grid_points: int) -> "StageDistribution":
         """Equal-mass atoms at quantile midpoints (probability-matched grid).
 
-        The SNR column is checked once, in numpy. A column that passes what
-        `__init__` checks is the law's as it is; any other goes through
-        `_merged`, which merges repeated quantiles (a law with atoms has them)
-        and raises on what is left.
+        The quantile column is sorted; it goes through `_merged` only when it
+        repeats a value (a law with atoms has repeated quantiles), so its order
+        is checked in numpy and then once more by `__init__`, not in Python twice.
         """
         if grid_points < 2:
             raise ValueError("grid_points must be at least 2")
@@ -326,15 +325,9 @@ class StageDistribution(Record):
 
         q = self.quantile((np.arange(grid_points) + 0.5) / grid_points)
         probs = [1.0 / grid_points] * grid_points
-        # written so that NaN fails; the left-to-right sum, as __init__ takes it
-        if not (q[0] > 0 and q[-1] < math.inf and (q[1:] > q[:-1]).all()
-                and abs(sum(probs) - 1.0) <= 1e-12):
+        if not (q[1:] > q[:-1]).all():  # also NaN, which `__init__` then rejects
             return StageDistribution._merged(q.tolist(), probs)
-        snrs = tuple(q.tolist())
-        # 1 / grid_points > 0; every other check of __init__ is the one above
-        law = object.__new__(StageDistribution)
-        law._set("discrete", None, snrs[0], snrs, tuple(probs))
-        return law
+        return StageDistribution("discrete", snrs=tuple(q.tolist()), probs=tuple(probs))
 
     # -- serialization ------------------------------------------------------
 

@@ -525,8 +525,8 @@ _ALL_STRATEGIES = ["optimal_exhaustive", "one_sla_exhaustive", "mlp_closed_form"
                                             ("simulate", ["--strategy", "one_sla_exhaustive"])])
 def test_a_shorter_rerun_into_one_directory_leaves_the_bytes_of_a_fresh_run(tmp_path, command,
                                                                             flags):
-    """Result files are overwritten in place and cut to length: a shorter result
-    over a longer one leaves no stale tail, and the file keeps its mode."""
+    """A shorter result written over a longer one leaves no stale tail, and a
+    rewritten file keeps its mode."""
     strategies = _ALL_STRATEGIES if command == "place" else _ALL_STRATEGIES[:2]
     cfg = write_config(tmp_path, reference_config_dict(network=_MLP6, strategies=strategies,
                                                        trials=2000))

@@ -286,8 +286,8 @@ def _opens_for_writing(call: ast.Call) -> bool:
 
 
 def test_every_result_file_is_written_by_write_text():
-    """`cli._write_text` rewrites a file in place and cuts it to length; no other
-    code in src/ opens a file for writing."""
+    """`cli._write_text` truncates a result file and writes it; no other code in
+    src/ opens a file for writing."""
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
