@@ -23,7 +23,12 @@ of `python -m edgesplit.cli` calls on each:
 * a deep network whose three front layers take 1e11 to 1e14 cycles and the
   later ones 1 to 1e4, where omega(n) dwarfs a later layer's own cost, under
   `place` and `thresholds`;
-* the reproducers of known boundary defects and a set of malformed configs;
+* one path-loss law, shared or listed once per stage, on a 12-layer
+  equal-width MLP under `place`, `thresholds`, `simulate` and a distance
+  sweep, and a distance sweep on a list whose stages differ in distance
+  alone;
+* the reproducers of known boundary defects and a set of malformed configs,
+  and an `--out` that names a file or a path under one;
 * reruns into one output directory, a longer result and then a shorter one
   (`place` with four strategies and then one, `simulate` and a distance
   sweep with two strategies and then one): a rewrite that leaves part of the
@@ -143,6 +148,21 @@ def matrix():
     cases.append(("per-stage-pathloss/sweep-distance", "sweep",
                   config(channel=[pathloss(d) for d in (10, 20, 40, 50, 80, 100, 150, 200, 300)],
                          strategies=RULES, sweep={"variable": "distance_m", "values": [10, 100]}), []))
+    # one law listed once per stage of a 12-layer equal-width MLP: planned as the shared law
+    mlp12 = {"mlp": {"neurons": [64] * 13, "lambda_bytes": 8, "mu_bytes": 8, "alpha": 100}}
+    every = DEFAULT_STRATEGIES + ["mlp_closed_form"]
+    for name, channel in (("shared", pathloss(50)), ("identical-list", [pathloss(50)] * 13)):
+        for command, fields in (("place", {"strategies": every}), ("thresholds", {}),
+                                ("simulate", {"strategies": RULES})):
+            cases.append((f"mlp12/{name}", command, config(mlp12, channel=channel, **fields), []))
+        cases.append((f"mlp12/{name}/sweep-distance", "sweep",
+                      config(mlp12, channel=channel, strategies=every,
+                             sweep={"variable": "distance_m", "values": [10, 100]}), []))
+    # stages that differ in distance alone share one law at every point of a distance sweep
+    cases.append(("per-stage-two-distances/sweep-distance", "sweep",
+                  config(NETWORKS["mlp"][0], channel=[pathloss(50), pathloss(80)] * 3,
+                         strategies=DEFAULT_STRATEGIES + ["mlp_closed_form"],
+                         sweep={"variable": "distance_m", "values": [20, 80]}), []))
     # horizon 0 observes stage 1 only, so one law is enough
     for name, channel in (("shared", pathloss(50)), ("one-law-list", [pathloss(50)])):
         for command in ("thresholds", "simulate"):
@@ -237,6 +257,9 @@ def matrix():
     cases.append(("malformed/negative-seed", "simulate", config(strategies=RULES, seed=-1), []))
     cases.append(("malformed/hybrid", "simulate", base, []))
     cases.append(("malformed/no-sweep", "sweep", base, []))
+    # the last --out wins: a file of the case directory, and a path under it
+    for out in ("cfg.json", "cfg.json/x"):
+        cases.append(("malformed/out-names-a-file", "place", base, ["--out", out]))
     # a longer run into the output directory first: (name, command, config, flags, earlier flags)
     mlp = NETWORKS["mlp"][0]
     cases.append(("rerun-shorter", "place", config(mlp, strategies=closed_form),

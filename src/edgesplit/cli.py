@@ -65,8 +65,8 @@ def _json(obj, pad: str = "\n") -> str:
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
-    dists = cfg.stage_dists(1)
-    floor = dists[0].support_lo if dists[0].kind != "discrete" else None
+    law = cfg.stage_dists(1)[0]
+    floor = law.support_lo if law.kind != "discrete" else None
     return {
         "tool": "edgesplit",
         "version": __version__,
@@ -111,29 +111,28 @@ def cmd_thresholds(cfg: ExperimentConfig, out: str) -> int:
     return 0
 
 
-def _stage_laws(cfg: ExperimentConfig, distance: float | None):
-    """The N + 1 stage laws of the request (distance None), or of the
-    distance-sweep point at `distance`. With `mlp_closed_form` among the strategies, a network that is
-    not an equal-width MLP and laws that are not one shared law are config
-    errors: the closed form applies to neither."""
+def _problem(cfg: ExperimentConfig, params, laws) -> Problem:
+    """The N-layer Problem on the config's laws or a distance-sweep point's, of
+    which there are as many. Too few for N + 1 stages is a config error; so,
+    with `mlp_closed_form` among the strategies, are a network that is not an
+    equal-width MLP and laws that are not one shared law."""
     closed_form = "mlp_closed_form" in cfg.strategies
     if closed_form and cfg.mlp is None:
-        raise ConfigError("strategy mlp_closed_form needs an MLP network",
-                          field="strategies")
+        raise ConfigError("strategy mlp_closed_form needs an MLP network", field="strategies")
     if closed_form and not cfg.mlp.is_equal_width:
         raise ConfigError("strategy mlp_closed_form needs equal widths at every layer",
                           field="strategies")
-    dists = cfg.stage_dists(cfg.network.N + 1, distance_override=distance)
-    if closed_form and len(set(dists)) != 1:
+    cfg.stage_dists(cfg.network.N + 1)  # the ConfigError of too few laws
+    problem = Problem(cfg.network, params, laws)
+    if closed_form and len(set(problem.dists)) != 1:
         raise ConfigError("strategy mlp_closed_form needs one channel law shared by every stage",
                           field="strategies")
-    return dists
+    return problem
 
 
 def cmd_place(cfg: ExperimentConfig, out: str) -> int:
-    dists = _stage_laws(cfg, None)
-    problem = Problem(cfg.network, cfg.params, dists)
-    reports = [run_strategy(s, cfg.network, cfg.params, dists, mlp=cfg.mlp, problem=problem)
+    problem = _problem(cfg, cfg.params, cfg.laws)
+    reports = [run_strategy(s, cfg.network, cfg.params, problem.dists, mlp=cfg.mlp, problem=problem)
                for s in cfg.strategies]
     rows = [r for rep in reports for r in rep.to_csv_rows()]
     metadata = _metadata(cfg)
@@ -143,13 +142,6 @@ def cmd_place(cfg: ExperimentConfig, out: str) -> int:
         "reports": [rep.to_json_dict() for rep in reports],
     })
     return 0
-
-
-def _sweep_point(cfg: ExperimentConfig, variable: str, value):
-    """Params and distributions of one point of a distance or updates sweep."""
-    if variable == "distance_m":
-        return cfg.params, _stage_laws(cfg, value)
-    return cfg.params.with_updates(value), _stage_laws(cfg, None)
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: str) -> int:
@@ -162,9 +154,9 @@ def cmd_sweep(cfg: ExperimentConfig, out: str) -> int:
             raise ConfigError(
                 f"an M sweep evaluates stopping rules; unsupported strategies {bad}",
                 field="strategies")
-        dists = cfg.stage_dists(cfg.network.N + 1)
-        problem = Problem(cfg.network, cfg.params, dists)  # one for the whole M axis
-        reports = [run_strategy(s, cfg.network, cfg.params, dists, problem=problem) for s in cfg.strategies]
+        problem = Problem(cfg.network, cfg.params, cfg.stage_dists(cfg.network.N + 1))  # the whole axis
+        reports = [run_strategy(s, cfg.network, cfg.params, problem.dists, problem=problem)
+                   for s in cfg.strategies]
         for M in cfg.sweep.values:
             opt_prob = problem.optimality_probability(M)
             for rep in reports:
@@ -172,11 +164,13 @@ def cmd_sweep(cfg: ExperimentConfig, out: str) -> int:
                 rows.append(f"{_fmt(float(M))},{rep.strategy},{M},{_fmt(row.Z)},"
                             f"{_fmt(row.expected_etc)},{_fmt(opt_prob)}")
     else:
-        for value in cfg.sweep.values:
-            params, dists = _sweep_point(cfg, cfg.sweep.variable, value)
-            problem = Problem(cfg.network, params, dists)
+        distance = cfg.sweep.variable == "distance_m"
+        for k, value in enumerate(cfg.sweep.values):
+            params = cfg.params if distance else cfg.params.with_updates(value)
+            problem = _problem(cfg, params, cfg.sweep.laws[k] if distance else cfg.laws)
             for strategy in cfg.strategies:
-                rep = run_strategy(strategy, cfg.network, params, dists, mlp=cfg.mlp, problem=problem)
+                rep = run_strategy(strategy, cfg.network, params, problem.dists, mlp=cfg.mlp,
+                                   problem=problem)
                 best = rep.row(rep.best_M)
                 rows.append(f"{_fmt(float(value))},{strategy},{rep.best_M},"
                             f"{_fmt(best.Z)},{_fmt(best.expected_etc)},")
@@ -203,7 +197,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: str) -> int:
     all_ok = True
     for rule in rules:
         policy = problem.policy(rule, M)
-        result = simulate(policy, cfg.network, cfg.params, problem.dists, cfg.trials, cfg.seed)
+        result = simulate(problem, policy, cfg.trials, cfg.seed)
         table = problem.stage_table(policy)
         analytic_mean = table.expected_etc(M, problem.forced[M])
         analytic_probs = [*table.stop_prob, table.reach[M]]
@@ -215,7 +209,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: str) -> int:
             if abs(freq - p) > 3.0 * sigma + 1.0 / result.trials:
                 bins_ok = False
         all_ok = all_ok and mean_ok and bins_ok
-        entry = sim_report_json(result, policy, cfg.network, cfg.params, problem.dists)
+        entry = sim_report_json(result, policy, problem)
         entry.update({
             "rule": rule,
             "analytic_mean_etc": analytic_mean,
@@ -278,7 +272,11 @@ def main(argv=None) -> int:
                 raw["strategies"] = args.strategy
         cfg = load_config(raw)
         out = args.out or os.curdir  # an empty --out is the working directory
-        os.makedirs(out, exist_ok=True)
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:  # a file in the way, or a directory that cannot be made
+            raise ConfigError(f"cannot make the output directory {out!r}: {exc.strerror}",
+                              field="--out") from exc
         handler = {
             "thresholds": cmd_thresholds,
             "place": cmd_place,

@@ -130,43 +130,56 @@ def _law(spec, params: SystemParams) -> StageDistribution:
     return _make(getattr(StageDistribution, kind), "channel", **args)
 
 
+def _laws(channel, params: SystemParams, **changes):
+    """The law of a channel spec, shared by every stage, or the tuple of the
+    laws of a list of specs, one per stage; `changes` replace keys of each spec."""
+    if isinstance(channel, list):
+        return tuple(_law(dict(spec, **changes) if changes else spec, params) for spec in channel)
+    return _law(dict(channel, **changes) if changes else channel, params)
+
+
+def _point_laws(channel, params: SystemParams, variable: str, values: tuple) -> tuple | None:
+    """The channel laws at each value of a distance sweep; None on the other axes."""
+    if variable != "distance_m":
+        return None
+    specs = channel if isinstance(channel, list) else [channel]
+    if any(spec["kind"] != "pathloss_rayleigh" for spec in specs):
+        raise ConfigError("a distance sweep needs a 'pathloss_rayleigh' channel for every stage",
+                          field="channel.kind")
+    try:
+        return tuple(_laws(channel, params, distance_m=value) for value in values)
+    except ConfigError as exc:  # each spec is valid at its own distance
+        raise ConfigError(f"invalid sweep.values: {exc}", field="sweep.values") from exc
+
+
 class SweepSpec(Record):
-    """The sweep axis, one of SWEEP_VARIABLES, and its values."""
+    """The sweep axis, one of SWEEP_VARIABLES, and its values. On a distance
+    sweep `laws` holds the channel laws at each value; on the others it is None."""
 
-    __slots__ = ("variable", "values")
+    __slots__ = ("variable", "values", "laws")
 
-    def __init__(self, variable: str, values: tuple):
-        self._set(variable, values)
+    def __init__(self, variable: str, values: tuple, laws: tuple | None):
+        self._set(variable, values, laws)
 
 
 class ExperimentConfig(Record):
-    """A checked config: the domain objects, and the raw document with its channel spec."""
+    """A checked config: the domain objects, its channel laws and the raw document."""
 
-    __slots__ = ("raw", "network", "mlp", "params", "channel_raw", "horizon_M", "sweep",
+    __slots__ = ("raw", "network", "mlp", "params", "laws", "horizon_M", "sweep",
                  "strategies", "trials", "seed")
 
     def __init__(self, raw: dict, network: NetworkSpec, mlp: MlpSpec | None, params: SystemParams,
-                 channel_raw, horizon_M: int, sweep: SweepSpec | None, strategies: tuple,
+                 laws, horizon_M: int, sweep: SweepSpec | None, strategies: tuple,
                  trials: int, seed: int | None):
-        self._set(raw, network, mlp, params, channel_raw, horizon_M, sweep, strategies, trials, seed)
+        self._set(raw, network, mlp, params, laws, horizon_M, sweep, strategies, trials, seed)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def stage_dists(self, count: int,
-                    distance_override: float | None = None) -> tuple[StageDistribution, ...]:
-        """Resolve the channel spec into per-stage laws for `count` stages."""
-        shared = not isinstance(self.channel_raw, list)
-        specs = [self.channel_raw] if shared else self.channel_raw
-        if distance_override is not None:
-            if any(s.get("kind") != "pathloss_rayleigh" for s in specs):
-                raise ConfigError(
-                    "a distance sweep needs a 'pathloss_rayleigh' channel for every stage",
-                    field="channel.kind")
-            specs = [dict(s, distance_m=distance_override) for s in specs]
-        dists = [_law(s, self.params) for s in specs]
-        return _make(per_stage, "channel", dists[0] if shared else dists, count)
+    def stage_dists(self, count: int) -> tuple[StageDistribution, ...]:
+        """The channel laws for `count` stages; a list of fewer is a ConfigError."""
+        return _make(per_stage, "channel", self.laws, count)
 
 
 def _network(obj, params: SystemParams):
@@ -192,7 +205,7 @@ def _network(obj, params: SystemParams):
     raise ConfigError("network must be a preset name or an object", field="network")
 
 
-def _sweep(sw, network: NetworkSpec, params: SystemParams) -> SweepSpec:
+def _sweep(sw, network: NetworkSpec, params: SystemParams) -> tuple[str, tuple]:
     if not isinstance(sw, dict):
         raise ConfigError(f"sweep must be a JSON object, got {sw!r}", field="sweep")
     variable = sw.get("variable")
@@ -207,7 +220,7 @@ def _sweep(sw, network: NetworkSpec, params: SystemParams) -> SweepSpec:
     if variable == "updates_per_model":
         for v in values:  # SystemParams validates each value
             _make(params.with_updates, "sweep.values", v)
-    return SweepSpec(variable, values)
+    return variable, values
 
 
 def load_config(raw: dict) -> ExperimentConfig:
@@ -231,7 +244,7 @@ def load_config(raw: dict) -> ExperimentConfig:
     if not 0 <= horizon <= network.N:
         raise ConfigError(f"horizon_M must lie in [0, {network.N}]", field="horizon_M")
 
-    sweep = _sweep(raw["sweep"], network, params) if "sweep" in raw else None
+    axis = _sweep(raw["sweep"], network, params) if "sweep" in raw else None
 
     strategies = raw.get("strategies", ["optimal_exhaustive", "one_sla_exhaustive", "hybrid"])
     if not isinstance(strategies, list):
@@ -251,23 +264,13 @@ def load_config(raw: dict) -> ExperimentConfig:
     if seed is not None:  # null plans; only simulate, which draws, rejects it
         seed = _make(json_integer, "seed", seed, "seed")
 
-    cfg = ExperimentConfig(
-        raw=raw, network=network, mlp=mlp, params=params,
-        channel_raw=raw["channel"], horizon_M=horizon, sweep=sweep,
-        strategies=strategies, trials=trials, seed=seed,
-    )
-    if isinstance(raw["channel"], list) and len(raw["channel"]) > network.N + 1:
-        raise ConfigError(f"a per-stage channel list holds at most one law per stage 1..N+1, "
-                          f"{network.N + 1} here, got {len(raw['channel'])}", field="channel")
-    # fail fast on an unusable channel spec, including any distance sweep point's law
-    cfg.stage_dists(1)
-    if sweep is not None and sweep.variable == "distance_m":
-        for value in sweep.values:
-            try:
-                cfg.stage_dists(1, distance_override=value)
-            except ConfigError as exc:
-                if exc.field != "channel":
-                    raise
-                raise ConfigError(f"invalid sweep.values: {exc}", field="sweep.values") from exc
+    channel = raw["channel"]
+    if isinstance(channel, list) and not 1 <= len(channel) <= network.N + 1:
+        raise ConfigError(f"a per-stage channel list holds one law per stage 1..N+1, so 1 to "
+                          f"{network.N + 1} here, got {len(channel)}", field="channel")
+    laws = _laws(channel, params)  # fail fast on an unusable channel spec
+    sweep = None if axis is None else SweepSpec(*axis, _point_laws(channel, params, *axis))
     _make(cost_model, "params", network, params)  # no overflowing cost tables
-    return cfg
+    return ExperimentConfig(raw=raw, network=network, mlp=mlp, params=params, laws=laws,
+                            horizon_M=horizon, sweep=sweep, strategies=strategies,
+                            trials=trials, seed=seed)

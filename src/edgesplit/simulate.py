@@ -4,12 +4,12 @@ The simulator draws uniforms from one PCG64 stream in trial-major order, in
 blocks of at most _CHUNK_TRIALS trials whose size no result depends on, and
 applies a threshold policy one stage
 at a time: a stage's inverse CDF runs only on the uniforms of the trials that
-have not stopped yet.
+have not stopped yet, on the laws and costs of a `splitting.Problem`.
 
 The oracle solves the stopping problem exactly on discrete (atom) channel
 laws by direct recursion on the value function. It shares the cost
-primitives but none of the threshold logic, so agreement with the
-backward-induction path is a genuine cross-check rather than a tautology.
+primitives but no Problem and none of the threshold logic, so agreement with
+the backward-induction path is a genuine cross-check rather than a tautology.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .channel import per_stage
 from .cost_model import SystemParams, cost_model
 from .model_graph import NetworkSpec
 from .records import Record
-from .splitting import ThresholdPolicy, backward_induction, network_laws, one_sla_thresholds
+from .splitting import Problem, ThresholdPolicy, network_laws
 
 RNG_ALGORITHM = "numpy-pcg64"
 # the most trials drawn and evaluated in one block of uniforms
@@ -111,20 +111,17 @@ def _agreements(u, ds, t_a, t_b) -> int:
     return agree + (len(u) if live is None else len(live))
 
 
-def simulate(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, dists,
-             trials: int, seed: int) -> SimResult:
-    """Average realized cost of a policy over independent SNR draws.
-
-    The policy's horizon may not exceed the network's N, and `dists` is one
-    shared law or at most N + 1 laws (`splitting.network_laws`)."""
+def simulate(problem: Problem, policy: ThresholdPolicy, trials: int, seed: int) -> SimResult:
+    """Average realized cost of a policy over independent SNR draws from the
+    stage laws of `problem`, at the costs of its cost model. A policy whose
+    horizon exceeds the Problem's is a ValueError."""
     import numpy as np
 
     M = policy.horizon_M
-    if M > net.N:
-        raise ValueError(f"policy horizon_M = {M} exceeds the network's N = {net.N}")
+    if M > problem.M:
+        raise ValueError(f"policy horizon_M = {M} exceeds the Problem's horizon M = {problem.M}")
     blocks = _uniform_blocks(trials, M + 1, seed)
-    ds = per_stage(network_laws(net, dists), M + 1)
-    cm = cost_model(net, params)
+    ds, cm = problem.dists, problem.cm
 
     total = 0.0
     total_sq = 0.0
@@ -149,13 +146,12 @@ def simulate(policy: ThresholdPolicy, net: NetworkSpec, params: SystemParams, di
 
 def coincidence_rate(M: int, net: NetworkSpec, params: SystemParams, dists,
                      trials: int, seed: int) -> float:
-    """Fraction of SNR sequences on which the 1-sla and optimal rules pick the
-    same split stage. `dists` is one shared law or at most N + 1 laws."""
+    """Fraction of SNR sequences on which the 1-sla and optimal rules of the
+    Problem at horizon M pick the same split stage; `dists` as in `Problem`."""
     blocks = _uniform_blocks(trials, M + 1, seed)
-    ds = per_stage(network_laws(net, dists), M + 1)
-    t_opt = backward_induction(M, net, params, ds).thresholds
-    t_sla = one_sla_thresholds(M, net, params, ds).thresholds
-    agree = sum(_agreements(u, ds, t_opt, t_sla) for u in blocks)
+    problem = Problem(net, params, dists, M)
+    t_opt, t_sla = (problem.policy(rule, M).thresholds for rule in ("optimal", "one_sla"))
+    agree = sum(_agreements(u, problem.dists, t_opt, t_sla) for u in blocks)
     return agree / trials
 
 
@@ -202,10 +198,8 @@ def network_hash(net: NetworkSpec) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def sim_report_json(result: SimResult, policy: ThresholdPolicy, net: NetworkSpec,
-                    params: SystemParams, dists) -> dict:
+def sim_report_json(result: SimResult, policy: ThresholdPolicy, problem: Problem) -> dict:
     """Audit record: result plus everything needed to reproduce it."""
-    ds = per_stage(dists, policy.horizon_M + 1)
     return {
         "trials": result.trials,
         "mean_etc": result.mean_etc,
@@ -214,7 +208,7 @@ def sim_report_json(result: SimResult, policy: ThresholdPolicy, net: NetworkSpec
         "seed": result.seed,
         "rng_algorithm": RNG_ALGORITHM,
         "policy": policy.to_json_dict(),
-        "network_sha256": network_hash(net),
-        "params": params.to_json_dict(),
-        "stage_distributions": [d.to_json_dict() for d in ds],
+        "network_sha256": network_hash(problem.net),
+        "params": problem.params.to_json_dict(),
+        "stage_distributions": [d.to_json_dict() for d in problem.dists[:policy.horizon_M + 1]],
     }

@@ -184,12 +184,12 @@ class Problem:
     law shared by every stage or a sequence of at most N + 1 laws, one per
     stage (`network_laws`).
 
-    It is the one place where (net, params, dists) become the stage laws, the
-    cost model and the policies of both rules. Built per CLI command, `place`
-    request or sweep point, it builds on first use, and keeps on the instance
-    only, the transmission costs, the optimal recursion over 0..M, the
-    1-sla policy with its stage table and the reads of its laws at their
-    thresholds. Nothing is kept across Problems.
+    It is the one place where (net, params, dists) become the stage laws, one
+    object per distinct law, the cost model and the policies of both rules.
+    Built per CLI command, `place` request or sweep point, it builds on first
+    use, and keeps on the instance only, the transmission costs, the optimal
+    recursion over 0..M, the 1-sla policy with its stage table and the reads
+    of its laws at their thresholds. Nothing is kept across Problems.
     """
 
     def __init__(self, net: NetworkSpec, params: SystemParams, dists, M: int | None = None):
@@ -197,7 +197,8 @@ class Problem:
         if not 0 <= M <= net.N:
             raise ValueError(f"M must lie in [0, {net.N}]")
         self.net, self.params, self.M = net, params, M
-        self.dists = per_stage(network_laws(net, dists), M + 1)
+        kept = {}  # equal laws become one object, so their stages share its reads
+        self.dists = tuple(kept.setdefault(d, d) for d in per_stage(network_laws(net, dists), M + 1))
         self.cm = cost_model(net, params)
         self._reads = {}  # id(law) -> {t: (P{SNR < t}, E[1/R; SNR >= t])}
 

@@ -192,6 +192,7 @@ def test_criterion_7_monte_carlo_agreement(autoencoder, params, dist_d50):
     trials = 1_000_000
     ok = True
     slowest = 0.0
+    problem = Problem(autoencoder, params, dist_d50)
     for rule in ("optimal", "one_sla"):
         for M in range(autoencoder.N + 1):
             started = time.monotonic()
@@ -201,7 +202,7 @@ def test_criterion_7_monte_carlo_agreement(autoencoder, params, dist_d50):
                 policy = backward_induction(M, autoencoder, params, dist_d50)
             else:
                 policy = one_sla_thresholds(M, autoencoder, params, dist_d50)
-            res = simulate(policy, autoencoder, params, dist_d50, trials, seed=90 + M)
+            res = simulate(problem, policy, trials, seed=90 + M)
             analytic = expected_etc(policy, autoencoder, params, dist_d50)
             probs = stop_probabilities(policy, autoencoder, params, dist_d50)
             mean_ok = abs(res.mean_etc - analytic) <= 3 * res.std_error

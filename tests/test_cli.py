@@ -372,7 +372,7 @@ def test_distance_sweep_over_pathloss_list_moves_every_stage(tmp_path):
                                 strategies=["optimal_exhaustive"],
                                 sweep={"variable": "distance_m", "values": [10, 100]})
     cfg = load_config(raw)
-    near, far = (cfg.stage_dists(9, distance_override=d) for d in (10.0, 100.0))
+    near, far = cfg.sweep.laws
     assert all(n.mean_snr > f.mean_snr for n, f in zip(near, far))
     assert main(["sweep", "--config", write_config(tmp_path, raw), "--out", str(tmp_path)]) == 0
     _, _, rows = read_csv(tmp_path / "sweep.csv")
@@ -541,6 +541,20 @@ def test_a_shorter_rerun_into_one_directory_leaves_the_bytes_of_a_fresh_run(tmp_
     assert rerun == {p.name: p.read_bytes() for p in fresh.iterdir()}
     assert set(rerun) == set(first) and all(len(rerun[n]) < len(first[n]) for n in rerun)
     assert {p.stat().st_mode & 0o777 for p in shared.iterdir()} == {0o600}
+
+
+def test_an_out_that_names_a_file_is_an_out_error(tmp_path, capsys):
+    """`--out` naming a file, or a path under one, exits 2 naming `--out` and
+    writes nothing."""
+    cfg = write_config(tmp_path, reference_config_dict())
+    taken = tmp_path / "afile"
+    taken.write_text("kept\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    for out in (taken, taken / "x"):
+        assert main(["place", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error (field: --out)" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert taken.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])

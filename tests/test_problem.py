@@ -13,6 +13,7 @@ from edgesplit import (
     NumericalError,
     Problem,
     StageDistribution,
+    config,
     run_strategy,
     splitting,
 )
@@ -214,6 +215,40 @@ def test_a_place_request_reads_each_law_at_each_threshold_once(tmp_path, monkeyp
     keys = [(id(table), t) for table, t in reads]
     assert len(keys) == len(set(keys))
     assert sum(table.edges[0] < t < table.near for table, t in reads) == 12
+
+
+def test_equal_stage_laws_share_their_reads(tmp_path, monkeypatch):
+    """A 13-entry list of one path-loss spec is read as the shared spec is: 12
+    partial panels for all four strategies on the 12-layer MLP, and the same
+    placement rows."""
+    mlp12 = {"mlp": {"neurons": [64] * 13, "lambda_bytes": 8, "mu_bytes": 8, "alpha": 100}}
+    spec = reference_config_dict()["channel"]
+    reads = _counting_tail_reads(monkeypatch)
+    rows = {}
+    for name, channel in (("shared", spec), ("list", [spec] * 13)):
+        (tmp_path / name).mkdir()
+        reads.clear()
+        assert _run(tmp_path / name, "place", network=mlp12, channel=channel,
+                    strategies=list(STRATEGIES)) == 0
+        assert sum(table.edges[0] < t < table.near for table, t in reads) == 12, name
+        lines = (tmp_path / name / "place" / "placement.csv").read_text().splitlines()
+        rows[name] = [line for line in lines if not line.startswith("# config_sha256=")]
+    assert rows["list"] == rows["shared"]
+
+
+def test_a_place_request_builds_each_channel_law_once(tmp_path, monkeypatch):
+    """The config builds each channel spec's law once; the CLI reads the laws it
+    keeps, for the request and for each distance-sweep point."""
+    spec = reference_config_dict()["channel"]
+    laws = _counting(monkeypatch, config, "_law")
+    for channel in (spec, [spec] * 9, [dict(spec, distance_m=10.0 * k) for k in range(1, 10)]):
+        laws.clear()
+        assert _run(tmp_path, "place", channel=channel) == 0
+        assert len(laws) == (len(channel) if isinstance(channel, list) else 1)
+    laws.clear()
+    assert _run(tmp_path, "sweep", channel=[spec] * 9,
+                sweep={"variable": "distance_m", "values": [20, 80]}) == 0
+    assert len(laws) == 3 * 9
 
 
 def test_the_one_sla_table_reads_nothing_after_the_recursion(monkeypatch, autoencoder, params,

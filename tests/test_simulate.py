@@ -43,14 +43,15 @@ def _chunk_trials(size):
 # -- simulate ------------------------------------------------------------------
 
 def test_simulate_deterministic_and_chunk_invariant(autoencoder, params, dist_d50):
+    problem = Problem(autoencoder, params, dist_d50)
     pol = backward_induction(4, autoencoder, params, dist_d50)
-    a = simulate(pol, autoencoder, params, dist_d50, 30_000, seed=11)
-    b = simulate(pol, autoencoder, params, dist_d50, 30_000, seed=11)
+    a = simulate(problem, pol, 30_000, seed=11)
+    b = simulate(problem, pol, 30_000, seed=11)
     assert a == b
     # a different chunk schedule consumes the identical random stream: the
     # draws and histogram match bitwise, the mean up to summation order
     with _chunk_trials(777):
-        c = simulate(pol, autoencoder, params, dist_d50, 30_000, seed=11)
+        c = simulate(problem, pol, 30_000, seed=11)
     assert c.stop_histogram == a.stop_histogram
     assert c.mean_etc == pytest.approx(a.mean_etc, rel=1e-13)
     assert c.std_error == pytest.approx(a.std_error, rel=1e-10)
@@ -63,7 +64,7 @@ def test_simulate_deterministic_and_chunk_invariant(autoencoder, params, dist_d5
 def test_simulate_single_atom_matches_analytic_exactly(autoencoder, params):
     atom = StageDistribution.discrete([(0.7, 1.0)])
     pol = backward_induction(3, autoencoder, params, atom)
-    res = simulate(pol, autoencoder, params, atom, 500, seed=0)
+    res = simulate(Problem(autoencoder, params, atom), pol, 500, seed=0)
     assert res.std_error == 0.0
     assert res.mean_etc == pytest.approx(
         expected_etc(pol, autoencoder, params, atom), rel=1e-12)
@@ -72,7 +73,7 @@ def test_simulate_single_atom_matches_analytic_exactly(autoencoder, params):
 
 def test_simulate_mean_within_three_sigma(autoencoder, params, dist_d50):
     pol = backward_induction(8, autoencoder, params, dist_d50)
-    res = simulate(pol, autoencoder, params, dist_d50, 200_000, seed=5)
+    res = simulate(Problem(autoencoder, params, dist_d50), pol, 200_000, seed=5)
     analytic = expected_etc(pol, autoencoder, params, dist_d50)
     assert abs(res.mean_etc - analytic) <= 3 * res.std_error
     assert res.std_error > 0
@@ -81,7 +82,7 @@ def test_simulate_mean_within_three_sigma(autoencoder, params, dist_d50):
 def test_simulate_histogram_matches_probabilities(autoencoder, params, dist_d50):
     pol = one_sla_thresholds(6, autoencoder, params, dist_d50)
     trials = 200_000
-    res = simulate(pol, autoencoder, params, dist_d50, trials, seed=21)
+    res = simulate(Problem(autoencoder, params, dist_d50), pol, trials, seed=21)
     probs = stop_probabilities(pol, autoencoder, params, dist_d50)
     assert len(res.stop_histogram) == 7
     assert sum(res.stop_histogram) == pytest.approx(1.0, abs=1e-12)
@@ -94,7 +95,7 @@ def test_simulate_m0(autoencoder, params, dist_d50):
     from edgesplit import forced_offload_policy
 
     pol = forced_offload_policy("optimal", autoencoder, params, dist_d50)
-    res = simulate(pol, autoencoder, params, dist_d50, 50_000, seed=9)
+    res = simulate(Problem(autoencoder, params, dist_d50), pol, 50_000, seed=9)
     assert res.stop_histogram == (1.0,)
     analytic = expected_etc(pol, autoencoder, params, dist_d50)
     assert abs(res.mean_etc - analytic) <= 3 * res.std_error
@@ -103,7 +104,7 @@ def test_simulate_m0(autoencoder, params, dist_d50):
 def test_simulate_validates_trials(autoencoder, params, dist_d50):
     pol = backward_induction(1, autoencoder, params, dist_d50)
     with pytest.raises(ValueError):
-        simulate(pol, autoencoder, params, dist_d50, 0, seed=1)
+        simulate(Problem(autoencoder, params, dist_d50), pol, 0, seed=1)
 
 
 # -- the kernel against a plain reference ------------------------------------------
@@ -181,10 +182,11 @@ def test_kernel_matches_reference_bit_for_bit(autoencoder, params, dist_d50, sha
     trials = _TRIALS_AT_CHUNK[chunk]
     law = dist_d50 if shared else _stage_list(dist_d50.mean_snr)
     ds = [law] * 9 if shared else law
+    problem = Problem(autoencoder, params, law)
     for M in range(9):
         for rule in ("optimal", "one_sla"):
-            pol = Problem(autoencoder, params, law).policy(rule, M)
-            got = simulate(pol, autoencoder, params, law, trials, seed=M)
+            pol = problem.policy(rule, M)
+            got = simulate(problem, pol, trials, seed=M)
             assert got == _reference_simulate(pol, autoencoder, params, ds, trials, M, chunk)
         if M:
             assert (coincidence_rate(M, autoencoder, params, law, trials, seed=M)
@@ -246,11 +248,12 @@ def test_kernel_draws_only_the_live_rows(autoencoder, params, dist_d50, monkeypa
     trials, chunk = 3000, 1100
     monkeypatch.setattr(SIM, "_CHUNK_TRIALS", chunk)
     sizes = _counting_quantile(monkeypatch)
+    problem = Problem(autoencoder, params, law)
     for M in range(9):
         for rule in ("optimal", "one_sla"):
-            pol = Problem(autoencoder, params, law).policy(rule, M)
+            pol = problem.policy(rule, M)
             sizes.clear()
-            simulate(pol, autoencoder, params, law, trials, seed=M)
+            simulate(problem, pol, trials, seed=M)
             blocks = [sizes[k:k + M + 1] for k in range(0, len(sizes), M + 1)]
             ref = list(_reference_draws(ds[:M + 1], trials, M, chunk))
             assert len(blocks) == len(ref)
@@ -291,10 +294,11 @@ def test_monte_carlo_does_not_depend_on_chunk_size(autoencoder, params, dist_d50
                                                     chunk, rule):
     laws = [StageDistribution.truncated_exponential(dist_d50.mean_snr * k) for k in scales]
     laws[-1] = StageDistribution.discrete([(0.2, 0.5), (2.0, 0.5)])
-    pol = Problem(autoencoder, params, laws, M).policy(rule, M)
-    whole = simulate(pol, autoencoder, params, laws, 600, seed=M)
+    problem = Problem(autoencoder, params, laws, M)
+    pol = problem.policy(rule, M)
+    whole = simulate(problem, pol, 600, seed=M)
     with _chunk_trials(chunk):
-        part = simulate(pol, autoencoder, params, laws, 600, seed=M)
+        part = simulate(problem, pol, 600, seed=M)
     assert part.stop_histogram == whole.stop_histogram
     assert part.mean_etc == pytest.approx(whole.mean_etc, rel=1e-12)
     assert part.std_error == pytest.approx(whole.std_error, rel=1e-9)
@@ -396,18 +400,21 @@ def test_oracle_invariant_to_atom_splitting(autoencoder, params):
 
 
 def test_simulate_rejects_a_policy_beyond_the_network(autoencoder, params, dist_d50):
-    # a horizon-8 policy on a 3-layer network used to end in a numpy IndexError
+    # a horizon-8 policy on a 3-layer network used to end in a numpy IndexError;
+    # a Problem at horizon 5 has no law or cost past stage 6 either
     small = build_mlp(MlpSpec((16,) * 4, 8, 8, 100, DOWNLINK_BPS))
     policy = backward_induction(8, autoencoder, params, dist_d50)
-    with pytest.raises(ValueError, match="policy horizon_M = 8 exceeds the network's N = 3"):
-        simulate(policy, small, params, dist_d50, 100, seed=1)
+    for problem in (Problem(small, params, dist_d50), Problem(autoencoder, params, dist_d50, 5)):
+        with pytest.raises(ValueError, match=f"policy horizon_M = 8 exceeds the Problem's "
+                                             f"horizon M = {problem.M}"):
+            simulate(problem, policy, 100, seed=1)
 
 
 def test_monte_carlo_and_oracle_reject_more_laws_than_stages(autoencoder, params, dist_d50):
     # 20 laws on the autoencoder's 9 stages used to run on the first M + 1
     policy = backward_induction(3, autoencoder, params, dist_d50)
     atoms = dist_d50.discretize(16)
-    for call in (lambda laws: simulate(policy, autoencoder, params, laws, 100, seed=1),
+    for call in (lambda laws: simulate(Problem(autoencoder, params, laws), policy, 100, seed=1),
                  lambda laws: coincidence_rate(3, autoencoder, params, laws, 100, seed=1)):
         with pytest.raises(ValueError, match="9 stages, got 20 stage laws"):
             call([dist_d50] * 20)
@@ -426,8 +433,9 @@ def test_oracle_rejects_continuous_laws(autoencoder, params, dist_d50):
 
 def test_sim_report_echoes_config(autoencoder, params, dist_d50):
     pol = backward_induction(2, autoencoder, params, dist_d50)
-    res = simulate(pol, autoencoder, params, dist_d50, 1000, seed=4)
-    doc = sim_report_json(res, pol, autoencoder, params, dist_d50)
+    problem = Problem(autoencoder, params, dist_d50)
+    res = simulate(problem, pol, 1000, seed=4)
+    doc = sim_report_json(res, pol, problem)
     assert doc["seed"] == 4
     assert doc["rng_algorithm"] == "numpy-pcg64"
     assert doc["network_sha256"] == network_hash(autoencoder)

@@ -83,12 +83,13 @@ def test_only_the_cost_model_reads_the_cost_constants():
 
 
 def test_only_the_problem_builds_stage_laws_and_cost_models():
-    """In the stopping rules and the placement strategies, `Problem.__init__`
-    is the one place that normalizes the stage laws and looks up the cost
-    model. The one exception is `apply_rule`, the online decision, which
-    takes no laws and looks its cost model up once per call."""
+    """In the stopping rules, the placement strategies, the Monte Carlo and the
+    CLI, `Problem.__init__` is the one place that normalizes the stage laws and
+    looks up the cost model. The exceptions are `apply_rule`, the online
+    decision, which takes no laws and looks its cost model up once per call,
+    and `oracle_dp`, the independent certificate, which shares no Problem."""
     calls = []
-    for name in ("splitting.py", "placement.py"):
+    for name in ("splitting.py", "placement.py", "simulate.py", "cli.py"):
         tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
         scopes = [(f"{cls.name}.{fn.name}" if cls else fn.name, fn)
                   for cls in [None, *(n for n in tree.body if isinstance(n, ast.ClassDef))]
@@ -96,8 +97,12 @@ def test_only_the_problem_builds_stage_laws_and_cost_models():
         for scope, fn in scopes:
             calls += [(name, scope, node.func.id) for node in ast.walk(fn)
                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                      and node.func.id in ("per_stage", "cost_model")]
-    assert sorted(calls) == [("splitting.py", "Problem.__init__", "cost_model"),
+                      and node.func.id in ("per_stage", "network_laws", "cost_model")]
+    assert sorted(calls) == [("simulate.py", "oracle_dp", "cost_model"),
+                             ("simulate.py", "oracle_dp", "network_laws"),
+                             ("simulate.py", "oracle_dp", "per_stage"),
+                             ("splitting.py", "Problem.__init__", "cost_model"),
+                             ("splitting.py", "Problem.__init__", "network_laws"),
                              ("splitting.py", "Problem.__init__", "per_stage"),
                              ("splitting.py", "apply_rule", "cost_model")]
 
