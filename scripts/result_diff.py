@@ -19,7 +19,9 @@ of `python -m edgesplit.cli` calls on each:
 * `thresholds` and `simulate` at horizon_M = 0, with a shared law and with a
   one-law list, and at horizon_M = 3 with a list of exactly four laws;
   `simulate` at horizon_M = 1 and N, with a shared law and with a per-stage
-  list that has discrete stages; an M-axis sweep on that list;
+  list that has discrete stages; an M-axis sweep on that list; `simulate`
+  at 2^17 + 4,321 trials, more than one block and tile of the Monte Carlo
+  kernel, with a shared law at horizon N and with that list at horizon 3;
 * a deep network whose three front layers take 1e11 to 1e14 cycles and the
   later ones 1 to 1e4, where omega(n) dwarfs a later layer's own cost, under
   `place` and `thresholds`;
@@ -173,6 +175,11 @@ def matrix():
         for name, channel in (("shared", pathloss(50)), ("mixed", mixed)):
             cases.append((f"horizon-{horizon}/{name}", "simulate",
                           config(channel=channel, strategies=RULES, horizon_M=horizon), []))
+    # more trials than one block of the kernel, so its blocks and tiles both end mid-run
+    many = (1 << 17) + 4321
+    cases.append(("multi-block/shared", "simulate", config(strategies=RULES, trials=many), []))
+    cases.append(("multi-block/mixed", "simulate",
+                  config(channel=mixed, strategies=RULES, horizon_M=3, trials=many), []))
     # a Problem at a short horizon: exactly M + 1 = 4 laws, one discrete
     short = [pathloss(30), discrete, truncated, pathloss(90)]
     for command in ("thresholds", "simulate"):

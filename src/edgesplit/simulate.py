@@ -1,10 +1,11 @@
 """Monte Carlo policy evaluation and an exact discrete oracle.
 
 The simulator draws uniforms from one PCG64 stream in trial-major order, in
-blocks of at most _CHUNK_TRIALS trials whose size no result depends on, and
-applies a threshold policy one stage
-at a time: a stage's inverse CDF runs only on the uniforms of the trials that
-have not stopped yet, on the laws and costs of a `splitting.Problem`.
+tiles of at most _TILE_ROWS trials inside blocks of at most _CHUNK_TRIALS,
+and applies a threshold policy one stage at a time: a stage's inverse CDF
+runs only on the uniforms of the trials that have not stopped yet, on the
+laws and costs of a `splitting.Problem`. No result depends on the tile size,
+and none on the block size but through the order of the per-block sums.
 
 The oracle solves the stopping problem exactly on discrete (atom) channel
 laws by direct recursion on the value function. It shares the cost
@@ -24,8 +25,11 @@ from .records import Record
 from .splitting import Problem, ThresholdPolicy, network_laws
 
 RNG_ALGORITHM = "numpy-pcg64"
-# the most trials drawn and evaluated in one block of uniforms
+# the most trials whose costs are summed as one array
 _CHUNK_TRIALS = 1 << 17
+# the most trials drawn and run through the kernel at a time: the working set
+# of a call is one tile, whatever the trial count
+_TILE_ROWS = 1 << 14
 
 
 class SimResult(Record):
@@ -46,23 +50,29 @@ class OracleResult(Record):
         self._set(grid_points, thresholds, expected_cost)
 
 
-def _uniform_blocks(trials: int, stages: int, seed: int):
-    """(rows, stages) blocks of uniforms, at most _CHUNK_TRIALS rows each.
+def _uniform_tiles(trials: int, stages: int, seed: int):
+    """(block rows, first row, tile) for each tile of (rows, stages) uniforms.
 
-    They come from one PCG64 stream in trial-major order, so the draws do not
-    depend on the block size. Fewer than one trial is a ValueError.
+    Blocks of at most _CHUNK_TRIALS rows are cut into tiles of at most
+    _TILE_ROWS rows, `first` being the tile's offset in its block. The
+    uniforms come from one PCG64 stream in trial-major order, so the draws
+    depend on neither size. Every tile is a view of one buffer, which the
+    next tile overwrites. Fewer than one trial is a ValueError.
     """
     import numpy as np
 
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
-    return (rng.random((min(_CHUNK_TRIALS, trials - start), stages))
-            for start in range(0, trials, _CHUNK_TRIALS))
+    buffer = np.empty((min(_TILE_ROWS, _CHUNK_TRIALS, trials), stages))
+    for start in range(0, trials, _CHUNK_TRIALS):
+        rows = min(_CHUNK_TRIALS, trials - start)
+        for first in range(0, rows, _TILE_ROWS):
+            yield rows, first, rng.random(out=buffer[:min(_TILE_ROWS, rows - first)])
 
 
 def _first_crossings(u, ds, thresholds):
-    """1-based stop stage of each row of a uniform block, and the SNR it stops on.
+    """1-based stop stage of each row of a uniform tile, and the SNR it stops on.
 
     A row stops at its first SNR at or above the stage's threshold, else at the
     forced stage M + 1, M = len(thresholds). Every row reaches stage 1, which
@@ -91,7 +101,7 @@ def _first_crossings(u, ds, thresholds):
 
 
 def _agreements(u, ds, t_a, t_b) -> int:
-    """Rows of a uniform block on which two threshold rules stop at the same stage.
+    """Rows of a uniform tile on which two threshold rules stop at the same stage.
 
     A row leaves the pass at the first stage where either rule stops: the rules
     agree there if both stop, else the other one stops later. Rows that neither
@@ -120,18 +130,22 @@ def simulate(problem: Problem, policy: ThresholdPolicy, trials: int, seed: int) 
     M = policy.horizon_M
     if M > problem.M:
         raise ValueError(f"policy horizon_M = {M} exceeds the Problem's horizon M = {problem.M}")
-    blocks = _uniform_blocks(trials, M + 1, seed)
     ds, cm = problem.dists, problem.cm
 
     total = 0.0
     total_sq = 0.0
     counts = np.zeros(M + 2, dtype=np.int64)  # 1-based stages
-    for u in blocks:
+    etcs = None  # the costs of a block, summed as one array when it is full
+    for rows, first, u in _uniform_tiles(trials, M + 1, seed):
+        if etcs is None:  # the first block is the largest
+            etcs = np.empty(rows)
         stages, gammas = _first_crossings(u, ds, policy.thresholds)
-        etcs = cm.etc_values(stages, gammas)
-        total += float(etcs.sum())
-        total_sq += float(np.dot(etcs, etcs))
+        etcs[first:first + len(u)] = cm.etc_values(stages, gammas)
         counts += np.bincount(stages, minlength=M + 2)
+        if first + len(u) == rows:
+            block = etcs[:rows]
+            total += float(block.sum())
+            total_sq += float(np.dot(block, block))
 
     mean = total / trials
     if trials > 1:
@@ -148,10 +162,10 @@ def coincidence_rate(M: int, net: NetworkSpec, params: SystemParams, dists,
                      trials: int, seed: int) -> float:
     """Fraction of SNR sequences on which the 1-sla and optimal rules of the
     Problem at horizon M pick the same split stage; `dists` as in `Problem`."""
-    blocks = _uniform_blocks(trials, M + 1, seed)
     problem = Problem(net, params, dists, M)
     t_opt, t_sla = (problem.policy(rule, M).thresholds for rule in ("optimal", "one_sla"))
-    agree = sum(_agreements(u, problem.dists, t_opt, t_sla) for u in blocks)
+    agree = sum(_agreements(u, problem.dists, t_opt, t_sla)
+                for _, _, u in _uniform_tiles(trials, M + 1, seed))
     return agree / trials
 
 
@@ -161,7 +175,8 @@ def oracle_dp(M: int, net: NetworkSpec, params: SystemParams, discrete_dists) ->
     V at the final stage is the stop cost; earlier stages take the pointwise
     min of stopping and the expected value of continuing. Pure finite sums.
     The recovered per-stage threshold is the smallest atom at which stopping
-    wins (inf if none does). The laws are one shared law or at most N + 1.
+    wins (inf if none does). The laws are one shared law or at most N + 1;
+    equal laws are turned into arrays once.
     """
     import numpy as np
 
@@ -171,17 +186,23 @@ def oracle_dp(M: int, net: NetworkSpec, params: SystemParams, discrete_dists) ->
     if any(d.kind != "discrete" for d in ds):
         raise ValueError("the oracle needs discrete stage distributions")
     cm = cost_model(net, params)
+    converted = []  # (law, its arrays): equal laws share one conversion
 
-    def stage_arrays(n, dist):
-        snrs, probs = dist.atom_arrays
+    def stage_arrays(n):
+        law = ds[n - 1]
+        arrays = next((a for d, a in converted if d == law), None)
+        if arrays is None:
+            arrays = law.atom_arrays
+            converted.append((law, arrays))
+        snrs, probs = arrays
         stop_cost = cm.etc_values(np.full(snrs.shape, n), snrs)
         return snrs, probs, stop_cost
 
-    snrs, probs, stop_cost = stage_arrays(M + 1, ds[M])
+    snrs, probs, stop_cost = stage_arrays(M + 1)
     continue_value = float(np.dot(probs, stop_cost))
     thresholds = []
     for n in range(M, 0, -1):
-        snrs, probs, stop_cost = stage_arrays(n, ds[n - 1])
+        snrs, probs, stop_cost = stage_arrays(n)
         stop_wins = stop_cost <= continue_value
         switch = float(snrs[stop_wins][0]) if stop_wins.any() else math.inf
         thresholds.append(switch)

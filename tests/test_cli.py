@@ -17,6 +17,7 @@ from edgesplit.channel import inv_rate_table
 from edgesplit.cli import main
 from edgesplit.config import MAX_TRIALS
 from edgesplit.cost_model import cost_model
+from edgesplit.splitting import Problem, StageTable, ThresholdPolicy
 
 from conftest import reference_config_dict
 
@@ -841,6 +842,54 @@ def test_cmd_simulate_rejects_a_null_seed(tmp_path, capsys):
     swept = write_config(tmp_path, dict(raw, sweep={"variable": "M", "values": [1, 2]}), "sweep.json")
     assert main(["sweep", "--config", swept, "--out", str(tmp_path / "sweep")]) == 0
     assert "# seed=None" in (tmp_path / "place" / "placement.csv").read_text()
+
+
+# The draws stay true while the analytic side is moved: at seed 3 and 20,000
+# trials both rules pass unpatched (mean within 0.6 sigma, every bin within
+# 1.3 sigma), and each patch below puts one check's worst miss between 3 and 6
+# sigma, so a verdict read at 6 sigma, or an exit 0 on a miss, fails the test.
+_MISS_CONFIG = {"strategies": ["optimal_exhaustive", "one_sla_exhaustive"], "trials": 20000, "seed": 3}
+
+
+def _simulate_with_analytic(tmp_path, monkeypatch, table):
+    """Exit code and sim.json of `simulate` with `Problem.stage_table` replaced."""
+    monkeypatch.setattr(Problem, "stage_table", table)
+    cfg = write_config(tmp_path, reference_config_dict(**_MISS_CONFIG))
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    return rc, json.loads((tmp_path / "sim.json").read_text())
+
+
+def test_a_mean_miss_exits_4(tmp_path, monkeypatch):
+    # stop costs 1.5% high move the analytic mean 4.6 and 4.5 sigma off the draws
+    stage_table = Problem.stage_table
+
+    def costlier(self, policy):
+        t = stage_table(self, policy)
+        return StageTable(t.continue_prob, t.reach, t.stop_prob, [c * 1.015 for c in t.stop_cost])
+
+    rc, doc = _simulate_with_analytic(tmp_path, monkeypatch, costlier)
+    assert rc == 4 and doc["all_checks_passed"] is False
+    for r in doc["results"]:
+        assert 3 < -r["mean_delta"] / r["std_error"] < 6
+        assert r["checks"] == {"mean_within_3_sigma": False, "histogram_within_3_sigma": True}
+
+
+def test_a_histogram_miss_exits_4(tmp_path, monkeypatch):
+    # the stop probabilities of thresholds 5% higher miss a bin by 4.5 and 3.9 sigma
+    stage_table = Problem.stage_table
+
+    def higher(self, policy):
+        moved = [t * 1.05 for t in policy.thresholds]
+        return stage_table(self, ThresholdPolicy(policy.rule_kind, policy.horizon_M, moved))
+
+    rc, doc = _simulate_with_analytic(tmp_path, monkeypatch, higher)
+    assert rc == 4 and doc["all_checks_passed"] is False
+    for r in doc["results"]:
+        n = r["trials"]
+        misses = [(abs(f - p) - 1.0 / n) / math.sqrt(p * (1.0 - p) / n)
+                  for f, p in zip(r["stop_histogram"], r["analytic_stop_probabilities"]) if 0 < p < 1]
+        assert 3 < max(misses) < 6
+        assert r["checks"] == {"mean_within_3_sigma": True, "histogram_within_3_sigma": False}
 
 
 def test_main_twice_in_one_process_with_different_flags(tmp_path):

@@ -1,6 +1,7 @@
 """Monte Carlo harness and the discrete dynamic-programming oracle."""
 import importlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,13 +24,13 @@ from edgesplit.simulate import (
     SimResult,
     _agreements,
     _first_crossings,
-    _uniform_blocks,
+    _uniform_tiles,
     network_hash,
     sim_report_json,
 )
 from edgesplit.splitting import expected_etc
 
-from conftest import DOWNLINK_BPS, atom_pairs, stop_cost, stop_probabilities
+from conftest import DOWNLINK_BPS, atom_pairs, channel_at, stop_cost, stop_probabilities
 
 # the module, which the package's `simulate` function shadows as an attribute
 SIM = importlib.import_module("edgesplit.simulate")
@@ -203,7 +204,7 @@ def test_draws_match_reference_bit_for_bit(dist_d50, shared, chunk, monkeypatch)
     trials = min(_TRIALS_AT_CHUNK[chunk], 2000)
     monkeypatch.setattr(SIM, "_CHUNK_TRIALS", chunk)
     got = [np.column_stack([_first_crossings(u, ds[:j + 1], [math.inf] * j)[1] for j in range(9)])
-           for u in _uniform_blocks(trials, 9, 17)]
+           for _, _, u in _uniform_tiles(trials, 9, 17)]
     want = list(_reference_draws(ds, trials, 17, chunk))
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -306,6 +307,55 @@ def test_monte_carlo_does_not_depend_on_chunk_size(autoencoder, params, dist_d50
         with _chunk_trials(chunk):
             part_rate = coincidence_rate(M, autoencoder, params, laws, 600, seed=M)
         assert part_rate == coincidence_rate(M, autoencoder, params, laws, 600, seed=M)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_stage"])
+def test_no_result_depends_on_the_tile_size(autoencoder, params, dist_d50, monkeypatch, shared):
+    # tiles cut a block's rows but never its sums: the results are equal bit
+    # for bit, where a change of block size moves the mean in its last bits
+    law = dist_d50 if shared else _stage_list(dist_d50.mean_snr)
+    problem = Problem(autoencoder, params, law)
+    trials = 2500  # blocks of 1000, 1000 and 500 rows
+    monkeypatch.setattr(SIM, "_CHUNK_TRIALS", 1000)
+
+    def results():
+        sims = [simulate(problem, problem.policy(rule, M), trials, seed=M)
+                for M in (2, 8) for rule in ("optimal", "one_sla")]
+        rates = [coincidence_rate(M, autoencoder, params, law, trials, seed=M) for M in (2, 8)]
+        return sims, rates
+
+    whole = results()
+    for tile in (1, 7, 333):
+        monkeypatch.setattr(SIM, "_TILE_ROWS", tile)
+        assert results() == whole
+
+
+# a tile of uniforms at M = 8 (1.2 MB), a block's costs (1 MB) and the
+# per-tile working arrays; one block of uniforms alone takes 9.4 MB
+_PEAK_BOUND = 4 * 2**20
+
+
+@pytest.mark.parametrize("network,distance", [("alexnet", 20.0), ("autoencoder", 120.0)])
+def test_monte_carlo_memory_is_bounded_by_one_tile(request, params, network, distance):
+    net = request.getfixturevalue(network)
+    law = channel_at(distance, params)
+    problem = Problem(net, params, law)
+    policy = problem.policy("optimal", 8)
+    calls = {"simulate": lambda trials: simulate(problem, policy, trials, seed=1),
+             "coincidence_rate": lambda trials: coincidence_rate(8, net, params, law, trials, seed=1)}
+    for name, call in calls.items():
+        call(1000)  # warm: the imports and the Problem's lazy state
+        peaks = []
+        for trials in (1 << 18, 10**6):
+            tracemalloc.start()
+            try:
+                call(trials)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < _PEAK_BOUND, (name, peaks)
+        # more blocks hold no more memory: only the live rows of a tile vary
+        assert peaks[1] < 1.05 * peaks[0], (name, peaks)
 
 
 # -- coincidence ----------------------------------------------------------------
@@ -422,6 +472,24 @@ def test_monte_carlo_and_oracle_reject_more_laws_than_stages(autoencoder, params
     with pytest.raises(ValueError, match="9 stages, got 20 stage laws"):
         oracle_dp(3, autoencoder, params, [atoms] * 20)
     assert oracle_dp(3, autoencoder, params, [atoms] * 9) == oracle_dp(3, autoencoder, params, atoms)
+
+
+def test_oracle_converts_each_distinct_law_once(autoencoder, params, dist_d50, monkeypatch):
+    reads = []
+    atom_arrays = StageDistribution.atom_arrays
+
+    def counted(self):
+        reads.append(self)
+        return atom_arrays.fget(self)
+
+    monkeypatch.setattr(StageDistribution, "atom_arrays", property(counted))
+    coarse, fine = dist_d50.discretize(64), dist_d50.discretize(128)
+    # nine equal laws built one by one are converted once, and two distinct ones twice
+    for laws, want in (([dist_d50.discretize(64) for _ in range(9)], 1), (coarse, 1),
+                       ([coarse, fine] * 4 + [coarse], 2)):
+        reads.clear()
+        oracle_dp(8, autoencoder, params, laws)
+        assert len(reads) == want
 
 
 def test_oracle_rejects_continuous_laws(autoencoder, params, dist_d50):
