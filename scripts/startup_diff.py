@@ -3,8 +3,8 @@
 
     python scripts/startup_diff.py REV_A REV_B [--spawns 13]
 
-Exports the committed tree of each revision with `git archive`, as
-`result_diff.py` does, and times `python [-S] -m edgesplit.cli place --config
+Exports the committed tree of each revision with `git archive`, through
+`result_diff.export`, and times `python [-S] -m edgesplit.cli place --config
 configs/autoencoder_d50.json` from spawn to exit, each call a fresh
 interpreter. Each revision gets `--spawns` timed calls with `-S` and as many
 without, interleaved: round i runs A then B, or B then A on odd rounds, first
@@ -17,26 +17,17 @@ from site-packages. The exit status is 1 if a call fails. The trees go to a
 temporary directory (set TMPDIR to choose where).
 """
 import argparse
-import io
 import os
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from result_diff import export
+
 CONFIG = "configs/autoencoder_d50.json"
-
-
-def export(rev, dest: Path):
-    """The committed tree of `rev` under `dest`."""
-    blob = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
-                          check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
-        tar.extractall(dest, filter="data")
 
 
 def place(tree: Path, flags: list, out: Path) -> float:

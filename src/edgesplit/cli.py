@@ -12,6 +12,7 @@ failure, 4 a simulate consistency check failed.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from .channel import QUAD_RULE
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NumericalError
 from .placement import RULE_OF_STRATEGY, run_strategy
-from .simulate import RNG_ALGORITHM, sim_report_json, simulate
+from .simulate import RNG_ALGORITHM, simulate
 from .splitting import Problem
 
 _FMT = "{:.12g}"
@@ -64,13 +65,18 @@ def _json(obj, pad: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _sha256(obj) -> str:
+    """SHA-256 of the sorted-key JSON of `obj`: the config and network hashes."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
 def _metadata(cfg: ExperimentConfig) -> dict:
     law = cfg.stage_dists(1)[0]
     floor = law.support_lo if law.kind != "discrete" else None
     return {
         "tool": "edgesplit",
         "version": __version__,
-        "config_sha256": cfg.config_hash(),
+        "config_sha256": _sha256(cfg.raw),
         "rng_algorithm": RNG_ALGORITHM,
         "seed": cfg.seed,
         "snr_floor": floor,
@@ -134,7 +140,8 @@ def cmd_place(cfg: ExperimentConfig, out: str) -> int:
     problem = _problem(cfg, cfg.params, cfg.laws)
     reports = [run_strategy(s, cfg.network, cfg.params, problem.dists, mlp=cfg.mlp, problem=problem)
                for s in cfg.strategies]
-    rows = [r for rep in reports for r in rep.to_csv_rows()]
+    rows = [f"{rep.strategy},{r.M},{r.Z:.12g},{r.expected_etc:.12g},{r.psi:.12g},"
+            f"{int(r.M == rep.best_M)}" for rep in reports for r in rep.rows]
     metadata = _metadata(cfg)
     _write_csv(os.path.join(out, "placement.csv"), metadata, "strategy,M,Z,expected_etc,psi,best", rows)
     _write_json(os.path.join(out, "placement.json"), {
@@ -209,15 +216,23 @@ def cmd_simulate(cfg: ExperimentConfig, out: str) -> int:
             if abs(freq - p) > 3.0 * sigma + 1.0 / result.trials:
                 bins_ok = False
         all_ok = all_ok and mean_ok and bins_ok
-        entry = sim_report_json(result, policy, problem)
-        entry.update({
+        entries.append({
             "rule": rule,
+            "trials": result.trials,
+            "mean_etc": result.mean_etc,
+            "std_error": result.std_error,
+            "stop_histogram": list(result.stop_histogram),
+            "seed": result.seed,
+            "rng_algorithm": RNG_ALGORITHM,
+            "policy": policy.to_json_dict(),
+            "network_sha256": _sha256(problem.net.to_json_dict()),
+            "params": problem.params.to_json_dict(),
+            "stage_distributions": [d.to_json_dict() for d in problem.dists],
             "analytic_mean_etc": analytic_mean,
             "mean_delta": mean_delta,
             "analytic_stop_probabilities": list(map(float, analytic_probs)),
             "checks": {"mean_within_3_sigma": mean_ok, "histogram_within_3_sigma": bins_ok},
         })
-        entries.append(entry)
         for n, (freq, p) in enumerate(zip(result.stop_histogram, analytic_probs), start=1):
             csv_rows.append(f"{rule},{n},{_fmt(freq)},{_fmt(float(p))}")
 

@@ -13,17 +13,17 @@ Shape:
     }
 
 This is the only module that reads the format: a field table per JSON object
-maps its keys to the arguments of the domain object built from it.
+maps its keys to the arguments of the domain object built from it, through the
+number checks `json_number` and `json_integer`. It keeps the raw document,
+which `cli.py` hashes into the result files; it writes and hashes nothing.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 
 from .channel import DEFAULT_FLOOR_RATIO, PathLossParams, StageDistribution, per_stage
 from .cost_model import SystemParams, cost_model
-from .errors import ConfigError, json_integer, json_number
+from .errors import ConfigError
 from .model_graph import (
     LayerSpec,
     MlpSpec,
@@ -38,6 +38,29 @@ from .records import Record
 DEFAULT_TRIALS = 10_000
 MAX_TRIALS = 10**9  # simulate draws about 1e7 trials/s: some 100 s per rule
 DEFAULT_SEED = 1
+
+
+def json_number(value, name: str) -> float:
+    """float(value) for a JSON number or numeric string. A null, an array or an
+    object, which float() rejects with a TypeError, is a ValueError naming the
+    field, so the config boundary reports it as a config error; so is a boolean,
+    which float() would read as 0 or 1."""
+    if value is None or isinstance(value, (bool, list, dict)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_integer(value, name: str) -> int:
+    """int(value) for a JSON integer, an integral float or a numeric string. A
+    boolean, a fraction (which int() would truncate), NaN, inf or another JSON
+    type is a ValueError naming the field."""
+    try:
+        number = None if isinstance(value, bool) else int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, float) and number != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return number
 
 
 def _updates(value, key: str) -> float:
@@ -172,10 +195,6 @@ class ExperimentConfig(Record):
                  laws, horizon_M: int, sweep: SweepSpec | None, strategies: tuple,
                  trials: int, seed: int | None):
         self._set(raw, network, mlp, params, laws, horizon_M, sweep, strategies, trials, seed)
-
-    def config_hash(self) -> str:
-        blob = json.dumps(self.raw, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
 
     def stage_dists(self, count: int) -> tuple[StageDistribution, ...]:
         """The channel laws for `count` stages; a list of fewer is a ConfigError."""

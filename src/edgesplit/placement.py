@@ -74,14 +74,6 @@ class PlacementReport(Record):
             "diagnostics": dict(self.diagnostics),
         }
 
-    def to_csv_rows(self) -> list[str]:
-        """Rows `strategy,M,Z,expected_etc,psi,best` (12 significant digits)."""
-        out = []
-        for r in self.rows:
-            best = 1 if r.M == self.best_M else 0
-            out.append(f"{self.strategy},{r.M},{r.Z:.12g},{r.expected_etc:.12g},{r.psi:.12g},{best}")
-        return out
-
 
 def _pick_best(rows) -> int:
     """The M of the cheapest row; a row whose Z is not finite fails the plan."""
@@ -91,32 +83,32 @@ def _pick_best(rows) -> int:
     return min(rows, key=lambda r: r.Z).M  # min keeps the first: ties go to the smaller M
 
 
-def _rows(problem: Problem, evaluate) -> tuple[PlacementRow, ...]:
-    """A row per M = 0..problem.M with expected cost `evaluate(M)`; a
-    NumericalError of any M fails the whole plan."""
+def _rows(problem: Problem, evaluate, Ms) -> tuple[PlacementRow, ...]:
+    """A row per M in `Ms` with expected cost `evaluate(M)`; a NumericalError
+    of any M fails the whole plan."""
     cm = problem.cm
     rows = []
-    for M in range(problem.M + 1):
+    for M in Ms:
         psi = cm.placement_cost(M)
         ee = evaluate(M)
         rows.append(PlacementRow(M, cm.total_cost(M, ee), ee, psi))
     return tuple(rows)
 
 
-def _one_sla_rows(problem: Problem) -> tuple[PlacementRow, ...]:
-    """The 1-sla sweep: Z(M) reads the first M stages of the Problem's one
-    1-sla stage table plus the forced stop at M+1."""
+def _one_sla_rows(problem: Problem, Ms) -> tuple[PlacementRow, ...]:
+    """The 1-sla sweep's rows at each M in `Ms`: Z(M) reads the first M stages
+    of the Problem's one 1-sla stage table plus the forced stop at M+1."""
     table, forced = problem.one_sla_table, problem.forced
-    return _rows(problem, lambda M: table.expected_etc(M, forced[M]))
+    return _rows(problem, lambda M: table.expected_etc(M, forced[M]), Ms)
 
 
 def optimize_exhaustive(problem: Problem, rule_kind: str = "optimal") -> PlacementReport:
     """Evaluate Z(M) for every M = 0..N under the requested stopping rule."""
     if rule_kind == "optimal":
         values = problem.optimal[1]
-        rows = _rows(problem, lambda M: values[M][0])
+        rows = _rows(problem, lambda M: values[M][0], range(problem.M + 1))
     elif rule_kind == "one_sla":
-        rows = _one_sla_rows(problem)
+        rows = _one_sla_rows(problem, range(problem.M + 1))
     else:
         raise ValueError("rule_kind must be 'optimal' or 'one_sla'")
     best = _pick_best(rows)
@@ -134,7 +126,8 @@ def mlp_closed_form(problem: Problem, mlp: MlpSpec) -> PlacementReport:
     with g < 0 (per neuron), and Z(M) is unimodal: decreasing while the
     (geometrically shrinking) inference gain outweighs the per-layer download
     charge beta_t * psi(1). The switchover index is read off a logarithm;
-    both integer neighbors are evaluated and the cheaper one returned.
+    both integer neighbors are evaluated, as rows of the 1-sla sweep, and the
+    cheaper one returned.
     """
     if mlp is None or not mlp.is_equal_width:
         raise ValueError("closed-form placement requires an MLP with equal widths at every layer")
@@ -177,17 +170,10 @@ def mlp_closed_form(problem: Problem, mlp: MlpSpec) -> PlacementReport:
         candidates = sorted({min(max(int(math.floor(m_real)), 0), N),
                              min(max(int(math.ceil(m_real)), 0), N)})
 
-    rows = []
-    policies = {}
-    forced = problem.forced
-    for M in candidates:
-        policy = ThresholdPolicy("one_sla", M, (delta,) * M)
-        ee = problem.stage_table(policy).expected_etc(M, forced[M])
-        rows.append(PlacementRow(M, cm.total_cost(M, ee), ee, cm.placement_cost(M)))
-        policies[M] = policy
+    rows = _one_sla_rows(problem, candidates)
     best = _pick_best(rows)
     return PlacementReport(
-        "mlp_closed_form", best, tuple(rows), policies[best],
+        "mlp_closed_form", best, rows, problem.policy("one_sla", best),
         diagnostics={
             "delta_threshold": delta,
             "cdf_at_delta": cont,
@@ -203,7 +189,7 @@ def mlp_closed_form(problem: Problem, mlp: MlpSpec) -> PlacementReport:
 def hybrid(problem: Problem) -> PlacementReport:
     """Pick M with the 1-sla sweep, then report the optimal rule's value there,
     which can only improve on the sweep's own."""
-    rows = _one_sla_rows(problem)
+    rows = _one_sla_rows(problem, range(problem.M + 1))
     M = _pick_best(rows)
     policy = problem.policy("optimal", M)
     ee = policy.value_table[0]

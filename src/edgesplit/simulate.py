@@ -11,11 +11,11 @@ The oracle solves the stopping problem exactly on discrete (atom) channel
 laws by direct recursion on the value function. It shares the cost
 primitives but no Problem and none of the threshold logic, so agreement with
 the backward-induction path is a genuine cross-check rather than a tautology.
+
+`cli.py` writes the results to `sim.json`; `RNG_ALGORITHM` names the stream.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 
 from .channel import per_stage
@@ -212,24 +212,3 @@ def oracle_dp(M: int, net: NetworkSpec, params: SystemParams, discrete_dists) ->
     grid = max(len(d.snrs) for d in ds)
     return OracleResult(grid_points=grid, thresholds=tuple(thresholds),
                         expected_cost=continue_value)
-
-
-def network_hash(net: NetworkSpec) -> str:
-    blob = json.dumps(net.to_json_dict(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def sim_report_json(result: SimResult, policy: ThresholdPolicy, problem: Problem) -> dict:
-    """Audit record: result plus everything needed to reproduce it."""
-    return {
-        "trials": result.trials,
-        "mean_etc": result.mean_etc,
-        "std_error": result.std_error,
-        "stop_histogram": list(result.stop_histogram),
-        "seed": result.seed,
-        "rng_algorithm": RNG_ALGORITHM,
-        "policy": policy.to_json_dict(),
-        "network_sha256": network_hash(problem.net),
-        "params": problem.params.to_json_dict(),
-        "stage_distributions": [d.to_json_dict() for d in problem.dists[:policy.horizon_M + 1]],
-    }

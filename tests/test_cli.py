@@ -1,5 +1,6 @@
 """Config parsing and the four CLI commands, including file formats and exit codes."""
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -473,6 +474,15 @@ def test_cmd_place_outputs(tmp_path):
     assert {rep["strategy"] for rep in doc["reports"]} == strategies
 
 
+def test_cmd_place_csv_rows_of_one_report(tmp_path):
+    cfg = write_config(tmp_path, reference_config_dict(strategies=["optimal_exhaustive"]))
+    assert main(["place", "--config", cfg, "--out", str(tmp_path)]) == 0
+    csv_rows = [",".join(row) for row in read_csv(tmp_path / "placement.csv")[2]]
+    assert len(csv_rows) == 9
+    assert sum(row.endswith(",1") for row in csv_rows) == 1
+    assert all(row.startswith("optimal_exhaustive,") for row in csv_rows)
+
+
 def test_cmd_place_inf_updates_all_layers(tmp_path):
     raw = reference_config_dict()
     raw["params"]["updates_per_model"] = "inf"
@@ -791,6 +801,19 @@ def test_cmd_simulate_outputs_and_determinism(tmp_path):
         assert r["checks"]["histogram_within_3_sigma"]
     _, _, rows = read_csv(out1 / "sim.csv")
     assert len(rows) == 18  # 9 stages x 2 rules
+
+
+def test_sim_json_echoes_the_config(tmp_path):
+    raw = reference_config_dict(strategies=["optimal_exhaustive"], horizon_M=2, trials=1000, seed=4)
+    assert main(["simulate", "--config", write_config(tmp_path, raw), "--out", str(tmp_path)]) == 0
+    (entry,) = json.loads((tmp_path / "sim.json").read_text())["results"]
+    network = load_config(raw).network.to_json_dict()
+    want = hashlib.sha256(json.dumps(network, sort_keys=True).encode()).hexdigest()
+    assert entry["network_sha256"] == want
+    assert entry["seed"] == 4
+    assert entry["rng_algorithm"] == "numpy-pcg64"
+    assert len(entry["stage_distributions"]) == 3
+    assert entry["policy"]["horizon_M"] == 2
 
 
 def test_cmd_simulate_trials_zero_rejected(tmp_path):

@@ -19,15 +19,8 @@ from edgesplit import (
     simulate,
 )
 from edgesplit.cost_model import cost_model
-from edgesplit.model_graph import MlpSpec, build_mlp
-from edgesplit.simulate import (
-    SimResult,
-    _agreements,
-    _first_crossings,
-    _uniform_tiles,
-    network_hash,
-    sim_report_json,
-)
+from edgesplit.model_graph import LayerSpec, MlpSpec, NetworkSpec, build_mlp
+from edgesplit.simulate import SimResult, _agreements, _first_crossings, _uniform_tiles
 from edgesplit.splitting import expected_etc
 
 from conftest import DOWNLINK_BPS, atom_pairs, channel_at, stop_cost, stop_probabilities
@@ -497,15 +490,19 @@ def test_oracle_rejects_continuous_laws(autoencoder, params, dist_d50):
         oracle_dp(3, autoencoder, params, dist_d50)
 
 
-# -- audit serialization ---------------------------------------------------------------
+def test_oracle_stops_on_an_exact_tie(params):
+    """A stage-1 atom whose stop cost equals the value of going on is a stop.
 
-def test_sim_report_echoes_config(autoencoder, params, dist_d50):
-    pol = backward_induction(2, autoencoder, params, dist_d50)
-    problem = Problem(autoencoder, params, dist_d50)
-    res = simulate(problem, pol, 1000, seed=4)
-    doc = sim_report_json(res, pol, problem)
-    assert doc["seed"] == 4
-    assert doc["rng_algorithm"] == "numpy-pcg64"
-    assert doc["network_sha256"] == network_hash(autoencoder)
-    assert len(doc["stage_distributions"]) == 3
-    assert doc["policy"]["horizon_M"] == 2
+    With no local work and equal bits at both stages, omega and weight agree
+    at stages 1 and 2, so stopping at SNR 3 on stage 1 costs exactly the
+    forced stop at stage 2, whose one atom is also 3. A rule that stops only
+    on a strict win would put the threshold at inf, at the same cost."""
+    net = NetworkSpec((LayerSpec(workload_cycles=0.0, input_bits=4096.0, download_seconds=0.01),),
+                      4096.0)
+    cm = cost_model(net, params)
+    assert (cm.omega(1), cm.weight(1)) == (cm.omega(2), cm.weight(2))
+    laws = [StageDistribution.discrete([(1.0, 0.5), (3.0, 0.5)]),
+            StageDistribution.discrete([(3.0, 1.0)])]
+    res = oracle_dp(1, net, params, laws)
+    assert res.thresholds == (3.0,)
+    assert res.expected_cost == pytest.approx(stop_cost(net, params, 2, 3.0), rel=1e-15)

@@ -4,7 +4,8 @@ NumericalError, only the config module reads the config format, importing
 the package and its CLI pulls in no scipy, planning runs without numpy and
 without dataclasses, typing or pathlib, the package exports an explicit list of names, the README quick start runs, the
 process holds three memo caches and no more, one helper writes every result
-file, and the functions the benchmark calls keep their signatures."""
+file, only the CLI imports hashlib or json, and the functions the benchmark
+calls keep their signatures."""
 import ast
 import inspect
 import json
@@ -200,16 +201,31 @@ def test_planning_runs_without_numpy(tmp_path):
         assert out.returncode == 0, out.stderr
 
 
-def test_no_module_imports_dataclasses_typing_or_pathlib():
-    """Each would cost a CLI call its import: `dataclasses` also loads inspect,
-    ast, dis and tokenize. The records are `records.Record` classes."""
+def _imports_of(top_level: tuple, skip: str = "") -> list[str]:
+    """Each import in src/ of a module under one of `top_level`, outside the file `skip`."""
     offenders = []
     for path in sorted(SRC.glob("*.py")):
+        if path.name == skip:
+            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             offenders += [f"{path.name}:{node.lineno} imports {n}" for n in names
-                          if n.partition(".")[0] in ("dataclasses", "typing", "pathlib")]
+                          if n.partition(".")[0] in top_level]
+    return offenders
+
+
+def test_no_module_imports_dataclasses_typing_or_pathlib():
+    """Each would cost a CLI call its import: `dataclasses` also loads inspect,
+    ast, dis and tokenize. The records are `records.Record` classes."""
+    offenders = _imports_of(("dataclasses", "typing", "pathlib"))
+    assert not offenders, offenders
+
+
+def test_only_the_cli_imports_hashlib_or_json():
+    """cli.py alone assembles the result files, their JSON and their SHA-256
+    hashes: no other module serializes or hashes."""
+    offenders = _imports_of(("hashlib", "json"), skip="cli.py")
     assert not offenders, offenders
 
 
