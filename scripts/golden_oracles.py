@@ -64,6 +64,15 @@ HIGH_FLOOR_LAWS = (
     ("1000.0", "1048576000.0"),
     ("35606.25893370789", "36345582055.45803"),
 )
+# The reference laws at 25, 50 and 100 m as the planner builds them, as (mean,
+# floor) doubles, and tails just inside the reach of its tail table: at
+# t = floor + REACH_TAIL_MEANS x mean, evaluated in float64 as the tests do.
+REACH_LAWS = (
+    ("4.671890828587414", "0.0046718908285874146"),
+    ("0.5839863535734268", "0.0005839863535734268"),
+    ("0.07299829419667835", "7.299829419667835e-05"),
+)
+REACH_TAIL_MEANS = 29.9
 
 
 def inv_rate_tail(distance, t):
@@ -154,6 +163,14 @@ def main():
         for label, t in (("0", mp.mpf(0)), ("3*floor", 3 * mean * FLOOR_RATIO), ("mean", mean)):
             value, _ = inv_rate_tail_at_mean(mean, t)
             print(f"mean={mp.nstr(mean, 3)} t={label}: {mp.nstr(value, 30, min_fixed=0, max_fixed=0)}")
+
+    print(f"== tails at t = floor + {REACH_TAIL_MEANS} x mean, at the doubles of the laws ==")
+    for mean, floor in REACH_LAWS:
+        t = float(floor) + REACH_TAIL_MEANS * float(mean)
+        value, mass = inv_rate_tail_at_mean(mp.mpf(float(mean)), mp.mpf(t),
+                                            floor=mp.mpf(float(floor)))
+        print(f"mean={mean} floor={floor}: {mp.nstr(value, 30, min_fixed=0, max_fixed=0)}"
+              f"  (tail mass {mp.nstr(mass, 6)})")
 
     print("== E[1/R] on laws with a floor of up to 2^20 means ==")
     for mean, floor in HIGH_FLOOR_LAWS:

@@ -1,10 +1,11 @@
 """Per-stage SNR laws: quantiles, CDF/PDF, and numerical expectation operators.
 
-The default law is a Rayleigh-fading SNR (exponential) truncated at a small
-floor gamma_min = mean * floor_ratio and renormalized. The floor models the
+The exponential law is a Rayleigh-fading SNR truncated at a positive floor
+gamma_min = mean * floor_ratio and renormalized. The floor models the
 receiver sensitivity below which transmission is not attempted; without it
-E[1/R] diverges because 1/log2(1+g) ~ 1/g near zero. Every expectation used
-by the stopping rules is finite on the truncated law.
+E[1/R] diverges because 1/log2(1+g) ~ 1/g near zero, so a law without one
+is rejected. Every expectation used by the stopping rules is finite on the
+truncated law.
 
 A discrete kind (weighted atoms) backs the exact dynamic-programming oracle
 and degenerate test channels.
@@ -44,10 +45,6 @@ _GL_NODES = tuple([0.5 - 0.5 * x for x, _ in reversed(_GL_HALF)] + [0.5 + 0.5 * 
 _GL_WEIGHTS = tuple([0.5 * w for _, w in reversed(_GL_HALF)] + [0.5 * w for _, w in _GL_HALF])
 _STEP_MEANS = 4.0
 _REACH_MEANS = 40.0
-# On a law with a floor of 0 the first panel is [0, 2^-60 means]; where it
-# holds more than 1e-12 of the integral, the integral does not converge.
-_ZERO_FLOOR_PANEL = 2.0**-60
-_ZERO_FLOOR_SHARE = 1e-12
 # The SNR nodes round to the grid of the floor's doubles, which moves E[1/R] by
 # about ulp(floor) / mean relative. Up to a floor of 2^20 means the rule's
 # E[1/R] matches 30-digit mpmath within 1e-10 (at most 5.5e-11 over 800 laws
@@ -63,13 +60,6 @@ QUAD_RULE = {
 
 LIGHTSPEED_M_S = 3e8
 _FIRST, _SECOND = operator.itemgetter(0), operator.itemgetter(1)
-
-
-def _each(f, x):
-    """f on a number, or the list of f over a sequence of numbers."""
-    if isinstance(x, (int, float)) or getattr(x, "ndim", None) == 0:
-        return f(x)
-    return [f(v) for v in x]
 
 
 class PathLossParams(Record):
@@ -94,24 +84,28 @@ class StageDistribution(Record):
     """SNR law of one decision stage.
 
     kind is "truncated_exponential" or "discrete". The exponential kind is
-    support_lo + Exp(mean_snr): the law above the floor support_lo, which has
-    no ceiling (support_lo = 0 is the untruncated law). The discrete kind
-    stores its atoms as two columns, `snrs` strictly increasing and `probs`
-    their probabilities, given as `snrs=` and `probs=`; its support_lo is
-    the bottom atom. `discrete()` builds one from (snr, probability) pairs.
-    Instances are immutable and safe to share.
+    support_lo + Exp(mean_snr): the law above the positive floor support_lo,
+    which has no ceiling; `pdf` and `cdf` read it at each SNR of a sequence.
+    The discrete kind stores its atoms as two columns, `snrs` strictly
+    increasing and `probs` their probabilities, given as `snrs=` and
+    `probs=`; its support_lo is the bottom atom. `discrete()` builds one
+    from (snr, probability) pairs, and `prob_below`, `quantile`,
+    `atom_arrays` and the tail table read it. Instances are immutable and
+    safe to share.
     """
 
     __slots__ = ("kind", "mean_snr", "support_lo", "snrs", "probs")
 
-    def __init__(self, kind: str, mean_snr: float | None = None, support_lo: float = 0.0, *,
-                 snrs=None, probs=None):
+    def __init__(self, kind: str, mean_snr: float | None = None, support_lo: float | None = None,
+                 *, snrs=None, probs=None):
         if kind == "truncated_exponential":
+            # written so that NaN fails
             if mean_snr is None or not 0 < mean_snr < math.inf:
                 raise ValueError(f"mean_snr must be positive and finite, got {mean_snr!r}")
-            # written so that a NaN floor fails
-            if not (math.isfinite(support_lo) and support_lo >= 0):
-                raise ValueError(f"need a finite SNR floor support_lo >= 0, got {support_lo!r}")
+            # without a floor E[1/R] diverges: 1/log2(1 + g) ~ 1/g near 0
+            if support_lo is None or not 0 < support_lo < math.inf:
+                raise ValueError(f"the SNR floor support_lo must be positive and finite, "
+                                 f"got {support_lo!r}")
             if not support_lo <= _MAX_FLOOR_MEANS * mean_snr:
                 raise ValueError(f"the SNR floor support_lo = {support_lo!r} lies more than 2^20 "
                                  f"times mean_snr = {mean_snr!r} above 0, where the fixed rule's "
@@ -151,10 +145,7 @@ class StageDistribution(Record):
                               floor_ratio: float = DEFAULT_FLOOR_RATIO) -> "StageDistribution":
         """Exponential law restricted to [mean_snr * floor_ratio, inf) and renormalized."""
         mean_snr = float(mean_snr)
-        lo = mean_snr * floor_ratio
-        if lo <= 0:
-            raise ValueError("truncation floor must be positive")
-        return cls(kind="truncated_exponential", mean_snr=mean_snr, support_lo=lo)
+        return cls(kind="truncated_exponential", mean_snr=mean_snr, support_lo=mean_snr * floor_ratio)
 
     @classmethod
     def discrete(cls, atoms) -> "StageDistribution":
@@ -200,46 +191,34 @@ class StageDistribution(Record):
             a.setflags(write=False)
         return arrays
 
-    def pdf(self, x):
-        """Density for the exponential kind; point mass for the discrete kind.
-
-        Takes a number or a sequence of numbers, and returns a float or a list.
-        """
+    def _exponential(self) -> tuple[float, float]:
+        """(floor, mean) of the exponential kind; a discrete law has no density."""
         if self.kind == "discrete":
-            snrs, probs = self.snrs, self.probs
-            top = len(snrs) - 1
+            raise ValueError("pdf and cdf read the exponential kind; "
+                             "read a discrete law with prob_below")
+        return self.support_lo, self.mean_snr
 
-            def mass(v):
-                i = min(bisect_left(snrs, v), top)
-                return probs[i] if snrs[i] == v else 0.0
+    def pdf(self, xs) -> list[float]:
+        """The density of the exponential kind at each SNR of a sequence."""
+        lo, mean = self._exponential()
+        return [math.exp(-(v - lo) / mean) / mean if v >= lo else 0.0 for v in xs]
 
-            return _each(mass, x)
-        lo, mean = self.support_lo, self.mean_snr
-        return _each(lambda v: math.exp(-(v - lo) / mean) / mean if v >= lo else 0.0, x)
+    def cdf(self, xs) -> list[float]:
+        """P{SNR <= x} on the exponential kind for each x of a sequence."""
+        lo, mean = self._exponential()
+        return [0.0 if v < lo else -math.expm1(-(v - lo) / mean) for v in xs]
 
-    def cdf(self, x):
-        """P{SNR <= x}, of a number or a sequence of numbers."""
-        if self.kind == "discrete":
-            return self._discrete_below(x, bisect_right)
-        lo, mean = self.support_lo, self.mean_snr
-        return _each(lambda v: 0.0 if v < lo else -math.expm1(-(v - lo) / mean), x)
-
-    def prob_below(self, x):
-        """P{SNR < x}: the probability that a rule stopping on SNR >= x goes on.
+    def prob_below(self, xs) -> list[float]:
+        """P{SNR < x} for each x of a sequence: the probability that a rule
+        stopping on SNR >= x goes on.
 
         It equals the cdf on the exponential kind and leaves out the atom at
         x on the discrete kind.
         """
-        return self._discrete_below(x, bisect_left) if self.kind == "discrete" else self.cdf(x)
-
-    def _discrete_below(self, x, bisect):
-        snrs, cum = self.snrs, list(accumulate(self.probs))
-
-        def below(v):
-            i = bisect(snrs, v)
-            return cum[i - 1] if i else 0.0
-
-        return _each(below, x)
+        if self.kind != "discrete":
+            return self.cdf(xs)
+        snrs, cum = self.snrs, [0.0, *accumulate(self.probs)]
+        return [cum[bisect_left(snrs, v)] for v in xs]
 
     def quantile(self, u):
         """Inverse CDF, elementwise; an array argument gets a new numpy array of its shape."""
@@ -279,14 +258,14 @@ class StageDistribution(Record):
         return sum(reversed(self._panel_integrals(g, self._layout(a)))) if a < math.inf else 0.0
 
     def _layout(self, a: float) -> list[tuple[float, float]]:
-        """The panels of the fixed rule from a >= floor to 2 x _REACH_MEANS
-        means past a. Each panel is as wide as its distance from SNR 0 (a law
-        with a floor of 0 starts with [0, 2^-60 means]) until that reaches
-        _STEP_MEANS means; from there on panels are _STEP_MEANS means wide."""
+        """The panels of the fixed rule from a >= floor > 0 to 2 x _REACH_MEANS
+        means past a. Each panel is as wide as its distance from SNR 0 until
+        that reaches _STEP_MEANS means; from there on panels are _STEP_MEANS
+        means wide."""
         mean = self.mean_snr
         step = _STEP_MEANS * mean
         end = min(a + 2.0 * _REACH_MEANS * mean, sys.float_info.max)
-        edges = [a] if a else [0.0, _ZERO_FLOOR_PANEL * mean or math.ulp(0.0)]
+        edges = [a]
         while edges[-1] < step and edges[-1] < end:
             edges.append(2.0 * edges[-1])
         base = edges[-1]
@@ -297,8 +276,7 @@ class StageDistribution(Record):
     def _panel_integrals(self, g, panels) -> list[float]:
         """The 12-point rule's integral of g * pdf over each (x0, x1) panel,
         from one `pdf` call. Raises NumericalError where their sum is not
-        finite or, on a law with a floor of 0, where the first panel holds
-        more than 1e-12 of it: the integral does not converge there."""
+        finite."""
         xs = [x0 + (x1 - x0) * x for x0, x1 in panels for x in _GL_NODES]
         vals = [g(x) * p for x, p in zip(xs, self.pdf(xs))]
         n = len(_GL_NODES)
@@ -307,9 +285,6 @@ class StageDistribution(Record):
         total = sum(reversed(out))
         if not math.isfinite(total):
             raise NumericalError("expectation is not finite", estimate=total)
-        if out and panels[0][0] == 0.0 and abs(out[0]) > _ZERO_FLOOR_SHARE * abs(total):
-            raise NumericalError("expectation does not converge at an SNR floor of 0: the panel "
-                                 f"[0, {panels[0][1]:g}] holds {out[0]:g} of {total:g}", estimate=total)
         return out
 
     def discretize(self, grid_points: int) -> "StageDistribution":

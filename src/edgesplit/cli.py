@@ -28,17 +28,9 @@ from .placement import RULE_OF_STRATEGY, run_strategy
 from .simulate import RNG_ALGORITHM, simulate
 from .splitting import Problem
 
-_FMT = "{:.12g}"
-
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return _FMT.format(x)
+    return "" if x is None else f"{x:.12g}"
 
 
 def _json(obj, pad: str = "\n") -> str:
@@ -161,7 +153,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: str) -> int:
             raise ConfigError(
                 f"an M sweep evaluates stopping rules; unsupported strategies {bad}",
                 field="strategies")
-        problem = Problem(cfg.network, cfg.params, cfg.stage_dists(cfg.network.N + 1))  # the whole axis
+        problem = _problem(cfg, cfg.params, cfg.laws)  # the whole axis
         reports = [run_strategy(s, cfg.network, cfg.params, problem.dists, problem=problem)
                    for s in cfg.strategies]
         for M in cfg.sweep.values:

@@ -56,10 +56,8 @@ def trunc():
 
 
 def test_cdf_endpoints(trunc):
-    assert trunc.cdf(trunc.support_lo) == 0.0
-    assert trunc.cdf(trunc.support_lo / 2) == 0.0
-    assert trunc.cdf(math.inf) == 1.0
-    assert trunc.cdf(trunc.support_lo + 50 * trunc.mean_snr) == pytest.approx(1.0, abs=1e-15)
+    assert trunc.cdf([trunc.support_lo, trunc.support_lo / 2, math.inf]) == [0.0, 0.0, 1.0]
+    assert trunc.cdf([trunc.support_lo + 50 * trunc.mean_snr]) == [pytest.approx(1.0, abs=1e-15)]
 
 
 def test_pdf_normalizes(trunc):
@@ -73,9 +71,8 @@ def test_pdf_nonnegative_and_cdf_monotone(trunc):
     assert np.all(np.diff(cdfs) >= -1e-15)
 
 
-def test_expectation_of_identity_is_mean():
-    plain = StageDistribution("truncated_exponential", mean_snr=MEAN_SNR_D50)
-    assert expect(plain, lambda s: s) == pytest.approx(MEAN_SNR_D50, rel=1e-8)
+def test_expectation_of_identity_is_mean(trunc):
+    assert expect(trunc, lambda s: s) == pytest.approx(trunc.support_lo + MEAN_SNR_D50, rel=1e-8)
 
 
 def test_indicator_expectation_matches_survival(trunc):
@@ -83,7 +80,7 @@ def test_indicator_expectation_matches_survival(trunc):
     # jump inside a panel
     for t in (trunc.support_lo * 2, 0.3, 1.0):
         got = trunc.partial_expect(lambda s: 1.0, t)
-        assert got == pytest.approx(1.0 - trunc.cdf(t), abs=1e-9)
+        assert got == pytest.approx(1.0 - trunc.cdf([t])[0], abs=1e-9)
 
 
 def test_doubly_truncated_support():
@@ -163,7 +160,7 @@ def test_inv_rate_expectation_matches_mpmath(params, distance, threshold, refere
     dist = channel_at(distance, params)
     t = 3 * dist.support_lo if threshold == "3*floor" else float(threshold)
     got = inv_rate_tail(dist, t, params.bandwidth_hz)
-    assert got == pytest.approx(reference, rel=1e-10)
+    assert got == pytest.approx(reference, rel=1e-10, abs=0.0)
 
 
 # Deep tails of the same laws at t = floor + k x mean, down to a tail mass of
@@ -193,7 +190,25 @@ def test_deep_inv_rate_tails_match_mpmath_relative_to_themselves(params, distanc
                                                                     reference):
     dist = channel_at(distance, params)
     t = float(threshold) if isinstance(threshold, str) else dist.support_lo + threshold * dist.mean_snr
-    assert inv_rate_tail(dist, t, params.bandwidth_hz) == pytest.approx(reference, rel=1e-12)
+    assert inv_rate_tail(dist, t, params.bandwidth_hz) == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+# Tails at t = floor + 29.9 x mean of the same laws, from scripts/golden_oracles.py
+# at the laws' own doubles. The table reads them off its panels, which must run
+# far enough past t that the mass they leave out (e^-30.1 of the tail, 8.5e-14,
+# were they to stop 60 means above the floor) is below the tolerance.
+MPMATH_REACH_TAILS = [
+    (25, 7.19923305370110832472175678782e-21),
+    (50, 1.2165882011401638887324659476e-20),
+    (100, 3.03802685449883644215401386889e-20),
+]
+
+
+@pytest.mark.parametrize("distance,reference", MPMATH_REACH_TAILS)
+def test_tails_just_inside_the_table_reach_match_mpmath(params, distance, reference):
+    dist = channel_at(distance, params)
+    t = dist.support_lo + 29.9 * dist.mean_snr
+    assert inv_rate_tail(dist, t, params.bandwidth_hz) == pytest.approx(reference, rel=2e-14, abs=0.0)
 
 
 # The same at mean SNR 1e-7 and 1e-11 (about 10 km and 220 km at the reference
@@ -278,18 +293,24 @@ def test_discrete_table_reads_count_a_tie_as_a_stop(snrs, weights):
         assert tail == pytest.approx(brute, rel=1e-13, abs=0.0)
 
 
-def test_untruncated_inv_rate_diverges():
-    plain = StageDistribution("truncated_exponential", mean_snr=MEAN_SNR_D50)
-    with pytest.raises(NumericalError) as err:
-        expect(plain, inv_rate)
-    assert err.value.estimate is not None
+@pytest.mark.parametrize("floor", [0.0, -1e-3, math.nan, math.inf])
+def test_an_untruncated_law_is_rejected(floor):
+    # E[1/R] diverges without a positive floor: 1/log2(1 + g) ~ 1/g near 0
+    with pytest.raises(ValueError, match="support_lo"):
+        StageDistribution("truncated_exponential", mean_snr=MEAN_SNR_D50, support_lo=floor)
+    with pytest.raises(ValueError, match="support_lo"):  # the same as a ratio to the mean
+        StageDistribution.truncated_exponential(MEAN_SNR_D50, floor_ratio=floor)
 
 
-def test_a_singular_integrand_at_a_zero_floor_raises_with_the_estimate():
-    plain = StageDistribution("truncated_exponential", mean_snr=1.0)
-    with pytest.raises(NumericalError, match="does not converge at an SNR floor of 0") as err:
-        expect(plain, lambda s: 1.0 / s**2)  # finite in doubles at every node
-    assert math.isfinite(err.value.estimate)
+def test_a_law_without_a_floor_is_rejected():
+    with pytest.raises(ValueError, match="support_lo"):
+        StageDistribution("truncated_exponential", mean_snr=MEAN_SNR_D50)
+
+
+def test_a_non_finite_integrand_raises_with_the_estimate(trunc):
+    with pytest.raises(NumericalError, match="not finite") as err:
+        trunc.partial_expect(lambda s: math.inf, 0.3)
+    assert err.value.estimate == math.inf
 
 
 def test_truncation_floor_lowers_inv_rate_expectation():
@@ -301,8 +322,8 @@ def test_truncation_floor_lowers_inv_rate_expectation():
 # -- sampling -------------------------------------------------------------------
 
 def test_quantile_median_of_exponential():
-    d = StageDistribution("truncated_exponential", mean_snr=1.0)
-    assert d.quantile(0.5) == pytest.approx(math.log(2), rel=1e-12)
+    d = StageDistribution("truncated_exponential", mean_snr=1.0, support_lo=1e-3)
+    assert d.quantile(0.5) == pytest.approx(1e-3 + math.log(2), rel=1e-12)
 
 
 _LAWS = {
@@ -332,7 +353,8 @@ def test_quantile_of_a_block_matches_its_columns(law):
 
 
 @pytest.mark.parametrize("law", [*_LAWS.values(),
-                                 StageDistribution("truncated_exponential", mean_snr=0.3)],
+                                 StageDistribution("truncated_exponential", mean_snr=0.3,
+                                                   support_lo=3e-4)],
                          ids=[*_LAWS.keys(), "exponential"])
 def test_quantile_stays_in_support(law):
     u = np.concatenate([np.random.default_rng(8).random(2000),
@@ -359,7 +381,8 @@ def _contiguous_reference(law, u):
 
 
 _EDGE_UNIFORMS = [0.0, -0.0, 1.0, 1.0 - 2.0**-53, 1.0 - 2.0**-52, 2.0**-1074, 0.5]
-_QUANTILE_LAWS = [*_LAWS.values(), StageDistribution("truncated_exponential", mean_snr=0.3)]
+_QUANTILE_LAWS = [*_LAWS.values(),
+                  StageDistribution("truncated_exponential", mean_snr=0.3, support_lo=3e-4)]
 
 
 @given(law=st.sampled_from(_QUANTILE_LAWS), rows=st.integers(0, 60), cols=st.integers(1, 5),
@@ -392,29 +415,32 @@ def test_quantile_of_strided_views_matches_a_contiguous_copy(law, rows, cols, st
                 law.quantile(u)
 
 
-def _pdf_by_atom_loop(law, x):
-    """The discrete pdf as one np.where per atom."""
+def _prob_below_by_atom_loop(law, x):
+    """P{SNR < x} of a discrete law as one np.where per atom, added in atom order."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     for snr, prob in atom_pairs(law):
-        out = np.where(x == snr, prob, out)
-    return float(out) if out.ndim == 0 else out
+        out = out + np.where(x > snr, prob, 0.0)
+    return out
 
 
 @pytest.mark.parametrize("law", [_LAWS["discrete"], StageDistribution.discrete([(0.7, 1.0)]),
                                  channel_at(50.0, make_params()).discretize(4096)],
                          ids=["three_atoms", "one_atom", "grid_4096"])
-def test_discrete_pdf_matches_atom_loop(law):
-    snrs = np.array([s for s, _ in atom_pairs(law)])
+def test_discrete_prob_below_matches_atom_loop(law):
+    snrs, probs = law.atom_arrays
     between = (snrs[:-1] + snrs[1:]) / 2
-    outside = [0.0, -1.0, snrs[0] / 2, snrs[-1] * 2, math.inf, -math.inf, math.nan]
+    outside = [0.0, -1.0, snrs[0] / 2, snrs[-1] * 2, math.inf, -math.inf]
     x = np.concatenate([snrs, between, outside, np.nextafter(snrs, math.inf)])
-    got = np.array(law.pdf(x))
-    assert np.array_equal(got, _pdf_by_atom_loop(law, x))
-    assert np.array_equal(got[:len(snrs)], [p for _, p in atom_pairs(law)])
-    assert not got[len(snrs):].any()
-    for v in x[::97]:
-        assert law.pdf(float(v)) == _pdf_by_atom_loop(law, float(v))
+    got = np.array(law.prob_below(x))
+    assert np.array_equal(got, _prob_below_by_atom_loop(law, x))
+    # the step at each atom is its probability
+    above = got[len(snrs) + len(between) + len(outside):]
+    assert np.allclose(above - got[:len(snrs)], probs, rtol=0, atol=1e-15)
+    # a discrete law has no density: the program reads it through prob_below
+    for read in (law.pdf, law.cdf):
+        with pytest.raises(ValueError, match="prob_below"):
+            read(x)
 
 
 def test_sampling_ks_statistic(trunc):
@@ -479,7 +505,7 @@ def test_discrete_atom_arrays_are_the_atoms():
     with pytest.raises(ValueError):
         snrs[0] = 3.0  # read-only: the law stays immutable
     with pytest.raises(ValueError):
-        StageDistribution("truncated_exponential", mean_snr=1.0).atom_arrays
+        StageDistribution("truncated_exponential", mean_snr=1.0, support_lo=1e-3).atom_arrays
 
 
 def _dict_merge(atoms):
@@ -542,7 +568,7 @@ def test_discrete_law_invariant_under_reordering_and_splitting(counts, order):
 def _reads(law, points):
     """Every read the planner makes of a law, from a freshly built tail table."""
     inv_rate_table.cache_clear()
-    return law.cdf(points), law.prob_below(points), inv_rate_tails(law, points, W)
+    return law.prob_below(points), inv_rate_tails(law, points, W)
 
 
 def _agree_as_laws(a, b, points):
@@ -567,14 +593,14 @@ def test_column_storage_keeps_every_discrete_law_built_from_pairs(pairs, repeats
     assert law.snrs == tuple(s for s, _ in merged) and law.probs == tuple(p for _, p in merged)
     assert law.to_json_dict() == {"kind": "discrete", "atoms": [list(atom) for atom in merged]}
     points = [s for s, _ in merged] + [0.0, merged[0][0] / 2, merged[-1][0] * 2]
-    cum = [sum(p for s, p in merged if s <= x) for x in points]
+    cum = [sum(p for s, p in merged if s < x) for x in points]
     assert _reads(law, points)[0] == cum
     for rebuilt in (_from_columns(atom_pairs(law)),
                     StageDistribution.discrete(atom_pairs(law)), StageDistribution.discrete(merged)):
         _agree_as_laws(rebuilt, law, points)
 
 
-@given(mean=st.floats(1e-6, 1e6), ratio=st.sampled_from([0.0, 1e-3, 1.0, 2.0**20]),
+@given(mean=st.floats(1e-6, 1e6), ratio=st.sampled_from([1e-12, 1e-3, 1.0, 2.0**20]),
        grid=st.integers(2, 600), discrete=st.booleans())
 def test_discretize_is_the_discrete_law_of_its_quantile_pairs(mean, ratio, grid, discrete):
     law = (StageDistribution.discrete([(mean, 0.25), (2.0 * mean, 0.5), (5.0 * mean, 0.25)])
@@ -591,14 +617,12 @@ def test_discrete_expectation_is_exact_sum():
     d = StageDistribution.discrete([(1.0, 0.25), (2.0, 0.25), (4.0, 0.5)])
     assert expect(d, lambda s: s) == 1.0 * 0.25 + 2.0 * 0.25 + 4.0 * 0.5
     assert d.partial_expect(lambda s: s, 2.0) == 2.0 * 0.25 + 4.0 * 0.5
-    assert d.cdf(2.0) == 0.5
-    assert d.cdf(1.9999) == 0.25
+    assert d.prob_below([np.nextafter(2.0, 3.0), 2.0]) == [0.5, 0.25]
 
 
 def test_prob_below_leaves_out_the_atom_at_x(trunc):
     d = StageDistribution.discrete([(1.0, 0.25), (2.0, 0.25), (4.0, 0.5)])
-    assert d.prob_below(2.0) == 0.25 and d.cdf(2.0) == 0.5
-    assert d.prob_below(1.0) == 0.0 and d.prob_below(4.5) == 1.0
+    assert d.prob_below([2.0, 1.0, 4.5]) == [0.25, 0.0, 1.0]
     assert d.prob_below(np.array([1.0, 2.5, 4.0])) == [0.0, 0.5, 0.5]
     xs = np.linspace(0.0, trunc.support_lo + 10 * trunc.mean_snr, 101)
     assert np.array_equal(trunc.prob_below(xs), trunc.cdf(xs))
@@ -696,4 +720,4 @@ MPMATH_HIGH_FLOOR = [
 @pytest.mark.parametrize("mean,floor,reference", MPMATH_HIGH_FLOOR)
 def test_the_highest_accepted_floor_matches_mpmath(mean, floor, reference):
     law = StageDistribution("truncated_exponential", mean_snr=mean, support_lo=floor)
-    assert inv_rate_table(law, W).full == pytest.approx(reference, rel=1e-10)
+    assert inv_rate_table(law, W).full == pytest.approx(reference, rel=1e-10, abs=0.0)

@@ -213,7 +213,8 @@ def test_closed_form_stops_on_an_atom_at_the_shared_threshold(equal_mlp_spec, pa
     rep = closed_form(equal_mlp_spec, params, dist)
     assert rep.diagnostics["delta_threshold"] == delta
     cont, g = rep.diagnostics["cdf_at_delta"], rep.diagnostics["g_simplified"]
-    assert cont == dist.prob_below(delta) != dist.cdf(delta)
+    # P{SNR < delta} leaves out the atom at delta, which P{SNR <= delta} holds
+    assert [cont] == dist.prob_below([delta]) != dist.prob_below([math.nextafter(delta, math.inf)])
     # the rule's own rows: a tie stops, so each decrement is X * F^M * g with
     # F = P{SNR < delta}, and the branch picks their argmin
     net, x = build_mlp(equal_mlp_spec), equal_mlp_spec.neurons[0]

@@ -63,7 +63,7 @@ def test_value_table_reconstructs_recursion(autoencoder, params, dist_d50):
     assert pol.value_table[M] == pytest.approx(expected_last, rel=1e-10)
     for n in range(M, 0, -1):
         t = pol.thresholds[n - 1]
-        cont = dist_d50.cdf(t)
+        cont = dist_d50.cdf([t])[0]
         tail = dist_d50.partial_expect(inv_rate_fn(params), t)
         recon = cm.omega(n) * (1 - cont) + cm.weight(n) * tail + pol.value_table[n] * cont
         assert pol.value_table[n - 1] == pytest.approx(recon, rel=1e-10)
@@ -302,7 +302,7 @@ def test_apply_rule_checks_every_snr_it_reads_and_keeps_valid_decisions(autoenco
 def test_stop_probabilities_m1_form(autoencoder, params, dist_d50):
     pol = backward_induction(1, autoencoder, params, dist_d50)
     probs = stop_probabilities(pol, autoencoder, params, dist_d50)
-    f1 = dist_d50.cdf(pol.thresholds[0])
+    f1 = dist_d50.cdf([pol.thresholds[0]])[0]
     assert probs == pytest.approx([1 - f1, f1], rel=1e-12)
 
 
@@ -399,7 +399,7 @@ def test_optimality_probability_nonincreasing(autoencoder, params, dist_d50):
 
 def test_optimality_probability_closed_form_m2(autoencoder, params, dist_d50):
     pol = one_sla_thresholds(2, autoencoder, params, dist_d50)
-    f1, f2 = (dist_d50.cdf(t) for t in pol.thresholds)
+    f1, f2 = dist_d50.cdf(pol.thresholds)
     want = (1 - f1) * (1 - f2) + f1 * (1 - f2) + f1 * f2
     got = Problem(autoencoder, params, dist_d50).optimality_probability(2)
     assert got == pytest.approx(want, rel=1e-12)

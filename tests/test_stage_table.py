@@ -49,7 +49,7 @@ def _loop_stop_probabilities(policy, dists):
     reach = 1.0
     for n in range(1, M + 1):
         t = policy.thresholds[n - 1]
-        cont = float(ds[n - 1].prob_below(t)) if not math.isinf(t) else 1.0
+        cont = ds[n - 1].prob_below([t])[0] if not math.isinf(t) else 1.0
         probs[n - 1] = reach * (1.0 - cont)
         reach *= cont
     probs[M] = reach
@@ -65,7 +65,7 @@ def _loop_stop_conditional_etc(policy, net, params, dists):
     for n in range(1, M + 1):
         t = policy.thresholds[n - 1]
         dist = ds[n - 1]
-        survive = 1.0 - float(dist.prob_below(t)) if not math.isinf(t) else 0.0
+        survive = 1.0 - dist.prob_below([t])[0] if not math.isinf(t) else 0.0
         if survive <= 0.0:
             out[n - 1] = 0.0
         else:
@@ -239,7 +239,7 @@ def _reference_induction(M, net, params, dists):
     for n in range(M, 0, -1):
         t = _indifference(cm.weight(n), bandwidth, ev - cm.omega(n))
         if t < math.inf:
-            cont = float(ds[n - 1].prob_below(t))
+            cont = ds[n - 1].prob_below([t])[0]
             ev = (cm.omega(n) * (1.0 - cont) + ev * cont
                   + cm.weight(n) * ds[n - 1].partial_expect(inv_rate, t))
         thresholds.insert(0, t)
