@@ -30,14 +30,18 @@ of `python -m edgesplit.cli` calls on each:
   sweep, and a distance sweep on a list whose stages differ in distance
   alone;
 * the reproducers of known boundary defects and a set of malformed configs,
-  and an `--out` that names a file or a path under one;
+  an `--out` that names a file or a path under one, and a `--config` that
+  names no file;
+* the shipped example at `bandwidth_hz` 1e-310 under `place` and
+  `thresholds`, which fail with a numerical error (exit 3);
 * reruns into one output directory, a longer result and then a shorter one
   (`place` with four strategies and then one, `simulate` and a distance
   sweep with two strategies and then one): a rewrite that leaves part of the
   longer result shows as a changed file. Every longer run must exit 0; one
   that does not is listed, on either tree, and fails the diff.
 
-It then lists the cases whose exit code or exit-2 field changed, the result
+It then lists the cases whose exit code, exit-2 field or exit-3 message
+(the numerical error and the estimate it prints) changed, the result
 files that changed, the largest relative move per column of each changed
 file and every changed `best` flag. The exit status is 0 when both
 revisions wrote the same bytes and exit codes everywhere, else 1. To diff
@@ -217,6 +221,11 @@ def matrix():
     for name, cfg in reproducers:
         for command in ("place", "thresholds"):
             cases.append((f"reproducer/{name}", command, cfg, []))
+    # the shipped example at a bandwidth so small that an expectation is not finite: exit 3
+    example = json.loads((ROOT / "configs" / "autoencoder_d50.json").read_text(encoding="utf-8"))
+    for command in ("place", "thresholds"):
+        cases.append(("numerical/bandwidth=1e-310", command,
+                      with_value(example, ("params", "bandwidth_hz"), 1e-310), []))
     # mlp_closed_form on stage laws that differ: at a place request, and at the
     # points of a distance sweep when the stages differ in more than distance
     mlp6 = {"mlp": {"neurons": [64] * 6, "lambda_bytes": 8, "mu_bytes": 8, "alpha": 100}}
@@ -267,6 +276,8 @@ def matrix():
     # the last --out wins: a file of the case directory, and a path under it
     for out in ("cfg.json", "cfg.json/x"):
         cases.append(("malformed/out-names-a-file", "place", base, ["--out", out]))
+    # and so does the last --config: one that names no file
+    cases.append(("malformed/config-missing", "place", base, ["--config", "missing.json"]))
     # a longer run into the output directory first: (name, command, config, flags, earlier flags)
     mlp = NETWORKS["mlp"][0]
     cases.append(("rerun-shorter", "place", config(mlp, strategies=closed_form),
@@ -288,9 +299,9 @@ def export(rev, dest: Path):
 
 
 def run_matrix(tree: Path, work: Path, cases) -> dict:
-    """{case key: (exit code, exit-2 field, {file name: bytes})} for one tree. A
-    case with earlier flags runs with them first, into the same output directory,
-    and its exit code is then the tuple of every run's."""
+    """{case key: (exit code, exit-2 field or exit-3 message, {file name: bytes})}
+    for one tree. A case with earlier flags runs with them first, into the same
+    output directory, and its exit code is then the tuple of every run's."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     results = {}
     for i, (name, command, cfg, flags, *earlier) in enumerate(cases):
@@ -305,9 +316,10 @@ def run_matrix(tree: Path, work: Path, cases) -> dict:
                                   cwd=case_dir, env=env, capture_output=True, text=True)
             codes.append(proc.returncode)
         field = re.search(r"\(field: ([^)]+)\)", proc.stderr) if proc.returncode == 2 else None
+        detail = field.group(1) if field else (proc.stderr.strip() if proc.returncode == 3 else None)
         files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))} if out.is_dir() else {}
         results[f"{name} [{command}{' ' + ' '.join(flags) if flags else ''}]"] = (
-            tuple(codes) if earlier else proc.returncode, field.group(1) if field else None, files)
+            tuple(codes) if earlier else proc.returncode, detail, files)
     return results
 
 
@@ -405,7 +417,7 @@ def main():
     print(f"\nrerun cases whose longer run did not exit 0: {len(failed_earlier)}")
     for rev, key, code in failed_earlier:
         print(f"  {rev} {key}: exit codes {code}")
-    print(f"\nexit code or exit-2 field changed: {len(changed_exit)}")
+    print(f"\nexit code, exit-2 field or exit-3 message changed: {len(changed_exit)}")
     for key, code_a, field_a, code_b, field_b in changed_exit:
         print(f"  {key}: {code_a} ({field_a}) -> {code_b} ({field_b})")
     print(f"\nchanged result files: {len(changed_files)}")

@@ -266,8 +266,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"cannot read {args.config!r}: {reason}", field="--config") from exc
         if isinstance(raw, dict):  # load_config rejects any other shape
             if args.updates is not None and isinstance(raw.setdefault("params", {}), dict):
                 raw["params"]["updates_per_model"] = args.updates
@@ -291,9 +295,8 @@ def main(argv=None) -> int:
             "simulate": cmd_simulate,
         }[args.command]
         return handler(cfg, out)
-    except (ConfigError, json.JSONDecodeError, FileNotFoundError) as exc:
-        field = getattr(exc, "field", None)
-        where = f" (field: {field})" if field else ""
+    except ConfigError as exc:
+        where = f" (field: {exc.field})" if exc.field else ""
         print(f"edgesplit: config error{where}: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -192,8 +192,7 @@ def hybrid(problem: Problem) -> PlacementReport:
     rows = _one_sla_rows(problem, range(problem.M + 1))
     M = _pick_best(rows)
     policy = problem.policy("optimal", M)
-    ee = policy.value_table[0]
-    refined = PlacementRow(M, problem.cm.total_cost(M, ee), ee, problem.cm.placement_cost(M))
+    refined = _rows(problem, lambda _: policy.value_table[0], [M])[0]
     return PlacementReport("hybrid", M, tuple(refined if r.M == M else r for r in rows), policy,
                            diagnostics={"one_sla_Z_at_best": rows[M].Z})
 

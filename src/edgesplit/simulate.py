@@ -100,27 +100,6 @@ def _first_crossings(u, ds, thresholds):
     return stages, gammas
 
 
-def _agreements(u, ds, t_a, t_b) -> int:
-    """Rows of a uniform tile on which two threshold rules stop at the same stage.
-
-    A row leaves the pass at the first stage where either rule stops: the rules
-    agree there if both stop, else the other one stops later. Rows that neither
-    rule stops agree on the forced stage, which needs no draw. Stage 1 reads
-    its column whole; later stages only the live rows.
-    """
-    import numpy as np
-
-    agree = 0
-    live = None  # every row, before stage 1
-    for j, (a, b) in enumerate(zip(t_a, t_b)):
-        snrs = ds[j].quantile(u[:, j] if live is None else u[live, j])
-        hit_a, hit_b = snrs >= a, snrs >= b
-        agree += int(np.count_nonzero(hit_a & hit_b))
-        go_on = ~(hit_a | hit_b)
-        live = np.flatnonzero(go_on) if live is None else live[go_on]
-    return agree + (len(u) if live is None else len(live))
-
-
 def simulate(problem: Problem, policy: ThresholdPolicy, trials: int, seed: int) -> SimResult:
     """Average realized cost of a policy over independent SNR draws from the
     stage laws of `problem`, at the costs of its cost model. A policy whose
@@ -160,13 +139,11 @@ def simulate(problem: Problem, policy: ThresholdPolicy, trials: int, seed: int) 
 
 def coincidence_rate(M: int, net: NetworkSpec, params: SystemParams, dists,
                      trials: int, seed: int) -> float:
-    """Fraction of SNR sequences on which the 1-sla and optimal rules of the
-    Problem at horizon M pick the same split stage; `dists` as in `Problem`."""
-    problem = Problem(net, params, dists, M)
-    t_opt, t_sla = (problem.policy(rule, M).thresholds for rule in ("optimal", "one_sla"))
-    agree = sum(_agreements(u, problem.dists, t_opt, t_sla)
-                for _, _, u in _uniform_tiles(trials, M + 1, seed))
-    return agree / trials
+    """Probability that the 1-sla and optimal rules of the Problem at horizon M
+    pick the same split stage (`Problem.coincidence_probability`); `dists` as
+    in `Problem`. The sum is exact and draws nothing: `trials` and `seed` are
+    unused, and stay because perfbench passes them by position."""
+    return Problem(net, params, dists, M).coincidence_probability(M)
 
 
 def oracle_dp(M: int, net: NetworkSpec, params: SystemParams, discrete_dists) -> OracleResult:

@@ -352,3 +352,21 @@ class Problem:
         # reach[n] = P{no stop before stage n+1}; suffix[n] = P{stages n+1..M all stop}
         suffix = [*accumulate((1.0 - c for c in reversed(table.continue_prob[:M])), operator.mul)][::-1]
         return math.fsum(map(operator.mul, table.reach[:M + 1], [*suffix, 1.0]))
+
+    def coincidence_probability(self, M: int) -> float:
+        """Probability that the 1-sla and optimal rules at horizon M stop at the
+        same stage, read off the continue probabilities of both stage tables.
+
+        With a_n and b_n the two thresholds, the rules agree at stage n <= M when
+        neither stopped before, SNR_j < min(a_j, b_j) for j < n, and both stop at
+        n, SNR_n >= max(a_n, b_n); they agree at the forced stage M+1 when neither
+        ever stops. P{SNR < t} rises with t, so its value at min(a, b) is the
+        smaller of the two rules' reads, and at max(a, b) the larger.
+        """
+        if not 0 <= M <= self.M:
+            raise ValueError(f"M must lie in [0, {self.M}]")
+        optimal = self.stage_table(self.policy("optimal", M)).continue_prob
+        one_sla = self.one_sla_table.continue_prob[:M]
+        reach = [1.0, *accumulate(map(min, optimal, one_sla), operator.mul)]
+        return math.fsum([*(r * (1.0 - max(a, b)) for r, a, b in zip(reach, optimal, one_sla)),
+                          reach[M]])

@@ -934,6 +934,26 @@ def test_missing_config_file_exit_code(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def _unreadable_config(tmp_path, case):
+    """A --config path that cannot be read as a JSON document."""
+    path = tmp_path / "cfg.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(json.dumps(reference_config_dict()).encode("utf-16"))
+    elif case == "invalid-json":
+        path.write_text('{"network": "autoencoder",', encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "invalid-json"])
+def test_an_unreadable_config_is_a_config_error_naming_it(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    assert main(["place", "--config", _unreadable_config(tmp_path, case), "--out", str(out)]) == 2
+    assert "(field: --config)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- the JSON emitter -----------------------------------------------------------
 
 def _reference_json(obj):

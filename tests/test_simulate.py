@@ -1,6 +1,12 @@
-"""Monte Carlo harness and the discrete dynamic-programming oracle."""
+"""Monte Carlo harness, the exact coincidence rate and the discrete dynamic-programming oracle."""
 import importlib
+import itertools
+import json
 import math
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -12,18 +18,27 @@ from hypothesis import strategies as st
 from edgesplit import (
     Problem,
     StageDistribution,
+    apply_rule,
     backward_induction,
     coincidence_rate,
     one_sla_thresholds,
     oracle_dp,
     simulate,
 )
+from edgesplit.config import load_config
 from edgesplit.cost_model import cost_model
 from edgesplit.model_graph import LayerSpec, MlpSpec, NetworkSpec, build_mlp
-from edgesplit.simulate import SimResult, _agreements, _first_crossings, _uniform_tiles
+from edgesplit.simulate import SimResult, _first_crossings, _uniform_tiles
 from edgesplit.splitting import expected_etc
 
-from conftest import DOWNLINK_BPS, atom_pairs, channel_at, stop_cost, stop_probabilities
+from conftest import (
+    DOWNLINK_BPS,
+    atom_pairs,
+    channel_at,
+    reference_config_dict,
+    stop_cost,
+    stop_probabilities,
+)
 
 # the module, which the package's `simulate` function shadows as an attribute
 SIM = importlib.import_module("edgesplit.simulate")
@@ -49,10 +64,6 @@ def test_simulate_deterministic_and_chunk_invariant(autoencoder, params, dist_d5
     assert c.stop_histogram == a.stop_histogram
     assert c.mean_etc == pytest.approx(a.mean_etc, rel=1e-13)
     assert c.std_error == pytest.approx(a.std_error, rel=1e-10)
-    # coincidence_rate counts agreements on the same chunked stream: exact
-    whole = coincidence_rate(4, autoencoder, params, dist_d50, 30_000, seed=11)
-    with _chunk_trials(777):
-        assert coincidence_rate(4, autoencoder, params, dist_d50, 30_000, seed=11) == whole
 
 
 def test_simulate_single_atom_matches_analytic_exactly(autoencoder, params):
@@ -182,9 +193,6 @@ def test_kernel_matches_reference_bit_for_bit(autoencoder, params, dist_d50, sha
             pol = problem.policy(rule, M)
             got = simulate(problem, pol, trials, seed=M)
             assert got == _reference_simulate(pol, autoencoder, params, ds, trials, M, chunk)
-        if M:
-            assert (coincidence_rate(M, autoencoder, params, law, trials, seed=M)
-                    == _reference_coincidence(M, autoencoder, params, ds, trials, M, chunk))
 
 
 @pytest.mark.parametrize("chunk", _TRIALS_AT_CHUNK)
@@ -236,7 +244,6 @@ def _counting_quantile(monkeypatch):
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_stage"])
 def test_kernel_draws_only_the_live_rows(autoencoder, params, dist_d50, monkeypatch, shared):
     # stage j of a block draws for exactly the rows whose reference stop is >= j
-    # (coincidence_rate: under both rules, with no draw at the forced stage)
     law = dist_d50 if shared else _stage_list(dist_d50.mean_snr)
     ds = [law] * 9 if shared else law
     trials, chunk = 3000, 1100
@@ -257,28 +264,6 @@ def test_kernel_draws_only_the_live_rows(autoencoder, params, dist_d50, monkeypa
                 assert sum(block) == stops.sum()
                 if (stops <= M).any():
                     assert sum(block) < snrs.size
-        if M:
-            t_opt = backward_induction(M, autoencoder, params, ds).thresholds
-            t_sla = one_sla_thresholds(M, autoencoder, params, ds).thresholds
-            sizes.clear()
-            coincidence_rate(M, autoencoder, params, law, trials, seed=M)
-            want = []
-            for snrs in _reference_draws(ds[:M + 1], trials, M, chunk):
-                first = np.minimum(_reference_stops(snrs, t_opt, M), _reference_stops(snrs, t_sla, M))
-                want += [int(np.count_nonzero(first >= j)) for j in range(1, M + 1)]
-            assert sizes == want
-
-
-def test_agreements_count_equal_stops():
-    law = StageDistribution.discrete([(float(k), 1 / 6) for k in range(1, 7)])
-    rng = np.random.default_rng(8)
-    u = rng.random((4000, 9))
-    snrs = np.column_stack([_reference_quantile(law, u[:, j]) for j in range(9)])
-    for M in range(1, 9):
-        t_a, t_b = rng.integers(1, 7, size=M).astype(float), rng.integers(1, 7, size=M).astype(float)
-        t_b[rng.random(M) < 0.3] = math.inf
-        want = int((_reference_stops(snrs, t_a, M) == _reference_stops(snrs, t_b, M)).sum())
-        assert _agreements(u[:, :M + 1], (law,) * (M + 1), t_a, t_b) == want
 
 
 @given(scales=st.lists(st.floats(0.2, 5.0), min_size=7, max_size=7),
@@ -296,10 +281,6 @@ def test_monte_carlo_does_not_depend_on_chunk_size(autoencoder, params, dist_d50
     assert part.stop_histogram == whole.stop_histogram
     assert part.mean_etc == pytest.approx(whole.mean_etc, rel=1e-12)
     assert part.std_error == pytest.approx(whole.std_error, rel=1e-9)
-    if M:
-        with _chunk_trials(chunk):
-            part_rate = coincidence_rate(M, autoencoder, params, laws, 600, seed=M)
-        assert part_rate == coincidence_rate(M, autoencoder, params, laws, 600, seed=M)
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_stage"])
@@ -312,10 +293,8 @@ def test_no_result_depends_on_the_tile_size(autoencoder, params, dist_d50, monke
     monkeypatch.setattr(SIM, "_CHUNK_TRIALS", 1000)
 
     def results():
-        sims = [simulate(problem, problem.policy(rule, M), trials, seed=M)
+        return [simulate(problem, problem.policy(rule, M), trials, seed=M)
                 for M in (2, 8) for rule in ("optimal", "one_sla")]
-        rates = [coincidence_rate(M, autoencoder, params, law, trials, seed=M) for M in (2, 8)]
-        return sims, rates
 
     whole = results()
     for tile in (1, 7, 333):
@@ -334,21 +313,18 @@ def test_monte_carlo_memory_is_bounded_by_one_tile(request, params, network, dis
     law = channel_at(distance, params)
     problem = Problem(net, params, law)
     policy = problem.policy("optimal", 8)
-    calls = {"simulate": lambda trials: simulate(problem, policy, trials, seed=1),
-             "coincidence_rate": lambda trials: coincidence_rate(8, net, params, law, trials, seed=1)}
-    for name, call in calls.items():
-        call(1000)  # warm: the imports and the Problem's lazy state
-        peaks = []
-        for trials in (1 << 18, 10**6):
-            tracemalloc.start()
-            try:
-                call(trials)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert max(peaks) < _PEAK_BOUND, (name, peaks)
-        # more blocks hold no more memory: only the live rows of a tile vary
-        assert peaks[1] < 1.05 * peaks[0], (name, peaks)
+    simulate(problem, policy, 1000, seed=1)  # warm: the imports and the Problem's lazy state
+    peaks = []
+    for trials in (1 << 18, 10**6):
+        tracemalloc.start()
+        try:
+            simulate(problem, policy, trials, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < _PEAK_BOUND, peaks
+    # more blocks hold no more memory: only the live rows of a tile vary
+    assert peaks[1] < 1.05 * peaks[0], peaks
 
 
 # -- coincidence ----------------------------------------------------------------
@@ -370,6 +346,103 @@ def test_coincidence_at_least_sufficient_event_probability(autoencoder, params, 
 def test_coincidence_deterministic_channel(autoencoder, params):
     atom = StageDistribution.discrete([(0.7, 1.0)])
     assert coincidence_rate(1, autoencoder, params, atom, 100, seed=0) == 1.0
+
+
+def _atoms(rng, snrs):
+    weights = [rng.random() + 0.1 for _ in snrs]
+    return StageDistribution.discrete([(s, w / sum(weights)) for s, w in zip(snrs, weights)])
+
+
+def _straddling_laws(rng, M, net, params):
+    """M + 1 discrete laws of 2-4 atoms, built from the last stage back.
+
+    A stage's thresholds depend only on the laws after it, so each stage's
+    atoms are drawn from the spots below, on, between and above its two
+    thresholds: on a threshold an SNR stops (a tie), between them one rule
+    stops and the other goes on."""
+    laws = [None] * (M + 1)
+    laws[M] = _atoms(rng, [0.6 * math.exp(rng.uniform(-5, 1)) for _ in range(rng.randint(2, 4))])
+    for n in range(M - 1, -1, -1):
+        ds = [laws[n + 1]] * (n + 1) + laws[n + 1:]
+        lo, hi = sorted(rule(M, net, params, ds).thresholds[n]
+                        for rule in (backward_induction, one_sla_thresholds))
+        spots = [s for s in (lo / 2, lo, (lo + hi) / 2, hi, 2 * hi) if s < math.inf] or [0.1, 1.0]
+        laws[n] = _atoms(rng, rng.sample(spots, min(len(spots), rng.randint(2, 4))))
+    return laws
+
+
+def _enumerated_coincidence(M, net, params, laws):
+    """The probability of every SNR sequence on which `apply_rule` stops both
+    rules' policies at the same stage."""
+    policies = [backward_induction(M, net, params, laws), one_sla_thresholds(M, net, params, laws)]
+    agree = []
+    for seq in itertools.product(*(atom_pairs(law) for law in laws)):
+        snrs = [s for s, _ in seq]
+        first, second = (apply_rule(pol, snrs, net, params).stage for pol in policies)
+        if first == second:
+            agree.append(math.prod(p for _, p in seq))
+    return math.fsum(agree)
+
+
+def test_coincidence_equals_enumeration_over_every_snr_sequence(autoencoder, alexnet, params):
+    rng = random.Random(31)
+    disagreeing = 0
+    for case in range(40):
+        net, M = (autoencoder, alexnet)[case % 2], case % 5
+        laws = _straddling_laws(rng, M, net, params)
+        want = _enumerated_coincidence(M, net, params, laws)
+        got = coincidence_rate(M, net, params, laws, 1, seed=0)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), (case, M)
+        if M <= 1:
+            assert got == 1.0
+        disagreeing += want < 0.99
+    assert disagreeing >= 15  # the rules part on most sequences of most cases
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_stage"])
+def test_coincidence_matches_the_reference_monte_carlo(autoencoder, params, dist_d50, shared):
+    law = dist_d50 if shared else _stage_list(dist_d50.mean_snr)
+    ds = [law] * 9 if shared else law
+    trials = 40_000
+    for M in range(9):
+        p = coincidence_rate(M, autoencoder, params, law, trials, seed=M)
+        freq = _reference_coincidence(M, autoencoder, params, ds, trials, M, trials)
+        assert abs(freq - p) <= 5 * math.sqrt(p * (1 - p) / trials) + 1 / trials, (M, freq, p)
+
+
+# coincidence_rate on a shared law, a per-stage list and a discrete law at every
+# horizon, with every import of numpy failing
+_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None
+import edgesplit as es
+rates = []
+for raw in json.loads(sys.argv[1]):
+    cfg = es.load_config(raw)
+    rates += [es.coincidence_rate(M, cfg.network, cfg.params, cfg.stage_dists(M + 1), 100, 1)
+              for M in range(cfg.network.N + 1)]
+assert sys.modules["numpy"] is None
+print(json.dumps(rates))
+"""
+
+
+def test_coincidence_runs_without_numpy():
+    pathloss = reference_config_dict()["channel"]
+    configs = [reference_config_dict(),
+               reference_config_dict(network="alexnet",
+                                     channel=[dict(pathloss, distance_m=d) for d in range(20, 200, 20)]),
+               reference_config_dict(channel={"kind": "discrete", "atoms": [[0.01, 0.5], [2.0, 0.5]]})]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(configs)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    want = []
+    for raw in configs:
+        cfg = load_config(raw)
+        want += [coincidence_rate(M, cfg.network, cfg.params, cfg.stage_dists(M + 1), 100, 1)
+                 for M in range(cfg.network.N + 1)]
+    assert json.loads(out.stdout) == want
 
 
 # -- oracle ------------------------------------------------------------------------
