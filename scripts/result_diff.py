@@ -25,13 +25,16 @@ of `python -m edgesplit.cli` calls on each:
 * a deep network whose three front layers take 1e11 to 1e14 cycles and the
   later ones 1 to 1e4, where omega(n) dwarfs a later layer's own cost, under
   `place` and `thresholds`;
+* a 150-layer network that repeats three layer patterns, under `place`
+  with the default strategies, `place --strategy hybrid` alone and
+  `thresholds`;
 * one path-loss law, shared or listed once per stage, on a 12-layer
   equal-width MLP under `place`, `thresholds`, `simulate` and a distance
   sweep, and a distance sweep on a list whose stages differ in distance
   alone;
 * the reproducers of known boundary defects and a set of malformed configs,
-  an `--out` that names a file or a path under one, and a `--config` that
-  names no file;
+  an `--out` that names a file or a path under one, a directory where a
+  result file goes, and a `--config` that names no file;
 * the shipped example at `bandwidth_hz` 1e-310 under `place` and
   `thresholds`, which fail with a numerical error (exit 3);
 * reruns into one output directory, a longer result and then a shorter one
@@ -199,6 +202,14 @@ def matrix():
                    "exit_input_bits": 80}
     for command in ("place", "thresholds"):
         cases.append(("heavy-front", command, config(heavy_front), []))
+    # deep: the optimal rule at a horizon below the top after the all-horizons
+    # pass (default strategies) and before it (hybrid alone), and at the top
+    pattern = [(1e6, 32768, 0.002), (3e6, 8192, 0.004), (2e6, 16384, 0.001)]
+    deep = {"layers": [{"workload_cycles": c, "input_bits": b, "download_seconds": s}
+                       for c, b, s in (pattern[n % 3] for n in range(150))],
+            "exit_input_bits": 1024}
+    for command, flags in (("place", []), ("place", ["--strategy", "hybrid"]), ("thresholds", [])):
+        cases.append(("deep-150", command, config(deep), flags))
     cases.append(("flags", "place", config(), ["--updates", "inf", "--strategy", "hybrid"]))
     cases.append(("flags", "place", config(), ["--updates", "10"]))
     cases.append(("flags", "simulate", config(strategies=RULES),
@@ -276,6 +287,10 @@ def matrix():
     # the last --out wins: a file of the case directory, and a path under it
     for out in ("cfg.json", "cfg.json/x"):
         cases.append(("malformed/out-names-a-file", "place", base, ["--out", out]))
+    # a directory where a result file goes (made by `run_matrix`)
+    for command, blocked in (("thresholds", "thresholds.csv"), ("place", "placement.json"),
+                             ("simulate", "sim.csv")):
+        cases.append((f"unwritable/{blocked}", command, config(strategies=RULES), []))
     # and so does the last --config: one that names no file
     cases.append(("malformed/config-missing", "place", base, ["--config", "missing.json"]))
     # a longer run into the output directory first: (name, command, config, flags, earlier flags)
@@ -309,6 +324,8 @@ def run_matrix(tree: Path, work: Path, cases) -> dict:
         case_dir.mkdir()
         (case_dir / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
         out = case_dir / "out"
+        if name.startswith("unwritable/"):
+            (out / name.split("/", 1)[1]).mkdir(parents=True)
         codes = []
         for run_flags in (*earlier, flags):
             proc = subprocess.run([sys.executable, "-m", "edgesplit.cli", command, "--config",
@@ -317,7 +334,8 @@ def run_matrix(tree: Path, work: Path, cases) -> dict:
             codes.append(proc.returncode)
         field = re.search(r"\(field: ([^)]+)\)", proc.stderr) if proc.returncode == 2 else None
         detail = field.group(1) if field else (proc.stderr.strip() if proc.returncode == 3 else None)
-        files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))} if out.is_dir() else {}
+        files = ({p.name: p.read_bytes() for p in sorted(out.glob("*")) if p.is_file()}
+                 if out.is_dir() else {})
         results[f"{name} [{command}{' ' + ' '.join(flags) if flags else ''}]"] = (
             tuple(codes) if earlier else proc.returncode, detail, files)
     return results

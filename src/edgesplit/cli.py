@@ -78,9 +78,12 @@ def _metadata(cfg: ExperimentConfig) -> dict:
 
 def _write_text(path: str, text: str):
     """Write `text` to `path` as UTF-8, truncating the file first: the one place
-    that writes a result file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    that writes a result file. A failed write is a ConfigError of --out."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:  # a directory in the way, or no room or right to write
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror}", field="--out") from exc
 
 
 def _write_csv(path: str, metadata: dict, header: str, rows: list[str]):

@@ -17,8 +17,8 @@ cost under a stopping rule, composed by `CostModel.total_cost`:
 
 Every strategy reads one `splitting.Problem`, which owns the stage laws, the
 cost model and both rules' policies; this module only turns its expected costs
-into Z(M) rows. `hybrid` reads row M of the optimal recursion once built, and
-runs one backward induction for M otherwise.
+into Z(M) rows. `hybrid` re-runs the optimal recursion to its M on read hits
+once the Problem has run it, and one backward induction for M otherwise.
 """
 from __future__ import annotations
 
@@ -105,8 +105,7 @@ def _one_sla_rows(problem: Problem, Ms) -> tuple[PlacementRow, ...]:
 def optimize_exhaustive(problem: Problem, rule_kind: str = "optimal") -> PlacementReport:
     """Evaluate Z(M) for every M = 0..N under the requested stopping rule."""
     if rule_kind == "optimal":
-        values = problem.optimal[1]
-        rows = _rows(problem, lambda M: values[M][0], range(problem.M + 1))
+        rows = _rows(problem, problem.optimal[0].__getitem__, range(problem.M + 1))
     elif rule_kind == "one_sla":
         rows = _one_sla_rows(problem, range(problem.M + 1))
     else:

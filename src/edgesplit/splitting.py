@@ -108,7 +108,7 @@ def network_laws(net: NetworkSpec, dists):
 
 
 def backward_induction(M: int, net: NetworkSpec, params: SystemParams, dists) -> ThresholdPolicy:
-    """Optimal stopping rule for horizon M+1: the top row of the recursion of
+    """Optimal stopping rule for horizon M+1: the policy of the recursion of
     the Problem at horizon M. M = 0 is the forced offload at stage 1."""
     return Problem(net, params, dists, M).policy("optimal", M)
 
@@ -187,9 +187,10 @@ class Problem:
     It is the one place where (net, params, dists) become the stage laws, one
     object per distinct law, the cost model and the policies of both rules.
     Built per CLI command, `place` request or sweep point, it builds on first
-    use, and keeps on the instance only, the transmission costs, the optimal
-    recursion over 0..M, the 1-sla policy with its stage table and the reads
-    of its laws at their thresholds. Nothing is kept across Problems.
+    use, and keeps on the instance only, O(M) numbers but for the reads of its
+    laws at their thresholds: the transmission costs, V_M(1) of every horizon
+    0..M with the optimal policy at M, and the 1-sla policy with its stage
+    table. Nothing is kept across Problems.
     """
 
     def __init__(self, net: NetworkSpec, params: SystemParams, dists, M: int | None = None):
@@ -231,48 +232,43 @@ class Problem:
         """Expected cost of the forced stop at stage M+1, for M = 0..self.M."""
         return [self.cm.omega(M + 1) + t for M, t in enumerate(self.transmission)]
 
-    def recursion(self) -> tuple[list[list[float]], list[list[float]]]:
-        """Backward induction for every horizon M = 0..self.M in lockstep.
+    def recursion(self, top: int) -> tuple[list[float], ThresholdPolicy]:
+        """Backward induction for every horizon M = 0..top in lockstep: V_M(1)
+        for each M, and the optimal policy at horizon top.
 
-        One pass from the top stage down to stage 1 carries the value of every
+        One pass from stage top down to stage 1 carries the value of every
         horizon M >= n as its excess over omega(n). Horizon M joins at its forced
         stop, stage M+1, with excess `transmission[M]`, weight * E[1/R] there.
         Going on from stage n costs margin = excess + local_gap(n) over omega(n);
         the threshold is the indifference SNR of that margin (+inf: stopping never
         wins), the new excess weight * tail + margin * P{no stop}, from one
-        `reads` over all finite thresholds. Row M holds horizon M:
-        thresholds[M][:M] and values[M][:M+1].
+        `reads` over all finite thresholds. The policy takes each stage's
+        threshold and value at horizon top: O(top^2) time, O(top) memory.
         """
-        top = self.M
         ds, cm, bandwidth = self.dists, self.cm, self.params.bandwidth_hz
-        thresholds = [[math.inf] * top for _ in range(top + 1)]
-        values = [[0.0] * (top + 1) for _ in range(top + 1)]
-        excess = [0.0] * (top + 1)
-        for n in range(top, -1, -1):
-            excess[n] = self.transmission[n]  # horizon n joins at its forced stop
-            values[n][n] = cm.omega(n + 1) + excess[n]
-            if n == 0:
-                break
+        excess = self.transmission[:top + 1]
+        thresholds, values = [math.inf] * top, [0.0] * top + [cm.omega(top + 1) + excess[top]]
+        for n in range(top, 0, -1):
             omega, weight, gap = cm.omega(n), cm.weight(n), cm.local_gap(n)
             stop = []
             for h in range(n, top + 1):
                 excess[h] = margin = excess[h] + gap
-                thresholds[h][n - 1] = t = _indifference_threshold(weight, bandwidth, margin)
-                values[h][n - 1] = omega + margin
+                t = _indifference_threshold(weight, bandwidth, margin)
                 if t < math.inf:
                     stop.append((h, t))
             if stop:
                 for (h, _), (cont, tail) in zip(stop, self.reads(ds[n - 1], [t for _, t in stop])):
                     excess[h] = weight * tail + excess[h] * cont
-                    values[h][n - 1] = omega + excess[h]
-        if not all(math.isfinite(v) for row in values for v in row):  # NaN would also give NaN thresholds
-            raise NumericalError(f"the optimal recursion's values are not finite: {values!r}")
-        return thresholds, values
+            thresholds[n - 1], values[n - 1] = t, omega + excess[top]
+        costs = [cm.omega(1) + e for e in excess]  # a non-finite value stays so down to stage 1
+        if not all(map(math.isfinite, costs + values)):  # NaN would also give NaN thresholds
+            raise NumericalError(f"the optimal recursion's values are not finite: {costs!r}, {values!r}")
+        return costs, ThresholdPolicy("optimal", top, thresholds, values)
 
     @cached_property
-    def optimal(self) -> tuple:
-        """Threshold and value matrices of the recursion over M = 0..self.M."""
-        return self.recursion()
+    def optimal(self) -> tuple[list[float], ThresholdPolicy]:
+        """V_M(1) for M = 0..self.M and the optimal policy at self.M."""
+        return self.recursion(self.M)
 
     @cached_property
     def one_sla(self) -> ThresholdPolicy:
@@ -299,9 +295,9 @@ class Problem:
         """Threshold policy of rule "optimal" or "one_sla" with M layers on the
         device; at M = 0 both are the forced offload at stage 1.
 
-        The optimal policy is row M of the recursion once it has run, or at
-        M = self.M. Below that, it is one `backward_induction(M)`, the top row
-        of the Problem at horizon M: the same numbers bit for bit.
+        The optimal policy at M = self.M is the one `optimal` keeps. Below that
+        it is `recursion(M)`, on reads that all hit, once `optimal` has run, and
+        one `backward_induction(M)` before it: the same numbers bit for bit.
         """
         if rule_kind not in RULE_KINDS:
             raise ValueError(f"rule_kind must be one of {RULE_KINDS}")
@@ -310,9 +306,9 @@ class Problem:
         if rule_kind == "one_sla":
             return ThresholdPolicy("one_sla", M, self.one_sla.thresholds[:M])
         if M < self.M and "optimal" not in vars(self):  # where cached_property keeps it
+            # perfbench/test_perfbench.py counts this call; ROADMAP item 1a removes it
             return backward_induction(M, self.net, self.params, self.dists)
-        thresholds, values = self.optimal
-        return ThresholdPolicy("optimal", M, thresholds[M][:M], values[M][:M + 1])
+        return (self.optimal if M == self.M else self.recursion(M))[1]
 
     def stage_table(self, policy: ThresholdPolicy) -> StageTable:
         """Stop statistics and stop costs of a policy at a horizon up to self.M.

@@ -568,6 +568,24 @@ def test_an_out_that_names_a_file_is_an_out_error(tmp_path, capsys):
         assert taken.read_text() == "kept\n"
 
 
+# a result file: the command that writes it, and the result files written before it
+_WRITTEN_BEFORE = {"thresholds.csv": ("thresholds", []), "placement.json": ("place", ["placement.csv"]),
+                   "sim.csv": ("simulate", ["sim.json"])}
+
+
+@pytest.mark.parametrize("blocked", list(_WRITTEN_BEFORE))
+def test_a_result_file_that_cannot_be_written_is_an_out_error(tmp_path, capsys, blocked):
+    """A directory where a result file goes exits 2 naming `--out`; the result
+    files written before it stay."""
+    command, written = _WRITTEN_BEFORE[blocked]
+    raw = reference_config_dict(trials=2000, strategies=["optimal_exhaustive", "one_sla_exhaustive"])
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main([command, "--config", write_config(tmp_path, raw), "--out", str(out)]) == 2
+    assert "config error (field: --out)" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir() if p.is_file()) == written
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
 def test_a_new_result_file_gets_the_mode_of_open_w(tmp_path, umask):
     old = os.umask(umask)

@@ -4,6 +4,7 @@ and its optimal recursion, and each reports exactly what a standalone
 stage table it needs once, and reads each stage law at each threshold once."""
 import json
 import math
+import tracemalloc
 from functools import cached_property
 
 from hypothesis import given, settings
@@ -17,9 +18,9 @@ from edgesplit import (
     run_strategy,
     splitting,
 )
-from edgesplit.channel import TailTable
+from edgesplit.channel import TailTable, inv_rate_table
 from edgesplit.cli import main
-from edgesplit.model_graph import MlpSpec, build_mlp
+from edgesplit.model_graph import LayerSpec, MlpSpec, NetworkSpec, build_mlp
 from edgesplit.placement import STRATEGIES
 
 from conftest import DOWNLINK_BPS, channel_at, make_params, reference_config_dict
@@ -103,13 +104,22 @@ def _counting_builds(monkeypatch, name):
 
 def test_hybrid_reads_the_optimal_row_the_problem_already_holds(monkeypatch, autoencoder,
                                                                  params, dist_d50):
+    """Once `optimal_exhaustive` has run, the strategies build no second
+    recursion of the Problem's own horizon and no second 1-sla sweep, and
+    `hybrid`'s pass at its smaller M reads no stage law anew."""
     inductions = _counting(monkeypatch, splitting, "backward_induction")
-    recursions = _counting(monkeypatch, Problem, "recursion")
+    recursions = _counting_builds(monkeypatch, "optimal")
     sweeps = _counting_builds(monkeypatch, "one_sla")
     problem = Problem(autoencoder, params, dist_d50)
-    for strategy in ("optimal_exhaustive", "one_sla_exhaustive", "hybrid", "optimal_exhaustive"):
-        run_strategy(strategy, autoencoder, params, dist_d50, problem=problem)
+    run_strategy("optimal_exhaustive", autoencoder, params, dist_d50, problem=problem)
+    reads = _counting_tail_reads(monkeypatch)
+    below = _counting(monkeypatch, StageDistribution, "prob_below")
+    for strategy in ("one_sla_exhaustive", "hybrid", "optimal_exhaustive"):
+        report = run_strategy(strategy, autoencoder, params, dist_d50, problem=problem)
+        if strategy == "hybrid":
+            assert 0 < report.best_M < problem.M  # the pass below the top
     assert (len(inductions), len(recursions), len(sweeps)) == (0, 1, 1)
+    assert (reads, below) == ([], [])
 
 
 def test_a_request_computes_each_forced_stop_cost_once(monkeypatch, autoencoder, params,
@@ -143,7 +153,35 @@ def test_each_problem_builds_its_own_results(monkeypatch, params):
     first, second = Problem(net, params, law), Problem(net, params, law)
     assert first.optimal is first.optimal
     assert second.optimal is not first.optimal
-    assert len(recursions) == 2
+    assert first.policy("optimal", net.N) is first.optimal[1]
+    assert recursions == [(first, net.N), (second, net.N)]
+
+
+def _three_pattern_network(N):
+    """N layers that repeat three (cycles, payload bits, download seconds) patterns."""
+    pattern = [(1e6, 32768.0, 0.002), (3e6, 8192.0, 0.004), (2e6, 16384.0, 0.001)]
+    return NetworkSpec(tuple(LayerSpec(*pattern[n % 3]) for n in range(N)), 1024.0)
+
+
+def _planning_peak(N, params, law):
+    """The tracemalloc peak of a Problem on the N-layer network and the three
+    rule strategies run on it."""
+    net = _three_pattern_network(N)
+    inv_rate_table(law, params.bandwidth_hz)  # the law's table, the same at every N
+    tracemalloc.start()
+    try:
+        problem = Problem(net, params, law)
+        for strategy in RULE_STRATEGIES:
+            run_strategy(strategy, net, params, law, problem=problem)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_planning_memory_grows_linearly_with_depth(params):
+    law = channel_at(50.0, params)
+    small, large = _planning_peak(200, params, law), _planning_peak(400, params, law)
+    assert large <= 2.5 * small, (small, large)
 
 
 # -- one Problem per command ---------------------------------------------------------
@@ -254,12 +292,13 @@ def test_a_place_request_builds_each_channel_law_once(tmp_path, monkeypatch):
 def test_the_one_sla_table_reads_nothing_after_the_recursion(monkeypatch, autoencoder, params,
                                                              dist_d50):
     problem = Problem(autoencoder, params, dist_d50)
-    thresholds, _ = problem.optimal
+    problem.optimal
+    ts = sorted({t for M in range(problem.M + 1) for t in problem.policy("optimal", M).thresholds
+                 if t < math.inf})
     reads = _counting_tail_reads(monkeypatch)
     below = _counting(monkeypatch, StageDistribution, "prob_below")
     problem.one_sla_table
     assert (reads, below) == ([], [])
     # what the Problem keeps is what a read of one threshold on a new Problem gives
-    ts = sorted({t for row in thresholds for t in row if t < math.inf})
     fresh = [Problem(autoencoder, params, dist_d50).reads(dist_d50, [t])[0] for t in ts]
     assert problem.reads(dist_d50, ts) == fresh

@@ -19,7 +19,8 @@ from edgesplit import (
 )
 from edgesplit.channel import per_stage
 from edgesplit.cost_model import cost_model
-from edgesplit.model_graph import MlpSpec, build_mlp
+from edgesplit import splitting
+from edgesplit.model_graph import LayerSpec, MlpSpec, NetworkSpec, build_mlp
 from edgesplit.splitting import ThresholdPolicy, expected_etc
 
 from conftest import (
@@ -234,6 +235,41 @@ def _three_layers():
     return build_mlp(MlpSpec((16,) * 4, 8, 8, 100, DOWNLINK_BPS))
 
 
+def test_a_margin_at_which_stopping_never_wins_is_an_infinite_threshold():
+    assert splitting._indifference_threshold(1.0, 1e6, 0.0) == math.inf
+    assert splitting._indifference_threshold(1.0, 1e6, -1e-3) == math.inf
+    assert math.isfinite(splitting._indifference_threshold(1.0, 1e6, 1e-3))
+
+
+def test_a_free_layer_that_shrinks_the_payload_is_never_a_stop(monkeypatch, params):
+    """Layer 2 takes no cycles and cuts the payload from 1e6 to 1e3 bits, so
+    stopping at stage 2 costs 1000 times the transmission of going on: the
+    exponent of its indifference SNR overflows 2**x, and both rules' stage-2
+    threshold is +inf, a stage that continues with probability exactly 1."""
+    calls = []
+    original = splitting._indifference_threshold
+
+    def recording(weight, bandwidth_hz, margin):
+        calls.append((weight, bandwidth_hz, margin))
+        return original(weight, bandwidth_hz, margin)
+
+    monkeypatch.setattr(splitting, "_indifference_threshold", recording)
+    net = NetworkSpec((LayerSpec(2e6, 8192.0, 0.01), LayerSpec(0.0, 1e6, 0.01),
+                       LayerSpec(1e6, 1e3, 0.01)), 512.0)
+    law = StageDistribution.discrete([(3.0, 0.5), (30.0, 0.5)])
+    problem = Problem(net, params, law)
+    cm = problem.cm
+    for rule in ("optimal", "one_sla"):
+        policy = problem.policy(rule, net.N)
+        assert policy.thresholds[1] == math.inf, rule
+        assert math.isfinite(policy.thresholds[0]) and math.isfinite(policy.thresholds[2]), rule
+        assert problem.stage_table(policy).continue_prob[1] == 1.0, rule
+    # the overflow return: a positive margin whose exponent reaches 1024
+    stage_2 = [(w, b, m) for w, b, m in calls if w == cm.weight(2)]
+    assert len(stage_2) == 3  # the 1-sla rule, and the optimal rule at horizons 2 and 3
+    assert all(m > 0 and w / (b * m) >= splitting._EXP2_OVERFLOW for w, b, m in stage_2)
+
+
 def test_apply_rule_rejects_a_policy_beyond_the_network(autoencoder, params, dist_d50):
     # a horizon-8 policy on a 3-layer network: a high SNR used to stop at stage
     # 1 with a decision, a low one to fail on "stage 9 out of range"
@@ -446,4 +482,7 @@ def test_a_non_finite_value_in_the_recursion_is_a_numerical_error(forced, autoen
     problem = Problem(autoencoder, params, dist_d50, 2)
     problem.transmission = [forced] * 3
     with pytest.raises(NumericalError, match="not finite"):
-        problem.recursion()
+        problem.optimal
+    for M in range(3):
+        with pytest.raises(NumericalError, match="not finite"):
+            problem.recursion(M)

@@ -259,12 +259,14 @@ def test_lockstep_recursion_matches_the_scalar_reference(problem):
     ds = per_stage(dists, net.N + 1)
     problem = Problem(net, params, dists)
     transmission = problem.transmission
-    thresholds, values = problem.recursion()
+    costs = problem.optimal[0]
+    assert len(costs) == net.N + 1
     for M in range(net.N + 1):
-        own_t, own_v = thresholds[M][:M], values[M][:M + 1]
+        policy = problem.policy("optimal", M)
+        own_t, own_v = list(policy.thresholds), list(policy.value_table)
+        assert (policy.horizon_M, costs[M]) == (M, own_v[0])
         if M:
-            policy = backward_induction(M, net, params, dists)
-            assert policy.thresholds == tuple(own_t) and policy.value_table == tuple(own_v)
+            assert backward_induction(M, net, params, dists) == policy
         # each threshold is the indifference SNR of its margin: the excess over
         # omega carried from the stage above plus the layer's local gap; each
         # value is omega plus the stage's new excess, from the same table reads
@@ -373,11 +375,14 @@ def test_thresholds_of_both_rules_match_50_digit_margins(problem):
         one_sla = one_sla_thresholds(net.N, net, params, dists).thresholds
         for n, t in enumerate(one_sla, 1):
             check(t, n, forced[n] - omega[n - 1], ("one_sla", n))
-        thresholds = Problem(net, params, dists).optimal[0]
+        problem = Problem(net, params, dists)
+        costs = problem.optimal[0]
         for M in range(1, net.N + 1):
-            value = forced[M]
+            policy, value = problem.policy("optimal", M), forced[M]
+            thresholds = policy.thresholds
+            assert policy.value_table[0] == costs[M]
             for n in range(M, 0, -1):
-                t = thresholds[M][n - 1]
+                t = thresholds[n - 1]
                 margin = value - omega[n - 1]
                 check(t, n, margin, ("optimal", M, n))
                 if math.isfinite(t):
