@@ -5,7 +5,8 @@
 
 Exports the committed tree of REV (default HEAD) through `result_diff.export`
 and, in this one process under `sys.settrace`, imports its edgesplit and runs
-every case of `result_diff.matrix()` through `edgesplit.cli.main`. It then
+every case of `result_diff.matrix()` through `edgesplit.cli.main`, each in a
+directory made by `result_diff.prepare`, as the byte diff makes it. It then
 makes one call each of the library functions that `perfbench/worker.py`
 calls: the policy builders `forced_offload_policy`, `backward_induction` and
 `one_sla_thresholds`, `apply_rule`, `discretize`, `oracle_dp` and
@@ -21,14 +22,13 @@ import argparse
 import ast
 import contextlib
 import io
-import json
 import os
 import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
 
-from result_diff import config, export, matrix
+from result_diff import config, export, matrix, prepare
 
 LIBRARY_HORIZON = 3
 LIBRARY_ATOMS = 256
@@ -78,10 +78,9 @@ def run_commands(work: Path) -> Counter:
     import edgesplit.cli
 
     codes = Counter()
-    for i, (_, command, cfg, flags, *earlier) in enumerate(matrix()):
+    for i, (name, command, cfg, flags, *earlier) in enumerate(matrix()):
         case = work / f"{i:03d}"
-        case.mkdir()
-        (case / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+        prepare(case, name, cfg)
         os.chdir(case)  # an `--out` in the flags is relative to the case
         for run_flags in (*earlier, flags):
             argv = [command, "--config", "cfg.json", "--out", "out", *run_flags]

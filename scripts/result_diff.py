@@ -37,6 +37,11 @@ of `python -m edgesplit.cli` calls on each:
   result file goes, and a `--config` that names no file;
 * the shipped example at `bandwidth_hz` 1e-310 under `place` and
   `thresholds`, which fail with a numerical error (exit 3);
+* 41-point K sweeps (K = 1..40 and inf): on the shipped example, on the
+  equal-width MLP with all four strategies, and with `hybrid` listed first;
+* a 3-layer network whose free second layer cuts the payload 1000-fold, on a
+  two-atom law at K = inf, under `thresholds` and `simulate`: that stage's
+  threshold is +inf, written as such;
 * reruns into one output directory, a longer result and then a shorter one
   (`place` with four strategies and then one, `simulate` and a distance
   sweep with two strategies and then one): a rewrite that leaves part of the
@@ -237,6 +242,26 @@ def matrix():
     for command in ("place", "thresholds"):
         cases.append(("numerical/bandwidth=1e-310", command,
                       with_value(example, ("params", "bandwidth_hz"), 1e-310), []))
+    # a K sweep plans once and re-prices psi(M) at every point: on the shipped
+    # example, on an MLP with the closed form, whose download term moves with K,
+    # and with hybrid first, before the optimal recursion has run
+    k_axis = {"variable": "updates_per_model", "values": [*range(1, 41), "inf"]}
+    cases += [
+        ("example/sweep-updates-41", "sweep", dict(example, sweep=k_axis), []),
+        ("mlp/sweep-updates-41", "sweep",
+         config(NETWORKS["mlp"][0], strategies=NETWORKS["mlp"][2], sweep=k_axis), []),
+        ("hybrid-first/sweep-updates-41", "sweep",
+         config(strategies=["hybrid", *RULES], sweep=k_axis), []),
+    ]
+    # layer 2 is free and cuts the payload 1000-fold: its threshold overflows to inf
+    free_layer = {"layers": [{"workload_cycles": c, "input_bits": b, "download_seconds": 0.01}
+                             for c, b in ((2e6, 8192), (0, 1e6), (1e6, 1e3))],
+                  "exit_input_bits": 512}
+    two_atoms = {"kind": "discrete", "atoms": [[3.0, 0.5], [30.0, 0.5]]}
+    for command in ("thresholds", "simulate"):
+        cases.append(("free-layer/inf-threshold", command,
+                      config(free_layer, channel=two_atoms, strategies=RULES, horizon_M=3,
+                             updates_per_model="inf"), []))
     # mlp_closed_form on stage laws that differ: at a place request, and at the
     # points of a distance sweep when the stages differ in more than distance
     mlp6 = {"mlp": {"neurons": [64] * 6, "lambda_bytes": 8, "mu_bytes": 8, "alpha": 100}}
@@ -287,7 +312,7 @@ def matrix():
     # the last --out wins: a file of the case directory, and a path under it
     for out in ("cfg.json", "cfg.json/x"):
         cases.append(("malformed/out-names-a-file", "place", base, ["--out", out]))
-    # a directory where a result file goes (made by `run_matrix`)
+    # a directory where a result file goes (made by `prepare`)
     for command, blocked in (("thresholds", "thresholds.csv"), ("place", "placement.json"),
                              ("simulate", "sim.csv")):
         cases.append((f"unwritable/{blocked}", command, config(strategies=RULES), []))
@@ -313,6 +338,16 @@ def export(rev, dest: Path):
         tar.extractall(dest, filter="data")
 
 
+def prepare(case_dir: Path, name: str, cfg: dict):
+    """Make `case_dir` with the case's config in `cfg.json` and, for an
+    `unwritable/<file>` case, a directory at `out/<file>`, where that result
+    file goes."""
+    case_dir.mkdir()
+    (case_dir / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+    if name.startswith("unwritable/"):
+        (case_dir / "out" / name.split("/", 1)[1]).mkdir(parents=True)
+
+
 def run_matrix(tree: Path, work: Path, cases) -> dict:
     """{case key: (exit code, exit-2 field or exit-3 message, {file name: bytes})}
     for one tree. A case with earlier flags runs with them first, into the same
@@ -321,11 +356,8 @@ def run_matrix(tree: Path, work: Path, cases) -> dict:
     results = {}
     for i, (name, command, cfg, flags, *earlier) in enumerate(cases):
         case_dir = work / f"{i:03d}"
-        case_dir.mkdir()
-        (case_dir / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+        prepare(case_dir, name, cfg)
         out = case_dir / "out"
-        if name.startswith("unwritable/"):
-            (out / name.split("/", 1)[1]).mkdir(parents=True)
         codes = []
         for run_flags in (*earlier, flags):
             proc = subprocess.run([sys.executable, "-m", "edgesplit.cli", command, "--config",

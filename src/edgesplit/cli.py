@@ -112,7 +112,7 @@ def cmd_thresholds(cfg: ExperimentConfig, out: str) -> int:
     return 0
 
 
-def _problem(cfg: ExperimentConfig, params, laws) -> Problem:
+def _problem(cfg: ExperimentConfig, laws) -> Problem:
     """The N-layer Problem on the config's laws or a distance-sweep point's, of
     which there are as many. Too few for N + 1 stages is a config error; so,
     with `mlp_closed_form` among the strategies, are a network that is not an
@@ -124,7 +124,7 @@ def _problem(cfg: ExperimentConfig, params, laws) -> Problem:
         raise ConfigError("strategy mlp_closed_form needs equal widths at every layer",
                           field="strategies")
     cfg.stage_dists(cfg.network.N + 1)  # the ConfigError of too few laws
-    problem = Problem(cfg.network, params, laws)
+    problem = Problem(cfg.network, cfg.params, laws)
     if closed_form and len(set(problem.dists)) != 1:
         raise ConfigError("strategy mlp_closed_form needs one channel law shared by every stage",
                           field="strategies")
@@ -132,7 +132,7 @@ def _problem(cfg: ExperimentConfig, params, laws) -> Problem:
 
 
 def cmd_place(cfg: ExperimentConfig, out: str) -> int:
-    problem = _problem(cfg, cfg.params, cfg.laws)
+    problem = _problem(cfg, cfg.laws)
     reports = [run_strategy(s, cfg.network, cfg.params, problem.dists, mlp=cfg.mlp, problem=problem)
                for s in cfg.strategies]
     rows = [f"{rep.strategy},{r.M},{r.Z:.12g},{r.expected_etc:.12g},{r.psi:.12g},"
@@ -156,7 +156,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: str) -> int:
             raise ConfigError(
                 f"an M sweep evaluates stopping rules; unsupported strategies {bad}",
                 field="strategies")
-        problem = _problem(cfg, cfg.params, cfg.laws)  # the whole axis
+        problem = _problem(cfg, cfg.laws)  # the whole axis
         reports = [run_strategy(s, cfg.network, cfg.params, problem.dists, problem=problem)
                    for s in cfg.strategies]
         for M in cfg.sweep.values:
@@ -167,12 +167,12 @@ def cmd_sweep(cfg: ExperimentConfig, out: str) -> int:
                             f"{_fmt(row.expected_etc)},{_fmt(opt_prob)}")
     else:
         distance = cfg.sweep.variable == "distance_m"
+        problem = None if distance else _problem(cfg, cfg.laws)  # K moves only psi(M)
         for k, value in enumerate(cfg.sweep.values):
-            params = cfg.params if distance else cfg.params.with_updates(value)
-            problem = _problem(cfg, params, cfg.sweep.laws[k] if distance else cfg.laws)
+            problem = _problem(cfg, cfg.sweep.laws[k]) if distance else problem.with_updates(value)
             for strategy in cfg.strategies:
-                rep = run_strategy(strategy, cfg.network, params, problem.dists, mlp=cfg.mlp,
-                                   problem=problem)
+                rep = run_strategy(strategy, cfg.network, problem.params, problem.dists,
+                                   mlp=cfg.mlp, problem=problem)
                 best = rep.row(rep.best_M)
                 rows.append(f"{_fmt(float(value))},{strategy},{rep.best_M},"
                             f"{_fmt(best.Z)},{_fmt(best.expected_etc)},")

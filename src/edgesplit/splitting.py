@@ -19,7 +19,8 @@ stage laws into the cost model, the policies of both rules at every horizon
 and their stage tables. The module-level builders are one `Problem` each.
 Every read of a stage law at a threshold, P{SNR < t} and the E[1/R] tail off
 the law's table (`channel.inv_rate_tails`), goes through `Problem.reads`,
-which reads each (law, t) once per Problem.
+which reads each (law, t) once per Problem. The model-update period K moves
+only psi(M), so `Problem.with_updates` re-prices a Problem on all it has read.
 """
 from __future__ import annotations
 
@@ -186,11 +187,12 @@ class Problem:
 
     It is the one place where (net, params, dists) become the stage laws, one
     object per distinct law, the cost model and the policies of both rules.
-    Built per CLI command, `place` request or sweep point, it builds on first
-    use, and keeps on the instance only, O(M) numbers but for the reads of its
-    laws at their thresholds: the transmission costs, V_M(1) of every horizon
-    0..M with the optimal policy at M, and the 1-sla policy with its stage
-    table. Nothing is kept across Problems.
+    Built per command, `place` request or distance-sweep point, it builds on
+    first use, and keeps on the instance only, O(M) numbers but for the reads
+    of its laws at their thresholds: the transmission costs, V_M(1) of every
+    horizon 0..M with the optimal policy at M, and the 1-sla policy with its
+    stage table. `with_updates` hands them to the Problem at another K;
+    nothing they keep outlives the command.
     """
 
     def __init__(self, net: NetworkSpec, params: SystemParams, dists, M: int | None = None):
@@ -219,6 +221,14 @@ class Problem:
             known.update(zip(new, zip(law.prob_below(new),
                                       inv_rate_tails(law, new, self.params.bandwidth_hz))))
         return [known[t] for t in thresholds]
+
+    def with_updates(self, updates_per_model: float) -> Problem:
+        """This Problem at another K, which moves only psi(M), the amortized
+        download: the new Problem takes over this one's reads and K-free results."""
+        other = Problem(self.net, self.params.with_updates(updates_per_model), self.dists, self.M)
+        kept = ("_reads", "transmission", "optimal", "one_sla", "one_sla_table")  # none reads K
+        vars(other).update((name, v) for name, v in vars(self).items() if name in kept)
+        return other
 
     @cached_property
     def transmission(self) -> list[float]:

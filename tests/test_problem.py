@@ -224,6 +224,49 @@ def test_each_command_builds_exactly_one_problem(tmp_path, monkeypatch):
         assert len(problems) == 1, (command, overrides)
 
 
+# -- one Problem per K sweep ---------------------------------------------------------
+
+def test_a_problem_at_another_k_reports_what_a_fresh_one_does(monkeypatch, autoencoder, alexnet,
+                                                              params):
+    """K moves only psi(M). A Problem re-priced with `with_updates`, after
+    every strategy has run on it, gives each strategy's report and each K-free
+    result of a fresh Problem at that K, and reads no stage law anew."""
+    spec = MlpSpec((128,) * 6, 8.0, 8.0, 100.0, DOWNLINK_BPS)
+    law = channel_at(50.0, params)
+    reads = _counting_tail_reads(monkeypatch)
+    for net, mlp, strategies in ((autoencoder, None, RULE_STRATEGIES),
+                                 (alexnet, None, RULE_STRATEGIES),
+                                 (build_mlp(spec), spec, STRATEGIES)):
+        base = Problem(net, params, law)
+        for s in strategies:
+            run_strategy(s, net, params, law, mlp=mlp, problem=base)
+        for k in (1, 7, 50, math.inf):
+            at_k = params.with_updates(k)
+            other, fresh = base.with_updates(k), Problem(net, at_k, law)
+            assert (other.params, other.cm) == (at_k, fresh.cm)
+            for s in strategies:
+                reads.clear()
+                shared = _outcome(lambda s=s: run_strategy(s, net, at_k, law, mlp=mlp, problem=other))
+                assert reads == [], (s, k)
+                assert shared == _outcome(lambda s=s: run_strategy(s, net, at_k, law, mlp=mlp)), (s, k)
+            for name in ("transmission", "optimal", "one_sla", "one_sla_table"):
+                assert getattr(other, name) == getattr(fresh, name), (name, k)
+
+
+def test_a_k_sweep_runs_the_top_recursion_once(tmp_path, monkeypatch):
+    """A 41-point K sweep of the shipped example plans once: one recursion at
+    the network's horizon and 36 threshold reads, where a Problem per point
+    made 41 and 1,476."""
+    recursions = _counting(monkeypatch, Problem, "recursion")
+    reads = _counting_tail_reads(monkeypatch)
+    assert _run(tmp_path, "sweep",
+                sweep={"variable": "updates_per_model", "values": [*range(1, 41), "inf"]}) == 0
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert sum(not row.startswith("#") for row in rows) == 1 + 41 * 3
+    assert sum(top == 8 for _, top in recursions) == 1
+    assert len(reads) == 36
+
+
 # -- each (law, threshold) read once per Problem -------------------------------------
 
 def _counting_tail_reads(monkeypatch):
