@@ -13,9 +13,9 @@ calls: the policy builders `forced_offload_policy`, `backward_induction` and
 `coincidence_rate`. It prints, per module, the source lines with bytecode
 that no call reached, as ranges of consecutive lines, leaving out `raise`
 statements, and the totals. A line counts as reached when any call ran it,
-also through a cache another call filled. It only reports: the exit status
-is 0 whatever it finds. To survey uncommitted work, pass `$(git stash create)`
-(after `git add` of new files) as REV. The tree and the outputs go to a
+also where the `cost_model` cache spared a later call from running it. It
+only reports: the exit status is 0 whatever it finds. To survey uncommitted
+work, pass `$(git stash create)` (after `git add` of new files) as REV. The tree and the outputs go to a
 temporary directory (set TMPDIR to choose where).
 """
 import argparse

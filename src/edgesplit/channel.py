@@ -16,7 +16,6 @@ import math
 import operator
 import sys
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
 from itertools import accumulate, islice
 
 from .cost_model import LN2, SystemParams
@@ -360,10 +359,6 @@ class TailTable:
         return out
 
 
-# Process-wide on purpose: keyed on an immutable law and a bandwidth, so every
-# stage, strategy and CLI call in a process reads a law's tails off one table.
-# A cold plan builds one per distinct law; 256 hold a distance sweep's laws.
-@lru_cache(maxsize=256)
 def inv_rate_table(dist: StageDistribution, bandwidth_hz: float) -> TailTable:
     """Tail table of 1 / R(snr) for the uplink rate R = B log2(1 + snr)."""
     def inv_rate(s):
@@ -371,11 +366,6 @@ def inv_rate_table(dist: StageDistribution, bandwidth_hz: float) -> TailTable:
         return 1.0 / rate if rate else math.inf  # a rate that underflows takes forever
 
     return TailTable(dist, inv_rate)
-
-
-def inv_rate_tails(dist: StageDistribution, thresholds, bandwidth_hz: float) -> list[float]:
-    """E[1 / R(snr); snr >= t] for each threshold t, read off the law's table."""
-    return inv_rate_table(dist, bandwidth_hz).tails(thresholds)
 
 
 def per_stage(dists, count: int) -> tuple[StageDistribution, ...]:

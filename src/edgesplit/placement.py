@@ -17,8 +17,8 @@ cost under a stopping rule, composed by `CostModel.total_cost`:
 
 Every strategy reads one `splitting.Problem`, which owns the stage laws, the
 cost model and both rules' policies; this module only turns its expected costs
-into Z(M) rows. `hybrid` re-runs the optimal recursion to its M on read hits
-once the Problem has run it, and one backward induction for M otherwise.
+into Z(M) rows. `hybrid` runs the optimal recursion at its one horizon M on read
+hits once the Problem has run it, and one backward induction for M otherwise.
 """
 from __future__ import annotations
 

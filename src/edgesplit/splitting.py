@@ -15,12 +15,12 @@ the stage threshold, otherwise stop at M+1.
   the top stage of the optimal recursion at horizon n, whatever M is.
 
 `Problem` owns the stopping problem: it turns a network, its constants and the
-stage laws into the cost model, the policies of both rules at every horizon
-and their stage tables. The module-level builders are one `Problem` each.
-Every read of a stage law at a threshold, P{SNR < t} and the E[1/R] tail off
-the law's table (`channel.inv_rate_tails`), goes through `Problem.reads`,
-which reads each (law, t) once per Problem. The model-update period K moves
-only psi(M), so `Problem.with_updates` re-prices a Problem on all it has read.
+stage laws into the cost model, each law's E[1/R] tail table, the policies of
+both rules at every horizon and their stage tables. The module-level builders
+are one `Problem` each. Every read of a stage law at a threshold, P{SNR < t}
+and the tail off the law's table, goes through `Problem.reads`, which reads
+each (law, t) once per Problem. The model-update period K moves only psi(M),
+so `Problem.with_updates` re-prices a Problem on all it holds.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
 
-from .channel import StageDistribution, inv_rate_table, inv_rate_tails, per_stage
+from .channel import StageDistribution, TailTable, inv_rate_table, per_stage
 from .cost_model import LN2, SystemParams, cost_model, uplink_rate
 from .errors import NumericalError
 from .model_graph import NetworkSpec
@@ -188,11 +188,11 @@ class Problem:
     It is the one place where (net, params, dists) become the stage laws, one
     object per distinct law, the cost model and the policies of both rules.
     Built per command, `place` request or distance-sweep point, it builds on
-    first use, and keeps on the instance only, O(M) numbers but for the reads
-    of its laws at their thresholds: the transmission costs, V_M(1) of every
-    horizon 0..M with the optimal policy at M, and the 1-sla policy with its
-    stage table. `with_updates` hands them to the Problem at another K;
-    nothing they keep outlives the command.
+    first use, and keeps on the instance only, O(M) numbers but for its tail
+    tables and reads: the transmission costs, V_M(1) of every horizon 0..M
+    with the optimal policy at M, and the 1-sla policy with its stage table.
+    `with_updates` hands them to the Problem at another K; nothing they keep
+    outlives the command.
     """
 
     def __init__(self, net: NetworkSpec, params: SystemParams, dists, M: int | None = None):
@@ -218,42 +218,46 @@ class Problem:
         known = self._reads.setdefault(id(law), {})
         new = [t for t in dict.fromkeys(thresholds) if t not in known]
         if new:
-            known.update(zip(new, zip(law.prob_below(new),
-                                      inv_rate_tails(law, new, self.params.bandwidth_hz))))
+            known.update(zip(new, zip(law.prob_below(new), self.tables[id(law)].tails(new))))
         return [known[t] for t in thresholds]
 
     def with_updates(self, updates_per_model: float) -> Problem:
         """This Problem at another K, which moves only psi(M), the amortized
-        download: the new Problem takes over this one's reads and K-free results."""
+        download: the new Problem takes over this one's tables, reads and K-free results."""
         other = Problem(self.net, self.params.with_updates(updates_per_model), self.dists, self.M)
-        kept = ("_reads", "transmission", "optimal", "one_sla", "one_sla_table")  # none reads K
+        kept = ("tables", "_reads", "transmission", "optimal", "one_sla", "one_sla_table")  # none reads K
         vars(other).update((name, v) for name, v in vars(self).items() if name in kept)
         return other
 
     @cached_property
+    def tables(self) -> dict[int, TailTable]:
+        """The E[1/R] tail table of each distinct law of `self.dists`, by id."""
+        bandwidth = self.params.bandwidth_hz
+        return {id(d): inv_rate_table(d, bandwidth) for d in dict.fromkeys(self.dists)}
+
+    @cached_property
     def transmission(self) -> list[float]:
         """weight * E[1/R] of the forced stop at stage M+1, for M = 0..self.M."""
-        bandwidth = self.params.bandwidth_hz
-        return [self.cm.weight(M + 1) * inv_rate_table(d, bandwidth).full
-                for M, d in enumerate(self.dists)]
+        return [self.cm.weight(M + 1) * self.tables[id(d)].full for M, d in enumerate(self.dists)]
 
     @property
     def forced(self) -> list[float]:
         """Expected cost of the forced stop at stage M+1, for M = 0..self.M."""
         return [self.cm.omega(M + 1) + t for M, t in enumerate(self.transmission)]
 
-    def recursion(self, top: int) -> tuple[list[float], ThresholdPolicy]:
-        """Backward induction for every horizon M = 0..top in lockstep: V_M(1)
-        for each M, and the optimal policy at horizon top.
+    def recursion(self, top: int, low: int = 0) -> tuple[list[float], ThresholdPolicy]:
+        """Backward induction for every horizon M = low..top in lockstep: V_M(1)
+        for each such M, and the optimal policy at horizon top.
 
         One pass from stage top down to stage 1 carries the value of every
-        horizon M >= n as its excess over omega(n). Horizon M joins at its forced
-        stop, stage M+1, with excess `transmission[M]`, weight * E[1/R] there.
+        horizon M >= max(n, low) as its excess over omega(n). Horizon M joins at its
+        forced stop, stage M+1, with excess `transmission[M]`, weight * E[1/R] there.
         Going on from stage n costs margin = excess + local_gap(n) over omega(n);
         the threshold is the indifference SNR of that margin (+inf: stopping never
         wins), the new excess weight * tail + margin * P{no stop}, from one
         `reads` over all finite thresholds. The policy takes each stage's
-        threshold and value at horizon top: O(top^2) time, O(top) memory.
+        threshold and value at horizon top: O(top (top - low + 1)) time, O(top)
+        memory. No horizon reads another's values, so low moves none of them.
         """
         ds, cm, bandwidth = self.dists, self.cm, self.params.bandwidth_hz
         excess = self.transmission[:top + 1]
@@ -261,7 +265,7 @@ class Problem:
         for n in range(top, 0, -1):
             omega, weight, gap = cm.omega(n), cm.weight(n), cm.local_gap(n)
             stop = []
-            for h in range(n, top + 1):
+            for h in range(max(n, low), top + 1):
                 excess[h] = margin = excess[h] + gap
                 t = _indifference_threshold(weight, bandwidth, margin)
                 if t < math.inf:
@@ -270,7 +274,7 @@ class Problem:
                 for (h, _), (cont, tail) in zip(stop, self.reads(ds[n - 1], [t for _, t in stop])):
                     excess[h] = weight * tail + excess[h] * cont
             thresholds[n - 1], values[n - 1] = t, omega + excess[top]
-        costs = [cm.omega(1) + e for e in excess]  # a non-finite value stays so down to stage 1
+        costs = [cm.omega(1) + e for e in excess[low:]]  # a non-finite value stays so down to stage 1
         if not all(map(math.isfinite, costs + values)):  # NaN would also give NaN thresholds
             raise NumericalError(f"the optimal recursion's values are not finite: {costs!r}, {values!r}")
         return costs, ThresholdPolicy("optimal", top, thresholds, values)
@@ -306,8 +310,9 @@ class Problem:
         device; at M = 0 both are the forced offload at stage 1.
 
         The optimal policy at M = self.M is the one `optimal` keeps. Below that
-        it is `recursion(M)`, on reads that all hit, once `optimal` has run, and
-        one `backward_induction(M)` before it: the same numbers bit for bit.
+        it is the single-horizon pass `recursion(M, M)`, on reads that all hit,
+        once `optimal` has run, and one `backward_induction(M)` before it: the
+        same numbers bit for bit.
         """
         if rule_kind not in RULE_KINDS:
             raise ValueError(f"rule_kind must be one of {RULE_KINDS}")
@@ -318,7 +323,7 @@ class Problem:
         if M < self.M and "optimal" not in vars(self):  # where cached_property keeps it
             # perfbench/test_perfbench.py counts this call; ROADMAP item 1a removes it
             return backward_induction(M, self.net, self.params, self.dists)
-        return (self.optimal if M == self.M else self.recursion(M))[1]
+        return (self.optimal if M == self.M else self.recursion(M, M))[1]
 
     def stage_table(self, policy: ThresholdPolicy) -> StageTable:
         """Stop statistics and stop costs of a policy at a horizon up to self.M.

@@ -18,7 +18,7 @@ from edgesplit import (
     apply_rule,
     build_autoencoder_preset,
 )
-from edgesplit.channel import inv_rate_tails, mean_snr_from_pathloss
+from edgesplit.channel import inv_rate_table, mean_snr_from_pathloss
 from edgesplit.model_graph import build_alexnet_preset
 from edgesplit.splitting import ThresholdPolicy
 
@@ -85,7 +85,7 @@ def atom_pairs(law):
 
 def inv_rate_tail(law, t, bandwidth_hz):
     """E[1/R(SNR); SNR >= t], one read of the law's tail table."""
-    return float(inv_rate_tails(law, [t], bandwidth_hz)[0])
+    return float(inv_rate_table(law, bandwidth_hz).tails([t])[0])
 
 
 def stop_cost(net, params, n, gamma):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from edgesplit import ConfigError, NumericalError, PathLossParams, StageDistribution, load_config
 from edgesplit import channel
-from edgesplit.channel import inv_rate_table, inv_rate_tails, mean_snr_from_pathloss, per_stage
+from edgesplit.channel import inv_rate_table, mean_snr_from_pathloss, per_stage
 
 from conftest import (
     MEAN_SNR_D50,
@@ -271,7 +271,7 @@ def test_table_reads_match_the_fixed_rule_per_threshold(mean, picks):
     table = inv_rate_table(law, W)
     assert table.full == expect(law, table.g)
     thresholds = [float(_threshold(table, law, *pick)) for pick in picks]
-    got = inv_rate_tails(law, thresholds, W)
+    got = table.tails(thresholds)
     for t, tail in zip(thresholds, got):
         ref = law.partial_expect(table.g, t)
         assert abs(tail - ref) <= 1e-10 * ref, (t, tail, ref)
@@ -287,7 +287,7 @@ def test_discrete_table_reads_count_a_tie_as_a_stop(snrs, weights):
     atoms = sorted(snrs)
     thresholds = [0.5 * atoms[0], 2.0 * atoms[-1], math.inf, *atoms,
                   *np.nextafter(atoms, 0.0), *np.nextafter(atoms, math.inf)]
-    got = inv_rate_tails(law, thresholds, W)
+    got = inv_rate_table(law, W).tails(thresholds)
     for t, tail in zip(thresholds, got):
         brute = math.fsum(p * inv_rate(s) for s, p in atom_pairs(law) if s >= t)
         assert tail == pytest.approx(brute, rel=1e-13, abs=0.0)
@@ -567,8 +567,7 @@ def test_discrete_law_invariant_under_reordering_and_splitting(counts, order):
 
 def _reads(law, points):
     """Every read the planner makes of a law, from a freshly built tail table."""
-    inv_rate_table.cache_clear()
-    return law.prob_below(points), inv_rate_tails(law, points, W)
+    return law.prob_below(points), inv_rate_table(law, W).tails(points)
 
 
 def _agree_as_laws(a, b, points):

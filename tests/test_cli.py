@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from edgesplit import ConfigError, NumericalError, load_config
 from edgesplit import cli
-from edgesplit.channel import inv_rate_table
+from edgesplit.channel import TailTable
 from edgesplit.cli import main
 from edgesplit.config import MAX_TRIALS
 from edgesplit.cost_model import cost_model
@@ -336,16 +336,17 @@ def test_load_config_takes_only_the_dict_of_a_json_document(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [NAN, INF, -5.0])
-def test_bad_sweep_distance_fails_before_any_work(tmp_path, capsys, bad):
+def test_bad_sweep_distance_fails_before_any_work(tmp_path, monkeypatch, capsys, bad):
     raw = reference_config_dict(sweep={"variable": "distance_m", "values": [20, bad, 100]})
     with pytest.raises(ConfigError) as err:
         load_config(raw)
     assert err.value.field == "sweep.values"
     cfg = write_config(tmp_path, raw)
-    misses = inv_rate_table.cache_info().misses
+    tables, build = [], TailTable.__init__
+    monkeypatch.setattr(TailTable, "__init__", lambda self, *args: tables.append(args) or build(self, *args))
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "sweep.values" in capsys.readouterr().err
-    assert inv_rate_table.cache_info().misses == misses
+    assert tables == []
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -393,17 +394,15 @@ def test_infinite_updates_and_ceiling_stay_legal():
     ("place", "placement.json"),
     ("sweep", "sweep.csv"),
 ])
-def test_cache_hits_write_the_same_bytes_as_misses(tmp_path, command, result):
+def test_a_rerun_writes_the_same_bytes(tmp_path, command, result):
+    """A second run in the process, on the cost models the first one cached,
+    writes the first run's bytes."""
     raw = reference_config_dict(sweep={"variable": "distance_m", "values": [20, 60, 100]})
     cfg = write_config(tmp_path, raw)
-    inv_rate_table.cache_clear()
     cost_model.cache_clear()
     cold, warm = tmp_path / "cold", tmp_path / "warm"
     assert main([command, "--config", cfg, "--out", str(cold)]) == 0
-    assert inv_rate_table.cache_info().misses > 0
-    hits = inv_rate_table.cache_info().hits
     assert main([command, "--config", cfg, "--out", str(warm)]) == 0
-    assert inv_rate_table.cache_info().hits > hits
     assert (cold / result).read_bytes() == (warm / result).read_bytes()
 
 
@@ -740,16 +739,14 @@ _PER_STAGE = [{"kind": "truncated_exponential", "mean_snr": 0.5 + 0.1 * n} for n
 def _fail_the_stage_4_tail(monkeypatch):
     """Make every tail read of the stage-4 law raise, as a quadrature that
     does not converge would."""
-    from edgesplit import splitting
+    original = TailTable.tails
 
-    original = splitting.inv_rate_tails
-
-    def stage_4_tail_fails(dist, thresholds, bandwidth_hz):
-        if dist.mean_snr == _PER_STAGE[3]["mean_snr"] and any(t > 0.0 for t in thresholds):
+    def stage_4_tail_fails(table, thresholds):
+        if table.dist.mean_snr == _PER_STAGE[3]["mean_snr"] and any(t > 0.0 for t in thresholds):
             raise NumericalError("stage 4 tail failed", estimate=1.0)
-        return original(dist, thresholds, bandwidth_hz)
+        return original(table, thresholds)
 
-    monkeypatch.setattr(splitting, "inv_rate_tails", stage_4_tail_fails)
+    monkeypatch.setattr(TailTable, "tails", stage_4_tail_fails)
 
 
 @pytest.mark.parametrize("values", [[0, 1, 3], [2, 5]])

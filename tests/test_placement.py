@@ -15,7 +15,7 @@ from edgesplit import (
     optimize_exhaustive,
     run_strategy,
 )
-from edgesplit.channel import inv_rate_tails, per_stage
+from edgesplit.channel import inv_rate_table, per_stage
 from edgesplit.cost_model import cost_model
 from edgesplit.model_graph import MlpSpec, build_mlp
 from edgesplit.placement import PlacementRow, _pick_best, mlp_closed_form
@@ -42,7 +42,7 @@ def theta_one_sla(M, net, params, dists):
         return 0.0
     forced = forced_stop_cost(cm, M + 1, ds[M])
     # E[1/R; SNR < t]: the tail is closed at t because a tie stops
-    full, tail = inv_rate_tails(ds[M - 1], [0.0, policy.thresholds[M - 1]], params.bandwidth_hz)
+    full, tail = inv_rate_table(ds[M - 1], params.bandwidth_hz).tails([0.0, policy.thresholds[M - 1]])
     below = full - tail
     return reach * (forced - cm.omega(M) - cm.weight(M) * below / float(table.continue_prob[M - 1]))
 

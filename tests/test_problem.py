@@ -1,7 +1,8 @@
-"""One `Problem` per request: the strategies run on it share its 1-sla sweep
-and its optimal recursion, and each reports exactly what a standalone
-`run_strategy` reports. Each CLI command builds one Problem, reads each
-stage table it needs once, and reads each stage law at each threshold once."""
+"""One `Problem` per request: the strategies run on it share its tail tables,
+its 1-sla sweep and its optimal recursion, and each reports exactly what a
+standalone `run_strategy` reports. Each CLI command builds one Problem, one
+tail table per distinct stage law, reads each stage table it needs once, and
+reads each stage law at each threshold once."""
 import json
 import math
 import tracemalloc
@@ -18,7 +19,7 @@ from edgesplit import (
     run_strategy,
     splitting,
 )
-from edgesplit.channel import TailTable, inv_rate_table
+from edgesplit.channel import TailTable
 from edgesplit.cli import main
 from edgesplit.model_graph import LayerSpec, MlpSpec, NetworkSpec, build_mlp
 from edgesplit.placement import STRATEGIES
@@ -125,13 +126,13 @@ def test_hybrid_reads_the_optimal_row_the_problem_already_holds(monkeypatch, aut
 def test_a_request_computes_each_forced_stop_cost_once(monkeypatch, autoencoder, params,
                                                        dist_d50):
     """The recursion reads the Problem's transmission costs, from which its
-    forced-stop costs follow: N + 1 E[1/R] reads for all three rule strategies
-    together."""
-    calls = _counting(monkeypatch, splitting, "inv_rate_table")
+    forced-stop costs follow: the N + 1 stages of one law read their E[1/R]
+    off one table for all three rule strategies together."""
+    tables = _counting(monkeypatch, TailTable, "__init__")
     problem = Problem(autoencoder, params, dist_d50)
     for strategy in RULE_STRATEGIES:
         run_strategy(strategy, autoencoder, params, dist_d50, problem=problem)
-    assert len(calls) == autoencoder.N + 1
+    assert len(tables) == 1
 
 
 def test_hybrid_before_the_optimal_rule_runs_one_backward_induction(monkeypatch, autoencoder,
@@ -157,6 +158,21 @@ def test_each_problem_builds_its_own_results(monkeypatch, params):
     assert recursions == [(first, net.N), (second, net.N)]
 
 
+def test_a_horizon_below_the_top_is_one_single_horizon_pass(monkeypatch, autoencoder, params,
+                                                            dist_d50):
+    """Once `optimal` has run, the optimal policy at 0 < M < N evaluates M
+    indifference thresholds, one per stage, where the lockstep recursion over
+    horizons 0..M evaluates M(M+1)/2; it is the policy at M of a fresh Problem."""
+    problem = Problem(autoencoder, params, dist_d50)
+    problem.optimal
+    evaluations = _counting(monkeypatch, splitting, "_indifference_threshold")
+    for M in range(1, problem.M):
+        evaluations.clear()
+        policy = problem.policy("optimal", M)
+        assert len(evaluations) == M, M
+        assert policy == Problem(autoencoder, params, dist_d50, M).optimal[1], M
+
+
 def _three_pattern_network(N):
     """N layers that repeat three (cycles, payload bits, download seconds) patterns."""
     pattern = [(1e6, 32768.0, 0.002), (3e6, 8192.0, 0.004), (2e6, 16384.0, 0.001)]
@@ -167,7 +183,6 @@ def _planning_peak(N, params, law):
     """The tracemalloc peak of a Problem on the N-layer network and the three
     rule strategies run on it."""
     net = _three_pattern_network(N)
-    inv_rate_table(law, params.bandwidth_hz)  # the law's table, the same at every N
     tracemalloc.start()
     try:
         problem = Problem(net, params, law)
@@ -263,8 +278,36 @@ def test_a_k_sweep_runs_the_top_recursion_once(tmp_path, monkeypatch):
                 sweep={"variable": "updates_per_model", "values": [*range(1, 41), "inf"]}) == 0
     rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
     assert sum(not row.startswith("#") for row in rows) == 1 + 41 * 3
-    assert sum(top == 8 for _, top in recursions) == 1
+    assert sum(args[1] == 8 for args in recursions) == 1
     assert len(reads) == 36
+
+
+# -- one tail table per distinct law per Problem -------------------------------------
+
+def test_each_problem_builds_the_tail_table_of_each_distinct_law(monkeypatch, autoencoder,
+                                                                  params):
+    """A tail table is Problem state: two Problems on one law build one table
+    each, and a 9-stage list of two distinct laws, each law rebuilt at every
+    stage, builds two for all three rule strategies."""
+    tables = _counting(monkeypatch, TailTable, "__init__")
+    law = channel_at(50.0, params)
+    first, second = Problem(autoencoder, params, law), Problem(autoencoder, params, law)
+    assert first.transmission == second.transmission
+    assert len(tables) == 2
+    tables.clear()
+    dists = [channel_at(50.0, params) for _ in range(4)] + [channel_at(80.0, params) for _ in range(5)]
+    problem = Problem(autoencoder, params, dists)
+    for strategy in RULE_STRATEGIES:
+        run_strategy(strategy, autoencoder, params, dists, problem=problem)
+    assert [args[1] for args in tables] == [dists[0], dists[4]]
+
+
+def test_a_k_sweep_builds_one_tail_table(tmp_path, monkeypatch):
+    """The Problem re-priced at each K hands its one table on."""
+    tables = _counting(monkeypatch, TailTable, "__init__")
+    assert _run(tmp_path, "sweep",
+                sweep={"variable": "updates_per_model", "values": [*range(1, 41), "inf"]}) == 0
+    assert len(tables) == 1
 
 
 # -- each (law, threshold) read once per Problem -------------------------------------

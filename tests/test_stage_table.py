@@ -21,8 +21,7 @@ from edgesplit import (
     one_sla_thresholds,
     optimize_exhaustive,
 )
-from edgesplit import splitting
-from edgesplit.channel import per_stage
+from edgesplit.channel import TailTable, per_stage
 from edgesplit.cost_model import cost_model, uplink_rate
 from edgesplit.model_graph import LayerSpec, NetworkSpec
 from edgesplit.splitting import ThresholdPolicy, expected_etc
@@ -192,14 +191,14 @@ def test_failing_stage_tail_fails_the_one_sla_rule_and_hybrid(autoencoder, param
     thresholds = one_sla_thresholds(autoencoder.N, autoencoder, params, dists).thresholds
     failing = 4
     assert not math.isinf(thresholds[failing - 1])
-    original = splitting.inv_rate_tails
+    original = TailTable.tails
 
-    def tail_fails_at_one_stage(dist, thresholds, bandwidth_hz):
-        if dist is dists[failing - 1] and any(t > 0.0 for t in thresholds):
+    def tail_fails_at_one_stage(table, thresholds):
+        if table.dist is dists[failing - 1] and any(t > 0.0 for t in thresholds):
             raise NumericalError(f"stage {failing} tail failed", estimate=1.0)
-        return original(dist, thresholds, bandwidth_hz)
+        return original(table, thresholds)
 
-    monkeypatch.setattr(splitting, "inv_rate_tails", tail_fails_at_one_stage)
+    monkeypatch.setattr(TailTable, "tails", tail_fails_at_one_stage)
     with pytest.raises(NumericalError, match=f"stage {failing} tail failed"):
         optimize_exhaustive(Problem(autoencoder, params, dists), rule_kind="one_sla")
     with pytest.raises(NumericalError, match=f"stage {failing} tail failed"):
@@ -292,14 +291,14 @@ def test_lockstep_recursion_matches_the_scalar_reference(problem):
 def test_failing_stage_tail_fails_the_optimal_rule(autoencoder, params, monkeypatch):
     dists = [channel_at(20.0 + 10.0 * k, params) for k in range(autoencoder.N + 1)]
     short = backward_induction(3, autoencoder, params, dists)
-    original = splitting.inv_rate_tails
+    original = TailTable.tails
 
-    def stage_4_tail_fails(dist, thresholds, bandwidth_hz):
-        if dist is dists[3]:
+    def stage_4_tail_fails(table, thresholds):
+        if table.dist is dists[3]:
             raise NumericalError("stage 4 tail failed", estimate=1.0)
-        return original(dist, thresholds, bandwidth_hz)
+        return original(table, thresholds)
 
-    monkeypatch.setattr(splitting, "inv_rate_tails", stage_4_tail_fails)
+    monkeypatch.setattr(TailTable, "tails", stage_4_tail_fails)
     with pytest.raises(NumericalError, match="stage 4 tail failed"):
         optimize_exhaustive(Problem(autoencoder, params, dists), rule_kind="optimal")
     assert backward_induction(3, autoencoder, params, dists) == short

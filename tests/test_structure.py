@@ -3,7 +3,7 @@ names, only the cost model reads the cost constants, only the CLI catches a
 NumericalError, only the config module reads the config format, importing
 the package and its CLI pulls in no scipy, planning runs without numpy and
 without dataclasses, typing or pathlib, the package exports an explicit list of names, the README quick start runs, the
-process holds three memo caches and no more, one helper writes every result
+process holds two memo caches and no more, one helper writes every result
 file, only the CLI imports hashlib or json, and the functions the benchmark
 calls keep their signatures."""
 import ast
@@ -262,10 +262,9 @@ def test_the_package_exports_an_explicit_list_of_used_names():
     assert set(exported) - used <= {"ConfigError", "NumericalError"}
 
 
-# The process-wide memo caches, each kept on purpose: a law's tail table, a
-# (network, params) cost model and the argparse parser.
-_MEMO_CACHES = {("channel.py", "inv_rate_table"), ("cost_model.py", "cost_model"),
-                ("cli.py", "_build_parser")}
+# The process-wide memo caches, each kept on purpose: a (network, params) cost
+# model and the argparse parser.
+_MEMO_CACHES = {("cost_model.py", "cost_model"), ("cli.py", "_build_parser")}
 
 
 def _cache_name(node) -> str | None:
@@ -275,9 +274,9 @@ def _cache_name(node) -> str | None:
     return name if name in ("cache", "lru_cache") else None
 
 
-def test_the_only_memo_caches_are_the_known_three():
+def test_the_only_memo_caches_are_the_known_two():
     """A functools cache, as a decorator or called, appears nowhere in src/
-    but on the three functions of `_MEMO_CACHES`."""
+    but on the two functions of `_MEMO_CACHES`."""
     decorated, calls = set(), []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
