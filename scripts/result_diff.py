@@ -32,7 +32,8 @@ of `python -m edgesplit.cli` calls on each:
   equal-width MLP under `place`, `thresholds`, `simulate` and a distance
   sweep, and a distance sweep on a list whose stages differ in distance
   alone;
-* the reproducers of known boundary defects and a set of malformed configs,
+* the reproducers of known boundary defects and a set of malformed configs
+  (a strategy listed twice, in the config or by `--strategy`, among them),
   an `--out` that names a file or a path under one, a directory where a
   result file goes, and a `--config` that names no file;
 * the shipped example at `bandwidth_hz` 1e-310 under `place` and
@@ -297,6 +298,8 @@ def matrix():
         ("atoms-bad", config(channel={"kind": "discrete", "atoms": [[0.5, 0.7]]}), []),
         ("unknown-strategy", config(strategies=["gradient_descent"]), []),
         ("no-strategies", config(strategies=[]), []),
+        ("repeated-strategy", config(strategies=["hybrid", "hybrid"]), []),
+        ("repeated-strategy-flag", base, ["--strategy", "hybrid", "--strategy", "hybrid"]),
         ("horizon-high", config(horizon_M=9), []),
         ("trials-fraction", config(trials=2.5), []),
         ("trials-huge", config(trials=1e18), []),  # place only: simulate would never end
@@ -308,6 +311,7 @@ def matrix():
     cases.append(("malformed/null-seed", "simulate", config(strategies=RULES, seed=None), []))
     cases.append(("malformed/negative-seed", "simulate", config(strategies=RULES, seed=-1), []))
     cases.append(("malformed/hybrid", "simulate", base, []))
+    cases.append(("malformed/repeated-strategy", "simulate", config(strategies=RULES[:1] * 2), []))
     cases.append(("malformed/no-sweep", "sweep", base, []))
     # the last --out wins: a file of the case directory, and a path under it
     for out in ("cfg.json", "cfg.json/x"):

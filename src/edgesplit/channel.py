@@ -90,10 +90,10 @@ class StageDistribution(Record):
     `probs=`; its support_lo is the bottom atom. `discrete()` builds one
     from (snr, probability) pairs, and `prob_below`, `quantile`,
     `atom_arrays` and the tail table read it. Instances are immutable and
-    safe to share.
+    safe to share; a discrete law's `quantile` builds its numpy columns once.
     """
 
-    __slots__ = ("kind", "mean_snr", "support_lo", "snrs", "probs")
+    __slots__ = ("kind", "mean_snr", "support_lo", "snrs", "probs", "_quantile_columns")
 
     def __init__(self, kind: str, mean_snr: float | None = None, support_lo: float | None = None,
                  *, snrs=None, probs=None):
@@ -132,7 +132,7 @@ class StageDistribution(Record):
             support_lo = snrs[0]
         else:
             raise ValueError(f"unknown distribution kind {kind!r}")
-        self._set(kind, mean_snr, support_lo, snrs, probs)
+        self._set(kind, mean_snr, support_lo, snrs, probs, None)
 
     def __hash__(self):
         return hash((self.kind, self.mean_snr, self.support_lo, self.snrs, self.probs))
@@ -229,8 +229,11 @@ class StageDistribution(Record):
         if u.size and not (u.min() >= 0 and u.max() <= 1):  # also rejects NaN
             raise ValueError("quantile argument must lie in [0, 1]")
         if self.kind == "discrete":
-            snrs, probs = self.atom_arrays
-            out = snrs[np.minimum(np.searchsorted(np.cumsum(probs), u, side="left"), len(snrs) - 1)]
+            if self._quantile_columns is None:  # (SNRs, cumulative probabilities), once per law
+                snrs, probs = self.atom_arrays
+                object.__setattr__(self, "_quantile_columns", (snrs, np.cumsum(probs)))
+            snrs, cum = self._quantile_columns
+            out = snrs[np.minimum(np.searchsorted(cum, u, side="left"), len(snrs) - 1)]
             return float(out) if out.ndim == 0 else out
         with np.errstate(divide="ignore"):
             # lo - mean * log1p(-u)

@@ -5,9 +5,10 @@
     edgesplit sweep      --config cfg.json --out outdir
     edgesplit simulate   --config cfg.json --out outdir [--trials N] [--seed S]
 
-Outputs are CSV (12 significant digits, provenance in leading '#' comment
-lines) plus JSON where noted. Exit codes: 0 ok, 2 config error, 3 numerical
-failure, 4 a simulate consistency check failed.
+Each command renders its result files as texts and `main` writes them, in
+order. Outputs are CSV (12 significant digits, provenance in leading '#'
+comment lines) plus JSON where noted. Exit codes: 0 ok, 2 config error,
+3 numerical failure, 4 a simulate consistency check failed.
 """
 from __future__ import annotations
 
@@ -77,8 +78,8 @@ def _metadata(cfg: ExperimentConfig) -> dict:
 
 
 def _write_text(path: str, text: str):
-    """Write `text` to `path` as UTF-8, truncating the file first: the one place
-    that writes a result file. A failed write is a ConfigError of --out."""
+    """Write `text` to `path` as UTF-8, truncating the file first: the one writer
+    of a result file, called by `main` alone. A failed write is a ConfigError of --out."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -86,18 +87,15 @@ def _write_text(path: str, text: str):
         raise ConfigError(f"cannot write {path!r}: {exc.strerror}", field="--out") from exc
 
 
-def _write_csv(path: str, metadata: dict, header: str, rows: list[str]):
+def _csv(metadata: dict, header: str, rows: list[str]) -> str:
+    """A result CSV: one '# key=value' line per metadata entry, the header, the rows."""
     lines = [f"# {k}={_fmt(v) if isinstance(v, float) else v}" for k, v in metadata.items()]
     lines.append(header)
     lines.extend(rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: str, payload: dict):
-    _write_text(path, _json(payload) + "\n")
-
-
-def cmd_thresholds(cfg: ExperimentConfig, out: str) -> int:
+def cmd_thresholds(cfg: ExperimentConfig) -> tuple[int, dict]:
     M = cfg.horizon_M
     problem = Problem(cfg.network, cfg.params, cfg.stage_dists(M + 1), M)
     rows = []
@@ -107,9 +105,7 @@ def cmd_thresholds(cfg: ExperimentConfig, out: str) -> int:
             threshold = policy.thresholds[n - 1] if n <= M else None
             value = policy.value_table[n - 1] if policy.value_table else None
             rows.append(f"{n},{rule},{_fmt(threshold)},{_fmt(value)}")
-    _write_csv(os.path.join(out, "thresholds.csv"), _metadata(cfg),
-               "stage,rule,threshold_snr,value_table", rows)
-    return 0
+    return 0, {"thresholds.csv": _csv(_metadata(cfg), "stage,rule,threshold_snr,value_table", rows)}
 
 
 def _problem(cfg: ExperimentConfig, laws) -> Problem:
@@ -131,22 +127,19 @@ def _problem(cfg: ExperimentConfig, laws) -> Problem:
     return problem
 
 
-def cmd_place(cfg: ExperimentConfig, out: str) -> int:
+def cmd_place(cfg: ExperimentConfig) -> tuple[int, dict]:
     problem = _problem(cfg, cfg.laws)
     reports = [run_strategy(s, cfg.network, cfg.params, problem.dists, mlp=cfg.mlp, problem=problem)
                for s in cfg.strategies]
     rows = [f"{rep.strategy},{r.M},{r.Z:.12g},{r.expected_etc:.12g},{r.psi:.12g},"
             f"{int(r.M == rep.best_M)}" for rep in reports for r in rep.rows]
     metadata = _metadata(cfg)
-    _write_csv(os.path.join(out, "placement.csv"), metadata, "strategy,M,Z,expected_etc,psi,best", rows)
-    _write_json(os.path.join(out, "placement.json"), {
-        "metadata": metadata,
-        "reports": [rep.to_json_dict() for rep in reports],
-    })
-    return 0
+    payload = {"metadata": metadata, "reports": [rep.to_json_dict() for rep in reports]}
+    return 0, {"placement.csv": _csv(metadata, "strategy,M,Z,expected_etc,psi,best", rows),
+               "placement.json": _json(payload) + "\n"}
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: str) -> int:
+def cmd_sweep(cfg: ExperimentConfig) -> tuple[int, dict]:
     if cfg.sweep is None:
         raise ConfigError("sweep command needs a 'sweep' section", field="sweep")
     rows = []
@@ -176,12 +169,11 @@ def cmd_sweep(cfg: ExperimentConfig, out: str) -> int:
                 best = rep.row(rep.best_M)
                 rows.append(f"{_fmt(float(value))},{strategy},{rep.best_M},"
                             f"{_fmt(best.Z)},{_fmt(best.expected_etc)},")
-    _write_csv(os.path.join(out, "sweep.csv"), _metadata(cfg),
-               "axis_value,strategy,best_M,Z,expected_etc,optimality_prob", rows)
-    return 0
+    return 0, {"sweep.csv": _csv(_metadata(cfg),
+                                 "axis_value,strategy,best_M,Z,expected_etc,optimality_prob", rows)}
 
 
-def cmd_simulate(cfg: ExperimentConfig, out: str) -> int:
+def cmd_simulate(cfg: ExperimentConfig) -> tuple[int, dict]:
     # numpy rejects a negative seed and draws fresh OS entropy for null: no two runs would agree
     if cfg.seed is None or cfg.seed < 0:
         raise ConfigError(f"simulate needs a nonnegative integer seed, got {cfg.seed}", field="seed")
@@ -232,14 +224,10 @@ def cmd_simulate(cfg: ExperimentConfig, out: str) -> int:
             csv_rows.append(f"{rule},{n},{_fmt(freq)},{_fmt(float(p))}")
 
     metadata = _metadata(cfg)
-    _write_json(os.path.join(out, "sim.json"), {
-        "metadata": metadata,
-        "results": entries,
-        "all_checks_passed": all_ok,
-    })
-    _write_csv(os.path.join(out, "sim.csv"), metadata,
-               "rule,stage,frequency,analytic_probability", csv_rows)
-    return 0 if all_ok else 4
+    payload = {"metadata": metadata, "results": entries, "all_checks_passed": all_ok}
+    return 0 if all_ok else 4, {
+        "sim.json": _json(payload) + "\n",
+        "sim.csv": _csv(metadata, "rule,stage,frequency,analytic_probability", csv_rows)}
 
 
 @cache  # argparse parsers are reusable, and building one costs about 1 ms
@@ -297,7 +285,10 @@ def main(argv=None) -> int:
             "sweep": cmd_sweep,
             "simulate": cmd_simulate,
         }[args.command]
-        return handler(cfg, out)
+        code, texts = handler(cfg)
+        for name, text in texts.items():  # a failed write keeps the files written before it
+            _write_text(os.path.join(out, name), text)
+        return code
     except ConfigError as exc:
         where = f" (field: {exc.field})" if exc.field else ""
         print(f"edgesplit: config error{where}: {exc}", file=sys.stderr)

@@ -271,10 +271,12 @@ def load_config(raw: dict) -> ExperimentConfig:
     if not strategies:
         raise ConfigError("strategies must list at least one strategy", field="strategies")
     strategies = tuple(strategies)
-    for s in strategies:
+    for k, s in enumerate(strategies):
         if s not in STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}; expected one of {STRATEGIES}",
                               field="strategies")
+        if s in strategies[:k]:  # each strategy runs once: a repeat would repeat its rows
+            raise ConfigError(f"strategy {s!r} is listed more than once", field="strategies")
 
     trials = _make(json_integer, "trials", raw.get("trials", DEFAULT_TRIALS), "trials")
     if not 1 <= trials <= MAX_TRIALS:

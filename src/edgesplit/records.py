@@ -3,20 +3,21 @@ from operator import attrgetter
 
 
 class Record:
-    """A record whose fields are its class's `__slots__`, set once by `_set`.
+    """A record whose fields are its class's public `__slots__`, set once by `_set`.
 
     Assigning or deleting a field raises AttributeError, and records of one
-    class are equal when their fields are. A record hashes only where its
-    class defines `__hash__`: the laws, params, networks and layers, which
-    are cache keys. Each spells out the tuple of its fields, because
-    `cost_model` hashes a network, its layers and the params on every
-    online decision.
+    class are equal when their fields are. A private slot holds a value
+    derived from the fields, and takes no part in equality. A record hashes
+    only where its class defines `__hash__`: the laws, params, networks and
+    layers, which are cache keys. Each spells out the tuple of its fields,
+    because `cost_model` hashes a network, its layers and the params on
+    every online decision.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._values = attrgetter(*cls.__slots__)  # record -> the tuple of its fields
+        cls._values = attrgetter(*(s for s in cls.__slots__ if s[0] != "_"))  # record -> its fields
 
     def _set(self, *values):
         for name, value in zip(self.__slots__, values):

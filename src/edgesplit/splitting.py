@@ -350,12 +350,12 @@ class Problem:
         return StageTable(cont, reach, stop_prob, costs)
 
     def optimality_probability(self, M: int) -> float:
-        """Probability that the 1-sla decision at horizon M coincides with the
-        optimal one, read off the first M stages of `one_sla_table`.
-
-        Counts the event that once the 1-sla rule first calls for a stop it keeps
-        calling for stops at every later stage, summed over the stage at which
-        the first stop happens (including no stop before the forced one).
+        """Probability of the monotone-case event at horizon M, read off the
+        first M stages of `one_sla_table`: once the 1-sla rule first calls for a
+        stop, it calls for a stop at every later stage up to M, summed over the
+        stage of the first call (no call before the forced stop included). Where
+        it is 1 the 1-sla rule is optimal. The two rules stopping at the same
+        stage is another event: `coincidence_probability`.
         """
         if not 0 <= M <= self.M:
             raise ValueError(f"M must lie in [0, {self.M}]")

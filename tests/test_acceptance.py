@@ -2,8 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdicts inline.
 Criteria 1-7 are hard requirements; criterion 8 is a soft pass/warn check:
-its absolute probability bounds depend on the SNR truncation floor, which is
-a free modeling parameter here, so a miss is reported rather than failed.
+it bounds the probability of the monotone-case event, and which event the
+reference bounds describe is not known here, so a miss is reported rather
+than failed.
 """
 import math
 import time
@@ -221,22 +222,27 @@ def test_criterion_8_soft_probability_bounds(nets, params):
     bounds = {"autoencoder": 0.7, "alexnet": 0.9}
     computed = []
     for name, net in nets.items():
-        floor_results = {}
+        floor_results, coincidence = {}, {}
         for ratio in (1e-4, 1e-3, 1e-2):
             dist = channel_at(50, params, floor_ratio=ratio)
             problem = Problem(net, params, dist)
             floor_results[ratio] = min(problem.optimality_probability(M)
                                        for M in range(1, net.N + 1))
+            coincidence[ratio] = min(problem.coincidence_probability(M)
+                                     for M in range(1, net.N + 1))
         computed.extend(floor_results.values())
         worst = min(floor_results.values())
         status = "PASS" if worst >= bounds[name] else "WARN"
-        detail = ", ".join(f"floor {r:g}: {v:.3f}" for r, v in floor_results.items())
+        detail = ", ".join(f"floor {r:g}: {v:.3f} (coincidence_probability {coincidence[r]:.3f})"
+                           for r, v in floor_results.items())
         print(f"[{status}] criterion 8 ({name} optimality probability soft bound "
               f">= {bounds[name]}): {detail}")
         if status == "WARN":
             warnings.warn(
-                f"{name}: minimum look-ahead optimality probability {worst:.3f} sits "
-                f"below the {bounds[name]} reference bound for some truncation floor; "
-                "the bound evidently assumes a different implicit floor", stacklevel=1)
+                f"{name}: minimum look-ahead optimality probability {worst:.3f}, the "
+                f"probability of the monotone-case event, sits below the {bounds[name]} "
+                "reference bound for some truncation floor; the minimum probability that "
+                f"both rules stop at the same stage is {min(coincidence.values()):.3f}",
+                stacklevel=1)
     # soft criterion: values must exist and be valid probabilities, nothing more
     assert all(0.0 < v <= 1.0 for v in computed)

@@ -415,6 +415,23 @@ def test_quantile_of_strided_views_matches_a_contiguous_copy(law, rows, cols, st
                 law.quantile(u)
 
 
+def test_a_discrete_quantile_reads_the_atoms_once_and_keeps_the_law(monkeypatch):
+    """The SNR and cumulative columns are built on the first quantile, not at
+    construction, and are kept out of the law's equality, hash and JSON."""
+    reads = []
+    atom_arrays = StageDistribution.atom_arrays
+    monkeypatch.setattr(StageDistribution, "atom_arrays",
+                        property(lambda law: reads.append(law) or atom_arrays.fget(law)))
+    law, fresh = (channel_at(50.0, make_params()).discretize(4096) for _ in range(2))
+    assert reads == []
+    u = np.random.default_rng(2).random(1000)
+    first = law.quantile(u)
+    assert _bits(law.quantile(u)) == _bits(first) == _bits(_contiguous_reference(law, u))
+    assert law.quantile(0.5) == _contiguous_reference(law, 0.5)
+    assert reads == [law]
+    assert law == fresh and hash(law) == hash(fresh) and law.to_json_dict() == fresh.to_json_dict()
+
+
 def _prob_below_by_atom_loop(law, x):
     """P{SNR < x} of a discrete law as one np.where per atom, added in atom order."""
     x = np.asarray(x, dtype=float)

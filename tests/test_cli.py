@@ -75,6 +75,22 @@ def test_an_empty_strategy_list_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "placement.csv").exists()
 
 
+@pytest.mark.parametrize("by_flag", [False, True], ids=["config", "flag"])
+@pytest.mark.parametrize("command", ["thresholds", "place", "sweep", "simulate"])
+def test_a_repeated_strategy_is_a_config_error(tmp_path, capsys, command, by_flag):
+    """A strategy named twice, in the config or by a repeated --strategy, exits 2
+    naming `strategies` and the strategy, and writes nothing."""
+    twice = ["optimal_exhaustive", "one_sla_exhaustive", "optimal_exhaustive"]
+    raw = reference_config_dict(strategies=twice[:2] if by_flag else twice,
+                                sweep={"variable": "M", "values": [0, 2]})
+    flags = [arg for s in twice for arg in ("--strategy", s)] if by_flag else []
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, raw), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "(field: strategies)" in err and "'optimal_exhaustive' is listed more than once" in err
+    assert not out.exists()  # the config is checked before --out is made
+
+
 def test_load_config_inf_updates_and_m_sweep():
     raw = reference_config_dict(sweep={"variable": "updates_per_model",
                                        "values": [10, 50, "inf"]})
@@ -1019,7 +1035,7 @@ def test_json_emitter_on_a_placement_payload(tmp_path):
                "reports": [cli.run_strategy(s, cfg.network, cfg.params, dists).to_json_dict()
                            for s in cfg.strategies]}
     assert cli._json(payload) == _reference_json(payload)
-    cli._write_json(tmp_path / "p.json", payload)
+    cli._write_text(tmp_path / "p.json", cli._json(payload) + "\n")
     assert (tmp_path / "p.json").read_text(encoding="utf-8") == _reference_json(payload) + "\n"
 
 

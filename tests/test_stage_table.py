@@ -1,14 +1,15 @@
 """Stage tables: the stop statistics every expected cost and the 1-sla
 placement sweep read, checked against the per-stage scalar loops they
-replace; the dominance of the optimal rule over random problems; and the
-properties of both rules that hold, and one that does not."""
+replace; the dominance of the optimal rule over random problems; the
+properties of both rules that hold, and one that does not; and three of the
+model's invariants as metamorphic properties over random problems."""
 import itertools
 import math
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgesplit import (
@@ -22,7 +23,7 @@ from edgesplit import (
     optimize_exhaustive,
 )
 from edgesplit.channel import TailTable, per_stage
-from edgesplit.cost_model import cost_model, uplink_rate
+from edgesplit.cost_model import SystemParams, cost_model, uplink_rate
 from edgesplit.model_graph import LayerSpec, NetworkSpec
 from edgesplit.splitting import ThresholdPolicy, expected_etc
 
@@ -509,3 +510,100 @@ def test_one_sla_can_cost_more_than_never_stopping(params):
     optimal = backward_induction(2, net, params, law).value_table[0]
     assert one_sla > 1000.0 * never
     assert optimal <= never
+
+
+# -- metamorphic properties: the model's invariants over random problems ------------
+
+def _ulps_apart(a: float, b: float) -> float:
+    return abs(a - b) / math.ulp(max(abs(a), abs(b))) if a != b else 0.0
+
+
+def _plans(problem):
+    """Every Z and expected cost of the two exhaustive sweeps and hybrid, their
+    best M, and the thresholds of both rules at every horizon."""
+    reports = [optimize_exhaustive(problem, rule) for rule in ("optimal", "one_sla")]
+    reports.append(hybrid(problem))
+    thresholds = [t for rule in ("optimal", "one_sla") for M in range(problem.M + 1)
+                  for t in problem.policy(rule, M).thresholds]
+    return reports, thresholds
+
+
+@settings(max_examples=200)
+@given(problem=_problems(),
+       c=st.one_of(st.integers(-20, 20).map(lambda k: 2.0**k), st.floats(0.01, 100.0)))
+def test_cost_weights_scale_every_cost_and_keep_every_decision(problem, c):
+    """(beta_t, beta_e) -> c (beta_t, beta_e) scales omega, every payload weight
+    and psi's weight by c, so every Z and expected cost by c, and leaves every
+    threshold and best M as they are: a threshold is the indifference SNR of
+    weight / margin, a ratio in which c cancels.
+
+    Tolerance: 0 ulps where c is a power of two, for then every product by c is
+    exact and every later sum and ratio sees exactly scaled operands. Otherwise
+    c beta rounds, and so does each table entry and sum built on it, along
+    another path than c Z: Z and expected cost may land up to 16 ulps from c Z
+    (7 is the most seen over 2,000 random problems). A threshold is compared as
+    its exponent log1p(t) = weight ln 2 / (B margin), to the same 16 ulps, since
+    t = 2^x - 1 amplifies a relative error in x by up to x ln 2, which is 710
+    at the largest finite threshold. A best M must then stay unless another
+    row's Z lies within that tolerance of the best one's."""
+    net, params, dists = problem
+    exact = math.frexp(c)[0] == 0.5
+    ulps = 0 if exact else 16
+    scaled = SystemParams(**{**params.to_json_dict(), "beta_t": c * params.beta_t,
+                             "beta_e": c * params.beta_e})
+    reports, thresholds = _plans(Problem(net, params, dists))
+    scaled_reports, scaled_thresholds = _plans(Problem(net, scaled, dists))
+    for rep, other in zip(reports, scaled_reports):
+        for row, scaled_row in zip(rep.rows, other.rows):
+            assert _ulps_apart(scaled_row.Z, c * row.Z) <= ulps, (rep.strategy, row.M)
+            assert _ulps_apart(scaled_row.expected_etc, c * row.expected_etc) <= ulps, (rep.strategy, row.M)
+        best = rep.row(rep.best_M).Z
+        runner_up = min((r.Z for r in rep.rows if r.M != rep.best_M), default=math.inf)
+        if exact or runner_up - best > 2 * ulps * math.ulp(best):
+            assert other.best_M == rep.best_M, rep.strategy
+    for t, scaled_t in zip(thresholds, scaled_thresholds):
+        if exact or math.isinf(t) or math.isinf(scaled_t):
+            assert scaled_t == t
+        else:
+            assert _ulps_apart(math.log1p(scaled_t), math.log1p(t)) <= ulps
+
+
+# The tails E[1/R] are accurate to about 1e-14 relative (README, numerical
+# notes), and two horizons or two laws read them at other thresholds or off
+# other panels: a cost may rise by that much where the model has it fall by less.
+_TAIL_REL = 1e-13
+
+
+@settings(max_examples=200)
+@given(problem=_problems())
+def test_a_longer_horizon_costs_no_more(problem):
+    """V_M(1) is nonincreasing in M: at horizon M + 1, threshold 0 at stage
+    M + 1 recovers horizon M's forced stop there, so the optimum can only
+    improve."""
+    net, params, dists = problem
+    costs = Problem(net, params, dists).optimal[0]
+    for M in range(net.N):
+        assert costs[M + 1] <= costs[M] * (1.0 + _TAIL_REL), M
+
+
+def _scaled_law(law: StageDistribution, s: float) -> StageDistribution:
+    """The law of s SNR: the exponential kind's mean times s at the same floor
+    ratio, or every atom times s."""
+    if law.kind == "discrete":
+        return StageDistribution.discrete([(snr * s, p) for snr, p in zip(law.snrs, law.probs)])
+    return StageDistribution("truncated_exponential", law.mean_snr * s, law.support_lo * s)
+
+
+@settings(max_examples=200)
+@given(problem=_problems(), s=st.floats(1.0, 10.0))
+def test_a_stronger_channel_costs_no_more(problem, s):
+    """Scaling every stage's SNR by s >= 1, at the same floor ratio, gives a law
+    that dominates it stochastically; a stop cost falls with the SNR, so no
+    V_M(1) rises (Mueller and Stoyan, Comparison Methods for Stochastic Models
+    and Risks, 2002)."""
+    net, params, dists = problem
+    stronger = (_scaled_law(dists, s) if isinstance(dists, StageDistribution)
+                else [_scaled_law(d, s) for d in dists])
+    costs = Problem(net, params, dists).optimal[0]
+    for M, cost in enumerate(Problem(net, params, stronger).optimal[0]):
+        assert cost <= costs[M] * (1.0 + _TAIL_REL), M

@@ -3,9 +3,9 @@ names, only the cost model reads the cost constants, only the CLI catches a
 NumericalError, only the config module reads the config format, importing
 the package and its CLI pulls in no scipy, planning runs without numpy and
 without dataclasses, typing or pathlib, the package exports an explicit list of names, the README quick start runs, the
-process holds two memo caches and no more, one helper writes every result
-file, only the CLI imports hashlib or json, and the functions the benchmark
-calls keep their signatures."""
+process holds two memo caches and no more, one helper called from `main`
+alone writes every result file, only the CLI imports hashlib or json, and
+the functions the benchmark calls keep their signatures."""
 import ast
 import inspect
 import json
@@ -306,8 +306,9 @@ def _opens_for_writing(call: ast.Call) -> bool:
 
 
 def test_every_result_file_is_written_by_write_text():
-    """`cli._write_text` truncates a result file and writes it; no other code in
-    src/ opens a file for writing."""
+    """`cli._write_text` truncates a result file and writes it, and is called
+    from `main` alone (the next test); no other code in src/ opens a file for
+    writing."""
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -317,6 +318,28 @@ def test_every_result_file_is_written_by_write_text():
                       if isinstance(node, ast.Call) and _opens_for_writing(node)
                       and not any(node.lineno in lines for lines in helper)]
     assert not offenders, offenders
+
+
+def test_main_alone_writes_the_result_files():
+    """Each `cmd_*` takes the checked config alone and returns its exit code
+    and result texts: it takes no output path, joins none and opens no file.
+    `_write_text` is called once in src/, from `main`, which commits the texts."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    commands = [fn for name, fn in functions.items() if name.startswith("cmd_")]
+    assert len(commands) == 4
+    for fn in commands:
+        assert [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs] == ["cfg"], fn.name
+        assert not (fn.args.vararg or fn.args.kwarg), fn.name
+        called = {ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+        assert not called & {"open", "os.open", "os.fdopen", "os.path.join", "_write_text"}, fn.name
+    sites = [(path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and "_write_text" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    main = functions["main"]
+    assert len(sites) == 1 and sites[0][0] == "cli.py", sites
+    assert main.lineno <= sites[0][1] <= main.end_lineno, sites
 
 
 # The functions perfbench/ calls, with the parameters it passes by position.
