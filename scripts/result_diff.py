@@ -12,7 +12,10 @@ of `python -m edgesplit.cli` calls on each:
   `thresholds` and `simulate` at fewer points;
 * every sweep axis (distance_m, updates_per_model, M) on each network;
 * per-stage channel lists that mix path-loss, discrete and truncated laws
-  (a truncated law has a floor and no SNR ceiling);
+  (a truncated law has a floor and no SNR ceiling); a list that repeats one
+  16-atom discrete spec among truncated ones, under `place`, `thresholds`
+  and `simulate`, and one that repeats one path-loss spec, under
+  `thresholds`: their equal stage laws are separate objects until merged;
 * edge laws: path loss at 0.01 m, 5 km and 1e7 m, floor ratios 1e-6 and
   10, and one shared discrete law, under `place`, `thresholds` and a K
   (`updates_per_model`) sweep;
@@ -151,6 +154,14 @@ def matrix():
         for command, fields in (("place", {}), ("thresholds", {}),
                                 ("simulate", {"strategies": RULES, "horizon_M": 3})):
             cases.append((f"per-stage-{name}", command, config(channel=channel, **fields), []))
+    # one spec repeated among others: equal but separate laws, which the stage
+    # laws merge into one object
+    fine = {"kind": "discrete", "atoms": [[0.02 * 1.6**k, 1 / 16] for k in range(16)]}
+    repeated = [fine, truncated, fine, fine, truncated, fine, fine, fine, truncated]
+    for command, fields in (("place", {}), ("thresholds", {}),
+                            ("simulate", {"strategies": RULES, "horizon_M": 8})):
+        cases.append(("per-stage-repeated-discrete", command, config(channel=repeated, **fields), []))
+    cases.append(("per-stage-repeated-pathloss", "thresholds", config(channel=[pathloss(70)] * 9), []))
     edge_laws = {f"{d:g}m": pathloss(d) for d in (0.01, 5000, 1e7)}
     edge_laws.update({f"floor={r:g}": dict(pathloss(50), snr_floor_ratio=r) for r in (1e-6, 10)})
     edge_laws["discrete"] = discrete

@@ -371,13 +371,27 @@ def inv_rate_table(dist: StageDistribution, bandwidth_hz: float) -> TailTable:
     return TailTable(dist, inv_rate)
 
 
-def per_stage(dists, count: int) -> tuple[StageDistribution, ...]:
-    """Normalize a shared law or a per-stage sequence to exactly `count` laws."""
+def per_stage(dists, count: int, most: int | None = None) -> tuple[StageDistribution, ...]:
+    """The laws of stages 1..count from one shared law or a per-stage sequence
+    of at least `count` and at most `most` laws, with equal laws as one object.
+
+    Each law is compared with the distinct laws before it, by identity and
+    then by `==`, and an equal one is replaced by the first: a shared law
+    costs no comparison. So equal laws share what is keyed on their identity.
+    """
     if isinstance(dists, StageDistribution):
         return (dists,) * count
     seq = tuple(dists)
     if len(seq) < count:
         raise ValueError(f"need distributions for {count} stages, got {len(seq)}")
+    if most is not None and len(seq) > most:
+        raise ValueError(f"there are {most} stages, got {len(seq)} stage laws")
     if not all(isinstance(d, StageDistribution) for d in seq[:count]):
         raise TypeError("per-stage entries must be StageDistribution instances")
-    return seq[:count]
+    distinct, laws = [], []
+    for d in seq[:count]:
+        law = next((u for u in distinct if u is d or u == d), None)
+        if law is None:
+            distinct.append(law := d)
+        laws.append(law)
+    return tuple(laws)

@@ -121,7 +121,7 @@ def _problem(cfg: ExperimentConfig, laws) -> Problem:
                           field="strategies")
     cfg.stage_dists(cfg.network.N + 1)  # the ConfigError of too few laws
     problem = Problem(cfg.network, cfg.params, laws)
-    if closed_form and len(set(problem.dists)) != 1:
+    if closed_form and any(d is not problem.dists[0] for d in problem.dists):
         raise ConfigError("strategy mlp_closed_form needs one channel law shared by every stage",
                           field="strategies")
     return problem

@@ -132,7 +132,7 @@ def mlp_closed_form(problem: Problem, mlp: MlpSpec) -> PlacementReport:
         raise ValueError("closed-form placement requires an MLP with equal widths at every layer")
     if build_mlp(mlp) != problem.net:
         raise ValueError("the closed form's mlp is not the network of its Problem")
-    if len(set(problem.dists)) != 1:
+    if any(d is not problem.dists[0] for d in problem.dists):
         raise TypeError("closed-form placement uses a single shared StageDistribution")
     dist, params, cm, N = problem.dists[0], problem.params, problem.cm, problem.M
     X = mlp.neurons[0]

@@ -8,10 +8,10 @@ class Record:
     Assigning or deleting a field raises AttributeError, and records of one
     class are equal when their fields are. A private slot holds a value
     derived from the fields, and takes no part in equality. A record hashes
-    only where its class defines `__hash__`: the laws, params, networks and
-    layers, which are cache keys. Each spells out the tuple of its fields,
-    because `cost_model` hashes a network, its layers and the params on
-    every online decision.
+    only where its class defines `__hash__`: the params, networks and layers,
+    which `cost_model` keys on, and the laws. Each spells out the tuple of
+    its fields, because `cost_model` hashes a network, its layers and the
+    params on every online decision.
     """
 
     __slots__ = ()

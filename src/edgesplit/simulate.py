@@ -22,7 +22,7 @@ from .channel import per_stage
 from .cost_model import SystemParams, cost_model
 from .model_graph import NetworkSpec
 from .records import Record
-from .splitting import Problem, ThresholdPolicy, network_laws
+from .splitting import Problem, ThresholdPolicy
 
 RNG_ALGORITHM = "numpy-pcg64"
 # the most trials whose costs are summed as one array
@@ -152,26 +152,21 @@ def oracle_dp(M: int, net: NetworkSpec, params: SystemParams, discrete_dists) ->
     V at the final stage is the stop cost; earlier stages take the pointwise
     min of stopping and the expected value of continuing. Pure finite sums.
     The recovered per-stage threshold is the smallest atom at which stopping
-    wins (inf if none does). The laws are one shared law or at most N + 1;
-    equal laws are turned into arrays once.
+    wins (inf if none does). The laws are one shared law or at most N + 1,
+    which `per_stage` merges, so each distinct law is turned into arrays once.
     """
     import numpy as np
 
     if not 0 <= M <= net.N:
         raise ValueError(f"M must lie in [0, {net.N}]")
-    ds = per_stage(network_laws(net, discrete_dists), M + 1)
+    ds = per_stage(discrete_dists, M + 1, net.N + 1)
     if any(d.kind != "discrete" for d in ds):
         raise ValueError("the oracle needs discrete stage distributions")
     cm = cost_model(net, params)
-    converted = []  # (law, its arrays): equal laws share one conversion
+    arrays = {key: d.atom_arrays for key, d in {id(d): d for d in ds}.items()}
 
     def stage_arrays(n):
-        law = ds[n - 1]
-        arrays = next((a for d, a in converted if d == law), None)
-        if arrays is None:
-            arrays = law.atom_arrays
-            converted.append((law, arrays))
-        snrs, probs = arrays
+        snrs, probs = arrays[id(ds[n - 1])]
         stop_cost = cm.etc_values(np.full(snrs.shape, n), snrs)
         return snrs, probs, stop_cost
 

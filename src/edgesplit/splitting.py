@@ -96,18 +96,6 @@ def _indifference_threshold(weight: float, bandwidth_hz: float, margin: float) -
     return math.expm1(exponent * LN2)
 
 
-def network_laws(net: NetworkSpec, dists):
-    """One shared law as it is, or a per-stage sequence of laws as a tuple; a
-    sequence of more laws than the network's N + 1 stages is a ValueError."""
-    if isinstance(dists, StageDistribution):
-        return dists
-    laws = tuple(dists)
-    if len(laws) > net.N + 1:
-        raise ValueError(f"a network of {net.N} layers has {net.N + 1} stages, "
-                         f"got {len(laws)} stage laws")
-    return laws
-
-
 def backward_induction(M: int, net: NetworkSpec, params: SystemParams, dists) -> ThresholdPolicy:
     """Optimal stopping rule for horizon M+1: the policy of the recursion of
     the Problem at horizon M. M = 0 is the forced offload at stage 1."""
@@ -183,7 +171,7 @@ class Problem:
     """One stopping problem: a network, its constants and the laws of stages
     1..M+1, for every horizon 0..M (M = N when not given). The laws are one
     law shared by every stage or a sequence of at most N + 1 laws, one per
-    stage (`network_laws`).
+    stage, which `per_stage` merges: from then on laws are told apart by identity.
 
     It is the one place where (net, params, dists) become the stage laws, one
     object per distinct law, the cost model and the policies of both rules.
@@ -200,8 +188,7 @@ class Problem:
         if not 0 <= M <= net.N:
             raise ValueError(f"M must lie in [0, {net.N}]")
         self.net, self.params, self.M = net, params, M
-        kept = {}  # equal laws become one object, so their stages share its reads
-        self.dists = tuple(kept.setdefault(d, d) for d in per_stage(network_laws(net, dists), M + 1))
+        self.dists = per_stage(dists, M + 1, net.N + 1)  # equal laws share one object, and its reads
         self.cm = cost_model(net, params)
         self._reads = {}  # id(law) -> {t: (P{SNR < t}, E[1/R; SNR >= t])}
 
@@ -233,7 +220,7 @@ class Problem:
     def tables(self) -> dict[int, TailTable]:
         """The E[1/R] tail table of each distinct law of `self.dists`, by id."""
         bandwidth = self.params.bandwidth_hz
-        return {id(d): inv_rate_table(d, bandwidth) for d in dict.fromkeys(self.dists)}
+        return {key: inv_rate_table(d, bandwidth) for key, d in {id(d): d for d in self.dists}.items()}
 
     @cached_property
     def transmission(self) -> list[float]:

@@ -218,7 +218,13 @@ def test_criterion_7_monte_carlo_agreement(autoencoder, params, dist_d50):
 
 
 def test_criterion_8_soft_probability_bounds(nets, params):
-    """Soft check: reported as pass/warn, never as failure."""
+    """Soft check: reported as pass/warn, never as failure.
+
+    It bounds `optimality_probability`, the monotone-case event, and prints
+    `coincidence_probability`, the two rules stopping at the same stage. The
+    two events are incomparable: neither probability bounds the other
+    (`test_simulate.py::test_the_monotone_case_and_coincidence_are_incomparable`),
+    so the second is no bound on the first."""
     bounds = {"autoencoder": 0.7, "alexnet": 0.9}
     computed = []
     for name, net in nets.items():

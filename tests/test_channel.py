@@ -708,8 +708,54 @@ def test_channel_config_kinds():
 def test_per_stage_helpers(trunc):
     assert per_stage(trunc, 3) == (trunc, trunc, trunc)
     assert per_stage([trunc] * 5, 3) == (trunc, trunc, trunc)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need distributions for 2 stages, got 1"):
         per_stage([trunc], 2)
+    # at most `most` laws, where it is given
+    assert per_stage([trunc] * 10, 3, 10) == (trunc,) * 3
+    with pytest.raises(ValueError, match="there are 9 stages, got 10 stage laws"):
+        per_stage([trunc] * 10, 3, 9)
+    with pytest.raises(TypeError, match="StageDistribution"):
+        per_stage([trunc, 2.0], 2, 9)
+
+
+def _counting_comparisons(monkeypatch):
+    """The (left, right) pair of every `==` between two laws."""
+    pairs, eq = [], StageDistribution.__eq__
+
+    def counted(a, b):
+        pairs.append((a, b))
+        return eq(a, b)
+    monkeypatch.setattr(StageDistribution, "__eq__", counted)
+    return pairs
+
+
+def test_per_stage_repeats_a_shared_law_without_a_comparison(trunc, monkeypatch):
+    pairs = _counting_comparisons(monkeypatch)
+    laws = per_stage(trunc, 4)
+    assert len(laws) == 4 and all(law is trunc for law in laws)
+    assert per_stage([trunc] * 4, 4, 9) == laws  # identity first: one object repeated, no `==`
+    assert pairs == []
+
+
+def test_per_stage_merges_equal_exponential_laws_into_the_first(monkeypatch):
+    near = [StageDistribution.truncated_exponential(MEAN_SNR_D50) for _ in range(3)]
+    far = [StageDistribution.truncated_exponential(MEAN_SNR_D50 / 8) for _ in range(2)]
+    order = [near[0], far[0], near[1], near[2], far[1]]
+    pairs = _counting_comparisons(monkeypatch)
+    laws = per_stage(order, 5)
+    assert [id(law) for law in laws] == [id(near[0]), id(far[0]), id(near[0]), id(near[0]), id(far[0])]
+    # each law against the distinct laws before it, up to the first equal one
+    assert len(pairs) == 0 + 1 + 1 + 1 + 2
+
+
+def test_per_stage_merges_equal_discretized_laws_with_one_comparison_each(monkeypatch):
+    law = StageDistribution.truncated_exponential(MEAN_SNR_D50)
+    atoms = [law.discretize(4096) for _ in range(9)]
+    assert len({id(a) for a in atoms}) == 9
+    pairs = _counting_comparisons(monkeypatch)
+    laws = per_stage(atoms, 9)
+    assert all(merged is atoms[0] for merged in laws)
+    assert len(pairs) == 8  # the cost of the oracle's nine equal laws
 
 
 def test_a_floor_that_swallows_the_tail_cutoff_is_rejected():

@@ -1,7 +1,8 @@
 """The domain records: assignment raises, equal records are equal, and the
 keys (laws, params, networks, layers) hash equal when they are equal, so a
 rebuilt but equal key finds its entry: a params and network pair its cost
-model, a law the one object a Problem keeps for all its equal stage laws."""
+model. Laws hash for callers that key on them; `per_stage` merges equal
+stage laws by comparison, not by hash."""
 import math
 
 import pytest

@@ -399,6 +399,45 @@ def test_coincidence_equals_enumeration_over_every_snr_sequence(autoencoder, ale
     assert disagreeing >= 15  # the rules part on most sequences of most cases
 
 
+def _enumerated_monotone_case(M, net, params, laws):
+    """The probability of every SNR sequence on which, once the 1-sla rule
+    first calls for a stop at a stage up to M, it calls for one at every
+    later stage up to M."""
+    thresholds = one_sla_thresholds(M, net, params, laws).thresholds
+    held = []
+    for seq in itertools.product(*(atom_pairs(law) for law in laws)):
+        calls = [snr >= t for (snr, _), t in zip(seq, thresholds)]
+        if True not in calls or all(calls[calls.index(True):]):
+            held.append(math.prod(p for _, p in seq))
+    return math.fsum(held)
+
+
+@pytest.mark.parametrize("first_atom, monotone, coincidence",
+                         [(0.184, 0.88, 0.2), (0.3, 0.88, 1.0)], ids=["between", "above"])
+def test_the_monotone_case_and_coincidence_are_incomparable(autoencoder, params, first_atom,
+                                                            monotone, coincidence):
+    """Neither probability bounds the other. At M = 2 both rules share the
+    stage-2 threshold, so they part only on a stage-1 SNR between their
+    stage-1 thresholds, where the 1-sla rule stops and the optimal rule goes
+    on. A stage-1 atom of mass 0.8 there makes them part on 80% of the
+    sequences, while the 1-sla calls break the monotone case only when
+    stage 2 then calls for no stop (0.8 x 0.15). Above both thresholds the
+    same atom makes the rules agree always and leaves the monotone case as
+    it was. Both values are checked against every SNR sequence."""
+    laws = [StageDistribution.discrete(atoms) for atoms in
+            ([(0.1, 0.2), (first_atom, 0.8)], [(0.15, 0.15), (0.3, 0.85)], [(0.18, 0.3), (1.2, 0.7)])]
+    problem = Problem(autoencoder, params, laws, 2)
+    (optimal_1, optimal_2), (look_ahead_1, look_ahead_2) = (
+        problem.policy(rule, 2).thresholds for rule in ("optimal", "one_sla"))
+    assert look_ahead_1 < 0.184 < optimal_1 < 0.3
+    assert optimal_2 == look_ahead_2 and 0.15 < optimal_2 < 0.3
+    got = problem.optimality_probability(2), problem.coincidence_probability(2)
+    want = (_enumerated_monotone_case(2, autoencoder, params, laws),
+            _enumerated_coincidence(2, autoencoder, params, laws))
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert got == pytest.approx((monotone, coincidence), rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_stage"])
 def test_coincidence_matches_the_reference_monte_carlo(autoencoder, params, dist_d50, shared):
     law = dist_d50 if shared else _stage_list(dist_d50.mean_snr)

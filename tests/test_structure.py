@@ -98,12 +98,10 @@ def test_only_the_problem_builds_stage_laws_and_cost_models():
         for scope, fn in scopes:
             calls += [(name, scope, node.func.id) for node in ast.walk(fn)
                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                      and node.func.id in ("per_stage", "network_laws", "cost_model")]
+                      and node.func.id in ("per_stage", "cost_model")]
     assert sorted(calls) == [("simulate.py", "oracle_dp", "cost_model"),
-                             ("simulate.py", "oracle_dp", "network_laws"),
                              ("simulate.py", "oracle_dp", "per_stage"),
                              ("splitting.py", "Problem.__init__", "cost_model"),
-                             ("splitting.py", "Problem.__init__", "network_laws"),
                              ("splitting.py", "Problem.__init__", "per_stage"),
                              ("splitting.py", "apply_rule", "cost_model")]
 
