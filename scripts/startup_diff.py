@@ -1,20 +1,29 @@
 #!/usr/bin/env python3
-"""Wall time of a CLI `place` call, start-up included, at two git revisions.
+"""Wall time and peak memory of a CLI `place` call, start-up included, at two
+git revisions.
 
     python scripts/startup_diff.py REV_A REV_B [--spawns 13]
 
 Exports the committed tree of each revision with `git archive`, through
-`result_diff.export`, and times `python [-S] -m edgesplit.cli place --config
+`result_diff.export`, and runs `python [-S] -m edgesplit.cli place --config
 configs/autoencoder_d50.json` from spawn to exit, each call a fresh
-interpreter. Each revision gets `--spawns` timed calls with `-S` and as many
-without, interleaved: round i runs A then B, or B then A on odd rounds, first
-without `-S` and then with it. One untimed call per revision and setting
-comes first, so both sides see the same file cache and, unless
+interpreter. Each revision gets `--spawns` measured calls with `-S` and as
+many without, interleaved: round i runs A then B, or B then A on odd rounds,
+first without `-S` and then with it. One unmeasured call per revision and
+setting comes first, so both sides see the same file cache and, unless
 PYTHONDONTWRITEBYTECODE is set, the same `__pycache__`. It prints each side's
-median and quartiles in ms. `-S` leaves out `site`, whose `.pth` files can
-import modules of their own before any user code runs; planning needs nothing
-from site-packages. The exit status is 1 if a call fails. The trees go to a
-temporary directory (set TMPDIR to choose where).
+median and quartiles of wall time in ms and its median peak resident set in
+MB (MiB, as the bench's `peak_rss_mb`). `-S` leaves out `site`, whose `.pth`
+files can import modules of their own before any user code runs; planning
+needs nothing from site-packages. The exit status is 1 if a call fails. The
+trees go to a temporary directory (set TMPDIR to choose where).
+
+Each call is spawned by a bare `python -S` (`_SPAWN`), which reaps it with
+`os.wait4` and reports its wall time and `ru_maxrss` (KiB on Linux). Linux
+carries the spawning process's peak resident set through the spawn and the
+exec into the child's `ru_maxrss`, so a call spawned by this script, whose
+exports lift its own peak to about 18 MB, would read at least that. The bare
+spawner peaks at about 9 MB, below any `place` call.
 """
 import argparse
 import os
@@ -22,7 +31,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 from result_diff import export
@@ -30,17 +38,31 @@ from result_diff import export
 CONFIG = "configs/autoencoder_d50.json"
 
 
-def place(tree: Path, flags: list, out: Path) -> float:
-    """Seconds from spawn to exit of one `place` call on `tree`."""
+# argv[1:] is the call: spawn it with stdout to /dev/null, reap it, and print
+# its seconds from spawn to exit, its exit code and its ru_maxrss in KiB
+_SPAWN = """
+import os, sys, time
+t0 = time.perf_counter()
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter() - t0, os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def place(tree: Path, flags: list, out: Path) -> tuple[float, float]:
+    """Seconds from spawn to exit of one `place` call on `tree`, and its peak RSS in MB."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     argv = [sys.executable, *flags, "-m", "edgesplit.cli", "place", "--config", CONFIG,
             "--out", str(out)]
-    t0 = time.perf_counter()
-    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
-    elapsed = time.perf_counter() - t0
+    proc = subprocess.run([sys.executable, "-S", "-c", _SPAWN, *argv], cwd=tree, env=env,
+                          capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(argv)} in {tree} exited {proc.returncode}: {proc.stderr}")
-    return elapsed
+        raise RuntimeError(f"the spawner of {' '.join(argv)} exited {proc.returncode}: {proc.stderr}")
+    seconds, code, kib = proc.stdout.split()
+    if code != "0":
+        raise RuntimeError(f"{' '.join(argv)} in {tree} exited {code}: {proc.stderr}")
+    return float(seconds), int(kib) / 1024.0
 
 
 def main():
@@ -56,7 +78,7 @@ def main():
             trees[side] = Path(tmp) / side
             export(rev, trees[side])
         out = Path(tmp) / "out"
-        times = {(side, " ".join(flags)): [] for flags in settings for side in trees}
+        runs = {(side, " ".join(flags)): [] for flags in settings for side in trees}
         try:
             for flags in settings:
                 for side in trees:
@@ -64,7 +86,7 @@ def main():
             for i in range(args.spawns):
                 for flags in settings:
                     for side in ("a", "b") if i % 2 == 0 else ("b", "a"):
-                        times[side, " ".join(flags)].append(place(trees[side], flags, out))
+                        runs[side, " ".join(flags)].append(place(trees[side], flags, out))
         except RuntimeError as exc:
             print(f"startup_diff: {exc}", file=sys.stderr)
             return 1
@@ -74,10 +96,11 @@ def main():
           f"`place --config {CONFIG}`, {args.spawns} interleaved spawns per row")
     for flags in settings:
         for side, rev in (("a", args.rev_a), ("b", args.rev_b)):
-            ms = [1e3 * t for t in times[side, " ".join(flags)]]
-            q1, median, q3 = statistics.quantiles(ms, n=4)
+            calls = runs[side, " ".join(flags)]
+            q1, median, q3 = statistics.quantiles([1e3 * t for t, _ in calls], n=4)
+            rss = statistics.median(mb for _, mb in calls)
             print(f"  python{' ' + ' '.join(flags) if flags else '   '} {rev}: median {median:.1f} ms "
-                  f"(quartiles {q1:.1f}-{q3:.1f})")
+                  f"(quartiles {q1:.1f}-{q3:.1f}), peak RSS {rss:.2f} MB")
     return 0
 
 

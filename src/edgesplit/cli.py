@@ -13,7 +13,6 @@ comment lines) plus JSON where noted. Exit codes: 0 ok, 2 config error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -28,6 +27,14 @@ from .errors import ConfigError, NumericalError
 from .placement import RULE_OF_STRATEGY, run_strategy
 from .simulate import RNG_ALGORITHM, simulate
 from .splitting import Problem
+
+try:  # CPython's builtin SHA-256, which loads no OpenSSL: `_sha2` from 3.12, `_sha256` before
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # an interpreter built without its builtin hashes
+        from hashlib import sha256
 
 
 def _fmt(x) -> str:
@@ -60,7 +67,7 @@ def _json(obj, pad: str = "\n") -> str:
 
 def _sha256(obj) -> str:
     """SHA-256 of the sorted-key JSON of `obj`: the config and network hashes."""
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    return sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
@@ -264,7 +271,7 @@ def main(argv=None) -> int:
             reason = getattr(exc, "strerror", None) or exc
             raise ConfigError(f"cannot read {args.config!r}: {reason}", field="--config") from exc
         if isinstance(raw, dict):  # load_config rejects any other shape
-            if args.updates is not None and isinstance(raw.setdefault("params", {}), dict):
+            if args.updates is not None and isinstance(raw.get("params"), dict):
                 raw["params"]["updates_per_model"] = args.updates
             if args.seed is not None:
                 raw["seed"] = args.seed

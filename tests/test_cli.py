@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -514,6 +516,64 @@ def test_cmd_place_updates_flag_override(tmp_path):
     _, _, rows = read_csv(tmp_path / "placement.csv")
     best = {r[0]: int(r[1]) for r in rows if r[5] == "1"}
     assert set(best.values()) == {8}
+
+
+def test_the_updates_flag_adds_no_params_to_a_config_without_them(tmp_path, capsys):
+    """`--updates` sets the key of a `params` object that is there: a config
+    without one still fails on the missing field, not on a key of an empty
+    object made up for the override."""
+    raw = reference_config_dict()
+    del raw["params"]
+    cfg = write_config(tmp_path, raw)
+    assert main(["place", "--config", cfg, "--out", str(tmp_path), "--updates", "5"]) == 2
+    assert "(field: params): missing required field 'params'" in capsys.readouterr().err
+    assert not (tmp_path / "placement.csv").exists()
+
+
+def test_config_sha256_hashes_the_config_as_the_flags_overrode_it(tmp_path):
+    """config_sha256 is the SHA-256 of the sorted-key JSON of the config that
+    ran: the file's document with `--seed` and `--updates` applied."""
+    raw = reference_config_dict()
+    cfg = write_config(tmp_path, raw)
+    assert main(["place", "--config", cfg, "--out", str(tmp_path), "--seed", "11",
+                 "--updates", "inf"]) == 0
+    ran = dict(raw, seed=11, params=dict(raw["params"], updates_per_model="inf"))
+    want = hashlib.sha256(json.dumps(ran, sort_keys=True).encode()).hexdigest()
+    assert read_csv(tmp_path / "placement.csv")[0]["config_sha256"] == want
+    assert json.loads((tmp_path / "placement.json").read_text())["metadata"]["config_sha256"] == want
+    assert want != hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
+
+
+# `place` with CPython's builtin SHA-256 modules blocked, so that the CLI binds
+# hashlib's; it prints the module its `sha256` came from.
+_HASHLIB_PLACE = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from edgesplit import cli
+assert cli.main(sys.argv[1:]) == 0
+print(cli.sha256.__module__)
+"""
+
+
+def test_the_hashlib_fallback_writes_the_bytes_of_the_builtin_hash(tmp_path):
+    """An interpreter without its builtin hash modules hashes through hashlib,
+    and a `place` run there writes the same result files, SHA-256 fields
+    included, as one through the builtin module."""
+    cfg = write_config(tmp_path, reference_config_dict())
+    builtin, fallback = tmp_path / "builtin", tmp_path / "fallback"
+    assert main(["place", "--config", cfg, "--out", str(builtin)]) == 0
+    assert cli.sha256.__module__ in ("_sha2", "_sha256")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _HASHLIB_PLACE, "place", "--config", cfg,
+                           "--out", str(fallback)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "_hashlib"
+    names = sorted(os.listdir(builtin))
+    assert names == sorted(os.listdir(fallback)) == ["placement.csv", "placement.json"]
+    for name in names:
+        assert (fallback / name).read_bytes() == (builtin / name).read_bytes(), name
 
 
 def test_cmd_place_closed_form_on_non_mlp_errors(tmp_path, capsys):

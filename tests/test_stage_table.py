@@ -1,7 +1,7 @@
 """Stage tables: the stop statistics every expected cost and the 1-sla
 placement sweep read, checked against the per-stage scalar loops they
 replace; the dominance of the optimal rule over random problems; the
-properties of both rules that hold, and one that does not; and four of the
+properties of both rules that hold, and one that does not; and five of the
 model's invariants as metamorphic properties over random problems."""
 import itertools
 import math
@@ -644,3 +644,30 @@ def test_the_best_placement_is_nondecreasing_in_k(problem):
                     assert margin <= 4 * math.ulp(before_rows[before].Z), (rep.strategy, K, before, rep.best_M)
             last[rep.strategy] = rep.best_M, rep.rows
     assert hybrid(problem).best_M == one_sla.best_M
+
+
+@settings(max_examples=200)
+@given(problem=_problems(), at=st.integers(0, 3))
+def test_fewer_split_points_cost_no_less(problem, at):
+    """Merging layers k and k+1 into one layer, with their cycles and
+    download times summed and layer k's input bits, takes stage k+1 away as
+    a split point and leaves every other stage's omega, weight and law. So
+    the merged network at horizon M' is the original at the matching
+    horizon, M' below k and M' + 1 from k on, with one stopping chance fewer
+    where M' >= k: its V_M'(1) is no lower (threshold +inf at stage k+1
+    recovers the merged policy), and equal where M' < k."""
+    net, params, dists = problem
+    if net.N < 2:
+        return
+    k = 1 + at % (net.N - 1)  # 1-based: layers k and k + 1 merge
+    first, second = net.layers[k - 1], net.layers[k]
+    merged_layer = LayerSpec(first.workload_cycles + second.workload_cycles, first.input_bits,
+                             first.download_seconds + second.download_seconds)
+    merged = NetworkSpec(net.layers[:k - 1] + (merged_layer,) + net.layers[k + 1:], net.exit_input_bits)
+    laws = dists if isinstance(dists, StageDistribution) else dists[:k] + dists[k + 1:]
+    costs = Problem(net, params, dists).optimal[0]
+    for M, cost in enumerate(Problem(merged, params, laws).optimal[0]):
+        matching = costs[M if M < k else M + 1]
+        assert matching <= cost * (1.0 + _TAIL_REL), (k, M)
+        if M < k:
+            assert cost <= matching * (1.0 + _TAIL_REL), (k, M)

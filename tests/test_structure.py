@@ -1,11 +1,13 @@
 """Module boundaries: no edgesplit module imports another module's private
 names, only the cost model reads the cost constants, only the CLI catches a
 NumericalError, only the config module reads the config format, importing
-the package and its CLI pulls in no scipy, planning runs without numpy and
-without dataclasses, typing or pathlib, the package exports an explicit list of names, the README quick start runs, the
-process holds two memo caches and no more, one helper called from `main`
-alone writes every result file, only the CLI imports hashlib or json, and
-the functions the benchmark calls keep their signatures."""
+the package and its CLI pulls in no scipy, planning runs without numpy,
+without dataclasses, typing or pathlib, and without hashlib and its OpenSSL
+module, the package exports an explicit list of names, the README quick
+start runs, the process holds two memo caches and no more, one helper called
+from `main` alone writes every result file, only the CLI imports json or a
+hash module (hashlib, `_sha2` or `_sha256`), and the functions the benchmark
+calls keep their signatures."""
 import ast
 import inspect
 import json
@@ -147,8 +149,10 @@ def test_import_is_scipy_free():
 # `place`, `thresholds` and every sweep axis on the three networks, a per-stage
 # list of laws and a discrete law, which load neither numpy nor the modules of
 # _UNUSED; then `simulate`, which is the numpy path, where site-packages is on
-# the path. With site, a .pth file may load typing and pathlib first.
-_UNUSED = ("dataclasses", "inspect", "ast", "dis", "typing", "pathlib")
+# the path. With site, a .pth file may load typing and pathlib first. The
+# result files' SHA-256 comes from CPython's builtin module, not from hashlib,
+# whose `_hashlib` loads OpenSSL.
+_UNUSED = ("dataclasses", "inspect", "ast", "dis", "typing", "pathlib", "hashlib", "_hashlib")
 _PLANNING = """
 import json, sys
 unused = set(json.loads(sys.argv[3]))
@@ -222,8 +226,9 @@ def test_no_module_imports_dataclasses_typing_or_pathlib():
 
 def test_only_the_cli_imports_hashlib_or_json():
     """cli.py alone assembles the result files, their JSON and their SHA-256
-    hashes: no other module serializes or hashes."""
-    offenders = _imports_of(("hashlib", "json"), skip="cli.py")
+    hashes: no other module serializes or hashes, through hashlib or through
+    CPython's builtin `_sha2` (3.12 on) or `_sha256`."""
+    offenders = _imports_of(("hashlib", "_sha2", "_sha256", "json"), skip="cli.py")
     assert not offenders, offenders
 
 
