@@ -50,7 +50,11 @@ of `python -m edgesplit.cli` calls on each:
   (`place` with four strategies and then one, `simulate` and a distance
   sweep with two strategies and then one): a rewrite that leaves part of the
   longer result shows as a changed file. Every longer run must exit 0; one
-  that does not is listed, on either tree, and fails the diff.
+  that does not is listed, on either tree, and fails the diff;
+* twin cases, a flag and the config key it sets (`--updates 5` and
+  `updates_per_model` 5, under `place`), which must exit alike and write the
+  same bytes, `config_sha256` included: twins that differ are listed, on
+  either tree, and fail the diff.
 
 It then lists the cases whose exit code, exit-2 field or exit-3 message
 (the numerical error and the estimate it prints) changed, the result
@@ -231,6 +235,9 @@ def matrix():
     cases.append(("flags", "place", config(), ["--updates", "10"]))
     cases.append(("flags", "simulate", config(strategies=RULES),
                   ["--seed", "3", "--trials", "500"]))
+    # twins: a flag and the config key it sets run, and hash, one config
+    cases.append(("twin/updates=5", "place", config(), ["--updates", "5"]))
+    cases.append(("twin/updates=5", "place", config(updates_per_model=5), []))
 
     base = config()
     custom = config(LAYERS, channel=discrete, strategies=RULES)
@@ -463,6 +470,14 @@ def main():
     failed_earlier = [(rev, key, code) for side, rev in (("a", args.rev_a), ("b", args.rev_b))
                       for key, (code, _, _) in results[side].items()
                       if isinstance(code, tuple) and any(code[:-1])]
+    unequal_twins = []
+    for side, rev in (("a", args.rev_a), ("b", args.rev_b)):
+        twins = {}
+        for (name, *_), run in zip(cases, results[side].values()):
+            if name.startswith("twin/"):
+                twins.setdefault(name, []).append(run)
+        unequal_twins += [(rev, name) for name, runs in twins.items()
+                          if any(run != runs[0] for run in runs)]
     for key, (code_a, field_a, files_a) in results["a"].items():
         code_b, field_b, files_b = results["b"][key]
         if (code_a, field_a) != (code_b, field_b):
@@ -482,6 +497,9 @@ def main():
     print(f"\nrerun cases whose longer run did not exit 0: {len(failed_earlier)}")
     for rev, key, code in failed_earlier:
         print(f"  {rev} {key}: exit codes {code}")
+    print(f"\ntwin cases whose exit code or result files differ: {len(unequal_twins)}")
+    for rev, name in unequal_twins:
+        print(f"  {rev} {name}")
     print(f"\nexit code, exit-2 field or exit-3 message changed: {len(changed_exit)}")
     for key, code_a, field_a, code_b, field_b in changed_exit:
         print(f"  {key}: {code_a} ({field_a}) -> {code_b} ({field_b})")
@@ -495,7 +513,7 @@ def main():
     print(f"\nchanged best flags: {len(best_flags)}")
     for name, row, a, b in best_flags:
         print(f"  {name} {','.join(row)}: {a} -> {b}")
-    return 1 if failed_earlier or changed_exit or changed_files else 0
+    return 1 if failed_earlier or unequal_twins or changed_exit or changed_files else 0
 
 
 if __name__ == "__main__":

@@ -90,10 +90,14 @@ class StageDistribution(Record):
     `probs=`; its support_lo is the bottom atom. `discrete()` builds one
     from (snr, probability) pairs, and `prob_below`, `quantile`,
     `atom_arrays` and the tail table read it. Instances are immutable and
-    safe to share; a discrete law's `quantile` builds its numpy columns once.
+    safe to share; a discrete law's `quantile` builds its numpy columns once,
+    and a law keeps its last discretization, at most one: M + 1 stages that
+    discretize one shared law get one discrete law, which the oracle reads
+    once and merges with no comparison.
     """
 
-    __slots__ = ("kind", "mean_snr", "support_lo", "snrs", "probs", "_quantile_columns")
+    __slots__ = ("kind", "mean_snr", "support_lo", "snrs", "probs", "_quantile_columns",
+                 "_discretized")
 
     def __init__(self, kind: str, mean_snr: float | None = None, support_lo: float | None = None,
                  *, snrs=None, probs=None):
@@ -132,7 +136,7 @@ class StageDistribution(Record):
             support_lo = snrs[0]
         else:
             raise ValueError(f"unknown distribution kind {kind!r}")
-        self._set(kind, mean_snr, support_lo, snrs, probs, None)
+        self._set(kind, mean_snr, support_lo, snrs, probs, None, None)
 
     def __hash__(self):
         return hash((self.kind, self.mean_snr, self.support_lo, self.snrs, self.probs))
@@ -292,19 +296,28 @@ class StageDistribution(Record):
     def discretize(self, grid_points: int) -> "StageDistribution":
         """Equal-mass atoms at quantile midpoints (probability-matched grid).
 
+        The law keeps the result: a call at the grid of the last one returns
+        the same object, and a call at another grid replaces it.
+
         The quantile column is sorted; it goes through `_merged` only when it
         repeats a value (a law with atoms has repeated quantiles), so its order
         is checked in numpy and then once more by `__init__`, not in Python twice.
         """
+        grid_points = operator.index(grid_points)  # a float grid is a TypeError, kept or not
         if grid_points < 2:
             raise ValueError("grid_points must be at least 2")
+        if self._discretized is not None and self._discretized[0] == grid_points:
+            return self._discretized[1]
         import numpy as np
 
         q = self.quantile((np.arange(grid_points) + 0.5) / grid_points)
         probs = [1.0 / grid_points] * grid_points
         if not (q[1:] > q[:-1]).all():  # also NaN, which `__init__` then rejects
-            return StageDistribution._merged(q.tolist(), probs)
-        return StageDistribution("discrete", snrs=tuple(q.tolist()), probs=tuple(probs))
+            law = StageDistribution._merged(q.tolist(), probs)
+        else:
+            law = StageDistribution("discrete", snrs=tuple(q.tolist()), probs=tuple(probs))
+        object.__setattr__(self, "_discretized", (grid_points, law))
+        return law
 
     # -- serialization ------------------------------------------------------
 

@@ -272,7 +272,11 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot read {args.config!r}: {reason}", field="--config") from exc
         if isinstance(raw, dict):  # load_config rejects any other shape
             if args.updates is not None and isinstance(raw.get("params"), dict):
-                raw["params"]["updates_per_model"] = args.updates
+                try:  # as a config holds it: the JSON value, or text that is not JSON ("inf")
+                    updates = json.loads(args.updates)
+                except json.JSONDecodeError:
+                    updates = args.updates
+                raw["params"]["updates_per_model"] = updates
             if args.seed is not None:
                 raw["seed"] = args.seed
             if args.trials is not None:

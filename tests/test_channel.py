@@ -1,5 +1,6 @@
 """SNR laws: path loss, truncation, quadrature expectations, discretization."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -682,6 +683,71 @@ def test_discretized_expectation_is_finite_sum(trunc):
     assert expect(d, inv_rate) == by_hand
 
 
+def test_a_law_keeps_its_discretization():
+    law = StageDistribution.truncated_exponential(MEAN_SNR_D50)
+    grids = [law.discretize(4096) for _ in range(9)]
+    assert all(grid is grids[0] for grid in grids)
+    assert grids[0] == StageDistribution.truncated_exponential(MEAN_SNR_D50).discretize(4096)
+
+
+def test_a_discretization_at_another_grid_replaces_the_kept_one():
+    law = StageDistribution.truncated_exponential(MEAN_SNR_D50)
+    fine = law.discretize(4096)
+    coarse = law.discretize(64)
+    assert len(coarse.snrs) == 64 and law.discretize(64) is coarse
+    # one law is kept at a time: the fine grid is built again, equal to the first
+    again = law.discretize(4096)
+    assert again is not fine and again == fine
+    assert law.discretize(4096) is again and law.discretize(64) is not coarse
+
+
+@pytest.mark.parametrize("grid", [1, 0, -4096])
+def test_a_law_with_a_kept_discretization_still_rejects_fewer_than_two_points(grid):
+    law = StageDistribution.truncated_exponential(MEAN_SNR_D50)
+    kept = law.discretize(4096)
+    with pytest.raises(ValueError, match="at least 2"):
+        law.discretize(grid)
+    assert law.discretize(4096) is kept
+
+
+def test_a_grid_that_is_not_an_integer_is_rejected_whether_or_not_a_law_is_kept():
+    law = StageDistribution.truncated_exponential(MEAN_SNR_D50)
+    with pytest.raises(TypeError):
+        law.discretize(4096.0)
+    kept = law.discretize(np.int64(4096))
+    with pytest.raises(TypeError):
+        law.discretize(4096.0)
+    assert law.discretize(4096) is kept
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StageDistribution.truncated_exponential(MEAN_SNR_D50),
+    lambda: StageDistribution.discrete([(0.05, 0.25), (0.6, 0.5), (4.0, 0.25)]),
+], ids=["exponential", "discrete"])
+def test_the_kept_discretization_takes_no_part_in_equality_hash_or_json(build):
+    law, fresh = build(), build()
+    law.discretize(4096)
+    assert law == fresh and hash(law) == hash(fresh) and law.to_json_dict() == fresh.to_json_dict()
+    fresh.discretize(64)  # kept grids that differ
+    assert law == fresh and hash(law) == hash(fresh) and law.to_json_dict() == fresh.to_json_dict()
+
+
+def test_nine_discretizations_of_one_law_peak_below_two_of_one():
+    """The oracle's M + 1 stages of one law hold one discrete law, not M + 1."""
+    StageDistribution.truncated_exponential(MEAN_SNR_D50).discretize(4096)  # warm: numpy's import
+    peaks = []
+    for calls in (1, 9):
+        law = StageDistribution.truncated_exponential(MEAN_SNR_D50)
+        tracemalloc.start()
+        try:
+            laws = [law.discretize(4096) for _ in range(calls)]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(laws) == calls
+    assert peaks[1] < 2 * peaks[0], peaks
+
+
 # -- config parsing -----------------------------------------------------------------
 
 def _load_law(spec):
@@ -749,13 +815,13 @@ def test_per_stage_merges_equal_exponential_laws_into_the_first(monkeypatch):
 
 
 def test_per_stage_merges_equal_discretized_laws_with_one_comparison_each(monkeypatch):
-    law = StageDistribution.truncated_exponential(MEAN_SNR_D50)
-    atoms = [law.discretize(4096) for _ in range(9)]
+    # nine equal continuous laws, each discretized: equal laws that are nine objects
+    atoms = [StageDistribution.truncated_exponential(MEAN_SNR_D50).discretize(4096) for _ in range(9)]
     assert len({id(a) for a in atoms}) == 9
     pairs = _counting_comparisons(monkeypatch)
     laws = per_stage(atoms, 9)
     assert all(merged is atoms[0] for merged in laws)
-    assert len(pairs) == 8  # the cost of the oracle's nine equal laws
+    assert len(pairs) == 8  # the cost of nine equal laws built apart
 
 
 def test_a_floor_that_swallows_the_tail_cutoff_is_rejected():

@@ -544,6 +544,23 @@ def test_config_sha256_hashes_the_config_as_the_flags_overrode_it(tmp_path):
     assert want != hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
 
 
+@pytest.mark.parametrize("text, value", [("5", 5), ("5.0", 5.0), ('"5"', "5"), ("inf", "inf")])
+def test_the_updates_flag_writes_the_bytes_of_the_config_key(tmp_path, text, value):
+    """`--updates TEXT` runs, and hashes, the config whose `updates_per_model`
+    is the JSON value TEXT spells; text that is not JSON, as "inf", is the
+    string a config holds."""
+    raw = reference_config_dict()
+    assert raw["params"]["updates_per_model"] != value
+    flag, key = tmp_path / "flag", tmp_path / "key"
+    assert main(["place", "--config", write_config(tmp_path, raw), "--out", str(flag),
+                 "--updates", text]) == 0
+    keyed = write_config(tmp_path, dict(raw, params=dict(raw["params"], updates_per_model=value)),
+                         "keyed.json")
+    assert main(["place", "--config", keyed, "--out", str(key)]) == 0
+    for name in ("placement.csv", "placement.json"):
+        assert (flag / name).read_bytes() == (key / name).read_bytes()
+
+
 # `place` with CPython's builtin SHA-256 modules blocked, so that the CLI binds
 # hashlib's; it prints the module its `sha256` came from.
 _HASHLIB_PLACE = """

@@ -33,6 +33,7 @@ from edgesplit.splitting import expected_etc
 
 from conftest import (
     DOWNLINK_BPS,
+    MEAN_SNR_D50,
     atom_pairs,
     channel_at,
     reference_config_dict,
@@ -595,6 +596,27 @@ def test_oracle_converts_each_distinct_law_once(autoencoder, params, dist_d50, m
         reads.clear()
         oracle_dp(8, autoencoder, params, laws)
         assert len(reads) == want
+
+
+def test_the_oracle_on_one_discretized_law_compares_no_laws(autoencoder, params, monkeypatch):
+    """Nine stages that discretize one law hand the oracle one object nine
+    times: no `==` and one conversion. Its value and thresholds are, bit for
+    bit, those on the discretizations of nine equal laws built apart."""
+    shared = StageDistribution.truncated_exponential(MEAN_SNR_D50)
+    apart = [StageDistribution.truncated_exponential(MEAN_SNR_D50).discretize(4096) for _ in range(9)]
+    comparisons, reads = [], []
+    eq, atom_arrays = StageDistribution.__eq__, StageDistribution.atom_arrays
+    monkeypatch.setattr(StageDistribution, "__eq__", lambda a, b: comparisons.append(a) or eq(a, b))
+    monkeypatch.setattr(StageDistribution, "atom_arrays",
+                        property(lambda d: reads.append(d) or atom_arrays.fget(d)))
+    bits = []
+    for laws, want in ((apart, 8), ([shared.discretize(4096) for _ in range(9)], 0)):
+        comparisons.clear()
+        reads.clear()
+        result = oracle_dp(8, autoencoder, params, laws)
+        assert (len(comparisons), len(reads)) == (want, 1)
+        bits.append([result.expected_cost.hex(), *(t.hex() for t in result.thresholds)])
+    assert bits[0] == bits[1]
 
 
 def test_oracle_rejects_continuous_laws(autoencoder, params, dist_d50):
