@@ -9,12 +9,13 @@ every case of `result_diff.matrix()` through `edgesplit.cli.main`, each in a
 directory made by `result_diff.prepare`, as the byte diff makes it. It then
 makes one call each of the library functions that `perfbench/worker.py`
 calls: the policy builders `forced_offload_policy`, `backward_induction` and
-`one_sla_thresholds`, `apply_rule`, `discretize`, `oracle_dp` and
-`coincidence_rate`. It prints, per module, the source lines with bytecode
-that no call reached, as ranges of consecutive lines, leaving out `raise`
-statements, and the totals. A line counts as reached when any call ran it,
-also where the `cost_model` cache spared a later call from running it. It
-only reports: the exit status is 0 whatever it finds. To survey uncommitted
+`one_sla_thresholds`, `apply_rule`, `discretize`, `oracle_dp`,
+`coincidence_rate` and `CostModel.etc_values` on one stage per SNR. It
+prints, per module, the source lines with bytecode that no call reached, as
+ranges of consecutive lines, leaving out `raise` statements, and the totals.
+A line counts as reached when any call ran it, also where the `cost_model`
+cache spared a later call from running it. It only reports: the exit status
+is 0 whatever it finds. To survey uncommitted
 work, pass `$(git stash create)` (after `git add` of new files) as REV. The tree and the outputs go to a
 temporary directory (set TMPDIR to choose where).
 """
@@ -95,6 +96,7 @@ def run_commands(work: Path) -> Counter:
 def run_library():
     """One call each of the library functions the benchmark worker calls."""
     import edgesplit as es
+    from edgesplit.cost_model import CostModel
 
     cfg = es.load_config(config("autoencoder", 50, horizon_M=LIBRARY_HORIZON))
     net, params, M = cfg.network, cfg.params, cfg.horizon_M
@@ -107,6 +109,8 @@ def run_library():
     grid = [d.discretize(LIBRARY_ATOMS) for d in dists[:M + 1]]
     es.oracle_dp(M, net, params, grid)
     es.coincidence_rate(M, net, params, dists, LIBRARY_TRIALS, cfg.seed)
+    # the online_split check prices each decision at its own stage
+    CostModel(net, params).etc_values(range(1, net.N + 2), [dists[0].mean_snr] * (net.N + 1))
 
 
 def main():

@@ -119,19 +119,25 @@ class CostModel:
         self._check_stage(n)
         return self._weight[n - 1]
 
-    def etc_values(self, stages, gammas):
-        """Vectorized eta over numpy arrays of 1-based stage indices and matching
-        SNRs: omega + weight / (B log1p(snr) / ln 2), the rate and then the cost
-        written into one output array."""
+    def etc_values(self, stages, gammas, out=None):
+        """Vectorized eta over SNRs at one 1-based stage or an array of one stage
+        per SNR: omega + weight / (B log1p(snr) / ln 2), written into one array,
+        `out` if given. A stage outside [1, N + 1] is a ValueError."""
         import numpy as np
 
-        idx = np.asarray(stages, dtype=np.intp) - 1
-        out = np.log1p(np.asarray(gammas, dtype=float))
+        if np.ndim(stages):
+            idx = np.asarray(stages, dtype=np.intp)
+            self._check_stage(idx.min(initial=1))  # initial=1: an empty array passes
+            self._check_stage(idx.max(initial=1))
+            weight, omega = np.take(self._weight, idx - 1), np.take(self._omega, idx - 1)
+        else:
+            weight, omega = self.weight(stages), self.omega(stages)
+        out = np.log1p(np.asarray(gammas, dtype=float), out=out)
         np.multiply(self.params.bandwidth_hz, out, out=out)
         out /= LN2
         with np.errstate(divide="ignore", over="ignore"):  # a rate that underflows costs +inf
-            np.divide(np.take(self._weight, idx), out, out=out)
-        out += np.take(self._omega, idx)
+            np.divide(weight, out, out=out)
+        out += omega
         return out
 
     def placement_cost(self, M: int) -> float:

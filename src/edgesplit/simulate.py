@@ -4,8 +4,9 @@ The simulator draws uniforms from one PCG64 stream in trial-major order, in
 tiles of at most _TILE_ROWS trials inside blocks of at most _CHUNK_TRIALS,
 and applies a threshold policy one stage at a time: a stage's inverse CDF
 runs only on the uniforms of the trials that have not stopped yet, on the
-laws and costs of a `splitting.Problem`. No result depends on the tile size,
-and none on the block size but through the order of the per-block sums.
+laws and costs of a `splitting.Problem`, and prices a trial at stage 1, then
+again where it stops. No result depends on the tile size, and none on the
+block size but through the order of the per-block sums.
 
 The oracle solves the stopping problem exactly on discrete (atom) channel
 laws by direct recursion on the value function. It shares the cost
@@ -29,7 +30,7 @@ RNG_ALGORITHM = "numpy-pcg64"
 _CHUNK_TRIALS = 1 << 17
 # the most trials drawn and run through the kernel at a time: the working set
 # of a call is one tile, whatever the trial count
-_TILE_ROWS = 1 << 14
+_TILE_ROWS = 1 << 13
 
 
 class SimResult(Record):
@@ -57,12 +58,10 @@ def _uniform_tiles(trials: int, stages: int, seed: int):
     _TILE_ROWS rows, `first` being the tile's offset in its block. The
     uniforms come from one PCG64 stream in trial-major order, so the draws
     depend on neither size. Every tile is a view of one buffer, which the
-    next tile overwrites. Fewer than one trial is a ValueError.
+    next tile overwrites.
     """
     import numpy as np
 
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     buffer = np.empty((min(_TILE_ROWS, _CHUNK_TRIALS, trials), stages))
     for start in range(0, trials, _CHUNK_TRIALS):
@@ -71,56 +70,49 @@ def _uniform_tiles(trials: int, stages: int, seed: int):
             yield rows, first, rng.random(out=buffer[:min(_TILE_ROWS, rows - first)])
 
 
-def _first_crossings(u, ds, thresholds):
-    """1-based stop stage of each row of a uniform tile, and the SNR it stops on.
-
-    A row stops at its first SNR at or above the stage's threshold, else at the
-    forced stage M + 1, M = len(thresholds). Every row reaches stage 1, which
-    reads its column whole; stage j > 1 runs its quantile only on the uniforms
-    of the rows still live at j.
-    """
+def _price_tile(u, ds, thresholds, cm, out, counts):
+    """Write each row's cost into `out` and add the rows stopping at each 1-based
+    stage to `counts`. A row stops at its first SNR at or above the stage's
+    threshold, else at the forced stage M + 1, M = len(thresholds). Every row
+    is priced at stage 1, on its whole column; stage j > 1 draws only for the
+    rows still live and prices again those that stop. No stage runs once no
+    row is live."""
     import numpy as np
 
-    M = len(thresholds)
-    gammas = ds[0].quantile(u[:, 0])
-    if not M:
-        return np.full(len(u), 1), gammas
-    hit = gammas >= thresholds[0]
-    stages = np.where(hit, 1, M + 1)
-    live = np.flatnonzero(~hit)
-    for j in range(1, M):
+    limits = (*thresholds, -math.inf)  # the forced stage stops every row it reaches
+    snrs = ds[0].quantile(u[:, 0])
+    cm.etc_values(1, snrs, out=out)
+    live = np.flatnonzero(~(snrs >= limits[0]))
+    counts[1] += len(u) - live.size
+    for j in range(1, len(limits)):
+        if not live.size:
+            break
         snrs = ds[j].quantile(u[live, j])
-        hit = snrs >= thresholds[j]
-        stop = np.flatnonzero(hit)
-        rows = live[stop]
-        stages[rows] = j + 1
-        gammas[rows] = snrs[stop]
+        hit = snrs >= limits[j]
+        stop = live[hit]
+        out[stop] = cm.etc_values(j + 1, snrs[hit])
+        counts[j + 1] += stop.size
         live = live[~hit]
-    gammas[live] = ds[M].quantile(u[live, M])
-    return stages, gammas
 
 
 def simulate(problem: Problem, policy: ThresholdPolicy, trials: int, seed: int) -> SimResult:
     """Average realized cost of a policy over independent SNR draws from the
-    stage laws of `problem`, at the costs of its cost model. A policy whose
-    horizon exceeds the Problem's is a ValueError."""
+    stage laws of `problem`, at the costs of its cost model. Fewer than one
+    trial, or a policy whose horizon exceeds the Problem's, is a ValueError."""
     import numpy as np
 
     M = policy.horizon_M
     if M > problem.M:
         raise ValueError(f"policy horizon_M = {M} exceeds the Problem's horizon M = {problem.M}")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     ds, cm = problem.dists, problem.cm
 
-    total = 0.0
-    total_sq = 0.0
+    total = total_sq = 0.0
     counts = np.zeros(M + 2, dtype=np.int64)  # 1-based stages
-    etcs = None  # the costs of a block, summed as one array when it is full
+    etcs = np.empty(min(_CHUNK_TRIALS, trials))  # a block's costs, summed once it is full
     for rows, first, u in _uniform_tiles(trials, M + 1, seed):
-        if etcs is None:  # the first block is the largest
-            etcs = np.empty(rows)
-        stages, gammas = _first_crossings(u, ds, policy.thresholds)
-        etcs[first:first + len(u)] = cm.etc_values(stages, gammas)
-        counts += np.bincount(stages, minlength=M + 2)
+        _price_tile(u, ds, policy.thresholds, cm, etcs[first:first + len(u)], counts)
         if first + len(u) == rows:
             block = etcs[:rows]
             total += float(block.sum())
@@ -167,7 +159,7 @@ def oracle_dp(M: int, net: NetworkSpec, params: SystemParams, discrete_dists) ->
 
     def stage_arrays(n):
         snrs, probs = arrays[id(ds[n - 1])]
-        stop_cost = cm.etc_values(np.full(snrs.shape, n), snrs)
+        stop_cost = cm.etc_values(n, snrs)
         return snrs, probs, stop_cost
 
     snrs, probs, stop_cost = stage_arrays(M + 1)

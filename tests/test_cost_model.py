@@ -201,3 +201,20 @@ def test_etc_values_is_the_plain_expression_bit_for_bit(autoencoder, params):
         want = omega[stages - 1] + weight[stages - 1] / (params.bandwidth_hz * np.log1p(gammas) / LN2)
         got = cm.etc_values(stages, gammas)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # one stage for every SNR, written into a given array, is the same expression
+    for n in range(1, autoencoder.N + 2):
+        at_n = stages == n
+        out = np.empty(int(at_n.sum()))
+        assert cm.etc_values(n, gammas[at_n], out=out) is out
+        assert np.array_equal(out.view(np.int64), want[at_n].view(np.int64))
+
+
+@pytest.mark.parametrize("stage", [0, -1, 10])
+def test_etc_values_rejects_a_stage_out_of_range(autoencoder, params, stage):
+    # stage 0 used to read stage N + 1 through index -1, and N + 2 an IndexError
+    cm = cost_model(autoencoder, params)
+    assert autoencoder.N + 2 == 10
+    for stages in (stage, [stage], np.array([1, stage, autoencoder.N + 1])):
+        with pytest.raises(ValueError, match=rf"stage {stage} out of range \[1, 9\]"):
+            cm.etc_values(stages, np.ones(np.size(stages)))
+    assert cm.etc_values(np.array([], dtype=int), []).size == 0

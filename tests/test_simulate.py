@@ -28,7 +28,7 @@ from edgesplit import (
 from edgesplit.config import load_config
 from edgesplit.cost_model import cost_model
 from edgesplit.model_graph import LayerSpec, MlpSpec, NetworkSpec, build_mlp
-from edgesplit.simulate import SimResult, _first_crossings, _uniform_tiles
+from edgesplit.simulate import SimResult, _price_tile, _uniform_tiles
 from edgesplit.splitting import expected_etc
 
 from conftest import (
@@ -196,75 +196,99 @@ def test_kernel_matches_reference_bit_for_bit(autoencoder, params, dist_d50, sha
             assert got == _reference_simulate(pol, autoencoder, params, ds, trials, M, chunk)
 
 
+def _recorded_quantiles(monkeypatch):
+    """Record the output of every StageDistribution.quantile call."""
+    outputs = []
+    original = StageDistribution.quantile
+
+    def recorded(self, u):
+        outputs.append(original(self, u))
+        return outputs[-1]
+
+    monkeypatch.setattr(StageDistribution, "quantile", recorded)
+    return outputs
+
+
 @pytest.mark.parametrize("chunk", _TRIALS_AT_CHUNK)
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_stage"])
-def test_draws_match_reference_bit_for_bit(dist_d50, shared, chunk, monkeypatch):
+def test_draws_match_reference_bit_for_bit(autoencoder, params, dist_d50, shared, chunk,
+                                           monkeypatch):
     # a row that never stops before stage j + 1 is drawn at every stage up to
-    # it and stops there, so its stop SNR is its stage-(j + 1) draw: stacking
-    # those over j rebuilds the whole block of draws through the kernel
+    # it and stops there: each stage's quantile then runs on the whole tile, so
+    # stacking its outputs rebuilds the block of draws through the kernel, and
+    # every row is priced at stage j + 1 on its stage-(j + 1) draw
     ds = (dist_d50,) * 9 if shared else tuple(_stage_list(dist_d50.mean_snr))
+    cm = cost_model(autoencoder, params)
     trials = min(_TRIALS_AT_CHUNK[chunk], 2000)
     monkeypatch.setattr(SIM, "_CHUNK_TRIALS", chunk)
-    got = [np.column_stack([_first_crossings(u, ds[:j + 1], [math.inf] * j)[1] for j in range(9)])
-           for _, _, u in _uniform_tiles(trials, 9, 17)]
     want = list(_reference_draws(ds, trials, 17, chunk))
-    assert len(got) == len(want)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    draws = _recorded_quantiles(monkeypatch)
+    # each tile is a view of one buffer, which the next tile overwrites
+    for (_, _, u), snrs in zip(_uniform_tiles(trials, 9, 17), want, strict=True):
+        for j in range(9):
+            draws.clear()
+            costs, counts = np.empty(len(u)), np.zeros(j + 2, dtype=np.int64)
+            _price_tile(u, ds[:j + 1], [math.inf] * j, cm, costs, counts)
+            assert np.array_equal(np.column_stack(draws), snrs[:, :j + 1])
+            assert np.array_equal(costs, cm.etc_values(j + 1, snrs[:, j]))
+            assert counts.tolist() == [0] * (j + 1) + [len(u)]
 
 
-def test_first_crossing_matches_reference_with_ties():
+def test_first_crossing_matches_reference_with_ties(autoencoder, params):
     # atoms at the integers 1..6 put SNRs exactly on integer thresholds: equality stops
     law = StageDistribution.discrete([(float(k), 1 / 6) for k in range(1, 7)])
     ds = (law,) * 9
+    cm = cost_model(autoencoder, params)
+    # every (stage, atom) pair has its own cost, so a row's cost names its stop stage
+    prices = cm.etc_values(np.repeat(np.arange(1, 10), 6), np.tile(np.arange(1.0, 7.0), 9))
+    assert len(set(prices.tolist())) == prices.size
     rng = np.random.default_rng(4)
     u = rng.random((5000, 9))
     snrs = np.column_stack([_reference_quantile(law, u[:, j]) for j in range(9)])
     assert set(np.unique(snrs)) == set(range(1, 7))
     for M in range(9):
         for thresholds in (rng.integers(1, 7, size=M).astype(float), np.full(M, math.inf)):
-            stages, gammas = _first_crossings(u[:, :M + 1], ds[:M + 1], thresholds)
+            costs, counts = np.full(len(u), np.nan), np.zeros(M + 2, dtype=np.int64)
+            _price_tile(u[:, :M + 1], ds[:M + 1], thresholds, cm, costs, counts)
             want = _reference_stops(snrs, thresholds, M)
-            assert np.array_equal(stages, want)
-            assert stages.dtype == want.dtype
-            assert np.array_equal(gammas, snrs[np.arange(len(snrs)), want - 1])
-
-
-def _counting_quantile(monkeypatch):
-    """Record the element count of every StageDistribution.quantile call."""
-    sizes = []
-    original = StageDistribution.quantile
-
-    def counted(self, u):
-        sizes.append(np.size(u))
-        return original(self, u)
-
-    monkeypatch.setattr(StageDistribution, "quantile", counted)
-    return sizes
+            assert np.array_equal(counts, np.bincount(want, minlength=M + 2))
+            assert np.array_equal(costs, cm.etc_values(want, snrs[np.arange(len(snrs)), want - 1]))
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per_stage"])
 def test_kernel_draws_only_the_live_rows(autoencoder, params, dist_d50, monkeypatch, shared):
-    # stage j of a block draws for exactly the rows whose reference stop is >= j
+    # stage j of a tile draws for exactly the rows whose reference stop is >= j,
+    # and once no row is live no later stage draws at all
     law = dist_d50 if shared else _stage_list(dist_d50.mean_snr)
     ds = [law] * 9 if shared else law
     trials, chunk = 3000, 1100
     monkeypatch.setattr(SIM, "_CHUNK_TRIALS", chunk)
-    sizes = _counting_quantile(monkeypatch)
+    outputs = _recorded_quantiles(monkeypatch)
     problem = Problem(autoencoder, params, law)
-    for M in range(9):
-        for rule in ("optimal", "one_sla"):
-            pol = problem.policy(rule, M)
-            sizes.clear()
-            simulate(problem, pol, trials, seed=M)
-            blocks = [sizes[k:k + M + 1] for k in range(0, len(sizes), M + 1)]
-            ref = list(_reference_draws(ds[:M + 1], trials, M, chunk))
-            assert len(blocks) == len(ref)
-            for block, snrs in zip(blocks, ref):
-                stops = _reference_stops(snrs, pol.thresholds, M)
-                assert block == [int(np.count_nonzero(stops >= j)) for j in range(1, M + 2)]
-                assert sum(block) == stops.sum()
-                if (stops <= M).any():
-                    assert sum(block) < snrs.size
+    for tile in (SIM._TILE_ROWS, 7):
+        monkeypatch.setattr(SIM, "_TILE_ROWS", tile)
+        skipped = 0
+        for M in range(9):
+            for rule in ("optimal", "one_sla"):
+                pol = problem.policy(rule, M)
+                outputs.clear()
+                simulate(problem, pol, trials, seed=M)
+                sizes = [np.size(out) for out in outputs]
+                want, stop_sum, draws = [], 0, 0
+                for snrs in _reference_draws(ds[:M + 1], trials, M, chunk):
+                    stops = _reference_stops(snrs, pol.thresholds, M)
+                    stop_sum, draws = stop_sum + stops.sum(), draws + snrs.size
+                    for first in range(0, len(stops), tile):
+                        live = [int(np.count_nonzero(stops[first:first + tile] >= j))
+                                for j in range(1, M + 2)]
+                        want += [n for n in live if n]
+                        skipped += live.count(0)
+                assert sizes == want
+                assert 0 not in sizes
+                assert sum(sizes) == stop_sum
+                if stop_sum < draws:
+                    assert sum(sizes) < draws
+        assert skipped, tile  # some tiles end their stage loop early
 
 
 @given(scales=st.lists(st.floats(0.2, 5.0), min_size=7, max_size=7),
@@ -303,9 +327,11 @@ def test_no_result_depends_on_the_tile_size(autoencoder, params, dist_d50, monke
         assert results() == whole
 
 
-# a tile of uniforms at M = 8 (1.2 MB), a block's costs (1 MB) and the
-# per-tile working arrays; one block of uniforms alone takes 9.4 MB
-_PEAK_BOUND = 4 * 2**20
+# a tile of uniforms at M = 8 (0.6 MB), a block's costs (1 MB) and one
+# stage's working arrays: 1.64-1.82 MB. A 2^14-row tile (2.3-2.6 MB) or
+# per-row stop stages and gathered weights (1.9-2.1 MB) exceed it, and one
+# block of uniforms alone takes 9.4 MB
+_PEAK_BOUND = 1.95 * 2**20
 
 
 @pytest.mark.parametrize("network,distance", [("alexnet", 20.0), ("autoencoder", 120.0)])
@@ -590,8 +616,12 @@ def test_oracle_converts_each_distinct_law_once(autoencoder, params, dist_d50, m
 
     monkeypatch.setattr(StageDistribution, "atom_arrays", property(counted))
     coarse, fine = dist_d50.discretize(64), dist_d50.discretize(128)
-    # nine equal laws built one by one are converted once, and two distinct ones twice
-    for laws, want in (([dist_d50.discretize(64) for _ in range(9)], 1), (coarse, 1),
+    # nine equal laws built one by one, from nine equal continuous laws, are
+    # converted once, and two distinct ones twice
+    apart = [StageDistribution.truncated_exponential(dist_d50.mean_snr).discretize(64)
+             for _ in range(9)]
+    assert all(law == apart[0] and law is not apart[0] for law in apart[1:])
+    for laws, want in ((apart, 1), (coarse, 1),
                        ([coarse, fine] * 4 + [coarse], 2)):
         reads.clear()
         oracle_dp(8, autoencoder, params, laws)
