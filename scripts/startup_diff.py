@@ -1,29 +1,34 @@
 #!/usr/bin/env python3
-"""Wall time and peak memory of a CLI `place` call, start-up included, at two
-git revisions.
+"""Wall time and peak memory of a CLI call, start-up included, at two git
+revisions.
 
-    python scripts/startup_diff.py REV_A REV_B [--spawns 13]
+    python scripts/startup_diff.py REV_A REV_B [--spawns 13] [--command place|simulate]
 
 Exports the committed tree of each revision with `git archive`, through
-`result_diff.export`, and runs `python [-S] -m edgesplit.cli place --config
-configs/autoencoder_d50.json` from spawn to exit, each call a fresh
-interpreter. Each revision gets `--spawns` measured calls with `-S` and as
-many without, interleaved: round i runs A then B, or B then A on odd rounds,
-first without `-S` and then with it. One unmeasured call per revision and
-setting comes first, so both sides see the same file cache and, unless
-PYTHONDONTWRITEBYTECODE is set, the same `__pycache__`. It prints each side's
-median and quartiles of wall time in ms and its median peak resident set in
-MB (MiB, as the bench's `peak_rss_mb`). `-S` leaves out `site`, whose `.pth`
-files can import modules of their own before any user code runs; planning
-needs nothing from site-packages. The exit status is 1 if a call fails. The
-trees go to a temporary directory (set TMPDIR to choose where).
+`result_diff.export`, and runs one command on configs/autoencoder_d50.json
+from spawn to exit, each call a fresh interpreter:
+- `place` (the default): `python [-S] -m edgesplit.cli place --config ...`;
+- `simulate`: `python -m edgesplit.cli simulate --config ... --strategy
+  optimal_exhaustive --strategy one_sla_exhaustive --trials 2000`. The
+  example also lists `hybrid`, which `simulate` rejects; and numpy lives in
+  site-packages, so this command runs without `-S` only.
+Each revision gets `--spawns` measured calls per setting, interleaved: round
+i runs A then B, or B then A on odd rounds, first without `-S` and then with
+it. One unmeasured call per revision and setting comes first, so both sides
+see the same file cache and, unless PYTHONDONTWRITEBYTECODE is set, the same
+`__pycache__`. It prints each side's median and quartiles of wall time in ms
+and its median peak resident set in MB (MiB, as the bench's `peak_rss_mb`).
+`-S` leaves out `site`, whose `.pth` files can import modules of their own
+before any user code runs; planning needs nothing from site-packages. The
+exit status is 1 if a call fails. The trees go to a temporary directory (set
+TMPDIR to choose where).
 
 Each call is spawned by a bare `python -S` (`_SPAWN`), which reaps it with
 `os.wait4` and reports its wall time and `ru_maxrss` (KiB on Linux). Linux
 carries the spawning process's peak resident set through the spawn and the
 exec into the child's `ru_maxrss`, so a call spawned by this script, whose
 exports lift its own peak to about 18 MB, would read at least that. The bare
-spawner peaks at about 9 MB, below any `place` call.
+spawner peaks at about 9 MB, below any call.
 """
 import argparse
 import os
@@ -36,6 +41,12 @@ from pathlib import Path
 from result_diff import export
 
 CONFIG = "configs/autoencoder_d50.json"
+# each command's arguments after `edgesplit.cli`, and the `python` flags it runs under
+COMMANDS = {
+    "place": (["place", "--config", CONFIG], ([], ["-S"])),
+    "simulate": (["simulate", "--config", CONFIG, "--strategy", "optimal_exhaustive",
+                  "--strategy", "one_sla_exhaustive", "--trials", "2000"], ([],)),
+}
 
 
 # argv[1:] is the call: spawn it with stdout to /dev/null, reap it, and print
@@ -50,11 +61,10 @@ print(time.perf_counter() - t0, os.waitstatus_to_exitcode(status), usage.ru_maxr
 """
 
 
-def place(tree: Path, flags: list, out: Path) -> tuple[float, float]:
-    """Seconds from spawn to exit of one `place` call on `tree`, and its peak RSS in MB."""
+def spawn(tree: Path, command: list, flags: list, out: Path) -> tuple[float, float]:
+    """Seconds from spawn to exit of one CLI call on `tree`, and its peak RSS in MB."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    argv = [sys.executable, *flags, "-m", "edgesplit.cli", "place", "--config", CONFIG,
-            "--out", str(out)]
+    argv = [sys.executable, *flags, "-m", "edgesplit.cli", *command, "--out", str(out)]
     proc = subprocess.run([sys.executable, "-S", "-c", _SPAWN, *argv], cwd=tree, env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
@@ -70,8 +80,9 @@ def main():
     parser.add_argument("rev_a")
     parser.add_argument("rev_b")
     parser.add_argument("--spawns", type=int, default=13, help="timed calls per revision and setting")
+    parser.add_argument("--command", choices=sorted(COMMANDS), default="place", help="the CLI call to time")
     args = parser.parse_args()
-    settings = ([], ["-S"])
+    command, settings = COMMANDS[args.command]
     with tempfile.TemporaryDirectory(prefix="startup_diff_") as tmp:
         trees = {}
         for side, rev in (("a", args.rev_a), ("b", args.rev_b)):
@@ -82,18 +93,18 @@ def main():
         try:
             for flags in settings:
                 for side in trees:
-                    place(trees[side], flags, out)
+                    spawn(trees[side], command, flags, out)
             for i in range(args.spawns):
                 for flags in settings:
                     for side in ("a", "b") if i % 2 == 0 else ("b", "a"):
-                        runs[side, " ".join(flags)].append(place(trees[side], flags, out))
+                        runs[side, " ".join(flags)].append(spawn(trees[side], command, flags, out))
         except RuntimeError as exc:
             print(f"startup_diff: {exc}", file=sys.stderr)
             return 1
 
     print(f"python {sys.version.split()[0]}; PYTHONDONTWRITEBYTECODE="
           f"{os.environ.get('PYTHONDONTWRITEBYTECODE', '(unset)')}; "
-          f"`place --config {CONFIG}`, {args.spawns} interleaved spawns per row")
+          f"`{' '.join(command)}`, {args.spawns} interleaved spawns per row")
     for flags in settings:
         for side, rev in (("a", args.rev_a), ("b", args.rev_b)):
             calls = runs[side, " ".join(flags)]

@@ -8,6 +8,11 @@ laws and costs of a `splitting.Problem`, and prices a trial at stage 1, then
 again where it stops. No result depends on the tile size, and none on the
 block size but through the order of the per-block sums.
 
+The first draw imports numpy.random with `_hashlib` masked: it loads no
+OpenSSL, and a later `import hashlib` does. Nothing is masked on numpy < 2,
+whose `import numpy` loads numpy.random, nor once `_hashlib` is loaded; and
+during that import another thread's first `import hashlib` gets the fallback.
+
 The oracle solves the stopping problem exactly on discrete (atom) channel
 laws by direct recursion on the value function. It shares the cost
 primitives but no Problem and none of the threshold logic, so agreement with
@@ -18,6 +23,7 @@ the backward-induction path is a genuine cross-check rather than a tautology.
 from __future__ import annotations
 
 import math
+import sys
 
 from .channel import per_stage
 from .cost_model import SystemParams, cost_model
@@ -51,6 +57,23 @@ class OracleResult(Record):
         self._set(grid_points, thresholds, expected_cost)
 
 
+def _pcg64(seed: int):
+    """`numpy.random.default_rng(seed)`; the first call imports numpy.random
+    and then drops the no-OpenSSL `secrets`, `hmac` and `hashlib` it added."""
+    if not {"numpy.random", "_hashlib"} & sys.modules.keys():
+        added = {"hashlib", "hmac", "secrets"} - sys.modules.keys()
+        sys.modules["_hashlib"] = None  # hashlib and hmac take their fallback
+        try:
+            import numpy.random  # noqa: F401
+        finally:
+            sys.modules.pop("_hashlib", None)
+            for name in added:
+                sys.modules.pop(name, None)
+    import numpy as np
+
+    return np.random.default_rng(seed)
+
+
 def _uniform_tiles(trials: int, stages: int, seed: int):
     """(block rows, first row, tile) for each tile of (rows, stages) uniforms.
 
@@ -62,7 +85,7 @@ def _uniform_tiles(trials: int, stages: int, seed: int):
     """
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = _pcg64(seed)
     buffer = np.empty((min(_TILE_ROWS, _CHUNK_TRIALS, trials), stages))
     for start in range(0, trials, _CHUNK_TRIALS):
         rows = min(_CHUNK_TRIALS, trials - start)

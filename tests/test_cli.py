@@ -826,6 +826,29 @@ def test_cmd_sweep_m_axis_reads_the_placement_rows(tmp_path, values):
         assert r[3:5] == placed[r[1], int(r[0])]
 
 
+@settings(max_examples=40)
+@given(network=st.sampled_from(["autoencoder", "alexnet"]), distance=st.floats(10.0, 150.0),
+       updates=st.sampled_from([10, 50, "inf"]), data=st.data())
+def test_cmd_simulate_analytic_means_read_the_placement_rows(network, distance, updates, data):
+    """`simulate`'s analytic mean at horizon_M is `place`'s expected_etc at that
+    M for the same rule: the same stage table for 1-sla, and for the optimal
+    rule the stage table against the value table, which agree to rounding."""
+    base = reference_config_dict()
+    raw = reference_config_dict(network=network, strategies=["optimal_exhaustive", "one_sla_exhaustive"],
+                                params=dict(base["params"], updates_per_model=updates),
+                                channel=dict(base["channel"], distance_m=distance), trials=2)
+    raw["horizon_M"] = M = data.draw(st.integers(0, load_config(raw).network.N), label="horizon_M")
+    cfg = load_config(raw)
+    _, placed = cli.cmd_place(cfg)
+    _, simulated = cli.cmd_simulate(cfg)
+    rows = {rep["strategy"]: rep["rows"][M] for rep in json.loads(placed["placement.json"])["reports"]}
+    means = {e["rule"]: e["analytic_mean_etc"] for e in json.loads(simulated["sim.json"])["results"]}
+    assert rows["optimal_exhaustive"]["M"] == rows["one_sla_exhaustive"]["M"] == M
+    assert means["one_sla"] == rows["one_sla_exhaustive"]["expected_etc"]
+    assert math.isclose(means["optimal"], rows["optimal_exhaustive"]["expected_etc"], rel_tol=1e-13,
+                        abs_tol=0.0)
+
+
 _PER_STAGE = [{"kind": "truncated_exponential", "mean_snr": 0.5 + 0.1 * n} for n in range(9)]
 
 

@@ -21,6 +21,7 @@ from edgesplit import (
     hybrid,
     one_sla_thresholds,
     optimize_exhaustive,
+    oracle_dp,
 )
 from edgesplit.channel import TailTable, per_stage
 from edgesplit.cost_model import SystemParams, cost_model, uplink_rate
@@ -86,15 +87,20 @@ _MEANS = st.floats(0.05, 40.0)
 
 
 @st.composite
+def _discrete_laws(draw, max_atoms=6):
+    snrs = sorted(set(draw(st.lists(st.floats(0.01, 50.0), min_size=1, max_size=max_atoms))))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(snrs), max_size=len(snrs)))
+    total = sum(weights)
+    return StageDistribution.discrete([(s, w / total) for s, w in zip(snrs, weights)])
+
+
+@st.composite
 def _laws(draw):
     kind = draw(st.sampled_from(["truncated", "discrete"]))
     mean = draw(_MEANS)
     if kind == "truncated":
         return StageDistribution.truncated_exponential(mean)
-    snrs = sorted(set(draw(st.lists(st.floats(0.01, 50.0), min_size=1, max_size=6))))
-    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(snrs), max_size=len(snrs)))
-    total = sum(weights)
-    return StageDistribution.discrete([(s, w / total) for s, w in zip(snrs, weights)])
+    return draw(_discrete_laws())
 
 
 @st.composite
@@ -404,6 +410,26 @@ def test_optimal_rows_read_the_value_table(problem):
         row = report.row(M)
         assert _bits([row.Z, row.expected_etc]) == _bits([cm.total_cost(M, value), value])
         assert abs(value - expected_etc(policy, net, params, dists)) <= 1e-14 * abs(value)
+
+
+# -- on discrete laws the recursion equals the exact oracle ---------------------------
+
+@settings(max_examples=150)
+@given(problem=_problems(), data=st.data())
+def test_the_recursion_equals_the_oracle_on_discrete_laws(problem, data, autoencoder, params):
+    """On atom laws `Problem` reads exact atom sums and `oracle_dp` recurses on
+    the same atoms, so V_M(1) agrees to rounding at every horizon M, for a
+    shared law and for one law per stage, on a random network or the shipped
+    autoencoder."""
+    net, net_params, _ = problem
+    if data.draw(st.booleans(), label="shipped autoencoder"):
+        net, net_params = autoencoder, params
+    laws = data.draw(st.one_of(_discrete_laws(40), st.lists(_discrete_laws(40), min_size=net.N + 1,
+                                                            max_size=net.N + 1)), label="laws")
+    values = Problem(net, net_params, laws).optimal[0]
+    for M in range(net.N + 1):
+        want = oracle_dp(M, net, net_params, laws).expected_cost
+        assert math.isclose(values[M], want, rel_tol=1e-13, abs_tol=0.0), (M, values[M], want)
 
 
 # -- ties stop, on discrete laws too ---------------------------------------------------

@@ -3,11 +3,12 @@ names, only the cost model reads the cost constants, only the CLI catches a
 NumericalError, only the config module reads the config format, importing
 the package and its CLI pulls in no scipy, planning runs without numpy,
 without dataclasses, typing or pathlib, and without hashlib and its OpenSSL
-module, the package exports an explicit list of names, the README quick
-start runs, the process holds two memo caches and no more, one helper called
-from `main` alone writes every result file, only the CLI imports json or a
-hash module (hashlib, `_sha2` or `_sha256`), and the functions the benchmark
-calls keep their signatures."""
+module, `simulate` loads no OpenSSL and leaves an `import hashlib` before or
+after it the OpenSSL-backed module, the package exports an explicit list of
+names, the README quick start runs, the process holds two memo caches and no
+more, one helper called from `main` alone writes every result file, only the
+CLI imports json or a hash module (hashlib, `_sha2` or `_sha256`), and the
+functions the benchmark calls keep their signatures."""
 import ast
 import inspect
 import json
@@ -151,12 +152,17 @@ def test_import_is_scipy_free():
 # _UNUSED; then `simulate`, which is the numpy path, where site-packages is on
 # the path. With site, a .pth file may load typing and pathlib first. The
 # result files' SHA-256 comes from CPython's builtin module, not from hashlib,
-# whose `_hashlib` loads OpenSSL.
+# whose `_hashlib` loads OpenSSL. `simulate` loads none of _OPENSSL either:
+# numpy.random, whose `secrets` imports hmac and hashlib, is imported with
+# `_hashlib` masked, unless `import numpy` alone loads it (numpy < 2); and a
+# later `import hashlib, hmac` gets the OpenSSL-backed modules.
 _UNUSED = ("dataclasses", "inspect", "ast", "dis", "typing", "pathlib", "hashlib", "_hashlib")
+_OPENSSL = ("_hashlib", "hashlib", "hmac", "secrets")
 _PLANNING = """
 import json, sys
 unused = set(json.loads(sys.argv[3]))
 preloaded = unused.intersection(sys.modules)
+at_start = set(sys.modules)
 assert not (sys.flags.no_site and preloaded), preloaded
 import edgesplit, edgesplit.cli
 from edgesplit.cli import main
@@ -177,6 +183,13 @@ assert not loaded, loaded
 if not sys.flags.no_site:
     assert main(["simulate", "--config", path, "--out", f"{out}/sim", "--trials", "200"]) in (0, 4)
     assert "numpy" in sys.modules and edgesplit.simulate.__module__ == "edgesplit.simulate"
+    import numpy
+    if int(numpy.__version__.split(".")[0]) >= 2:
+        loaded = set(json.loads(sys.argv[4])).intersection(sys.modules) - at_start
+        assert not loaded, loaded
+    import hashlib, hmac, importlib.util
+    if importlib.util.find_spec("_hashlib") is not None:
+        assert "_hashlib" in sys.modules and hmac._hashopenssl is not None
 """
 
 
@@ -198,9 +211,33 @@ def test_planning_runs_without_numpy(tmp_path):
         out_dir = tmp_path / ("no_site" if flags else "site")
         out_dir.mkdir()
         out = subprocess.run([sys.executable, *flags, "-c", _PLANNING, str(out_dir),
-                              json.dumps(configs), json.dumps(_UNUSED)],
+                              json.dumps(configs), json.dumps(_UNUSED), json.dumps(_OPENSSL)],
                              env=_src_env(), capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr
+
+
+# `hashlib`, with its OpenSSL module where the interpreter has one, imported
+# before `simulate`: the call leaves both as they were.
+_HASHLIB_FIRST = """
+import hashlib, importlib.util, sys
+from edgesplit.cli import main
+openssl = importlib.util.find_spec("_hashlib") is not None
+assert ("_hashlib" in sys.modules) == openssl
+path = sys.argv[1] + "/cfg.json"
+with open(path, "w") as fh:
+    fh.write(sys.argv[2])
+assert main(["simulate", "--config", path, "--out", sys.argv[1], "--trials", "200"]) in (0, 4)
+import hashlib as again
+assert again is hashlib and sys.modules["hashlib"] is hashlib
+assert ("_hashlib" in sys.modules) == openssl
+"""
+
+
+def test_simulate_keeps_a_hashlib_loaded_before_it(tmp_path):
+    config = json.dumps(reference_config_dict(strategies=["optimal_exhaustive"]))
+    out = subprocess.run([sys.executable, "-c", _HASHLIB_FIRST, str(tmp_path), config],
+                         env=_src_env(), capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
 
 
 def _imports_of(top_level: tuple, skip: str = "") -> list[str]:
